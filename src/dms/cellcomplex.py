@@ -112,39 +112,14 @@ class Complex:
     def _edge_cycle(self, cell):
         """Boundary of a 2-cell as an alternating cyclic walk
         [v0, e0, v1, e1, ...]; raises if the edges are not one cycle."""
-        edges = sorted(cell.boundary)
-        if len(edges) < 3:
-            raise BoundaryNotCycle(
-                "2-cell %r has %d boundary edges" % (cell.id, len(edges)))
-        at_vertex = {}
-        for eid in edges:
-            for vid in self.cells[eid].boundary:
-                at_vertex.setdefault(vid, []).append(eid)
-        for vid, eids in at_vertex.items():
-            if len(eids) != 2:
-                raise BoundaryNotCycle(
-                    "2-cell %r: vertex %r lies on %d of its edges"
-                    % (cell.id, vid, len(eids)))
-        # walk the cycle starting from the smallest vertex
-        start = min(at_vertex)
-        first = min(at_vertex[start])
-        walk = [start, first]
-        prev_v, cur_e = start, first
-        while True:
-            nxt = [v for v in self.cells[cur_e].boundary if v != prev_v]
-            if len(nxt) != 1:
-                raise BoundaryNotCycle("2-cell %r: bad edge %r" % (cell.id, cur_e))
-            v = nxt[0]
-            if v == start:
-                break
-            options = [e for e in at_vertex[v] if e != cur_e]
-            walk.append(v)
-            walk.append(options[0])
-            prev_v, cur_e = v, options[0]
-        if len(walk) != 2 * len(edges):
-            raise BoundaryNotCycle(
-                "2-cell %r boundary is not a single cycle" % cell.id)
-        return tuple(walk)
+        if len(cell.boundary) < 3:
+            raise BoundaryNotCycle("2-cell %r has %d boundary edges"
+                                   % (cell.id, len(cell.boundary)))
+        cells = self.cells
+        walk, why = cycle_walk({e: cells[e].boundary for e in cell.boundary})
+        if walk is None:
+            raise BoundaryNotCycle("2-cell %r: %s" % (cell.id, why))
+        return walk
 
     def _check_pseudomanifold(self):
         n = self.top_dim
@@ -160,37 +135,8 @@ class Complex:
             return False
         if not self.is_connected():
             return False
-        for cid, cell in self.cells.items():
-            if cell.dim == 0 and not self._vertex_link_is_cycle(cid):
-                return False
-        return True
-
-    def _vertex_link_is_cycle(self, vid):
-        edges_at = [e for e in self._cofaces[vid] if self.cells[e].dim == 1]
-        if not edges_at:
-            return False
-        # each 2-cell at vid pairs up exactly two of its edges at vid
-        adj = {e: [] for e in edges_at}
-        for e in edges_at:
-            for t in self._cofaces[e]:
-                local = [x for x in self.cells[t].boundary
-                         if vid in self.cells[x].boundary]
-                if len(local) != 2:
-                    return False
-                other = local[0] if local[1] == e else local[1]
-                adj[e].append(other)
-        for e, nbrs in adj.items():
-            if len(nbrs) != 2:
-                return False
-        seen = {edges_at[0]}
-        frontier = [edges_at[0]]
-        while frontier:
-            e = frontier.pop()
-            for o in adj[e]:
-                if o not in seen:
-                    seen.add(o)
-                    frontier.append(o)
-        return len(seen) == len(edges_at)
+        return all(self.link_cycle(cid) is not None
+                   for cid, cell in self.cells.items() if cell.dim == 0)
 
     # ---- queries --------------------------------------------------------
 
@@ -275,16 +221,27 @@ class Complex:
         return sorted(x for x in self.closure(cid) if self.cells[x].dim == 0)
 
     def is_connected(self):
-        ids = sorted(self.cells)
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in list(self.cells[cur].boundary) + list(self._cofaces[cur]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(self.cells)
+        cofaces = self._cofaces
+        return len(components(self.cells, {
+            cid: (*cell.boundary, *cofaces[cid])
+            for cid, cell in self.cells.items()})) == 1
+
+    def link_cycle(self, vid):
+        """Rotation [e0, t0, e1, t1, ...] of the edges and 2-cells around
+        vertex vid, starting at its smallest edge and that edge's
+        smallest 2-cell; None when the link of vid is not one cycle."""
+        if self.dim(vid) != 0:
+            raise UnknownCell("%r is not a vertex" % vid)
+        cofaces = self._cofaces
+        edges = cofaces[vid]
+        ends = {}  # 2-cell -> its two edges at vid
+        for e in edges:
+            for t in cofaces[e]:
+                ends.setdefault(t, []).append(e)
+        walk, _ = cycle_walk(ends)
+        if walk is None or len(walk) != 2 * len(edges):
+            return None
+        return walk
 
     def records(self):
         """Emit (id, dim, sorted boundary ids) records; build_poset of the
@@ -294,10 +251,86 @@ class Complex:
 
     def replace_cells(self, remove=(), add=()):
         """New complex with `remove` ids dropped and `add` cells inserted."""
-        cells = {cid: c for cid, c in self.cells.items() if cid not in set(remove)}
+        remove = set(remove)
+        cells = {cid: c for cid, c in self.cells.items() if cid not in remove}
         for cell in add:
             cells[cell.id] = cell
         return Complex(cells.values())
+
+    def split_cell(self, old, new_cells, halves):
+        """New complex with cell `old` replaced by `new_cells`; every
+        coface of `old` lists both `halves` in its place."""
+        halves = frozenset(halves)
+        patched = []
+        for t in self.cofaces(old):
+            tc = self.cells[t]
+            patched.append(
+                Cell(t, tc.dim, (tc.boundary - {old}) | halves, tc.tag))
+        return self.replace_cells(remove=[old], add=list(new_cells) + patched)
+
+
+# ---- graph primitives ----------------------------------------------------
+
+
+def components(nodes, neighbours):
+    """Connected components of a graph, as a list of frozensets.
+
+    `neighbours` maps each node to the nodes adjacent to it, all of them
+    in `nodes`.  Each search starts at the smallest node not yet reached,
+    so the components come out ordered by their smallest node.
+    """
+    seen = set()
+    out = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            for nxt in neighbours[frontier.pop()]:
+                if nxt not in comp:
+                    comp.add(nxt)
+                    frontier.append(nxt)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def cycle_walk(ends):
+    """Walk the single cycle formed by some items and their ends.
+
+    `ends` maps each item to its two distinct ends (an edge to its
+    vertices, say).  The walk starts at the smallest end and follows its
+    smallest item: [end0, item0, end1, item1, ...].  Returns (walk, None),
+    or (None, reason) when there are no items, some end does not lie on
+    exactly two items, or the items form more than one cycle.
+    """
+    at = {}
+    for item, pair in ends.items():
+        for end in pair:
+            at.setdefault(end, []).append(item)
+    if not at:
+        return None, "no items"
+    bad = [end for end, items in at.items() if len(items) != 2]
+    if bad:
+        end = min(bad)
+        return None, "%r lies on %d items" % (end, len(at[end]))
+    start = min(at)
+    item = min(at[start])
+    walk = [start, item]
+    end = start
+    while True:
+        a, b = ends[item]
+        end = b if a == end else a
+        if end == start:
+            break
+        x, y = at[end]
+        item = y if x == item else x
+        walk.append(end)
+        walk.append(item)
+    if len(walk) != 2 * len(ends):
+        return None, "the items form more than one cycle"
+    return tuple(walk), None
 
 
 # ---- constructors --------------------------------------------------------
@@ -439,7 +472,7 @@ def verify_closed_surface(K):
             raise NotClosedSurface("edge %s has %d cofaces"
                                    % (eid, len(K.cofaces(eid))))
     for vid in K.cells_of_dim(0):
-        if not K._vertex_link_is_cycle(vid):
+        if K.link_cycle(vid) is None:
             raise NotClosedSurface("vertex %s link is not a single cycle" % vid)
     orientable = _orientation_ok(K)
     if not orientable:

@@ -54,6 +54,10 @@ class BadDimension(DmsError):
     pass
 
 
+class NegativeBetti(DmsError):
+    """The ranks computed for a complex gave a negative Betti number."""
+
+
 # --- Morse functions / fields ---
 
 class MissingValue(DmsError):
@@ -69,10 +73,6 @@ class CyclicField(DmsError):
 
 
 class MultipleRoots(DmsError):
-    pass
-
-
-class SplitDetected(DmsError):
     pass
 
 

@@ -137,9 +137,6 @@ def genus_surface(g):
     return K, fk, induced_field(K, fk)
 
 
-FIXTURE_KINDS = ("sphere", "torus7", "pillow", "rp2")
-
-
 def fixture_complex(kind):
     if kind == "sphere":
         return tetrahedron()

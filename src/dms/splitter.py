@@ -15,8 +15,8 @@ region.  Critical-cell counts never change.
 
 from dataclasses import dataclass, field
 
-from .cellcomplex import Complex, Cell, TAG_CONE, euler_characteristic, \
-    verify_closed_surface
+from .cellcomplex import Complex, Cell, TAG_CONE, components, cycle_walk, \
+    euler_characteristic, verify_closed_surface
 from .errors import (
     BoundaryCriticalPresent,
     InconsistentField,
@@ -111,28 +111,25 @@ def _boundary_and_interior(K, facets):
 
 
 def _edge_graph_components(K, edges):
-    adj = {}
+    at = {}
     for e in edges:
-        a, b = sorted(K.boundary(e))
-        adj.setdefault(a, []).append(e)
-        adj.setdefault(b, []).append(e)
-    comps = []
-    unseen = set(edges)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        unseen.discard(start)
-        frontier = [start]
-        while frontier:
-            e = frontier.pop()
-            for v in K.boundary(e):
-                for o in adj[v]:
-                    if o in unseen:
-                        unseen.discard(o)
-                        comp.add(o)
-                        frontier.append(o)
-        comps.append(frozenset(comp))
-    return tuple(comps)
+        for v in K.boundary(e):
+            at.setdefault(v, []).append(e)
+    return tuple(components(edges, {
+        e: [o for v in K.boundary(e) for o in at[v]] for e in edges}))
+
+
+def _facet_components(K, facets, cut_edges):
+    """Components of `facets`, adjacent across edges not in cut_edges."""
+    adj = {t: [] for t in facets}
+    for e in K.cells_of_dim(1):
+        if e in cut_edges:
+            continue
+        ts = [t for t in K.cofaces(e) if t in adj]
+        if len(ts) == 2:
+            adj[ts[0]].append(ts[1])
+            adj[ts[1]].append(ts[0])
+    return components(adj, adj)
 
 
 # --- spec operations ---------------------------------------------------------
@@ -499,40 +496,11 @@ def resolve_arc(K, V, region, bg, arc):
 
 def _sectors_at(K, region, v):
     """Maximal fans of region facets in the rotation around v."""
-    edges_at = sorted(e for e in K.cofaces(v) if K.dim(e) == 1)
-    seq = []
-    e = edges_at[0]
-    t = sorted(K.cofaces(e))[0]
-    start = (e, t)
-    while True:
-        seq.append((e, t))
-        locals_ = [x for x in K.boundary(t)
-                   if v in K.boundary(x) and x != e]
-        e = locals_[0]
-        ts = [x for x in K.cofaces(e) if x != t]
-        t = ts[0]
-        if (e, t) == start:
-            break
-    facet_ring = [t for _, t in seq]
-    flags = [t in region.facets for t in facet_ring]
-    if all(flags) or not any(flags):
-        return [facet_ring] if all(flags) else []
-    n = len(facet_ring)
-    i = 0
-    while flags[i]:
-        i = (i + 1) % n
-    sectors = []
-    run = []
-    for k in range(n):
-        j = (i + k) % n
-        if flags[j]:
-            run.append(facet_ring[j])
-        elif run:
-            sectors.append(run)
-            run = []
-    if run:
-        sectors.append(run)
-    return sectors
+    ring = K.link_cycle(v)[1::2]
+    if all(t in region.facets for t in ring):
+        return [list(ring)]
+    return [[ring[i] for i in run]
+            for run in _runs_on_cycle(ring, region.facets)]
 
 
 def resolve_wedge(K, V, region, bg, v):
@@ -590,40 +558,14 @@ def _expel_foreign_criticals(K, V, region, low_edges):
     return K, V, region
 
 
-def _complement_components(K, region):
-    bedges, _ = _boundary_and_interior(K, region.facets)
-    adj = {t: [] for t in K.cells_of_dim(2) if t not in region.facets}
-    for e in K.cells_of_dim(1):
-        if e in bedges:
-            continue
-        ts = [t for t in K.cofaces(e) if t in adj]
-        if len(ts) == 2:
-            adj[ts[0]].append(ts[1])
-            adj[ts[1]].append(ts[0])
-    comps = []
-    unseen = set(adj)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        unseen.discard(start)
-        frontier = [start]
-        while frontier:
-            t = frontier.pop()
-            for o in adj[t]:
-                if o in unseen:
-                    unseen.discard(o)
-                    comp.add(o)
-                    frontier.append(o)
-        comps.append(comp)
-    return comps
-
-
 def _absorb_pockets(K, V, region):
     """Complement components that do not hold the critical vertex are
     enclosed pockets; fold them into the region side when they carry no
     critical cell.  Returns True if anything was absorbed."""
     pm = V.partner_map()
-    comps = _complement_components(K, region)
+    bedges, _ = _boundary_and_interior(K, region.facets)
+    comps = _facet_components(
+        K, [t for t in K.cells_of_dim(2) if t not in region.facets], bedges)
     if len(comps) <= 1:
         return False
     def has_crit_vertex(comp):
@@ -722,33 +664,11 @@ def find_separating_circle(K, f, g1, g2):
             raise InconsistentField("wedge resolution made no progress")
         K, V = K2, V2
 
-    circle = _ordered_circle(K, bg.edges)
+    circle, why = cycle_walk({e: K.boundary(e) for e in bg.edges})
+    if circle is None:
+        raise NotSeparating("boundary is not a single circle: %s" % why)
     _final_scan(K, V, region, circle)
     return K, V, circle, region
-
-
-def _ordered_circle(K, edges):
-    at_vertex = {}
-    for eid in sorted(edges):
-        for vid in K.boundary(eid):
-            at_vertex.setdefault(vid, []).append(eid)
-    for vid, eids in at_vertex.items():
-        if len(eids) != 2:
-            raise NotSeparating("boundary is not a single circle at %s" % vid)
-    start = min(at_vertex)
-    cur_e = min(at_vertex[start])
-    walk = [start, cur_e]
-    prev_v = start
-    while True:
-        nxt = [x for x in K.boundary(cur_e) if x != prev_v][0]
-        if nxt == start:
-            break
-        cur_e = [x for x in at_vertex[nxt] if x != cur_e][0]
-        walk.extend([nxt, cur_e])
-        prev_v = nxt
-    if len(walk) != 2 * len(edges):
-        raise NotSeparating("boundary edges form more than one circle")
-    return tuple(walk)
 
 
 def _final_scan(K, V, region, circle):
@@ -775,32 +695,7 @@ def _final_scan(K, V, region, circle):
 def split_along_circle(K, V, circle):
     """Cut the surface along the circle; each side keeps the circle cells
     (with their ids) and the pairs internal to it."""
-    cedges = set(circle[1::2])
-    adj = {}
-    for t in K.cells_of_dim(2):
-        adj[t] = []
-    for e in K.cells_of_dim(1):
-        if e in cedges:
-            continue
-        ts = [t for t in K.cofaces(e)]
-        if len(ts) == 2:
-            adj[ts[0]].append(ts[1])
-            adj[ts[1]].append(ts[0])
-    comps = []
-    unseen = set(adj)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        unseen.discard(start)
-        frontier = [start]
-        while frontier:
-            t = frontier.pop()
-            for o in adj[t]:
-                if o in unseen:
-                    unseen.discard(o)
-                    comp.add(o)
-                    frontier.append(o)
-        comps.append(comp)
+    comps = _facet_components(K, K.cells_of_dim(2), set(circle[1::2]))
     if len(comps) != 2:
         raise NotSeparating("curve splits surface into %d parts" % len(comps))
 
@@ -870,7 +765,7 @@ def cap_with_min_cone(piece, V, circle):
         if p is None:
             new_pairs.append((e, "cone:t:%s" % e))
             used.add("cone:t:%s" % e)
-        elif K_dim_safe(piece, p) != 0:
+        elif piece.dim(p) != 0:
             raise UnbalancedBoundaryCriticals(
                 "circle edge %s paired with %s" % (e, p))
     cone_ids = {c.id for c in cells} - {apex}
@@ -879,10 +774,6 @@ def cap_with_min_cone(piece, V, circle):
             "cone cells left unmatched: %s" % sorted(cone_ids - used)[:4])
     V2 = VectorField(list(V.pairs()) + new_pairs)
     return capped, V2
-
-
-def K_dim_safe(K, cid):
-    return K.cells[cid].dim if cid in K.cells else -1
 
 
 def cap_with_max_cone(piece, V, circle):

@@ -100,21 +100,7 @@ def bisect_edge(K, V, e, anchor=None):
         inherit_end = anchor
     else:
         inherit_end = a
-    other_end = b if inherit_end == a else a
-
-    w = e + "~b0"
-    e1 = e + "~b1"
-    e2 = e + "~b2"
-    new_cells = [
-        Cell(w, 0, frozenset(), TAG_BISECTION),
-        Cell(e1, 1, frozenset({inherit_end, w}), TAG_BISECTION),
-        Cell(e2, 1, frozenset({other_end, w}), TAG_BISECTION),
-    ]
-    patched = []
-    for t in K.cofaces(e):
-        tc = K.cell(t)
-        patched.append(Cell(t, tc.dim, (tc.boundary - {e}) | {e1, e2}, tc.tag))
-    K2 = K.replace_cells(remove=[e], add=new_cells + patched)
+    K2, (w, e1, e2) = _split_edge(K, e, inherit_end)
 
     drop = []
     add = [(w, e2)]
@@ -130,6 +116,20 @@ def bisect_edge(K, V, e, anchor=None):
     rec = BisectionRecord(old_cell=e, new_cells=(w, e1, e2),
                           new_pairings=tuple(add), replacements={e: e1})
     return K2, V2, rec
+
+
+def _split_edge(K, e, inherit_end):
+    """The complex half of bisect_edge: e becomes a new vertex e~b0, the
+    half e~b1 from inherit_end to it and the half e~b2 from the other
+    endpoint.  Returns (new complex, (e~b0, e~b1, e~b2))."""
+    other_end, = K.boundary(e) - {inherit_end}
+    w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
+    K2 = K.split_cell(e, [
+        Cell(w, 0, frozenset(), TAG_BISECTION),
+        Cell(e1, 1, frozenset({inherit_end, w}), TAG_BISECTION),
+        Cell(e2, 1, frozenset({other_end, w}), TAG_BISECTION),
+    ], (e1, e2))
+    return K2, (w, e1, e2)
 
 
 def bisect_2cell(K, V, c, u, w):
@@ -150,7 +150,7 @@ def bisect_2cell(K, V, c, u, w):
         raise BadChord("chord endpoints %r, %r must be distinct boundary "
                        "vertices of %r" % (u, w, c))
     for eid in edges:
-        if K.boundary(eid) == {u, w} or K.boundary(eid) == frozenset({u, w}):
+        if K.boundary(eid) == {u, w}:
             raise BadChord("chord %r-%r parallel to boundary edge %r"
                            % (u, w, eid))
     iu, iw = verts.index(u), verts.index(w)
@@ -167,16 +167,11 @@ def bisect_2cell(K, V, c, u, w):
     d = c + "~b0"
     c1 = c + "~b1"
     c2 = c + "~b2"
-    new_cells = [
+    K2 = K.split_cell(c, [
         Cell(d, 1, frozenset({u, w}), TAG_BISECTION),
         Cell(c1, 2, frozenset(arc1) | {d}, TAG_BISECTION),
         Cell(c2, 2, frozenset(arc2) | {d}, TAG_BISECTION),
-    ]
-    patched = []
-    for t in K.cofaces(c):
-        tc = K.cell(t)
-        patched.append(Cell(t, tc.dim, (tc.boundary - {c}) | {c1, c2}, tc.tag))
-    K2 = K.replace_cells(remove=[c], add=new_cells + patched)
+    ], (c1, c2))
 
     pm = V.partner_map()
     partner = pm.get(c)
@@ -224,11 +219,6 @@ def _touching_crit_pairs(K, crits):
             if shared:
                 out.append((c1, c2, sorted(shared)))
     return out
-
-
-def _chord_candidates(cycle, forbidden):
-    verts = list(cycle[0::2])
-    return [v for v in verts if v not in forbidden]
 
 
 def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
@@ -441,30 +431,9 @@ def shrink_closed_star(K, beta, v):
         bnd = {sid, shrunk_id(sid)} | {inner_id(cone_of[f]) for f in c.boundary}
         new_cells.append(Cell(inner_id(cone_of[sid]), c.dim + 1,
                               frozenset(bnd), TAG_INNER))
-    patched = []
-    cone_set = set(cone)
-    for rho in cone:
-        for t in K.cofaces(rho):
-            if t in J or t in cone_set:
-                continue
-            tc = K.cell(t)
-            patched.append(Cell(
-                t, tc.dim,
-                (tc.boundary - {rho}) | {shrunk_id(rho), inner_id(rho)},
-                tc.tag))
-    # a coface may touch several cone cells; merge patches
-    merged = {}
-    for cell in patched:
-        if cell.id in merged:
-            prev = merged[cell.id]
-            keep = (prev.boundary & cell.boundary) \
-                | (prev.boundary - K.cell(cell.id).boundary) \
-                | (cell.boundary - K.cell(cell.id).boundary)
-            merged[cell.id] = Cell(cell.id, cell.dim, frozenset(keep), cell.tag)
-        else:
-            merged[cell.id] = cell
+    # cofaces outside J of the split cone cells list both of their parts
     outside_patch = []
-    for t in sorted(merged):
+    for t in sorted({t for rho in cone for t in K.cofaces(rho)} - J):
         tc = K.cell(t)
         bnd = set(tc.boundary)
         for rho in cone:
@@ -521,14 +490,20 @@ def _prefix_function(f, prefix):
 
 
 def _boundary_offenders(K, V, alpha):
-    """Edges of a polygon's boundary that are critical or paired with one
-    of their endpoints; both spoil the tube function formula."""
+    """Cells of alpha's boundary that spoil the tube function formula:
+    the critical ones of dimension >= 1, and the higher cell of every
+    pair lying inside the boundary.  On a polygon these are its edges
+    that are critical or paired with one of their endpoints."""
     pm = V.partner_map()
+    bnd = K.closure(alpha) - {alpha}
     out = []
-    for eid in sorted(K.cell(alpha).boundary):
-        partner = pm.get(eid)
-        if partner is None or partner in K.boundary(eid):
-            out.append(eid)
+    for cid in sorted(bnd):
+        partner = pm.get(cid)
+        if partner is None:
+            if K.dim(cid) >= 1:
+                out.append(cid)
+        elif partner in bnd and K.dim(partner) < K.dim(cid):
+            out.append(cid)
     return out
 
 
@@ -559,24 +534,6 @@ def _clear_top_cell_boundary(K, V, alpha):
         K, V, rec2 = bisect_2cell(K, V, alpha, u, w)
         alpha = rec2.replacements[alpha]
         steps += 1
-
-
-def _bisect_edge_unpaired(K, e):
-    """Edge bisection with no pairing repair; only legal while every new
-    cell is meant to stay unmatched (pre-glue boundary equalization)."""
-    cell = K.cell(e)
-    a, b = sorted(cell.boundary)
-    w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
-    new_cells = [
-        Cell(w, 0, frozenset(), TAG_BISECTION),
-        Cell(e1, 1, frozenset({a, w}), TAG_BISECTION),
-        Cell(e2, 1, frozenset({b, w}), TAG_BISECTION),
-    ]
-    patched = []
-    for t in K.cofaces(e):
-        tc = K.cell(t)
-        patched.append(Cell(t, tc.dim, (tc.boundary - {e}) | {e1, e2}, tc.tag))
-    return K.replace_cells(remove=[e], add=new_cells + patched)
 
 
 def _rank_rescale(f):
@@ -631,7 +588,7 @@ def compose(M1, f1, M2, f2):
         if clearing:
             f1w = synthesize_function(K1, V1)
             resynth = True
-    elif _boundary_offenders_nd(K1, V1, alpha):
+    elif _boundary_offenders(K1, V1, alpha):
         raise InconsistentField(
             "pairs inside the removed cell's boundary; clearing is only "
             "implemented for surfaces")
@@ -651,8 +608,9 @@ def compose(M1, f1, M2, f2):
     if n == 2:
         k_top = len(K1.cell(alpha).boundary)
         while len([c for c in bprime_cells if K2.dim(c) == 1]) < k_top:
-            eids = sorted(c for c in bprime_cells if K2.dim(c) == 1)
-            K2 = _bisect_edge_unpaired(K2, eids[0])
+            # the new cells are glued away, so they stay unmatched
+            e = min(c for c in bprime_cells if K2.dim(c) == 1)
+            K2, _ = _split_edge(K2, e, min(K2.boundary(e)))
             bprime_cells = K2.closure(bprime) - {bprime}
         glue = _surface_glue_map(K1, K2, alpha, bprime)
     else:
@@ -726,19 +684,6 @@ def compose(M1, f1, M2, f2):
         glue_cycle_length=len(glue) // 2 if n == 2 else len(glue),
     )
     return M, f, V, report
-
-
-def _boundary_offenders_nd(K, V, alpha):
-    pm = V.partner_map()
-    bnd = K.closure(alpha) - {alpha}
-    out = []
-    for cid in sorted(bnd):
-        partner = pm.get(cid)
-        if partner is None and K.dim(cid) >= 1:
-            out.append(cid)
-        elif partner is not None and partner in bnd and K.dim(partner) > K.dim(cid):
-            out.append(cid)
-    return out
 
 
 def _choose_beta(K2, V2, v2):

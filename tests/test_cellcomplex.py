@@ -5,6 +5,8 @@ import pytest
 from dms.cellcomplex import (
     build_poset,
     build_simplicial,
+    components,
+    cycle_walk,
     edge_id,
     euler_characteristic,
     local_neighborhood,
@@ -150,3 +152,59 @@ def test_grading_invariants(tetra, torus, genus2):
                 assert len(K.cofaces(e)) == 2
             info = verify_closed_surface(K)
             assert euler_characteristic(K) == 2 - 2 * info.genus
+
+
+# --- graph primitives --------------------------------------------------------
+
+
+def test_components_start_at_smallest_node():
+    nbrs = {"a": ["c"], "b": [], "c": ["a", "d"], "d": ["c"], "e": []}
+    assert components(["e", "d", "c", "b", "a"], nbrs) == [
+        frozenset({"a", "c", "d"}), frozenset({"b"}), frozenset({"e"})]
+    assert components([], {}) == []
+
+
+def test_cycle_walk_orders_and_rejects():
+    square = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"),
+              "ad": ("a", "d")}
+    assert cycle_walk(square) == (
+        ("a", "ab", "b", "bc", "c", "cd", "d", "ad"), None)
+    walk, why = cycle_walk({"ab": ("a", "b"), "bc": ("b", "c")})
+    assert walk is None and "'a' lies on 1 items" in why
+    two = {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c"),
+           "xy": ("x", "y"), "yz": ("y", "z"), "xz": ("x", "z")}
+    walk, why = cycle_walk(two)
+    assert walk is None and "more than one cycle" in why
+    assert cycle_walk({})[0] is None
+
+
+def test_link_cycle_is_the_rotation(tetra):
+    assert tetra.link_cycle("v0") == (
+        "e0-1", "t0-1-2", "e0-2", "t0-2-3", "e0-3", "t0-1-3")
+    with pytest.raises(UnknownCell):
+        tetra.link_cycle("e0-1")
+    K = build_simplicial([(0, 1, 2)], closed=False)
+    assert K.link_cycle(vertex_id(0)) is None
+
+
+def test_pinched_vertex_is_not_a_surface():
+    # two tetrahedron boundaries sharing the single vertex 0
+    facets = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+              (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]
+    K = build_simplicial(facets)
+    assert K.is_pseudomanifold and K.is_connected()
+    assert K.link_cycle(vertex_id(0)) is None
+    assert K.link_cycle(vertex_id(1)) is not None
+    assert not K.is_closed_surface
+    with pytest.raises(NotClosedSurface):
+        verify_closed_surface(K)
+
+
+def test_two_triangle_boundary_is_not_a_cycle():
+    records = [("v%d" % i, 0, []) for i in range(6)]
+    edges = [("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v0", "v2"),
+             ("x", "v3", "v4"), ("y", "v4", "v5"), ("z", "v3", "v5")]
+    records += [(e, 1, [p, q]) for e, p, q in edges]
+    records.append(("hex", 2, [e for e, _, _ in edges]))
+    with pytest.raises(BoundaryNotCycle):
+        build_poset(records)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dms.cellcomplex import euler_characteristic
-from dms.errors import BadDimension
+import dms.homology
+from dms.errors import BadDimension, NegativeBetti
 from dms.homology import betti_mod2, boundary_matrix_mod2, rank_gf2
 
 
@@ -75,6 +76,14 @@ def test_rank_nullity_and_dd_zero(tetra, torus):
             A = boundary_matrix_mod2(K, p - 1)
             B = boundary_matrix_mod2(K, p)
             assert not ((A @ B) % 2).any()
+
+
+def test_betti_rejects_inconsistent_ranks(tetra, monkeypatch):
+    # every over-counted rank still telescopes to the Euler
+    # characteristic, so only a sign check can catch it
+    monkeypatch.setattr(dms.homology, "rank_gf2", lambda A: rank_gf2(A) + 1)
+    with pytest.raises(NegativeBetti):
+        betti_mod2(tetra)
 
 
 def test_alternating_sum_is_euler(tetra, torus, genus2, pillow_sphere):

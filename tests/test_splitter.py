@@ -12,7 +12,6 @@ from dms.cellcomplex import (
 )
 from dms.errors import (
     BoundaryCriticalPresent,
-    NotSeparating,
     WrongCriticalCount,
 )
 from dms.fixtures import genus_surface, tetrahedron, torus7, tree_cotree_field
@@ -373,12 +372,7 @@ def test_decompose_direct_genus2_random_fields(seed):
     K = glued_genus2()
     V = tree_cotree_field(K, rng=random.Random(seed))
     f = synthesize_function(K, V)
-    try:
-        res = decompose(K, f, 1, 1)
-    except NotSeparating:
-        # the carved core may wrap a handle with several disjoint
-        # boundary circles; no admissible circle exists for that field
-        return
+    res = decompose(K, f, 1, 1)
     assert res.report["perfect"] == {"m1": True, "m2": True}
     assert res.report["chi"] == {"m1": 0, "m2": 0}
 
