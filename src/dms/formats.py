@@ -7,8 +7,6 @@ emit cells in sorted id order so outputs are byte-reproducible.
 
 import json
 
-import numpy as np
-
 from .cellcomplex import (
     Cell,
     Complex,
@@ -219,6 +217,8 @@ def dump_complex(K, path):
 def spectral_coordinates(K):
     """Synthetic 3d vertex coordinates from the 1-skeleton Laplacian;
     purely for inspection, no semantics."""
+    import numpy as np
+
     verts = K.cells_of_dim(0)
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)

@@ -1,13 +1,12 @@
 """Mod-2 Betti numbers via boundary-matrix rank.
 
 For a regular complex every incidence coefficient is +-1, so over GF(2)
-the boundary matrix is simply the face-relation indicator.  Complexes
-here are desk scale; dense numpy elimination is plenty.
+the boundary matrix is simply the face-relation indicator.  Each column
+is held as a Python int bitset over the (p-1)-cells, and the rank comes
+from a column reduction on those ints; no numpy matrix is built.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BadDimension, NegativeBetti
 
@@ -28,11 +27,14 @@ class BettiVector:
 
 
 def boundary_matrix_mod2(K, p):
-    """Binary matrix of the boundary map from p-cells to (p-1)-cells.
+    """Binary numpy matrix of the boundary map from p-cells to
+    (p-1)-cells, for inspection; `betti_mod2` does not build it.
 
     Rows are the (p-1)-cells and columns the p-cells, both in sorted id
     order; entry 1 iff the face relation holds.
     """
+    import numpy as np
+
     if p < 1 or p > K.top_dim:
         raise BadDimension("p=%d outside 1..%d" % (p, K.top_dim))
     rows = K.cells_of_dim(p - 1)
@@ -45,28 +47,20 @@ def boundary_matrix_mod2(K, p):
     return A
 
 
-def rank_gf2(A):
-    """Rank of a binary matrix over GF(2) by Gaussian elimination."""
-    A = A.copy().astype(np.uint8)
-    nrows, ncols = A.shape
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivots = np.nonzero(A[row:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = row + pivots[0]
-        if pivot != row:
-            A[[row, pivot]] = A[[pivot, row]]
-        others = np.nonzero(A[:, col])[0]
-        for r in others:
-            if r != row:
-                A[r, :] ^= A[row, :]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def rank_gf2(columns):
+    """Rank over GF(2) of the matrix whose columns are the given int
+    bitsets.  Each column is reduced by the kept columns, keyed by their
+    lowest set bit, until its lowest bit is new or it vanishes."""
+    pivots = {}
+    for col in columns:
+        while col:
+            low = col & -col
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                break
+            col ^= other
+    return len(pivots)
 
 
 def betti_mod2(K):
@@ -75,7 +69,14 @@ def betti_mod2(K):
     counts = K.counts()
     ranks = [0] * (n + 2)  # rank of d_p; d_0 and d_{n+1} are zero
     for p in range(1, n + 1):
-        ranks[p] = rank_gf2(boundary_matrix_mod2(K, p))
+        bit = {cid: 1 << i for i, cid in enumerate(K.cells_of_dim(p - 1))}
+        columns = []
+        for cid in K.cells_of_dim(p):
+            col = 0
+            for fid in K.cells[cid].boundary:
+                col |= bit[fid]
+            columns.append(col)
+        ranks[p] = rank_gf2(columns)
     b = []
     for p in range(n + 1):
         kernel = counts[p] - ranks[p]

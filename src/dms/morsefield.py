@@ -167,6 +167,12 @@ def induced_field(K, f):
     report = validate_function(K, f)
     if not report.ok:
         raise InvalidFunction(report.violations[:5])
+    return _field_of(K, f)
+
+
+def _field_of(K, f):
+    """The pairs (sigma, tau) with f(sigma) >= f(tau), read off an f
+    that has already passed `validate_function`."""
     pairs = []
     for tid in sorted(K.cells):
         for sid in K.boundary(tid):

@@ -40,6 +40,7 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
+    _field_of,
     critical_cells,
     induced_field,
     is_perfect,
@@ -658,14 +659,14 @@ def compose(M1, f1, M2, f2):
         return MorseFunction(values), C
 
     f, C = assemble_function(f1w, f2w)
-    rescaled = False
-    if not validate_function(M, f).ok:
+    freport = validate_function(M, f)
+    rescaled = not freport.ok
+    if rescaled:
         f1w = _rank_rescale(f1w)
         f2w = _rank_rescale(f2w)
         f, C = assemble_function(f1w, f2w)
-        rescaled = True
+        freport = validate_function(M, f)
 
-    freport = validate_function(M, f)
     vreport = validate_field(M, V)
     counts = critical_cells(V, M)
     chi = euler_characteristic(M)
@@ -674,7 +675,7 @@ def compose(M1, f1, M2, f2):
         raise InconsistentField("Euler characteristic drifted in compose")
     if not vreport.ok:
         raise InconsistentField(vreport.issues[:3])
-    if freport.ok and induced_field(M, f) != V:
+    if freport.ok and _field_of(M, f) != V:
         raise InconsistentField("composed function induces a different field")
     report = ComposeReport(
         chi=chi, counts=counts.m, perfect=is_perfect(M, V),

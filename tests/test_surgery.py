@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from dms.errors import (
     VertexNotOnCell,
 )
 from dms.fixtures import tetrahedron, torus7, tree_cotree_field
+from dms.homology import betti_mod2
 from dms.morsefield import (
     VectorField,
     critical_cells,
@@ -323,6 +325,45 @@ def test_compose_rescale_fallback(torus, torus_function):
     assert rep.function_valid and rep.perfect
     assert validate_function(M, f).ok
     assert induced_field(M, f) == V
+
+
+def spy(monkeypatch, fn):
+    """Record the calls to fn through every dms module that binds it."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dms" or name.startswith("dms."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_compose_checks_each_structure_once(monkeypatch):
+    # inputs: one validate_function and one betti_mod2 each; the result:
+    # one betti_mod2 and one validate_function per assembled function
+    bettis = spy(monkeypatch, betti_mod2)
+    validations = spy(monkeypatch, validate_function)
+
+    def seeded_torus(seed):
+        T = torus7()
+        return T, synthesize_function(T, tree_cotree_field(
+            T, rng=random.Random(seed)))
+
+    K, f = seeded_torus(100)
+    paths = set()
+    for seed in range(101, 111):
+        T, ft = seeded_torus(seed)
+        del bettis[:], validations[:]
+        K, f, V, rep = compose(K, f, T, ft)
+        assert len(bettis) == 3
+        assert len(validations) == (4 if rep.rescaled else 3)
+        paths.add(rep.rescaled)
+    assert paths == {False, True}
 
 
 def test_compose_rejects_imperfect(torus):

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dms
 from dms.cellcomplex import build_simplicial, euler_characteristic
 from dms.cli import main
 from dms.errors import Disconnected, ParseError
@@ -234,3 +236,23 @@ def test_cli_entry_point():
                            "--complex", "/nonexistent.tri"],
                           capture_output=True, text=True)
     assert proc.returncode == 3
+
+
+def test_compose_and_decompose_do_not_load_numpy():
+    # numpy serves only boundary_matrix_mod2 and the OFF layout
+    script = (
+        "import sys\n"
+        "import dms\n"
+        "from dms.splitter import decompose\n"
+        "K, f, V = dms.genus_surface(1)\n"
+        "M, fm, Vm, rep = dms.compose(K, f, K, f)\n"
+        "decompose(M, fm, 1, 1)\n"
+        "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dms.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
