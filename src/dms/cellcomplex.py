@@ -12,6 +12,7 @@ assumed anywhere outside `build_simplicial`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadCellBoundary,
@@ -53,9 +54,10 @@ class Complex:
     """Immutable face-poset complex.
 
     Construction validates grading, closure and (for 2-cells) that the
-    edge boundary is a single cycle in which no vertex repeats.  Flags
-    for the pseudomanifold and closed-surface properties are computed
-    once; surgeries build new complexes rather than mutating.
+    edge boundary is a single cycle in which no vertex repeats.  The
+    pseudomanifold and closed-surface flags are computed on first use.
+    Surgeries never mutate a complex: `replace_cells` returns a new one,
+    re-checking only the cells the edit touches.
     """
 
     def __init__(self, cells):
@@ -68,27 +70,25 @@ class Complex:
         if not self.cells:
             raise MissingFace("empty complex")
         self.top_dim = max(c.dim for c in self.cells.values())
-        self._validate_grading()
+        self._validate_grading(self.cells.values())
         self._cofaces = self._build_cofaces()
         self._cycles = {}
-        for cid, cell in sorted(self.cells.items()):
-            if cell.dim == 2:
-                self._cycles[cid] = self._edge_cycle(cell)
-        self.is_pseudomanifold = self._check_pseudomanifold()
-        self.is_closed_surface = self._check_closed_surface()
+        self._walk_cycles(cid for cid, c in self.cells.items() if c.dim == 2)
         self._closures = {}
-        self._orientable = None
 
     # ---- validation ----------------------------------------------------
 
-    def _validate_grading(self):
-        for cid, cell in self.cells.items():
+    def _validate_grading(self, checked):
+        """Check the grading of the cells `checked` against self.cells."""
+        cells = self.cells
+        for cell in checked:
+            cid = cell.id
             if cell.dim < 0:
                 raise BadDimensionDrop("cell %r has negative dimension" % cid)
             if cell.dim == 0 and cell.boundary:
                 raise BadDimensionDrop("vertex %r has a boundary" % cid)
             for fid in cell.boundary:
-                face = self.cells.get(fid)
+                face = cells.get(fid)
                 if face is None:
                     raise MissingFace("cell %r lists missing face %r" % (cid, fid))
                 if face.dim != cell.dim - 1:
@@ -109,6 +109,11 @@ class Complex:
                 cof[fid].append(cid)
         return {cid: tuple(ids) for cid, ids in cof.items()}
 
+    def _walk_cycles(self, ids):
+        """Store the boundary walk of each 2-cell in `ids`."""
+        for cid in sorted(ids):
+            self._cycles[cid] = self._edge_cycle(self.cells[cid])
+
     def _edge_cycle(self, cell):
         """Boundary of a 2-cell as an alternating cyclic walk
         [v0, e0, v1, e1, ...]; raises if the edges are not one cycle."""
@@ -121,16 +126,20 @@ class Complex:
             raise BoundaryNotCycle("2-cell %r: %s" % (cell.id, why))
         return walk
 
-    def _check_pseudomanifold(self):
+    @cached_property
+    def is_pseudomanifold(self):
+        """Every cell of dimension top_dim - 1 has exactly two cofaces."""
         n = self.top_dim
         if n == 0:
             return False
-        for cid, cell in self.cells.items():
-            if cell.dim == n - 1 and len(self._cofaces[cid]) != 2:
-                return False
-        return True
+        cofaces = self._cofaces
+        return all(len(cofaces[cid]) == 2
+                   for cid, cell in self.cells.items() if cell.dim == n - 1)
 
-    def _check_closed_surface(self):
+    @cached_property
+    def is_closed_surface(self):
+        """A connected 2-dimensional pseudomanifold in which the link of
+        every vertex is one cycle."""
         if self.top_dim != 2 or not self.is_pseudomanifold:
             return False
         if not self.is_connected():
@@ -196,18 +205,22 @@ class Complex:
         self._closures[cid] = out
         return out
 
-    def closed_star(self, cid):
-        """cid, every cell having cid in its closure, and their faces."""
-        star = {cid}
+    def star(self, cid):
+        """cid and every cell having cid in its closure."""
+        cofaces = self._cofaces
+        out = {cid}
         frontier = [cid]
         while frontier:
-            cur = frontier.pop()
-            for cof in self._cofaces[cur]:
-                if cof not in star:
-                    star.add(cof)
+            for cof in cofaces[frontier.pop()]:
+                if cof not in out:
+                    out.add(cof)
                     frontier.append(cof)
+        return out
+
+    def closed_star(self, cid):
+        """cid, every cell having cid in its closure, and their faces."""
         out = set()
-        for sid in star:
+        for sid in self.star(cid):
             out |= self.closure(sid)
         return frozenset(out)
 
@@ -250,12 +263,62 @@ class Complex:
                 for cid, cell in sorted(self.cells.items())]
 
     def replace_cells(self, remove=(), add=()):
-        """New complex with `remove` ids dropped and `add` cells inserted."""
+        """New complex with `remove` ids dropped and `add` cells inserted;
+        an added cell replaces any cell of the same id.
+
+        The edit is local.  It re-checks the grading of the added cells
+        and of the surviving cofaces of dropped or replaced cells, patches
+        the coface lists of their faces, and re-walks the added 2-cells and
+        the 2-cofaces of replaced edges.  The result equals `Complex` built
+        from the new cell list, and an edit that breaks one cell raises the
+        DmsError that construction would raise.
+        """
+        old = self.cells
         remove = set(remove)
-        cells = {cid: c for cid, c in self.cells.items() if cid not in remove}
-        for cell in add:
-            cells[cell.id] = cell
-        return Complex(cells.values())
+        added = {cell.id: cell for cell in add}
+        cells = dict(old)
+        for cid in remove:
+            cells.pop(cid, None)
+        cells.update(added)
+        if not cells:
+            raise MissingFace("empty complex")
+        gone = sorted(cid for cid in remove | added.keys() if cid in old)
+        new = object.__new__(Complex)
+        new.cells = cells
+        new.top_dim = max([self.top_dim] + [c.dim for c in added.values()])
+        if (any(old[cid].dim == new.top_dim for cid in gone)
+                and all(c.dim != new.top_dim for c in added.values())):
+            new.top_dim = max(c.dim for c in cells.values())
+        cofaces = dict(self._cofaces)
+        near = {t for cid in gone for t in cofaces[cid]}.difference(gone)
+        new._validate_grading([cells[t] for t in sorted(near)]
+                              + list(added.values()))
+
+        changed = {}  # face id -> (cells no longer on it, cells now on it)
+        for cid in gone:
+            if cid not in cells:
+                del cofaces[cid]
+            for fid in old[cid].boundary:
+                changed.setdefault(fid, (set(), set()))[0].add(cid)
+        for cid, cell in added.items():
+            cofaces.setdefault(cid, ())
+            for fid in cell.boundary:
+                changed.setdefault(fid, (set(), set()))[1].add(cid)
+        for fid, (lost, gained) in changed.items():
+            if fid in cells:
+                cofaces[fid] = tuple(sorted(
+                    set(cofaces[fid]).difference(lost).union(gained)))
+        new._cofaces = cofaces
+
+        new._cycles = dict(self._cycles)
+        walk = {cid for cid, cell in added.items() if cell.dim == 2}
+        for cid in gone:
+            new._cycles.pop(cid, None)
+            if old[cid].dim == 1 and cid in cells:
+                walk.update(t for t in cofaces[cid] if cells[t].dim == 2)
+        new._walk_cycles(walk)
+        new._closures = {}
+        return new
 
     def split_cell(self, old, new_cells, halves):
         """New complex with cell `old` replaced by `new_cells`; every

@@ -200,14 +200,15 @@ def bisect_2cell(K, V, c, u, w):
 
 
 def _crits_in_closures(K, crits):
-    """Cells whose closure holds >= 2 distinct critical cells."""
-    out = []
-    critset = set(crits)
-    for cid in sorted(K.cells):
-        hits = sorted(critset & K.closure(cid))
-        if len(hits) >= 2:
-            out.append((cid, hits))
-    return out
+    """Cells whose closure holds >= 2 distinct critical cells, each with
+    the sorted critical cells it holds; a cell holds c exactly when it
+    lies in the star of c."""
+    hits = {}
+    for c in sorted(set(crits)):
+        for cid in K.star(c):
+            hits.setdefault(cid, []).append(c)
+    return [(cid, held) for cid, held in sorted(hits.items())
+            if len(held) >= 2]
 
 
 def _touching_crit_pairs(K, crits):
@@ -286,7 +287,7 @@ def separate_critical_cells(K, V):
         guard += 1
         if guard > 100 + 10 * len(K.cells):
             raise InconsistentField("separation loop did not converge")
-        crits = VectorField(V.pairs()).critical(K)
+        crits = V.critical(K)
         witnesses = _crits_in_closures(K, crits)
         if not witnesses:
             touching = _touching_crit_pairs(K, crits)

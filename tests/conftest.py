@@ -1,5 +1,6 @@
 import pytest
 
+from dms.cellcomplex import Complex
 from dms.fixtures import (
     genus_surface,
     pillow,
@@ -49,3 +50,39 @@ def torus_field(torus):
 @pytest.fixture(scope="session")
 def torus_function(torus, torus_field):
     return synthesize_function(torus, torus_field)
+
+
+def _rebuild(K, remove=(), add=()):
+    """K.replace_cells(remove, add) done the slow way: a Complex built
+    from scratch on the new cell list, in the order the edit keeps."""
+    remove = set(remove)
+    cells = {cid: c for cid, c in K.cells.items() if cid not in remove}
+    for cell in add:
+        cells[cell.id] = cell
+    return Complex(cells.values())
+
+
+def _assert_same_complex(K, R):
+    """K and R agree in cells and their order, top dimension, every
+    coface list, every 2-cell walk and both flags, and K's tables keep
+    no dropped cell."""
+    assert K == R and list(K.cells) == list(R.cells)
+    assert K._cofaces.keys() == K.cells.keys()
+    assert K._cycles.keys() == set(K.cells_of_dim(2))
+    assert K.top_dim == R.top_dim
+    for cid in R.cells:
+        assert K.cofaces(cid) == R.cofaces(cid), cid
+    for t in R.cells_of_dim(2):
+        assert K.boundary_cycle(t) == R.boundary_cycle(t), t
+    assert K.is_pseudomanifold == R.is_pseudomanifold
+    assert K.is_closed_surface == R.is_closed_surface
+
+
+@pytest.fixture(scope="session")
+def rebuild():
+    return _rebuild
+
+
+@pytest.fixture(scope="session")
+def assert_same_complex():
+    return _assert_same_complex

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from dms.cellcomplex import (
+    Cell,
     build_poset,
     build_simplicial,
     components,
@@ -15,6 +16,8 @@ from dms.cellcomplex import (
     vertex_id,
 )
 from dms.errors import (
+    BadCellBoundary,
+    BadDimensionDrop,
     BoundaryNotCycle,
     DegenerateFacet,
     DuplicateFacet,
@@ -208,3 +211,48 @@ def test_two_triangle_boundary_is_not_a_cycle():
     records.append(("hex", 2, [e for e, _, _ in edges]))
     with pytest.raises(BoundaryNotCycle):
         build_poset(records)
+
+
+TETRA_TRIANGLES = ["t0-1-2", "t0-1-3", "t0-2-3", "t1-2-3"]
+
+
+@pytest.mark.parametrize("edit", [
+    # every 2-cell dropped: the top dimension falls to 1
+    dict(remove=TETRA_TRIANGLES),
+    # one triangle dropped: no longer a pseudomanifold
+    dict(remove=["t0-1-2"]),
+    # a cell dropped and put back, and an unknown id ignored
+    dict(remove=["t0-1-2", "nothing"],
+         add=[Cell("t0-1-2", 2, frozenset({"e0-1", "e0-2", "e1-2"}))]),
+    # a solid ball: the top dimension rises to 3
+    dict(add=[Cell("ball", 3, frozenset(TETRA_TRIANGLES))]),
+    # an edge replaced under its own id, with a new tag
+    dict(add=[Cell("e0-1", 1, frozenset({"v0", "v1"}), "bisection")]),
+])
+def test_edit_matches_a_full_rebuild(tetra, edit, rebuild,
+                                     assert_same_complex):
+    assert_same_complex(tetra.replace_cells(**edit), rebuild(tetra, **edit))
+
+
+@pytest.mark.parametrize("edit, error", [
+    # a surviving triangle still lists the dropped edge
+    (dict(remove=["e0-1"]), MissingFace),
+    # the edges of a new 2-cell form a path, not one cycle
+    (dict(add=[Cell("t", 2, frozenset({"e0-1", "e1-2", "e2-3"}))]),
+     BoundaryNotCycle),
+    # a new edge with three endpoints
+    (dict(add=[Cell("e", 1, frozenset({"v0", "v1", "v2"}))]),
+     BadCellBoundary),
+    # an edge moved onto v0-v2: triangle t0-1-2 gets two sides there
+    (dict(add=[Cell("e0-1", 1, frozenset({"v0", "v2"}))]),
+     BoundaryNotCycle),
+    # a vertex that edges still list turned into an edge
+    (dict(add=[Cell("v3", 1, frozenset({"v0", "v1"}))]), BadDimensionDrop),
+    (dict(remove=["v0", "v1", "v2", "v3", "e0-1", "e0-2", "e0-3", "e1-2",
+                  "e1-3", "e2-3"] + TETRA_TRIANGLES), MissingFace),
+])
+def test_edit_raises_what_a_full_rebuild_raises(tetra, edit, error, rebuild):
+    with pytest.raises(error):
+        rebuild(tetra, **edit)
+    with pytest.raises(error):
+        tetra.replace_cells(**edit)

@@ -16,28 +16,45 @@ def columns(A):
             for j in range(A.shape[1])]
 
 
-def dense_rank(A):
-    """Independent GF(2) rank: dense numpy Gaussian elimination."""
-    A = A.copy().astype(np.uint8)
-    nrows, ncols = A.shape
-    rank = 0
-    row = 0
+def row_reduce(A):
+    """Reduced row echelon form of a binary matrix over GF(2) by dense
+    numpy Gaussian elimination: (R, pivot columns)."""
+    R = A.copy().astype(np.uint8)
+    nrows, ncols = R.shape
+    pivots = []
     for col in range(ncols):
-        pivots = np.nonzero(A[row:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = row + pivots[0]
-        if pivot != row:
-            A[[row, pivot]] = A[[pivot, row]]
-        others = np.nonzero(A[:, col])[0]
-        for r in others:
-            if r != row:
-                A[r, :] ^= A[row, :]
-        rank += 1
-        row += 1
+        row = len(pivots)
         if row == nrows:
             break
-    return rank
+        hits = np.nonzero(R[row:, col])[0]
+        if hits.size == 0:
+            continue
+        pivot = row + hits[0]
+        if pivot != row:
+            R[[row, pivot]] = R[[pivot, row]]
+        for r in np.nonzero(R[:, col])[0]:
+            if r != row:
+                R[r, :] ^= R[row, :]
+        pivots.append(col)
+    return R, pivots
+
+
+def dense_rank(A):
+    """Independent GF(2) rank: dense numpy Gaussian elimination."""
+    return len(row_reduce(A)[1])
+
+
+def null_space(A):
+    """Basis of the GF(2) null space of A, one row per free column of
+    its reduced row echelon form."""
+    R, pivots = row_reduce(A)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), A.shape[1]), dtype=np.uint8)
+    for k, col in enumerate(free):
+        basis[k, col] = 1
+        for i, p in enumerate(pivots):
+            basis[k, p] = R[i, col]
+    return basis
 
 
 def bitmask_rank(A):
@@ -136,8 +153,11 @@ def test_rank_nullity_and_dd_zero(tetra, torus):
         counts = K.counts()
         for p in range(1, K.top_dim + 1):
             A = boundary_matrix_mod2(K, p)
-            rank = rank_gf2(columns(A))
-            assert rank + (counts[p] - rank) == counts[p]
+            kernel = null_space(A)
+            for x in kernel:
+                assert not ((A.astype(int) @ x) % 2).any()
+            assert dense_rank(kernel) == len(kernel)
+            assert len(kernel) == counts[p] - rank_gf2(columns(A))
         for p in range(2, K.top_dim + 1):
             A = boundary_matrix_mod2(K, p - 1)
             B = boundary_matrix_mod2(K, p)

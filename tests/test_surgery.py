@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from dms.cellcomplex import build_poset, euler_characteristic, \
+from dms import surgery
+from dms.cellcomplex import Complex, build_poset, euler_characteristic, \
     verify_closed_surface
 from dms.errors import (
     BadChord,
@@ -12,10 +13,12 @@ from dms.errors import (
     NotA2Cell,
     NotAnEdge,
     NotPerfectInput,
+    NotSeparating,
     NotTopCell,
     VertexNotOnCell,
 )
-from dms.fixtures import tetrahedron, torus7, tree_cotree_field
+from dms.fixtures import genus_surface, tetrahedron, torus7, \
+    tree_cotree_field
 from dms.homology import betti_mod2
 from dms.morsefield import (
     VectorField,
@@ -27,6 +30,7 @@ from dms.morsefield import (
     validate_field,
     validate_function,
 )
+from dms.splitter import decompose
 from dms.surgery import (
     bisect_2cell,
     bisect_edge,
@@ -35,6 +39,12 @@ from dms.surgery import (
     separate_critical_cells,
     shrink_closed_star,
 )
+
+
+def seeded_torus(seed):
+    T = torus7()
+    return T, synthesize_function(T, tree_cotree_field(
+        T, rng=random.Random(seed)))
 
 
 def field_state(K, V):
@@ -123,7 +133,7 @@ def test_bad_chord(torus, torus_field):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_bisection_fuzz(seed, genus2):
+def test_bisection_fuzz(seed, genus2, assert_same_complex):
     complexes = [tetrahedron(), torus7(), genus2[0]]
     fields = [tree_cotree_field(complexes[0]), tree_cotree_field(complexes[1]),
               genus2[2]]
@@ -151,7 +161,85 @@ def test_bisection_fuzz(seed, genus2):
         ok, m = field_state(K, V)
         assert ok and m == m0
         assert K.is_closed_surface
+        assert_same_complex(K, Complex(K.cells.values()))
         complexes[i], fields[i] = K, V
+
+
+def test_bisections_build_no_complex_from_scratch(monkeypatch, torus,
+                                                   torus_field):
+    def refuse(self, cells):
+        raise AssertionError("an edit rebuilt the whole complex")
+
+    monkeypatch.setattr(Complex, "__init__", refuse)
+    K, V, rec = bisect_edge(torus, torus_field, "e0-1")
+    quad = K.cofaces(rec.new_cells[1])[0]
+    verts = K.boundary_cycle(quad)[0::2]
+    i = verts.index(rec.new_cells[0])
+    bisect_2cell(K, V, quad, verts[i], verts[(i + 2) % 4])
+
+
+def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
+                                           assert_same_complex):
+    # each replace_cells call in a compose chain and in decompose, under
+    # the seeds of test_golden.py, against the same edit done from scratch
+    edit = Complex.replace_cells
+    calls = []
+
+    def checked(K, remove=(), add=()):
+        remove, add = list(remove), list(add)
+        out = edit(K, remove, add)
+        assert_same_complex(out, rebuild(K, remove, add))
+        calls.append(len(add))
+        return out
+
+    monkeypatch.setattr(Complex, "replace_cells", checked)
+    K, f = seeded_torus(100)
+    for seed in (101, 102, 103, 104):
+        T, ft = seeded_torus(seed)
+        K, f, _, _ = compose(K, f, T, ft)
+    assert verify_closed_surface(K).genus == 5
+    composing = len(calls)
+    K = genus_surface(4)[0]
+    for seed in range(9):
+        V = tree_cotree_field(K, rng=random.Random(seed))
+        f = synthesize_function(K, V)
+        g1 = 1 + seed % 3
+        try:
+            decompose(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+    assert composing > 0 and len(calls) > 2 * composing
+
+
+def closure_scan(K, crits):
+    """Cells whose closure holds >= 2 critical cells, by intersecting
+    every closure: the oracle for the star walk of _crits_in_closures."""
+    out = []
+    critset = set(crits)
+    for cid in sorted(K.cells):
+        hits = sorted(critset & K.closure(cid))
+        if len(hits) >= 2:
+            out.append((cid, hits))
+    return out
+
+
+def test_crits_in_closures_matches_closure_scan(monkeypatch):
+    star_walk = surgery._crits_in_closures
+    found = []
+
+    def checked(K, crits):
+        out = star_walk(K, crits)
+        assert out == closure_scan(K, crits)
+        found.append(len(out))
+        return out
+
+    monkeypatch.setattr(surgery, "_crits_in_closures", checked)
+    for g in (2, 3, 4):
+        K = genus_surface(g)[0]
+        for seed in range(4):
+            separate_critical_cells(
+                K, tree_cotree_field(K, rng=random.Random(seed)))
+    assert len(found) > 12 and any(found)
 
 
 def test_separate_critical_cells_identity(torus, torus_field):
@@ -348,12 +436,6 @@ def test_compose_checks_each_structure_once(monkeypatch):
     # one betti_mod2 and one validate_function per assembled function
     bettis = spy(monkeypatch, betti_mod2)
     validations = spy(monkeypatch, validate_function)
-
-    def seeded_torus(seed):
-        T = torus7()
-        return T, synthesize_function(T, tree_cotree_field(
-            T, rng=random.Random(seed)))
-
     K, f = seeded_torus(100)
     paths = set()
     for seed in range(101, 111):
