@@ -57,7 +57,8 @@ class Complex:
     edge boundary is a single cycle in which no vertex repeats.  The
     pseudomanifold and closed-surface flags are computed on first use.
     Surgeries never mutate a complex: `replace_cells` returns a new one,
-    re-checking only the cells the edit touches.
+    re-checking only the cells the edit touches, and `prefixed` and
+    `disjoint_union` carry the checked tables over without re-checking.
     """
 
     def __init__(self, cells):
@@ -178,6 +179,12 @@ class Complex:
         if cid not in self.cells:
             raise UnknownCell(cid)
         return self._cofaces[cid]
+
+    @property
+    def coface_table(self):
+        """Cell id -> sorted tuple of coface ids, for whole-complex loops
+        that read it directly; callers must not mutate it."""
+        return self._cofaces
 
     def cells_of_dim(self, p):
         return sorted(cid for cid, c in self.cells.items() if c.dim == p)
@@ -317,6 +324,42 @@ class Complex:
             if old[cid].dim == 1 and cid in cells:
                 walk.update(t for t in cofaces[cid] if cells[t].dim == 2)
         new._walk_cycles(walk)
+        new._closures = {}
+        return new
+
+    def prefixed(self, prefix):
+        """This complex with every id renamed to prefix + id.
+
+        The renaming goes through one map, so each new id is a single
+        string object shared by all the tables.  A common prefix keeps
+        the sorted order of ids, so coface tuples and 2-cell walks carry
+        over as they are; nothing is re-checked.
+        """
+        name = {cid: prefix + cid for cid in self.cells}
+        new = object.__new__(Complex)
+        new.cells = {
+            name[cid]: Cell(name[cid], c.dim,
+                            frozenset([name[f] for f in c.boundary]), c.tag)
+            for cid, c in self.cells.items()}
+        new.top_dim = self.top_dim
+        new._cofaces = {name[cid]: tuple([name[t] for t in cof])
+                        for cid, cof in self._cofaces.items()}
+        new._cycles = {name[cid]: tuple([name[x] for x in walk])
+                       for cid, walk in self._cycles.items()}
+        new._closures = {}
+        return new
+
+    def disjoint_union(self, other):
+        """The complex holding the cells of both; DuplicateFacet if an id
+        lies in both.  Cells keep their order, self's first."""
+        shared = self.cells.keys() & other.cells.keys()
+        if shared:
+            raise DuplicateFacet("duplicate cell id %r" % min(shared))
+        new = object.__new__(Complex)
+        new.cells = {**self.cells, **other.cells}
+        new.top_dim = max(self.top_dim, other.top_dim)
+        new._cofaces = {**self._cofaces, **other._cofaces}
+        new._cycles = {**self._cycles, **other._cycles}
         new._closures = {}
         return new
 

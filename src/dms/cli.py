@@ -41,12 +41,17 @@ def _err(msg):
     print(msg, file=sys.stderr)
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_field(path, K):
-    return parse_dvf(open(path, encoding="utf-8").read(), K)
+    return parse_dvf(_read(path), K)
 
 
 def _load_function(path, K):
-    return parse_dmf(open(path, encoding="utf-8").read(), K)
+    return parse_dmf(_read(path), K)
 
 
 def cmd_validate(args):
@@ -140,7 +145,7 @@ def cmd_decompose(args):
 def cmd_fixture(args):
     kind = args.kind
     if kind.startswith("genus"):
-        K, f, V = fixtures.genus_surface(int(kind[len("genus"):]))
+        K, f, V = fixtures.genus_surface(fixtures.fixture_genus(kind))
         dump_complex(K, args.out + ".cwp")
     else:
         K = fixtures.fixture_complex(kind)

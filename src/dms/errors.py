@@ -156,3 +156,7 @@ class Disconnected(DmsError):
 
 class ParseError(DmsError):
     pass
+
+
+class UnknownFixture(DmsError):
+    """A fixture kind that names no fixture, or a bad genus."""

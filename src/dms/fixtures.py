@@ -11,7 +11,7 @@ output is reproducible.
 import random
 
 from .cellcomplex import build_poset, build_simplicial
-from .errors import Disconnected, NotClosedSurface
+from .errors import Disconnected, NotClosedSurface, UnknownFixture
 from .morsefield import VectorField, synthesize_function
 
 
@@ -122,7 +122,7 @@ def genus_surface(g):
     from .surgery import compose  # deferred: fixtures are imported early
 
     if g < 0:
-        raise ValueError("genus must be non-negative")
+        raise UnknownFixture("genus must be non-negative, not %d" % g)
     base = tetrahedron() if g == 0 else torus7()
     V = tree_cotree_field(base)
     f = synthesize_function(base, V)
@@ -147,5 +147,14 @@ def fixture_complex(kind):
     if kind == "rp2":
         return projective_plane6()
     if kind.startswith("genus"):
-        return genus_surface(int(kind[len("genus"):]))[0]
-    raise ValueError("unknown fixture kind %r" % kind)
+        return genus_surface(fixture_genus(kind))[0]
+    raise UnknownFixture("unknown fixture kind %r" % kind)
+
+
+def fixture_genus(kind):
+    """The g of a fixture kind `genus<g>`; UnknownFixture when the rest
+    of the kind is not an integer."""
+    try:
+        return int(kind[len("genus"):])
+    except ValueError:
+        raise UnknownFixture("bad genus in fixture kind %r" % kind) from None

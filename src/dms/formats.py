@@ -6,6 +6,7 @@ emit cells in sorted id order so outputs are byte-reproducible.
 """
 
 import json
+import math
 
 from .cellcomplex import (
     Cell,
@@ -176,9 +177,13 @@ def parse_dmf(text, K):
         if parts[1] not in K.cells:
             raise ParseError("line %d: unknown cell %r" % (ln, parts[1]))
         try:
-            values[parts[1]] = float(parts[2])
+            val = float(parts[2])
         except ValueError:
             raise ParseError("line %d: bad value %r" % (ln, parts[2]))
+        if not math.isfinite(val):
+            raise ParseError("line %d: value %r is not finite"
+                             % (ln, parts[2]))
+        values[parts[1]] = val
     return MorseFunction(values)
 
 
@@ -192,7 +197,8 @@ def write_dmf(f):
 
 
 def load_complex(path):
-    text = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     if str(path).endswith(".tri"):
         return parse_tri(text)
     if str(path).endswith(".cwp"):

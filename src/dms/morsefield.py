@@ -12,7 +12,9 @@ is deterministic.
 """
 
 import heapq
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     CyclicField,
@@ -73,10 +75,19 @@ class VectorField:
         return [cid for cid in sorted(K.cells) if cid not in pm]
 
     def replace(self, drop=(), add=()):
-        dropped = {tuple(p) for p in drop}
-        pairs = [p for p in self.pair_list if p not in dropped]
-        pairs.extend(add)
-        return VectorField(pairs)
+        """This field without the pairs in `drop` (every copy of each)
+        and with the pairs in `add`: VectorField of the edited pair list,
+        kept sorted by bisection instead of sorted again."""
+        pairs = list(self.pair_list)
+        for p in drop:
+            p = tuple(p)
+            i = bisect_left(pairs, p)
+            del pairs[i:bisect_right(pairs, p, i)]
+        for a, b in add:
+            insort(pairs, (str(a), str(b)))
+        out = VectorField()
+        out.pair_list = tuple(pairs)
+        return out
 
 
 @dataclass(frozen=True)
@@ -144,20 +155,30 @@ class OnePathTree:
 
 def validate_function(K, f):
     """Check the discrete Morse condition (with exclusivity) everywhere."""
-    for cid in K.cells:
-        if cid not in f:
+    cells = K.cells
+    cofaces = K.coface_table
+    values = f.values
+    for cid in cells:
+        if cid not in values:
             raise MissingValue(cid)
     violations = []
-    for cid in sorted(K.cells):
-        val = f[cid]
-        exc_faces = sum(1 for s in K.boundary(cid) if f[s] >= val)
-        exc_cofaces = sum(1 for c in K.cofaces(cid) if f[c] <= val)
+    for cid, cell in cells.items():
+        val = values[cid]
+        exc_faces = exc_cofaces = 0
+        for s in cell.boundary:
+            if values[s] >= val:
+                exc_faces += 1
+        for c in cofaces[cid]:
+            if values[c] <= val:
+                exc_cofaces += 1
         if exc_faces > 1:
             violations.append((cid, "faces"))
         if exc_cofaces > 1:
             violations.append((cid, "cofaces"))
         if exc_faces == 1 and exc_cofaces == 1:
             violations.append((cid, "exclusivity"))
+    # stable: a cell's violations keep the order they were found in
+    violations.sort(key=itemgetter(0))
     return FunctionReport(ok=not violations, violations=violations)
 
 
@@ -173,10 +194,12 @@ def induced_field(K, f):
 def _field_of(K, f):
     """The pairs (sigma, tau) with f(sigma) >= f(tau), read off an f
     that has already passed `validate_function`."""
+    values = f.values
     pairs = []
-    for tid in sorted(K.cells):
-        for sid in K.boundary(tid):
-            if f[sid] >= f[tid]:
+    for tid, cell in K.cells.items():
+        val = values[tid]
+        for sid in cell.boundary:
+            if values[sid] >= val:
                 pairs.append((sid, tid))
     return VectorField(pairs)
 
@@ -203,29 +226,30 @@ def make_injective(K, f):
 def validate_field(K, V, check_acyclic=True):
     """Matching, incidence and acyclicity checks; failures are report
     entries, never exceptions."""
+    cells = K.cells
     issues = []
     seen = set()
-    ok_pairs = []
+    head_of = {}
     for a, b in V.pairs():
-        if a not in K.cells or b not in K.cells:
-            issues.append(("unknown-cell", a if a not in K.cells else b))
+        ca, cb = cells.get(a), cells.get(b)
+        if ca is None or cb is None:
+            issues.append(("unknown-cell", a if ca is None else b))
             continue
-        if K.dim(b) != K.dim(a) + 1:
+        if cb.dim != ca.dim + 1:
             issues.append(("dimension", (a, b)))
             continue
-        if a not in K.boundary(b):
+        if a not in cb.boundary:
             issues.append(("incidence", (a, b)))
             continue
-        dup = [c for c in (a, b) if c in seen]
-        if dup:
-            issues.append(("double-match", dup[0]))
+        if a in seen or b in seen:
+            issues.append(("double-match", a if a in seen else b))
             continue
         seen.add(a)
         seen.add(b)
-        ok_pairs.append((a, b))
+        head_of[a] = b
     witness = None
     if check_acyclic and not issues:
-        witness = _find_cycle(K, dict(ok_pairs))
+        witness = _find_cycle(K, head_of)
         if witness is not None:
             issues.append(("cycle", witness))
     return FieldReport(ok=not issues, issues=issues, cycle_witness=witness)
@@ -233,13 +257,36 @@ def validate_field(K, V, check_acyclic=True):
 
 def _find_cycle(K, head_of):
     """Closed V-path if one exists.  head_of maps each tail sigma to its
-    pair tau; a V-path hops tau -> another face that is itself a tail."""
+    pair tau; a V-path hops tau -> another face that is itself a tail.
+
+    Tails that no V-path step enters are peeled off first, as in a
+    topological sort; when every tail peels there is no closed V-path.
+    Otherwise a depth-first search from the tails in sorted order, one
+    dimension at a time, names the witness.
+    """
+    cells = K.cells
+    steps = {}
+    entering = dict.fromkeys(head_of, 0)
+    for s, t in head_of.items():
+        nxt = [x for x in cells[t].boundary if x != s and x in head_of]
+        steps[s] = nxt
+        for x in nxt:
+            entering[x] += 1
+    ready = [s for s, n in entering.items() if n == 0]
+    left = len(entering)
+    while ready:
+        left -= 1
+        for x in steps[ready.pop()]:
+            entering[x] -= 1
+            if entering[x] == 0:
+                ready.append(x)
+    if not left:
+        return None
     by_dim = {}
     for s in head_of:
-        by_dim.setdefault(K.dim(s), []).append(s)
+        by_dim.setdefault(cells[s].dim, []).append(s)
     for p in sorted(by_dim):
         tails = sorted(by_dim[p])
-        tailset = set(tails)
         color = {}
         for start in tails:
             if color.get(start):
@@ -253,9 +300,7 @@ def _find_cycle(K, head_of):
                     color[node] = 1
                     on_path[node] = len(path)
                     path.append(node)
-                    nbrs = sorted(s for s in K.boundary(head_of[node])
-                                  if s != node and s in tailset)
-                    stack[-1] = (node, iter(nbrs))
+                    stack[-1] = (node, iter(sorted(steps[node])))
                     continue
                 advanced = False
                 for nxt in it:
@@ -280,12 +325,13 @@ def _find_cycle(K, head_of):
 def critical_cells(V, K):
     """Unmatched cells graded by dimension."""
     pm = V.partner_map()
-    cells = {p: [] for p in range(K.top_dim + 1)}
-    for cid in sorted(K.cells):
+    cells = K.cells
+    crit = {p: [] for p in range(K.top_dim + 1)}
+    for cid in sorted(cells):
         if cid not in pm:
-            cells[K.dim(cid)].append(cid)
-    m = tuple(len(cells[p]) for p in range(K.top_dim + 1))
-    return MorseCounts(m=m, cells={p: tuple(v) for p, v in cells.items()})
+            crit[cells[cid].dim].append(cid)
+    m = tuple(len(crit[p]) for p in range(K.top_dim + 1))
+    return MorseCounts(m=m, cells={p: tuple(v) for p, v in crit.items()})
 
 
 def is_perfect(K, V):
@@ -373,47 +419,43 @@ def synthesize_function(K, V):
     Matched pairs are contracted to one node of the flow digraph; a
     deterministic topological order of the nodes gives the values, so
     pair members share a value and every other face relation is strict.
+    The flow digraph has a directed cycle exactly when V has a closed
+    V-path (Chari 2000), so the order also decides acyclicity; only then
+    is the V-path searched for, to name it in CyclicField.
     """
-    report = validate_field(K, V)
+    report = validate_field(K, V, check_acyclic=False)
     if not report.ok:
-        kinds = {k for k, _ in report.issues}
-        if kinds == {"cycle"}:
-            raise CyclicField(report.cycle_witness)
         raise InconsistentField(report.issues[:5])
+    cells = K.cells
     pm = V.partner_map()
-
-    def node(cid):
-        partner = pm.get(cid)
-        if partner is not None:
-            return min(cid, partner)
-        return cid
-
-    succ = {}
-    indeg = {}
-    for cid in K.cells:
-        succ.setdefault(node(cid), set())
-        indeg.setdefault(node(cid), 0)
-    for tid in sorted(K.cells):
-        nt = node(tid)
-        for sid in K.boundary(tid):
-            ns = node(sid)
-            if ns == nt:
-                continue
-            if ns not in succ[nt]:
-                succ[nt].add(ns)
+    node = {cid: cid for cid in cells}
+    for a, b in V.pairs():
+        node[a] = node[b] = min(a, b)
+    # a node's in-degree counts each face relation into it from another
+    # node, repeats included, so it reaches 0 when its last one is done
+    indeg = dict.fromkeys(node.values(), 0)
+    for tid, cell in cells.items():
+        nt = node[tid]
+        for sid in cell.boundary:
+            ns = node[sid]
+            if ns != nt:
                 indeg[ns] += 1
-    ready = [n for n in succ if indeg[n] == 0]
+    ready = [n for n, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     position = {}
     while ready:
         n = heapq.heappop(ready)
         position[n] = len(position)
-        for s in sorted(succ[n]):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(position) != len(succ):
-        raise CyclicField("flow digraph has a directed cycle")
+        partner = pm.get(n)
+        for cid in (n,) if partner is None else (n, partner):
+            for sid in cells[cid].boundary:
+                ns = node[sid]
+                if ns != n:
+                    indeg[ns] -= 1
+                    if indeg[ns] == 0:
+                        heapq.heappush(ready, ns)
+    if len(position) != len(indeg):
+        raise CyclicField(_find_cycle(K, {a: b for a, b in V.pairs()}))
     top = len(position) - 1
-    values = {cid: float(top - position[node(cid)]) for cid in K.cells}
+    values = {cid: float(top - position[node[cid]]) for cid in cells}
     return MorseFunction(values)

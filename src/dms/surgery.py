@@ -476,19 +476,15 @@ class ComposeReport:
     glue_cycle_length: int
 
 
-def _prefix_complex(K, prefix):
-    cells = [Cell(prefix + c.id, c.dim,
-                  frozenset(prefix + f for f in c.boundary), c.tag)
-             for c in K.cells.values()]
-    return Complex(cells)
-
-
-def _prefix_field(V, prefix):
-    return VectorField((prefix + a, prefix + b) for a, b in V.pairs())
-
-
-def _prefix_function(f, prefix):
-    return MorseFunction({prefix + cid: val for cid, val in f.values.items()})
+def _prefixed(K, V, f, prefix):
+    """K, V and f with every id renamed to prefix + id.  The field and
+    the function reuse the complex's new id strings."""
+    Kp = K.prefixed(prefix)
+    name = dict(zip(K.cells, Kp.cells))  # prefixed keeps the cell order
+    Vp = VectorField((name[a], name[b]) for a, b in V.pairs())
+    fp = MorseFunction({name[cid] if cid in name else prefix + cid: val
+                        for cid, val in f.values.items()})
+    return Kp, Vp, fp
 
 
 def _boundary_offenders(K, V, alpha):
@@ -573,12 +569,8 @@ def compose(M1, f1, M2, f2):
     for K, V in ((M1, V1), (M2, V2)):
         if not is_perfect(K, V):
             raise NotPerfectInput(critical_cells(V, K).m)
-    K1 = _prefix_complex(M1, "m1:")
-    V1 = _prefix_field(V1, "m1:")
-    f1w = _prefix_function(f1, "m1:")
-    K2 = _prefix_complex(M2, "m2:")
-    V2 = _prefix_field(V2, "m2:")
-    f2w = _prefix_function(f2, "m2:")
+    K1, V1, f1w = _prefixed(M1, V1, f1, "m1:")
+    K2, V2, f2w = _prefixed(M2, V2, f2, "m2:")
 
     alpha = critical_cells(V1, K1).cells[n][0]
     v2 = critical_cells(V2, K2).cells[0][0]
@@ -620,19 +612,20 @@ def compose(M1, f1, M2, f2):
 
     tube = build_prism_over_boundary(K1, alpha)
 
-    cells = {}
-    for cid, c in K1.cells.items():
-        if cid != alpha:
-            cells[cid] = c
-    for c in tube.new_cells:
-        cells[c.id] = c
-    dropped = set(bprime_cells) | {bprime}
-    for cid, c in K2.cells.items():
-        if cid in dropped:
-            continue
-        bnd = frozenset(glue.get(f, f) for f in c.boundary)
-        cells[cid] = Cell(cid, c.dim, bnd, c.tag)
-    M = Complex(cells.values())
+    # one edit of the disjoint union: alpha and the shrunken cell with its
+    # boundary go, the tube comes in, and the cells on that boundary are
+    # re-glued onto the tube top
+    union = K1.disjoint_union(K2)
+    dropped = bprime_cells | {bprime}
+    reglued = []
+    for cid in sorted({t for d in bprime_cells
+                       for t in K2.cofaces(d)} - dropped):
+        c = K2.cells[cid]
+        reglued.append(Cell(cid, c.dim,
+                            frozenset([glue.get(f, f) for f in c.boundary]),
+                            c.tag))
+    M = union.replace_cells(remove=[alpha, *dropped],
+                            add=[*tube.new_cells, *reglued])
 
     pairs = list(V1.pairs())
     pairs.extend((tube.top[cid], tube.prism[cid]) for cid in tube.base_cells)

@@ -4,6 +4,7 @@ import pytest
 
 from dms.cellcomplex import (
     Cell,
+    Complex,
     build_poset,
     build_simplicial,
     components,
@@ -256,3 +257,38 @@ def test_edit_raises_what_a_full_rebuild_raises(tetra, edit, error, rebuild):
         rebuild(tetra, **edit)
     with pytest.raises(error):
         tetra.replace_cells(**edit)
+
+
+def prefix_rebuild(K, prefix):
+    """K.prefixed(prefix) done the slow way: every cell renamed and the
+    complex built from scratch."""
+    return Complex(Cell(prefix + c.id, c.dim,
+                        frozenset(prefix + f for f in c.boundary), c.tag)
+                   for c in K.cells.values())
+
+
+def test_prefixed_matches_a_full_rebuild(tetra, torus, pillow_sphere,
+                                         genus2, assert_same_complex):
+    for K in (tetra, torus, pillow_sphere, genus2[0]):
+        P = K.prefixed("m1:")
+        assert_same_complex(P, prefix_rebuild(K, "m1:"))
+        assert [c.tag for c in P.cells.values()] == \
+            [c.tag for c in K.cells.values()]
+        # one string object per new id, shared by every table
+        name = {cid: cid for cid in P.cells}
+        for cid, cell in P.cells.items():
+            assert cell.id is cid
+            assert all(f is name[f] for f in cell.boundary)
+            assert all(t is name[t] for t in P.cofaces(cid))
+        for t in P.cells_of_dim(2):
+            assert all(x is name[x] for x in P.boundary_cycle(t))
+
+
+def test_disjoint_union_matches_a_full_rebuild(tetra, torus,
+                                               assert_same_complex):
+    A, B = tetra.prefixed("a:"), torus.prefixed("b:")
+    U = A.disjoint_union(B)
+    assert_same_complex(U, Complex([*A.cells.values(), *B.cells.values()]))
+    assert not U.is_closed_surface and U.is_pseudomanifold
+    with pytest.raises(DuplicateFacet, match="a:e0-1"):
+        A.disjoint_union(tetra.prefixed("a:"))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dms.cellcomplex import build_poset, build_simplicial
@@ -221,3 +223,22 @@ def test_morse_inequalities(tetra, torus, genus2):
         assert all(mp >= bp for mp, bp in zip(m, b))
         assert sum((-1) ** p * mp for p, mp in enumerate(m)) \
             == sum((-1) ** p * bp for p, bp in enumerate(b))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_replace_matches_a_sorted_rebuild(torus, seed):
+    # drops may miss, repeat, or hit duplicated pairs; adds may repeat
+    rng = random.Random(seed)
+    cells = sorted(torus.cells)
+    pairs = [tuple(rng.sample(cells, 2)) for _ in range(rng.randrange(30))]
+    pairs += rng.sample(pairs, min(len(pairs), 5))
+    V = VectorField(pairs)
+    drop = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+    drop += [tuple(rng.sample(cells, 2)) for _ in range(3)] + drop[:2]
+    add = [tuple(rng.sample(cells, 2)) for _ in range(rng.randrange(6))]
+    add += add[:1] + rng.sample(pairs, min(len(pairs), 2))
+    dropped = set(drop)
+    rebuilt = VectorField([p for p in V.pairs() if p not in dropped] + add)
+    out = V.replace(drop=drop, add=add)
+    assert out.pairs() == rebuilt.pairs()
+    assert V.pairs() == VectorField(pairs).pairs()  # V is unchanged

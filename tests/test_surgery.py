@@ -503,3 +503,34 @@ def test_compose_dimension_three():
     assert rep.chi == 0
     assert rep.perfect and rep.function_valid
     assert induced_field(M, fc) == Vc
+
+
+def test_glued_results_match_a_full_rebuild(assert_same_complex):
+    K, f = seeded_torus(100)
+    for seed in range(101, 106):
+        T, ft = seeded_torus(seed)
+        K, f, V, rep = compose(K, f, T, ft)
+        assert_same_complex(K, Complex(K.cells.values()))
+    assert verify_closed_surface(K).genus == 6
+    S = sphere3()
+    f = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
+    M, fc, Vc, rep = compose(S, f, sphere3(), f)
+    assert_same_complex(M, Complex(M.cells.values()))
+    assert M.top_dim == 3 and M.is_pseudomanifold
+
+
+def test_compose_builds_no_complex_from_scratch(monkeypatch):
+    K, f = seeded_torus(100)
+    T, ft = seeded_torus(101)
+    S = sphere3()
+    fs = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
+    S2 = sphere3()
+
+    def refuse(self, cells):
+        raise AssertionError("compose built a complex from scratch")
+
+    monkeypatch.setattr(Complex, "__init__", refuse)
+    M, _, _, rep = compose(K, f, T, ft)
+    assert rep.boundary_clearing_steps and rep.perfect
+    M, _, _, rep = compose(S, fs, S2, fs)
+    assert M.top_dim == 3 and rep.perfect

@@ -8,7 +8,7 @@ import pytest
 import dms
 from dms.cellcomplex import build_simplicial, euler_characteristic
 from dms.cli import main
-from dms.errors import Disconnected, ParseError
+from dms.errors import Disconnected, ParseError, UnknownFixture
 from dms.fixtures import (
     fixture_complex,
     genus_surface,
@@ -120,6 +120,33 @@ def test_parse_errors(torus):
         parse_dvf("pair v0 e0-1\ncrit v0\n", torus)
 
 
+@pytest.mark.parametrize("text", ["nan", "-inf", "inf", "NaN", "1e999"])
+def test_parse_dmf_rejects_non_finite_values(torus, text):
+    lines = "val v0 0.0\nval v1 %s\n" % text
+    with pytest.raises(ParseError, match="line 2: value %r is not finite"
+                       % text):
+        parse_dmf(lines, torus)
+
+
+def test_cli_validate_rejects_a_nan_function(tmp_path, capsys):
+    out = tmp_path / "t"
+    run_cli(["fixture", "torus7", "--out", str(out)])
+    nan = tmp_path / "nan.dmf"
+    nan.write_text("".join("val %s nan\n" % line.split()[1] for line in
+                           (tmp_path / "t.dmf").read_text().splitlines()))
+    capsys.readouterr()
+    code = run_cli(["validate", "--complex", str(out) + ".tri",
+                    "--function", str(nan)])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["torus", "genusx", "genus-1"])
+def test_unknown_fixture_kinds_raise_a_dms_error(kind):
+    with pytest.raises(UnknownFixture):
+        fixture_complex(kind)
+
+
 def test_off_and_dot(torus):
     off = write_off(torus)
     header, counts = off.splitlines()[:2]
@@ -180,6 +207,15 @@ def test_cli_precondition_is_exit_4(tmp_path, capsys):
                     "--function", str(out) + ".dmf",
                     "--g1", "0", "--g2", "0", "--out", str(tmp_path / "d")])
     assert code == 4
+
+
+@pytest.mark.parametrize("kind", ["torus", "genusx", "genus-1"])
+def test_cli_unknown_fixture_is_one_line(tmp_path, capsys, kind):
+    code = run_cli(["fixture", kind, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("UnknownFixture: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_compose_decompose(tmp_path, capsys):
