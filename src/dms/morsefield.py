@@ -455,7 +455,7 @@ def synthesize_function(K, V):
                     if indeg[ns] == 0:
                         heapq.heappush(ready, ns)
     if len(position) != len(indeg):
-        raise CyclicField(_find_cycle(K, {a: b for a, b in V.pairs()}))
+        raise CyclicField(_find_cycle(K, dict(V.pairs())))
     top = len(position) - 1
     values = {cid: float(top - position[node[cid]]) for cid in cells}
     return MorseFunction(values)
