@@ -55,8 +55,9 @@ class Complex:
 
     Construction validates grading, closure and (for 2-cells) that the
     edge boundary is a single cycle in which no vertex repeats.  The
-    pseudomanifold and closed-surface flags are computed on first use.
-    Surgeries never mutate a complex: `replace_cells` returns a new one,
+    pseudomanifold and closed-surface flags are computed on first use,
+    and `split_cell` hands them on to the subdivided complex.  Surgeries
+    never mutate a complex: `replace_cells` returns a new one,
     re-checking only the cells the edit touches, and `prefixed` and
     `disjoint_union` carry the checked tables over without re-checking.
     """
@@ -138,15 +139,31 @@ class Complex:
                    for cid, cell in self.cells.items() if cell.dim == n - 1)
 
     @cached_property
+    def _surface_defect(self):
+        """Why this is not a closed surface, or None.  The checks run in
+        order: top dimension 2, connected, two cofaces on every edge, one
+        cycle as every vertex link; a failing one names its smallest
+        offending cell."""
+        if self.top_dim != 2:
+            return "top dimension is %d" % self.top_dim
+        if not self.is_connected():
+            return "complex is not connected"
+        if not self.is_pseudomanifold:
+            cofaces = self._cofaces
+            eid = min(cid for cid, cell in self.cells.items()
+                      if cell.dim == 1 and len(cofaces[cid]) != 2)
+            return "edge %s has %d cofaces" % (eid, len(cofaces[eid]))
+        bad = [cid for cid, cell in self.cells.items()
+               if cell.dim == 0 and self.link_cycle(cid) is None]
+        if bad:
+            return "vertex %s link is not a single cycle" % min(bad)
+        return None
+
+    @property
     def is_closed_surface(self):
         """A connected 2-dimensional pseudomanifold in which the link of
         every vertex is one cycle."""
-        if self.top_dim != 2 or not self.is_pseudomanifold:
-            return False
-        if not self.is_connected():
-            return False
-        return all(self.link_cycle(cid) is not None
-                   for cid, cell in self.cells.items() if cell.dim == 0)
+        return self._surface_defect is None
 
     # ---- queries --------------------------------------------------------
 
@@ -364,15 +381,69 @@ class Complex:
         return new
 
     def split_cell(self, old, new_cells, halves):
-        """New complex with cell `old` replaced by `new_cells`; every
-        coface of `old` lists both `halves` in its place."""
+        """New complex with cell `old` subdivided; every coface of `old`
+        lists both `halves` in its place.
+
+        `new_cells` must be the two halves, of old's dimension, and one
+        middle cell a dimension lower whose faces lie in the closure of
+        `old`, all three new.  The halves must share only the middle cell
+        and together list exactly old's boundary.  Any other edit raises
+        BadCellBoundary.  A subdivision keeps the homeomorphism type, so
+        the result takes over the parent's computed is_pseudomanifold
+        and a closed-surface verdict that found no defect (a defect names
+        a cell, which the split may have renamed).
+        """
+        new_cells = list(new_cells)
+        why = self._subdivision_defect(self.cell(old), new_cells, halves)
+        if why is not None:
+            raise BadCellBoundary("splitting %r: %s" % (old, why))
         halves = frozenset(halves)
         patched = []
-        for t in self.cofaces(old):
+        for t in self._cofaces[old]:
             tc = self.cells[t]
             patched.append(
                 Cell(t, tc.dim, (tc.boundary - {old}) | halves, tc.tag))
-        return self.replace_cells(remove=[old], add=list(new_cells) + patched)
+        new = self.replace_cells(remove=[old], add=new_cells + patched)
+        known = self.__dict__
+        if "is_pseudomanifold" in known:
+            new.is_pseudomanifold = known["is_pseudomanifold"]
+        if "_surface_defect" in known and known["_surface_defect"] is None:
+            new._surface_defect = None
+        return new
+
+    def _subdivision_defect(self, cell, new_cells, halves):
+        """Why replacing `cell` by `new_cells` with these `halves` is no
+        subdivision, or None."""
+        ids = {c.id for c in new_cells}
+        halves = set(halves)
+        if len(new_cells) != 3 or len(ids) != 3 or len(halves) != 2 \
+                or not halves <= ids:
+            return "expected two halves and a middle cell, got %s with " \
+                "halves %s" % (sorted(ids), sorted(halves))
+        taken = ids & self.cells.keys()
+        if taken:
+            return "cell %r already exists" % min(taken)
+        mid, = [c for c in new_cells if c.id not in halves]
+        h1, h2 = sorted((c for c in new_cells if c.id in halves),
+                        key=lambda c: c.id)
+        if mid.dim != cell.dim - 1 or h1.dim != cell.dim \
+                or h2.dim != cell.dim:
+            return "dimensions %d, %d and middle %d for a cell of " \
+                "dimension %d" % (h1.dim, h2.dim, mid.dim, cell.dim)
+        outside = mid.boundary - self.closure(cell.id)
+        if outside:
+            return "middle cell %r has face %r outside its closure" \
+                % (mid.id, min(outside))
+        shared = h1.boundary & h2.boundary
+        if shared != {mid.id}:
+            return "halves %r and %r share %s, not only %r" \
+                % (h1.id, h2.id, sorted(shared), mid.id)
+        listed = (h1.boundary | h2.boundary) - {mid.id}
+        if listed != cell.boundary:
+            return "halves leave out %s and add %s to its boundary" % (
+                sorted(cell.boundary - listed),
+                sorted(listed - cell.boundary))
+        return None
 
 
 # ---- graph primitives ----------------------------------------------------
@@ -383,13 +454,10 @@ def components(nodes, neighbours):
 
     `neighbours` maps each node to the nodes adjacent to it, all of them
     in `nodes`.  Each search starts at the smallest node not yet reached,
-    so the components come out ordered by their smallest node.
+    so the components come out ordered by their smallest node.  The
+    nodes are sorted only when the first search leaves some behind.
     """
-    seen = set()
-    out = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
+    def reach(start):
         comp = {start}
         frontier = [start]
         while frontier:
@@ -397,8 +465,17 @@ def components(nodes, neighbours):
                 if nxt not in comp:
                     comp.add(nxt)
                     frontier.append(nxt)
-        seen |= comp
-        out.append(frozenset(comp))
+        return frozenset(comp)
+
+    if not nodes:
+        return []
+    out = [reach(min(nodes))]
+    seen = set(out[0])
+    if len(seen) < len(nodes):
+        for start in sorted(n for n in nodes if n not in seen):
+            if start not in seen:
+                out.append(reach(start))
+                seen |= out[-1]
     return out
 
 
@@ -569,17 +646,9 @@ def verify_closed_surface(K):
     Raises NotClosedSurface naming an offending cell.  Non-orientability
     is reported, not raised; genus is None in that case.
     """
-    if K.top_dim != 2:
-        raise NotClosedSurface("top dimension is %d" % K.top_dim)
-    if not K.is_connected():
-        raise NotClosedSurface("complex is not connected")
-    for eid in K.cells_of_dim(1):
-        if len(K.cofaces(eid)) != 2:
-            raise NotClosedSurface("edge %s has %d cofaces"
-                                   % (eid, len(K.cofaces(eid))))
-    for vid in K.cells_of_dim(0):
-        if K.link_cycle(vid) is None:
-            raise NotClosedSurface("vertex %s link is not a single cycle" % vid)
+    defect = K._surface_defect
+    if defect is not None:
+        raise NotClosedSurface(defect)
     orientable = _orientation_ok(K)
     if not orientable:
         return SurfaceInfo(genus=None, orientable=False)

@@ -89,14 +89,25 @@ def write_tri(K):
 # --- CWP ---------------------------------------------------------------------
 
 
+def _once(seen, directive, cid, ln):
+    """Record that line ln gives `directive` for cid; ParseError naming
+    both lines if an earlier line already did."""
+    first = seen.setdefault((directive, cid), ln)
+    if first != ln:
+        raise ParseError("line %d: %s %r repeats line %d"
+                         % (ln, directive, cid, first))
+
+
 def parse_cwp(text):
     dims = {}
     bnds = {}
+    seen = {}
     for ln, line in _lines(text):
         parts = line.split()
         if parts[0] == "cell":
             if len(parts) != 3:
                 raise ParseError("line %d: cell needs id and dim" % ln)
+            _once(seen, "cell", parts[1], ln)
             try:
                 dims[parts[1]] = int(parts[2])
             except ValueError:
@@ -104,6 +115,7 @@ def parse_cwp(text):
         elif parts[0] == "bnd":
             if len(parts) < 2:
                 raise ParseError("line %d: bnd needs a cell id" % ln)
+            _once(seen, "bnd", parts[1], ln)
             bnds[parts[1]] = parts[2:]
         else:
             raise ParseError("line %d: unknown directive %r" % (ln, parts[0]))
@@ -170,6 +182,7 @@ def write_dvf(V, K=None):
 
 def parse_dmf(text, K):
     values = {}
+    seen = {}
     for ln, line in _lines(text):
         parts = line.split()
         if parts[0] != "val" or len(parts) != 3:
@@ -183,6 +196,7 @@ def parse_dmf(text, K):
         if not math.isfinite(val):
             raise ParseError("line %d: value %r is not finite"
                              % (ln, parts[2]))
+        _once(seen, "val", parts[1], ln)
         values[parts[1]] = val
     return MorseFunction(values)
 

@@ -72,7 +72,7 @@ class VectorField:
 
     def critical(self, K):
         pm = self.partner_map()
-        return [cid for cid in sorted(K.cells) if cid not in pm]
+        return sorted(cid for cid in K.cells if cid not in pm)
 
     def replace(self, drop=(), add=()):
         """This field without the pairs in `drop` (every copy of each)
@@ -207,16 +207,23 @@ def _field_of(K, f):
 def make_injective(K, f):
     """Injective values with the same induced field; strict comparisons
     of the input stay strict.  Values become consecutive integers."""
-    pm = induced_field(K, f).partner_map()
+    return _injective(K, f, induced_field(K, f))
+
+
+def _injective(K, f, V):
+    """make_injective for an f already known to induce V."""
+    cells = K.cells
+    values = f.values
+    pm = V.partner_map()
 
     def tie_rank(cid):
         partner = pm.get(cid)
-        if partner is not None and f[partner] == f[cid]:
+        if partner is not None and values[partner] == values[cid]:
             # the higher cell of an equal-valued pair must end up lower
-            return 0 if K.dim(cid) > K.dim(partner) else 1
+            return 0 if cells[cid].dim > cells[partner].dim else 1
         return 0
 
-    order = sorted(K.cells, key=lambda c: (f[c], tie_rank(c), c))
+    order = sorted(cells, key=lambda c: (values[c], tie_rank(c), c))
     return MorseFunction({cid: float(i) for i, cid in enumerate(order)})
 
 
@@ -327,9 +334,8 @@ def critical_cells(V, K):
     pm = V.partner_map()
     cells = K.cells
     crit = {p: [] for p in range(K.top_dim + 1)}
-    for cid in sorted(cells):
-        if cid not in pm:
-            crit[cells[cid].dim].append(cid)
+    for cid in sorted(cid for cid in cells if cid not in pm):
+        crit[cells[cid].dim].append(cid)
     m = tuple(len(crit[p]) for p in range(K.top_dim + 1))
     return MorseCounts(m=m, cells={p: tuple(v) for p, v in crit.items()})
 

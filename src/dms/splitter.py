@@ -32,10 +32,10 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
+    _injective,
     critical_cells,
     induced_field,
     is_perfect,
-    make_injective,
     synthesize_function,
     trace_2path,
     validate_field,
@@ -139,7 +139,11 @@ def select_split_edges(K, f, g1, g2):
     """Critical edges sorted by function value: the lowest 2*g1 belong to
     the summand with the critical vertex, the highest 2*g2 to the one
     with the critical facet."""
-    V = induced_field(K, f)
+    return _split_edges(K, f, induced_field(K, f), g1, g2)
+
+
+def _split_edges(K, f, V, g1, g2):
+    """select_split_edges for an f already known to induce V."""
     crit = critical_cells(V, K)
     edges = list(crit.cells.get(1, ()))
     if g1 + g2 < 1 or len(edges) != 2 * (g1 + g2):
@@ -606,8 +610,8 @@ def find_separating_circle(K, f, g1, g2):
     V = induced_field(K, f)
     if not is_perfect(K, V):
         raise NotPerfectInput(critical_cells(V, K).m)
-    fi = make_injective(K, f)
-    low, high = select_split_edges(K, fi, g1, g2)
+    # f and its injective copy induce the same V
+    low, high = _split_edges(K, _injective(K, f, V), V, g1, g2)
 
     K, V, recs = separate_critical_cells(K, V)
     renames = {}
@@ -706,7 +710,7 @@ def split_along_circle(K, V, circle):
         ids = set()
         for t in comp:
             ids |= K.closure(t)
-        piece = Complex([K.cells[c] for c in sorted(ids)])
+        piece = K.replace_cells(remove=K.cells.keys() - ids)
         pairs = [(a, b) for a, b in V.pairs() if a in ids and b in ids]
         return piece, VectorField(pairs)
 

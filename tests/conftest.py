@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dms.cellcomplex import Complex
@@ -86,3 +88,24 @@ def rebuild():
 @pytest.fixture(scope="session")
 def assert_same_complex():
     return _assert_same_complex
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(fn) records the calls to fn through every dms module that
+    binds it and returns the list of their argument tuples."""
+    def install(fn):
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "dms" or name.startswith("dms."):
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        return calls
+
+    return install

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -168,6 +169,40 @@ def test_components_start_at_smallest_node():
     assert components([], {}) == []
 
 
+def sorted_start_components(nodes, neighbours):
+    """components as it read before it skipped the sort on a connected
+    graph: one search from each node in sorted order not yet reached."""
+    seen = set()
+    out = []
+    for start in sorted(nodes):
+        if start not in seen:
+            comp = {start}
+            frontier = [start]
+            while frontier:
+                for nxt in neighbours[frontier.pop()]:
+                    if nxt not in comp:
+                        comp.add(nxt)
+                        frontier.append(nxt)
+            seen |= comp
+            out.append(frozenset(comp))
+    return out
+
+
+def test_components_matches_the_sorted_start_search():
+    rng = random.Random(5)
+    for trial in range(200):
+        nodes = ["n%d" % i for i in range(rng.randrange(1, 12))]
+        rng.shuffle(nodes)
+        nbrs = {x: [] for x in nodes}
+        for _ in range(rng.randrange(2 * len(nodes))):
+            a, b = rng.choice(nodes), rng.choice(nodes)
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        for given in (nodes, set(nodes), nbrs, nodes + nodes[:2]):
+            assert components(given, nbrs) == \
+                sorted_start_components(given, nbrs)
+
+
 def test_cycle_walk_orders_and_rejects():
     square = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"),
               "ad": ("a", "d")}
@@ -292,3 +327,148 @@ def test_disjoint_union_matches_a_full_rebuild(tetra, torus,
     assert not U.is_closed_surface and U.is_pseudomanifold
     with pytest.raises(DuplicateFacet, match="a:e0-1"):
         A.disjoint_union(tetra.prefixed("a:"))
+
+
+# --- subdivisions and the closed-surface check ------------------------------
+
+
+def chord_cells(d_ends=("p0", "p2"), half1=("q0", "q1"),
+                half2=("q2", "q3")):
+    """A chord d across the pillow's square sqA and the two halves."""
+    return [Cell("d", 1, frozenset(d_ends)),
+            Cell("h1", 2, frozenset(half1) | {"d"}),
+            Cell("h2", 2, frozenset(half2) | {"d"})]
+
+
+def test_split_cell_subdivides(pillow_sphere, assert_same_complex):
+    K = pillow_sphere.split_cell("sqA", chord_cells(), ("h1", "h2"))
+    assert_same_complex(K, Complex(K.cells.values()))
+    assert K.boundary_cycle("h1") == ("p0", "d", "p2", "q1", "p1", "q0")
+    E = pillow_sphere.split_cell("q0", [
+        Cell("w", 0, frozenset()), Cell("q0a", 1, frozenset({"p0", "w"})),
+        Cell("q0b", 1, frozenset({"p1", "w"}))], ("q0a", "q0b"))
+    assert_same_complex(E, Complex(E.cells.values()))
+    assert E.cofaces("q0a") == ("sqA", "sqB")
+
+
+@pytest.mark.parametrize("cells, halves, why", [
+    # the halves share q2 besides the chord
+    (chord_cells(half1=("q0", "q1", "q2")), ("h1", "h2"), "share"),
+    # the chord ends at a vertex off the square: no face of sqA
+    (chord_cells(d_ends=("p0", "x")), ("h1", "h2"), "outside its closure"),
+    # q1 is in neither half
+    (chord_cells(half1=("q0",)), ("h1", "h2"), r"leave out \['q1'\]"),
+    # the middle cell is an existing edge
+    ([Cell("q0", 1, frozenset({"p0", "p2"})),
+      Cell("h1", 2, frozenset({"q0", "q1"})),
+      Cell("h2", 2, frozenset({"q2", "q3", "q0"}))], ("h1", "h2"),
+     "already exists"),
+    # no middle cell at all
+    (chord_cells()[1:], ("h1", "h2"), "two halves and a middle cell"),
+    # the middle cell has the halves' dimension
+    ([Cell("d", 2, frozenset({"q0", "q1", "q2", "q3"}))]
+     + chord_cells()[1:], ("h1", "h2"), "dimensions"),
+], ids=["second-shared-face", "middle-outside-closure", "missing-face",
+        "existing-middle", "no-middle", "middle-dimension"])
+def test_split_cell_rejects_non_subdivisions(pillow_sphere, cells, halves,
+                                             why):
+    with pytest.raises(BadCellBoundary, match=why):
+        pillow_sphere.split_cell("sqA", cells, halves)
+
+
+def test_split_cell_carries_computed_flags(pillow_sphere):
+    K = build_poset(pillow_sphere.records())
+    # nothing computed on the parent: nothing carried
+    S = K.split_cell("sqA", chord_cells(), ("h1", "h2"))
+    assert "is_pseudomanifold" not in vars(S)
+    assert "_surface_defect" not in vars(S)
+    assert K.is_closed_surface
+    S = K.split_cell("sqA", chord_cells(), ("h1", "h2"))
+    assert vars(S)["is_pseudomanifold"] is True
+    assert vars(S)["_surface_defect"] is None
+    # a defect names a cell, so only the pseudomanifold flag carries
+    open_disk = build_simplicial([(0, 1, 2), (0, 2, 3)], closed=False)
+    assert not open_disk.is_closed_surface
+    S = open_disk.split_cell("e0-1", [
+        Cell("w", 0, frozenset()), Cell("a", 1, frozenset({"v0", "w"})),
+        Cell("b", 1, frozenset({"v1", "w"}))], ("a", "b"))
+    assert vars(S)["is_pseudomanifold"] is False
+    assert "_surface_defect" not in vars(S)
+    assert S._surface_defect == "edge a has 1 cofaces"
+
+
+def verify_oracle(K):
+    """verify_closed_surface as it read before the closed-surface check
+    became one cached pass, kept as the reference for its errors."""
+    if K.top_dim != 2:
+        raise NotClosedSurface("top dimension is %d" % K.top_dim)
+    if not K.is_connected():
+        raise NotClosedSurface("complex is not connected")
+    for eid in K.cells_of_dim(1):
+        if len(K.cofaces(eid)) != 2:
+            raise NotClosedSurface("edge %s has %d cofaces"
+                                   % (eid, len(K.cofaces(eid))))
+    for vid in K.cells_of_dim(0):
+        if K.link_cycle(vid) is None:
+            raise NotClosedSurface("vertex %s link is not a single cycle"
+                                   % vid)
+    return verify_closed_surface(K)
+
+
+def pinched_cylinder():
+    """A sphere with its two poles 0 and 13 identified: a hexagonal
+    cylinder of two rings capped by cones over one apex, so the complex
+    stays connected without the apex and only its link fails."""
+    a = [1 + i for i in range(6)]
+    b = [7 + i for i in range(6)]
+    facets = []
+    for i in range(6):
+        j = (i + 1) % 6
+        facets += [(0, a[i], a[j]), (a[i], a[j], b[i]), (a[j], b[i], b[j]),
+                   (0, b[i], b[j])]
+    return build_simplicial(facets)
+
+
+def reversed_poset(K):
+    # the same complex with its cells listed in reverse id order
+    return build_poset(sorted(K.records(), reverse=True))
+
+
+NOT_SURFACES = {
+    "pinched vertex": lambda: build_simplicial(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+         (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]),
+    "disconnected": lambda: build_simplicial(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+         (4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]),
+    "open edge": lambda: build_simplicial(
+        [(0, 1, 2), (0, 2, 3), (0, 3, 1)], closed=False),
+    "open edge, reversed": lambda: reversed_poset(build_simplicial(
+        [(0, 1, 2), (0, 2, 3), (0, 3, 1)], closed=False)),
+    "two pinches, reversed": lambda: reversed_poset(build_simplicial(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+         (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6),
+         (6, 7, 8), (6, 7, 9), (6, 8, 9), (7, 8, 9)])),
+    "bad vertex link": pinched_cylinder,
+    "bad vertex link, reversed": lambda: reversed_poset(pinched_cylinder()),
+    "graph": lambda: build_poset([("a", 0, []), ("b", 0, []),
+                                  ("ab", 1, ["a", "b"])]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_SURFACES))
+def test_verify_raises_what_the_oracle_raises(kind):
+    with pytest.raises(NotClosedSurface) as want:
+        verify_oracle(NOT_SURFACES[kind]())
+    K = NOT_SURFACES[kind]()
+    with pytest.raises(NotClosedSurface) as got:
+        verify_closed_surface(K)
+    assert str(got.value) == str(want.value)
+    assert not K.is_closed_surface
+
+
+def test_verify_accepts_what_the_oracle_accepts(tetra, torus, rp2,
+                                               pillow_sphere, genus2):
+    for K in (tetra, torus, rp2, pillow_sphere, genus2[0]):
+        assert verify_closed_surface(K) == verify_oracle(K)
+        assert K.is_closed_surface

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from dms import splitter
 from dms.cellcomplex import (
+    Complex,
     build_simplicial,
     edge_id,
     euler_characteristic,
@@ -12,6 +14,7 @@ from dms.cellcomplex import (
 )
 from dms.errors import (
     BoundaryCriticalPresent,
+    NotSeparating,
     WrongCriticalCount,
 )
 from dms.fixtures import genus_surface, tetrahedron, torus7, tree_cotree_field
@@ -397,3 +400,56 @@ def test_stage_invariants_through_driver(genus2):
     K2, V2, circle, region = find_separating_circle(K, f, 1, 1)
     assert validate_field(K2, V2).ok
     assert critical_cells(V2, K2).m == m0
+
+
+def golden_fields():
+    """genus_surface(4) and the (seed, function, g1) of test_golden.py."""
+    K = genus_surface(4)[0]
+    for seed in range(9):
+        V = tree_cotree_field(K, rng=random.Random(seed))
+        yield K, seed, synthesize_function(K, V), 1 + seed % 3
+
+
+def test_find_separating_circle_validates_once(spy):
+    validations = spy(validate_function)
+    for K, seed, f, g1 in golden_fields():
+        del validations[:]
+        try:
+            find_separating_circle(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+        assert len(validations) == 1
+
+
+def test_pieces_match_a_full_rebuild(monkeypatch, assert_same_complex):
+    # each piece of decompose's split against a Complex built from scratch
+    # on the same cells, listed in the parent's order
+    split = splitter.split_along_circle
+    pieces = []
+
+    def checked(K, V, circle):
+        out = split(K, V, circle)
+        for P in (out.min_complex, out.max_complex):
+            R = Complex([c for cid, c in K.cells.items() if cid in P.cells])
+            assert_same_complex(P, R)
+            pieces.append(P)
+        return out
+
+    monkeypatch.setattr(splitter, "split_along_circle", checked)
+    for K, seed, f, g1 in golden_fields():
+        try:
+            decompose(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+    assert len(pieces) == 16
+
+
+def test_decompose_builds_no_complex_from_scratch(monkeypatch, genus2):
+    K, f, _ = genus2
+
+    def refuse(self, cells):
+        raise AssertionError("decompose built a complex from scratch")
+
+    monkeypatch.setattr(Complex, "__init__", refuse)
+    res = decompose(K, f, 1, 1)
+    assert res.report["perfect"] == {"m1": True, "m2": True}

@@ -1,5 +1,4 @@
 import random
-import sys
 from itertools import combinations
 
 import pytest
@@ -211,6 +210,44 @@ def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
     assert composing > 0 and len(calls) > 2 * composing
 
 
+def test_split_cell_carries_the_flags_of_a_full_rebuild(monkeypatch):
+    # each split_cell call in decompose, under the seeds of test_golden.py,
+    # and in a compose chain: the flags it hands on equal a rebuild's
+    split = Complex.split_cell
+    carried = []
+
+    def checked(K, old, new_cells, halves):
+        out = split(K, old, new_cells, halves)
+        flags = {k: v for k, v in vars(out).items()
+                 if k in ("is_pseudomanifold", "_surface_defect")}
+        R = Complex(out.cells.values())
+        for name, value in flags.items():
+            assert getattr(R, name) == value, (old, name)
+        carried.append(sorted(flags))
+        return out
+
+    K = genus_surface(4)[0]
+    monkeypatch.setattr(Complex, "split_cell", checked)
+    for seed in range(9):
+        V = tree_cotree_field(K, rng=random.Random(seed))
+        f = synthesize_function(K, V)
+        g1 = 1 + seed % 3
+        try:
+            decompose(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+    # decompose verifies its input, so every split inherits both flags
+    assert carried and all(flags == ["_surface_defect", "is_pseudomanifold"]
+                           for flags in carried)
+    # the subdivision check accepts every split compose makes
+    del carried[:]
+    K, f = seeded_torus(100)
+    for seed in (101, 102, 103, 104):
+        T, ft = seeded_torus(seed)
+        K, f, _, _ = compose(K, f, T, ft)
+    assert carried
+
+
 def closure_scan(K, crits):
     """Cells whose closure holds >= 2 critical cells, by intersecting
     every closure: the oracle for the star walk of _crits_in_closures."""
@@ -415,27 +452,11 @@ def test_compose_rescale_fallback(torus, torus_function):
     assert induced_field(M, f) == V
 
 
-def spy(monkeypatch, fn):
-    """Record the calls to fn through every dms module that binds it."""
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "dms" or name.startswith("dms."):
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, wrapper)
-    return calls
-
-
-def test_compose_checks_each_structure_once(monkeypatch):
+def test_compose_checks_each_structure_once(spy):
     # inputs: one validate_function and one betti_mod2 each; the result:
     # one betti_mod2 and one validate_function per assembled function
-    bettis = spy(monkeypatch, betti_mod2)
-    validations = spy(monkeypatch, validate_function)
+    bettis = spy(betti_mod2)
+    validations = spy(validate_function)
     K, f = seeded_torus(100)
     paths = set()
     for seed in range(101, 111):

@@ -12,6 +12,7 @@ from dms.errors import Disconnected, ParseError, UnknownFixture
 from dms.fixtures import (
     fixture_complex,
     genus_surface,
+    tetrahedron,
     tree_cotree_field,
 )
 from dms.formats import (
@@ -126,6 +127,59 @@ def test_parse_dmf_rejects_non_finite_values(torus, text):
     with pytest.raises(ParseError, match="line 2: value %r is not finite"
                        % text):
         parse_dmf(lines, torus)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (lambda t: parse_dmf(t, tetrahedron()), "val v0 1\nval v1 2\nval v0 5\n",
+     "line 3: val 'v0' repeats line 1"),
+    (parse_cwp, "cell a 0\n# a comment\ncell a 0\n",
+     "line 3: cell 'a' repeats line 1"),
+    (parse_cwp, "cell a 0\ncell b 0\ncell x 1\nbnd x a b\nbnd x a b\n",
+     "line 5: bnd 'x' repeats line 4"),
+], ids=["val", "cell", "bnd"])
+def test_parsers_reject_a_repeated_id(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+def test_cli_repeated_value_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "t"
+    run_cli(["fixture", "torus7", "--out", str(out)])
+    dmf = tmp_path / "t.dmf"
+    dmf.write_text(dmf.read_text() + "val v0 99.0\n")
+    capsys.readouterr()
+    code = run_cli(["validate", "--complex", str(out) + ".tri",
+                    "--function", str(dmf)])
+    assert code == 3
+    assert "val 'v0' repeats line" in capsys.readouterr().err
+
+
+def test_cli_critical_lists_the_critical_cells(tmp_path, capsys):
+    out = tmp_path / "t"
+    run_cli(["fixture", "torus7", "--out", str(out)])
+    capsys.readouterr()
+    assert run_cli(["critical", "--complex", str(out) + ".tri",
+                    "--field", str(out) + ".dvf"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    K = load_complex(str(out) + ".tri")
+    counts = critical_cells(parse_dvf((tmp_path / "t.dvf").read_text(), K),
+                            K)
+    assert counts.m == (1, 2, 1)
+    assert lines == [" ".join(map(str, counts.m))] + [
+        "%d %s" % (p, cid) for p in sorted(counts.cells)
+        for cid in counts.cells[p]]
+
+
+def test_cli_critical_unknown_cell_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "t"
+    run_cli(["fixture", "torus7", "--out", str(out)])
+    bad = tmp_path / "bad.dvf"
+    bad.write_text("pair v0 e0-1\npair v9 e0-9\n")
+    capsys.readouterr()
+    code = run_cli(["critical", "--complex", str(out) + ".tri",
+                    "--field", str(bad)])
+    assert code == 3
+    assert "line 2: unknown cell 'v9'" in capsys.readouterr().err
 
 
 def test_cli_validate_rejects_a_nan_function(tmp_path, capsys):
