@@ -26,19 +26,11 @@ from .errors import (
     UnknownCell,
 )
 
-TAG_ORIGINAL = "original"
-TAG_TUBE = "tube"
-TAG_INNER = "inner-copy"
-TAG_CONE = "cone"
-TAG_BISECTION = "bisection"
-
-
 @dataclass(frozen=True)
 class Cell:
     id: str
     dim: int
     boundary: frozenset
-    tag: str = TAG_ORIGINAL
 
     def __repr__(self):
         return "Cell(%r, dim=%d)" % (self.id, self.dim)
@@ -159,6 +151,19 @@ class Complex:
             return "vertex %s link is not a single cycle" % min(bad)
         return None
 
+    @cached_property
+    def _surface_info(self):
+        """verify_closed_surface's answer: a SurfaceInfo, or the message
+        of the NotClosedSurface it raises."""
+        if self._surface_defect is not None:
+            return self._surface_defect
+        if not _orientation_ok(self):
+            return SurfaceInfo(genus=None, orientable=False)
+        chi = euler_characteristic(self)
+        if chi % 2 != 0 or chi > 2:
+            return "impossible Euler characteristic %d" % chi
+        return SurfaceInfo(genus=(2 - chi) // 2, orientable=True)
+
     @property
     def is_closed_surface(self):
         """A connected 2-dimensional pseudomanifold in which the link of
@@ -171,14 +176,9 @@ class Complex:
         return cid in self.cells
 
     def __eq__(self, other):
-        # tags are provenance annotation, not part of the face poset
         if not isinstance(other, Complex):
             return NotImplemented
-        if self.cells.keys() != other.cells.keys():
-            return False
-        return all(c.dim == other.cells[cid].dim
-                   and c.boundary == other.cells[cid].boundary
-                   for cid, c in self.cells.items())
+        return self.cells == other.cells
 
     def cell(self, cid):
         cell = self.cells.get(cid)
@@ -356,7 +356,7 @@ class Complex:
         new = object.__new__(Complex)
         new.cells = {
             name[cid]: Cell(name[cid], c.dim,
-                            frozenset([name[f] for f in c.boundary]), c.tag)
+                            frozenset([name[f] for f in c.boundary]))
             for cid, c in self.cells.items()}
         new.top_dim = self.top_dim
         new._cofaces = {name[cid]: tuple([name[t] for t in cof])
@@ -402,7 +402,7 @@ class Complex:
         for t in self._cofaces[old]:
             tc = self.cells[t]
             patched.append(
-                Cell(t, tc.dim, (tc.boundary - {old}) | halves, tc.tag))
+                Cell(t, tc.dim, (tc.boundary - {old}) | halves))
         new = self.replace_cells(remove=[old], add=new_cells + patched)
         known = self.__dict__
         if "is_pseudomanifold" in known:
@@ -644,15 +644,10 @@ def verify_closed_surface(K):
     """Check K is a closed surface; return SurfaceInfo(genus, orientable).
 
     Raises NotClosedSurface naming an offending cell.  Non-orientability
-    is reported, not raised; genus is None in that case.
+    is reported, not raised; genus is None in that case.  The answer is
+    derived once per complex.
     """
-    defect = K._surface_defect
-    if defect is not None:
-        raise NotClosedSurface(defect)
-    orientable = _orientation_ok(K)
-    if not orientable:
-        return SurfaceInfo(genus=None, orientable=False)
-    chi = euler_characteristic(K)
-    if chi % 2 != 0 or chi > 2:
-        raise NotClosedSurface("impossible Euler characteristic %d" % chi)
-    return SurfaceInfo(genus=(2 - chi) // 2, orientable=True)
+    info = K._surface_info
+    if isinstance(info, str):
+        raise NotClosedSurface(info)
+    return info

@@ -11,29 +11,11 @@ import math
 from .cellcomplex import (
     Cell,
     Complex,
-    TAG_BISECTION,
-    TAG_CONE,
-    TAG_INNER,
-    TAG_ORIGINAL,
-    TAG_TUBE,
     build_simplicial,
+    vertex_id,
 )
 from .errors import ParseError
 from .morsefield import MorseFunction, VectorField
-
-
-def tag_from_id(cid):
-    """Provenance is encoded in derived-cell ids, so it round-trips
-    through formats that do not store it explicitly."""
-    if "~b" in cid:
-        return TAG_BISECTION
-    if cid.startswith("tube:"):
-        return TAG_TUBE
-    if cid.startswith(("inner:", "shrunk:")):
-        return TAG_INNER
-    if cid.startswith("cone:"):
-        return TAG_CONE
-    return TAG_ORIGINAL
 
 
 def _lines(text):
@@ -54,7 +36,7 @@ def parse_tri(text, closed=True):
         if parts[0] == "tri":
             if header is not None:
                 raise ParseError("line %d: duplicate header" % ln)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("line %d: bad header" % ln)
             header = int(parts[1])
         elif parts[0] == "t":
@@ -81,9 +63,18 @@ def write_tri(K):
             raise ParseError("TRI cannot hold polygonal cell %r" % c.id)
     out = ["tri %d" % len(K.cells_of_dim(0))]
     for t in K.cells_of_dim(2):
-        verts = [int(v[1:]) for v in K.vertices_of(t)]
+        verts = [_tri_index(v) for v in K.vertices_of(t)]
         out.append("t %d %d %d" % tuple(sorted(verts)))
     return "\n".join(out) + "\n"
+
+
+def _tri_index(vid):
+    """The n of a vertex id v<n>, which parse_tri reads back as vid;
+    ParseError naming any other id."""
+    n = vid[1:]
+    if not (n.isdecimal() and vertex_id(int(n)) == vid):
+        raise ParseError("TRI cannot hold vertex %r (ids must be v<n>)" % vid)
+    return int(n)
 
 
 # --- CWP ---------------------------------------------------------------------
@@ -122,7 +113,7 @@ def parse_cwp(text):
     for cid in bnds:
         if cid not in dims:
             raise ParseError("bnd for undeclared cell %r" % cid)
-    cells = [Cell(cid, dim, frozenset(bnds.get(cid, [])), tag_from_id(cid))
+    cells = [Cell(cid, dim, frozenset(bnds.get(cid, [])))
              for cid, dim in dims.items()]
     return Complex(cells)
 

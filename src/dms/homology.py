@@ -14,7 +14,6 @@ from .errors import BadDimension, NegativeBetti
 @dataclass(frozen=True)
 class BettiVector:
     b: tuple
-    coefficient_field: str = "GF(2)"
 
     def __iter__(self):
         return iter(self.b)

@@ -64,12 +64,6 @@ class VectorField:
             self._partner = pm
         return self._partner
 
-    def partner(self, cid):
-        return self.partner_map().get(cid)
-
-    def is_matched(self, cid):
-        return cid in self.partner_map()
-
     def critical(self, K):
         pm = self.partner_map()
         return sorted(cid for cid in K.cells if cid not in pm)
@@ -100,23 +94,11 @@ class MorseFunction:
     def __contains__(self, cid):
         return cid in self.values
 
-    def shifted(self, c):
-        return MorseFunction({cid: v + c for cid, v in self.values.items()})
-
 
 @dataclass(frozen=True)
 class GradientPath:
     dim: int
     steps: tuple  # sigma0, tau0, sigma1, tau1, ...
-
-    def cells(self):
-        return self.steps
-
-    def facets(self):
-        return self.steps[1::2]
-
-    def __len__(self):
-        return len(self.steps)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ region.  Critical-cell counts never change.
 
 from dataclasses import dataclass, field
 
-from .cellcomplex import Complex, Cell, TAG_CONE, components, cycle_walk, \
+from .cellcomplex import Complex, Cell, components, cycle_walk, \
     euler_characteristic, verify_closed_surface
 from .errors import (
     BoundaryCriticalPresent,
@@ -51,15 +51,10 @@ class CoreRegion:
     critical_facet: str
     paths: list = field(default_factory=list)
 
-    def cells(self):
-        return frozenset(self.facets) | frozenset(self.path_edges) \
-            | frozenset(self.high_edges)
-
 
 @dataclass(frozen=True)
 class StrayChain:
     edges: tuple
-    interior_vertices: tuple
     anchors: tuple            # chain vertices lying on the boundary curve
     spans_components: bool
 
@@ -144,6 +139,8 @@ def select_split_edges(K, f, g1, g2):
 
 def _split_edges(K, f, V, g1, g2):
     """select_split_edges for an f already known to induce V."""
+    if g1 < 0 or g2 < 0:
+        raise WrongCriticalCount("negative genus g1=%d, g2=%d" % (g1, g2))
     crit = critical_cells(V, K)
     edges = list(crit.cells.get(1, ()))
     if g1 + g2 < 1 or len(edges) != 2 * (g1 + g2):
@@ -215,7 +212,6 @@ def classify_boundary(K, region):
                     comp_of_anchor.add(i)
             arcs.append(StrayChain(
                 edges=tuple(sorted(comp)),
-                interior_vertices=tuple(sorted(verts - on_curve)),
                 anchors=anchors,
                 spans_components=len(comp_of_anchor) > 1))
     arcs = tuple(arcs)
@@ -246,16 +242,17 @@ def classify_boundary(K, region):
 # --- the excavation engine ---------------------------------------------------
 
 
-def _apply_renames(region, renames):
-    def follow(x):
-        while x in renames:
-            x = renames[x]
-        return x
+def _follow(renames, x):
+    while x in renames:
+        x = renames[x]
+    return x
 
-    region.path_edges = {follow(e) for e in region.path_edges}
-    region.high_edges = {follow(e) for e in region.high_edges}
-    region.critical_facet = follow(region.critical_facet)
-    region.facets = {follow(t) for t in region.facets}
+
+def _apply_renames(region, renames):
+    region.path_edges = {_follow(renames, e) for e in region.path_edges}
+    region.high_edges = {_follow(renames, e) for e in region.high_edges}
+    region.critical_facet = _follow(renames, region.critical_facet)
+    region.facets = {_follow(renames, t) for t in region.facets}
 
 
 def _runs_on_cycle(cycle, marked):
@@ -293,7 +290,6 @@ def _excavate(K, V, region, marked):
     with a cell outside the region.
     """
     marked = {t: set(cs) for t, cs in marked.items()}
-    renames = {}
 
     # interior edges joining two marked cells must gain a midpoint first
     guard = 0
@@ -318,7 +314,6 @@ def _excavate(K, V, region, marked):
         if not todo:
             break
         K, V, rec = bisect_edge(K, V, todo)
-        renames.update(rec.replacements)
         _apply_renames(region, rec.replacements)
 
     boundary, interior = _boundary_and_interior(K, region.facets)
@@ -344,7 +339,6 @@ def _excavate(K, V, region, marked):
                     "rung %s is matched with its expelled endpoint" % e)
             K, V, rec = bisect_edge(K, V, e, anchor=[x for x in ends
                                                      if x not in mk][0])
-            renames.update(rec.replacements)
             _apply_renames(region, rec.replacements)
             w, e1, e2 = rec.new_cells
             rung_mid[e] = (w, e2)  # e2 is the expelled-side half
@@ -417,7 +411,6 @@ def _excavate(K, V, region, marked):
             if joining:
                 g = joining[0]
                 K, V, rec = bisect_edge(K, V, g)
-                renames.update(rec.replacements)
                 _apply_renames(region, rec.replacements)
                 if g in marked[orig]:
                     marked[orig].update(rec.new_cells)
@@ -434,7 +427,6 @@ def _excavate(K, V, region, marked):
                 i = (i + 1) % m2
             a1, a2 = (w, u) if arc_hits else (u, w)
             K, V, rec = bisect_2cell(K, V, p, a1, a2)
-            renames.update(rec.replacements)
             _apply_renames(region, rec.replacements)
             d, c1, c2 = rec.new_cells
             expelled = c2 if any(c in corner
@@ -617,14 +609,8 @@ def find_separating_circle(K, f, g1, g2):
     renames = {}
     for rec in recs:
         renames.update(rec.replacements)
-
-    def follow(x):
-        while x in renames:
-            x = renames[x]
-        return x
-
-    low = [follow(e) for e in low]
-    high = [follow(e) for e in high]
+    low = [_follow(renames, e) for e in low]
+    high = [_follow(renames, e) for e in high]
     region = carve_core(K, V, high)
     K, V, region = _expel_foreign_criticals(K, V, region, low)
 
@@ -730,15 +716,14 @@ def _cone_cells(circle):
     apex = "cone:apex"
     verts = circle[0::2]
     edges = circle[1::2]
-    cells = [Cell(apex, 0, frozenset(), TAG_CONE)]
+    cells = [Cell(apex, 0, frozenset())]
     for v in verts:
-        cells.append(Cell("cone:r:%s" % v, 1, frozenset({v, apex}), TAG_CONE))
+        cells.append(Cell("cone:r:%s" % v, 1, frozenset({v, apex})))
     for i, e in enumerate(edges):
         va = verts[i]
         vb = verts[(i + 1) % len(verts)]
         cells.append(Cell("cone:t:%s" % e, 2,
-                          frozenset({e, "cone:r:%s" % va, "cone:r:%s" % vb}),
-                          TAG_CONE))
+                          frozenset({e, "cone:r:%s" % va, "cone:r:%s" % vb})))
     return apex, cells
 
 

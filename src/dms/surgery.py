@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from .cellcomplex import (
     Cell,
     Complex,
-    TAG_BISECTION,
-    TAG_INNER,
-    TAG_TUBE,
     euler_characteristic,
 )
 from .errors import (
@@ -52,9 +49,7 @@ from .morsefield import (
 
 @dataclass(frozen=True)
 class BisectionRecord:
-    old_cell: str
     new_cells: tuple
-    new_pairings: tuple
     replacements: dict  # old id -> the half inheriting its role
 
 
@@ -69,9 +64,6 @@ class TubeRegion:
 @dataclass(frozen=True)
 class InnerCopy:
     complex: Complex
-    j_cells: frozenset         # closure of beta in the input complex
-    j_prime: frozenset         # ids of the shrunken copy (incl. v)
-    j_second: frozenset        # outer link + collar + inner copies
     beta_prime: str
     correspondence: dict       # J-cell -> its collar correspondent
 
@@ -114,8 +106,8 @@ def bisect_edge(K, V, e, anchor=None):
         drop = [(e, partner)]
         add.append((e1, partner))
     V2 = V.replace(drop=drop, add=add)
-    rec = BisectionRecord(old_cell=e, new_cells=(w, e1, e2),
-                          new_pairings=tuple(add), replacements={e: e1})
+    rec = BisectionRecord(new_cells=(w, e1, e2),
+                          replacements={e: e1})
     return K2, V2, rec
 
 
@@ -126,9 +118,9 @@ def _split_edge(K, e, inherit_end):
     other_end, = K.boundary(e) - {inherit_end}
     w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
     K2 = K.split_cell(e, [
-        Cell(w, 0, frozenset(), TAG_BISECTION),
-        Cell(e1, 1, frozenset({inherit_end, w}), TAG_BISECTION),
-        Cell(e2, 1, frozenset({other_end, w}), TAG_BISECTION),
+        Cell(w, 0, frozenset()),
+        Cell(e1, 1, frozenset({inherit_end, w})),
+        Cell(e2, 1, frozenset({other_end, w})),
     ], (e1, e2))
     return K2, (w, e1, e2)
 
@@ -169,9 +161,9 @@ def bisect_2cell(K, V, c, u, w):
     c1 = c + "~b1"
     c2 = c + "~b2"
     K2 = K.split_cell(c, [
-        Cell(d, 1, frozenset({u, w}), TAG_BISECTION),
-        Cell(c1, 2, frozenset(arc1) | {d}, TAG_BISECTION),
-        Cell(c2, 2, frozenset(arc2) | {d}, TAG_BISECTION),
+        Cell(d, 1, frozenset({u, w})),
+        Cell(c1, 2, frozenset(arc1) | {d}),
+        Cell(c2, 2, frozenset(arc2) | {d}),
     ], (c1, c2))
 
     pm = V.partner_map()
@@ -191,8 +183,8 @@ def bisect_2cell(K, V, c, u, w):
         drop.append((c, partner))
         add.extend([(c1, partner), (d, c2)])
     V2 = V.replace(drop=drop, add=add)
-    rec = BisectionRecord(old_cell=c, new_cells=(d, c1, c2),
-                          new_pairings=tuple(add), replacements={c: inheritor})
+    rec = BisectionRecord(new_cells=(d, c1, c2),
+                          replacements={c: inheritor})
     return K2, V2, rec
 
 
@@ -365,11 +357,11 @@ def build_prism_over_boundary(K, alpha):
     for cid in base:
         c = K.cell(cid)
         cells.append(Cell(top[cid], c.dim,
-                          frozenset(top[f] for f in c.boundary), TAG_TUBE))
+                          frozenset(top[f] for f in c.boundary)))
     for cid in base:
         c = K.cell(cid)
         bnd = {cid, top[cid]} | {prism[f] for f in c.boundary}
-        cells.append(Cell(prism[cid], c.dim + 1, frozenset(bnd), TAG_TUBE))
+        cells.append(Cell(prism[cid], c.dim + 1, frozenset(bnd)))
     return TubeRegion(base_cells=tuple(base), top=top, prism=prism,
                       new_cells=tuple(cells))
 
@@ -421,18 +413,16 @@ def shrink_closed_star(K, beta, v):
     for sid in link:
         c = K.cell(sid)
         new_cells.append(Cell(shrunk_id(sid), c.dim,
-                              frozenset(shrunk_id(f) for f in c.boundary),
-                              TAG_INNER))
+                              frozenset(shrunk_id(f) for f in c.boundary)))
     for rho in cone:
         c = K.cell(rho)
         new_cells.append(Cell(shrunk_id(rho), c.dim,
-                              frozenset(shrunk_ref(f) for f in c.boundary),
-                              TAG_INNER))
+                              frozenset(shrunk_ref(f) for f in c.boundary)))
     for sid in link:
         c = K.cell(sid)
         bnd = {sid, shrunk_id(sid)} | {inner_id(cone_of[f]) for f in c.boundary}
         new_cells.append(Cell(inner_id(cone_of[sid]), c.dim + 1,
-                              frozenset(bnd), TAG_INNER))
+                              frozenset(bnd)))
     # cofaces outside J of the split cone cells list both of their parts
     outside_patch = []
     for t in sorted({t for rho in cone for t in K.cofaces(rho)} - J):
@@ -442,19 +432,13 @@ def shrink_closed_star(K, beta, v):
             if rho in bnd:
                 bnd.discard(rho)
                 bnd |= {shrunk_id(rho), inner_id(rho)}
-        outside_patch.append(Cell(t, tc.dim, frozenset(bnd), tc.tag))
+        outside_patch.append(Cell(t, tc.dim, frozenset(bnd)))
 
     K2 = K.replace_cells(remove=cone, add=new_cells + outside_patch)
     correspondence = {rho: inner_id(rho) for rho in cone}
     for sid in link:
         correspondence[sid] = sid
-    j_prime = frozenset({v} | {shrunk_id(x) for x in link}
-                        | {shrunk_id(x) for x in cone})
-    j_second = frozenset(set(link)
-                         | {shrunk_id(x) for x in link}
-                         | {inner_id(x) for x in cone})
-    return InnerCopy(complex=K2, j_cells=frozenset(J), j_prime=j_prime,
-                     j_second=j_second, beta_prime=shrunk_id(beta),
+    return InnerCopy(complex=K2, beta_prime=shrunk_id(beta),
                      correspondence=correspondence)
 
 
@@ -622,8 +606,7 @@ def compose(M1, f1, M2, f2):
                        for t in K2.cofaces(d)} - dropped):
         c = K2.cells[cid]
         reglued.append(Cell(cid, c.dim,
-                            frozenset([glue.get(f, f) for f in c.boundary]),
-                            c.tag))
+                            frozenset([glue.get(f, f) for f in c.boundary])))
     M = union.replace_cells(remove=[alpha, *dropped],
                             add=[*tube.new_cells, *reglued])
 

@@ -84,6 +84,17 @@ def test_select_wrong_count(torus, torus_function):
         select_split_edges(torus, torus_function, 0, 0)
 
 
+@pytest.mark.parametrize("g1, g2", [(-1, 3), (3, -1)])
+def test_negative_genus_is_refused(genus2, g1, g2):
+    # g1 + g2 matches the genus and the critical edge count, so only the
+    # sign tells these splits from a valid one
+    K, f, V = genus2
+    with pytest.raises(WrongCriticalCount, match="negative genus"):
+        select_split_edges(K, f, g1, g2)
+    with pytest.raises(WrongCriticalCount, match="negative genus"):
+        decompose(K, f, g1, g2)
+
+
 # --- carve -------------------------------------------------------------------
 
 

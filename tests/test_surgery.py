@@ -421,6 +421,18 @@ def test_compose_spheres():
     assert verify_closed_surface(M).genus == 0
 
 
+def test_compose_cuts_a_corner_for_beta(torus, torus_function,
+                                        pillow_sphere):
+    # the pillow has no triangle: compose cuts one off a square's corner
+    # at the critical vertex and resynthesizes the second function
+    g = synthesize_function(pillow_sphere, tree_cotree_field(pillow_sphere))
+    M, f, V, rep = compose(torus, torus_function, pillow_sphere, g)
+    assert "~b" in rep.beta
+    assert verify_closed_surface(M).genus == 1
+    assert validate_field(M, V).ok and is_perfect(M, V) and rep.perfect
+    assert validate_function(M, f).ok and induced_field(M, f) == V
+
+
 def test_compose_function_formula_constant(torus, torus_function):
     M, f, V, rep = compose(torus, torus_function, torus7(),
                            synthesize_function(torus7(),

@@ -121,6 +121,21 @@ def test_parse_errors(torus):
         parse_dvf("pair v0 e0-1\ncrit v0\n", torus)
 
 
+def test_parse_tri_rejects_a_superscript_header(tmp_path, capsys):
+    # str.isdigit accepts "²", which int() refuses
+    with pytest.raises(ParseError, match="line 1: bad header"):
+        parse_tri("tri \u00b2\nt 0 1 2\n")
+    bad = tmp_path / "bad.tri"
+    bad.write_text("tri \u00b2\nt 0 1 2\n", encoding="utf-8")
+    assert run_cli(["betti", "--complex", str(bad)]) == 3
+    assert "line 1: bad header" in capsys.readouterr().err
+
+
+def test_write_tri_rejects_vertex_ids_it_cannot_hold(tetra):
+    with pytest.raises(ParseError, match="vertex 'm1:v0'"):
+        write_tri(tetra.prefixed("m1:"))
+
+
 @pytest.mark.parametrize("text", ["nan", "-inf", "inf", "NaN", "1e999"])
 def test_parse_dmf_rejects_non_finite_values(torus, text):
     lines = "val v0 0.0\nval v1 %s\n" % text
@@ -261,6 +276,18 @@ def test_cli_precondition_is_exit_4(tmp_path, capsys):
                     "--function", str(out) + ".dmf",
                     "--g1", "0", "--g2", "0", "--out", str(tmp_path / "d")])
     assert code == 4
+
+
+def test_cli_negative_genus_is_exit_4(tmp_path, capsys):
+    out = tmp_path / "g"
+    run_cli(["fixture", "genus2", "--out", str(out)])
+    capsys.readouterr()
+    code = run_cli(["decompose", "--complex", str(out) + ".cwp",
+                    "--function", str(out) + ".dmf",
+                    "--g1", "-1", "--g2", "3", "--out", str(tmp_path / "d")])
+    assert code == 4
+    assert "negative genus" in capsys.readouterr().err
+    assert not list(tmp_path.glob("d*"))
 
 
 @pytest.mark.parametrize("kind", ["torus", "genusx", "genus-1"])
