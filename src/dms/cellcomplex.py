@@ -50,8 +50,8 @@ class Complex:
     pseudomanifold and closed-surface flags are computed on first use,
     and `split_cell` hands them on to the subdivided complex.  Surgeries
     never mutate a complex: `replace_cells` returns a new one,
-    re-checking only the cells the edit touches, and `prefixed` and
-    `disjoint_union` carry the checked tables over without re-checking.
+    re-checking only the cells the edit touches, and `prefixed` carries
+    the checked tables over without re-checking.
     """
 
     def __init__(self, cells):
@@ -363,20 +363,6 @@ class Complex:
                         for cid, cof in self._cofaces.items()}
         new._cycles = {name[cid]: tuple([name[x] for x in walk])
                        for cid, walk in self._cycles.items()}
-        new._closures = {}
-        return new
-
-    def disjoint_union(self, other):
-        """The complex holding the cells of both; DuplicateFacet if an id
-        lies in both.  Cells keep their order, self's first."""
-        shared = self.cells.keys() & other.cells.keys()
-        if shared:
-            raise DuplicateFacet("duplicate cell id %r" % min(shared))
-        new = object.__new__(Complex)
-        new.cells = {**self.cells, **other.cells}
-        new.top_dim = max(self.top_dim, other.top_dim)
-        new._cofaces = {**self._cofaces, **other._cofaces}
-        new._cycles = {**self._cycles, **other._cycles}
         new._closures = {}
         return new
 

@@ -130,8 +130,6 @@ def cmd_decompose(args):
         for eid in res.circle[1::2]:
             fh.write(eid + "\n")
     report = dict(res.report)
-    report["betti"] = {"m1": list(betti_mod2(res.m1_complex)),
-                       "m2": list(betti_mod2(res.m2_complex))}
     report["bisections"] = sum(
         1 for cx in (res.m1_complex, res.m2_complex)
         for cid in cx.cells if "~b" in cid)

@@ -42,10 +42,9 @@ def parse_tri(text, closed=True):
         elif parts[0] == "t":
             if len(parts) != 4:
                 raise ParseError("line %d: facet needs 3 vertices" % ln)
-            try:
-                facets.append(tuple(int(x) for x in parts[1:]))
-            except ValueError:
+            if not all(x.isdecimal() for x in parts[1:]):
                 raise ParseError("line %d: bad vertex index" % ln)
+            facets.append(tuple(int(x) for x in parts[1:]))
         else:
             raise ParseError("line %d: unknown directive %r" % (ln, parts[0]))
     if header is None:
@@ -61,6 +60,11 @@ def write_tri(K):
     for c in K.cells.values():
         if c.dim == 2 and len(c.boundary) != 3:
             raise ParseError("TRI cannot hold polygonal cell %r" % c.id)
+    held = set().union(*(K.closure(t) for t in K.cells_of_dim(2)))
+    bare = K.cells.keys() - held
+    if bare:
+        raise ParseError("TRI cannot hold cell %r, which is no triangle "
+                         "and lies in none" % min(bare))
     out = ["tri %d" % len(K.cells_of_dim(0))]
     for t in K.cells_of_dim(2):
         verts = [_tri_index(v) for v in K.vertices_of(t)]

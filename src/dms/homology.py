@@ -18,9 +18,6 @@ class BettiVector:
     def __iter__(self):
         return iter(self.b)
 
-    def __getitem__(self, p):
-        return self.b[p]
-
     def __len__(self):
         return len(self.b)
 

@@ -97,7 +97,6 @@ class MorseFunction:
 
 @dataclass(frozen=True)
 class GradientPath:
-    dim: int
     steps: tuple  # sigma0, tau0, sigma1, tau1, ...
 
 
@@ -105,12 +104,6 @@ class GradientPath:
 class MorseCounts:
     m: tuple
     cells: dict  # dim -> tuple of critical cell ids
-
-    def __iter__(self):
-        return iter(self.m)
-
-    def __getitem__(self, p):
-        return self.m[p]
 
 
 @dataclass
@@ -398,7 +391,7 @@ def trace_2path(K, V, start_facet, critical_facet):
     steps = []
     for e, t in reversed(backward):
         steps.extend((e, t))
-    return GradientPath(dim=2, steps=tuple(steps))
+    return GradientPath(steps=tuple(steps))
 
 
 def synthesize_function(K, V):

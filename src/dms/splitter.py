@@ -40,7 +40,9 @@ from .morsefield import (
     trace_2path,
     validate_field,
 )
-from .surgery import bisect_2cell, bisect_edge, separate_critical_cells
+from .homology import betti_mod2
+from .surgery import (_inheriting_arc, bisect_2cell, bisect_edge,
+                      separate_critical_cells)
 
 
 @dataclass
@@ -66,7 +68,6 @@ class BoundaryGraph:
     components: tuple         # frozensets of edge ids
     wedge_vertices: tuple     # degree >= 4
     arcs: tuple               # StrayChain entries with >= 2 anchors
-    connecting_circles: tuple  # components passing >= 2 wedge vertices
     classification: str       # Circle | SingleWedge | WedgesWithArcs |
                                # WedgesWithConnectingCircles
 
@@ -103,6 +104,11 @@ def _boundary_and_interior(K, facets):
     boundary = {e for e, n in count.items() if n == 1}
     interior = {e for e, n in count.items() if n == 2}
     return boundary, interior
+
+
+def _vertices(K, edges):
+    """The endpoints of the given edges."""
+    return {v for e in edges for v in K.boundary(e)}
 
 
 def _edge_graph_components(K, edges):
@@ -197,33 +203,16 @@ def classify_boundary(K, region):
     if stray_edges:
         on_curve = set(degree)
         for comp in _edge_graph_components(K, stray_edges):
-            verts = set()
-            for e in comp:
-                verts |= set(K.boundary(e))
-            anchors = tuple(sorted(verts & on_curve))
+            anchors = tuple(sorted(_vertices(K, comp) & on_curve))
             if len(anchors) < 2:
                 continue
-            comp_of_anchor = set()
-            for i, bc in enumerate(components):
-                bverts = set()
-                for e in bc:
-                    bverts |= set(K.boundary(e))
-                if bverts & set(anchors):
-                    comp_of_anchor.add(i)
+            spanned = [bc for bc in components
+                       if _vertices(K, bc).intersection(anchors)]
             arcs.append(StrayChain(
                 edges=tuple(sorted(comp)),
                 anchors=anchors,
-                spans_components=len(comp_of_anchor) > 1))
+                spans_components=len(spanned) > 1))
     arcs = tuple(arcs)
-
-    connecting = []
-    for comp in components:
-        cverts = set()
-        for e in comp:
-            cverts |= set(K.boundary(e))
-        if len(cverts & set(wedges)) >= 2:
-            connecting.append(comp)
-    connecting = tuple(connecting)
 
     if len(components) == 1 and not wedges and not arcs:
         cls = "Circle"
@@ -235,8 +224,7 @@ def classify_boundary(K, region):
         cls = "WedgesWithConnectingCircles"
     return BoundaryGraph(edges=frozenset(boundary), degree=degree,
                          components=components, wedge_vertices=wedges,
-                         arcs=arcs, connecting_circles=connecting,
-                         classification=cls)
+                         arcs=arcs, classification=cls)
 
 
 # --- the excavation engine ---------------------------------------------------
@@ -291,12 +279,9 @@ def _excavate(K, V, region, marked):
     """
     marked = {t: set(cs) for t, cs in marked.items()}
 
-    # interior edges joining two marked cells must gain a midpoint first
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10 * len(K.cells) + 50:
-            raise NoFlankingCells("excavation pre-pass did not converge")
+    # interior edges joining two marked cells must gain a midpoint first;
+    # the loop budgets are fixed on entry, since every bisection adds cells
+    for _ in range(10 * len(K.cells) + 50):
         todo = None
         for t in sorted(marked):
             cycle = K.boundary_cycle(t)
@@ -315,6 +300,8 @@ def _excavate(K, V, region, marked):
             break
         K, V, rec = bisect_edge(K, V, todo)
         _apply_renames(region, rec.replacements)
+    else:
+        raise NoFlankingCells("excavation pre-pass did not converge")
 
     boundary, interior = _boundary_and_interior(K, region.facets)
 
@@ -353,11 +340,7 @@ def _excavate(K, V, region, marked):
     # cut the corners facet by facet
     for orig in sorted(marked):
         pieces = [orig]
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 4 * len(K.cells) + 20:
-                raise NoFlankingCells("corner cutting did not converge")
+        for _ in range(4 * len(K.cells) + 20):
             target = None
             for p in pieces:
                 cyc = K.boundary_cycle(p)
@@ -374,9 +357,7 @@ def _excavate(K, V, region, marked):
             corner = {cyc[i] for i in run}
             before = (run[0] - 1) % n
             after = (run[-1] + 1) % n
-            boundary_vertices = set()
-            for e in boundary:
-                boundary_vertices |= set(K.boundary(e))
+            boundary_vertices = _vertices(K, boundary)
 
             def cut_point(idx, step):
                 # step +1 walks forward, -1 backward from the run
@@ -417,16 +398,9 @@ def _excavate(K, V, region, marked):
                 boundary, interior = _boundary_and_interior(K, region.facets)
                 continue
             # argument order: the inheriting piece must avoid this corner
-            cyc_now = K.boundary_cycle(p)
-            m2 = len(cyc_now)
-            pos = {c: i for i, c in enumerate(cyc_now)}
-            i, arc_hits = pos[u], False
-            while i != pos[w]:
-                if cyc_now[i] in corner:
-                    arc_hits = True
-                i = (i + 1) % m2
-            a1, a2 = (w, u) if arc_hits else (u, w)
-            K, V, rec = bisect_2cell(K, V, p, a1, a2)
+            if not corner.isdisjoint(_inheriting_arc(K, p, u, w)):
+                u, w = w, u
+            K, V, rec = bisect_2cell(K, V, p, u, w)
             _apply_renames(region, rec.replacements)
             d, c1, c2 = rec.new_cells
             expelled = c2 if any(c in corner
@@ -439,6 +413,8 @@ def _excavate(K, V, region, marked):
             region.facets.add(kept)
             pieces = [x for x in pieces if x != p] + [kept]
             boundary, interior = _boundary_and_interior(K, region.facets)
+        else:
+            raise NoFlankingCells("corner cutting did not converge")
     return K, V, region
 
 
@@ -447,9 +423,7 @@ def _stray_closure(K, V, region, seeds):
     it, so the excavated corridor carries its own matching out."""
     pm = V.partner_map()
     boundary, interior = _boundary_and_interior(K, region.facets)
-    bverts = set()
-    for e in boundary:
-        bverts |= set(K.boundary(e))
+    bverts = _vertices(K, boundary)
     z_edges = set()
     z_verts = set()
     frontier = list(seeds)
@@ -516,25 +490,14 @@ def resolve_wedge(K, V, region, bg, v):
     return _excavate(K, V, region, marked)
 
 
-def _push_vertex_off(K, V, region, v):
-    marked = {t: {v} for t in sorted(region.facets)
-              if v in set(K.boundary_cycle(t))}
-    if not marked:
-        return K, V, region
-    return _excavate(K, V, region, marked)
-
-
 # --- driver ------------------------------------------------------------------
 
 
 def _inward_violations(K, V, region, bg):
     pm = V.partner_map()
     _, interior = _boundary_and_interior(K, region.facets)
-    bverts = set()
-    for e in bg.edges:
-        bverts |= set(K.boundary(e))
     out = []
-    for x in sorted(bverts):
+    for x in sorted(_vertices(K, bg.edges)):
         p = pm.get(x)
         if p is not None and K.dim(p) == 1 and p in interior \
                 and p not in region.path_edges and p not in region.high_edges:
@@ -543,10 +506,13 @@ def _inward_violations(K, V, region, bg):
 
 
 def _expel_foreign_criticals(K, V, region, low_edges):
-    counts = critical_cells(V, K)
-    v0 = counts.cells[0][0]
-    if any(v0 in set(K.boundary_cycle(t)) for t in region.facets):
-        K, V, region = _push_vertex_off(K, V, region, v0)
+    """Excavate the critical vertex and the low critical edges, which
+    belong to the other summand, out of the region."""
+    v0 = critical_cells(V, K).cells[0][0]
+    marked = {t: {v0} for t in sorted(region.facets)
+              if v0 in K.boundary_cycle(t)}
+    if marked:
+        K, V, region = _excavate(K, V, region, marked)
     for e in sorted(low_edges):
         touching = [t for t in K.cofaces(e) if t in region.facets]
         if touching:
@@ -614,11 +580,8 @@ def find_separating_circle(K, f, g1, g2):
     region = carve_core(K, V, high)
     K, V, region = _expel_foreign_criticals(K, V, region, low)
 
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 40 + 4 * len(K.cells):
-            raise InconsistentField("boundary repair did not converge")
+    # the budget is fixed here, since every repair adds cells
+    for _ in range(40 + 4 * len(K.cells)):
         bg = classify_boundary(K, region)
         viols = _inward_violations(K, V, region, bg)
         if viols:
@@ -629,10 +592,7 @@ def find_separating_circle(K, f, g1, g2):
             continue
         if bg.classification == "Circle":
             break
-        # wedges: with connecting circles present, keep one designated
-        # wedge (the largest id) for last
-        wedges = list(bg.wedge_vertices)
-        if not wedges:
+        if not bg.wedge_vertices:
             if len(bg.components) > 1 and _absorb_pockets(K, V, region):
                 continue
             # Parallel tunnels can wrap a handle so that the carved core
@@ -642,17 +602,13 @@ def find_separating_circle(K, f, g1, g2):
             raise NotSeparating(
                 "core region is bounded by %d disjoint circles with no "
                 "connecting structure" % len(bg.components))
-        if bg.connecting_circles and len(wedges) > 1:
-            # keep one designated wedge for last while connecting circles
-            # remain; any order terminates, this one follows the writeup
-            designated = wedges[-1]
-            target = [w for w in wedges if w != designated][0]
-        else:
-            target = wedges[0]
-        K2, V2, region = resolve_wedge(K, V, region, bg, target)
+        K2, V2, region = resolve_wedge(K, V, region, bg,
+                                       bg.wedge_vertices[0])
         if K2 is K:
             raise InconsistentField("wedge resolution made no progress")
         K, V = K2, V2
+    else:
+        raise InconsistentField("boundary repair did not converge")
 
     circle, why = cycle_walk({e: K.boundary(e) for e in bg.edges})
     if circle is None:
@@ -794,15 +750,18 @@ def decompose(K, f, g1, g2):
     m1K, m1V = cap_with_max_cone(split.min_complex, split.min_field, circle)
     m2K, m2V = cap_with_min_cone(split.max_complex, split.max_field, circle)
 
+    counts = {"m1": critical_cells(m1V, m1K).m,
+              "m2": critical_cells(m2V, m2K).m}
+    betti = {"m1": betti_mod2(m1K).b, "m2": betti_mod2(m2K).b}
     report = {
         "circleLength": len(circle) // 2,
         "chi": {"m1": euler_characteristic(m1K),
                 "m2": euler_characteristic(m2K)},
         "chiPieces": {"min": euler_characteristic(split.min_complex),
                       "max": euler_characteristic(split.max_complex)},
-        "morseCounts": {"m1": critical_cells(m1V, m1K).m,
-                        "m2": critical_cells(m2V, m2K).m},
-        "perfect": {"m1": is_perfect(m1K, m1V), "m2": is_perfect(m2K, m2V)},
+        "betti": betti,
+        "morseCounts": counts,
+        "perfect": {k: counts[k] == betti[k] for k in counts},
         "functionsSynthesized": True,
     }
     for name, (cx, vf) in (("m1", (m1K, m1V)), ("m2", (m2K, m2V))):

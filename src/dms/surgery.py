@@ -14,7 +14,7 @@ across per the piecewise rules.  Tube cells are `tube:<id>:top` and
 collar correspondents `inner:<id>`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cellcomplex import (
     Cell,
@@ -146,24 +146,15 @@ def bisect_2cell(K, V, c, u, w):
         if K.boundary(eid) == {u, w}:
             raise BadChord("chord %r-%r parallel to boundary edge %r"
                            % (u, w, eid))
-    iu, iw = verts.index(u), verts.index(w)
-    m = len(verts)
-    arc1, arc2 = [], []
-    i = iu
-    while i != iw:
-        arc1.append(edges[i])
-        i = (i + 1) % m
-    while i != iu:
-        arc2.append(edges[i])
-        i = (i + 1) % m
+    arc1 = frozenset(_inheriting_arc(K, c, u, w)[1::2])
 
     d = c + "~b0"
     c1 = c + "~b1"
     c2 = c + "~b2"
     K2 = K.split_cell(c, [
         Cell(d, 1, frozenset({u, w})),
-        Cell(c1, 2, frozenset(arc1) | {d}),
-        Cell(c2, 2, frozenset(arc2) | {d}),
+        Cell(c1, 2, arc1 | {d}),
+        Cell(c2, 2, (cell.boundary - arc1) | {d}),
     ], (c1, c2))
 
     pm = V.partner_map()
@@ -186,6 +177,15 @@ def bisect_2cell(K, V, c, u, w):
     rec = BisectionRecord(new_cells=(d, c1, c2),
                           replacements={c: inheritor})
     return K2, V2, rec
+
+
+def _inheriting_arc(K, c, u, w):
+    """The walk [u, e, v, e', ...] around 2-cell c from vertex u up to,
+    not including, vertex w: bisect_2cell(K, V, c, u, w) gives its edges
+    to c~b1, and the rest of the boundary to c~b2."""
+    cycle = K.boundary_cycle(c)
+    i, j = cycle.index(u), cycle.index(w)
+    return cycle[i:j] if i < j else cycle[i:] + cycle[:j]
 
 
 # --- separating critical cells ---------------------------------------------
@@ -256,13 +256,13 @@ def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
             if any(K.boundary(g) == frozenset({u, w}) for g in cycle_edges):
                 continue
             K, V, rec = bisect_2cell(K, V, c, u, w)
-            return K, V, True
+            return K, V
     gap_edges = [cycle[i] for i in gap1 + gap2 if i % 2 == 1]
     if not gap_edges:
         raise InconsistentField(
             "cannot separate %r and %r inside %r" % (span_a, span_b, c))
     K, V, rec = bisect_edge(K, V, gap_edges[0])
-    return K, V, False  # cycle changed; caller retries
+    return K, V  # cycle changed; caller retries
 
 
 def separate_critical_cells(K, V):
@@ -270,15 +270,13 @@ def separate_critical_cells(K, V):
 
     Each step either bisects a critical edge away from a critical vertex
     on it, or chord-splits a polygon whose closure holds two critical
-    cells; the number of (cell, critical pair) coincidences strictly
-    decreases, so the loop terminates.
+    cells.  The corner cut between two critical polygons that meet in a
+    vertex need not make progress, so the steps are capped at a budget
+    fixed from the input's size (every step adds cells), and past it
+    InconsistentField is raised.
     """
-    guard = 0
     records = []
-    while True:
-        guard += 1
-        if guard > 100 + 10 * len(K.cells):
-            raise InconsistentField("separation loop did not converge")
+    for _ in range(100 + 10 * len(K.cells)):
         crits = V.critical(K)
         witnesses = _crits_in_closures(K, crits)
         if not witnesses:
@@ -302,9 +300,8 @@ def separate_critical_cells(K, V):
             cycle = list(K.boundary_cycle(c1))
             others = [cell for cell in cycle if cell != x]
             span_b = others[len(others) // 2]
-            K, V, _done = _separating_chord(K, V, c1, x, span_b,
-                                            {h for h in crits
-                                             if K.dim(h) == 0})
+            K, V = _separating_chord(K, V, c1, x, span_b,
+                                     {h for h in crits if K.dim(h) == 0})
             continue
         witnesses.sort(key=lambda x: (K.dim(x[0]), x[0]))
         wid, hits = witnesses[0]
@@ -330,7 +327,8 @@ def separate_critical_cells(K, V):
                       if cell != span_a and cell not in K.closure(span_a)]
             span_b = others[len(others) // 2]
         vertex_crits = {h for h in hits if K.dim(h) == 0}
-        K, V, _done = _separating_chord(K, V, wid, span_a, span_b, vertex_crits)
+        K, V = _separating_chord(K, V, wid, span_a, span_b, vertex_crits)
+    raise InconsistentField("separation loop did not converge")
 
 
 # --- prisms and inner copies -------------------------------------------------
@@ -501,19 +499,10 @@ def _clear_top_cell_boundary(K, V, alpha):
         e = offenders[0]
         x, y = sorted(K.boundary(e))
         K, V, rec = bisect_edge(K, V, e)
-        wmid = rec.new_cells[0]
-        cycle = K.boundary_cycle(alpha)
-        verts = list(cycle[0::2])
-        edges = list(cycle[1::2])
-        iu, iw = verts.index(x), verts.index(y)
         # choose argument order so the inheriting piece avoids the midpoint
-        i, arc_has_mid = iu, False
-        while i != iw:
-            if wmid in K.boundary(edges[i]):
-                arc_has_mid = True
-            i = (i + 1) % len(verts)
-        u, w = (y, x) if arc_has_mid else (x, y)
-        K, V, rec2 = bisect_2cell(K, V, alpha, u, w)
+        if rec.new_cells[0] in _inheriting_arc(K, alpha, x, y):
+            x, y = y, x
+        K, V, rec2 = bisect_2cell(K, V, alpha, x, y)
         alpha = rec2.replacements[alpha]
         steps += 1
 
@@ -583,6 +572,7 @@ def compose(M1, f1, M2, f2):
     # glue interface: boundary of the shrunken cell vs the tube top
     bprime = ic.beta_prime
     bprime_cells = K2.closure(bprime) - {bprime}
+    tube = build_prism_over_boundary(K1, alpha)
     if n == 2:
         k_top = len(K1.cell(alpha).boundary)
         while len([c for c in bprime_cells if K2.dim(c) == 1]) < k_top:
@@ -590,25 +580,23 @@ def compose(M1, f1, M2, f2):
             e = min(c for c in bprime_cells if K2.dim(c) == 1)
             K2, _ = _split_edge(K2, e, min(K2.boundary(e)))
             bprime_cells = K2.closure(bprime) - {bprime}
-        glue = _surface_glue_map(K1, K2, alpha, bprime)
+        glue = _surface_glue_map(K1, K2, alpha, bprime, tube.top)
     else:
-        glue = _simplex_glue_map(K1, K2, alpha, bprime)
+        glue = _simplex_glue_map(K1, K2, bprime, tube.top)
 
-    tube = build_prism_over_boundary(K1, alpha)
-
-    # one edit of the disjoint union: alpha and the shrunken cell with its
-    # boundary go, the tube comes in, and the cells on that boundary are
-    # re-glued onto the tube top
-    union = K1.disjoint_union(K2)
+    # one edit of the first summand: alpha goes, and the second summand
+    # comes in without the shrunken cell and its boundary, the cells on
+    # that boundary re-glued onto the tube top, then the tube
     dropped = bprime_cells | {bprime}
-    reglued = []
-    for cid in sorted({t for d in bprime_cells
-                       for t in K2.cofaces(d)} - dropped):
-        c = K2.cells[cid]
-        reglued.append(Cell(cid, c.dim,
-                            frozenset([glue.get(f, f) for f in c.boundary])))
-    M = union.replace_cells(remove=[alpha, *dropped],
-                            add=[*tube.new_cells, *reglued])
+    glued = []
+    for cid, c in K2.cells.items():
+        if cid in dropped:
+            continue
+        if not c.boundary.isdisjoint(glue):
+            c = Cell(cid, c.dim,
+                     frozenset([glue.get(f, f) for f in c.boundary]))
+        glued.append(c)
+    M = K1.replace_cells(remove=[alpha], add=[*glued, *tube.new_cells])
 
     pairs = list(V1.pairs())
     pairs.extend((tube.top[cid], tube.prism[cid]) for cid in tube.base_cells)
@@ -708,12 +696,11 @@ def _choose_beta(K2, V2, v2):
     raise NoEligibleBeta("could not cut an eligible cell at %r" % v2)
 
 
-def _surface_glue_map(K1, K2, alpha, bprime):
-    """Cycle isomorphism from the shrunken boundary onto the tube top,
-    anchored at the smallest vertices, directions reversed."""
-    top_of = {cid: tube_top_id(cid) for cid in K1.closure(alpha) - {alpha}}
-    base_cycle = list(K1.boundary_cycle(alpha))
-    top_cycle = [top_of[c] for c in base_cycle]
+def _surface_glue_map(K1, K2, alpha, bprime, top):
+    """Cycle isomorphism from the shrunken boundary onto the tube top
+    (`top` maps each boundary cell of alpha to its copy), anchored at the
+    smallest vertices, directions reversed."""
+    top_cycle = [top[c] for c in K1.boundary_cycle(alpha)]
     inner_cycle = list(K2.boundary_cycle(bprime))
     if len(top_cycle) != len(inner_cycle):
         raise InconsistentField("glue cycles have different lengths")
@@ -734,9 +721,10 @@ def _surface_glue_map(K1, K2, alpha, bprime):
     return glue
 
 
-def _simplex_glue_map(K1, K2, alpha, bprime):
-    """Identify two simplex boundaries by sorted-vertex order."""
-    side1 = sorted(K1.closure(alpha) - {alpha})
+def _simplex_glue_map(K1, K2, bprime, top):
+    """Identify two simplex boundaries by sorted-vertex order; `top` maps
+    each boundary cell of the removed simplex to its tube copy."""
+    side1 = sorted(top)
     side2 = sorted(K2.closure(bprime) - {bprime})
     v1 = sorted(x for x in side1 if K1.dim(x) == 0)
     v2 = sorted(x for x in side2 if K2.dim(x) == 0)
@@ -749,7 +737,7 @@ def _simplex_glue_map(K1, K2, alpha, bprime):
 
     by_verts = {}
     for cid in side1:
-        by_verts[(K1.dim(cid), frozenset(K1.vertices_of(cid)))] = tube_top_id(cid)
+        by_verts[(K1.dim(cid), frozenset(K1.vertices_of(cid)))] = top[cid]
     glue = {}
     for cid in side2:
         tgt = by_verts.get((K2.dim(cid), key(K2, cid, vmap)))

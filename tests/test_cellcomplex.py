@@ -319,16 +319,6 @@ def test_prefixed_matches_a_full_rebuild(tetra, torus, pillow_sphere,
             assert all(x is name[x] for x in P.boundary_cycle(t))
 
 
-def test_disjoint_union_matches_a_full_rebuild(tetra, torus,
-                                               assert_same_complex):
-    A, B = tetra.prefixed("a:"), torus.prefixed("b:")
-    U = A.disjoint_union(B)
-    assert_same_complex(U, Complex([*A.cells.values(), *B.cells.values()]))
-    assert not U.is_closed_surface and U.is_pseudomanifold
-    with pytest.raises(DuplicateFacet, match="a:e0-1"):
-        A.disjoint_union(tetra.prefixed("a:"))
-
-
 # --- subdivisions and the closed-surface check ------------------------------
 
 

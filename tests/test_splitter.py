@@ -18,6 +18,7 @@ from dms.errors import (
     WrongCriticalCount,
 )
 from dms.fixtures import genus_surface, tetrahedron, torus7, tree_cotree_field
+from dms.homology import betti_mod2
 from dms.morsefield import (
     VectorField,
     critical_cells,
@@ -379,6 +380,14 @@ def test_decompose_genus3(genus3):
     res = decompose(K, f, 1, 2)
     assert res.report["chi"] == {"m1": 0, "m2": -2}
     assert res.report["perfect"] == {"m1": True, "m2": True}
+
+
+def test_decompose_reports_the_betti_numbers_of_its_pieces(genus3):
+    K, f, V = genus3
+    res = decompose(K, f, 1, 2)
+    assert res.report["betti"] == {"m1": betti_mod2(res.m1_complex).b,
+                                   "m2": betti_mod2(res.m2_complex).b}
+    assert res.report["betti"] == {"m1": (1, 2, 1), "m2": (1, 4, 1)}
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -9,6 +9,7 @@ from dms.cellcomplex import Complex, build_poset, euler_characteristic, \
 from dms.errors import (
     BadChord,
     DimensionMismatch,
+    InconsistentField,
     NotA2Cell,
     NotAnEdge,
     NotPerfectInput,
@@ -16,8 +17,8 @@ from dms.errors import (
     NotTopCell,
     VertexNotOnCell,
 )
-from dms.fixtures import genus_surface, tetrahedron, torus7, \
-    tree_cotree_field
+from dms.fixtures import genus_surface, random_valid_field, tetrahedron, \
+    torus7, tree_cotree_field
 from dms.homology import betti_mod2
 from dms.morsefield import (
     VectorField,
@@ -129,6 +130,32 @@ def test_bad_chord(torus, torus_field):
         bisect_2cell(torus, torus_field, t, verts[0], verts[1])
     with pytest.raises(BadChord):
         bisect_2cell(torus, torus_field, t, verts[0], verts[0])
+
+
+def hexagon_pillow():
+    """Sphere made of two hexagons glued along one 6-cycle."""
+    records = [("h%d" % i, 0, []) for i in range(6)]
+    records += [("g%d" % i, 1, ["h%d" % i, "h%d" % ((i + 1) % 6)])
+                for i in range(6)]
+    edges = ["g%d" % i for i in range(6)]
+    return build_poset(records + [("hexA", 2, edges), ("hexB", 2, edges)])
+
+
+def test_inheriting_arc_is_the_boundary_bisect_2cell_gives_b1():
+    K = hexagon_pillow()
+    verts = K.cells_of_dim(0)
+    chords = [(u, w) for u in verts for w in verts if u != w
+              and {u, w} not in [K.boundary(e) for e in K.cells_of_dim(1)]]
+    assert len(chords) == 18  # 9 chords, both argument orders
+    for u, w in chords:
+        arc = surgery._inheriting_arc(K, "hexA", u, w)
+        # a walk from u along the boundary that stops just short of w
+        ends = list(arc[0::2]) + [w]
+        assert len(set(ends)) == len(ends)
+        for i, e in enumerate(arc[1::2]):
+            assert K.boundary(e) == {ends[i], ends[i + 1]}
+        K2, _, _ = bisect_2cell(K, VectorField(), "hexA", u, w)
+        assert set(arc[1::2]) == K2.boundary("hexA~b1") - {"hexA~b0"}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -286,6 +313,24 @@ def test_separate_critical_cells_identity(torus, torus_field):
     K, V, recs = separate_critical_cells(torus, torus_field)
     if not clash:
         assert not recs and K == torus
+
+
+def test_separation_budget_is_fixed_on_entry(monkeypatch):
+    # on this field the corner cut between critical triangles that meet
+    # in a vertex never ends the loop; the step budget must not grow with
+    # the cells each bisection adds
+    K = tetrahedron()
+    V = random_valid_field(K, 37)
+    made = []
+    for name in ("bisect_edge", "bisect_2cell"):
+        def counted(*args, _fn=getattr(surgery, name), **kwargs):
+            made.append(args[2])
+            assert len(made) <= 1000, "bisection budget exceeded"
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(surgery, name, counted)
+    with pytest.raises(InconsistentField, match="did not converge"):
+        separate_critical_cells(K, V)
+    assert len(made) == 100 + 10 * len(K.cells)
 
 
 def test_separate_two_edges_sharing_vertex():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import dms
-from dms.cellcomplex import build_simplicial, euler_characteristic
+from dms.cellcomplex import Cell, build_simplicial, euler_characteristic
 from dms.cli import main
 from dms.errors import Disconnected, ParseError, UnknownFixture
 from dms.fixtures import (
@@ -129,6 +129,27 @@ def test_parse_tri_rejects_a_superscript_header(tmp_path, capsys):
     bad.write_text("tri \u00b2\nt 0 1 2\n", encoding="utf-8")
     assert run_cli(["betti", "--complex", str(bad)]) == 3
     assert "line 1: bad header" in capsys.readouterr().err
+
+
+def test_parse_tri_rejects_a_negative_index(tmp_path, capsys):
+    with pytest.raises(ParseError, match="line 2: bad vertex index"):
+        parse_tri("tri 3\nt -1 0 1\n")
+    bad = tmp_path / "bad.tri"
+    bad.write_text("tri 3\nt -1 0 1\n", encoding="utf-8")
+    assert run_cli(["betti", "--complex", str(bad)]) == 3
+    assert "line 2: bad vertex index" in capsys.readouterr().err
+
+
+def test_write_tri_refuses_a_vertex_in_no_triangle(tetra):
+    K = tetra.replace_cells(add=[Cell("v9", 0, frozenset())])
+    with pytest.raises(ParseError, match="cell 'v9'"):
+        write_tri(K)
+
+
+def test_tri_round_trip_keeps_gaps_in_the_numbering():
+    K = build_simplicial([(0, 1, 2), (0, 1, 7), (0, 2, 7), (1, 2, 7)])
+    assert write_tri(K).startswith("tri 4\n")
+    assert parse_tri(write_tri(K)) == K
 
 
 def test_write_tri_rejects_vertex_ids_it_cannot_hold(tetra):
