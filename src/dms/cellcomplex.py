@@ -50,9 +50,14 @@ class Complex:
     pseudomanifold and closed-surface flags are computed on first use,
     and `split_cell` hands them on to the subdivided complex.  Surgeries
     never mutate a complex: `replace_cells` returns a new one,
-    re-checking only the cells the edit touches, and `prefixed` carries
-    the checked tables over without re-checking.
+    re-checking only the cells the edit touches and keeping the cached
+    closures it leaves intact, and `prefixed` carries the checked tables
+    over without re-checking.
     """
+
+    # the mod-2 Betti numbers, once morsefield has derived them from a
+    # gradient field on this complex
+    _betti = None
 
     def __init__(self, cells):
         # cells: iterable of Cell
@@ -300,7 +305,7 @@ class Complex:
         old = self.cells
         remove = set(remove)
         added = {cell.id: cell for cell in add}
-        cells = dict(old)
+        cells = old.copy()
         for cid in remove:
             cells.pop(cid, None)
         cells.update(added)
@@ -313,7 +318,7 @@ class Complex:
         if (any(old[cid].dim == new.top_dim for cid in gone)
                 and all(c.dim != new.top_dim for c in added.values())):
             new.top_dim = max(c.dim for c in cells.values())
-        cofaces = dict(self._cofaces)
+        cofaces = self._cofaces.copy()
         near = {t for cid in gone for t in cofaces[cid]}.difference(gone)
         new._validate_grading([cells[t] for t in sorted(near)]
                               + list(added.values()))
@@ -322,26 +327,45 @@ class Complex:
         for cid in gone:
             if cid not in cells:
                 del cofaces[cid]
+            kept = added[cid].boundary if cid in added else ()
             for fid in old[cid].boundary:
-                changed.setdefault(fid, (set(), set()))[0].add(cid)
+                if fid not in kept:
+                    changed.setdefault(fid, (set(), set()))[0].add(cid)
         for cid, cell in added.items():
             cofaces.setdefault(cid, ())
+            had = old[cid].boundary if cid in old else ()
             for fid in cell.boundary:
-                changed.setdefault(fid, (set(), set()))[1].add(cid)
+                if fid not in had:
+                    changed.setdefault(fid, (set(), set()))[1].add(cid)
         for fid, (lost, gained) in changed.items():
             if fid in cells:
                 cofaces[fid] = tuple(sorted(
                     set(cofaces[fid]).difference(lost).union(gained)))
         new._cofaces = cofaces
 
-        new._cycles = dict(self._cycles)
+        new._cycles = self._cycles.copy()
         walk = {cid for cid, cell in added.items() if cell.dim == 2}
         for cid in gone:
             new._cycles.pop(cid, None)
             if old[cid].dim == 1 and cid in cells:
                 walk.update(t for t in cofaces[cid] if cells[t].dim == 2)
         new._walk_cycles(walk)
-        new._closures = {}
+
+        # a closure changes only when it holds a dropped or replaced
+        # cell, that is for the cells in the old star of one
+        closures = self._closures.copy()
+        if closures:
+            old_cofaces = self._cofaces
+            stale = set(gone)
+            frontier = list(gone)
+            while frontier:
+                for t in old_cofaces[frontier.pop()]:
+                    if t not in stale:
+                        stale.add(t)
+                        frontier.append(t)
+            for sid in stale:
+                closures.pop(sid, None)
+        new._closures = closures
         return new
 
     def prefixed(self, prefix):

@@ -60,21 +60,35 @@ def rank_gf2(columns):
 
 
 def betti_mod2(K):
-    """BettiVector of K over GF(2): b_p = dim ker d_p - rank d_{p+1}."""
+    """BettiVector of K over GF(2): b_p = dim ker d_p - rank d_{p+1}.
+
+    A GF(2) rank does not depend on the order of rows or columns, so the
+    cells are numbered in one pass over K.cells as they come."""
     n = K.top_dim
-    counts = K.counts()
+    counts = [0] * (n + 1)
+    bit = {}
+    for cid, cell in K.cells.items():
+        p = cell.dim
+        bit[cid] = 1 << counts[p]
+        counts[p] += 1
+    columns = [[] for _ in range(n + 1)]
+    for cell in K.cells.values():
+        if cell.dim:
+            col = 0
+            for fid in cell.boundary:
+                col |= bit[fid]
+            columns[cell.dim].append(col)
     ranks = [0] * (n + 2)  # rank of d_p; d_0 and d_{n+1} are zero
     for p in range(1, n + 1):
-        bit = {cid: 1 << i for i, cid in enumerate(K.cells_of_dim(p - 1))}
-        columns = []
-        for cid in K.cells_of_dim(p):
-            col = 0
-            for fid in K.cells[cid].boundary:
-                col |= bit[fid]
-            columns.append(col)
-        ranks[p] = rank_gf2(columns)
+        ranks[p] = rank_gf2(columns[p])
+    return _betti_from_ranks(counts, ranks)
+
+
+def _betti_from_ranks(counts, ranks):
+    """BettiVector from the cell counts of a chain complex and the ranks
+    of its differentials (`ranks[p]` for d_p, with d_0 = d_{n+1} = 0)."""
     b = []
-    for p in range(n + 1):
+    for p in range(len(counts)):
         kernel = counts[p] - ranks[p]
         b.append(kernel - ranks[p + 1])
         # the alternating sum of the b_p equals chi whatever the ranks

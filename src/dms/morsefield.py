@@ -26,7 +26,7 @@ from .errors import (
     StartIsCritical,
     UnknownCell,
 )
-from .homology import betti_mod2
+from .homology import _betti_from_ranks, rank_gf2
 
 
 class VectorField:
@@ -71,16 +71,31 @@ class VectorField:
     def replace(self, drop=(), add=()):
         """This field without the pairs in `drop` (every copy of each)
         and with the pairs in `add`: VectorField of the edited pair list,
-        kept sorted by bisection instead of sorted again."""
+        kept sorted by bisection instead of sorted again.  A partner map
+        already built is edited along while the pairs stay a matching."""
         pairs = list(self.pair_list)
+        pm = None if self._partner is None else self._partner.copy()
         for p in drop:
             p = tuple(p)
             i = bisect_left(pairs, p)
-            del pairs[i:bisect_right(pairs, p, i)]
+            j = bisect_right(pairs, p, i)
+            if j > i:
+                del pairs[i:j]
+                if pm is not None:
+                    pm.pop(p[0], None)
+                    pm.pop(p[1], None)
         for a, b in add:
-            insort(pairs, (str(a), str(b)))
+            a, b = str(a), str(b)
+            insort(pairs, (a, b))
+            if pm is not None:
+                if a in pm or b in pm:
+                    pm = None  # partner_map() will name the double match
+                else:
+                    pm[a] = b
+                    pm[b] = a
         out = VectorField()
         out.pair_list = tuple(pairs)
+        out._partner = pm
         return out
 
 
@@ -130,17 +145,25 @@ class OnePathTree:
 
 def validate_function(K, f):
     """Check the discrete Morse condition (with exclusivity) everywhere."""
+    values = f.values
+    for cid in K.cells:
+        if cid not in values:
+            raise MissingValue(cid)
+    return _check_function(K, f, K.cells)
+
+
+def _check_function(K, f, ids):
+    """validate_function's verdict on the cells `ids` alone: their
+    violations, sorted by cell id.  Each of these cells, its faces and
+    its cofaces must have a value."""
     cells = K.cells
     cofaces = K.coface_table
     values = f.values
-    for cid in cells:
-        if cid not in values:
-            raise MissingValue(cid)
     violations = []
-    for cid, cell in cells.items():
+    for cid in ids:
         val = values[cid]
         exc_faces = exc_cofaces = 0
-        for s in cell.boundary:
+        for s in cells[cid].boundary:
             if values[s] >= val:
                 exc_faces += 1
         for c in cofaces[cid]:
@@ -169,14 +192,20 @@ def induced_field(K, f):
 def _field_of(K, f):
     """The pairs (sigma, tau) with f(sigma) >= f(tau), read off an f
     that has already passed `validate_function`."""
+    return VectorField(_induced_pairs(K, f, K.cells))
+
+
+def _induced_pairs(K, f, ids):
+    """_field_of's pairs whose higher cell is in `ids`."""
+    cells = K.cells
     values = f.values
     pairs = []
-    for tid, cell in K.cells.items():
+    for tid in ids:
         val = values[tid]
-        for sid in cell.boundary:
+        for sid in cells[tid].boundary:
             if values[sid] >= val:
                 pairs.append((sid, tid))
-    return VectorField(pairs)
+    return pairs
 
 
 def make_injective(K, f):
@@ -316,7 +345,92 @@ def critical_cells(V, K):
 
 
 def is_perfect(K, V):
-    return critical_cells(V, K).m == betti_mod2(K).b
+    """Whether the gradient field V has exactly b_p critical p-cells in
+    every dimension p, the Betti numbers coming from its Morse complex.
+    A pair list that is no matching of faces raises InconsistentField
+    and a closed V-path CyclicField, as in synthesize_function."""
+    report = validate_field(K, V, check_acyclic=False)
+    if not report.ok:
+        raise InconsistentField(report.issues[:5])
+    K._betti = morse_betti(K, V)
+    return critical_cells(V, K).m == K._betti.b
+
+
+def _gradient_is_perfect(K, V):
+    """is_perfect for a V already known to be a gradient field on K."""
+    return critical_cells(V, K).m == _betti(K, V).b
+
+
+def _betti(K, V):
+    """K's Betti numbers from K's cache, or from the gradient field V
+    and then cached on K, since they do not depend on V."""
+    if K._betti is None:
+        K._betti = morse_betti(K, V)
+    return K._betti
+
+
+def morse_betti(K, V):
+    """BettiVector of K over GF(2), read off the Morse complex of V.
+
+    V must be a matching of faces (as validate_field checks it without
+    the acyclicity check); a closed V-path raises CyclicField.  The
+    Morse complex has the critical cells as its chains and the same
+    homology as K (Forman 1998).  Its mod-2 differential counts gradient
+    paths, computed on the flow DAG in one memoised pass over the
+    matched cells (Mischaikow-Nanda 2013): a critical cell flows to
+    itself, the higher cell of a pair to nothing, and the lower cell of
+    a pair to the sum of the flows of its partner's other faces.  The
+    flows are bitsets over the critical cells of one dimension, so the
+    tiny Morse matrices are ranked with rank_gf2.
+    """
+    cells = K.cells
+    pm = V.partner_map()
+    n = K.top_dim
+    counts = [0] * (n + 1)
+    critical = [[] for _ in range(n + 1)]
+    flow = {}
+    for cid, cell in cells.items():
+        if cid not in pm:
+            p = cell.dim
+            flow[cid] = 1 << counts[p]
+            counts[p] += 1
+            critical[p].append(cell)
+    tails = []
+    for a, b in V.pair_list:
+        flow[b] = 0
+        tails.append(a)
+    for start in tails:
+        if start in flow:
+            continue
+        stack = [start]
+        waiting = {start}  # tails whose flow waits on a face of their partner
+        while stack:
+            x = stack[-1]
+            acc = 0
+            for y in cells[pm[x]].boundary:
+                if y != x:
+                    fy = flow.get(y)
+                    if fy is None:
+                        break
+                    acc ^= fy
+            else:
+                flow[x] = acc
+                waiting.discard(stack.pop())
+                continue
+            if y in waiting:
+                raise CyclicField(_find_cycle(K, dict(V.pair_list)))
+            stack.append(y)
+            waiting.add(y)
+    ranks = [0] * (n + 2)  # rank of the Morse d_p; d_0 and d_{n+1} are zero
+    for p in range(1, n + 1):
+        columns = []
+        for cell in critical[p]:
+            col = 0
+            for x in cell.boundary:
+                col ^= flow[x]
+            columns.append(col)
+        ranks[p] = rank_gf2(columns)
+    return _betti_from_ranks(counts, ranks)
 
 
 def trace_1path_tree(K, V):

@@ -32,15 +32,15 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
+    _betti,
+    _gradient_is_perfect,
     _injective,
     critical_cells,
     induced_field,
-    is_perfect,
     synthesize_function,
     trace_2path,
     validate_field,
 )
-from .homology import betti_mod2
 from .surgery import (_inheriting_arc, bisect_2cell, bisect_edge,
                       separate_critical_cells)
 
@@ -566,7 +566,7 @@ def find_separating_circle(K, f, g1, g2):
         raise WrongCriticalCount(
             "surface genus %s but g1+g2=%d" % (info.genus, g1 + g2))
     V = induced_field(K, f)
-    if not is_perfect(K, V):
+    if not _gradient_is_perfect(K, V):
         raise NotPerfectInput(critical_cells(V, K).m)
     # f and its injective copy induce the same V
     low, high = _split_edges(K, _injective(K, f, V), V, g1, g2)
@@ -750,9 +750,13 @@ def decompose(K, f, g1, g2):
     m1K, m1V = cap_with_max_cone(split.min_complex, split.min_field, circle)
     m2K, m2V = cap_with_min_cone(split.max_complex, split.max_field, circle)
 
+    for name, (cx, vf) in (("m1", (m1K, m1V)), ("m2", (m2K, m2V))):
+        rep = validate_field(cx, vf)
+        if not rep.ok:
+            raise InconsistentField((name, rep.issues[:3]))
     counts = {"m1": critical_cells(m1V, m1K).m,
               "m2": critical_cells(m2V, m2K).m}
-    betti = {"m1": betti_mod2(m1K).b, "m2": betti_mod2(m2K).b}
+    betti = {"m1": _betti(m1K, m1V).b, "m2": _betti(m2K, m2V).b}
     report = {
         "circleLength": len(circle) // 2,
         "chi": {"m1": euler_characteristic(m1K),
@@ -764,10 +768,6 @@ def decompose(K, f, g1, g2):
         "perfect": {k: counts[k] == betti[k] for k in counts},
         "functionsSynthesized": True,
     }
-    for name, (cx, vf) in (("m1", (m1K, m1V)), ("m2", (m2K, m2V))):
-        rep = validate_field(cx, vf)
-        if not rep.ok:
-            raise InconsistentField((name, rep.issues[:3]))
     m1f = synthesize_function(m1K, m1V)
     m2f = synthesize_function(m2K, m2V)
     return DecomposeResult(m1_complex=m1K, m1_field=m1V, m1_function=m1f,

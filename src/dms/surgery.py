@@ -37,13 +37,13 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
-    _field_of,
+    _check_function,
+    _gradient_is_perfect,
+    _induced_pairs,
     critical_cells,
     induced_field,
-    is_perfect,
     synthesize_function,
     validate_field,
-    validate_function,
 )
 
 
@@ -205,14 +205,18 @@ def _crits_in_closures(K, crits):
 
 def _touching_crit_pairs(K, crits):
     """Pairs of critical cells whose closures intersect (e.g. two
-    critical edges with a common vertex)."""
-    out = []
-    for i, c1 in enumerate(crits):
-        for c2 in crits[i + 1:]:
-            shared = K.closure(c1) & K.closure(c2)
-            if shared:
-                out.append((c1, c2, sorted(shared)))
-    return out
+    critical edges with a common vertex), each with the sorted cells the
+    two closures share; `crits` is sorted, and so are the pairs."""
+    held = {}  # cell -> the critical cells whose closure holds it
+    for c in crits:
+        for x in K.closure(c):
+            held.setdefault(x, []).append(c)
+    shared = {}
+    for x, cs in held.items():
+        for i, c1 in enumerate(cs):
+            for c2 in cs[i + 1:]:
+                shared.setdefault((c1, c2), []).append(x)
+    return [(c1, c2, sorted(xs)) for (c1, c2), xs in sorted(shared.items())]
 
 
 def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
@@ -540,7 +544,7 @@ def compose(M1, f1, M2, f2):
     V1 = induced_field(M1, f1)
     V2 = induced_field(M2, f2)
     for K, V in ((M1, V1), (M2, V2)):
-        if not is_perfect(K, V):
+        if not _gradient_is_perfect(K, V):
             raise NotPerfectInput(critical_cells(V, K).m)
     K1, V1, f1w = _prefixed(M1, V1, f1, "m1:")
     K2, V2, f2w = _prefixed(M2, V2, f2, "m2:")
@@ -623,27 +627,40 @@ def compose(M1, f1, M2, f2):
             values[cid] = f2v[src] + C
         return MorseFunction(values), C
 
+    # Only these cells can break the Morse condition or pair differently
+    # than V: the tube and the second summand are new, and alpha's
+    # boundary lost alpha and gained the prisms.  Every other cell keeps
+    # its faces and cofaces, and the values on them go through an
+    # order-preserving map of f1w, which is valid and induces V1 on K1.
+    touched = [c.id for c in (*glued, *tube.new_cells)]
+    touched.extend(tube.base_cells)
     f, C = assemble_function(f1w, f2w)
-    freport = validate_function(M, f)
+    freport = _check_function(M, f, touched)
     rescaled = not freport.ok
     if rescaled:
         f1w = _rank_rescale(f1w)
         f2w = _rank_rescale(f2w)
         f, C = assemble_function(f1w, f2w)
-        freport = validate_function(M, f)
+        freport = _check_function(M, f, touched)
+    touched = set(touched)
+    # a valid function inducing V makes V a gradient field
+    induces_V = freport.ok and sorted(_induced_pairs(M, f, touched)) == [
+        p for p in V.pairs() if p[1] in touched]
 
-    vreport = validate_field(M, V)
     counts = critical_cells(V, M)
     chi = euler_characteristic(M)
     chi_sphere = 2 if n % 2 == 0 else 0
     if chi != euler_characteristic(M1) + euler_characteristic(M2) - chi_sphere:
         raise InconsistentField("Euler characteristic drifted in compose")
-    if not vreport.ok:
-        raise InconsistentField(vreport.issues[:3])
-    if freport.ok and _field_of(M, f) != V:
-        raise InconsistentField("composed function induces a different field")
+    if not induces_V:
+        vreport = validate_field(M, V)
+        if not vreport.ok:
+            raise InconsistentField(vreport.issues[:3])
+        if freport.ok:
+            raise InconsistentField(
+                "composed function induces a different field")
     report = ComposeReport(
-        chi=chi, counts=counts.m, perfect=is_perfect(M, V),
+        chi=chi, counts=counts.m, perfect=_gradient_is_perfect(M, V),
         function_valid=freport.ok, constant=C, rescaled=rescaled,
         resynthesized_left=resynth, alpha=alpha, beta=beta,
         boundary_clearing_steps=clearing,

@@ -1,8 +1,9 @@
 import sys
+from itertools import combinations
 
 import pytest
 
-from dms.cellcomplex import Complex
+from dms.cellcomplex import Complex, build_poset
 from dms.fixtures import (
     genus_surface,
     pillow,
@@ -11,7 +12,7 @@ from dms.fixtures import (
     torus7,
     tree_cotree_field,
 )
-from dms.morsefield import synthesize_function
+from dms.morsefield import VectorField, synthesize_function
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +55,47 @@ def torus_function(torus, torus_field):
     return synthesize_function(torus, torus_field)
 
 
+def _sphere3():
+    """The boundary of the 4-simplex: a 3-sphere, cells `c<vertices>`."""
+    records = []
+    for k in range(4):
+        for s in combinations(range(5), k + 1):
+            sid = "c" + "-".join(map(str, s))
+            bnd = ["c" + "-".join(map(str, f))
+                   for f in combinations(s, k)] if k else []
+            records.append((sid, k, bnd))
+    return build_poset(records)
+
+
+def _collapse_field(K, alpha):
+    """The field of a greedy sequence of free-face collapses of K with
+    the top cell alpha removed, smallest free face first."""
+    alive = set(K.cells) - {alpha}
+    pairs = []
+    changed = True
+    while changed:
+        changed = False
+        for sid in sorted(alive):
+            cof = [c for c in K.cofaces(sid) if c in alive]
+            if len(cof) == 1 and K.dim(cof[0]) == K.dim(sid) + 1:
+                pairs.append((sid, cof[0]))
+                alive.discard(sid)
+                alive.discard(cof[0])
+                changed = True
+                break
+    return VectorField(pairs)
+
+
+@pytest.fixture(scope="session")
+def sphere3():
+    return _sphere3
+
+
+@pytest.fixture(scope="session")
+def collapse_field():
+    return _collapse_field
+
+
 def _rebuild(K, remove=(), add=()):
     """K.replace_cells(remove, add) done the slow way: a Complex built
     from scratch on the new cell list, in the order the edit keeps."""
@@ -66,10 +108,12 @@ def _rebuild(K, remove=(), add=()):
 
 def _assert_same_complex(K, R):
     """K and R agree in cells and their order, top dimension, every
-    coface list, every 2-cell walk and both flags, and K's tables keep
-    no dropped cell."""
+    coface list, every 2-cell walk and both flags, K's tables keep no
+    dropped cell, and every closure K has cached is R's fresh one."""
     assert K == R and list(K.cells) == list(R.cells)
     assert K._cofaces.keys() == K.cells.keys()
+    for cid, closure in K._closures.items():
+        assert closure == R.closure(cid), cid
     assert K._cycles.keys() == set(K.cells_of_dim(2))
     assert K.top_dim == R.top_dim
     for cid in R.cells:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from dms.cellcomplex import euler_characteristic
+from dms.cellcomplex import Complex, euler_characteristic
 import dms.homology
 from dms.errors import BadDimension, NegativeBetti
 from dms.fixtures import genus_surface
@@ -146,6 +146,19 @@ def test_betti_numbers(tetra, torus, genus2):
     assert betti_mod2(tetra).b == (1, 0, 1)
     assert betti_mod2(torus).b == (1, 2, 1)
     assert betti_mod2(genus2[0]).b == (1, 4, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_betti_ignores_the_cell_order(tetra, torus, rp2, pillow_sphere,
+                                      genus2, genus3, seed):
+    # betti_mod2 numbers rows and columns in the order of K.cells
+    rng = random.Random(seed)
+    for K in (tetra, torus, rp2, pillow_sphere, genus2[0], genus3[0]):
+        cells = list(K.cells.values())
+        rng.shuffle(cells)
+        shuffled = Complex(cells)
+        assert list(shuffled.cells) != list(K.cells)
+        assert betti_mod2(shuffled) == betti_mod2(K)
 
 
 def test_rank_nullity_and_dd_zero(tetra, torus):

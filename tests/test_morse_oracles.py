@@ -1,18 +1,25 @@
 """The table-reading Morse checks against the accessor-based code they
-replaced, kept here as test-only oracles."""
+replaced, kept here as test-only oracles; the Morse-complex homology
+against the cellular one; and the local checks and carried caches of
+compose and the edits against full re-derivations."""
 
 import heapq
 import random
 
 import pytest
 
+from dms import surgery
 from dms.errors import CyclicField, InconsistentField, MissingValue
 from dms.fixtures import (
     genus_surface,
     pillow,
+    projective_plane6,
     random_valid_field,
+    tetrahedron,
+    torus7,
     tree_cotree_field,
 )
+from dms.homology import betti_mod2
 from dms.morsefield import (
     FieldReport,
     FunctionReport,
@@ -20,6 +27,9 @@ from dms.morsefield import (
     VectorField,
     _field_of,
     _find_cycle,
+    critical_cells,
+    is_perfect,
+    morse_betti,
     synthesize_function,
     validate_field,
     validate_function,
@@ -286,6 +296,8 @@ def test_pillow_cycle_and_bad_pairs_match_oracle():
     cyclic = VectorField([("q0", "sqA"), ("q1", "sqB")])
     assert validate_field(K, cyclic) == oracle_validate_field(K, cyclic)
     assert assert_same_synthesis(K, cyclic) is CyclicField
+    assert outcome(is_perfect, K, cyclic) == \
+        outcome(synthesize_function, K, cyclic)
     for pairs in ([("q0", "sqA"), ("q0", "sqB")],   # double match
                   [("p0", "sqA")],                  # dimension
                   [("p2", "q0")],                   # incidence
@@ -295,3 +307,233 @@ def test_pillow_cycle_and_bad_pairs_match_oracle():
         assert validate_field(K, V) == oracle_validate_field(K, V)
         assert not validate_field(K, V).ok
         assert assert_same_synthesis(K, V) is InconsistentField
+        # is_perfect refuses what synthesize_function refuses, alike
+        assert outcome(is_perfect, K, V) == outcome(synthesize_function, K, V)
+
+
+# --- homology from the Morse complex ---------------------------------------
+
+
+def sub_fields(V, seed):
+    """V and two random subsets of its pairs: acyclic fields too."""
+    rng = random.Random(seed)
+    out = [V]
+    for _ in range(2):
+        out.append(VectorField([p for p in V.pairs() if rng.random() < 0.7]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "torus7", "rp2", "pillow",
+                                  "genus2", "genus3", "genus4"])
+def test_morse_betti_matches_betti_mod2_on_surfaces(name):
+    K = {"tetrahedron": tetrahedron, "torus7": torus7,
+         "rp2": projective_plane6, "pillow": pillow}.get(
+        name, lambda: genus_surface(int(name[-1]))[0])()
+    b = betti_mod2(K)
+    fields = [VectorField(), tree_cotree_field(K)]
+    for seed in range(4):
+        fields.append(tree_cotree_field(K, rng=random.Random(seed)))
+        fields.append(random_valid_field(K, seed))
+    perfect = set()
+    for V in fields:
+        assert morse_betti(K, V) == b
+        perfect.add(is_perfect(K, V))
+        assert is_perfect(K, V) == (critical_cells(V, K).m == b.b)
+    assert perfect == {False, True}
+
+
+def test_morse_betti_matches_betti_mod2_on_collapse_fields(sphere3,
+                                                          collapse_field):
+    S = sphere3()
+    b = betti_mod2(S)
+    assert b.b == (1, 0, 0, 1)
+    tops = sorted(c for c in S.cells if S.dim(c) == 3)
+    for seed, alpha in enumerate(tops):
+        V = collapse_field(S, alpha)
+        assert is_perfect(S, V)
+        for W in sub_fields(V, seed):
+            assert morse_betti(S, W) == b
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_morse_betti_raises_what_synthesis_raises(surfaces, g):
+    K = surfaces[g]
+    seen = set()
+    for seed in range(25):
+        V = random_matching(K, seed)
+        got = outcome(morse_betti, K, V)
+        if got[0] == "ok":
+            assert got[1] == betti_mod2(K)
+        else:
+            assert got == outcome(synthesize_function, K, V)
+        assert outcome(is_perfect, K, V)[0] == got[0]
+        seen.add(got[0])
+    assert seen == {"ok", CyclicField}
+
+
+# --- compose checks only the cells it touched -------------------------------
+
+
+def affine(f, scale, shift):
+    """f under an order-preserving affine map: the same field, other
+    ranges."""
+    return MorseFunction({cid: scale * val + shift
+                          for cid, val in f.values.items()})
+
+
+MAPS = [(1.0, 0.0), (1.0, 1000.0), (1.0, -1000.0), (0.001, 0.0),
+        (1000.0, 5.0)]
+
+
+@pytest.fixture
+def local_checks(monkeypatch):
+    """The local function checks and induced-pair reads compose makes,
+    recorded with their results."""
+    local_check = surgery._check_function
+    local_pairs = surgery._induced_pairs
+    checks, inductions = [], []
+
+    def check(K, f, ids):
+        out = local_check(K, f, ids)
+        checks.append((K, f, out))
+        return out
+
+    def induce(K, f, ids):
+        out = local_pairs(K, f, ids)
+        inductions.append((K, f, ids, out))
+        return out
+
+    monkeypatch.setattr(surgery, "_check_function", check)
+    monkeypatch.setattr(surgery, "_induced_pairs", induce)
+    return checks, inductions
+
+
+def compose_checked_locally(local_checks, M1, f1, M2, f2):
+    """compose, with each of its local verdicts equal to the full one:
+    the violations of every function it checked, and whether the valid
+    one induces the returned field."""
+    checks, inductions = local_checks
+    del checks[:], inductions[:]
+    K, f, V, rep = surgery.compose(M1, f1, M2, f2)
+    assert len(checks) == (2 if rep.rescaled else 1)
+    for M, g, report in checks:
+        assert M is K
+        assert report == validate_function(M, g)
+    assert rep.function_valid == checks[-1][2].ok
+    assert len(inductions) == int(rep.function_valid)
+    for M, g, ids, pairs in inductions:
+        local = sorted(pairs) == [p for p in V.pairs() if p[1] in ids]
+        assert local == (_field_of(M, g) == V)
+    return K, f, V, rep, [kind for _, _, report in checks
+                          for _, kind in report.violations]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_compose_checks_match_full_checks(local_checks, seed):
+    # random chains with shifted or scaled summands
+    rng = random.Random(seed)
+    K = torus7()
+    f = synthesize_function(K, tree_cotree_field(K, rng=rng))
+    paths, kinds = set(), set()
+    for _ in range(5):
+        T = torus7()
+        ft = synthesize_function(T, tree_cotree_field(T, rng=rng))
+        K, f, V, rep, found = compose_checked_locally(
+            local_checks, K, affine(f, *rng.choice(MAPS)),
+            T, affine(ft, *rng.choice(MAPS)))
+        paths.add(rep.rescaled)
+        kinds.update(found)
+    assert paths == {False, True}
+    assert kinds
+
+
+def test_local_compose_checks_match_full_checks_in_dimension_three(
+        local_checks, sphere3, collapse_field):
+    # no clearing step resynthesizes the first summand here, so its
+    # shifts reach the assembled function and the removed cell's boundary
+    S = sphere3()
+    f = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
+    paths = set()
+    for m1 in MAPS:
+        for m2 in MAPS:
+            rep = compose_checked_locally(
+                local_checks, S, affine(f, *m1), sphere3(), affine(f, *m2))[3]
+            paths.add(rep.rescaled)
+    assert paths == {False, True}
+
+
+def test_chained_betti_cache_is_the_homology():
+    K, f = genus_surface(1)[:2]
+    for seed in range(4):
+        T = torus7()
+        ft = synthesize_function(T, tree_cotree_field(
+            T, rng=random.Random(seed)))
+        K, f, V, rep = surgery.compose(K, f, T, ft)
+        assert rep.perfect
+        assert K._betti == betti_mod2(K) == morse_betti(K, V)
+
+
+# --- caches the edits carry -------------------------------------------------
+
+
+def oracle_touching_crit_pairs(K, crits):
+    """Every pair of critical cells, closures intersected."""
+    out = []
+    for i, c1 in enumerate(crits):
+        for c2 in crits[i + 1:]:
+            shared = K.closure(c1) & K.closure(c2)
+            if shared:
+                out.append((c1, c2, sorted(shared)))
+    return out
+
+
+def test_touching_crit_pairs_match_the_pairwise_oracle(monkeypatch):
+    touching = surgery._touching_crit_pairs
+    found = []
+
+    def checked(K, crits):
+        out = touching(K, crits)
+        assert out == oracle_touching_crit_pairs(K, crits)
+        found.append(len(out))
+        return out
+
+    monkeypatch.setattr(surgery, "_touching_crit_pairs", checked)
+    for K in (tetrahedron(), torus7(), genus_surface(2)[0]):
+        for seed in range(6):
+            try:
+                surgery.separate_critical_cells(K, random_valid_field(K, seed))
+            except InconsistentField:
+                pass  # the corner cut that does not converge
+    assert len(found) > 12 and any(found)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_replace_carries_the_partner_map_of_a_fresh_field(seed):
+    # drops may miss, repeat or be reversed; adds may clash with a kept
+    # pair, repeat, or land on free cells
+    rng = random.Random(seed)
+    K = torus7()
+    V = random_valid_field(K, seed)
+    pairs = list(V.pairs())
+    cells = sorted(K.cells)
+    drop = rng.sample(pairs, rng.randrange(len(pairs) // 2))
+    drop += [tuple(rng.sample(cells, 2)) for _ in range(2)]
+    drop += [(b, a) for a, b in rng.sample(pairs, 2)] + drop[:1]
+    free = sorted(set(cells).difference(*[
+        p for p in pairs if p not in drop]))
+    add = [tuple(rng.sample(free, 2)) for _ in range(rng.randrange(4))]
+    if seed % 2:
+        add += [tuple(rng.sample(cells, 2))]
+    for built in (False, True):
+        W = VectorField(V.pairs())
+        if built:
+            W.partner_map()
+        out = W.replace(drop=drop, add=add)
+        fresh = outcome(VectorField(out.pairs()).partner_map)
+        if not built:
+            assert out._partner is None
+        elif fresh[0] == "ok":
+            assert out._partner == fresh[1]
+        else:
+            assert out._partner is None
+        assert outcome(out.partner_map) == fresh

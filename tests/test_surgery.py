@@ -22,9 +22,11 @@ from dms.fixtures import genus_surface, random_valid_field, tetrahedron, \
 from dms.homology import betti_mod2
 from dms.morsefield import (
     VectorField,
+    _check_function,
     critical_cells,
     induced_field,
     is_perfect,
+    morse_betti,
     synthesize_function,
     trace_1path_tree,
     validate_field,
@@ -164,10 +166,13 @@ def test_bisection_fuzz(seed, genus2, assert_same_complex):
     fields = [tree_cotree_field(complexes[0]), tree_cotree_field(complexes[1]),
               genus2[2]]
     rng = random.Random(seed)
+    carried = 0
     for _ in range(20):
         i = rng.randrange(3)
         K, V = complexes[i], fields[i]
         m0 = critical_cells(V, K).m
+        for cid in K.cells:  # so that the edit has every closure to carry
+            K.closure(cid)
         if rng.random() < 0.5:
             e = rng.choice(K.cells_of_dim(1))
             K, V, _ = bisect_edge(K, V, e)
@@ -188,7 +193,9 @@ def test_bisection_fuzz(seed, genus2, assert_same_complex):
         assert ok and m == m0
         assert K.is_closed_surface
         assert_same_complex(K, Complex(K.cells.values()))
+        carried += len(K._closures)
         complexes[i], fields[i] = K, V
+    assert carried
 
 
 def test_bisections_build_no_complex_from_scratch(monkeypatch, torus,
@@ -213,9 +220,11 @@ def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
 
     def checked(K, remove=(), add=()):
         remove, add = list(remove), list(add)
+        for cid in K.cells:  # so that the edit has every closure to carry
+            K.closure(cid)
         out = edit(K, remove, add)
         assert_same_complex(out, rebuild(K, remove, add))
-        calls.append(len(add))
+        calls.append(len(out._closures))
         return out
 
     monkeypatch.setattr(Complex, "replace_cells", checked)
@@ -235,6 +244,7 @@ def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
         except NotSeparating:
             assert seed == 7
     assert composing > 0 and len(calls) > 2 * composing
+    assert all(calls)  # each edit kept some closures
 
 
 def test_split_cell_carries_the_flags_of_a_full_rebuild(monkeypatch):
@@ -510,19 +520,32 @@ def test_compose_rescale_fallback(torus, torus_function):
 
 
 def test_compose_checks_each_structure_once(spy):
-    # inputs: one validate_function and one betti_mod2 each; the result:
-    # one betti_mod2 and one validate_function per assembled function
+    # inputs: one validate_function each; the result: one local function
+    # check per assembled function; every complex is ranked once in its
+    # life, so a chained left summand is not ranked again
     bettis = spy(betti_mod2)
+    ranked = spy(morse_betti)
     validations = spy(validate_function)
+    checks = spy(_check_function)
     K, f = seeded_torus(100)
+    seen = []
     paths = set()
     for seed in range(101, 111):
         T, ft = seeded_torus(seed)
-        del bettis[:], validations[:]
+        del ranked[:], validations[:], checks[:]
+        left = K
         K, f, V, rep = compose(K, f, T, ft)
-        assert len(bettis) == 3
-        assert len(validations) == (4 if rep.rescaled else 3)
+        assert [args[0] for args in validations] == [left, T]
+        local = checks[2:]
+        assert len(local) == (2 if rep.rescaled else 1)
+        for M, _, ids in local:
+            assert M is K and len(set(ids)) == len(ids) < len(K.cells)
+        assert [args[0] for args in ranked][-2:] == [T, K]
+        assert len(ranked) == (3 if seed == 101 else 2)
+        seen.extend(args[0] for args in ranked)
         paths.add(rep.rescaled)
+    assert bettis == []
+    assert len(set(map(id, seen))) == len(seen)
     assert paths == {False, True}
 
 
@@ -542,35 +565,7 @@ def test_compose_rejects_dimension_mismatch(torus, torus_function):
         compose(torus, torus_function, circle, fc)
 
 
-def sphere3():
-    records = []
-    for k in range(4):
-        for s in combinations(range(5), k + 1):
-            sid = "c" + "-".join(map(str, s))
-            bnd = ["c" + "-".join(map(str, f))
-                   for f in combinations(s, k)] if k else []
-            records.append((sid, k, bnd))
-    return build_poset(records)
-
-
-def collapse_field(K, alpha):
-    alive = set(K.cells) - {alpha}
-    pairs = []
-    changed = True
-    while changed:
-        changed = False
-        for sid in sorted(alive):
-            cof = [c for c in K.cofaces(sid) if c in alive]
-            if len(cof) == 1 and K.dim(cof[0]) == K.dim(sid) + 1:
-                pairs.append((sid, cof[0]))
-                alive.discard(sid)
-                alive.discard(cof[0])
-                changed = True
-                break
-    return VectorField(pairs)
-
-
-def test_compose_dimension_three():
+def test_compose_dimension_three(sphere3, collapse_field):
     S = sphere3()
     alpha = sorted(c for c in S.cells if S.dim(c) == 3)[0]
     V = collapse_field(S, alpha)
@@ -583,7 +578,8 @@ def test_compose_dimension_three():
     assert induced_field(M, fc) == Vc
 
 
-def test_glued_results_match_a_full_rebuild(assert_same_complex):
+def test_glued_results_match_a_full_rebuild(assert_same_complex, sphere3,
+                                           collapse_field):
     K, f = seeded_torus(100)
     for seed in range(101, 106):
         T, ft = seeded_torus(seed)
@@ -597,7 +593,8 @@ def test_glued_results_match_a_full_rebuild(assert_same_complex):
     assert M.top_dim == 3 and M.is_pseudomanifold
 
 
-def test_compose_builds_no_complex_from_scratch(monkeypatch):
+def test_compose_builds_no_complex_from_scratch(monkeypatch, sphere3,
+                                                collapse_field):
     K, f = seeded_torus(100)
     T, ft = seeded_torus(101)
     S = sphere3()
