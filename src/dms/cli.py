@@ -54,15 +54,18 @@ def _load_function(path, K):
     return parse_dmf(_read(path), K)
 
 
+def _field_ok(K, V):
+    """validate_field's verdict, each issue reported on stderr."""
+    rep = validate_field(K, V)
+    for kind, detail in rep.issues:
+        _err("field %s: %s" % (kind, detail))
+    return rep.ok
+
+
 def cmd_validate(args):
     K = load_complex(args.complex)
-    if args.field:
-        V = _load_field(args.field, K)
-        rep = validate_field(K, V)
-        if not rep.ok:
-            for kind, detail in rep.issues:
-                _err("field %s: %s" % (kind, detail))
-            return EXIT_INVALID
+    if args.field and not _field_ok(K, _load_field(args.field, K)):
+        return EXIT_INVALID
     if args.function:
         f = _load_function(args.function, K)
         rep = validate_function(K, f)
@@ -83,11 +86,8 @@ def cmd_betti(args):
 def cmd_critical(args):
     K = load_complex(args.complex)
     V = _load_field(args.field, K)
-    rep = validate_field(K, V)
-    if not rep.ok:
-        for kind, detail in rep.issues:
-            _err("field %s: %s" % (kind, detail))
-        return EXIT_PARSE
+    if not _field_ok(K, V):
+        return EXIT_INVALID
     counts = critical_cells(V, K)
     print(" ".join(str(m) for m in counts.m))
     for p in sorted(counts.cells):

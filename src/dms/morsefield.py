@@ -145,27 +145,32 @@ class OnePathTree:
 
 def validate_function(K, f):
     """Check the discrete Morse condition (with exclusivity) everywhere."""
-    values = f.values
-    for cid in K.cells:
-        if cid not in values:
-            raise MissingValue(cid)
-    return _check_function(K, f, K.cells)
+    return _check_function(K, f)[0]
 
 
-def _check_function(K, f, ids):
-    """validate_function's verdict on the cells `ids` alone: their
-    violations, sorted by cell id.  Each of these cells, its faces and
-    its cofaces must have a value."""
+def _check_function(K, f, ids=None):
+    """validate_function's verdict on the cells `ids` alone (every cell
+    when None, after checking each has a value): their violations, sorted
+    by cell id, and from the same face loop the pairs (sigma, tau) with
+    tau in `ids` and f(sigma) >= f(tau), the field f induces when valid.
+    Each of these cells, its faces and its cofaces must have a value."""
     cells = K.cells
     cofaces = K.coface_table
     values = f.values
+    if ids is None:
+        for cid in cells:
+            if cid not in values:
+                raise MissingValue(cid)
+        ids = cells
     violations = []
+    pairs = []
     for cid in ids:
         val = values[cid]
         exc_faces = exc_cofaces = 0
         for s in cells[cid].boundary:
             if values[s] >= val:
                 exc_faces += 1
+                pairs.append((s, cid))
         for c in cofaces[cid]:
             if values[c] <= val:
                 exc_cofaces += 1
@@ -177,35 +182,16 @@ def _check_function(K, f, ids):
             violations.append((cid, "exclusivity"))
     # stable: a cell's violations keep the order they were found in
     violations.sort(key=itemgetter(0))
-    return FunctionReport(ok=not violations, violations=violations)
+    return FunctionReport(ok=not violations, violations=violations), pairs
 
 
 def induced_field(K, f):
     """The gradient vector field of a valid Morse function: pair every
     (sigma, tau) with sigma a face of tau and f(sigma) >= f(tau)."""
-    report = validate_function(K, f)
+    report, pairs = _check_function(K, f)
     if not report.ok:
         raise InvalidFunction(report.violations[:5])
-    return _field_of(K, f)
-
-
-def _field_of(K, f):
-    """The pairs (sigma, tau) with f(sigma) >= f(tau), read off an f
-    that has already passed `validate_function`."""
-    return VectorField(_induced_pairs(K, f, K.cells))
-
-
-def _induced_pairs(K, f, ids):
-    """_field_of's pairs whose higher cell is in `ids`."""
-    cells = K.cells
-    values = f.values
-    pairs = []
-    for tid in ids:
-        val = values[tid]
-        for sid in cells[tid].boundary:
-            if values[sid] >= val:
-                pairs.append((sid, tid))
-    return pairs
+    return VectorField(pairs)
 
 
 def make_injective(K, f):
@@ -234,13 +220,25 @@ def _injective(K, f, V):
 # --- field side ------------------------------------------------------------
 
 
-def validate_field(K, V, check_acyclic=True):
+def validate_field(K, V):
     """Matching, incidence and acyclicity checks; failures are report
-    entries, never exceptions."""
+    entries, never exceptions.  Acyclicity is the V-path pass of
+    morse_betti; only when it meets a closed V-path is one searched for,
+    to name it."""
+    issues = _matching_issues(K, V)
+    witness = None
+    if not issues and _flows(K, V) is None:
+        witness = _find_cycle(K, dict(V.pair_list))
+        issues.append(("cycle", witness))
+    return FieldReport(ok=not issues, issues=issues, cycle_witness=witness)
+
+
+def _matching_issues(K, V):
+    """validate_field's issues short of acyclicity: each pair must be a
+    cell and one of its facets, and no cell may be matched twice."""
     cells = K.cells
     issues = []
     seen = set()
-    head_of = {}
     for a, b in V.pairs():
         ca, cb = cells.get(a), cells.get(b)
         if ca is None or cb is None:
@@ -257,42 +255,18 @@ def validate_field(K, V, check_acyclic=True):
             continue
         seen.add(a)
         seen.add(b)
-        head_of[a] = b
-    witness = None
-    if check_acyclic and not issues:
-        witness = _find_cycle(K, head_of)
-        if witness is not None:
-            issues.append(("cycle", witness))
-    return FieldReport(ok=not issues, issues=issues, cycle_witness=witness)
+    return issues
 
 
 def _find_cycle(K, head_of):
-    """Closed V-path if one exists.  head_of maps each tail sigma to its
-    pair tau; a V-path hops tau -> another face that is itself a tail.
-
-    Tails that no V-path step enters are peeled off first, as in a
-    topological sort; when every tail peels there is no closed V-path.
-    Otherwise a depth-first search from the tails in sorted order, one
-    dimension at a time, names the witness.
-    """
+    """A closed V-path, found by a depth-first search from the tails in
+    sorted order, one dimension at a time.  head_of maps each tail sigma
+    to its pair tau; a V-path hops tau -> another face that is itself a
+    tail.  None when there is no closed V-path; the library searches
+    only once _flows has met one."""
     cells = K.cells
-    steps = {}
-    entering = dict.fromkeys(head_of, 0)
-    for s, t in head_of.items():
-        nxt = [x for x in cells[t].boundary if x != s and x in head_of]
-        steps[s] = nxt
-        for x in nxt:
-            entering[x] += 1
-    ready = [s for s, n in entering.items() if n == 0]
-    left = len(entering)
-    while ready:
-        left -= 1
-        for x in steps[ready.pop()]:
-            entering[x] -= 1
-            if entering[x] == 0:
-                ready.append(x)
-    if not left:
-        return None
+    steps = {s: [x for x in cells[t].boundary if x != s and x in head_of]
+             for s, t in head_of.items()}
     by_dim = {}
     for s in head_of:
         by_dim.setdefault(cells[s].dim, []).append(s)
@@ -349,16 +323,11 @@ def is_perfect(K, V):
     every dimension p, the Betti numbers coming from its Morse complex.
     A pair list that is no matching of faces raises InconsistentField
     and a closed V-path CyclicField, as in synthesize_function."""
-    report = validate_field(K, V, check_acyclic=False)
-    if not report.ok:
-        raise InconsistentField(report.issues[:5])
+    issues = _matching_issues(K, V)
+    if issues:
+        raise InconsistentField(issues[:5])
     K._betti = morse_betti(K, V)
     return critical_cells(V, K).m == K._betti.b
-
-
-def _gradient_is_perfect(K, V):
-    """is_perfect for a V already known to be a gradient field on K."""
-    return critical_cells(V, K).m == _betti(K, V).b
 
 
 def _betti(K, V):
@@ -372,29 +341,51 @@ def _betti(K, V):
 def morse_betti(K, V):
     """BettiVector of K over GF(2), read off the Morse complex of V.
 
-    V must be a matching of faces (as validate_field checks it without
-    the acyclicity check); a closed V-path raises CyclicField.  The
-    Morse complex has the critical cells as its chains and the same
-    homology as K (Forman 1998).  Its mod-2 differential counts gradient
-    paths, computed on the flow DAG in one memoised pass over the
-    matched cells (Mischaikow-Nanda 2013): a critical cell flows to
-    itself, the higher cell of a pair to nothing, and the lower cell of
-    a pair to the sum of the flows of its partner's other faces.  The
-    flows are bitsets over the critical cells of one dimension, so the
-    tiny Morse matrices are ranked with rank_gf2.
+    V must be a matching of faces (as _matching_issues checks it); a
+    closed V-path raises CyclicField.  The Morse complex has the
+    critical cells as its chains and the same homology as K (Forman
+    1998); its mod-2 differential is read off the flows of _flows, and
+    the tiny Morse matrices are ranked with rank_gf2.
+    """
+    passed = _flows(K, V)
+    if passed is None:
+        raise CyclicField(_find_cycle(K, dict(V.pair_list)))
+    flow, critical = passed
+    n = K.top_dim
+    ranks = [0] * (n + 2)  # rank of the Morse d_p; d_0 and d_{n+1} are zero
+    for p in range(1, n + 1):
+        columns = []
+        for cell in critical[p]:
+            col = 0
+            for x in cell.boundary:
+                col ^= flow[x]
+            columns.append(col)
+        ranks[p] = rank_gf2(columns)
+    return _betti_from_ranks([len(c) for c in critical], ranks)
+
+
+def _flows(K, V):
+    """The one V-path pass: (flow, critical) for a matching of faces V,
+    or None when V has a closed V-path (Forman 1998: V is a gradient
+    exactly when it has none).
+
+    critical[p] lists K's critical p-cells in table order, and flow maps
+    every cell to a bitset over the critical cells of its dimension: the
+    gradient paths from it to each, counted mod 2 on the flow DAG in one
+    memoised pass over the matched cells (Mischaikow-Nanda 2013).  A
+    critical cell flows to itself, the higher cell of a pair to nothing,
+    and the lower cell of a pair to the sum of the flows of its
+    partner's other faces.
     """
     cells = K.cells
     pm = V.partner_map()
-    n = K.top_dim
-    counts = [0] * (n + 1)
-    critical = [[] for _ in range(n + 1)]
+    critical = [[] for _ in range(K.top_dim + 1)]
     flow = {}
     for cid, cell in cells.items():
         if cid not in pm:
-            p = cell.dim
-            flow[cid] = 1 << counts[p]
-            counts[p] += 1
-            critical[p].append(cell)
+            crit = critical[cell.dim]
+            flow[cid] = 1 << len(crit)
+            crit.append(cell)
     tails = []
     for a, b in V.pair_list:
         flow[b] = 0
@@ -418,19 +409,10 @@ def morse_betti(K, V):
                 waiting.discard(stack.pop())
                 continue
             if y in waiting:
-                raise CyclicField(_find_cycle(K, dict(V.pair_list)))
+                return None
             stack.append(y)
             waiting.add(y)
-    ranks = [0] * (n + 2)  # rank of the Morse d_p; d_0 and d_{n+1} are zero
-    for p in range(1, n + 1):
-        columns = []
-        for cell in critical[p]:
-            col = 0
-            for x in cell.boundary:
-                col ^= flow[x]
-            columns.append(col)
-        ranks[p] = rank_gf2(columns)
-    return _betti_from_ranks(counts, ranks)
+    return flow, critical
 
 
 def trace_1path_tree(K, V):
@@ -518,9 +500,9 @@ def synthesize_function(K, V):
     V-path (Chari 2000), so the order also decides acyclicity; only then
     is the V-path searched for, to name it in CyclicField.
     """
-    report = validate_field(K, V, check_acyclic=False)
-    if not report.ok:
-        raise InconsistentField(report.issues[:5])
+    issues = _matching_issues(K, V)
+    if issues:
+        raise InconsistentField(issues[:5])
     cells = K.cells
     pm = V.partner_map()
     node = {cid: cid for cid in cells}

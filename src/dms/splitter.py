@@ -33,13 +33,11 @@ from .morsefield import (
     MorseFunction,
     VectorField,
     _betti,
-    _gradient_is_perfect,
     _injective,
     critical_cells,
     induced_field,
     synthesize_function,
     trace_2path,
-    validate_field,
 )
 from .surgery import (_inheriting_arc, bisect_2cell, bisect_edge,
                       separate_critical_cells)
@@ -566,8 +564,9 @@ def find_separating_circle(K, f, g1, g2):
         raise WrongCriticalCount(
             "surface genus %s but g1+g2=%d" % (info.genus, g1 + g2))
     V = induced_field(K, f)
-    if not _gradient_is_perfect(K, V):
-        raise NotPerfectInput(critical_cells(V, K).m)
+    m = critical_cells(V, K).m
+    if m != _betti(K, V).b:
+        raise NotPerfectInput(m)
     # f and its injective copy induce the same V
     low, high = _split_edges(K, _injective(K, f, V), V, g1, g2)
 
@@ -750,10 +749,9 @@ def decompose(K, f, g1, g2):
     m1K, m1V = cap_with_max_cone(split.min_complex, split.min_field, circle)
     m2K, m2V = cap_with_min_cone(split.max_complex, split.max_field, circle)
 
-    for name, (cx, vf) in (("m1", (m1K, m1V)), ("m2", (m2K, m2V))):
-        rep = validate_field(cx, vf)
-        if not rep.ok:
-            raise InconsistentField((name, rep.issues[:3]))
+    # synthesis refuses a field that is no matching or has a closed V-path
+    m1f = synthesize_function(m1K, m1V)
+    m2f = synthesize_function(m2K, m2V)
     counts = {"m1": critical_cells(m1V, m1K).m,
               "m2": critical_cells(m2V, m2K).m}
     betti = {"m1": _betti(m1K, m1V).b, "m2": _betti(m2K, m2V).b}
@@ -768,8 +766,6 @@ def decompose(K, f, g1, g2):
         "perfect": {k: counts[k] == betti[k] for k in counts},
         "functionsSynthesized": True,
     }
-    m1f = synthesize_function(m1K, m1V)
-    m2f = synthesize_function(m2K, m2V)
     return DecomposeResult(m1_complex=m1K, m1_field=m1V, m1_function=m1f,
                            m2_complex=m2K, m2_field=m2V, m2_function=m2f,
                            circle=tuple(circle), report=report)

@@ -25,6 +25,7 @@ from .errors import (
     BadCellBoundary,
     BadChord,
     DimensionMismatch,
+    Disconnected,
     InconsistentField,
     NoEligibleBeta,
     NonPseudomanifold,
@@ -37,9 +38,8 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
+    _betti,
     _check_function,
-    _gradient_is_perfect,
-    _induced_pairs,
     critical_cells,
     induced_field,
     synthesize_function,
@@ -544,8 +544,12 @@ def compose(M1, f1, M2, f2):
     V1 = induced_field(M1, f1)
     V2 = induced_field(M2, f2)
     for K, V in ((M1, V1), (M2, V2)):
-        if not _gradient_is_perfect(K, V):
-            raise NotPerfectInput(critical_cells(V, K).m)
+        crit = critical_cells(V, K)
+        if crit.m != _betti(K, V).b:
+            raise NotPerfectInput(crit.m)
+        if crit.m[0] > 1:  # a perfect field has b_0 critical vertices
+            raise Disconnected("summand is not connected: critical "
+                               "vertices %s" % ", ".join(crit.cells[0]))
     K1, V1, f1w = _prefixed(M1, V1, f1, "m1:")
     K2, V2, f2w = _prefixed(M2, V2, f2, "m2:")
 
@@ -635,16 +639,16 @@ def compose(M1, f1, M2, f2):
     touched = [c.id for c in (*glued, *tube.new_cells)]
     touched.extend(tube.base_cells)
     f, C = assemble_function(f1w, f2w)
-    freport = _check_function(M, f, touched)
+    freport, fpairs = _check_function(M, f, touched)
     rescaled = not freport.ok
     if rescaled:
         f1w = _rank_rescale(f1w)
         f2w = _rank_rescale(f2w)
         f, C = assemble_function(f1w, f2w)
-        freport = _check_function(M, f, touched)
+        freport, fpairs = _check_function(M, f, touched)
     touched = set(touched)
     # a valid function inducing V makes V a gradient field
-    induces_V = freport.ok and sorted(_induced_pairs(M, f, touched)) == [
+    induces_V = freport.ok and sorted(fpairs) == [
         p for p in V.pairs() if p[1] in touched]
 
     counts = critical_cells(V, M)
@@ -660,7 +664,7 @@ def compose(M1, f1, M2, f2):
             raise InconsistentField(
                 "composed function induces a different field")
     report = ComposeReport(
-        chi=chi, counts=counts.m, perfect=_gradient_is_perfect(M, V),
+        chi=chi, counts=counts.m, perfect=counts.m == _betti(M, V).b,
         function_valid=freport.ok, constant=C, rescaled=rescaled,
         resynthesized_left=resynth, alpha=alpha, beta=beta,
         boundary_clearing_steps=clearing,

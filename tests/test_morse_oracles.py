@@ -25,9 +25,10 @@ from dms.morsefield import (
     FunctionReport,
     MorseFunction,
     VectorField,
-    _field_of,
+    _check_function,
     _find_cycle,
     critical_cells,
+    induced_field,
     is_perfect,
     morse_betti,
     synthesize_function,
@@ -66,7 +67,7 @@ def oracle_field_of(K, f):
     return VectorField(pairs)
 
 
-def oracle_validate_field(K, V, check_acyclic=True):
+def oracle_validate_field(K, V):
     issues = []
     seen = set()
     ok_pairs = []
@@ -88,7 +89,7 @@ def oracle_validate_field(K, V, check_acyclic=True):
         seen.add(b)
         ok_pairs.append((a, b))
     witness = None
-    if check_acyclic and not issues:
+    if not issues:
         witness = oracle_find_cycle(K, dict(ok_pairs))
         if witness is not None:
             issues.append(("cycle", witness))
@@ -242,7 +243,7 @@ def test_checks_match_oracles_on_tree_cotree_functions(surfaces, g):
         f = synthesize_function(K, V)
         assert validate_function(K, f) == oracle_validate_function(K, f)
         assert validate_function(K, f).ok
-        assert _field_of(K, f) == oracle_field_of(K, f) == V
+        assert induced_field(K, f) == oracle_field_of(K, f) == V
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -258,9 +259,11 @@ def test_violations_match_oracle_on_swapped_values(surfaces, g):
         for s, t in rng.sample(faces, 1 + seed):
             values[s], values[t] = values[t], values[s]
         bad = MorseFunction(values)
-        report = validate_function(K, bad)
-        assert report == oracle_validate_function(K, bad)
-        assert _field_of(K, bad) == oracle_field_of(K, bad)
+        # the violations and, from the same face loop, the pairs
+        report, pairs = _check_function(K, bad)
+        assert report == validate_function(K, bad) == \
+            oracle_validate_function(K, bad)
+        assert VectorField(pairs) == oracle_field_of(K, bad)
         kinds.update(kind for _, kind in report.violations)
     assert kinds == {"faces", "cofaces", "exclusivity"}
 
@@ -387,44 +390,40 @@ MAPS = [(1.0, 0.0), (1.0, 1000.0), (1.0, -1000.0), (0.001, 0.0),
 
 @pytest.fixture
 def local_checks(monkeypatch):
-    """The local function checks and induced-pair reads compose makes,
-    recorded with their results."""
+    """The local function checks compose makes, each with the induced
+    pairs it read in the same face loop, recorded with their results."""
     local_check = surgery._check_function
-    local_pairs = surgery._induced_pairs
-    checks, inductions = [], []
+    checks = []
 
     def check(K, f, ids):
         out = local_check(K, f, ids)
-        checks.append((K, f, out))
-        return out
-
-    def induce(K, f, ids):
-        out = local_pairs(K, f, ids)
-        inductions.append((K, f, ids, out))
+        checks.append((K, f, ids, out))
         return out
 
     monkeypatch.setattr(surgery, "_check_function", check)
-    monkeypatch.setattr(surgery, "_induced_pairs", induce)
-    return checks, inductions
+    return checks
 
 
-def compose_checked_locally(local_checks, M1, f1, M2, f2):
+def compose_checked_locally(checks, M1, f1, M2, f2):
     """compose, with each of its local verdicts equal to the full one:
-    the violations of every function it checked, and whether the valid
-    one induces the returned field."""
-    checks, inductions = local_checks
-    del checks[:], inductions[:]
+    the violations and induced pairs of every function it checked, and
+    whether the valid one induces the returned field."""
+    del checks[:]
     K, f, V, rep = surgery.compose(M1, f1, M2, f2)
     assert len(checks) == (2 if rep.rescaled else 1)
-    for M, g, report in checks:
+    for M, g, ids, (report, pairs) in checks:
         assert M is K
         assert report == validate_function(M, g)
-    assert rep.function_valid == checks[-1][2].ok
-    assert len(inductions) == int(rep.function_valid)
-    for M, g, ids, pairs in inductions:
-        local = sorted(pairs) == [p for p in V.pairs() if p[1] in ids]
-        assert local == (_field_of(M, g) == V)
-    return K, f, V, rep, [kind for _, _, report in checks
+        ids = set(ids)
+        assert sorted(pairs) == [p for p in oracle_field_of(M, g).pairs()
+                                 if p[1] in ids]
+    assert rep.function_valid == checks[-1][3][0].ok
+    for M, g, ids, (report, pairs) in checks:
+        if report.ok:
+            ids = set(ids)
+            local = sorted(pairs) == [p for p in V.pairs() if p[1] in ids]
+            assert local == (induced_field(M, g) == V)
+    return K, f, V, rep, [kind for _, _, _, (report, _) in checks
                           for _, kind in report.violations]
 
 

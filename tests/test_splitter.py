@@ -21,10 +21,12 @@ from dms.fixtures import genus_surface, tetrahedron, torus7, tree_cotree_field
 from dms.homology import betti_mod2
 from dms.morsefield import (
     VectorField,
+    _check_function,
     critical_cells,
     induced_field,
     is_perfect,
     make_injective,
+    morse_betti,
     synthesize_function,
     validate_field,
     validate_function,
@@ -431,14 +433,41 @@ def golden_fields():
 
 
 def test_find_separating_circle_validates_once(spy):
-    validations = spy(validate_function)
+    # induced_field checks the function in its one face loop
+    validations = spy(_check_function)
     for K, seed, f, g1 in golden_fields():
         del validations[:]
         try:
             find_separating_circle(K, f, g1, 4 - g1)
         except NotSeparating:
             assert seed == 7
-        assert len(validations) == 1
+        assert validations == [(K, f)]
+
+
+def test_decompose_checks_each_piece_once(spy):
+    # synthesis refuses a piece field that is no gradient, so no
+    # validate_field runs; each capped piece is synthesized once and its
+    # homology read off its Morse complex at most once
+    validations = spy(validate_field)
+    syntheses = spy(synthesize_function)
+    ranked = spy(morse_betti)
+    done = 0
+    for K, seed, f, g1 in golden_fields():
+        del validations[:], syntheses[:], ranked[:]
+        try:
+            res = decompose(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+            continue
+        pieces = [(res.m1_complex, res.m1_field),
+                  (res.m2_complex, res.m2_field)]
+        assert validations == []
+        assert len(syntheses) == 2
+        for (P, W), args in zip(pieces, syntheses):
+            assert args[0] is P and args[1] is W
+            assert sum(args[0] is P for args in ranked) <= 1
+        done += 1
+    assert done == 8
 
 
 def test_pieces_match_a_full_rebuild(monkeypatch, assert_same_complex):

@@ -4,11 +4,12 @@ from itertools import combinations
 import pytest
 
 from dms import surgery
-from dms.cellcomplex import Complex, build_poset, euler_characteristic, \
-    verify_closed_surface
+from dms.cellcomplex import Complex, build_poset, build_simplicial, \
+    euler_characteristic, verify_closed_surface
 from dms.errors import (
     BadChord,
     DimensionMismatch,
+    Disconnected,
     InconsistentField,
     NotA2Cell,
     NotAnEdge,
@@ -520,22 +521,22 @@ def test_compose_rescale_fallback(torus, torus_function):
 
 
 def test_compose_checks_each_structure_once(spy):
-    # inputs: one validate_function each; the result: one local function
-    # check per assembled function; every complex is ranked once in its
-    # life, so a chained left summand is not ranked again
+    # inputs: one whole-complex function check each; the result: one
+    # local function check per assembled function; every complex is
+    # ranked once in its life, so a chained left summand is not ranked
+    # again
     bettis = spy(betti_mod2)
     ranked = spy(morse_betti)
-    validations = spy(validate_function)
     checks = spy(_check_function)
     K, f = seeded_torus(100)
     seen = []
     paths = set()
     for seed in range(101, 111):
         T, ft = seeded_torus(seed)
-        del ranked[:], validations[:], checks[:]
-        left = K
+        del ranked[:], checks[:]
+        left, fleft = K, f
         K, f, V, rep = compose(K, f, T, ft)
-        assert [args[0] for args in validations] == [left, T]
+        assert checks[:2] == [(left, fleft), (T, ft)]
         local = checks[2:]
         assert len(local) == (2 if rep.rescaled else 1)
         for M, _, ids in local:
@@ -563,6 +564,23 @@ def test_compose_rejects_dimension_mismatch(torus, torus_function):
     fc = MorseFunction({c: 0.0 for c in circle.cells})
     with pytest.raises(DimensionMismatch):
         compose(torus, torus_function, circle, fc)
+
+
+def test_compose_rejects_a_disconnected_summand(tetra):
+    # two disjoint tetrahedra with a perfect field: two critical vertices
+    def shifted(cid, k):
+        return cid[0] + "-".join(str(int(i) + k) for i in cid[1:].split("-"))
+
+    D = build_simplicial([(a + k, b + k, c + k) for k in (0, 4)
+                          for a, b, c in combinations(range(4), 3)])
+    W = VectorField([(shifted(a, k), shifted(b, k)) for k in (0, 4)
+                     for a, b in tree_cotree_field(tetra).pairs()])
+    assert is_perfect(D, W) and critical_cells(W, D).m == (2, 0, 2)
+    fD = synthesize_function(D, W)
+    ft = synthesize_function(tetra, tree_cotree_field(tetra))
+    for args in ((D, fD, tetra, ft), (tetra, ft, D, fD)):
+        with pytest.raises(Disconnected, match="critical vertices v0, v4"):
+            compose(*args)
 
 
 def test_compose_dimension_three(sphere3, collapse_field):

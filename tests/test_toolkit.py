@@ -218,6 +218,22 @@ def test_cli_critical_unknown_cell_is_a_parse_error(tmp_path, capsys):
     assert "line 2: unknown cell 'v9'" in capsys.readouterr().err
 
 
+def test_cli_critical_invalid_field_is_exit_2(tmp_path, capsys):
+    # a field that parses but fails validation exits as in `dms validate`
+    out = tmp_path / "t"
+    run_cli(["fixture", "torus7", "--out", str(out)])
+    bad = tmp_path / "bad.dvf"
+    bad.write_text("pair v0 e1-2\n")
+    capsys.readouterr()
+    for command in ("critical", "validate"):
+        code = run_cli([command, "--complex", str(out) + ".tri",
+                        "--field", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "field incidence: ('v0', 'e1-2')\n"
+        assert captured.out == ""
+
+
 def test_cli_validate_rejects_a_nan_function(tmp_path, capsys):
     out = tmp_path / "t"
     run_cli(["fixture", "torus7", "--out", str(out)])
