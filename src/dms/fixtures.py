@@ -121,8 +121,9 @@ def genus_surface(g):
     """
     from .surgery import compose  # deferred: fixtures are imported early
 
-    if g < 0:
-        raise UnknownFixture("genus must be non-negative, not %d" % g)
+    if not isinstance(g, int) or g < 0:
+        raise UnknownFixture("genus must be a non-negative integer, not %r"
+                             % (g,))
     base = tetrahedron() if g == 0 else torus7()
     V = tree_cotree_field(base)
     f = synthesize_function(base, V)

@@ -53,20 +53,12 @@ class CoreRegion:
 
 
 @dataclass(frozen=True)
-class StrayChain:
-    edges: tuple
-    anchors: tuple            # chain vertices lying on the boundary curve
-    spans_components: bool
-
-
-@dataclass(frozen=True)
 class BoundaryGraph:
     edges: frozenset
     degree: dict
     components: tuple         # frozensets of edge ids
     wedge_vertices: tuple     # degree >= 4
-    arcs: tuple               # StrayChain entries with >= 2 anchors
-    classification: str       # Circle | SingleWedge | WedgesWithArcs |
+    classification: str       # Circle | SeveralComponents | SingleWedge |
                                # WedgesWithConnectingCircles
 
 
@@ -138,16 +130,27 @@ def select_split_edges(K, f, g1, g2):
     """Critical edges sorted by function value: the lowest 2*g1 belong to
     the summand with the critical vertex, the highest 2*g2 to the one
     with the critical facet."""
+    _check_genera(g1, g2)
     return _split_edges(K, f, induced_field(K, f), g1, g2)
 
 
-def _split_edges(K, f, V, g1, g2):
-    """select_split_edges for an f already known to induce V."""
+def _check_genera(g1, g2):
+    if not (isinstance(g1, int) and isinstance(g2, int)):
+        raise WrongCriticalCount(
+            "genera must be integers, not %r and %r" % (g1, g2))
     if g1 < 0 or g2 < 0:
         raise WrongCriticalCount("negative genus g1=%d, g2=%d" % (g1, g2))
+    if g1 + g2 < 1:
+        raise WrongCriticalCount(
+            "g1 + g2 must be at least 1, not %d" % (g1 + g2))
+
+
+def _split_edges(K, f, V, g1, g2):
+    """select_split_edges for an f already known to induce V and checked
+    genera."""
     crit = critical_cells(V, K)
     edges = list(crit.cells.get(1, ()))
-    if g1 + g2 < 1 or len(edges) != 2 * (g1 + g2):
+    if len(edges) != 2 * (g1 + g2):
         raise WrongCriticalCount(
             "%d critical edges, need %d" % (len(edges), 2 * (g1 + g2)))
     edges.sort(key=lambda e: (f[e], e))
@@ -185,7 +188,7 @@ def carve_core(K, V, high_edges):
 
 
 def classify_boundary(K, region):
-    boundary, interior = _boundary_and_interior(K, region.facets)
+    boundary, _ = _boundary_and_interior(K, region.facets)
     degree = {}
     for e in boundary:
         for v in K.boundary(e):
@@ -195,34 +198,17 @@ def classify_boundary(K, region):
             raise InconsistentField("odd boundary degree at %s" % v)
     components = _edge_graph_components(K, boundary)
     wedges = tuple(sorted(v for v, d in degree.items() if d >= 4))
-
-    stray_edges = interior - set(region.path_edges) - set(region.high_edges)
-    arcs = []
-    if stray_edges:
-        on_curve = set(degree)
-        for comp in _edge_graph_components(K, stray_edges):
-            anchors = tuple(sorted(_vertices(K, comp) & on_curve))
-            if len(anchors) < 2:
-                continue
-            spanned = [bc for bc in components
-                       if _vertices(K, bc).intersection(anchors)]
-            arcs.append(StrayChain(
-                edges=tuple(sorted(comp)),
-                anchors=anchors,
-                spans_components=len(spanned) > 1))
-    arcs = tuple(arcs)
-
-    if len(components) == 1 and not wedges and not arcs:
+    if len(components) == 1 and not wedges:
         cls = "Circle"
-    elif arcs or len(components) > 1:
-        cls = "WedgesWithArcs"
+    elif len(components) > 1:
+        cls = "SeveralComponents"
     elif len(wedges) == 1:
         cls = "SingleWedge"
     else:
         cls = "WedgesWithConnectingCircles"
     return BoundaryGraph(edges=frozenset(boundary), degree=degree,
                          components=components, wedge_vertices=wedges,
-                         arcs=arcs, classification=cls)
+                         classification=cls)
 
 
 # --- the excavation engine ---------------------------------------------------
@@ -455,13 +441,6 @@ def _excavate_stray(K, V, region, seeds):
     return _excavate(K, V, region, marked)
 
 
-def resolve_arc(K, V, region, bg, arc):
-    """Push an interior chain out of the region (Case 2): excavate the
-    corridor around it so the two flanking cut chains become boundary
-    and the chain itself lies outside."""
-    return _excavate_stray(K, V, region, arc.edges)
-
-
 def _sectors_at(K, region, v):
     """Maximal fans of region facets in the rotation around v."""
     ring = K.link_cycle(v)[1::2]
@@ -518,45 +497,38 @@ def _expel_foreign_criticals(K, V, region, low_edges):
     return K, V, region
 
 
-def _absorb_pockets(K, V, region):
-    """Complement components that do not hold the critical vertex are
-    enclosed pockets; fold them into the region side when they carry no
-    critical cell.  Returns True if anything was absorbed."""
-    pm = V.partner_map()
-    bedges, _ = _boundary_and_interior(K, region.facets)
-    comps = _facet_components(
-        K, [t for t in K.cells_of_dim(2) if t not in region.facets], bedges)
-    if len(comps) <= 1:
-        return False
-    def has_crit_vertex(comp):
-        for t in comp:
-            for x in K.closure(t):
-                if K.dim(x) == 0 and x not in pm:
-                    return True
-        return False
-    main = [comp for comp in comps if has_crit_vertex(comp)]
-    if len(main) != 1:
-        raise NotSeparating("critical vertex not localized to one side")
-    absorbed = False
-    for comp in comps:
-        if comp is main[0]:
-            continue
-        cells = set()
-        for t in comp:
-            cells |= K.closure(t)
-        stuck = sorted(c for c in cells if c not in pm)
-        if stuck:
-            raise NotSeparating(
-                "enclosed pocket holds critical cells %s" % stuck[:3])
-        region.facets |= comp
-        absorbed = True
-    return absorbed
-
-
 def find_separating_circle(K, f, g1, g2):
     """Drive the boundary repairs until the carved region is bounded by a
     single circle with no arrows pointing into it; returns the final
-    (complex, field, circle walk, region)."""
+    (complex, field, circle walk, region).
+
+    The loop needs only these two repairs, and the walk after it cannot
+    fail, for these reasons.  Past `_expel_foreign_criticals` the region
+    R only loses facets or splits them, so it never grows.  Each facet
+    of R but the critical one stays matched with a path edge or with a
+    chord cut on R's boundary.  High edges are critical, and
+    `_expel_foreign_criticals` cut the other critical edges out of R's
+    interior.  So an interior edge of R that is neither a path nor a
+    high edge, a stray edge, is matched with one of its endpoints.
+
+    * No stray chain joins two points of the boundary curve.  With no
+      inward violation, the endpoint matched with a stray edge is off
+      the curve.  A connected set of E stray edges has at most E + 1
+      vertices and E of them are off the curve, so it meets the curve
+      at most once.
+    * The complement of R is connected once there are no violations and
+      no wedges.  Then a vertex x in the closure of a complement
+      component C has only facets of C around it, or one sector of R
+      and one of C.  If x is not v0, the one critical vertex, its
+      partner edge is no interior edge of R: a path edge is matched
+      with a facet, a high edge is critical and a stray edge would be a
+      violation.  So it lies in the closure of C, and the matched-edge
+      chain from x stays there until it ends at v0.  Two components
+      would both hold v0 in their closures, which makes v0 a wedge.
+    * The final walk succeeds: the loop stops only at "Circle", one
+      component whose vertices all have degree 2.
+    """
+    _check_genera(g1, g2)
     info = verify_closed_surface(K)
     if not info.orientable:
         raise NonOrientableInput("decompose needs an orientable surface")
@@ -586,18 +558,15 @@ def find_separating_circle(K, f, g1, g2):
         if viols:
             K, V, region = _excavate_stray(K, V, region, [viols[0][1]])
             continue
-        if bg.arcs:
-            K, V, region = resolve_arc(K, V, region, bg, bg.arcs[0])
-            continue
         if bg.classification == "Circle":
             break
         if not bg.wedge_vertices:
-            if len(bg.components) > 1 and _absorb_pockets(K, V, region):
-                continue
-            # Parallel tunnels can wrap a handle so that the carved core
-            # (which any admissible cut must contain) already has several
-            # disjoint boundary circles; no separating circle compatible
-            # with this function exists.
+            # Every boundary vertex has degree 2, so R is bounded by k
+            # disjoint circles; k >= 2, since R holds the critical facet
+            # but no facet at v0 and the boundary is no single circle.
+            # R's complement is connected (see above), so no circle of
+            # R's boundary separates.  Whether some other circle would
+            # is not known.
             raise NotSeparating(
                 "core region is bounded by %d disjoint circles with no "
                 "connecting structure" % len(bg.components))
@@ -609,9 +578,7 @@ def find_separating_circle(K, f, g1, g2):
     else:
         raise InconsistentField("boundary repair did not converge")
 
-    circle, why = cycle_walk({e: K.boundary(e) for e in bg.edges})
-    if circle is None:
-        raise NotSeparating("boundary is not a single circle: %s" % why)
+    circle, _ = cycle_walk({e: K.boundary(e) for e in bg.edges})
     _final_scan(K, V, region, circle)
     return K, V, circle, region
 
