@@ -13,6 +13,7 @@ assumed anywhere outside `build_simplicial`.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BadCellBoundary,
@@ -26,8 +27,11 @@ from .errors import (
     UnknownCell,
 )
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
+    """One cell: its id, its dimension and the ids of its codimension-1
+    faces.  An immutable record; cells compare and hash by all three
+    fields."""
+
     id: str
     dim: int
     boundary: frozenset
@@ -51,8 +55,8 @@ class Complex:
     and `split_cell` hands them on to the subdivided complex.  Surgeries
     never mutate a complex: `replace_cells` returns a new one,
     re-checking only the cells the edit touches and keeping the cached
-    closures it leaves intact, and `prefixed` carries the checked tables
-    over without re-checking.
+    closures it leaves intact, while `subcomplex` and `prefixed` carry
+    the checked tables over, filtered or renamed, without re-checking.
     """
 
     # the mod-2 Betti numbers, once morsefield has derived them from a
@@ -323,24 +327,29 @@ class Complex:
         new._validate_grading([cells[t] for t in sorted(near)]
                               + list(added.values()))
 
-        changed = {}  # face id -> (cells no longer on it, cells now on it)
+        lost = {}    # face id -> the cells no longer on it
+        gained = {}  # face id -> the cells now on it
         for cid in gone:
             if cid not in cells:
                 del cofaces[cid]
             kept = added[cid].boundary if cid in added else ()
             for fid in old[cid].boundary:
                 if fid not in kept:
-                    changed.setdefault(fid, (set(), set()))[0].add(cid)
+                    lost.setdefault(fid, []).append(cid)
         for cid, cell in added.items():
             cofaces.setdefault(cid, ())
             had = old[cid].boundary if cid in old else ()
             for fid in cell.boundary:
                 if fid not in had:
-                    changed.setdefault(fid, (set(), set()))[1].add(cid)
-        for fid, (lost, gained) in changed.items():
+                    gained.setdefault(fid, []).append(cid)
+        # filtering keeps a coface tuple sorted; a face that gains cells
+        # is sorted again, and every such face exists, as checked above
+        for fid, out in lost.items():
             if fid in cells:
-                cofaces[fid] = tuple(sorted(
-                    set(cofaces[fid]).difference(lost).union(gained)))
+                cofaces[fid] = tuple([t for t in cofaces[fid]
+                                      if t not in out])
+        for fid, into in gained.items():
+            cofaces[fid] = tuple(sorted((*cofaces[fid], *into)))
         new._cofaces = cofaces
 
         new._cycles = self._cycles.copy()
@@ -366,6 +375,41 @@ class Complex:
             for sid in stale:
                 closures.pop(sid, None)
         new._closures = closures
+        return new
+
+    def subcomplex(self, ids):
+        """The subcomplex on the cells `ids`, which must be closed under
+        faces; raises MissingFace naming the smallest missing face.
+
+        Nothing is re-checked.  The tables keep this complex's order and
+        are filtered down to `ids`: a coface tuple stays sorted, and the
+        2-cell walks and cached closures of the kept cells lie in `ids`
+        whole.  The result equals `Complex` built from the kept cells.
+        """
+        old = self.cells
+        ids = ids if isinstance(ids, (set, frozenset)) else set(ids)
+        unknown = [cid for cid in ids if cid not in old]
+        if unknown:
+            raise UnknownCell(min(unknown))
+        missing = {fid for cid in ids for fid in old[cid].boundary
+                   if fid not in ids}
+        if missing:
+            fid = min(missing)
+            cid = min(c for c in ids if fid in old[c].boundary)
+            raise MissingFace("cell %r lists missing face %r" % (cid, fid))
+        if not ids:
+            raise MissingFace("empty complex")
+        new = object.__new__(Complex)
+        new.cells = {cid: c for cid, c in old.items() if cid in ids}
+        new.top_dim = max(c.dim for c in new.cells.values())
+        cofaces = self._cofaces
+        new._cofaces = {cid: tuple([t for t in cofaces[cid] if t in ids])
+                        for cid in new.cells}
+        new._cycles = {cid: walk for cid, walk in self._cycles.items()
+                       if cid in ids}
+        new._closures = {cid: closure
+                         for cid, closure in self._closures.items()
+                         if cid in ids}
         return new
 
     def prefixed(self, prefix):

@@ -6,6 +6,7 @@ Diagnostics go to standard error, one violation per line.
 """
 
 import argparse
+import functools
 import sys
 
 from . import fixtures
@@ -169,7 +170,10 @@ def cmd_export(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(prog="dms")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -177,16 +181,13 @@ def build_parser():
     p.add_argument("--complex", required=True)
     p.add_argument("--field")
     p.add_argument("--function")
-    p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("betti")
     p.add_argument("--complex", required=True)
-    p.set_defaults(run=cmd_betti)
 
     p = sub.add_parser("critical")
     p.add_argument("--complex", required=True)
     p.add_argument("--field", required=True)
-    p.set_defaults(run=cmd_critical)
 
     p = sub.add_parser("compose")
     p.add_argument("--left", required=True)
@@ -194,7 +195,6 @@ def build_parser():
     p.add_argument("--right", required=True)
     p.add_argument("--right-function", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=cmd_compose)
 
     p = sub.add_parser("decompose")
     p.add_argument("--complex", required=True)
@@ -202,25 +202,25 @@ def build_parser():
     p.add_argument("--g1", type=int, required=True)
     p.add_argument("--g2", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser("fixture")
     p.add_argument("kind")
     p.add_argument("--out", required=True)
-    p.set_defaults(run=cmd_fixture)
 
     p = sub.add_parser("export")
     p.add_argument("--complex", required=True)
     p.add_argument("--format", choices=("off", "dot"), required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=cmd_export)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up on each call, so a rebinding of a cmd_* function (by a
+    # tracer, say) reaches the commands of the cached parser
+    run = globals()["cmd_" + args.command]
     try:
-        return args.run(args)
+        return run(args)
     except (ParseError, OSError) as err:
         _err("parse error: %s" % err)
         return EXIT_PARSE

@@ -41,6 +41,15 @@ class VectorField:
         self.pair_list = tuple(sorted((str(a), str(b)) for a, b in pairs))
         self._partner = None
 
+    @classmethod
+    def _of_sorted(cls, pair_list, partner=None):
+        """The field on `pair_list`, a tuple of pairs of str ids already
+        in sorted order, and `partner` its partner map if built."""
+        out = object.__new__(cls)
+        out.pair_list = pair_list
+        out._partner = partner
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -93,10 +102,7 @@ class VectorField:
                 else:
                     pm[a] = b
                     pm[b] = a
-        out = VectorField()
-        out.pair_list = tuple(pairs)
-        out._partner = pm
-        return out
+        return VectorField._of_sorted(tuple(pairs), pm)
 
 
 @dataclass(frozen=True)
@@ -197,14 +203,9 @@ def induced_field(K, f):
 def make_injective(K, f):
     """Injective values with the same induced field; strict comparisons
     of the input stay strict.  Values become consecutive integers."""
-    return _injective(K, f, induced_field(K, f))
-
-
-def _injective(K, f, V):
-    """make_injective for an f already known to induce V."""
     cells = K.cells
     values = f.values
-    pm = V.partner_map()
+    pm = induced_field(K, f).partner_map()
 
     def tie_rank(cid):
         partner = pm.get(cid)

@@ -33,7 +33,6 @@ from .morsefield import (
     MorseFunction,
     VectorField,
     _betti,
-    _injective,
     critical_cells,
     induced_field,
     synthesize_function,
@@ -111,15 +110,13 @@ def _edge_graph_components(K, edges):
 
 
 def _facet_components(K, facets, cut_edges):
-    """Components of `facets`, adjacent across edges not in cut_edges."""
-    adj = {t: [] for t in facets}
-    for e in K.cells_of_dim(1):
-        if e in cut_edges:
-            continue
-        ts = [t for t in K.cofaces(e) if t in adj]
-        if len(ts) == 2:
-            adj[ts[0]].append(ts[1])
-            adj[ts[1]].append(ts[0])
+    """Components of `facets`, adjacent across their own edges not in
+    cut_edges."""
+    cofaces = K.coface_table
+    adj = dict.fromkeys(facets)
+    for t in adj:
+        adj[t] = [o for e in K.cells[t].boundary if e not in cut_edges
+                  for o in cofaces[e] if o != t and o in adj]
     return components(adj, adj)
 
 
@@ -147,7 +144,14 @@ def _check_genera(g1, g2):
 
 def _split_edges(K, f, V, g1, g2):
     """select_split_edges for an f already known to induce V and checked
-    genera."""
+    genera.
+
+    The order is that of make_injective(K, f), which sorts the cells by
+    (f, tie rank, id).  Only the lower cell of an equal-valued pair has
+    a tie rank other than 0, so the unmatched critical edges all have
+    rank 0, and sorting them by (f, id) on f itself orders them the same
+    way without sorting the whole complex.
+    """
     crit = critical_cells(V, K)
     edges = list(crit.cells.get(1, ()))
     if len(edges) != 2 * (g1 + g2):
@@ -539,8 +543,7 @@ def find_separating_circle(K, f, g1, g2):
     m = critical_cells(V, K).m
     if m != _betti(K, V).b:
         raise NotPerfectInput(m)
-    # f and its injective copy induce the same V
-    low, high = _split_edges(K, _injective(K, f, V), V, g1, g2)
+    low, high = _split_edges(K, f, V, g1, g2)
 
     K, V, recs = separate_critical_cells(K, V)
     renames = {}
@@ -606,21 +609,27 @@ def _final_scan(K, V, region, circle):
 
 def split_along_circle(K, V, circle):
     """Cut the surface along the circle; each side keeps the circle cells
-    (with their ids) and the pairs internal to it."""
-    comps = _facet_components(K, K.cells_of_dim(2), set(circle[1::2]))
+    (with their ids) and the pairs internal to it.
+
+    The facets meet across their own edges off the circle.  A side is
+    its facets and the cells of their boundary walks, since every cell
+    of a closed surface lies on a facet, and it is cut out of K with
+    `subcomplex`; its field is V's sorted pair list filtered to it.
+    """
+    comps = _facet_components(
+        K, [t for t, c in K.cells.items() if c.dim == 2], set(circle[1::2]))
     if len(comps) != 2:
         raise NotSeparating("curve splits surface into %d parts" % len(comps))
 
-    pm = V.partner_map()
-    crit_vertex = [v for v in K.cells_of_dim(0) if v not in pm][0]
+    crit_vertex = critical_cells(V, K).cells[0][0]
 
     def build(comp):
-        ids = set()
+        ids = set(comp)
         for t in comp:
-            ids |= K.closure(t)
-        piece = K.replace_cells(remove=K.cells.keys() - ids)
-        pairs = [(a, b) for a, b in V.pairs() if a in ids and b in ids]
-        return piece, VectorField(pairs)
+            ids.update(K.boundary_cycle(t))
+        piece = K.subcomplex(ids)
+        pairs = tuple([p for p in V.pair_list if p[0] in ids and p[1] in ids])
+        return piece, VectorField._of_sorted(pairs)
 
     a, b = build(comps[0]), build(comps[1])
     if crit_vertex in a[0].cells and crit_vertex not in b[0].cells:
@@ -683,8 +692,7 @@ def cap_with_min_cone(piece, V, circle):
     if used != cone_ids:
         raise UnbalancedBoundaryCriticals(
             "cone cells left unmatched: %s" % sorted(cone_ids - used)[:4])
-    V2 = VectorField(list(V.pairs()) + new_pairs)
-    return capped, V2
+    return capped, V.replace(add=new_pairs)
 
 
 def cap_with_max_cone(piece, V, circle):
@@ -703,8 +711,7 @@ def cap_with_max_cone(piece, V, circle):
     for i in range(1, len(verts)):
         new_pairs.append(("cone:r:%s" % verts[i], "cone:t:%s" % edges[i]))
     # the triangle between r_0 and r_1 stays critical
-    V2 = VectorField(list(V.pairs()) + new_pairs)
-    return capped, V2
+    return capped, V.replace(add=new_pairs)
 
 
 def decompose(K, f, g1, g2):

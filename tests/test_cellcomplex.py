@@ -30,6 +30,8 @@ from dms.errors import (
     NotClosedSurface,
     UnknownCell,
 )
+from dms.fixtures import genus_surface
+from dms.splitter import _facet_components, find_separating_circle
 
 TORUS_FACETS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] \
     + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
@@ -317,6 +319,73 @@ def test_prefixed_matches_a_full_rebuild(tetra, torus, pillow_sphere,
             assert all(t is name[t] for t in P.cofaces(cid))
         for t in P.cells_of_dim(2):
             assert all(x is name[x] for x in P.boundary_cycle(t))
+
+
+def test_cell_is_an_immutable_record():
+    a = Cell("e0-1", 1, frozenset({"v0", "v1"}))
+    assert repr(a) == "Cell('e0-1', dim=1)"
+    assert (a.id, a.dim, a.boundary) == ("e0-1", 1, frozenset({"v0", "v1"}))
+    same = Cell(id="e0-1", dim=1, boundary=frozenset({"v1", "v0"}))
+    assert a == same and hash(a) == hash(same) and len({a, same}) == 1
+    for other in (Cell("e0-2", 1, a.boundary), Cell("e0-1", 2, a.boundary),
+                  Cell("e0-1", 1, frozenset({"v0", "v2"}))):
+        assert a != other and len({a, other}) == 2
+    with pytest.raises(AttributeError):
+        a.dim = 2
+    with pytest.raises(AttributeError):
+        a.tag = "cone"
+
+
+def separating_sides(K, f, g):
+    """The subdivided surface and the two sides of the circle that
+    decompose finds on the genus-g surface K under f at an even split,
+    each side the closure of its facets."""
+    K2, _, circle, _ = find_separating_circle(K, f, g // 2, g - g // 2)
+    sides = _facet_components(K2, K2.cells_of_dim(2), set(circle[1::2]))
+    assert len(sides) == 2
+    return K2, [frozenset().union(*(K2.closure(t) for t in side))
+                for side in sides]
+
+
+@pytest.mark.parametrize("genus", [2, 4])
+def test_subcomplex_matches_a_full_rebuild(genus, assert_same_complex):
+    K, f, _ = genus_surface(genus)
+    rng = random.Random(genus)
+    facets = K.cells_of_dim(2)
+    some = rng.sample(facets, len(facets) // 3)
+    for t in some[:5]:
+        K.closure(t)  # cached closures are carried over, filtered
+    id_sets = [
+        set(K.cells),
+        set().union(*(K.closure(t) for t in some)),
+        K.closed_star(K.cells_of_dim(0)[0]),
+        {cid for cid, c in K.cells.items() if c.dim < 2},
+        set(K.cells_of_dim(0)),
+    ]
+    cases = [(K, ids) for ids in id_sets]
+    K2, sides = separating_sides(K, f, genus)
+    cases += [(K2, ids) for ids in sides]
+    assert sides[0] & sides[1] and sides[0] | sides[1] == K2.cells.keys()
+    for L, ids in cases:
+        P = L.subcomplex(ids)
+        assert_same_complex(
+            P, Complex([c for cid, c in L.cells.items() if cid in ids]))
+    for P in (K2.subcomplex(ids) for ids in sides):
+        assert P.is_pseudomanifold is False
+        assert euler_characteristic(P) % 2 == 1
+
+
+def test_subcomplex_refuses_a_set_not_closed_under_faces(tetra):
+    every = set(tetra.cells)
+    with pytest.raises(MissingFace,
+                       match="cell 't0-1-2' lists missing face 'e0-1'"):
+        tetra.subcomplex(every - {"v0", "e0-1"})
+    with pytest.raises(MissingFace, match="missing face 'v3'"):
+        tetra.subcomplex(every - {"v3"})
+    with pytest.raises(MissingFace, match="empty complex"):
+        tetra.subcomplex(())
+    with pytest.raises(UnknownCell):
+        tetra.subcomplex(every | {"nothing"})
 
 
 # --- subdivisions and the closed-surface check ------------------------------

@@ -24,6 +24,7 @@ from dms.errors import (
 from dms.fixtures import genus_surface, tetrahedron, torus7, tree_cotree_field
 from dms.homology import betti_mod2
 from dms.morsefield import (
+    MorseFunction,
     VectorField,
     _check_function,
     critical_cells,
@@ -563,6 +564,46 @@ def golden_fields():
     for seed in range(9):
         V = tree_cotree_field(K, rng=random.Random(seed))
         yield K, seed, synthesize_function(K, V), 1 + seed % 3
+
+
+def level_function(K, V):
+    """A Morse function inducing the gradient V with many tied values:
+    each cell's value is the length of the longest chain of face
+    relations below it, a matched pair counting as one node."""
+    f = synthesize_function(K, V)
+    pm = V.partner_map()
+    level = {}
+    # faces come before their cofaces, and the lower cell of a pair first
+    for cid in sorted(K.cells, key=lambda c: (f[c], K.dim(c))):
+        if cid in level:
+            continue
+        node = (cid, pm[cid]) if cid in pm else (cid,)
+        below = [level[s] for c in node for s in K.boundary(c)
+                 if s not in node]
+        for c in node:
+            level[c] = float(1 + max(below, default=-1))
+    return MorseFunction(level)
+
+
+def test_split_edges_on_f_keep_the_injective_order():
+    # find_separating_circle orders the critical edges on f itself; the
+    # order must be the one make_injective(K, f) gives them, also when
+    # many critical edges share a value
+    cases = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
+    K = genus_surface(4)[0]
+    for seed in range(4):
+        V = tree_cotree_field(K, rng=random.Random(seed))
+        f = level_function(K, V)
+        assert induced_field(K, f) == V
+        cases += [(K, f, g1, 4 - g1) for g1 in range(5)]
+    tied = 0
+    for K, f, g1, g2 in cases:
+        V = induced_field(K, f)
+        assert splitter._split_edges(K, f, V, g1, g2) == \
+            splitter._split_edges(K, make_injective(K, f), V, g1, g2)
+        edges = critical_cells(V, K).cells[1]
+        tied += len(edges) - len({f[e] for e in edges})
+    assert tied >= 20
 
 
 def test_find_separating_circle_validates_once(spy):

@@ -7,7 +7,7 @@ import pytest
 
 import dms
 from dms.cellcomplex import Cell, build_simplicial, euler_characteristic
-from dms.cli import main
+from dms.cli import build_parser, main
 from dms.errors import Disconnected, ParseError, UnknownFixture
 from dms.fixtures import (
     fixture_complex,
@@ -390,6 +390,36 @@ def test_cli_entry_point():
                            "--complex", "/nonexistent.tri"],
                           capture_output=True, text=True)
     assert proc.returncode == 3
+
+
+def test_cli_main_reuses_its_parser(tmp_path, capsys):
+    # failing calls followed by successful ones in one process give the
+    # exit codes and stdout that each gives in a fresh process
+    t = str(tmp_path / "t")
+    argvs = [["betti"],
+             ["betti", "--complex", str(tmp_path / "missing.tri")],
+             ["fixture", "torus7", "--out", t],
+             ["betti", "--complex", t + ".tri"]]
+    here = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        here.append((code, capsys.readouterr().out))
+    assert build_parser() is build_parser()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dms.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "dms.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout))
+    assert here == fresh
+    assert [code for code, _ in here] == [2, 3, 0, 0]
+    assert here[3][1] == "1 2 1\n"
 
 
 def test_compose_and_decompose_do_not_load_numpy():
