@@ -421,15 +421,16 @@ class Complex:
         over as they are; nothing is re-checked.
         """
         name = {cid: prefix + cid for cid in self.cells}
+        rename = name.__getitem__
         new = object.__new__(Complex)
         new.cells = {
             name[cid]: Cell(name[cid], c.dim,
-                            frozenset([name[f] for f in c.boundary]))
+                            frozenset(map(rename, c.boundary)))
             for cid, c in self.cells.items()}
         new.top_dim = self.top_dim
-        new._cofaces = {name[cid]: tuple([name[t] for t in cof])
+        new._cofaces = {name[cid]: tuple(map(rename, cof))
                         for cid, cof in self._cofaces.items()}
-        new._cycles = {name[cid]: tuple([name[x] for x in walk])
+        new._cycles = {name[cid]: tuple(map(rename, walk))
                        for cid, walk in self._cycles.items()}
         new._closures = {}
         return new
@@ -457,7 +458,13 @@ class Complex:
             tc = self.cells[t]
             patched.append(
                 Cell(t, tc.dim, (tc.boundary - {old}) | halves))
-        new = self.replace_cells(remove=[old], add=new_cells + patched)
+        return self._subdivided(remove=[old], add=new_cells + patched)
+
+    def _subdivided(self, remove, add):
+        """replace_cells for an edit the caller knows to subdivide cells:
+        a subdivision keeps the homeomorphism type, so the result takes
+        over the flags that split_cell hands on."""
+        new = self.replace_cells(remove=remove, add=add)
         known = self.__dict__
         if "is_pseudomanifold" in known:
             new.is_pseudomanifold = known["is_pseudomanifold"]

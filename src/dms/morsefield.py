@@ -50,6 +50,16 @@ class VectorField:
         out._partner = partner
         return out
 
+    def _renamed(self, name):
+        """This field with every id x renamed to name[x], for a map that
+        keeps the sorted order of ids (a common prefix does): the pairs
+        need no sorting, and a partner map already built is renamed."""
+        pairs = tuple([(name[a], name[b]) for a, b in self.pair_list])
+        pm = self._partner
+        if pm is not None:
+            pm = {name[a]: name[b] for a, b in pm.items()}
+        return VectorField._of_sorted(pairs, pm)
+
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented

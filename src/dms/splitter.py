@@ -475,13 +475,17 @@ def resolve_wedge(K, V, region, bg, v):
 
 
 def _inward_violations(K, V, region, bg):
+    """Boundary vertices matched with a stray interior edge of the
+    region, each with that edge; an edge is interior when both of its
+    cofaces are region facets."""
     pm = V.partner_map()
-    _, interior = _boundary_and_interior(K, region.facets)
+    facets = region.facets
     out = []
     for x in sorted(_vertices(K, bg.edges)):
         p = pm.get(x)
-        if p is not None and K.dim(p) == 1 and p in interior \
-                and p not in region.path_edges and p not in region.high_edges:
+        if p is not None and K.dim(p) == 1 \
+                and p not in region.path_edges and p not in region.high_edges \
+                and sum(t in facets for t in K.cofaces(p)) == 2:
             out.append((x, p))
     return out
 

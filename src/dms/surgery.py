@@ -14,6 +14,7 @@ across per the piecewise rules.  Tube cells are `tube:<id>:top` and
 collar correspondents `inner:<id>`.
 """
 
+from collections import ChainMap
 from dataclasses import dataclass
 
 from .cellcomplex import (
@@ -35,6 +36,7 @@ from .errors import (
     NotTopCell,
     VertexNotOnCell,
 )
+from .homology import BettiVector
 from .morsefield import (
     MorseFunction,
     VectorField,
@@ -464,13 +466,13 @@ class ComposeReport:
 
 def _prefixed(K, V, f, prefix):
     """K, V and f with every id renamed to prefix + id.  The field and
-    the function reuse the complex's new id strings."""
+    the function reuse the complex's new id strings; a common prefix
+    keeps the sorted order of ids, so V's pairs are not sorted again."""
     Kp = K.prefixed(prefix)
     name = dict(zip(K.cells, Kp.cells))  # prefixed keeps the cell order
-    Vp = VectorField((name[a], name[b]) for a, b in V.pairs())
     fp = MorseFunction({name[cid] if cid in name else prefix + cid: val
                         for cid, val in f.values.items()})
-    return Kp, Vp, fp
+    return Kp, V._renamed(name), fp
 
 
 def _boundary_offenders(K, V, alpha):
@@ -527,12 +529,28 @@ def compose(M1, f1, M2, f2):
     non-critical top cell beta at the critical vertex of the second,
     inserts the product tube over the boundary of alpha, shrinks the
     closed star of beta, and glues; the combined field pairs every glued
-    boundary cell into its own prism.  The combined function is f1 on
-    the first side, f1 + C/2 on tube cells, and f2 + C beyond, with
-    C = f1(alpha) + 2.  If those literal values break the Morse
-    condition (possible when the input ranges overlap too much), both
-    inputs are replaced by order-isomorphic copies in [0, 1] and the
-    formula is re-applied; the report records this.
+    boundary cell into its own prism.  On a surface, the edges of
+    alpha's boundary that spoil the formula below are first cleared off
+    by bisections, and f1 is then resynthesized from the subdivided
+    field.  The combined function is f1 on the first side, f1 + C/2 on
+    tube cells, and f2 + C beyond, with C = f1(alpha) + 2.  If those
+    literal values break the Morse condition (possible when the input
+    ranges overlap too much), both inputs are replaced by
+    order-isomorphic copies in [0, 1] and the formula is re-applied;
+    the report records this.
+
+    The result's mod-2 Betti numbers are cached from Mayer-Vietoris
+    instead of being ranked.  Both inputs are closed pseudomanifolds,
+    checked perfect with one critical vertex, so connected.  In a
+    closed pseudomanifold the top cells sum to a mod-2 cycle, so the
+    sphere S bounding alpha also bounds the rest of that cycle, and
+    A = M1 - alpha has the Betti numbers of M1 less e_n; so does
+    B = M2 - beta'.  In the sequence of M = A u B along S, the map
+    H(S) -> H(A) + H(B) then kills the top class of S and embeds its
+    point class, so b(M) = b(M1) + b(M2) - e_0 - e_n (for n = 1 this
+    is a circle's, as it must be).  The glue changes the critical counts
+    by the same -e_0 - e_n, dropping alpha and the critical vertex of
+    the second summand, and `perfect` compares the counts with b(M).
     """
     if M1.top_dim != M2.top_dim:
         raise DimensionMismatch((M1.top_dim, M2.top_dim))
@@ -543,6 +561,7 @@ def compose(M1, f1, M2, f2):
                                     "pseudomanifold")
     V1 = induced_field(M1, f1)
     V2 = induced_field(M2, f2)
+    crits = []
     for K, V in ((M1, V1), (M2, V2)):
         crit = critical_cells(V, K)
         if crit.m != _betti(K, V).b:
@@ -550,11 +569,12 @@ def compose(M1, f1, M2, f2):
         if crit.m[0] > 1:  # a perfect field has b_0 critical vertices
             raise Disconnected("summand is not connected: critical "
                                "vertices %s" % ", ".join(crit.cells[0]))
+        crits.append(crit)
     K1, V1, f1w = _prefixed(M1, V1, f1, "m1:")
     K2, V2, f2w = _prefixed(M2, V2, f2, "m2:")
-
-    alpha = critical_cells(V1, K1).cells[n][0]
-    v2 = critical_cells(V2, K2).cells[0][0]
+    # a common prefix keeps the sorted order of ids
+    alpha = "m1:" + crits[0].cells[n][0]
+    v2 = "m2:" + crits[1].cells[0][0]
 
     clearing = 0
     resynth = False
@@ -575,19 +595,14 @@ def compose(M1, f1, M2, f2):
     K2 = ic.complex
     pairs2 = [(ic.correspondence.get(a, a), ic.correspondence.get(b, b))
               for a, b in V2.pairs()]
-    V2 = VectorField(pairs2)
 
     # glue interface: boundary of the shrunken cell vs the tube top
     bprime = ic.beta_prime
-    bprime_cells = K2.closure(bprime) - {bprime}
     tube = build_prism_over_boundary(K1, alpha)
     if n == 2:
-        k_top = len(K1.cell(alpha).boundary)
-        while len([c for c in bprime_cells if K2.dim(c) == 1]) < k_top:
-            # the new cells are glued away, so they stay unmatched
-            e = min(c for c in bprime_cells if K2.dim(c) == 1)
-            K2, _ = _split_edge(K2, e, min(K2.boundary(e)))
-            bprime_cells = K2.closure(bprime) - {bprime}
+        # the new cells are glued away, so they stay unmatched
+        K2 = _split_smallest_edges(K2, bprime,
+                                   len(K1.cell(alpha).boundary))
         glue = _surface_glue_map(K1, K2, alpha, bprime, tube.top)
     else:
         glue = _simplex_glue_map(K1, K2, bprime, tube.top)
@@ -595,7 +610,7 @@ def compose(M1, f1, M2, f2):
     # one edit of the first summand: alpha goes, and the second summand
     # comes in without the shrunken cell and its boundary, the cells on
     # that boundary re-glued onto the tube top, then the tube
-    dropped = bprime_cells | {bprime}
+    dropped = K2.closure(bprime)
     glued = []
     for cid, c in K2.cells.items():
         if cid in dropped:
@@ -609,27 +624,7 @@ def compose(M1, f1, M2, f2):
     pairs = list(V1.pairs())
     pairs.extend((tube.top[cid], tube.prism[cid]) for cid in tube.base_cells)
     pairs.extend(pairs2)
-    V = VectorField(pairs)
-
-    def assemble_function(f1v, f2v):
-        C = f1v[alpha] + 2.0
-        values = {}
-        for cid in K1.cells:
-            if cid == alpha:
-                continue
-            values[cid] = f1v[cid]
-        for cid in tube.base_cells:
-            values[tube.top[cid]] = f1v[cid] + C / 2.0
-            values[tube.prism[cid]] = f1v[cid] + C / 2.0
-        preimage = {}
-        for orig, corr in ic.correspondence.items():
-            preimage[corr] = orig
-        for cid in M.cells:
-            if cid in values:
-                continue
-            src = preimage.get(cid, cid)
-            values[cid] = f2v[src] + C
-        return MorseFunction(values), C
+    V = VectorField._of_sorted(tuple(sorted(pairs)))
 
     # Only these cells can break the Morse condition or pair differently
     # than V: the tube and the second summand are new, and alpha's
@@ -638,14 +633,32 @@ def compose(M1, f1, M2, f2):
     # order-preserving map of f1w, which is valid and induces V1 on K1.
     touched = [c.id for c in (*glued, *tube.new_cells)]
     touched.extend(tube.base_cells)
-    f, C = assemble_function(f1w, f2w)
-    freport, fpairs = _check_function(M, f, touched)
+    preimage = {corr: orig for orig, corr in ic.correspondence.items()}
+
+    def assemble(f1v, f2v):
+        """The values on the tube and the second summand, C, and the
+        verdict and induced pairs on the touched cells of the function
+        they make with f1v, read through a ChainMap."""
+        C = f1v[alpha] + 2.0
+        values = {}
+        for cid in tube.base_cells:
+            values[tube.top[cid]] = f1v[cid] + C / 2.0
+            values[tube.prism[cid]] = f1v[cid] + C / 2.0
+        for c in glued:
+            values[c.id] = f2v[preimage.get(c.id, c.id)] + C
+        f = MorseFunction(ChainMap(values, f1v.values))
+        return (values, C, *_check_function(M, f, touched))
+
+    values, C, freport, fpairs = assemble(f1w, f2w)
     rescaled = not freport.ok
     if rescaled:
         f1w = _rank_rescale(f1w)
         f2w = _rank_rescale(f2w)
-        f, C = assemble_function(f1w, f2w)
-        freport, fpairs = _check_function(M, f, touched)
+        values, C, freport, fpairs = assemble(f1w, f2w)
+    f1v = f1w.values
+    full = {cid: f1v[cid] for cid in K1.cells if cid != alpha}
+    full.update(values)
+    f = MorseFunction(full)
     touched = set(touched)
     # a valid function inducing V makes V a gradient field
     induces_V = freport.ok and sorted(fpairs) == [
@@ -654,7 +667,11 @@ def compose(M1, f1, M2, f2):
     counts = critical_cells(V, M)
     chi = euler_characteristic(M)
     chi_sphere = 2 if n % 2 == 0 else 0
-    if chi != euler_characteristic(M1) + euler_characteristic(M2) - chi_sphere:
+    # a matching pairs cells of adjacent dimensions, so the alternating
+    # sum of the inputs' critical counts is the sum of their chi
+    chi_inputs = sum((-1) ** p * (m1 + m2) for p, (m1, m2)
+                     in enumerate(zip(crits[0].m, crits[1].m)))
+    if chi != chi_inputs - chi_sphere:
         raise InconsistentField("Euler characteristic drifted in compose")
     if not induces_V:
         vreport = validate_field(M, V)
@@ -663,8 +680,11 @@ def compose(M1, f1, M2, f2):
         if freport.ok:
             raise InconsistentField(
                 "composed function induces a different field")
+    M._betti = BettiVector(tuple(
+        b1 + b2 - (p == 0) - (p == n)
+        for p, (b1, b2) in enumerate(zip(M1._betti.b, M2._betti.b))))
     report = ComposeReport(
-        chi=chi, counts=counts.m, perfect=counts.m == _betti(M, V).b,
+        chi=chi, counts=counts.m, perfect=counts.m == M._betti.b,
         function_valid=freport.ok, constant=C, rescaled=rescaled,
         resynthesized_left=resynth, alpha=alpha, beta=beta,
         boundary_clearing_steps=clearing,
@@ -715,6 +735,41 @@ def _choose_beta(K2, V2, v2):
         if good:
             return K2, V2, good[0], steps
     raise NoEligibleBeta("could not cut an eligible cell at %r" % v2)
+
+
+def _split_smallest_edges(K, t, k):
+    """K with the smallest edge of 2-cell t split, from its smaller
+    endpoint, until t has k edges: the cells that as many _split_edge
+    calls in turn would make, in one edit that hands on the flags as
+    split_cell does."""
+    cells = K.cells
+    ends = {e: cells[e].boundary for e in cells[t].boundary}
+    made = {}    # the new cells by id, in the order the splits make them
+    origin = {}  # each new edge -> the edge of K it lies in
+    while len(ends) < k:
+        e = min(ends)
+        a, b = sorted(ends.pop(e))
+        w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
+        made.pop(e, None)
+        origin[e1] = origin[e2] = origin.pop(e, e)
+        made[w] = Cell(w, 0, frozenset())
+        for half, end in ((e1, a), (e2, b)):
+            made[half] = Cell(half, 1, frozenset({end, w}))
+            ends[half] = made[half].boundary
+    if not made:
+        return K
+    parts = {}  # each split edge of K -> the edges it became
+    for x, e in origin.items():
+        parts.setdefault(e, set()).add(x)
+    patched = []
+    for c in sorted({c for e in parts for c in K.cofaces(e)}):
+        bnd = set(cells[c].boundary)
+        for e, into in parts.items():
+            if e in bnd:
+                bnd.remove(e)
+                bnd |= into
+        patched.append(Cell(c, cells[c].dim, frozenset(bnd)))
+    return K._subdivided(remove=list(parts), add=[*made.values(), *patched])
 
 
 def _surface_glue_map(K1, K2, alpha, bprime, top):

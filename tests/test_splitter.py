@@ -364,6 +364,46 @@ def test_excavate_stray_on_annulus():
 # --- the full driver ---------------------------------------------------------
 
 
+def oracle_inward_violations(K, V, region, bg):
+    """_inward_violations with the interior edges found by counting the
+    edges of every region facet."""
+    pm = V.partner_map()
+    _, interior = _boundary_and_interior(K, region.facets)
+    kept = region.path_edges | region.high_edges
+    return [(x, pm[x]) for x in sorted(splitter._vertices(K, bg.edges))
+            if x in pm and K.dim(pm[x]) == 1 and pm[x] in interior
+            and pm[x] not in kept]
+
+
+def test_inward_violations_match_the_region_wide_count(monkeypatch):
+    inward = splitter._inward_violations
+    found = Counter()
+
+    def checked(K, V, region, bg):
+        out = inward(K, V, region, bg)
+        assert out == oracle_inward_violations(K, V, region, bg)
+        found[bool(out)] += 1
+        return out
+
+    monkeypatch.setattr(splitter, "_inward_violations", checked)
+    # the golden fields, and the few seeded fields known to meet an
+    # inward arrow in the repair loop
+    fields = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
+    K = build_simplicial(flip_edges(glued_genus2_facets(), 60, 1))
+    for seed in range(10):
+        V = tree_cotree_field(K, rng=random.Random(seed))
+        fields.append((K, synthesize_function(K, V), 1, 1))
+    K = genus_surface(6)[0]
+    V = tree_cotree_field(K, rng=random.Random(9))
+    fields.append((K, synthesize_function(K, V), 1, 5))
+    for K, f, g1, g2 in fields:
+        try:
+            find_separating_circle(K, f, g1, g2)
+        except DmsError:
+            pass
+    assert found[True] >= 3 and found[False]
+
+
 def test_repair_loop_meets_no_stray_arc_and_no_pocket(monkeypatch):
     # oracles for the proofs in find_separating_circle's docstring:
     # wherever no arrow points into the region, no stray chain joins two

@@ -22,6 +22,7 @@ from dms.fixtures import genus_surface, random_valid_field, tetrahedron, \
     torus7, tree_cotree_field
 from dms.homology import betti_mod2
 from dms.morsefield import (
+    MorseFunction,
     VectorField,
     _check_function,
     critical_cells,
@@ -522,9 +523,10 @@ def test_compose_rescale_fallback(torus, torus_function):
 
 def test_compose_checks_each_structure_once(spy):
     # inputs: one whole-complex function check each; the result: one
-    # local function check per assembled function; every complex is
-    # ranked once in its life, so a chained left summand is not ranked
-    # again
+    # local function check per assembled function; only the inputs are
+    # ranked, each once in its life: a compose result has its Betti
+    # numbers cached from Mayer-Vietoris, so neither it nor a chained
+    # left summand is ranked
     bettis = spy(betti_mod2)
     ranked = spy(morse_betti)
     checks = spy(_check_function)
@@ -541,12 +543,43 @@ def test_compose_checks_each_structure_once(spy):
         assert len(local) == (2 if rep.rescaled else 1)
         for M, _, ids in local:
             assert M is K and len(set(ids)) == len(ids) < len(K.cells)
-        assert [args[0] for args in ranked][-2:] == [T, K]
-        assert len(ranked) == (3 if seed == 101 else 2)
+        assert [args[0] for args in ranked] == (
+            [left, T] if seed == 101 else [T])
         seen.extend(args[0] for args in ranked)
         paths.add(rep.rescaled)
     assert bettis == []
     assert len(set(map(id, seen))) == len(seen)
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cached_betti_of_a_compose_chain_is_the_homology(seed):
+    # b(M1) + b(M2) - e_0 - e_n, cached by compose, against both rankings
+    rng = random.Random(seed)
+    T = torus7()
+    K, f = T, synthesize_function(T, tree_cotree_field(T, rng=rng))
+    for genus in range(2, 9):
+        T = torus7()
+        ft = synthesize_function(T, tree_cotree_field(T, rng=rng))
+        K, f, V, rep = compose(K, f, T, ft)
+        assert K._betti == betti_mod2(K) == morse_betti(K, V)
+        assert K._betti.b == (1, 2 * genus, 1) and rep.perfect
+
+
+def test_cached_betti_in_dimension_three(sphere3, collapse_field):
+    # chains of n = 3 composes, each with second summands unshifted or
+    # under a shift that forces the rescaled path
+    S = sphere3()
+    f = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
+    shifted = MorseFunction({cid: v - 1000.0 for cid, v in f.values.items()})
+    paths = set()
+    for f2 in (f, shifted):
+        M, fc = S, f
+        for _ in range(3):
+            M, fc, Vc, rep = compose(M, fc, sphere3(), f2)
+            assert M._betti == betti_mod2(M) == morse_betti(M, Vc)
+            assert M._betti.b == (1, 0, 0, 1) and rep.perfect
+            paths.add(rep.rescaled)
     assert paths == {False, True}
 
 
@@ -627,3 +660,59 @@ def test_compose_builds_no_complex_from_scratch(monkeypatch, sphere3,
     assert rep.boundary_clearing_steps and rep.perfect
     M, _, _, rep = compose(S, fs, S2, fs)
     assert M.top_dim == 3 and rep.perfect
+
+
+def sequential_split_smallest_edges(K, t, k):
+    """The loop _split_smallest_edges replaced: split the smallest edge
+    of 2-cell t from its smaller endpoint, one edit per split, until t
+    has k edges."""
+    while len(K.boundary(t)) < k:
+        e = min(K.boundary(t))
+        K, _ = surgery._split_edge(K, e, min(K.boundary(e)))
+    return K
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 13])
+def test_one_edit_equalisation_matches_the_sequential_splits(
+        k, assert_same_complex):
+    T = torus7()
+    ic = shrink_closed_star(T, "t0-1-3", "v0")
+    for K, t in ((T, "t0-1-3"), (ic.complex, ic.beta_prime)):
+        assert K.is_closed_surface  # computed, so both hand it on
+        one = surgery._split_smallest_edges(K, t, k)
+        seq = sequential_split_smallest_edges(K, t, k)
+        assert_same_complex(one, seq)
+        assert_same_complex(one, Complex(one.cells.values()))
+        assert len(one.boundary(t)) == max(k, 3)
+        for flag in ("is_pseudomanifold", "_surface_defect"):
+            assert flag in one.__dict__ and flag in seq.__dict__
+            assert one.__dict__[flag] == seq.__dict__[flag]
+
+
+def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
+    # two edits per clearing step, one per corner cut for beta, and the
+    # shrink, the equalisation and the glue once each, while the glued
+    # cycle grows with the genus; the one-by-one splits took an edit for
+    # each of its sides past three
+    edit = Complex.replace_cells
+    edits = []
+
+    def counted(self, *args, **kwargs):
+        edits.append(self)
+        return edit(self, *args, **kwargs)
+
+    monkeypatch.setattr(Complex, "replace_cells", counted)
+    K, f = seeded_torus(200)
+    cycles, counts = [], []
+    for seed in range(201, 210):
+        T, ft = seeded_torus(seed)
+        del edits[:]
+        K, f, V, rep = compose(K, f, T, ft)
+        equalised = rep.glue_cycle_length > 3
+        assert len(edits) == (2 * rep.boundary_clearing_steps
+                              + ("~b" in rep.beta) + 2 + equalised)
+        cycles.append(rep.glue_cycle_length)
+        counts.append(len(edits))
+    assert verify_closed_surface(K).genus == 10
+    assert cycles == sorted(cycles) and cycles[-1] > 10
+    assert len(set(counts[1:])) == 1
