@@ -11,6 +11,7 @@ Vertices are `v{i}`, edges `e{i}-{j}` with i < j and triangles
 assumed anywhere outside `build_simplicial`.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -51,9 +52,9 @@ class Complex:
 
     Construction validates grading, closure and (for 2-cells) that the
     edge boundary is a single cycle in which no vertex repeats.  The
-    pseudomanifold and closed-surface flags are computed on first use,
-    and `split_cell` hands them on to the subdivided complex.  Surgeries
-    never mutate a complex: `replace_cells` returns a new one,
+    pseudomanifold flag and the closed-surface answer are computed on
+    first use, and `split_cell` hands them on to the subdivided complex.
+    Surgeries never mutate a complex: `replace_cells` returns a new one,
     re-checking only the cells the edit touches and keeping the cached
     closures it leaves intact, while `subcomplex` and `prefixed` carry
     the checked tables over, filtered or renamed, without re-checking.
@@ -73,44 +74,47 @@ class Complex:
         if not self.cells:
             raise MissingFace("empty complex")
         self.top_dim = max(c.dim for c in self.cells.values())
-        self._validate_grading(self.cells.values())
-        self._cofaces = self._build_cofaces()
+        cofaces = {cid: [] for cid in self.cells}
+        self._validate_grading(self.cells.values(), cofaces)
+        # each list holds its cofaces in the order the cells were given,
+        # which is id order for a file that write_cwp wrote
+        ids = list(cofaces)
+        if ids == sorted(ids):
+            self._cofaces = {cid: tuple(c) for cid, c in cofaces.items()}
+        else:
+            self._cofaces = {cid: tuple(sorted(c))
+                             for cid, c in cofaces.items()}
         self._cycles = {}
         self._walk_cycles(cid for cid, c in self.cells.items() if c.dim == 2)
         self._closures = {}
 
     # ---- validation ----------------------------------------------------
 
-    def _validate_grading(self, checked):
-        """Check the grading of the cells `checked` against self.cells."""
+    def _validate_grading(self, checked, cofaces):
+        """Check the grading of the cells `checked` against self.cells,
+        in the order given, and append each checked cell's id to the
+        `cofaces` list of each of its faces."""
         cells = self.cells
-        for cell in checked:
-            cid = cell.id
-            if cell.dim < 0:
+        for cid, dim, boundary in checked:
+            if dim < 0:
                 raise BadDimensionDrop("cell %r has negative dimension" % cid)
-            if cell.dim == 0 and cell.boundary:
+            if dim == 0 and boundary:
                 raise BadDimensionDrop("vertex %r has a boundary" % cid)
-            for fid in cell.boundary:
+            for fid in boundary:
                 face = cells.get(fid)
                 if face is None:
                     raise MissingFace("cell %r lists missing face %r" % (cid, fid))
-                if face.dim != cell.dim - 1:
+                if face.dim != dim - 1:
                     raise BadDimensionDrop(
                         "cell %r (dim %d) lists face %r (dim %d)"
-                        % (cid, cell.dim, fid, face.dim))
-            if cell.dim == 1 and len(cell.boundary) != 2:
+                        % (cid, dim, fid, face.dim))
+                cofaces[fid].append(cid)
+            if dim == 1 and len(boundary) != 2:
                 raise BadCellBoundary(
                     "edge %r must have exactly 2 endpoints" % cid)
-            if cell.dim >= 1 and not cell.boundary:
+            if dim >= 1 and not boundary:
                 raise BadCellBoundary("cell %r of dim %d has empty boundary"
-                                      % (cid, cell.dim))
-
-    def _build_cofaces(self):
-        cof = {cid: [] for cid in self.cells}
-        for cid in sorted(self.cells):
-            for fid in sorted(self.cells[cid].boundary):
-                cof[fid].append(cid)
-        return {cid: tuple(ids) for cid, ids in cof.items()}
+                                      % (cid, dim))
 
     def _walk_cycles(self, ids):
         """Store the boundary walk of each 2-cell in `ids`."""
@@ -140,44 +144,20 @@ class Complex:
                    for cid, cell in self.cells.items() if cell.dim == n - 1)
 
     @cached_property
-    def _surface_defect(self):
-        """Why this is not a closed surface, or None.  The checks run in
-        order: top dimension 2, connected, two cofaces on every edge, one
-        cycle as every vertex link; a failing one names its smallest
-        offending cell."""
-        if self.top_dim != 2:
-            return "top dimension is %d" % self.top_dim
-        if not self.is_connected():
-            return "complex is not connected"
-        if not self.is_pseudomanifold:
-            cofaces = self._cofaces
-            eid = min(cid for cid, cell in self.cells.items()
-                      if cell.dim == 1 and len(cofaces[cid]) != 2)
-            return "edge %s has %d cofaces" % (eid, len(cofaces[eid]))
-        bad = [cid for cid, cell in self.cells.items()
-               if cell.dim == 0 and self.link_cycle(cid) is None]
-        if bad:
-            return "vertex %s link is not a single cycle" % min(bad)
-        return None
-
-    @cached_property
     def _surface_info(self):
         """verify_closed_surface's answer: a SurfaceInfo, or the message
-        of the NotClosedSurface it raises."""
-        if self._surface_defect is not None:
-            return self._surface_defect
-        if not _orientation_ok(self):
-            return SurfaceInfo(genus=None, orientable=False)
-        chi = euler_characteristic(self)
-        if chi % 2 != 0 or chi > 2:
-            return "impossible Euler characteristic %d" % chi
-        return SurfaceInfo(genus=(2 - chi) // 2, orientable=True)
+        of the NotClosedSurface it raises.  The pass also settles
+        is_pseudomanifold once it has seen every edge."""
+        answer, pseudomanifold = _surface_scan(self)
+        if pseudomanifold is not None:
+            self.is_pseudomanifold = pseudomanifold
+        return answer
 
     @property
     def is_closed_surface(self):
         """A connected 2-dimensional pseudomanifold in which the link of
         every vertex is one cycle."""
-        return self._surface_defect is None
+        return not isinstance(self._surface_info, str)
 
     # ---- queries --------------------------------------------------------
 
@@ -266,12 +246,6 @@ class Complex:
     def vertices_of(self, cid):
         return sorted(x for x in self.closure(cid) if self.cells[x].dim == 0)
 
-    def is_connected(self):
-        cofaces = self._cofaces
-        return len(components(self.cells, {
-            cid: (*cell.boundary, *cofaces[cid])
-            for cid, cell in self.cells.items()})) == 1
-
     def link_cycle(self, vid):
         """Rotation [e0, t0, e1, t1, ...] of the edges and 2-cells around
         vertex vid, starting at its smallest edge and that edge's
@@ -324,8 +298,9 @@ class Complex:
             new.top_dim = max(c.dim for c in cells.values())
         cofaces = self._cofaces.copy()
         near = {t for cid in gone for t in cofaces[cid]}.difference(gone)
+        # the coface lists are patched below, from what the edit changed
         new._validate_grading([cells[t] for t in sorted(near)]
-                              + list(added.values()))
+                              + list(added.values()), defaultdict(list))
 
         lost = {}    # face id -> the cells no longer on it
         gained = {}  # face id -> the cells now on it
@@ -445,8 +420,9 @@ class Complex:
         and together list exactly old's boundary.  Any other edit raises
         BadCellBoundary.  A subdivision keeps the homeomorphism type, so
         the result takes over the parent's computed is_pseudomanifold
-        and a closed-surface verdict that found no defect (a defect names
-        a cell, which the split may have renamed).
+        and a closed-surface answer that found no defect, genus and
+        orientability included (a defect names a cell, which the split
+        may have renamed).
         """
         new_cells = list(new_cells)
         why = self._subdivision_defect(self.cell(old), new_cells, halves)
@@ -468,8 +444,8 @@ class Complex:
         known = self.__dict__
         if "is_pseudomanifold" in known:
             new.is_pseudomanifold = known["is_pseudomanifold"]
-        if "_surface_defect" in known and known["_surface_defect"] is None:
-            new._surface_defect = None
+        if isinstance(known.get("_surface_info"), SurfaceInfo):
+            new._surface_info = known["_surface_info"]
         return new
 
     def _subdivision_defect(self, cell, new_cells, halves):
@@ -552,15 +528,19 @@ def cycle_walk(ends):
     at = {}
     for item, pair in ends.items():
         for end in pair:
-            at.setdefault(end, []).append(item)
+            if end in at:
+                at[end].append(item)
+            else:
+                at[end] = [item]
     if not at:
         return None, "no items"
-    bad = [end for end, items in at.items() if len(items) != 2]
-    if bad:
-        end = min(bad)
-        return None, "%r lies on %d items" % (end, len(at[end]))
+    for items in at.values():
+        if len(items) != 2:
+            end = min(end for end, items in at.items() if len(items) != 2)
+            return None, "%r lies on %d items" % (end, len(at[end]))
     start = min(at)
-    item = min(at[start])
+    x, y = at[start]
+    item = x if x < y else y
     walk = [start, item]
     end = start
     while True:
@@ -669,36 +649,96 @@ def local_neighborhood(K, cid):
     return star, link
 
 
-def _orientation_ok(K):
-    """Propagate coherent 2-cell orientations; False on conflict."""
-    direction = {}  # 2-cell id -> dict edge -> (from_vertex, to_vertex)
-    for tid in K.cells_of_dim(2):
-        walk = K.boundary_cycle(tid)
-        m = len(walk) // 2
-        direction[tid] = {
-            walk[2 * i + 1]: (walk[2 * i], walk[(2 * i + 2) % (2 * m)])
-            for i in range(m)}
-    sign = {}
-    for start in K.cells_of_dim(2):
-        if start in sign:
-            continue
-        sign[start] = 1
-        frontier = [start]
-        while frontier:
-            t = frontier.pop()
-            for eid in K.cells[t].boundary:
-                for other in K.cofaces(eid):
-                    if other == t:
-                        continue
-                    # coherent: shared edge traversed in opposite senses
-                    same = direction[t][eid] == direction[other][eid]
-                    want = -sign[t] if same else sign[t]
-                    if other not in sign:
-                        sign[other] = want
-                        frontier.append(other)
-                    elif sign[other] != want:
-                        return False
-    return True
+def _surface_scan(K):
+    """verify_closed_surface's answer, derived in one pass over the
+    coface table and the stored 2-cell walks: a SurfaceInfo, or the
+    message of the NotClosedSurface it raises, and K.is_pseudomanifold,
+    or None when the pass did not reach every edge.
+
+    The checks report in order: top dimension 2, connected, two cofaces
+    on every edge, one cycle as every vertex link, orientable, a
+    possible Euler characteristic; a failing one names its smallest
+    offending cell.
+
+    One depth-first search runs over the vertices and edges.  Each edge
+    and 2-cell lies on a vertex, so the complex is connected exactly
+    when the search reaches every vertex and edge.  At each vertex v
+    the search checks the cofaces of the edges at v and then walks v's
+    link.  The walk starts at the edge the search arrived by.  In each
+    2-cell t around v, the stored walk of t gives the other edge at v,
+    and the walk crosses that edge into its other coface.  The link is
+    one cycle when the walk returns to its first edge after visiting
+    every edge at v.  On the way, the walk carries a sign for each
+    2-cell across every edge it crosses: a neighbour that runs through
+    the shared edge in the same sense gets the opposite sign.  Every
+    edge gets crossed, and the signs disagree somewhere exactly when
+    the surface is not orientable.  The first edge's coface already has
+    a sign, from the walk at the vertex the search came from.
+    """
+    if K.top_dim != 2:
+        return "top dimension is %d" % K.top_dim, None
+    cells, cofaces, walks = K.cells, K._cofaces, K._cycles
+    start = next(iter(walks.values()))[0]
+    via = {start: None}  # vertex -> the edge the search reached it by
+    stack = [start]
+    incidences = 0  # edge ends at the vertices reached
+    bad_edges = []
+    bad_links = []
+    sign = {}  # 2-cell -> +1 or -1; None once they disagree or a link fails
+    while stack:
+        v = stack.pop()
+        edges = cofaces[v]
+        incidences += len(edges)
+        for e in edges:
+            if len(cofaces[e]) != 2:
+                bad_edges.append(e)
+            a, b = cells[e].boundary
+            w = b if a == v else a
+            if w not in via:
+                via[w] = e
+                stack.append(w)
+        if bad_edges:
+            continue  # the links need two cofaces on every edge
+        e0 = edges[0] if v == start else via[v]
+        e, t = e0, cofaces[e0][0]
+        if sign is not None:
+            s = sign.setdefault(t, 1)
+        steps = 0
+        while True:
+            walk = walks[t]
+            i = walk.index(v)
+            # whether t runs through e away from v
+            enters_out = e == walk[i + 1]
+            if steps and sign is not None:
+                want = s if enters_out != leaves_out else -s
+                if sign.setdefault(t, want) != want:
+                    sign = None
+                s = want
+            if steps and e == e0:
+                break
+            steps += 1
+            e = walk[i - 1] if enters_out else walk[i + 1]
+            leaves_out = not enters_out
+            a, b = cofaces[e]
+            t = b if a == t else a
+        if steps != len(edges):
+            bad_links.append(v)
+            sign = None
+    n_edges = incidences // 2
+    if len(via) + n_edges + len(walks) != len(cells):
+        return "complex is not connected", None
+    if bad_edges:
+        eid = min(bad_edges)
+        return "edge %s has %d cofaces" % (eid, len(cofaces[eid])), False
+    if bad_links:
+        return ("vertex %s link is not a single cycle" % min(bad_links),
+                True)
+    if sign is None:
+        return SurfaceInfo(genus=None, orientable=False), True
+    chi = len(via) - n_edges + len(walks)
+    if chi % 2 != 0 or chi > 2:
+        return "impossible Euler characteristic %d" % chi, True
+    return SurfaceInfo(genus=(2 - chi) // 2, orientable=True), True
 
 
 def verify_closed_surface(K):

@@ -1,8 +1,9 @@
 """Text formats: TRI (facet lists), CWP (cell/boundary records), DVF
 (vector fields), DMF (function values), plus OFF/DOT export.
 
-All files are UTF-8 with LF line endings; `#` starts a comment.  Writers
-emit cells in sorted id order so outputs are byte-reproducible.
+All files are UTF-8 and `#` starts a comment.  Writers end lines with
+LF and emit cells in sorted id order, so outputs are byte-reproducible;
+readers also take CRLF line ends, and every parse error names its line.
 """
 
 import json
@@ -18,11 +19,21 @@ from .errors import ParseError
 from .morsefield import MorseFunction, VectorField
 
 
-def _lines(text):
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield ln, line
+def _tokens(text):
+    """(line number, fields) of every line with a field on it.  A line
+    is cut at its first `#`, when it has one, and split once."""
+    for ln, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        parts = line.split()
+        if parts:
+            yield ln, parts
+
+
+def _repeat(ln, directive, cid, first):
+    """The ParseError for line ln giving `directive` for cid again."""
+    return ParseError("line %d: %s %r repeats line %d"
+                      % (ln, directive, cid, first))
 
 
 # --- TRI ---------------------------------------------------------------------
@@ -31,8 +42,7 @@ def _lines(text):
 def parse_tri(text, closed=True):
     header = None
     facets = []
-    for ln, line in _lines(text):
-        parts = line.split()
+    for ln, parts in _tokens(text):
         if parts[0] == "tri":
             if header is not None:
                 raise ParseError("line %d: duplicate header" % ln)
@@ -84,50 +94,45 @@ def _tri_index(vid):
 # --- CWP ---------------------------------------------------------------------
 
 
-def _once(seen, directive, cid, ln):
-    """Record that line ln gives `directive` for cid; ParseError naming
-    both lines if an earlier line already did."""
-    first = seen.setdefault((directive, cid), ln)
-    if first != ln:
-        raise ParseError("line %d: %s %r repeats line %d"
-                         % (ln, directive, cid, first))
-
-
 def parse_cwp(text):
     dims = {}
     bnds = {}
-    seen = {}
-    for ln, line in _lines(text):
-        parts = line.split()
+    cell_at = {}  # cell id -> the line of its cell record
+    bnd_at = {}   # cell id -> the line of its bnd record
+    for ln, parts in _tokens(text):
         if parts[0] == "cell":
             if len(parts) != 3:
                 raise ParseError("line %d: cell needs id and dim" % ln)
-            _once(seen, "cell", parts[1], ln)
+            cid = parts[1]
+            if cid in cell_at:
+                raise _repeat(ln, "cell", cid, cell_at[cid])
+            cell_at[cid] = ln
             try:
-                dims[parts[1]] = int(parts[2])
+                dims[cid] = int(parts[2])
             except ValueError:
                 raise ParseError("line %d: bad dimension" % ln)
         elif parts[0] == "bnd":
             if len(parts) < 2:
                 raise ParseError("line %d: bnd needs a cell id" % ln)
-            _once(seen, "bnd", parts[1], ln)
-            bnds[parts[1]] = parts[2:]
+            cid = parts[1]
+            if cid in bnd_at:
+                raise _repeat(ln, "bnd", cid, bnd_at[cid])
+            bnd_at[cid] = ln
+            bnds[cid] = parts[2:]
         else:
             raise ParseError("line %d: unknown directive %r" % (ln, parts[0]))
     for cid in bnds:
         if cid not in dims:
             raise ParseError("bnd for undeclared cell %r" % cid)
-    cells = [Cell(cid, dim, frozenset(bnds.get(cid, [])))
-             for cid, dim in dims.items()]
-    return Complex(cells)
+    return Complex([Cell(cid, dim, frozenset(bnds.get(cid, ())))
+                    for cid, dim in dims.items()])
 
 
 def write_cwp(K):
-    out = []
-    for cid, cell in sorted(K.cells.items()):
-        out.append("cell %s %d" % (cid, cell.dim))
-    for cid, cell in sorted(K.cells.items()):
-        out.append(("bnd %s %s" % (cid, " ".join(sorted(cell.boundary)))).rstrip())
+    cells = sorted(K.cells.items())
+    out = ["cell %s %d" % (cid, cell.dim) for cid, cell in cells]
+    out += [("bnd %s %s" % (cid, " ".join(sorted(cell.boundary)))).rstrip()
+            for cid, cell in cells]
     return "\n".join(out) + "\n"
 
 
@@ -137,8 +142,7 @@ def write_cwp(K):
 def parse_dvf(text, K):
     pairs = []
     crit_claims = []
-    for ln, line in _lines(text):
-        parts = line.split()
+    for ln, parts in _tokens(text):
         if parts[0] == "pair":
             if len(parts) != 3:
                 raise ParseError("line %d: pair needs two ids" % ln)
@@ -154,7 +158,8 @@ def parse_dvf(text, K):
             crit_claims.append(parts[1])
         else:
             raise ParseError("line %d: unknown directive %r" % (ln, parts[0]))
-    V = VectorField(pairs)
+    # the ids are str already, so the pairs need only sorting
+    V = VectorField._of_sorted(tuple(sorted(pairs)))
     if crit_claims:
         matched = {c for p in pairs for c in p}
         for cid in crit_claims:
@@ -176,14 +181,15 @@ def write_dvf(V, K=None):
 
 
 def parse_dmf(text, K):
+    cells = K.cells
     values = {}
-    seen = {}
-    for ln, line in _lines(text):
-        parts = line.split()
+    val_at = {}  # cell id -> the line of its val record
+    for ln, parts in _tokens(text):
         if parts[0] != "val" or len(parts) != 3:
             raise ParseError("line %d: expected 'val <id> <decimal>'" % ln)
-        if parts[1] not in K.cells:
-            raise ParseError("line %d: unknown cell %r" % (ln, parts[1]))
+        cid = parts[1]
+        if cid not in cells:
+            raise ParseError("line %d: unknown cell %r" % (ln, cid))
         try:
             val = float(parts[2])
         except ValueError:
@@ -191,8 +197,10 @@ def parse_dmf(text, K):
         if not math.isfinite(val):
             raise ParseError("line %d: value %r is not finite"
                              % (ln, parts[2]))
-        _once(seen, "val", parts[1], ln)
-        values[parts[1]] = val
+        if cid in val_at:
+            raise _repeat(ln, "val", cid, val_at[cid])
+        val_at[cid] = ln
+        values[cid] = val
     return MorseFunction(values)
 
 

@@ -32,7 +32,6 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
-    _betti,
     critical_cells,
     induced_field,
     synthesize_function,
@@ -93,6 +92,21 @@ def _boundary_and_interior(K, facets):
     boundary = {e for e, n in count.items() if n == 1}
     interior = {e for e, n in count.items() if n == 2}
     return boundary, interior
+
+
+def _reclassify(K, facets, boundary, interior, edges):
+    """Patch a region's boundary and interior edge sets in place after
+    an edit that changed the region cofaces of `edges` only: an edge is
+    interior with two cofaces in `facets` and on the boundary with one."""
+    cofaces = K.coface_table
+    for e in edges:
+        boundary.discard(e)
+        interior.discard(e)
+        n = sum(t in facets for t in cofaces.get(e, ()))
+        if n == 2:
+            interior.add(e)
+        elif n == 1:
+            boundary.add(e)
 
 
 def _vertices(K, edges):
@@ -315,15 +329,15 @@ def _excavate(K, V, region, marked):
             K, V, rec = bisect_edge(K, V, e, anchor=[x for x in ends
                                                      if x not in mk][0])
             _apply_renames(region, rec.replacements)
-            w, e1, e2 = rec.new_cells
-            rung_mid[e] = (w, e2)  # e2 is the expelled-side half
+            rung_mid[e] = rec.new_cells  # w, e1 and e2, the expelled half
     # fold the expelled halves into the marked sets of their facets
-    for e, (w, e2) in rung_mid.items():
+    for e, (w, e1, e2) in rung_mid.items():
         for t in marked:
             if t in K.cells and e2 in K.cells[t].boundary:
                 marked[t].add(e2)
-
-    boundary, interior = _boundary_and_interior(K, region.facets)
+    _reclassify(K, region.facets, boundary, interior,
+                [x for e, (w, e1, e2) in rung_mid.items()
+                 for x in (e, e1, e2)])
 
     # cut the corners facet by facet
     for orig in sorted(marked):
@@ -383,7 +397,8 @@ def _excavate(K, V, region, marked):
                 _apply_renames(region, rec.replacements)
                 if g in marked[orig]:
                     marked[orig].update(rec.new_cells)
-                boundary, interior = _boundary_and_interior(K, region.facets)
+                _reclassify(K, region.facets, boundary, interior,
+                            (g, *rec.new_cells[1:]))
                 continue
             # argument order: the inheriting piece must avoid this corner
             if not corner.isdisjoint(_inheriting_arc(K, p, u, w)):
@@ -400,7 +415,9 @@ def _excavate(K, V, region, marked):
             region.facets.discard(expelled)
             region.facets.add(kept)
             pieces = [x for x in pieces if x != p] + [kept]
-            boundary, interior = _boundary_and_interior(K, region.facets)
+            # p's edges, and the chord, now lie on kept or on expelled
+            _reclassify(K, region.facets, boundary, interior,
+                        K.cells[kept].boundary | K.cells[expelled].boundary)
         else:
             raise NoFlankingCells("corner cutting did not converge")
     return K, V, region
@@ -544,8 +561,10 @@ def find_separating_circle(K, f, g1, g2):
         raise WrongCriticalCount(
             "surface genus %s but g1+g2=%d" % (info.genus, g1 + g2))
     V = induced_field(K, f)
+    # a closed orientable surface of genus g has mod-2 Betti numbers
+    # (1, 2g, 1)
     m = critical_cells(V, K).m
-    if m != _betti(K, V).b:
+    if m != (1, 2 * info.genus, 1):
         raise NotPerfectInput(m)
     low, high = _split_edges(K, f, V, g1, g2)
 
@@ -720,7 +739,19 @@ def cap_with_max_cone(piece, V, circle):
 
 def decompose(K, f, g1, g2):
     """Full pipeline: find the separating circle, split, cap both sides,
-    and synthesize functions for the capped fields."""
+    and synthesize functions for the capped fields.
+
+    The report's Betti numbers are read off the classification of
+    closed surfaces; nothing is ranked.  K is checked to be a closed
+    orientable surface of genus g, so its mod-2 Betti numbers are
+    (1, 2g, 1).  The circle is an embedded cycle whose vertices each
+    meet two of its edges, so it is two-sided, and it splits K into two
+    connected sides, each a union of facets that meets the circle in its
+    whole boundary.  Each side is orientable, as part of K, and the cone
+    over the circle closes it into a closed orientable connected
+    surface.  Its Betti numbers are then (1, 2 - chi, 1), with chi its
+    Euler characteristic, which the report holds anyway.
+    """
     K2, V2, circle, region = find_separating_circle(K, f, g1, g2)
     split = split_along_circle(K2, V2, circle)
 
@@ -732,11 +763,11 @@ def decompose(K, f, g1, g2):
     m2f = synthesize_function(m2K, m2V)
     counts = {"m1": critical_cells(m1V, m1K).m,
               "m2": critical_cells(m2V, m2K).m}
-    betti = {"m1": _betti(m1K, m1V).b, "m2": _betti(m2K, m2V).b}
+    chi = {"m1": euler_characteristic(m1K), "m2": euler_characteristic(m2K)}
+    betti = {k: (1, 2 - c, 1) for k, c in chi.items()}
     report = {
         "circleLength": len(circle) // 2,
-        "chi": {"m1": euler_characteristic(m1K),
-                "m2": euler_characteristic(m2K)},
+        "chi": chi,
         "chiPieces": {"min": euler_characteristic(split.min_complex),
                       "max": euler_characteristic(split.max_complex)},
         "betti": betti,

@@ -551,6 +551,8 @@ def compose(M1, f1, M2, f2):
     is a circle's, as it must be).  The glue changes the critical counts
     by the same -e_0 - e_n, dropping alpha and the critical vertex of
     the second summand, and `perfect` compares the counts with b(M).
+    A connected sum of closed pseudomanifolds is one, so the result
+    takes is_pseudomanifold over without a scan of its cells.
     """
     if M1.top_dim != M2.top_dim:
         raise DimensionMismatch((M1.top_dim, M2.top_dim))
@@ -683,6 +685,7 @@ def compose(M1, f1, M2, f2):
     M._betti = BettiVector(tuple(
         b1 + b2 - (p == 0) - (p == n)
         for p, (b1, b2) in enumerate(zip(M1._betti.b, M2._betti.b))))
+    M.is_pseudomanifold = True
     report = ComposeReport(
         chi=chi, counts=counts.m, perfect=counts.m == M._betti.b,
         function_valid=freport.ok, constant=C, rescaled=rescaled,

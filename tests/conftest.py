@@ -1,9 +1,10 @@
+import random
 import sys
 from itertools import combinations
 
 import pytest
 
-from dms.cellcomplex import Complex, build_poset
+from dms.cellcomplex import Complex, build_poset, build_simplicial
 from dms.fixtures import (
     genus_surface,
     pillow,
@@ -43,6 +44,61 @@ def genus2():
 @pytest.fixture(scope="session")
 def genus3():
     return genus_surface(3)
+
+
+def _torus_facets(shift):
+    """The 7-vertex torus on the vertices shift .. shift + 6."""
+    out = []
+    for i in range(7):
+        out.append(tuple(sorted((i % 7 + shift, (i + 1) % 7 + shift,
+                                 (i + 3) % 7 + shift))))
+        out.append(tuple(sorted((i % 7 + shift, (i + 2) % 7 + shift,
+                                 (i + 3) % 7 + shift))))
+    return out
+
+
+def _glued_genus2_facets():
+    """Two 7-vertex tori, each without one triangle, with the vertices
+    of the two missing triangles identified: a genus-2 surface on 11
+    vertices that compose did not build."""
+    A = [t for t in _torus_facets(0) if t != (0, 1, 3)]
+    ident = {10: 0, 11: 1, 13: 3}
+    B = [tuple(sorted(ident.get(v, v) for v in t))
+         for t in _torus_facets(10) if t != (10, 11, 13)]
+    return A + B
+
+
+def _flip_edges(facets, flips, seed):
+    """The triangles after `flips` seeded tries of a bistellar edge flip:
+    an edge ab on triangles abc and abd becomes cd, unless cd is an edge
+    already.  A flip keeps the surface a simplicial complex of the same
+    genus."""
+    rng = random.Random(seed)
+    tris = sorted(tuple(sorted(t)) for t in facets)
+    for _ in range(flips):
+        at = {}
+        for t in tris:
+            for e in combinations(t, 2):
+                at.setdefault(e, []).append(t)
+        a, b = rng.choice(sorted(at))
+        t1, t2 = at[a, b]
+        (c,) = set(t1) - {a, b}
+        (d,) = set(t2) - {a, b}
+        if (min(c, d), max(c, d)) in at:
+            continue
+        tris = sorted(set(tris) - {t1, t2}
+                      | {tuple(sorted((a, c, d))), tuple(sorted((b, c, d)))})
+    return tris
+
+
+@pytest.fixture(scope="session")
+def glued_genus2():
+    """glued_genus2(flips=0, seed=0): the glued genus-2 surface after
+    `flips` seeded edge-flip tries."""
+    def build(flips=0, seed=0):
+        return build_simplicial(_flip_edges(_glued_genus2_facets(), flips,
+                                            seed))
+    return build
 
 
 @pytest.fixture(scope="session")

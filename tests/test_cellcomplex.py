@@ -7,7 +7,7 @@ from dms.cellcomplex import (
     Cell,
     Complex,
     SurfaceInfo,
-    _orientation_ok,
+    _surface_scan,
     build_poset,
     build_simplicial,
     components,
@@ -235,7 +235,7 @@ def test_pinched_vertex_is_not_a_surface():
     facets = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
               (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]
     K = build_simplicial(facets)
-    assert K.is_pseudomanifold and K.is_connected()
+    assert K.is_pseudomanifold and is_connected(K)
     assert K.link_cycle(vertex_id(0)) is None
     assert K.link_cycle(vertex_id(1)) is not None
     assert not K.is_closed_surface
@@ -440,11 +440,11 @@ def test_split_cell_carries_computed_flags(pillow_sphere):
     # nothing computed on the parent: nothing carried
     S = K.split_cell("sqA", chord_cells(), ("h1", "h2"))
     assert "is_pseudomanifold" not in vars(S)
-    assert "_surface_defect" not in vars(S)
+    assert "_surface_info" not in vars(S)
     assert K.is_closed_surface
     S = K.split_cell("sqA", chord_cells(), ("h1", "h2"))
     assert vars(S)["is_pseudomanifold"] is True
-    assert vars(S)["_surface_defect"] is None
+    assert vars(S)["_surface_info"] == SurfaceInfo(genus=0, orientable=True)
     # a defect names a cell, so only the pseudomanifold flag carries
     open_disk = build_simplicial([(0, 1, 2), (0, 2, 3)], closed=False)
     assert not open_disk.is_closed_surface
@@ -452,16 +452,57 @@ def test_split_cell_carries_computed_flags(pillow_sphere):
         Cell("w", 0, frozenset()), Cell("a", 1, frozenset({"v0", "w"})),
         Cell("b", 1, frozenset({"v1", "w"}))], ("a", "b"))
     assert vars(S)["is_pseudomanifold"] is False
-    assert "_surface_defect" not in vars(S)
-    assert S._surface_defect == "edge a has 1 cofaces"
+    assert "_surface_info" not in vars(S)
+    assert S._surface_info == "edge a has 1 cofaces"
+
+
+def orientation_ok(K):
+    """Propagate coherent 2-cell orientations; False on conflict."""
+    direction = {}  # 2-cell id -> dict edge -> (from_vertex, to_vertex)
+    for tid in K.cells_of_dim(2):
+        walk = K.boundary_cycle(tid)
+        m = len(walk) // 2
+        direction[tid] = {
+            walk[2 * i + 1]: (walk[2 * i], walk[(2 * i + 2) % (2 * m)])
+            for i in range(m)}
+    sign = {}
+    for start in K.cells_of_dim(2):
+        if start in sign:
+            continue
+        sign[start] = 1
+        frontier = [start]
+        while frontier:
+            t = frontier.pop()
+            for eid in K.cells[t].boundary:
+                for other in K.cofaces(eid):
+                    if other == t:
+                        continue
+                    # coherent: shared edge traversed in opposite senses
+                    same = direction[t][eid] == direction[other][eid]
+                    want = -sign[t] if same else sign[t]
+                    if other not in sign:
+                        sign[other] = want
+                        frontier.append(other)
+                    elif sign[other] != want:
+                        return False
+    return True
+
+
+def is_connected(K):
+    """One component in the graph of the face relation."""
+    return len(components(K.cells, {
+        cid: (*cell.boundary, *K.cofaces(cid))
+        for cid, cell in K.cells.items()})) == 1
 
 
 def verify_oracle(K):
-    """verify_closed_surface as it read before its answer was cached on
-    the complex, kept as the reference for its results and errors."""
+    """verify_closed_surface as it read before it became one pass, kept
+    as the reference for its results and errors: a connectivity search,
+    an edge scan, a link_cycle walk per vertex and an orientation
+    search, each over the whole complex."""
     if K.top_dim != 2:
         raise NotClosedSurface("top dimension is %d" % K.top_dim)
-    if not K.is_connected():
+    if not is_connected(K):
         raise NotClosedSurface("complex is not connected")
     for eid in K.cells_of_dim(1):
         if len(K.cofaces(eid)) != 2:
@@ -471,7 +512,7 @@ def verify_oracle(K):
         if K.link_cycle(vid) is None:
             raise NotClosedSurface("vertex %s link is not a single cycle"
                                    % vid)
-    if not _orientation_ok(K):
+    if not orientation_ok(K):
         return SurfaceInfo(genus=None, orientable=False)
     chi = euler_characteristic(K)
     if chi % 2 != 0 or chi > 2:
@@ -498,6 +539,23 @@ def reversed_poset(K):
     return build_poset(sorted(K.records(), reverse=True))
 
 
+def klein_bottle():
+    """A 4 x 4 grid with its sides identified, one pair with a twist."""
+    def v(i, j):
+        if i == 4:
+            i, j = 0, -j
+        return 4 * i + j % 4
+    facets = []
+    for i in range(4):
+        for j in range(4):
+            facets += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                       (v(i, j), v(i, j + 1), v(i + 1, j + 1))]
+    return build_simplicial(facets)
+
+
+TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
 NOT_SURFACES = {
     "pinched vertex": lambda: build_simplicial(
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
@@ -517,6 +575,17 @@ NOT_SURFACES = {
     "bad vertex link, reversed": lambda: reversed_poset(pinched_cylinder()),
     "graph": lambda: build_poset([("a", 0, []), ("b", 0, []),
                                   ("ab", 1, ["a", "b"])]),
+    "edge with three cofaces": lambda: build_simplicial(
+        TETRA + [(0, 1, 4)], closed=False),
+    "dangling edge": lambda: build_poset(
+        build_simplicial(TETRA).records()
+        + [("v4", 0, []), ("e0-4", 1, ["v0", "v4"])]),
+    "dangling edge, reversed": lambda: reversed_poset(build_poset(
+        build_simplicial(TETRA).records()
+        + [("v4", 0, []), ("e0-4", 1, ["v0", "v4"])])),
+    "three pages, reversed": lambda: reversed_poset(build_simplicial(
+        TETRA + [(0, 1, 4), (0, 4, 5), (1, 4, 5), (0, 1, 5)],
+        closed=False)),
 }
 
 
@@ -533,17 +602,26 @@ def test_verify_raises_what_the_oracle_raises(kind):
 
 
 def test_verify_accepts_what_the_oracle_accepts(tetra, torus, rp2,
-                                               pillow_sphere, genus2):
-    for K in (tetra, torus, rp2, pillow_sphere, genus2[0]):
+                                               pillow_sphere, genus2,
+                                               glued_genus2):
+    surfaces = [tetra, torus, rp2, pillow_sphere, genus2[0], klein_bottle(),
+                reversed_poset(klein_bottle()), reversed_poset(rp2)]
+    surfaces += [genus_surface(g)[0] for g in (3, 5, 8)]
+    surfaces += [glued_genus2(flips, seed)
+                 for flips, seed in ((0, 0), (20, 1), (200, 1))]
+    orientable = []
+    for K in surfaces:
         K = Complex(K.cells.values())  # nothing derived yet
         want = verify_oracle(K)
         assert verify_closed_surface(K) == want
         assert verify_closed_surface(K) == want
         assert K.is_closed_surface
+        orientable.append(want.orientable)
+    assert orientable.count(False) == 4
 
 
 def test_verify_derives_its_answer_once(spy, torus, rp2):
-    calls = spy(_orientation_ok)
+    calls = spy(_surface_scan)
     for K in (torus, rp2):
         K = Complex(K.cells.values())
         assert verify_closed_surface(K) == verify_closed_surface(K)

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -51,51 +50,6 @@ from dms.splitter import (
     select_split_edges,
     split_along_circle,
 )
-
-
-def torus_facets(shift):
-    out = []
-    for i in range(7):
-        out.append(tuple(sorted((i % 7 + shift, (i + 1) % 7 + shift,
-                                 (i + 3) % 7 + shift))))
-        out.append(tuple(sorted((i % 7 + shift, (i + 2) % 7 + shift,
-                                 (i + 3) % 7 + shift))))
-    return out
-
-
-def glued_genus2_facets():
-    A = [t for t in torus_facets(0) if t != (0, 1, 3)]
-    ident = {10: 0, 11: 1, 13: 3}
-    B = [tuple(sorted(ident.get(v, v) for v in t))
-         for t in torus_facets(10) if t != (10, 11, 13)]
-    return A + B
-
-
-def glued_genus2():
-    return build_simplicial(glued_genus2_facets())
-
-
-def flip_edges(facets, flips, seed):
-    """The triangles after `flips` seeded tries of a bistellar edge flip:
-    an edge ab on triangles abc and abd becomes cd, unless cd is an edge
-    already.  A flip keeps the surface a simplicial complex of the same
-    genus."""
-    rng = random.Random(seed)
-    tris = sorted(tuple(sorted(t)) for t in facets)
-    for _ in range(flips):
-        at = {}
-        for t in tris:
-            for e in combinations(t, 2):
-                at.setdefault(e, []).append(t)
-        a, b = rng.choice(sorted(at))
-        t1, t2 = at[a, b]
-        (c,) = set(t1) - {a, b}
-        (d,) = set(t2) - {a, b}
-        if (min(c, d), max(c, d)) in at:
-            continue
-        tris = sorted(set(tris) - {t1, t2}
-                      | {tuple(sorted((a, c, d))), tuple(sorted((b, c, d)))})
-    return tris
 
 
 # --- select ------------------------------------------------------------------
@@ -375,7 +329,35 @@ def oracle_inward_violations(K, V, region, bg):
             and pm[x] not in kept]
 
 
-def test_inward_violations_match_the_region_wide_count(monkeypatch):
+def test_excavation_patches_match_a_full_recompute(monkeypatch,
+                                                  glued_genus2):
+    # after every edit in _excavate, the patched boundary and interior
+    # of the region equal a count over every region facet
+    reclassify = splitter._reclassify
+    calls = []
+
+    def checked(K, facets, boundary, interior, edges):
+        reclassify(K, facets, boundary, interior, edges)
+        assert (boundary, interior) == _boundary_and_interior(K, facets)
+        calls.append(len(facets))
+
+    monkeypatch.setattr(splitter, "_reclassify", checked)
+    fields = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
+    for flips, flip_seed in ((60, 1), (200, 1)):
+        K = glued_genus2(flips, flip_seed)
+        for seed in range(10):
+            V = tree_cotree_field(K, rng=random.Random(seed))
+            fields.append((K, synthesize_function(K, V), 1, 1))
+    for K, f, g1, g2 in fields:
+        try:
+            find_separating_circle(K, f, g1, g2)
+        except DmsError:
+            pass
+    assert len(calls) > 100
+
+
+def test_inward_violations_match_the_region_wide_count(monkeypatch,
+                                                       glued_genus2):
     inward = splitter._inward_violations
     found = Counter()
 
@@ -389,7 +371,7 @@ def test_inward_violations_match_the_region_wide_count(monkeypatch):
     # the golden fields, and the few seeded fields known to meet an
     # inward arrow in the repair loop
     fields = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
-    K = build_simplicial(flip_edges(glued_genus2_facets(), 60, 1))
+    K = glued_genus2(60, 1)
     for seed in range(10):
         V = tree_cotree_field(K, rng=random.Random(seed))
         fields.append((K, synthesize_function(K, V), 1, 1))
@@ -404,7 +386,8 @@ def test_inward_violations_match_the_region_wide_count(monkeypatch):
     assert found[True] >= 3 and found[False]
 
 
-def test_repair_loop_meets_no_stray_arc_and_no_pocket(monkeypatch):
+def test_repair_loop_meets_no_stray_arc_and_no_pocket(monkeypatch,
+                                                      glued_genus2):
     # oracles for the proofs in find_separating_circle's docstring:
     # wherever no arrow points into the region, no stray chain joins two
     # points of the curve, and without wedges the complement is connected
@@ -447,11 +430,10 @@ FLIPPED_GENUS2 = [(flips, seed) for flips in (20, 60, 200)
 FLIPPED_GENUS2_REFUSALS = {"NotSeparating": 22, "InconsistentField": 2}
 
 
-def test_flipped_genus2_refusals_do_not_grow():
+def test_flipped_genus2_refusals_do_not_grow(glued_genus2):
     refusals = Counter()
     for flips, flip_seed in FLIPPED_GENUS2:
-        K = build_simplicial(flip_edges(glued_genus2_facets(), flips,
-                                        flip_seed))
+        K = glued_genus2(flips, flip_seed)
         assert verify_closed_surface(K).genus == 2
         for seed in range(10):
             V = tree_cotree_field(K, rng=random.Random(seed))
@@ -566,8 +548,51 @@ def test_decompose_reports_the_betti_numbers_of_its_pieces(genus3):
     assert res.report["betti"] == {"m1": (1, 2, 1), "m2": (1, 4, 1)}
 
 
+def test_betti_numbers_read_off_the_classification_are_the_homology(
+        glued_genus2):
+    # (1, 2 - chi, 1) for each capped piece against a GF(2) ranking, on
+    # every golden field and on flipped glued genus-2 surfaces
+    cases = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
+    for flips, flip_seed in ((0, 0), (60, 1), (200, 1)):
+        K = glued_genus2(flips, flip_seed)
+        for seed in range(4):
+            V = tree_cotree_field(K, rng=random.Random(seed))
+            cases.append((K, synthesize_function(K, V), 1, 1))
+    done = 0
+    for K, f, g1, g2 in cases:
+        assert betti_mod2(K).b == (1, 2 * (g1 + g2), 1)
+        try:
+            res = decompose(K, f, g1, g2)
+        except DmsError:
+            continue
+        pieces = {"m1": res.m1_complex, "m2": res.m2_complex}
+        assert res.report["betti"] == {
+            k: betti_mod2(P).b for k, P in pieces.items()}
+        assert res.report["betti"] == {"m1": (1, 2 * g1, 1),
+                                       "m2": (1, 2 * g2, 1)}
+        assert res.report["perfect"] == {"m1": True, "m2": True}
+        done += 1
+    assert done >= 15
+
+
+def test_decompose_of_a_loaded_surface_ranks_nothing(spy, genus2):
+    # the input's Betti numbers come from its genus and the pieces' from
+    # their Euler characteristics, so no Morse complex is ranked
+    from dms.formats import parse_cwp, parse_dmf, write_cwp, write_dmf
+    K, f, _ = genus2
+    cases = [(K, f, 1, 1)]
+    cases += [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()
+              if seed != 7]
+    ranked = spy(morse_betti)
+    for K, f, g1, g2 in cases:
+        L = parse_cwp(write_cwp(K))
+        res = decompose(L, parse_dmf(write_dmf(f), L), g1, g2)
+        assert res.report["perfect"] == {"m1": True, "m2": True}
+    assert ranked == []
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_decompose_direct_genus2_random_fields(seed):
+def test_decompose_direct_genus2_random_fields(seed, glued_genus2):
     K = glued_genus2()
     V = tree_cotree_field(K, rng=random.Random(seed))
     f = synthesize_function(K, V)

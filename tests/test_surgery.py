@@ -258,7 +258,7 @@ def test_split_cell_carries_the_flags_of_a_full_rebuild(monkeypatch):
     def checked(K, old, new_cells, halves):
         out = split(K, old, new_cells, halves)
         flags = {k: v for k, v in vars(out).items()
-                 if k in ("is_pseudomanifold", "_surface_defect")}
+                 if k in ("is_pseudomanifold", "_surface_info")}
         R = Complex(out.cells.values())
         for name, value in flags.items():
             assert getattr(R, name) == value, (old, name)
@@ -276,7 +276,7 @@ def test_split_cell_carries_the_flags_of_a_full_rebuild(monkeypatch):
         except NotSeparating:
             assert seed == 7
     # decompose verifies its input, so every split inherits both flags
-    assert carried and all(flags == ["_surface_defect", "is_pseudomanifold"]
+    assert carried and all(flags == ["_surface_info", "is_pseudomanifold"]
                            for flags in carried)
     # the subdivision check accepts every split compose makes
     del carried[:]
@@ -566,6 +566,32 @@ def test_cached_betti_of_a_compose_chain_is_the_homology(seed):
         assert K._betti.b == (1, 2 * genus, 1) and rep.perfect
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_hands_on_the_pseudomanifold_flag(seed, sphere3,
+                                                  collapse_field):
+    # a connected sum of closed pseudomanifolds is one: the flag compose
+    # sets against a scan of a complex built from scratch, along a
+    # seeded chain to genus 8 and an n = 3 chain
+    rng = random.Random(seed)
+    T = torus7()
+    K, f = T, synthesize_function(T, tree_cotree_field(T, rng=rng))
+    chain = []
+    for genus in range(2, 9):
+        T = torus7()
+        ft = synthesize_function(T, tree_cotree_field(T, rng=rng))
+        K, f, V, rep = compose(K, f, T, ft)
+        chain.append(K)
+    S = sphere3()
+    fs = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
+    M, fc = S, fs
+    for _ in range(2):
+        M, fc, Vc, rep = compose(M, fc, sphere3(), fs)
+        chain.append(M)
+    for M in chain:
+        assert vars(M)["is_pseudomanifold"] is True
+        assert Complex(M.cells.values()).is_pseudomanifold
+
+
 def test_cached_betti_in_dimension_three(sphere3, collapse_field):
     # chains of n = 3 composes, each with second summands unshifted or
     # under a shift that forces the rescaled path
@@ -684,7 +710,7 @@ def test_one_edit_equalisation_matches_the_sequential_splits(
         assert_same_complex(one, seq)
         assert_same_complex(one, Complex(one.cells.values()))
         assert len(one.boundary(t)) == max(k, 3)
-        for flag in ("is_pseudomanifold", "_surface_defect"):
+        for flag in ("is_pseudomanifold", "_surface_info"):
             assert flag in one.__dict__ and flag in seq.__dict__
             assert one.__dict__[flag] == seq.__dict__[flag]
 

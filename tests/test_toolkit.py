@@ -6,7 +6,13 @@ import sys
 import pytest
 
 import dms
-from dms.cellcomplex import Cell, build_simplicial, euler_characteristic
+from dms.cellcomplex import (
+    Cell,
+    Complex,
+    build_simplicial,
+    euler_characteristic,
+    verify_closed_surface,
+)
 from dms.cli import build_parser, main
 from dms.errors import Disconnected, ParseError, UnknownFixture
 from dms.fixtures import (
@@ -176,6 +182,111 @@ def test_parse_dmf_rejects_non_finite_values(torus, text):
 def test_parsers_reject_a_repeated_id(parse, text, message):
     with pytest.raises(ParseError, match=message):
         parse(text)
+
+
+def test_files_round_trip_to_the_same_tables(glued_genus2,
+                                            assert_same_complex):
+    # CWP for every surface, TRI for the simplicial ones: the parsed
+    # complex has the tables of one built from scratch on the same cells
+    # in file order, and the same closed-surface verdict
+    simplicial = [fixture_complex(kind)
+                  for kind in ("sphere", "torus7", "rp2")]
+    simplicial += [glued_genus2(flips, seed)
+                   for flips, seed in ((0, 0), (20, 1), (200, 1), (200, 3))]
+    polygonal = [fixture_complex("pillow")]
+    polygonal += [genus_surface(g)[0] for g in range(2, 9)]
+    for K in simplicial + polygonal:
+        texts = [parse_cwp(write_cwp(K))]
+        if any(K is S for S in simplicial):
+            texts.append(parse_tri(write_tri(K)))
+        for P in texts:
+            assert_same_complex(P, Complex([K.cells[c] for c in P.cells]))
+            assert verify_closed_surface(P) == verify_closed_surface(K)
+        V = tree_cotree_field(K)
+        assert parse_dvf(write_dvf(V, K), K) == V
+        f = synthesize_function(K, V)
+        assert parse_dmf(write_dmf(f), K).values == f.values
+
+
+# every ParseError of the four parsers, as the whole message; the texts
+# mix comment-only and blank lines, a `#` after a token, CRLF line ends
+# and trailing whitespace, which must not move the line numbers
+PARSE_ERRORS = [
+    ("tri", "# a comment\ntri 3\r\n\ntri 3\n", "line 4: duplicate header"),
+    ("tri", "tri\n", "line 1: bad header"),
+    ("tri", "tri 3 4 # vertices\n", "line 1: bad header"),
+    ("tri", "tri -3\n", "line 1: bad header"),
+    ("tri", "tri 3\r\nt 0 1  \r\n", "line 2: facet needs 3 vertices"),
+    ("tri", "tri 3\n\nt 0 1 2 3\n", "line 3: facet needs 3 vertices"),
+    ("tri", "tri 3\n  \t\nt 0 1 x\n", "line 3: bad vertex index"),
+    ("tri", "tri 3\nt 0 1 2\nq 1\n", "line 3: unknown directive 'q'"),
+    ("tri", "T 3\n", "line 1: unknown directive 'T'"),
+    ("tri", "# only a comment\n\n   \nt 0 1 2\n",
+     "missing 'tri <nverts>' header"),
+    ("tri", "", "missing 'tri <nverts>' header"),
+    ("tri", "tri 4 #\nt 0 1 2#\n", "header says 4 vertices, facets use 3"),
+    ("cwp", "cell a\n", "line 1: cell needs id and dim"),
+    ("cwp", "# x\ncell a 0 1\n", "line 2: cell needs id and dim"),
+    ("cwp", "cell a 0\r\ncell a x\r\n", "line 2: cell 'a' repeats line 1"),
+    ("cwp", "cell a 0\n\ncell b 1.5\n", "line 3: bad dimension"),
+    ("cwp", "cell a 0 # a vertex\n\ncell b two\n", "line 3: bad dimension"),
+    ("cwp", "cell a 0\nbnd\n", "line 2: bnd needs a cell id"),
+    ("cwp", "cell a 0\nbnd # a\n", "line 2: bnd needs a cell id"),
+    ("cwp", "bnd x\n# again\nbnd x a b  \n", "line 3: bnd 'x' repeats line 1"),
+    ("cwp", "cell a 0\nvertex b\n", "line 2: unknown directive 'vertex'"),
+    ("cwp", "cell a 0\nbnd b a\nbnd c a\n", "bnd for undeclared cell 'b'"),
+    ("dvf", "pair v0\n", "line 1: pair needs two ids"),
+    ("dvf", "\n\npair v0 e0-1 t0-1-3\n", "line 3: pair needs two ids"),
+    ("dvf", "pair v0 e0-1\r\npair v9 e0-1 # no v9\r\n",
+     "line 2: unknown cell 'v9'"),
+    ("dvf", "pair nope v0\n", "line 1: unknown cell 'nope'"),
+    ("dvf", "crit\n", "line 1: crit needs one id"),
+    ("dvf", "crit v0 v1\n", "line 1: crit needs one id"),
+    ("dvf", "# c\ncrit v9   \n", "line 2: unknown cell 'v9'"),
+    ("dvf", "pair v0 e0-1\nmatch v1 e1-2\n",
+     "line 2: unknown directive 'match'"),
+    ("dvf", "crit v0\npair v0 e0-1\n", "crit claim 'v0' is a matched cell"),
+    ("dmf", "val v0\n", "line 1: expected 'val <id> <decimal>'"),
+    ("dmf", "\r\nval v0 1 2\r\n", "line 2: expected 'val <id> <decimal>'"),
+    ("dmf", "value v0 1\n", "line 1: expected 'val <id> <decimal>'"),
+    ("dmf", "val v9 1.0 # unknown\n", "line 1: unknown cell 'v9'"),
+    ("dmf", "# c\n\nval v0 one\n", "line 3: bad value 'one'"),
+    ("dmf", "val v0 1\nval v1 -inf  \n", "line 2: value '-inf' is not finite"),
+    ("dmf", "val v0 1\n# again\nval v0 1\n",
+     "line 3: val 'v0' repeats line 1"),
+    ("dmf", "val v0 1\r\nval v0 x\r\n", "line 2: bad value 'x'"),
+]
+
+
+def parse_any(kind, text, K):
+    if kind == "tri":
+        return parse_tri(text)
+    if kind == "cwp":
+        return parse_cwp(text)
+    if kind == "dvf":
+        return parse_dvf(text, K)
+    return parse_dmf(text, K)
+
+
+@pytest.mark.parametrize("kind, text, message", PARSE_ERRORS)
+def test_parse_error_messages(tetra, kind, text, message):
+    with pytest.raises(ParseError) as err:
+        parse_any(kind, text, tetra)
+    assert str(err.value) == message
+
+
+def test_comments_blank_lines_crlf_and_trailing_space_are_ignored(tetra):
+    tri = "# tetrahedron\r\ntri 4   \r\n\r\nt 0 1 2#face\r\nt 0 1 3\r\n" \
+          "  # indented comment\r\nt 0 2 3 \t\r\nt 1 2 3 # last\r\n"
+    assert parse_tri(tri) == tetra
+    cwp = write_cwp(tetra).replace("\n", "  # x\r\n\r\n")
+    assert parse_cwp(cwp) == tetra
+    V = tree_cotree_field(tetra)
+    dvf = "# field\n" + write_dvf(V, tetra).replace("\n", "\t#\n")
+    assert parse_dvf(dvf, tetra) == V
+    f = synthesize_function(tetra, V)
+    dmf = write_dmf(f).replace("\n", " \r\n#\r\n")
+    assert parse_dmf(dmf, tetra).values == f.values
 
 
 def test_cli_repeated_value_is_a_parse_error(tmp_path, capsys):
