@@ -53,11 +53,12 @@ class Complex:
     Construction validates grading, closure and (for 2-cells) that the
     edge boundary is a single cycle in which no vertex repeats.  The
     pseudomanifold flag and the closed-surface answer are computed on
-    first use, and `split_cell` hands them on to the subdivided complex.
-    Surgeries never mutate a complex: `replace_cells` returns a new one,
-    re-checking only the cells the edit touches and keeping the cached
-    closures it leaves intact, while `subcomplex` and `prefixed` carry
-    the checked tables over, filtered or renamed, without re-checking.
+    first use, and a subdivision (`split_cell`, and the surgeries built
+    on `_subdivide`) hands them on to the subdivided complex.  Surgeries
+    never mutate a complex: `replace_cells` returns a new one,
+    re-checking only the cells the edit touches, while `subcomplex` and
+    `prefixed` carry the checked tables over, filtered or renamed,
+    without re-checking.  Closures are walked on demand, not stored.
     """
 
     # the mod-2 Betti numbers, once morsefield has derived them from a
@@ -86,7 +87,6 @@ class Complex:
                              for cid, c in cofaces.items()}
         self._cycles = {}
         self._walk_cycles(cid for cid, c in self.cells.items() if c.dim == 2)
-        self._closures = {}
 
     # ---- validation ----------------------------------------------------
 
@@ -203,9 +203,6 @@ class Complex:
 
     def closure(self, cid):
         """All faces of cid, transitively, including cid itself."""
-        cached = self._closures.get(cid)
-        if cached is not None:
-            return cached
         out = {cid}
         frontier = [cid]
         while frontier:
@@ -214,9 +211,7 @@ class Complex:
                 if fid not in out:
                     out.add(fid)
                     frontier.append(fid)
-        out = frozenset(out)
-        self._closures[cid] = out
-        return out
+        return frozenset(out)
 
     def star(self, cid):
         """cid and every cell having cid in its closure."""
@@ -334,22 +329,6 @@ class Complex:
             if old[cid].dim == 1 and cid in cells:
                 walk.update(t for t in cofaces[cid] if cells[t].dim == 2)
         new._walk_cycles(walk)
-
-        # a closure changes only when it holds a dropped or replaced
-        # cell, that is for the cells in the old star of one
-        closures = self._closures.copy()
-        if closures:
-            old_cofaces = self._cofaces
-            stale = set(gone)
-            frontier = list(gone)
-            while frontier:
-                for t in old_cofaces[frontier.pop()]:
-                    if t not in stale:
-                        stale.add(t)
-                        frontier.append(t)
-            for sid in stale:
-                closures.pop(sid, None)
-        new._closures = closures
         return new
 
     def subcomplex(self, ids):
@@ -358,8 +337,8 @@ class Complex:
 
         Nothing is re-checked.  The tables keep this complex's order and
         are filtered down to `ids`: a coface tuple stays sorted, and the
-        2-cell walks and cached closures of the kept cells lie in `ids`
-        whole.  The result equals `Complex` built from the kept cells.
+        2-cell walks of the kept cells lie in `ids` whole.  The result
+        equals `Complex` built from the kept cells.
         """
         old = self.cells
         ids = ids if isinstance(ids, (set, frozenset)) else set(ids)
@@ -382,9 +361,6 @@ class Complex:
                         for cid in new.cells}
         new._cycles = {cid: walk for cid, walk in self._cycles.items()
                        if cid in ids}
-        new._closures = {cid: closure
-                         for cid, closure in self._closures.items()
-                         if cid in ids}
         return new
 
     def prefixed(self, prefix):
@@ -407,7 +383,6 @@ class Complex:
                         for cid, cof in self._cofaces.items()}
         new._cycles = {name[cid]: tuple(map(rename, walk))
                        for cid, walk in self._cycles.items()}
-        new._closures = {}
         return new
 
     def split_cell(self, old, new_cells, halves):
@@ -428,19 +403,25 @@ class Complex:
         why = self._subdivision_defect(self.cell(old), new_cells, halves)
         if why is not None:
             raise BadCellBoundary("splitting %r: %s" % (old, why))
-        halves = frozenset(halves)
-        patched = []
-        for t in self._cofaces[old]:
-            tc = self.cells[t]
-            patched.append(
-                Cell(t, tc.dim, (tc.boundary - {old}) | halves))
-        return self._subdivided(remove=[old], add=new_cells + patched)
+        return self._subdivide({old: halves}, new_cells)
 
-    def _subdivided(self, remove, add):
+    def _subdivide(self, parts, new_cells):
         """replace_cells for an edit the caller knows to subdivide cells:
-        a subdivision keeps the homeomorphism type, so the result takes
+        each id in `parts` goes, `new_cells` come in, and each surviving
+        coface of a replaced cell lists parts[id] in its place.
+
+        The patched cofaces are added after `new_cells`, in id order.  A
+        subdivision keeps the homeomorphism type, so the result takes
         over the flags that split_cell hands on."""
-        new = self.replace_cells(remove=remove, add=add)
+        cells = self.cells
+        patched = []
+        for t in sorted({t for cid in parts for t in self._cofaces[cid]}
+                        .difference(parts)):
+            bnd = set()
+            for fid in cells[t].boundary:
+                bnd.update(parts.get(fid, (fid,)))
+            patched.append(Cell(t, cells[t].dim, frozenset(bnd)))
+        new = self.replace_cells(remove=parts, add=[*new_cells, *patched])
         known = self.__dict__
         if "is_pseudomanifold" in known:
             new.is_pseudomanifold = known["is_pseudomanifold"]

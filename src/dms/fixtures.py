@@ -12,7 +12,7 @@ import random
 
 from .cellcomplex import build_poset, build_simplicial
 from .errors import Disconnected, NotClosedSurface, UnknownFixture
-from .morsefield import VectorField, synthesize_function
+from .morsefield import VectorField, induced_field, synthesize_function
 
 
 def tetrahedron():
@@ -134,7 +134,6 @@ def genus_surface(g):
         T = torus7()
         ft = synthesize_function(T, tree_cotree_field(T))
         K, fk, _, _ = compose(K, fk, T, ft)
-    from .morsefield import induced_field
     return K, fk, induced_field(K, fk)
 
 

@@ -39,7 +39,7 @@ def _repeat(ln, directive, cid, first):
 # --- TRI ---------------------------------------------------------------------
 
 
-def parse_tri(text, closed=True):
+def parse_tri(text):
     header = None
     facets = []
     for ln, parts in _tokens(text):
@@ -63,7 +63,7 @@ def parse_tri(text, closed=True):
     if nverts != header:
         raise ParseError("header says %d vertices, facets use %d"
                          % (header, nverts))
-    return build_simplicial(facets, closed=closed)
+    return build_simplicial(facets)
 
 
 def write_tri(K):

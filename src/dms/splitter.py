@@ -206,14 +206,20 @@ def carve_core(K, V, high_edges):
 
 
 def classify_boundary(K, region):
+    """The region's boundary edges with their degrees, components and
+    wedge vertices, classified.
+
+    Around a vertex's link cycle, region and other facets switch exactly
+    at the region's boundary edges, the edges with one region coface.  A
+    cycle switches an even number of times, so every degree d is even,
+    and the d switches cut the ring into runs that alternate between
+    region sectors and other facets: a wedge (d >= 4) has >= 2 sectors.
+    """
     boundary, _ = _boundary_and_interior(K, region.facets)
     degree = {}
     for e in boundary:
         for v in K.boundary(e):
             degree[v] = degree.get(v, 0) + 1
-    for v, d in degree.items():
-        if d % 2 != 0:
-            raise InconsistentField("odd boundary degree at %s" % v)
     components = _edge_graph_components(K, boundary)
     wedges = tuple(sorted(v for v, d in degree.items() if d >= 4))
     if len(components) == 1 and not wedges:
@@ -463,10 +469,9 @@ def _excavate_stray(K, V, region, seeds):
 
 
 def _sectors_at(K, region, v):
-    """Maximal fans of region facets in the rotation around v."""
+    """Maximal fans of region facets in the rotation around v, a vertex
+    on the region's boundary (see classify_boundary)."""
     ring = K.link_cycle(v)[1::2]
-    if all(t in region.facets for t in ring):
-        return [list(ring)]
     return [[ring[i] for i in run]
             for run in _runs_on_cycle(ring, region.facets)]
 
@@ -474,10 +479,9 @@ def _sectors_at(K, region, v):
 def resolve_wedge(K, V, region, bg, v):
     """Reroute the boundary around a wedge vertex (Case 1): shave the
     corner at v off every region sector except one, so exactly one
-    strand still passes through v."""
+    strand still passes through v; a wedge has at least two sectors (see
+    classify_boundary)."""
     sectors = _sectors_at(K, region, v)
-    if len(sectors) < 2:
-        return K, V, region
     keep = min(range(len(sectors)), key=lambda i: min(sectors[i]))
     marked = {}
     for i, sec in enumerate(sectors):
@@ -596,11 +600,7 @@ def find_separating_circle(K, f, g1, g2):
             raise NotSeparating(
                 "core region is bounded by %d disjoint circles with no "
                 "connecting structure" % len(bg.components))
-        K2, V2, region = resolve_wedge(K, V, region, bg,
-                                       bg.wedge_vertices[0])
-        if K2 is K:
-            raise InconsistentField("wedge resolution made no progress")
-        K, V = K2, V2
+        K, V, region = resolve_wedge(K, V, region, bg, bg.wedge_vertices[0])
     else:
         raise InconsistentField("boundary repair did not converge")
 

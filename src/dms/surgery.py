@@ -95,7 +95,13 @@ def bisect_edge(K, V, e, anchor=None):
         inherit_end = anchor
     else:
         inherit_end = a
-    K2, (w, e1, e2) = _split_edge(K, e, inherit_end)
+    other_end, = cell.boundary - {inherit_end}
+    w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
+    K2 = K.split_cell(e, [
+        Cell(w, 0, frozenset()),
+        Cell(e1, 1, frozenset({inherit_end, w})),
+        Cell(e2, 1, frozenset({other_end, w})),
+    ], (e1, e2))
 
     drop = []
     add = [(w, e2)]
@@ -111,20 +117,6 @@ def bisect_edge(K, V, e, anchor=None):
     rec = BisectionRecord(new_cells=(w, e1, e2),
                           replacements={e: e1})
     return K2, V2, rec
-
-
-def _split_edge(K, e, inherit_end):
-    """The complex half of bisect_edge: e becomes a new vertex e~b0, the
-    half e~b1 from inherit_end to it and the half e~b2 from the other
-    endpoint.  Returns (new complex, (e~b0, e~b1, e~b2))."""
-    other_end, = K.boundary(e) - {inherit_end}
-    w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
-    K2 = K.split_cell(e, [
-        Cell(w, 0, frozenset()),
-        Cell(e1, 1, frozenset({inherit_end, w})),
-        Cell(e2, 1, frozenset({other_end, w})),
-    ], (e1, e2))
-    return K2, (w, e1, e2)
 
 
 def bisect_2cell(K, V, c, u, w):
@@ -385,7 +377,8 @@ def shrink_closed_star(K, beta, v):
     Every J-cell containing v is split into its shrunken copy and a
     collar prism; the prism is the cell's correspondent, and J-cells not
     containing v correspond to themselves.  The face relation is
-    preserved by the correspondence.
+    preserved by the correspondence.  The shrink subdivides the closed
+    cell, so it hands on the flags as split_cell does.
     """
     bcell = K.cell(beta)
     if bcell.dim != K.top_dim:
@@ -427,18 +420,10 @@ def shrink_closed_star(K, beta, v):
         bnd = {sid, shrunk_id(sid)} | {inner_id(cone_of[f]) for f in c.boundary}
         new_cells.append(Cell(inner_id(cone_of[sid]), c.dim + 1,
                               frozenset(bnd)))
-    # cofaces outside J of the split cone cells list both of their parts
-    outside_patch = []
-    for t in sorted({t for rho in cone for t in K.cofaces(rho)} - J):
-        tc = K.cell(t)
-        bnd = set(tc.boundary)
-        for rho in cone:
-            if rho in bnd:
-                bnd.discard(rho)
-                bnd |= {shrunk_id(rho), inner_id(rho)}
-        outside_patch.append(Cell(t, tc.dim, frozenset(bnd)))
-
-    K2 = K.replace_cells(remove=cone, add=new_cells + outside_patch)
+    # a coface of a cone cell holds v, so inside J it is a cone cell
+    # too: the cofaces left to patch are those outside J
+    K2 = K._subdivide({rho: (shrunk_id(rho), inner_id(rho)) for rho in cone},
+                      new_cells)
     correspondence = {rho: inner_id(rho) for rho in cone}
     for sid in link:
         correspondence[sid] = sid
@@ -707,8 +692,7 @@ def _choose_beta(K2, V2, v2):
 
     def candidates():
         pm = V2.partner_map()
-        tops = sorted(t for t in K2.cells
-                      if K2.dim(t) == n and v2 in K2.closure(t))
+        tops = sorted(t for t in K2.star(v2) if K2.cells[t].dim == n)
         good = [t for t in tops
                 if len(K2.boundary(t)) == n + 1 and t in pm]
         return tops, good
@@ -742,9 +726,9 @@ def _choose_beta(K2, V2, v2):
 
 def _split_smallest_edges(K, t, k):
     """K with the smallest edge of 2-cell t split, from its smaller
-    endpoint, until t has k edges: the cells that as many _split_edge
-    calls in turn would make, in one edit that hands on the flags as
-    split_cell does."""
+    endpoint, until t has k edges: the cells that as many bisect_edge
+    calls under an empty field would make, in one `_subdivide` edit
+    that hands on the flags as split_cell does."""
     cells = K.cells
     ends = {e: cells[e].boundary for e in cells[t].boundary}
     made = {}    # the new cells by id, in the order the splits make them
@@ -763,16 +747,8 @@ def _split_smallest_edges(K, t, k):
         return K
     parts = {}  # each split edge of K -> the edges it became
     for x, e in origin.items():
-        parts.setdefault(e, set()).add(x)
-    patched = []
-    for c in sorted({c for e in parts for c in K.cofaces(e)}):
-        bnd = set(cells[c].boundary)
-        for e, into in parts.items():
-            if e in bnd:
-                bnd.remove(e)
-                bnd |= into
-        patched.append(Cell(c, cells[c].dim, frozenset(bnd)))
-    return K._subdivided(remove=list(parts), add=[*made.values(), *patched])
+        parts.setdefault(e, []).append(x)
+    return K._subdivide(parts, made.values())
 
 
 def _surface_glue_map(K1, K2, alpha, bprime, top):

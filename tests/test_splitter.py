@@ -395,6 +395,11 @@ def test_repair_loop_meets_no_stray_arc_and_no_pocket(monkeypatch,
     seen = Counter()
 
     def checked(K, V, region, bg):
+        # the proof in classify_boundary's docstring: every degree is
+        # even, and a wedge has at least two sectors
+        assert all(d % 2 == 0 for d in bg.degree.values())
+        for v in bg.wedge_vertices:
+            assert len(splitter._sectors_at(K, region, v)) >= 2, v
         out = inward(K, V, region, bg)
         if not out:
             for edges, anchors in stray_chains(K, region, bg):

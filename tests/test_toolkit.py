@@ -14,7 +14,8 @@ from dms.cellcomplex import (
     verify_closed_surface,
 )
 from dms.cli import build_parser, main
-from dms.errors import Disconnected, ParseError, UnknownFixture
+from dms.errors import (Disconnected, NonPseudomanifold, ParseError,
+                        UnknownFixture)
 from dms.fixtures import (
     fixture_complex,
     genus_surface,
@@ -144,6 +145,16 @@ def test_parse_tri_rejects_a_negative_index(tmp_path, capsys):
     bad.write_text("tri 3\nt -1 0 1\n", encoding="utf-8")
     assert run_cli(["betti", "--complex", str(bad)]) == 3
     assert "line 2: bad vertex index" in capsys.readouterr().err
+
+
+def test_parse_tri_refuses_an_open_surface(tmp_path, capsys):
+    with pytest.raises(NonPseudomanifold,
+                       match="edge e0-1 lies in 1 facets"):
+        parse_tri("tri 3\nt 0 1 2\n")
+    bad = tmp_path / "open.tri"
+    bad.write_text("tri 3\nt 0 1 2\n", encoding="utf-8")
+    assert run_cli(["betti", "--complex", str(bad)]) == 4
+    assert "NonPseudomanifold: edge e0-1" in capsys.readouterr().err
 
 
 def test_write_tri_refuses_a_vertex_in_no_triangle(tetra):
