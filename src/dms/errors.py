@@ -118,6 +118,12 @@ class NoEligibleBeta(DmsError):
     pass
 
 
+class InseparableCriticals(DmsError):
+    """separate_critical_cells ran out of steps; args are the two
+    critical cells its next step would part (two critical polygons whose
+    boundaries meet, on every input seen so far)."""
+
+
 # --- splitting ---
 
 class WrongCriticalCount(DmsError):

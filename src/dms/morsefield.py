@@ -510,23 +510,30 @@ def synthesize_function(K, V):
     The flow digraph has a directed cycle exactly when V has a closed
     V-path (Chari 2000), so the order also decides acyclicity; only then
     is the V-path searched for, to name it in CyclicField.
+
+    One walk over the face relations lists each node's successors (the
+    nodes of its cells' faces) and counts the in-degrees.  The min-heap
+    pops the smallest ready node, so the order is the lexicographically
+    smallest topological one, however the lists are ordered.
     """
     issues = _matching_issues(K, V)
     if issues:
         raise InconsistentField(issues[:5])
     cells = K.cells
-    pm = V.partner_map()
     node = {cid: cid for cid in cells}
     for a, b in V.pairs():
         node[a] = node[b] = min(a, b)
-    # a node's in-degree counts each face relation into it from another
-    # node, repeats included, so it reaches 0 when its last one is done
-    indeg = dict.fromkeys(node.values(), 0)
+    # a successor list keeps repeats, and a node's in-degree counts them,
+    # so it reaches 0 when its last face relation is done
+    succ = {n: [] for n in node.values()}
+    indeg = dict.fromkeys(succ, 0)
     for tid, cell in cells.items():
         nt = node[tid]
+        out = succ[nt]
         for sid in cell.boundary:
             ns = node[sid]
             if ns != nt:
+                out.append(ns)
                 indeg[ns] += 1
     ready = [n for n, d in indeg.items() if d == 0]
     heapq.heapify(ready)
@@ -534,14 +541,10 @@ def synthesize_function(K, V):
     while ready:
         n = heapq.heappop(ready)
         position[n] = len(position)
-        partner = pm.get(n)
-        for cid in (n,) if partner is None else (n, partner):
-            for sid in cells[cid].boundary:
-                ns = node[sid]
-                if ns != n:
-                    indeg[ns] -= 1
-                    if indeg[ns] == 0:
-                        heapq.heappush(ready, ns)
+        for ns in succ[n]:
+            indeg[ns] -= 1
+            if indeg[ns] == 0:
+                heapq.heappush(ready, ns)
     if len(position) != len(indeg):
         raise CyclicField(_find_cycle(K, dict(V.pairs())))
     top = len(position) - 1

@@ -16,6 +16,7 @@ collar correspondents `inner:<id>`.
 
 from collections import ChainMap
 from dataclasses import dataclass
+from itertools import count
 
 from .cellcomplex import (
     Cell,
@@ -28,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     InconsistentField,
+    InseparableCriticals,
     NoEligibleBeta,
     NonPseudomanifold,
     NotA2Cell,
@@ -185,37 +187,110 @@ def _inheriting_arc(K, c, u, w):
 # --- separating critical cells ---------------------------------------------
 
 
-def _crits_in_closures(K, crits):
-    """Cells whose closure holds >= 2 distinct critical cells, each with
-    the sorted critical cells it holds; a cell holds c exactly when it
-    lies in the star of c."""
-    hits = {}
-    for c in sorted(set(crits)):
-        for cid in K.star(c):
-            hits.setdefault(cid, []).append(c)
-    return [(cid, held) for cid, held in sorted(hits.items())
-            if len(held) >= 2]
+class _Cover:
+    """A set of cells for each critical cell (its star, or its closure),
+    and for each cell the critical cells whose set holds it, kept with
+    the cells that two or more of them hold."""
+
+    def __init__(self):
+        self.of = {}    # critical cell -> its set
+        self.held = {}  # cell -> the critical cells whose set holds it
+        self.crowded = set()
+
+    def add(self, c, cells):
+        """The set of c gains `cells`, none of which it holds yet."""
+        self.of.setdefault(c, set()).update(cells)
+        for x in cells:
+            hs = self.held.setdefault(x, set())
+            hs.add(c)
+            if len(hs) >= 2:
+                self.crowded.add(x)
+
+    def drop(self, c, cells):
+        """The set of c loses `cells`, which may be that set itself; c
+        goes when its set is empty."""
+        cells = list(cells)
+        mine = self.of[c]
+        mine.difference_update(cells)
+        if not mine:
+            del self.of[c]
+        for x in cells:
+            hs = self.held[x]
+            hs.discard(c)
+            if len(hs) < 2:
+                self.crowded.discard(x)
+                if not hs:
+                    del self.held[x]
+
+    def crowded_cells(self):
+        """The cells held by two or more critical cells, in id order,
+        each with the sorted critical cells holding it."""
+        return sorted((x, sorted(self.held[x])) for x in self.crowded)
 
 
-def _touching_crit_pairs(K, crits):
-    """Pairs of critical cells whose closures intersect (e.g. two
-    critical edges with a common vertex), each with the sorted cells the
-    two closures share; `crits` is sorted, and so are the pairs."""
-    held = {}  # cell -> the critical cells whose closure holds it
-    for c in crits:
-        for x in K.closure(c):
-            held.setdefault(x, []).append(c)
-    shared = {}
-    for x, cs in held.items():
-        for i, c1 in enumerate(cs):
-            for c2 in cs[i + 1:]:
-                shared.setdefault((c1, c2), []).append(x)
-    return [(c1, c2, sorted(xs)) for (c1, c2), xs in sorted(shared.items())]
+class _CriticalIndex:
+    """The critical cells of V on K with the star and the closure of
+    each, carried across the bisections of separate_critical_cells
+    instead of rescanned after every step.
+
+    A bisection of a cell s into the new cells N of its record (update)
+    moves criticality only from s to its heir in rec.replacements.  A
+    critical cell in the closure of s keeps its star but for s, and
+    gains the cells of N whose closure holds it.  A critical cell in the
+    star of s keeps its closure but for s, and gains all of N: the
+    cofaces of s list both halves in its place, and the middle cell lies
+    on them.  Every other star and closure stays as it was.
+    """
+
+    def __init__(self, K, V):
+        self.stars, self.closures = _Cover(), _Cover()
+        for c in V.critical(K):
+            self.stars.add(c, K.star(c))
+            self.closures.add(c, K.closure(c))
+
+    def update(self, K, rec):
+        """Follow one bisection into the complex K it made and its
+        record."""
+        (s, heir), = rec.replacements.items()
+        stars, closures = self.stars, self.closures
+        if s in stars.of:
+            stars.drop(s, stars.of[s])
+            closures.drop(s, closures.of[s])
+            stars.add(heir, K.star(heir))
+            closures.add(heir, K.closure(heir))
+        faces = {c for c, cells in stars.of.items() if s in cells}
+        for c in faces:
+            stars.drop(c, (s,))
+        if faces:
+            for n in rec.new_cells:
+                for c in faces.intersection(K.closure(n)):
+                    stars.add(c, (n,))
+        for c in [c for c, cells in closures.of.items() if s in cells]:
+            closures.drop(c, (s,))
+            closures.add(c, rec.new_cells)
+
+    def witnesses(self):
+        """Cells whose closure holds >= 2 critical cells, in id order,
+        each with the sorted critical cells it holds; a cell holds c
+        exactly when it lies in the star of c."""
+        return self.stars.crowded_cells()
+
+    def touching(self):
+        """Pairs of critical cells whose closures intersect (e.g. two
+        critical edges with a common vertex), in sorted order, each with
+        the sorted cells the two closures share."""
+        shared = {}
+        for x, cs in self.closures.crowded_cells():
+            for i, c1 in enumerate(cs):
+                for c2 in cs[i + 1:]:
+                    shared.setdefault((c1, c2), []).append(x)
+        return [(c1, c2, xs) for (c1, c2), xs in sorted(shared.items())]
 
 
 def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
     """Chord-split polygon c so span_a and span_b land in different
-    pieces; manufactures midpoints by bisecting gap edges if needed."""
+    pieces; manufactures midpoints by bisecting gap edges if needed.
+    Returns K, V and the record of the one bisection made."""
     cycle = list(K.boundary_cycle(c))
     pos = {cell: i for i, cell in enumerate(cycle)}
     ia = pos[span_a]
@@ -253,14 +328,12 @@ def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
                 continue
             if any(K.boundary(g) == frozenset({u, w}) for g in cycle_edges):
                 continue
-            K, V, rec = bisect_2cell(K, V, c, u, w)
-            return K, V
+            return bisect_2cell(K, V, c, u, w)
     gap_edges = [cycle[i] for i in gap1 + gap2 if i % 2 == 1]
     if not gap_edges:
         raise InconsistentField(
             "cannot separate %r and %r inside %r" % (span_a, span_b, c))
-    K, V, rec = bisect_edge(K, V, gap_edges[0])
-    return K, V  # cycle changed; caller retries
+    return bisect_edge(K, V, gap_edges[0])  # cycle changed; caller retries
 
 
 def separate_critical_cells(K, V):
@@ -268,65 +341,85 @@ def separate_critical_cells(K, V):
 
     Each step either bisects a critical edge away from a critical vertex
     on it, or chord-splits a polygon whose closure holds two critical
-    cells.  The corner cut between two critical polygons that meet in a
-    vertex need not make progress, so the steps are capped at a budget
-    fixed from the input's size (every step adds cells), and past it
-    InconsistentField is raised.
+    cells; it parts the smallest witness by (dim, id), a cell whose
+    closure holds two critical cells, or else the smallest pair of
+    critical cells whose closures meet.  The loop is a worklist: one
+    scan finds the critical cells on entry, and a _CriticalIndex carries
+    them, their stars and their closures from step to step.
+
+    The corner cut between two critical polygons whose boundaries meet
+    need not make progress: it may keep cutting a corner off while the
+    piece that stays critical keeps part of the shared boundary.  So the
+    steps are capped at a budget fixed from the input's size (every step
+    adds cells), and past it InseparableCriticals names the two critical
+    cells the next step would part.  The records returned are those of
+    the steps that bisect a critical or witness edge.
     """
     records = []
-    for _ in range(100 + 10 * len(K.cells)):
-        crits = V.critical(K)
-        witnesses = _crits_in_closures(K, crits)
-        if not witnesses:
-            touching = _touching_crit_pairs(K, crits)
+    index = _CriticalIndex(K, V)
+    budget = 100 + 10 * len(K.cells)
+    for steps in count():
+        witnesses = index.witnesses()
+        if witnesses:
+            wid, hits = min(witnesses, key=lambda w: (K.dim(w[0]), w[0]))
+            parting = hits[:2]
+        else:
+            touching = index.touching()
             if not touching:
                 return K, V, records
             c1, c2, shared = touching[0]
+            parting = [c1, c2]
+        if steps == budget:
+            raise InseparableCriticals(*parting)
+        if witnesses:
+            on_edge = K.dim(wid) == 1
+            if on_edge and wid in hits:
+                # critical edge containing a critical vertex
+                vcrit = [h for h in hits if h != wid][0]
+                other = [x for x in K.boundary(wid) if x != vcrit][0]
+                K, V, rec = bisect_edge(K, V, wid, anchor=other)
+            elif on_edge:
+                # an edge between two critical vertices
+                K, V, rec = bisect_edge(K, V, wid)
+            else:
+                span_a, span_b = hits[0], hits[1]
+                if wid in hits:
+                    # the inheriting piece of a critical polygon is the
+                    # one whose boundary arc holds span_b, so isolate the
+                    # other critical
+                    span_a = [h for h in hits if h != wid][0]
+                    cycle = list(K.boundary_cycle(wid))
+                    others = [cell for cell in cycle
+                              if cell != span_a
+                              and cell not in index.closures.of[span_a]]
+                    span_b = others[len(others) // 2]
+                K, V, rec = _separating_chord(
+                    K, V, wid, span_a, span_b,
+                    {h for h in hits if K.dim(h) == 0})
+        else:
             x = shared[0]
             edges = [c for c in (c1, c2) if K.dim(c) == 1]
+            on_edge = bool(edges)
             if edges:
                 e = edges[0]
                 other_crit = c2 if e == c1 else c1
                 far = sorted(y for y in K.boundary(e)
-                             if y not in K.closure(other_crit))
+                             if y not in index.closures.of[other_crit])
                 anchor = far[0] if far else sorted(K.boundary(e) - {x})[0]
                 K, V, rec = bisect_edge(K, V, e, anchor=anchor)
-                records.append(rec)
-                continue
-            # two critical polygons meeting in a vertex: cut the corner
-            # of the first one off, keeping criticality away from it
-            cycle = list(K.boundary_cycle(c1))
-            others = [cell for cell in cycle if cell != x]
-            span_b = others[len(others) // 2]
-            K, V = _separating_chord(K, V, c1, x, span_b,
-                                     {h for h in crits if K.dim(h) == 0})
-            continue
-        witnesses.sort(key=lambda x: (K.dim(x[0]), x[0]))
-        wid, hits = witnesses[0]
-        wcell = K.cell(wid)
-        if wcell.dim == 1:
-            # critical edge containing a critical vertex, or an edge
-            # between two critical vertices
-            if wid in hits:
-                vcrit = [h for h in hits if h != wid][0]
-                other = [x for x in K.boundary(wid) if x != vcrit][0]
-                K, V, rec = bisect_edge(K, V, wid, anchor=other)
             else:
-                K, V, rec = bisect_edge(K, V, wid)
+                # two critical polygons meeting in a vertex: cut the
+                # corner of the first one off, keeping criticality away
+                # from it
+                cycle = list(K.boundary_cycle(c1))
+                others = [cell for cell in cycle if cell != x]
+                span_b = others[len(others) // 2]
+                K, V, rec = _separating_chord(
+                    K, V, c1, x, span_b,
+                    {h for h in index.stars.of if K.dim(h) == 0})
+        if on_edge:
             records.append(rec)
-            continue
-        span_a, span_b = hits[0], hits[1]
-        if wid in hits:
-            # the inheriting piece of a critical polygon is the one whose
-            # boundary arc holds span_b, so isolate the other critical
-            span_a = [h for h in hits if h != wid][0]
-            cycle = list(K.boundary_cycle(wid))
-            others = [cell for cell in cycle
-                      if cell != span_a and cell not in K.closure(span_a)]
-            span_b = others[len(others) // 2]
-        vertex_crits = {h for h in hits if K.dim(h) == 0}
-        K, V = _separating_chord(K, V, wid, span_a, span_b, vertex_crits)
-    raise InconsistentField("separation loop did not converge")
+        index.update(K, rec)
 
 
 # --- prisms and inner copies -------------------------------------------------

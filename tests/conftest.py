@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from dms import surgery
 from dms.cellcomplex import Complex, build_poset, build_simplicial
 from dms.fixtures import (
     genus_surface,
@@ -207,5 +208,37 @@ def spy(monkeypatch):
                     if val is fn:
                         monkeypatch.setattr(mod, attr, wrapper)
         return calls
+
+    return install
+
+
+@pytest.fixture
+def each_separation_step(monkeypatch):
+    """each_separation_step(check) runs check(index, K, V) on the index
+    separate_critical_cells carries, once it is built and after every
+    step, with the complex and field it then describes."""
+    made = []  # the complex and field of the last bisection
+
+    def install(check):
+        init = surgery._CriticalIndex.__init__
+        update = surgery._CriticalIndex.update
+
+        def checked_init(self, K, V):
+            init(self, K, V)
+            check(self, K, V)
+
+        def checked_update(self, K, rec):
+            update(self, K, rec)
+            assert made[-1][0] is K
+            check(self, *made[-1])
+
+        monkeypatch.setattr(surgery._CriticalIndex, "__init__", checked_init)
+        monkeypatch.setattr(surgery._CriticalIndex, "update", checked_update)
+        for name in ("bisect_edge", "bisect_2cell"):
+            def recorded(*args, _fn=getattr(surgery, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                made.append(out[:2])
+                return out
+            monkeypatch.setattr(surgery, name, recorded)
 
     return install

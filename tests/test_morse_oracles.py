@@ -9,7 +9,12 @@ import random
 import pytest
 
 from dms import surgery
-from dms.errors import CyclicField, InconsistentField, MissingValue
+from dms.errors import (
+    CyclicField,
+    InconsistentField,
+    InseparableCriticals,
+    MissingValue,
+)
 from dms.fixtures import (
     genus_surface,
     pillow,
@@ -27,6 +32,7 @@ from dms.morsefield import (
     VectorField,
     _check_function,
     _find_cycle,
+    _matching_issues,
     critical_cells,
     induced_field,
     is_perfect,
@@ -187,6 +193,46 @@ def oracle_synthesize_function(K, V):
     return MorseFunction(values)
 
 
+def reference_synthesize_function(K, V):
+    """synthesize_function as it was before its successor lists: the
+    face relations walked once for the in-degrees and again, through the
+    partner map, inside the heap loop."""
+    issues = _matching_issues(K, V)
+    if issues:
+        raise InconsistentField(issues[:5])
+    cells = K.cells
+    pm = V.partner_map()
+    node = {cid: cid for cid in cells}
+    for a, b in V.pairs():
+        node[a] = node[b] = min(a, b)
+    indeg = dict.fromkeys(node.values(), 0)
+    for tid, cell in cells.items():
+        nt = node[tid]
+        for sid in cell.boundary:
+            ns = node[sid]
+            if ns != nt:
+                indeg[ns] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    position = {}
+    while ready:
+        n = heapq.heappop(ready)
+        position[n] = len(position)
+        partner = pm.get(n)
+        for cid in (n,) if partner is None else (n, partner):
+            for sid in cells[cid].boundary:
+                ns = node[sid]
+                if ns != n:
+                    indeg[ns] -= 1
+                    if indeg[ns] == 0:
+                        heapq.heappush(ready, ns)
+    if len(position) != len(indeg):
+        raise CyclicField(_find_cycle(K, dict(V.pairs())))
+    top = len(position) - 1
+    values = {cid: float(top - position[node[cid]]) for cid in cells}
+    return MorseFunction(values)
+
+
 # --- helpers ----------------------------------------------------------------
 
 
@@ -312,6 +358,45 @@ def test_pillow_cycle_and_bad_pairs_match_oracle():
         assert assert_same_synthesis(K, V) is InconsistentField
         # is_perfect refuses what synthesize_function refuses, alike
         assert outcome(is_perfect, K, V) == outcome(synthesize_function, K, V)
+
+
+def assert_synthesis_matches_the_reference(K, V):
+    new = outcome(synthesize_function, K, V)
+    assert new == outcome(reference_synthesize_function, K, V)
+    if new[0] == "ok":
+        old = reference_synthesize_function(K, V)
+        assert list(new[1].values.items()) == list(old.values.items())
+    return new[0]
+
+
+@pytest.mark.parametrize("make", [tetrahedron, torus7,
+                                  lambda: genus_surface(2)[0]])
+def test_synthesis_matches_the_two_pass_reference_on_random_fields(make):
+    K = make()
+    for seed in range(40):
+        V = random_valid_field(K, seed)
+        assert assert_synthesis_matches_the_reference(K, V) == "ok"
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_synthesis_matches_the_two_pass_reference_on_tree_cotree_fields(g):
+    K = genus_surface(g)[0]
+    for seed in range(3):
+        V = tree_cotree_field(K, rng=random.Random(seed))
+        assert assert_synthesis_matches_the_reference(K, V) == "ok"
+
+
+def test_synthesis_refuses_as_the_reference_does():
+    K = pillow()
+    cyclic = VectorField([("q0", "sqA"), ("q1", "sqB")])
+    assert assert_synthesis_matches_the_reference(K, cyclic) is CyclicField
+    # the witness names the closed V-path
+    witness = _find_cycle(K, dict(cyclic.pairs()))
+    assert witness and outcome(synthesize_function, K, cyclic)[1] == \
+        (witness,)
+    double = VectorField([("q0", "sqA"), ("q0", "sqB")])
+    assert assert_synthesis_matches_the_reference(K, double) \
+        is InconsistentField
 
 
 # --- homology from the Morse complex ---------------------------------------
@@ -486,22 +571,22 @@ def oracle_touching_crit_pairs(K, crits):
     return out
 
 
-def test_touching_crit_pairs_match_the_pairwise_oracle(monkeypatch):
-    touching = surgery._touching_crit_pairs
+def test_touching_crit_pairs_match_the_pairwise_oracle(each_separation_step):
+    # on entry and after every step, the touching pairs read off the
+    # carried closures are the pairwise oracle's on that step's complex
     found = []
 
-    def checked(K, crits):
-        out = touching(K, crits)
-        assert out == oracle_touching_crit_pairs(K, crits)
+    def check(index, K, V):
+        out = index.touching()
+        assert out == oracle_touching_crit_pairs(K, V.critical(K))
         found.append(len(out))
-        return out
 
-    monkeypatch.setattr(surgery, "_touching_crit_pairs", checked)
+    each_separation_step(check)
     for K in (tetrahedron(), torus7(), genus_surface(2)[0]):
         for seed in range(6):
             try:
                 surgery.separate_critical_cells(K, random_valid_field(K, seed))
-            except InconsistentField:
+            except InseparableCriticals:
                 pass  # the corner cut that does not converge
     assert len(found) > 12 and any(found)
 

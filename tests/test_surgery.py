@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from dms import surgery
+from dms import morsefield, surgery
 from dms.cellcomplex import Complex, build_poset, build_simplicial, \
     euler_characteristic, verify_closed_surface
 from dms.errors import (
@@ -11,6 +11,7 @@ from dms.errors import (
     DimensionMismatch,
     Disconnected,
     InconsistentField,
+    InseparableCriticals,
     NotA2Cell,
     NotAnEdge,
     NotPerfectInput,
@@ -281,7 +282,7 @@ def test_split_cell_carries_the_flags_of_a_full_rebuild(monkeypatch):
 
 def closure_scan(K, crits):
     """Cells whose closure holds >= 2 critical cells, by intersecting
-    every closure: the oracle for the star walk of _crits_in_closures."""
+    every closure: the oracle for the witnesses of the carried index."""
     out = []
     critset = set(crits)
     for cid in sorted(K.cells):
@@ -291,17 +292,23 @@ def closure_scan(K, crits):
     return out
 
 
-def test_crits_in_closures_matches_closure_scan(monkeypatch):
-    star_walk = surgery._crits_in_closures
+def test_crits_in_closures_matches_closure_scan(each_separation_step):
+    # on entry and after every step, the carried critical set is the
+    # field's, the carried stars and closures are the complex's, and the
+    # witnesses read off the stars are the closure scan's
     found = []
 
-    def checked(K, crits):
-        out = star_walk(K, crits)
+    def check(index, K, V):
+        crits = V.critical(K)
+        assert sorted(index.stars.of) == sorted(index.closures.of) == crits
+        for c in crits:
+            assert index.stars.of[c] == K.star(c)
+            assert index.closures.of[c] == K.closure(c)
+        out = index.witnesses()
         assert out == closure_scan(K, crits)
         found.append(len(out))
-        return out
 
-    monkeypatch.setattr(surgery, "_crits_in_closures", checked)
+    each_separation_step(check)
     for g in (2, 3, 4):
         K = genus_surface(g)[0]
         for seed in range(4):
@@ -330,11 +337,67 @@ def test_separation_budget_is_fixed_on_entry(monkeypatch):
         def counted(*args, _fn=getattr(surgery, name), **kwargs):
             made.append(args[2])
             assert len(made) <= 1000, "bisection budget exceeded"
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            last[:] = out[:2]
+            return out
         monkeypatch.setattr(surgery, name, counted)
-    with pytest.raises(InconsistentField, match="did not converge"):
+    last = []
+    with pytest.raises(InseparableCriticals) as err:
         separate_critical_cells(K, V)
     assert len(made) == 100 + 10 * len(K.cells)
+    # the refusal names two critical polygons of the last complex whose
+    # closures meet
+    K2, V2 = last
+    a, b = err.value.args
+    assert {a, b} <= set(V2.critical(K2))
+    assert K2.dim(a) == K2.dim(b) == 2 and K2.closure(a) & K2.closure(b)
+
+
+# the fields on which the corner cut between two critical polygons keeps
+# cutting while the piece left critical keeps part of their shared
+# boundary, until the step budget runs out
+INSEPARABLE_SEEDS = {("tetrahedron", 37), ("torus7", 38), ("genus2", 6),
+                     ("genus2", 17), ("genus2", 21), ("genus2", 25)}
+
+
+def test_separation_refuses_only_the_known_fields():
+    refused = set()
+    for name, K in (("tetrahedron", tetrahedron()), ("torus7", torus7()),
+                    ("genus2", genus_surface(2)[0])):
+        for seed in range(40):
+            V = random_valid_field(K, seed)
+            try:
+                K2, V2, _ = separate_critical_cells(K, V)
+            except InseparableCriticals:
+                refused.add((name, seed))
+                continue
+            # never the internal InconsistentField; a separation keeps
+            # the critical counts
+            assert critical_cells(V2, K2).m == critical_cells(V, K).m
+    assert refused <= INSEPARABLE_SEEDS
+
+
+def test_one_critical_scan_per_separation(monkeypatch):
+    # the loop carries its critical cells, so however many steps it takes
+    # it scans the whole complex for them once, on entry
+    scans = []
+    for owner, name in ((VectorField, "critical"),
+                        (morsefield, "critical_cells"),
+                        (surgery, "critical_cells")):
+        def counted(*args, _fn=getattr(owner, name), **kwargs):
+            scans.append(name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    steps = []
+    for g in (2, 3, 4, 5, 6):
+        K = genus_surface(g)[0]
+        for seed in range(3):
+            V = tree_cotree_field(K, rng=random.Random(seed))
+            del scans[:]
+            K2, V2, recs = separate_critical_cells(K, V)
+            assert len(scans) <= 1
+            steps.append((len(K2.cells) - len(K.cells)) // 2)  # bisections
+    assert max(steps) > 10
 
 
 def test_separate_two_edges_sharing_vertex():
