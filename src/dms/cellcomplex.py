@@ -64,6 +64,9 @@ class Complex:
     # the mod-2 Betti numbers, once morsefield has derived them from a
     # gradient field on this complex
     _betti = None
+    # (f, V, critical cells of V) when `compose` returned this complex
+    # with the function f, which it proved valid and inducing V
+    _composed = None
 
     def __init__(self, cells):
         # cells: iterable of Cell

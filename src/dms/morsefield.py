@@ -15,6 +15,7 @@ import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import (
     CyclicField,
@@ -117,13 +118,26 @@ class VectorField:
 
 @dataclass(frozen=True)
 class MorseFunction:
-    values: dict
+    values: dict  # or a read-only mappingproxy of one, as compose returns
 
     def __getitem__(self, cid):
         return self.values[cid]
 
     def __contains__(self, cid):
         return cid in self.values
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: values made read-only come back
+        # read-only, over a dict of their own
+        if isinstance(self.values, MappingProxyType):
+            return _read_only_function, (dict(self.values),)
+        return MorseFunction, (self.values,)
+
+
+def _read_only_function(values):
+    """The function on `values`, read-only: the dict must be one that
+    nothing else holds."""
+    return MorseFunction(MappingProxyType(values))
 
 
 @dataclass(frozen=True)
@@ -511,42 +525,50 @@ def synthesize_function(K, V):
     V-path (Chari 2000), so the order also decides acyclicity; only then
     is the V-path searched for, to name it in CyclicField.
 
-    One walk over the face relations lists each node's successors (the
-    nodes of its cells' faces) and counts the in-degrees.  The min-heap
-    pops the smallest ready node, so the order is the lexicographically
-    smallest topological one, however the lists are ordered.
+    The cells are ranked once in id order, and the contracted nodes,
+    their successor lists (the nodes of their cells' faces, counted into
+    the in-degrees in the same walk) and the min-heap work on ranks.
+    Ranks order like ids, so the heap pops the smallest ready node and
+    the order is the lexicographically smallest topological one, however
+    the lists are ordered.
     """
     issues = _matching_issues(K, V)
     if issues:
         raise InconsistentField(issues[:5])
     cells = K.cells
-    node = {cid: cid for cid in cells}
-    for a, b in V.pairs():
-        node[a] = node[b] = min(a, b)
+    rank = dict(zip(sorted(cells), range(len(cells))))
+    # node[r] is the node of the cell of rank r: a matched pair is one
+    # node, named by its smaller rank
+    node = list(range(len(rank)))
+    for a, b in V.pair_list:
+        ra, rb = rank[a], rank[b]
+        node[ra] = node[rb] = min(ra, rb)
     # a successor list keeps repeats, and a node's in-degree counts them,
     # so it reaches 0 when its last face relation is done
-    succ = {n: [] for n in node.values()}
-    indeg = dict.fromkeys(succ, 0)
+    succ = [[] if nr == r else None for r, nr in enumerate(node)]
+    indeg = [0] * len(node)
     for tid, cell in cells.items():
-        nt = node[tid]
+        nt = node[rank[tid]]
         out = succ[nt]
         for sid in cell.boundary:
-            ns = node[sid]
+            ns = node[rank[sid]]
             if ns != nt:
                 out.append(ns)
                 indeg[ns] += 1
-    ready = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    position = {}
+    # listed in rank order, the ready nodes already form a heap
+    ready = [r for r, nr in enumerate(node) if nr == r and not indeg[r]]
+    position = [0] * len(node)
+    done = 0
     while ready:
-        n = heapq.heappop(ready)
-        position[n] = len(position)
-        for ns in succ[n]:
+        r = heapq.heappop(ready)
+        position[r] = done
+        done += 1
+        for ns in succ[r]:
             indeg[ns] -= 1
-            if indeg[ns] == 0:
+            if not indeg[ns]:
                 heapq.heappush(ready, ns)
-    if len(position) != len(indeg):
+    if done != len(node) - len(V.pair_list):
         raise CyclicField(_find_cycle(K, dict(V.pairs())))
-    top = len(position) - 1
-    values = {cid: float(top - position[node[cid]]) for cid in cells}
-    return MorseFunction(values)
+    top = done - 1
+    return MorseFunction({cid: float(top - position[node[rank[cid]]])
+                          for cid in cells})

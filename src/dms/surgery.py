@@ -14,7 +14,6 @@ across per the piecewise rules.  Tube cells are `tube:<id>:top` and
 collar correspondents `inner:<id>`.
 """
 
-from collections import ChainMap
 from dataclasses import dataclass
 from itertools import count
 
@@ -44,6 +43,7 @@ from .morsefield import (
     VectorField,
     _betti,
     _check_function,
+    _read_only_function,
     critical_cells,
     induced_field,
     synthesize_function,
@@ -542,15 +542,31 @@ class ComposeReport:
     glue_cycle_length: int
 
 
-def _prefixed(K, V, f, prefix):
-    """K, V and f with every id renamed to prefix + id.  The field and
-    the function reuse the complex's new id strings; a common prefix
-    keeps the sorted order of ids, so V's pairs are not sorted again."""
+def _prefixed(K, V, prefix):
+    """K and V with every id renamed to prefix + id, and the renaming.
+    The field reuses the complex's new id strings; a common prefix keeps
+    the sorted order of ids, so V's pairs are not sorted again."""
     Kp = K.prefixed(prefix)
     name = dict(zip(K.cells, Kp.cells))  # prefixed keeps the cell order
-    fp = MorseFunction({name[cid] if cid in name else prefix + cid: val
-                        for cid, val in f.values.items()})
-    return Kp, V._renamed(name), fp
+    return Kp, V._renamed(name), name
+
+
+def _renamed_function(f, name, prefix):
+    """f with every id x renamed to name[x], or to prefix + x for the
+    ids that `name` does not know."""
+    return MorseFunction({name[cid] if cid in name else prefix + cid: val
+                          for cid, val in f.values.items()})
+
+
+def _checked_summand(K, f):
+    """The gradient field f induces on K and its critical cells: taken
+    from the record compose keeps on a complex it returned when f is the
+    very function it returned with it, and otherwise checked in full."""
+    record = K._composed
+    if record is not None and record[0] is f:
+        return record[1], record[2]
+    V = induced_field(K, f)
+    return V, critical_cells(V, K)
 
 
 def _boundary_offenders(K, V, alpha):
@@ -631,6 +647,22 @@ def compose(M1, f1, M2, f2):
     the second summand, and `perfect` compares the counts with b(M).
     A connected sum of closed pseudomanifolds is one, so the result
     takes is_pseudomanifold over without a scan of its cells.
+
+    The returned f has read-only values.  When it is valid and induces
+    the returned V, M keeps the record (f, V, critical cells of V), and
+    a later compose handed this very M and this very f (the same
+    objects, as a chain passes them on) reads V and the critical cells
+    off it instead of checking f on every cell.  Another complex, a
+    copy of f or a function compose did not return is checked in full.
+    The record is sound because:
+    - no edit mutates a Complex: each returns a new one, and the library
+      already caches _betti, is_pseudomanifold and _surface_info on one;
+    - f's values are a mappingproxy over a dict that nothing else holds,
+      so they cannot change after the check;
+    - f is valid and induces V on all of M: the touched cells are
+      checked, and every other cell keeps its faces, its cofaces and the
+      order of their values from a function valid on the first summand
+      (the comment at the touched cells below).
     """
     if M1.top_dim != M2.top_dim:
         raise DimensionMismatch((M1.top_dim, M2.top_dim))
@@ -639,38 +671,35 @@ def compose(M1, f1, M2, f2):
         if not K.is_pseudomanifold:
             raise NonPseudomanifold("compose input is not a closed "
                                     "pseudomanifold")
-    V1 = induced_field(M1, f1)
-    V2 = induced_field(M2, f2)
-    crits = []
-    for K, V in ((M1, V1), (M2, V2)):
-        crit = critical_cells(V, K)
+    V1, crit1 = _checked_summand(M1, f1)
+    V2, crit2 = _checked_summand(M2, f2)
+    for K, V, crit in ((M1, V1, crit1), (M2, V2, crit2)):
         if crit.m != _betti(K, V).b:
             raise NotPerfectInput(crit.m)
         if crit.m[0] > 1:  # a perfect field has b_0 critical vertices
             raise Disconnected("summand is not connected: critical "
                                "vertices %s" % ", ".join(crit.cells[0]))
-        crits.append(crit)
-    K1, V1, f1w = _prefixed(M1, V1, f1, "m1:")
-    K2, V2, f2w = _prefixed(M2, V2, f2, "m2:")
+    K1, V1, name1 = _prefixed(M1, V1, "m1:")
+    K2, V2, name2 = _prefixed(M2, V2, "m2:")
     # a common prefix keeps the sorted order of ids
-    alpha = "m1:" + crits[0].cells[n][0]
-    v2 = "m2:" + crits[1].cells[0][0]
+    alpha = "m1:" + crit1.cells[n][0]
+    v2 = "m2:" + crit2.cells[0][0]
 
     clearing = 0
-    resynth = False
     if n == 2:
         K1, V1, alpha, clearing = _clear_top_cell_boundary(K1, V1, alpha)
-        if clearing:
-            f1w = synthesize_function(K1, V1)
-            resynth = True
     elif _boundary_offenders(K1, V1, alpha):
         raise InconsistentField(
             "pairs inside the removed cell's boundary; clearing is only "
             "implemented for surfaces")
+    # a function is renamed only when no resynthesis replaces it
+    resynth = clearing > 0
+    f1w = (synthesize_function(K1, V1) if resynth
+           else _renamed_function(f1, name1, "m1:"))
 
     K2, V2, beta, beta_steps = _choose_beta(K2, V2, v2)
-    if beta_steps:
-        f2w = synthesize_function(K2, V2)
+    f2w = (synthesize_function(K2, V2) if beta_steps
+           else _renamed_function(f2, name2, "m2:"))
     ic = shrink_closed_star(K2, beta, v2)
     K2 = ic.complex
     pairs2 = [(ic.correspondence.get(a, a), ic.correspondence.get(b, b))
@@ -715,30 +744,33 @@ def compose(M1, f1, M2, f2):
     touched.extend(tube.base_cells)
     preimage = {corr: orig for orig, corr in ic.correspondence.items()}
 
-    def assemble(f1v, f2v):
-        """The values on the tube and the second summand, C, and the
-        verdict and induced pairs on the touched cells of the function
-        they make with f1v, read through a ChainMap."""
+    def assemble(f1w, f2w):
+        """The function on M, read-only over one dict of its own: f1w
+        on K1's cells but alpha, f1w + C/2 on the tube and f2w + C on
+        the second summand, with C = f1w(alpha) + 2; with C and the
+        verdict and induced pairs of the touched cells."""
+        f1v, f2v = f1w.values, f2w.values
         C = f1v[alpha] + 2.0
-        values = {}
+        # a synthesized f1w holds exactly K1's cells, in table order; an
+        # input's may hold other ids, which the result drops
+        values = (dict(f1v) if resynth
+                  else {cid: f1v[cid] for cid in K1.cells})
+        del values[alpha]
         for cid in tube.base_cells:
             values[tube.top[cid]] = f1v[cid] + C / 2.0
             values[tube.prism[cid]] = f1v[cid] + C / 2.0
         for c in glued:
             values[c.id] = f2v[preimage.get(c.id, c.id)] + C
-        f = MorseFunction(ChainMap(values, f1v.values))
-        return (values, C, *_check_function(M, f, touched))
+        f = _read_only_function(values)
+        return (f, C, *_check_function(M, f, touched))
 
-    values, C, freport, fpairs = assemble(f1w, f2w)
+    f, C, freport, fpairs = assemble(f1w, f2w)
     rescaled = not freport.ok
     if rescaled:
+        del f  # each whole function goes before the next one is built
         f1w = _rank_rescale(f1w)
         f2w = _rank_rescale(f2w)
-        values, C, freport, fpairs = assemble(f1w, f2w)
-    f1v = f1w.values
-    full = {cid: f1v[cid] for cid in K1.cells if cid != alpha}
-    full.update(values)
-    f = MorseFunction(full)
+        f, C, freport, fpairs = assemble(f1w, f2w)
     touched = set(touched)
     # a valid function inducing V makes V a gradient field
     induces_V = freport.ok and sorted(fpairs) == [
@@ -750,7 +782,7 @@ def compose(M1, f1, M2, f2):
     # a matching pairs cells of adjacent dimensions, so the alternating
     # sum of the inputs' critical counts is the sum of their chi
     chi_inputs = sum((-1) ** p * (m1 + m2) for p, (m1, m2)
-                     in enumerate(zip(crits[0].m, crits[1].m)))
+                     in enumerate(zip(crit1.m, crit2.m)))
     if chi != chi_inputs - chi_sphere:
         raise InconsistentField("Euler characteristic drifted in compose")
     if not induces_V:
@@ -764,6 +796,8 @@ def compose(M1, f1, M2, f2):
         b1 + b2 - (p == 0) - (p == n)
         for p, (b1, b2) in enumerate(zip(M1._betti.b, M2._betti.b))))
     M.is_pseudomanifold = True
+    if induces_V:
+        M._composed = (f, V, counts)
     report = ComposeReport(
         chi=chi, counts=counts.m, perfect=counts.m == M._betti.b,
         function_valid=freport.ok, constant=C, rescaled=rescaled,

@@ -25,6 +25,7 @@ from dms.fixtures import (
     tree_cotree_field,
 )
 from dms.homology import betti_mod2
+from dms.splitter import decompose
 from dms.morsefield import (
     FieldReport,
     FunctionReport,
@@ -384,6 +385,41 @@ def test_synthesis_matches_the_two_pass_reference_on_tree_cotree_fields(g):
     for seed in range(3):
         V = tree_cotree_field(K, rng=random.Random(seed))
         assert assert_synthesis_matches_the_reference(K, V) == "ok"
+
+
+@pytest.mark.parametrize("g1", [1, 2])
+def test_synthesis_matches_the_reference_on_capped_pieces(g1):
+    # decompose's pieces, whose caps add `cone:` ids
+    K, f = genus_surface(4)[:2]
+    res = decompose(K, f, g1, 4 - g1)
+    for P, V in ((res.m1_complex, res.m1_field),
+                 (res.m2_complex, res.m2_field)):
+        assert any(cid.startswith("cone:") for cid in P.cells)
+        assert assert_synthesis_matches_the_reference(P, V) == "ok"
+
+
+def test_synthesis_matches_the_reference_inside_compose(monkeypatch):
+    # what a compose chain synthesizes: each cleared first summand, its
+    # cells out of id order under ever longer `m1:` ids
+    seen = []
+
+    def synthesize(K, V):
+        seen.append((K, V))
+        return synthesize_function(K, V)
+
+    monkeypatch.setattr(surgery, "synthesize_function", synthesize)
+    K, f = genus_surface(1)[:2]
+    for seed in range(4):
+        T = torus7()
+        ft = synthesize_function(T, tree_cotree_field(
+            T, rng=random.Random(seed)))
+        K, f, _, _ = surgery.compose(K, f, T, ft)
+    lefts = [K1 for K1, _ in seen
+             if any(cid.startswith("m1:m1:m1:") for cid in K1.cells)]
+    assert lefts and all(list(K1.cells) != sorted(K1.cells)
+                         for K1 in lefts)
+    for K1, V1 in seen:
+        assert assert_synthesis_matches_the_reference(K1, V1) == "ok"
 
 
 def test_synthesis_refuses_as_the_reference_does():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,7 +11,8 @@ from dms.errors import (
     MultipleRoots,
     StartIsCritical,
 )
-from dms.fixtures import random_valid_field, tree_cotree_field
+from dms.fixtures import genus_surface, random_valid_field, tree_cotree_field
+from dms.formats import write_dmf
 from dms.homology import betti_mod2
 from dms.morsefield import (
     MorseFunction,
@@ -242,3 +245,20 @@ def test_replace_matches_a_sorted_rebuild(torus, seed):
     out = V.replace(drop=drop, add=add)
     assert out.pairs() == rebuilt.pairs()
     assert V.pairs() == VectorField(pairs).pairs()  # V is unchanged
+
+
+def test_read_only_values_survive_pickle_and_copy():
+    # compose returns its function with read-only values, which must
+    # come back read-only from a pickle or a copy, over a dict of their
+    # own; plain values come back plain
+    f = genus_surface(2)[1]
+    cid = next(iter(f.values))
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert g == f and g is not f and write_dmf(g) == write_dmf(f)
+        with pytest.raises(TypeError):
+            g.values[cid] = 0.0
+    plain = MorseFunction(dict(f.values))
+    for g in (pickle.loads(pickle.dumps(plain)), copy.deepcopy(plain)):
+        assert g == plain and type(g.values) is dict
+        g.values[cid] = -1.0
+    assert plain == f

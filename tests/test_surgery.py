@@ -12,6 +12,7 @@ from dms.errors import (
     Disconnected,
     InconsistentField,
     InseparableCriticals,
+    InvalidFunction,
     NotA2Cell,
     NotAnEdge,
     NotPerfectInput,
@@ -19,6 +20,7 @@ from dms.errors import (
     NotTopCell,
     VertexNotOnCell,
 )
+from dms.formats import parse_cwp, write_cwp, write_dmf, write_dvf
 from dms.fixtures import genus_surface, random_valid_field, tetrahedron, \
     torus7, tree_cotree_field
 from dms.homology import betti_mod2
@@ -596,11 +598,12 @@ def test_compose_rescale_fallback(torus, torus_function):
 
 
 def test_compose_checks_each_structure_once(spy):
-    # inputs: one whole-complex function check each; the result: one
-    # local function check per assembled function; only the inputs are
-    # ranked, each once in its life: a compose result has its Betti
-    # numbers cached from Mayer-Vietoris, so neither it nor a chained
-    # left summand is ranked
+    # inputs: one whole-complex function check each, except a chained
+    # left summand, whose record from the compose that returned it
+    # stands for its check; the result: one local function check per
+    # assembled function; only the inputs are ranked, each once in its
+    # life: a compose result has its Betti numbers cached from
+    # Mayer-Vietoris, so neither it nor a chained left summand is ranked
     bettis = spy(betti_mod2)
     ranked = spy(morse_betti)
     checks = spy(_check_function)
@@ -612,8 +615,9 @@ def test_compose_checks_each_structure_once(spy):
         del ranked[:], checks[:]
         left, fleft = K, f
         K, f, V, rep = compose(K, f, T, ft)
-        assert checks[:2] == [(left, fleft), (T, ft)]
-        local = checks[2:]
+        full = [(left, fleft), (T, ft)] if seed == 101 else [(T, ft)]
+        assert checks[:len(full)] == full
+        local = checks[len(full):]
         assert len(local) == (2 if rep.rescaled else 1)
         for M, _, ids in local:
             assert M is K and len(set(ids)) == len(ids) < len(K.cells)
@@ -624,6 +628,64 @@ def test_compose_checks_each_structure_once(spy):
     assert bettis == []
     assert len(set(map(id, seen))) == len(seen)
     assert paths == {False, True}
+
+
+def chained(n):
+    """The complex and function of n composes onto seeded tori."""
+    K, f = seeded_torus(200)
+    for seed in range(201, 201 + n):
+        K, f, _, _ = compose(K, f, *seeded_torus(seed))
+    return K, f
+
+
+def composed_texts(K, f, V):
+    return write_cwp(K), write_dvf(V, K), write_dmf(f)
+
+
+def test_a_copy_of_a_composed_function_is_checked_in_full(spy):
+    # the record stands only for the very function compose returned: a
+    # copy is checked on every cell and composes to the same bytes
+    K, f = chained(3)
+    T, ft = seeded_torus(300)
+    checks = spy(_check_function)
+    M, g, V, rep = compose(K, f, T, ft)
+    assert checks[0][0] is T
+    copy = MorseFunction(dict(f.values))
+    del checks[:]
+    M2, g2, V2, rep2 = compose(K, copy, T, ft)
+    assert checks[0][0] is K and checks[0][1] is copy and checks[1][0] is T
+    assert composed_texts(M2, g2, V2) == composed_texts(M, g, V)
+    assert rep2 == rep
+
+
+def test_a_copy_with_two_values_swapped_is_refused():
+    K, f = chained(3)
+    values = dict(f.values)
+    low = critical_cells(induced_field(K, f), K).cells[0][0]
+    high = max(values, key=values.get)
+    values[low], values[high] = values[high], values[low]
+    swapped = MorseFunction(values)
+    assert not validate_function(K, swapped).ok
+    with pytest.raises(InvalidFunction):
+        compose(K, swapped, *seeded_torus(300))
+
+
+def test_a_composed_function_is_read_only():
+    K, f = chained(1)
+    with pytest.raises(TypeError):
+        f.values[next(iter(f.values))] = 0.0
+    assert f == MorseFunction(dict(f.values))
+
+
+def test_a_reparsed_complex_is_checked_in_full(spy):
+    K, f = chained(3)
+    L = parse_cwp(write_cwp(K))
+    T, ft = seeded_torus(300)
+    checks = spy(_check_function)
+    M, g, V, _ = compose(L, f, T, ft)
+    assert checks[0][0] is L and checks[0][1] is f
+    assert composed_texts(M, g, V) == composed_texts(
+        *compose(K, f, T, ft)[:3])
 
 
 @pytest.mark.parametrize("seed", range(3))
