@@ -124,6 +124,13 @@ class InseparableCriticals(DmsError):
     boundaries meet, on every input seen so far)."""
 
 
+class UnclearableBoundary(DmsError):
+    """compose in dimension other than 2 found cells on the boundary of
+    the first summand's critical top cell that are critical (of
+    dimension >= 1) or paired inside that boundary; only a surface's
+    are cleared off.  args are those cells, by the caller's ids."""
+
+
 # --- splitting ---
 
 class WrongCriticalCount(DmsError):

@@ -12,7 +12,7 @@ import random
 
 from .cellcomplex import build_poset, build_simplicial
 from .errors import Disconnected, NotClosedSurface, UnknownFixture
-from .morsefield import VectorField, induced_field, synthesize_function
+from .morsefield import VectorField, synthesize_function
 
 
 def tetrahedron():
@@ -133,8 +133,8 @@ def genus_surface(g):
     for _ in range(g - 1):
         T = torus7()
         ft = synthesize_function(T, tree_cotree_field(T))
-        K, fk, _, _ = compose(K, fk, T, ft)
-    return K, fk, induced_field(K, fk)
+        K, fk, V, _ = compose(K, fk, T, ft)
+    return K, fk, V
 
 
 def fixture_complex(kind):

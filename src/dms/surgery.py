@@ -35,6 +35,7 @@ from .errors import (
     NotAnEdge,
     NotPerfectInput,
     NotTopCell,
+    UnclearableBoundary,
     VertexNotOnCell,
 )
 from .homology import BettiVector
@@ -534,6 +535,8 @@ class ComposeReport:
     perfect: bool
     function_valid: bool
     constant: float
+    # always False: one formula serves every input range; kept because
+    # perfbench/tracer.py reads it
     rescaled: bool
     resynthesized_left: bool
     alpha: str
@@ -607,15 +610,6 @@ def _clear_top_cell_boundary(K, V, alpha):
         steps += 1
 
 
-def _rank_rescale(f):
-    """Order-isomorphic copy of f with values spread over [0, 1]."""
-    levels = sorted(set(f.values.values()))
-    if len(levels) == 1:
-        return MorseFunction({cid: 0.0 for cid in f.values})
-    scale = {val: i / (len(levels) - 1) for i, val in enumerate(levels)}
-    return MorseFunction({cid: scale[val] for cid, val in f.values.items()})
-
-
 def compose(M1, f1, M2, f2):
     """Connected sum carrying both perfect structures.
 
@@ -623,15 +617,26 @@ def compose(M1, f1, M2, f2):
     non-critical top cell beta at the critical vertex of the second,
     inserts the product tube over the boundary of alpha, shrinks the
     closed star of beta, and glues; the combined field pairs every glued
-    boundary cell into its own prism.  On a surface, the edges of
-    alpha's boundary that spoil the formula below are first cleared off
-    by bisections, and f1 is then resynthesized from the subdivided
-    field.  The combined function is f1 on the first side, f1 + C/2 on
-    tube cells, and f2 + C beyond, with C = f1(alpha) + 2.  If those
-    literal values break the Morse condition (possible when the input
-    ranges overlap too much), both inputs are replaced by
-    order-isomorphic copies in [0, 1] and the formula is re-applied;
-    the report records this.
+    boundary cell into its own prism.  On a surface, the cells of
+    alpha's boundary that are critical or paired inside it are first
+    cleared off by bisections and f1 is resynthesized from the
+    subdivided field; in other dimensions they raise UnclearableBoundary.
+    The combined function is f1 on the first side (the base), f1 + C/2
+    on the tube and f2 + C on the glued cells of the second summand,
+    with C = max(2, f1(alpha) + 2, 2 (f1(alpha) + 1 - m2)) and m2 the
+    least f2 value on the glued cells.  It is valid for any input ranges:
+    - every face relation that crosses a part goes upward, base < tube
+      < glued: a base cell sigma lies only on its own prism, and
+      C/2 > 0; a tube top over sigma lies on glued cells c, and
+      C/2 > max f1 on alpha's boundary - m2 >= f1(sigma) - f2(c), as
+      alpha is critical, so each of its faces is below it;
+    - the only equal values are the (top, prism) pairs, which V pairs;
+    - every other relation lies inside one part, f1's on the first
+      summand or f2's through the shrink's correspondence, and adding a
+      constant keeps it; no pair of V1 lies inside alpha's boundary, so
+      its copies on the tube rise strictly too.
+    The term f1(alpha) + 2 is the paper's C, kept when it suffices.
+    `rescaled` in the report is always False.
 
     The result's mod-2 Betti numbers are cached from Mayer-Vietoris
     instead of being ranked.  Both inputs are closed pseudomanifolds,
@@ -679,6 +684,10 @@ def compose(M1, f1, M2, f2):
         if crit.m[0] > 1:  # a perfect field has b_0 critical vertices
             raise Disconnected("summand is not connected: critical "
                                "vertices %s" % ", ".join(crit.cells[0]))
+    if n != 2:
+        offenders = _boundary_offenders(M1, V1, crit1.cells[n][0])
+        if offenders:
+            raise UnclearableBoundary(*offenders)
     K1, V1, name1 = _prefixed(M1, V1, "m1:")
     K2, V2, name2 = _prefixed(M2, V2, "m2:")
     # a common prefix keeps the sorted order of ids
@@ -688,10 +697,6 @@ def compose(M1, f1, M2, f2):
     clearing = 0
     if n == 2:
         K1, V1, alpha, clearing = _clear_top_cell_boundary(K1, V1, alpha)
-    elif _boundary_offenders(K1, V1, alpha):
-        raise InconsistentField(
-            "pairs inside the removed cell's boundary; clearing is only "
-            "implemented for surfaces")
     # a function is renamed only when no resynthesis replaces it
     resynth = clearing > 0
     f1w = (synthesize_function(K1, V1) if resynth
@@ -738,39 +743,25 @@ def compose(M1, f1, M2, f2):
     # Only these cells can break the Morse condition or pair differently
     # than V: the tube and the second summand are new, and alpha's
     # boundary lost alpha and gained the prisms.  Every other cell keeps
-    # its faces and cofaces, and the values on them go through an
-    # order-preserving map of f1w, which is valid and induces V1 on K1.
+    # its faces and cofaces, and its values and theirs are f1w's, which
+    # is valid and induces V1 on K1.
     touched = [c.id for c in (*glued, *tube.new_cells)]
     touched.extend(tube.base_cells)
     preimage = {corr: orig for orig, corr in ic.correspondence.items()}
-
-    def assemble(f1w, f2w):
-        """The function on M, read-only over one dict of its own: f1w
-        on K1's cells but alpha, f1w + C/2 on the tube and f2w + C on
-        the second summand, with C = f1w(alpha) + 2; with C and the
-        verdict and induced pairs of the touched cells."""
-        f1v, f2v = f1w.values, f2w.values
-        C = f1v[alpha] + 2.0
-        # a synthesized f1w holds exactly K1's cells, in table order; an
-        # input's may hold other ids, which the result drops
-        values = (dict(f1v) if resynth
-                  else {cid: f1v[cid] for cid in K1.cells})
-        del values[alpha]
-        for cid in tube.base_cells:
-            values[tube.top[cid]] = f1v[cid] + C / 2.0
-            values[tube.prism[cid]] = f1v[cid] + C / 2.0
-        for c in glued:
-            values[c.id] = f2v[preimage.get(c.id, c.id)] + C
-        f = _read_only_function(values)
-        return (f, C, *_check_function(M, f, touched))
-
-    f, C, freport, fpairs = assemble(f1w, f2w)
-    rescaled = not freport.ok
-    if rescaled:
-        del f  # each whole function goes before the next one is built
-        f1w = _rank_rescale(f1w)
-        f2w = _rank_rescale(f2w)
-        f, C, freport, fpairs = assemble(f1w, f2w)
+    f1v, f2v = f1w.values, f2w.values
+    glued_f2 = {c.id: f2v[preimage.get(c.id, c.id)] for c in glued}
+    a = f1v[alpha]
+    C = max(2.0, a + 2.0, 2.0 * (a + 1.0 - min(glued_f2.values())))
+    # a synthesized f1w holds exactly K1's cells, in table order; an
+    # input's may hold other ids, which the result drops
+    values = dict(f1v) if resynth else {cid: f1v[cid] for cid in K1.cells}
+    del values[alpha]
+    for cid in tube.base_cells:
+        values[tube.top[cid]] = values[tube.prism[cid]] = f1v[cid] + C / 2.0
+    for cid, val in glued_f2.items():
+        values[cid] = val + C
+    f = _read_only_function(values)
+    freport, fpairs = _check_function(M, f, touched)
     touched = set(touched)
     # a valid function inducing V makes V a gradient field
     induces_V = freport.ok and sorted(fpairs) == [
@@ -800,7 +791,7 @@ def compose(M1, f1, M2, f2):
         M._composed = (f, V, counts)
     report = ComposeReport(
         chi=chi, counts=counts.m, perfect=counts.m == M._betti.b,
-        function_valid=freport.ok, constant=C, rescaled=rescaled,
+        function_valid=freport.ok, constant=C, rescaled=False,
         resynthesized_left=resynth, alpha=alpha, beta=beta,
         boundary_clearing_steps=clearing,
         glue_cycle_length=len(glue) // 2 if n == 2 else len(glue),

@@ -45,7 +45,7 @@ def test_golden_compose_chain():
         K, f, V, _ = compose(K, f, T, ft)
         texts += _surface_texts(K, V, f)
     assert _digest(texts) == (
-        "088d4527f825a4d34f8893b8616bbbe9de23cca0552e9940edda2ba59f6d3339")
+        "5ccd81768ee4fb71b55b74afb3e6bc1f050c1a567e624af993d62d0fb35ef29f")
 
 
 def test_golden_decompose_genus4_fields():
@@ -88,4 +88,4 @@ def test_golden_cli_roundtrip(tmp_path, capsys):
                                              "dec.report.json"]
     texts = [(tmp_path / name).read_text(encoding="utf-8") for name in names]
     assert _digest(texts) == (
-        "16b0b681edf9c962ff6f70add65e403fcc377fca5603d532cc1309f824804895")
+        "1a654f3bce19d92885da619b8e9bafa3ef22148e320947f8be19575440934058")

@@ -18,6 +18,7 @@ from dms.errors import (
     NotPerfectInput,
     NotSeparating,
     NotTopCell,
+    UnclearableBoundary,
     VertexNotOnCell,
 )
 from dms.formats import parse_cwp, write_cwp, write_dmf, write_dvf
@@ -566,35 +567,122 @@ def test_compose_cuts_a_corner_for_beta(torus, torus_function,
     assert validate_function(M, f).ok and induced_field(M, f) == V
 
 
-def test_compose_function_formula_constant(torus, torus_function):
-    M, f, V, rep = compose(torus, torus_function, torus7(),
-                           synthesize_function(torus7(),
-                                               tree_cotree_field(torus7())))
-    # C is the removed cell's value plus two, and the second summand's
-    # values sit exactly C above their originals
-    alpha_val = rep.constant - 2.0
-    m2_cells = [cid for cid in M.cells if cid.startswith("m2:")
-                and "inner" not in cid and "~b" not in cid
-                and "shrunk" not in cid]
-    assert m2_cells
-    for cid in m2_cells[:10]:
-        assert f[cid] >= alpha_val
+def removed_value(M1, f1, rep):
+    """f1(alpha) as compose's formula reads it: the caller's value, or,
+    after boundary clearing, the value of f1 resynthesized on the
+    complex the clearing subdivided."""
+    if not rep.boundary_clearing_steps:
+        return f1[rep.alpha[len("m1:"):]]
+    K1, V1, _ = surgery._prefixed(M1, induced_field(M1, f1), "m1:")
+    alpha = critical_cells(V1, K1).cells[K1.top_dim][0]
+    K1, V1, alpha, _ = surgery._clear_top_cell_boundary(K1, V1, alpha)
+    assert alpha == rep.alpha
+    return synthesize_function(K1, V1)[alpha]
 
 
-def test_compose_rescale_fallback(torus, torus_function):
-    # an equivalent function with a hostile range: the literal constant
-    # cannot keep the summands ordered, so compose falls back to
-    # order-isomorphic copies in [0, 1]
-    from dms.morsefield import MorseFunction
-    T2 = torus7()
-    f2raw = synthesize_function(T2, tree_cotree_field(T2))
-    f2 = MorseFunction({cid: v - 1000.0 for cid, v in f2raw.values.items()})
-    M, f, V, rep = compose(torus, torus_function, T2, f2)
-    assert rep.rescaled
-    assert rep.constant == 3.0          # rescaled f1(alpha) = 1
+def assert_formula(M1, f1, f2, composed):
+    """The composed function is the paper's, f1 + C/2 on every tube cell
+    and f2 + C on every glued cell, with C = max(2, f1(alpha) + 2,
+    2 (f1(alpha) + 1 - m2)) and m2 the least f2 value glued; it is
+    valid and induces the composed field."""
+    M, f, V, rep = composed
+    glued = {cid: f2[cid.removeprefix("inner:").removeprefix("m2:")]
+             for cid in M.cells if not cid.startswith(("m1:", "tube:"))}
+    a = removed_value(M1, f1, rep)
+    C = max(2.0, a + 2.0, 2.0 * (a + 1.0 - min(glued.values())))
+    assert rep.constant == C and not rep.rescaled
+    for cid, val in glued.items():
+        assert f[cid] == val + C
+    tube = [cid for cid in M.cells if cid.startswith("tube:")]
+    assert tube
+    for cid in tube:
+        assert f[cid] == f[cid[len("tube:"):cid.rindex(":")]] + C / 2.0
     assert rep.function_valid and rep.perfect
     assert validate_function(M, f).ok
     assert induced_field(M, f) == V
+
+
+def test_compose_function_formula_constant(torus, torus_function):
+    T2 = torus7()
+    f2 = synthesize_function(T2, tree_cotree_field(T2))
+    assert_formula(torus, torus_function, f2,
+                   compose(torus, torus_function, T2, f2))
+
+
+def test_compose_hostile_range_takes_the_formula(torus, torus_function):
+    # an equivalent second function far below the first: C lifts the
+    # glued cells above the tube, and the one assembly serves
+    T2 = torus7()
+    f2raw = synthesize_function(T2, tree_cotree_field(T2))
+    f2 = MorseFunction({cid: v - 1000.0 for cid, v in f2raw.values.items()})
+    composed = compose(torus, torus_function, T2, f2)
+    assert_formula(torus, torus_function, f2, composed)
+    assert composed[3].constant > 2000.0
+
+
+def positive_affine(f, rng):
+    """f under a seeded order-preserving affine map: scale 10^-2 to
+    10^2, shift -1000 to 1000."""
+    scale, shift = 10.0 ** rng.uniform(-2, 2), rng.uniform(-1000, 1000)
+    return MorseFunction({cid: scale * val + shift
+                          for cid, val in f.values.items()})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_formula_under_positive_affine_ranges(seed, sphere3,
+                                                      collapse_field):
+    # tori, a chain whose left summand grows, and the n = 3 pairs the
+    # boundary guard lets through, each under random input ranges
+    rng = random.Random(seed)
+    cases = [(*seeded_torus(rng.randrange(1000)),
+              *seeded_torus(rng.randrange(1000))) for _ in range(4)]
+    S = sphere3()
+    f = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
+    for alpha in sorted(c for c in S.cells if S.dim(c) == 3):
+        cases.append((S, f, sphere3(),
+                      synthesize_function(S, collapse_field(S, alpha))))
+    for M1, f1, M2, f2 in cases:
+        f1, f2 = positive_affine(f1, rng), positive_affine(f2, rng)
+        assert_formula(M1, f1, f2, compose(M1, f1, M2, f2))
+    K, f = seeded_torus(rng.randrange(1000))
+    for _ in range(5):
+        f = positive_affine(f, rng)
+        T, ft = seeded_torus(rng.randrange(1000))
+        ft = positive_affine(ft, rng)
+        composed = compose(K, f, T, ft)
+        assert_formula(K, f, ft, composed)
+        K, f = composed[:2]
+
+
+def test_compose_refuses_uncleared_boundaries_beyond_surfaces(
+        sphere3, collapse_field):
+    # S^3 under the collapse field of each removed tetrahedron: only the
+    # field whose removed cell's boundary holds no critical cell of
+    # dimension >= 1 and no pair composes; the others are refused by
+    # the left summand's own cells
+    S = sphere3()
+    tops = sorted(c for c in S.cells if S.dim(c) == 3)
+    fs = {t: synthesize_function(S, collapse_field(S, t)) for t in tops}
+    valid = refused = 0
+    for a in tops:
+        for b in tops:
+            try:
+                M, f, V, rep = compose(S, fs[a], sphere3(), fs[b])
+            except UnclearableBoundary as err:
+                assert err.args and set(err.args) <= set(S.cells)
+                assert len(set(err.args)) == len(err.args)
+                refused += 1
+                continue
+            assert validate_field(M, V).ok and is_perfect(M, V)
+            assert rep.perfect and induced_field(M, f) == V
+            valid += 1
+    assert (valid, refused) == (5, 20)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_genus_surface_field_is_the_induced_one(g):
+    K, f, V = genus_surface(g)
+    assert V == induced_field(K, f)
 
 
 def test_compose_checks_each_structure_once(spy):
@@ -609,7 +697,6 @@ def test_compose_checks_each_structure_once(spy):
     checks = spy(_check_function)
     K, f = seeded_torus(100)
     seen = []
-    paths = set()
     for seed in range(101, 111):
         T, ft = seeded_torus(seed)
         del ranked[:], checks[:]
@@ -618,16 +705,14 @@ def test_compose_checks_each_structure_once(spy):
         full = [(left, fleft), (T, ft)] if seed == 101 else [(T, ft)]
         assert checks[:len(full)] == full
         local = checks[len(full):]
-        assert len(local) == (2 if rep.rescaled else 1)
+        assert len(local) == 1 and rep.function_valid
         for M, _, ids in local:
             assert M is K and len(set(ids)) == len(ids) < len(K.cells)
         assert [args[0] for args in ranked] == (
             [left, T] if seed == 101 else [T])
         seen.extend(args[0] for args in ranked)
-        paths.add(rep.rescaled)
     assert bettis == []
     assert len(set(map(id, seen))) == len(seen)
-    assert paths == {False, True}
 
 
 def chained(n):
@@ -730,19 +815,17 @@ def test_compose_hands_on_the_pseudomanifold_flag(seed, sphere3,
 
 def test_cached_betti_in_dimension_three(sphere3, collapse_field):
     # chains of n = 3 composes, each with second summands unshifted or
-    # under a shift that forces the rescaled path
+    # shifted far below the first
     S = sphere3()
     f = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
     shifted = MorseFunction({cid: v - 1000.0 for cid, v in f.values.items()})
-    paths = set()
     for f2 in (f, shifted):
         M, fc = S, f
         for _ in range(3):
             M, fc, Vc, rep = compose(M, fc, sphere3(), f2)
             assert M._betti == betti_mod2(M) == morse_betti(M, Vc)
             assert M._betti.b == (1, 0, 0, 1) and rep.perfect
-            paths.add(rep.rescaled)
-    assert paths == {False, True}
+            assert rep.function_valid and not rep.rescaled
 
 
 def test_compose_rejects_imperfect(torus):
