@@ -47,6 +47,14 @@ def _read(path):
         return fh.read()
 
 
+def _write_triple(stem, K, V, f, ext=".cwp"):
+    """Write K to stem + ext, and V and f to stem.dvf and stem.dmf."""
+    dump_complex(K, stem + ext)
+    for suffix, text in ((".dvf", write_dvf(V, K)), (".dmf", write_dmf(f))):
+        with open(stem + suffix, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _load_field(path, K):
     return parse_dvf(_read(path), K)
 
@@ -103,11 +111,7 @@ def cmd_compose(args):
     f1 = _load_function(args.left_function, left)
     f2 = _load_function(args.right_function, right)
     M, f, V, rep = compose(left, f1, right, f2)
-    dump_complex(M, args.out + ".cwp")
-    with open(args.out + ".dvf", "w", encoding="utf-8") as fh:
-        fh.write(write_dvf(V, M))
-    with open(args.out + ".dmf", "w", encoding="utf-8") as fh:
-        fh.write(write_dmf(f))
+    _write_triple(args.out, M, V, f)
     print("chi %d counts %s perfect %s C %s rescaled %s"
           % (rep.chi, " ".join(str(m) for m in rep.counts),
              rep.perfect, rep.constant, rep.rescaled))
@@ -118,15 +122,10 @@ def cmd_decompose(args):
     K = load_complex(args.complex)
     f = _load_function(args.function, K)
     res = decompose(K, f, args.g1, args.g2)
-    for name, cx, vf, fn in (("m1", res.m1_complex, res.m1_field,
-                              res.m1_function),
-                             ("m2", res.m2_complex, res.m2_field,
-                              res.m2_function)):
-        dump_complex(cx, "%s.%s.cwp" % (args.out, name))
-        with open("%s.%s.dvf" % (args.out, name), "w", encoding="utf-8") as fh:
-            fh.write(write_dvf(vf, cx))
-        with open("%s.%s.dmf" % (args.out, name), "w", encoding="utf-8") as fh:
-            fh.write(write_dmf(fn))
+    _write_triple(args.out + ".m1", res.m1_complex, res.m1_field,
+                  res.m1_function)
+    _write_triple(args.out + ".m2", res.m2_complex, res.m2_field,
+                  res.m2_function)
     with open(args.out + ".circle.txt", "w", encoding="utf-8") as fh:
         for eid in res.circle[1::2]:
             fh.write(eid + "\n")
@@ -143,20 +142,16 @@ def cmd_decompose(args):
 
 def cmd_fixture(args):
     kind = args.kind
+    ext = ".cwp"
     if kind.startswith("genus"):
         K, f, V = fixtures.genus_surface(fixtures.fixture_genus(kind))
-        dump_complex(K, args.out + ".cwp")
     else:
         K = fixtures.fixture_complex(kind)
         V = fixtures.tree_cotree_field(K)
         f = synthesize_function(K, V)
-        simplicial = all(len(c.boundary) == 3
-                         for c in K.cells.values() if c.dim == 2)
-        dump_complex(K, args.out + (".tri" if simplicial else ".cwp"))
-    with open(args.out + ".dvf", "w", encoding="utf-8") as fh:
-        fh.write(write_dvf(V, K))
-    with open(args.out + ".dmf", "w", encoding="utf-8") as fh:
-        fh.write(write_dmf(f))
+        if all(len(c.boundary) == 3 for c in K.cells.values() if c.dim == 2):
+            ext = ".tri"
+    _write_triple(args.out, K, V, f, ext)
     print("ok")
     return EXIT_OK
 

@@ -238,27 +238,25 @@ def classify_boundary(K, region):
 # --- the excavation engine ---------------------------------------------------
 
 
-def _follow(renames, x):
-    while x in renames:
-        x = renames[x]
-    return x
-
-
-def _apply_renames(region, renames):
-    region.path_edges = {_follow(renames, e) for e in region.path_edges}
-    region.high_edges = {_follow(renames, e) for e in region.high_edges}
-    region.critical_facet = _follow(renames, region.critical_facet)
-    region.facets = {_follow(renames, t) for t in region.facets}
+def _rename(region, rec):
+    """Follow one bisection into the region in place: a bisection
+    renames exactly one cell, to the half that inherits its role."""
+    (old, heir), = rec.replacements.items()
+    for cells in (region.facets, region.path_edges, region.high_edges):
+        if old in cells:
+            cells.remove(old)
+            cells.add(heir)
+    if region.critical_facet == old:
+        region.critical_facet = heir
 
 
 def _runs_on_cycle(cycle, marked):
-    """Maximal contiguous runs of marked cells on a cyclic walk."""
+    """Maximal contiguous runs of marked cells on a cyclic walk; both
+    callers pass a cycle that holds a marked cell."""
     n = len(cycle)
     flags = [cell in marked for cell in cycle]
     if all(flags):
         raise NoFlankingCells("entire cycle marked")
-    if not any(flags):
-        return []
     runs = []
     i = 0
     while flags[i]:
@@ -287,8 +285,13 @@ def _excavate(K, V, region, marked):
     """
     marked = {t: set(cs) for t, cs in marked.items()}
 
-    # interior edges joining two marked cells must gain a midpoint first;
-    # the loop budgets are fixed on entry, since every bisection adds cells
+    # Pre-pass: an unmarked edge of a marked facet with both ends marked
+    # gains a midpoint first.  A one-vertex mark (a wedge, the critical
+    # vertex) has none.  A stray chain has one where a marked facet holds
+    # two chain vertices off the curve joined by an edge off the chain, a
+    # path or critical edge; no known field does this, and nothing proves
+    # that none can.  The loop budgets are fixed on entry, since every
+    # bisection adds cells.
     for _ in range(10 * len(K.cells) + 50):
         todo = None
         for t in sorted(marked):
@@ -307,22 +310,22 @@ def _excavate(K, V, region, marked):
         if not todo:
             break
         K, V, rec = bisect_edge(K, V, todo)
-        _apply_renames(region, rec.replacements)
+        _rename(region, rec)
     else:
         raise NoFlankingCells("excavation pre-pass did not converge")
 
     boundary, interior = _boundary_and_interior(K, region.facets)
 
     # rungs: unmarked interior edges flanking a marked cell; bisect each
-    # once, anchored away from the marked endpoint
+    # once, anchored away from the marked endpoint.  Each facet's cycle is
+    # read after the earlier splits, so it lists no rung split before.
     rung_mid = {}
     for t in sorted(marked):
         cycle = K.boundary_cycle(t)
         mk = marked[t]
-        n = len(cycle)
-        for i in range(1, n, 2):
+        for i in range(1, len(cycle), 2):
             e = cycle[i]
-            if e in mk or e in rung_mid or e not in interior:
+            if e in mk or e not in interior:
                 continue
             ends = sorted(K.boundary(e))
             marked_ends = [x for x in ends if x in mk]
@@ -334,33 +337,28 @@ def _excavate(K, V, region, marked):
                     "rung %s is matched with its expelled endpoint" % e)
             K, V, rec = bisect_edge(K, V, e, anchor=[x for x in ends
                                                      if x not in mk][0])
-            _apply_renames(region, rec.replacements)
+            _rename(region, rec)
             rung_mid[e] = rec.new_cells  # w, e1 and e2, the expelled half
-    # fold the expelled halves into the marked sets of their facets
+    # fold the expelled halves into the marked sets of their facets; the
+    # rungs split only edges, so every marked facet is still a cell
     for e, (w, e1, e2) in rung_mid.items():
         for t in marked:
-            if t in K.cells and e2 in K.cells[t].boundary:
+            if e2 in K.cells[t].boundary:
                 marked[t].add(e2)
     _reclassify(K, region.facets, boundary, interior,
                 [x for e, (w, e1, e2) in rung_mid.items()
                  for x in (e, e1, e2)])
 
-    # cut the corners facet by facet
+    # cut the corners facet by facet.  Each marked facet is worked as one
+    # piece p: a joining-edge split keeps p's id, and a corner cut
+    # replaces p with the half the region keeps.
     for orig in sorted(marked):
-        pieces = [orig]
+        p = orig
         for _ in range(4 * len(K.cells) + 20):
-            target = None
-            for p in pieces:
-                cyc = K.boundary_cycle(p)
-                mk = {c for c in cyc if c in marked[orig]}
-                if mk:
-                    target = (p, list(cyc), mk)
-                    break
-            if target is None:
+            cyc = list(K.boundary_cycle(p))
+            if marked[orig].isdisjoint(cyc):
                 break
-            p, cyc, mk = target
-            runs = _runs_on_cycle(cyc, mk)
-            run = runs[0]
+            run = _runs_on_cycle(cyc, marked[orig])[0]
             n = len(cyc)
             corner = {cyc[i] for i in run}
             before = (run[0] - 1) % n
@@ -368,7 +366,8 @@ def _excavate(K, V, region, marked):
             boundary_vertices = _vertices(K, boundary)
 
             def cut_point(idx, step):
-                # step +1 walks forward, -1 backward from the run
+                # step +1 walks forward, -1 backward from the run; the
+                # cycle's length is even, so this returns vertex positions
                 cell = cyc[idx]
                 if idx % 2 == 0:
                     nxt_edge = cyc[(idx + step) % n]
@@ -388,8 +387,7 @@ def _excavate(K, V, region, marked):
 
             ia = cut_point(before, -1)
             ib = cut_point(after, +1)
-            if cyc[ia] in marked[orig] or cyc[ib] in marked[orig] \
-                    or ia % 2 == 1 or ib % 2 == 1:
+            if cyc[ia] in marked[orig] or cyc[ib] in marked[orig]:
                 # extension landed on marked cells; redo run detection
                 continue
             u, w = cyc[ia], cyc[ib]
@@ -400,7 +398,7 @@ def _excavate(K, V, region, marked):
             if joining:
                 g = joining[0]
                 K, V, rec = bisect_edge(K, V, g)
-                _apply_renames(region, rec.replacements)
+                _rename(region, rec)
                 if g in marked[orig]:
                     marked[orig].update(rec.new_cells)
                 _reclassify(K, region.facets, boundary, interior,
@@ -410,38 +408,39 @@ def _excavate(K, V, region, marked):
             if not corner.isdisjoint(_inheriting_arc(K, p, u, w)):
                 u, w = w, u
             K, V, rec = bisect_2cell(K, V, p, u, w)
-            _apply_renames(region, rec.replacements)
+            _rename(region, rec)
             d, c1, c2 = rec.new_cells
             expelled = c2 if any(c in corner
                                  for c in K.boundary_cycle(c2)) else c1
             kept = c1 if expelled == c2 else c2
             if region.critical_facet == expelled:
                 raise InconsistentField("critical facet expelled")
-            region.facets.discard(p)
             region.facets.discard(expelled)
             region.facets.add(kept)
-            pieces = [x for x in pieces if x != p] + [kept]
             # p's edges, and the chord, now lie on kept or on expelled
             _reclassify(K, region.facets, boundary, interior,
                         K.cells[kept].boundary | K.cells[expelled].boundary)
+            p = kept
         else:
             raise NoFlankingCells("corner cutting did not converge")
     return K, V, region
 
 
-def _stray_closure(K, V, region, seeds):
-    """Grow a set of interior stray edges along the vertex arrows leaving
-    it, so the excavated corridor carries its own matching out."""
+def _stray_closure(K, V, region, seed):
+    """Grow the seed edge along the vertex arrows leaving it, so the
+    excavated corridor carries its own matching out.
+
+    No edge is reached twice: each vertex is visited once and pushes
+    only its own partner edge, and the seed is no vertex's push, as it
+    is critical or matched with a vertex on the boundary curve."""
     pm = V.partner_map()
     boundary, interior = _boundary_and_interior(K, region.facets)
     bverts = _vertices(K, boundary)
     z_edges = set()
     z_verts = set()
-    frontier = list(seeds)
+    frontier = [seed]
     while frontier:
         e = frontier.pop()
-        if e in z_edges:
-            continue
         z_edges.add(e)
         for x in K.boundary(e):
             if x in bverts or x in z_verts:
@@ -455,16 +454,16 @@ def _stray_closure(K, V, region, seeds):
     return z_edges, z_verts
 
 
-def _excavate_stray(K, V, region, seeds):
-    z_edges, z_verts = _stray_closure(K, V, region, seeds)
+def _excavate_stray(K, V, region, seed):
+    """Excavate the stray closure of `seed`, an edge with a region coface
+    (the callers check it), so some region facet is always marked."""
+    z_edges, z_verts = _stray_closure(K, V, region, seed)
     marked = {}
     zcells = z_edges | z_verts
     for t in sorted(region.facets):
         hit = zcells & set(K.boundary_cycle(t))
         if hit:
             marked[t] = hit
-    if not marked:
-        raise InconsistentField("stray %r touches no region facet" % seeds)
     return _excavate(K, V, region, marked)
 
 
@@ -476,7 +475,7 @@ def _sectors_at(K, region, v):
             for run in _runs_on_cycle(ring, region.facets)]
 
 
-def resolve_wedge(K, V, region, bg, v):
+def resolve_wedge(K, V, region, v):
     """Reroute the boundary around a wedge vertex (Case 1): shave the
     corner at v off every region sector except one, so exactly one
     strand still passes through v; a wedge has at least two sectors (see
@@ -520,9 +519,8 @@ def _expel_foreign_criticals(K, V, region, low_edges):
     if marked:
         K, V, region = _excavate(K, V, region, marked)
     for e in sorted(low_edges):
-        touching = [t for t in K.cofaces(e) if t in region.facets]
-        if touching:
-            K, V, region = _excavate_stray(K, V, region, [e])
+        if any(t in region.facets for t in K.cofaces(e)):
+            K, V, region = _excavate_stray(K, V, region, e)
     return K, V, region
 
 
@@ -573,11 +571,10 @@ def find_separating_circle(K, f, g1, g2):
     low, high = _split_edges(K, f, V, g1, g2)
 
     K, V, recs = separate_critical_cells(K, V)
-    renames = {}
     for rec in recs:
-        renames.update(rec.replacements)
-    low = [_follow(renames, e) for e in low]
-    high = [_follow(renames, e) for e in high]
+        (old, heir), = rec.replacements.items()
+        low = [heir if e == old else e for e in low]
+        high = [heir if e == old else e for e in high]
     region = carve_core(K, V, high)
     K, V, region = _expel_foreign_criticals(K, V, region, low)
 
@@ -586,7 +583,7 @@ def find_separating_circle(K, f, g1, g2):
         bg = classify_boundary(K, region)
         viols = _inward_violations(K, V, region, bg)
         if viols:
-            K, V, region = _excavate_stray(K, V, region, [viols[0][1]])
+            K, V, region = _excavate_stray(K, V, region, viols[0][1])
             continue
         if bg.classification == "Circle":
             break
@@ -600,7 +597,7 @@ def find_separating_circle(K, f, g1, g2):
             raise NotSeparating(
                 "core region is bounded by %d disjoint circles with no "
                 "connecting structure" % len(bg.components))
-        K, V, region = resolve_wedge(K, V, region, bg, bg.wedge_vertices[0])
+        K, V, region = resolve_wedge(K, V, region, bg.wedge_vertices[0])
     else:
         raise InconsistentField("boundary repair did not converge")
 

@@ -323,10 +323,10 @@ def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
     gap1 = gap_positions(ia, ib)
     gap2 = gap_positions(ib, ia)
     cycle_edges = [cycle[i] for i in range(1, n, 2)]
+    # u and w differ: each is a vertex at a position of its own gap, the
+    # gaps are disjoint, and a vertex appears once on the walk
     for u in candidates(gap1):
         for w in candidates(gap2):
-            if u == w:
-                continue
             if any(K.boundary(g) == frozenset({u, w}) for g in cycle_edges):
                 continue
             return bisect_2cell(K, V, c, u, w)
@@ -828,12 +828,11 @@ def _choose_beta(K2, V2, v2):
         cycle = list(K2.boundary_cycle(t))
         if len(cycle) <= 6:
             continue  # a triangle here must be critical; skip
+        # four or more vertices, so v2's two neighbours on t differ
         verts = cycle[0::2]
         i = verts.index(v2)
         prev_v = verts[(i - 1) % len(verts)]
         next_v = verts[(i + 1) % len(verts)]
-        if prev_v == next_v:
-            continue
         K2, V2, rec = bisect_2cell(K2, V2, t, next_v, prev_v)
         steps += 1
         _, good = candidates()

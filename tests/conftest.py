@@ -102,6 +102,47 @@ def glued_genus2():
     return build
 
 
+def _random_root_field(K, seed):
+    """A tree-cotree field on the closed surface K grown from a root
+    vertex and a root facet drawn at random, neighbours taken in a
+    shuffled order.  It is perfect and valid like tree_cotree_field(K,
+    rng), whose roots are always the smallest vertex and facet."""
+    rng = random.Random(seed)
+    root = rng.choice(sorted(K.cells_of_dim(0)))
+    pairs, tree, seen, frontier = [], set(), {root}, [root]
+    while frontier:
+        cur = frontier.pop(0)
+        edges = sorted(e for e in K.cofaces(cur) if K.dim(e) == 1)
+        rng.shuffle(edges)
+        for e in edges:
+            (other,) = K.boundary(e) - {cur}
+            if other not in seen:
+                seen.add(other)
+                tree.add(e)
+                pairs.append((other, e))
+                frontier.append(other)
+    root = rng.choice(sorted(K.cells_of_dim(2)))
+    seen, frontier = {root}, [root]
+    while frontier:
+        cur = frontier.pop(0)
+        edges = sorted(K.boundary(cur) - tree)
+        rng.shuffle(edges)
+        for e in edges:
+            (other,) = set(K.cofaces(e)) - {cur}
+            if other not in seen:
+                seen.add(other)
+                pairs.append((e, other))
+                frontier.append(other)
+    return VectorField(pairs)
+
+
+@pytest.fixture(scope="session")
+def random_root_field():
+    """random_root_field(K, seed): a seeded tree-cotree field on K whose
+    root vertex and root facet are drawn at random."""
+    return _random_root_field
+
+
 @pytest.fixture(scope="session")
 def torus_field(torus):
     return tree_cotree_field(torus)

@@ -9,7 +9,9 @@ from dms.errors import (
     InvalidFunction,
     MissingValue,
     MultipleRoots,
+    NotClosedSurface,
     StartIsCritical,
+    UnknownCell,
 )
 from dms.fixtures import genus_surface, random_valid_field, tree_cotree_field
 from dms.formats import write_dmf
@@ -151,6 +153,17 @@ def test_trace_2path_single_step(torus, torus_field):
             break
     else:
         pytest.fail("no facet adjacent to the critical one via its pair")
+
+
+def test_trace_2path_refuses_an_open_surface_and_an_unknown_facet(
+        torus, torus_field):
+    crit2 = critical_cells(torus_field, torus).cells[2][0]
+    with pytest.raises(UnknownCell):
+        trace_2path(torus, torus_field, "t9-9-9", crit2)
+    disk = build_simplicial([(0, 1, 2), (0, 2, 3)], closed=False)
+    with pytest.raises(NotClosedSurface):
+        trace_2path(disk, VectorField([("e0-2", "t0-1-2")]), "t0-1-2",
+                    "t0-2-3")
 
 
 def test_trace_2path_uniqueness_suite(torus, torus_field):

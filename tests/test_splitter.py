@@ -16,11 +16,18 @@ from dms.cellcomplex import (
 from dms.errors import (
     BoundaryCriticalPresent,
     DmsError,
+    NotPerfectInput,
     NotSeparating,
     UnknownFixture,
     WrongCriticalCount,
 )
-from dms.fixtures import genus_surface, tetrahedron, torus7, tree_cotree_field
+from dms.fixtures import (
+    genus_surface,
+    random_valid_field,
+    tetrahedron,
+    torus7,
+    tree_cotree_field,
+)
 from dms.homology import betti_mod2
 from dms.morsefield import (
     MorseFunction,
@@ -244,7 +251,7 @@ def test_resolve_wedge_on_pinch():
     assert bg.classification == "SingleWedge"
     assert bg.wedge_vertices == (vertex_id(12),)
     assert bg.degree[vertex_id(12)] == 4
-    K, V, region = resolve_wedge(K, V, region, bg, vertex_id(12))
+    K, V, region = resolve_wedge(K, V, region, vertex_id(12))
     assert validate_field(K, V).ok
     assert critical_cells(V, K).m == m0
     bg2 = classify_boundary(K, region)
@@ -298,7 +305,7 @@ def test_excavate_stray_on_annulus():
         ({diag}, {vertex_id(0), vertex_id(6)})]
     assert _inward_violations(K, V, region, bg)
 
-    K, V, region = _excavate_stray(K, V, region, [diag])
+    K, V, region = _excavate_stray(K, V, region, diag)
     assert validate_field(K, V).ok
     assert critical_cells(V, K).m == m0
     assert all(t not in region.facets for t in K.cofaces(diag))
@@ -308,11 +315,52 @@ def test_excavate_stray_on_annulus():
     # a leftover pinch at the inner corner is legal; clear it like the
     # driver would
     while bg2.wedge_vertices:
-        K, V, region = resolve_wedge(K, V, region, bg2,
-                                     bg2.wedge_vertices[0])
+        K, V, region = resolve_wedge(K, V, region, bg2.wedge_vertices[0])
         bg2 = classify_boundary(K, region)
     assert bg2.classification == "Circle"
     assert critical_cells(V, K).m == m0
+
+
+def test_excavation_pre_pass_splits_an_edge_joining_two_chain_vertices(
+        monkeypatch):
+    # the one mark the pre-pass acts on: an inward arrow at the corner
+    # vertex 0 starts the stray chain 0-6, 6-7, 7-12, whose vertices 6
+    # and 12 lie off the curve and are joined by the path edge 6-12
+    K = grid_complex()
+    facets = set(K.cells_of_dim(2))
+    _, interior = _boundary_and_interior(K, facets)
+    chain = {edge_id(0, 6), edge_id(6, 7), edge_id(7, 12)}
+    region = CoreRegion(facets=set(facets), path_edges=interior - chain,
+                        high_edges=set(), critical_facet=min(facets))
+    V = VectorField([(vertex_id(0), edge_id(0, 6)),
+                     (vertex_id(6), edge_id(6, 7)),
+                     (vertex_id(7), edge_id(7, 12)),
+                     (edge_id(6, 12), triangle_id(6, 11, 12))])
+    assert validate_field(K, V).ok
+    m0 = critical_cells(V, K).m
+    bg = classify_boundary(K, region)
+    assert _inward_violations(K, V, region, bg) == [
+        (vertex_id(0), edge_id(0, 6))]
+    assert splitter._stray_closure(K, V, region, edge_id(0, 6)) == (
+        chain, {vertex_id(6), vertex_id(7), vertex_id(12)})
+    split = []
+    bisect = splitter.bisect_edge
+
+    def recorded(K, V, e, anchor=None):
+        split.append(e)
+        return bisect(K, V, e, anchor=anchor)
+
+    monkeypatch.setattr(splitter, "bisect_edge", recorded)
+    K, V, region = _excavate_stray(K, V, region, edge_id(0, 6))
+    assert split[0] == edge_id(6, 12)
+    assert validate_field(K, V).ok
+    assert critical_cells(V, K).m == m0
+    bg = classify_boundary(K, region)
+    assert bg.classification == "Circle"
+    assert not _inward_violations(K, V, region, bg)
+    chain_vertices = {vertex_id(6), vertex_id(7), vertex_id(12)}
+    assert all(chain_vertices.isdisjoint(K.boundary_cycle(t))
+               for t in region.facets)
 
 
 # --- the full driver ---------------------------------------------------------
@@ -451,6 +499,123 @@ def test_flipped_genus2_refusals_do_not_grow(glued_genus2):
             assert res.report["perfect"] == {"m1": True, "m2": True}
     for name, count in refusals.items():
         assert count <= FLIPPED_GENUS2_REFUSALS.get(name, 0), name
+
+
+def assert_independent_checks(res, g1, g2):
+    """Each capped piece of a decompose result holds a valid field and
+    function whose critical counts are its GF(2) Betti numbers, and is a
+    closed orientable surface of the summand's genus."""
+    for P, W, fn, g in ((res.m1_complex, res.m1_field, res.m1_function, g1),
+                        (res.m2_complex, res.m2_field, res.m2_function, g2)):
+        assert validate_field(P, W).ok
+        assert validate_function(P, fn).ok
+        assert induced_field(P, fn) == W
+        assert critical_cells(W, P).m == betti_mod2(P).b == (1, 2 * g, 1)
+        assert euler_characteristic(P) == 2 - 2 * g
+        info = verify_closed_surface(P)
+        assert info.orientable and info.genus == g
+
+
+def test_random_roots_reach_the_critical_vertex_excavation(
+        monkeypatch, glued_genus2, random_root_field):
+    # a tree-cotree field rooted away from the smallest vertex can leave
+    # the critical vertex on a facet of the carved core, and
+    # _expel_foreign_criticals then cuts it out with _excavate
+    excavate = splitter._excavate
+    cut = []
+
+    def recorded(K, V, region, marked):
+        v0 = critical_cells(V, K).cells[0][0]
+        if all(cells == {v0} for cells in marked.values()):
+            cut.append(v0)
+        return excavate(K, V, region, marked)
+
+    monkeypatch.setattr(splitter, "_excavate", recorded)
+    cases = [(genus_surface(3)[0], seed, g1, 3 - g1)
+             for seed in (4, 12) for g1 in (0, 1)]
+    cases += [(glued_genus2(), 1, g1, 2 - g1) for g1 in (0, 1)]
+    for K, seed, g1, g2 in cases:
+        del cut[:]
+        f = synthesize_function(K, random_root_field(K, seed))
+        res = decompose(K, f, g1, g2)
+        assert len(cut) == 1
+        assert_independent_checks(res, g1, g2)
+
+
+@pytest.mark.parametrize("flips, flip_seed, seed", [(20, 2, 18), (200, 0, 2)])
+def test_stray_closure_grows_past_the_boundary(
+        monkeypatch, glued_genus2, random_root_field, flips, flip_seed,
+        seed):
+    # the chain of an inward arrow runs on through a vertex off the
+    # boundary curve and its own stray edge, and the corridor cut along
+    # it still leaves a separating circle
+    closure = splitter._stray_closure
+    grown = []
+
+    def recorded(K, V, region, seed):
+        z_edges, z_verts = closure(K, V, region, seed)
+        grown.append(len(z_verts))
+        return z_edges, z_verts
+
+    monkeypatch.setattr(splitter, "_stray_closure", recorded)
+    K = glued_genus2(flips, flip_seed)
+    f = synthesize_function(K, random_root_field(K, seed))
+    res = decompose(K, f, 1, 1)
+    assert max(grown) >= 1
+    assert_independent_checks(res, 1, 1)
+
+
+def test_excavation_meets_only_what_its_removed_branches_assumed(
+        monkeypatch, glued_genus2, random_root_field):
+    # the guards the engine no longer has: a run search always meets a
+    # marked cell, and a stray closure's seed is no vertex's push, so it
+    # reaches no edge twice
+    runs = splitter._runs_on_cycle
+    closure = splitter._stray_closure
+    seen = Counter()
+
+    def checked_runs(cycle, marked):
+        assert any(c in marked for c in cycle)
+        seen["runs"] += 1
+        return runs(cycle, marked)
+
+    def checked_closure(K, V, region, seed):
+        pm = V.partner_map()
+        boundary, _ = _boundary_and_interior(K, region.facets)
+        owner = pm.get(seed)
+        assert owner is None or owner in splitter._vertices(K, boundary)
+        z_edges, z_verts = closure(K, V, region, seed)
+        assert z_edges == {seed} | {pm[x] for x in z_verts
+                                    if pm.get(x) in z_edges}
+        seen["closures"] += 1
+        return z_edges, z_verts
+
+    monkeypatch.setattr(splitter, "_runs_on_cycle", checked_runs)
+    monkeypatch.setattr(splitter, "_stray_closure", checked_closure)
+    cases = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
+    for flips, flip_seed in ((0, 0), (20, 2), (200, 0)):
+        K = glued_genus2(flips, flip_seed)
+        for seed in range(20):
+            f = synthesize_function(K, random_root_field(K, seed))
+            cases.append((K, f, 1, 1))
+    for K, f, g1, g2 in cases:
+        try:
+            decompose(K, f, g1, g2)
+        except DmsError:
+            pass
+    assert seen["runs"] > 100 and seen["closures"] > 10
+
+
+def test_decompose_refuses_a_genus_mismatch_and_a_field_that_is_not_perfect(
+        genus3):
+    K, f, V = genus3
+    with pytest.raises(WrongCriticalCount,
+                       match="surface genus 3 but g1\\+g2=2"):
+        decompose(K, f, 1, 1)
+    W = random_valid_field(K, 0)
+    assert critical_cells(W, K).m != (1, 6, 1)
+    with pytest.raises(NotPerfectInput):
+        decompose(K, synthesize_function(K, W), 1, 2)
 
 
 def test_find_separating_circle_composed(genus2):

@@ -7,12 +7,14 @@ from dms import morsefield, surgery
 from dms.cellcomplex import Complex, build_poset, build_simplicial, \
     euler_characteristic, verify_closed_surface
 from dms.errors import (
+    BadCellBoundary,
     BadChord,
     DimensionMismatch,
     Disconnected,
     InconsistentField,
     InseparableCriticals,
     InvalidFunction,
+    NonPseudomanifold,
     NotA2Cell,
     NotAnEdge,
     NotPerfectInput,
@@ -147,6 +149,26 @@ def hexagon_pillow():
                 for i in range(6)]
     edges = ["g%d" % i for i in range(6)]
     return build_poset(records + [("hexA", 2, edges), ("hexB", 2, edges)])
+
+
+def test_bisect_2cell_of_a_facet_paired_with_a_3cell(sphere3, collapse_field):
+    # the piece c~b1 takes over the pairing with the 3-cell and the
+    # chord is paired with c~b2; the triangle first gains a side, so
+    # that a chord exists
+    S = sphere3()
+    V = collapse_field(S, sorted(S.cells_of_dim(3))[0])
+    pm = V.partner_map()
+    t = next(t for t in sorted(S.cells_of_dim(2))
+             if t in pm and S.dim(pm[t]) == 3)
+    K, W, rec = bisect_edge(S, V, sorted(S.boundary(t))[0])
+    w = rec.new_cells[0]
+    verts = K.boundary_cycle(t)[0::2]
+    K2, W2, rec2 = bisect_2cell(K, W, t, w, verts[(verts.index(w) + 2) % 4])
+    d, c1, c2 = rec2.new_cells
+    assert rec2.replacements == {t: c1}
+    pm2 = W2.partner_map()
+    assert pm2[c1] == pm[t] and pm2[d] == c2
+    assert field_state(K2, W2) == field_state(S, V) == (True, (1, 0, 0, 1))
 
 
 def test_inheriting_arc_is_the_boundary_bisect_2cell_gives_b1():
@@ -487,6 +509,16 @@ def test_shrink_closed_star_triangle():
     with pytest.raises(VertexNotOnCell):
         shrink_closed_star(build_simplicial([(0, 1, 2), (0, 1, 3)],
                                             closed=False), "t0-1-2", "v3")
+
+
+def test_shrink_closed_star_refuses_a_lower_cell_and_a_polygon(
+        pillow_sphere):
+    K = build_simplicial([(0, 1, 2)], closed=False)
+    with pytest.raises(NotTopCell):
+        shrink_closed_star(K, "e0-1", "v0")
+    with pytest.raises(BadCellBoundary,
+                       match="shrink needs a simplicial cell; 'sqA'"):
+        shrink_closed_star(pillow_sphere, "sqA", "p0")
 
 
 def test_shrink_preserves_face_relation():
@@ -833,6 +865,16 @@ def test_compose_rejects_imperfect(torus):
     f = MorseFunction({cid: float(c.dim) for cid, c in torus.cells.items()})
     with pytest.raises(NotPerfectInput):
         compose(torus, f, torus, f)
+
+
+def test_compose_rejects_a_summand_that_is_no_closed_pseudomanifold(
+        torus, torus_function):
+    disk = build_simplicial([(0, 1, 2), (0, 2, 3)], closed=False)
+    fd = MorseFunction({cid: float(c.dim) for cid, c in disk.cells.items()})
+    for args in ((disk, fd, torus, torus_function),
+                 (torus, torus_function, disk, fd)):
+        with pytest.raises(NonPseudomanifold):
+            compose(*args)
 
 
 def test_compose_rejects_dimension_mismatch(torus, torus_function):

@@ -41,6 +41,7 @@ from dms.morsefield import (
     is_perfect,
     synthesize_function,
     validate_field,
+    validate_function,
 )
 
 
@@ -411,6 +412,25 @@ def test_cli_validate_double_match(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "v0" in captured.err
+
+
+def test_cli_validate_function_lists_one_violation_per_line(tmp_path,
+                                                           capsys):
+    out = tmp_path / "t"
+    run_cli(["fixture", "torus7", "--out", str(out)])
+    flat = tmp_path / "flat.dmf"
+    flat.write_text("".join("val %s 0\n" % line.split()[1] for line in
+                            (tmp_path / "t.dmf").read_text().splitlines()))
+    K = load_complex(str(out) + ".tri")
+    want = ["function %s violation at %s" % (kind, cell) for cell, kind in
+            validate_function(K, parse_dmf(flat.read_text(), K)).violations]
+    capsys.readouterr()
+    code = run_cli(["validate", "--complex", str(out) + ".tri",
+                    "--function", str(flat)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(want) > 1 and captured.err.splitlines() == want
+    assert captured.err.endswith("\n") and captured.out == ""
 
 
 def test_cli_validate_ok(tmp_path, capsys):
