@@ -41,6 +41,11 @@ class Cell(NamedTuple):
         return "Cell(%r, dim=%d)" % (self.id, self.dim)
 
 
+# new_cell(Cell, (id, dim, boundary)) is the tuple the NamedTuple's
+# generated __new__ returns, built without that Python-level call
+new_cell = tuple.__new__
+
+
 @dataclass(frozen=True)
 class SurfaceInfo:
     genus: int | None
@@ -378,8 +383,8 @@ class Complex:
         rename = name.__getitem__
         new = object.__new__(Complex)
         new.cells = {
-            name[cid]: Cell(name[cid], c.dim,
-                            frozenset(map(rename, c.boundary)))
+            name[cid]: new_cell(Cell, (name[cid], c.dim,
+                                       frozenset(map(rename, c.boundary))))
             for cid, c in self.cells.items()}
         new.top_dim = self.top_dim
         new._cofaces = {name[cid]: tuple(map(rename, cof))

@@ -13,6 +13,7 @@ from .cellcomplex import (
     Cell,
     Complex,
     build_simplicial,
+    new_cell,
     vertex_id,
 )
 from .errors import ParseError
@@ -124,7 +125,7 @@ def parse_cwp(text):
     for cid in bnds:
         if cid not in dims:
             raise ParseError("bnd for undeclared cell %r" % cid)
-    return Complex([Cell(cid, dim, frozenset(bnds.get(cid, ())))
+    return Complex([new_cell(Cell, (cid, dim, frozenset(bnds.get(cid, ()))))
                     for cid, dim in dims.items()])
 
 

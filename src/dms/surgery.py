@@ -40,7 +40,6 @@ from .errors import (
 )
 from .homology import BettiVector
 from .morsefield import (
-    MorseFunction,
     VectorField,
     _betti,
     _check_function,
@@ -538,7 +537,6 @@ class ComposeReport:
     # always False: one formula serves every input range; kept because
     # perfbench/tracer.py reads it
     rescaled: bool
-    resynthesized_left: bool
     alpha: str
     beta: str
     boundary_clearing_steps: int
@@ -554,11 +552,11 @@ def _prefixed(K, V, prefix):
     return Kp, V._renamed(name), name
 
 
-def _renamed_function(f, name, prefix):
-    """f with every id x renamed to name[x], or to prefix + x for the
-    ids that `name` does not know."""
-    return MorseFunction({name[cid] if cid in name else prefix + cid: val
-                          for cid, val in f.values.items()})
+def _renamed_values(f, name):
+    """f's values renamed through `name`, one per id it maps: a value of
+    an id that `name` does not know is dropped."""
+    values = f.values
+    return {new: values[old] for old, new in name.items()}
 
 
 def _checked_summand(K, f):
@@ -590,24 +588,74 @@ def _boundary_offenders(K, V, alpha):
     return out
 
 
-def _clear_top_cell_boundary(K, V, alpha):
+def _clear_top_cell_boundary(K, V, alpha, values):
     """Push critical edges and internal vertex-edge pairs off a critical
     2-cell's boundary: bisect the offender, then cut the corner triangle
-    away so the critical polygon keeps its side count."""
+    away so the critical polygon keeps its side count.
+
+    `values` holds a Morse function f on K inducing V and is patched in
+    place to one on the subdivided complex inducing the subdivided
+    field; the cells that are gone lose their values.  Returns K, V,
+    alpha, the steps taken and the cells whose value, or whose faces'
+    or cofaces' values, the patch changed (the cleared alpha left out).
+
+    Each step bisects an offender e = {p, q}, critical or paired with
+    its endpoint p, into e1 = {p, w} (which keeps f(e)) and e2 = {q, w},
+    then cuts the corner {e1, e2, d} off alpha along the chord d from p
+    to q.  As alpha is critical every cell of its closure lies below
+    f(alpha): its faces do, and a vertex v on edges e, e' of alpha with
+    f(v) >= f(alpha) would have two cofaces at or below it.  So:
+    - w and e2 get h = (f(q) + f(e)) / 2.  f(q) < f(e), as e is critical
+      or paired with p, so f(q) < h < f(e) < f(alpha), f(t) for alpha
+      and the other coface t of e (e is not paired with either): w lies
+      below e1 and level with e2, its partner, whose other face q lies
+      below it and whose cofaces lie above it, and e1 keeps e's
+      relations.
+    - the heir of alpha keeps f(alpha), and d and the corner get k =
+      (m + f(alpha)) / 2 with m the largest f on e1, e2, p and q, all in
+      alpha's closure, so m < k < f(alpha): d lies above its ends and
+      below the heir, and is paired with the corner, whose other faces
+      e1 and e2 lie below it; every face of the heir stays below it.
+    A float midpoint falls strictly between its two ends unless they are
+    adjacent floats; compose checks every touched cell, so such a tie
+    would show as an invalid function, not pass unseen.
+    """
     steps = 0
+    patched = []
     while True:
         offenders = _boundary_offenders(K, V, alpha)
         if not offenders:
-            return K, V, alpha, steps
+            break
         e = offenders[0]
         x, y = sorted(K.boundary(e))
         K, V, rec = bisect_edge(K, V, e)
+        w, e1, e2 = rec.new_cells
+        q, = K.cells[e2].boundary - {w}
+        fe = values.pop(e)
+        values[e1] = fe
+        values[w] = values[e2] = (values[q] + fe) / 2.0
         # choose argument order so the inheriting piece avoids the midpoint
-        if rec.new_cells[0] in _inheriting_arc(K, alpha, x, y):
+        if w in _inheriting_arc(K, alpha, x, y):
             x, y = y, x
         K, V, rec2 = bisect_2cell(K, V, alpha, x, y)
-        alpha = rec2.replacements[alpha]
+        # a critical alpha passes its criticality to c~b1
+        d, heir, corner = rec2.new_cells
+        fa = values.pop(alpha)
+        values[heir] = fa
+        values[d] = values[corner] = (
+            max(values[e1], values[e2], values[x], values[y]) + fa) / 2.0
+        patched.extend((w, e1, e2, d, corner))
+        alpha = heir
         steps += 1
+    cofaces = K.coface_table
+    touched = set()
+    for cid in patched:
+        if cid in K.cells:
+            touched.add(cid)
+            touched.update(K.cells[cid].boundary)
+            touched.update(cofaces[cid])
+    touched.discard(alpha)
+    return K, V, alpha, steps, touched
 
 
 def compose(M1, f1, M2, f2):
@@ -619,8 +667,9 @@ def compose(M1, f1, M2, f2):
     closed star of beta, and glues; the combined field pairs every glued
     boundary cell into its own prism.  On a surface, the cells of
     alpha's boundary that are critical or paired inside it are first
-    cleared off by bisections and f1 is resynthesized from the
-    subdivided field; in other dimensions they raise UnclearableBoundary.
+    cleared off by bisections, and f1 is patched on the cells they make
+    (_clear_top_cell_boundary); in other dimensions they raise
+    UnclearableBoundary.
     The combined function is f1 on the first side (the base), f1 + C/2
     on the tube and f2 + C on the glued cells of the second summand,
     with C = max(2, f1(alpha) + 2, 2 (f1(alpha) + 1 - m2)) and m2 the
@@ -693,18 +742,17 @@ def compose(M1, f1, M2, f2):
     # a common prefix keeps the sorted order of ids
     alpha = "m1:" + crit1.cells[n][0]
     v2 = "m2:" + crit2.cells[0][0]
+    # the table the result's function keeps, patched and extended below
+    values = _renamed_values(f1, name1)
 
-    clearing = 0
+    clearing, cleared = 0, set()
     if n == 2:
-        K1, V1, alpha, clearing = _clear_top_cell_boundary(K1, V1, alpha)
-    # a function is renamed only when no resynthesis replaces it
-    resynth = clearing > 0
-    f1w = (synthesize_function(K1, V1) if resynth
-           else _renamed_function(f1, name1, "m1:"))
+        K1, V1, alpha, clearing, cleared = _clear_top_cell_boundary(
+            K1, V1, alpha, values)
 
     K2, V2, beta, beta_steps = _choose_beta(K2, V2, v2)
-    f2w = (synthesize_function(K2, V2) if beta_steps
-           else _renamed_function(f2, name2, "m2:"))
+    f2v = (synthesize_function(K2, V2).values if beta_steps
+           else _renamed_values(f2, name2))
     ic = shrink_closed_star(K2, beta, v2)
     K2 = ic.complex
     pairs2 = [(ic.correspondence.get(a, a), ic.correspondence.get(b, b))
@@ -741,23 +789,20 @@ def compose(M1, f1, M2, f2):
     V = VectorField._of_sorted(tuple(sorted(pairs)))
 
     # Only these cells can break the Morse condition or pair differently
-    # than V: the tube and the second summand are new, and alpha's
-    # boundary lost alpha and gained the prisms.  Every other cell keeps
-    # its faces and cofaces, and its values and theirs are f1w's, which
-    # is valid and induces V1 on K1.
+    # than V: the tube and the second summand are new, alpha's boundary
+    # lost alpha and gained the prisms, and the clearing patched f1 near
+    # the cells it bisected.  Every other cell keeps its faces, its
+    # cofaces and their values from f1, which is valid and induces V1.
     touched = [c.id for c in (*glued, *tube.new_cells)]
     touched.extend(tube.base_cells)
+    touched.extend(sorted(cleared.difference(tube.base_cells)))
     preimage = {corr: orig for orig, corr in ic.correspondence.items()}
-    f1v, f2v = f1w.values, f2w.values
     glued_f2 = {c.id: f2v[preimage.get(c.id, c.id)] for c in glued}
-    a = f1v[alpha]
+    a = values.pop(alpha)
     C = max(2.0, a + 2.0, 2.0 * (a + 1.0 - min(glued_f2.values())))
-    # a synthesized f1w holds exactly K1's cells, in table order; an
-    # input's may hold other ids, which the result drops
-    values = dict(f1v) if resynth else {cid: f1v[cid] for cid in K1.cells}
-    del values[alpha]
     for cid in tube.base_cells:
-        values[tube.top[cid]] = values[tube.prism[cid]] = f1v[cid] + C / 2.0
+        values[tube.top[cid]] = values[tube.prism[cid]] = \
+            values[cid] + C / 2.0
     for cid, val in glued_f2.items():
         values[cid] = val + C
     f = _read_only_function(values)
@@ -792,7 +837,7 @@ def compose(M1, f1, M2, f2):
     report = ComposeReport(
         chi=chi, counts=counts.m, perfect=counts.m == M._betti.b,
         function_valid=freport.ok, constant=C, rescaled=False,
-        resynthesized_left=resynth, alpha=alpha, beta=beta,
+        alpha=alpha, beta=beta,
         boundary_clearing_steps=clearing,
         glue_cycle_length=len(glue) // 2 if n == 2 else len(glue),
     )

@@ -5,6 +5,11 @@ the exception name), so any change to ids, tie-breaking or pairing in
 compose, decompose or the CLI shows up here.  The expected values were
 recorded before the graph helpers were folded into `dms.cellcomplex`;
 a deliberate output change must update them and say why.
+
+The compose chain and the CLI round trip pin their complexes and fields
+(CWP, DVF and the texts derived from them) apart from their functions
+(DMF), so a change to the composed values alone shows which of the two
+moved.
 """
 
 import hashlib
@@ -39,13 +44,16 @@ def _seeded_torus(seed):
 
 def test_golden_compose_chain():
     K, f = _seeded_torus(100)
-    texts = []
+    structure, functions = [], []
     for seed in (101, 102, 103):
         T, ft = _seeded_torus(seed)
         K, f, V, _ = compose(K, f, T, ft)
-        texts += _surface_texts(K, V, f)
-    assert _digest(texts) == (
-        "5ccd81768ee4fb71b55b74afb3e6bc1f050c1a567e624af993d62d0fb35ef29f")
+        structure += [write_cwp(K), write_dvf(V, K)]
+        functions.append(write_dmf(f))
+    assert _digest(structure) == (
+        "d3e3051f3044f14bec78e49044b4d1b3f34a12bc1ab690944575b15a3d515264")
+    assert _digest(functions) == (
+        "58258bb5fc2692771ac281b85b7c134953cc5c6ad086490504a788e8d47e5a7c")
 
 
 def test_golden_decompose_genus4_fields():
@@ -86,6 +94,11 @@ def test_golden_cli_roundtrip(tmp_path, capsys):
         "dec.%s.%s" % (m, ext) for m in ("m1", "m2")
         for ext in ("cwp", "dvf", "dmf")] + ["dec.circle.txt",
                                              "dec.report.json"]
-    texts = [(tmp_path / name).read_text(encoding="utf-8") for name in names]
-    assert _digest(texts) == (
-        "1a654f3bce19d92885da619b8e9bafa3ef22148e320947f8be19575440934058")
+    texts = {name: (tmp_path / name).read_text(encoding="utf-8")
+             for name in names}
+    assert _digest([text for name, text in texts.items()
+                    if not name.endswith(".dmf")]) == (
+        "c61bd0064383650da0162b53af732a757a33ba2b259a4853d40f523fb9126efe")
+    assert _digest([text for name, text in texts.items()
+                    if name.endswith(".dmf")]) == (
+        "95eed0158a8d7a3c0f55bd2a5ccbccfde1da197c7c23e56978ad320a4310c293")

@@ -398,18 +398,19 @@ def test_synthesis_matches_the_reference_on_capped_pieces(g1):
         assert assert_synthesis_matches_the_reference(P, V) == "ok"
 
 
-def test_synthesis_matches_the_reference_inside_compose(monkeypatch):
-    # what a compose chain synthesizes: each cleared first summand, its
-    # cells out of id order under ever longer `m1:` ids
+def test_synthesis_matches_the_reference_inside_compose():
+    # each first summand of a compose chain as the boundary clearing
+    # leaves it, its cells out of id order under ever longer `m1:` ids
     seen = []
-
-    def synthesize(K, V):
-        seen.append((K, V))
-        return synthesize_function(K, V)
-
-    monkeypatch.setattr(surgery, "synthesize_function", synthesize)
     K, f = genus_surface(1)[:2]
     for seed in range(4):
+        K1, V1, name = surgery._prefixed(K, induced_field(K, f), "m1:")
+        alpha = critical_cells(V1, K1).cells[2][0]
+        values = {name[cid]: val for cid, val in f.values.items()}
+        K1, V1, _, steps, _ = surgery._clear_top_cell_boundary(
+            K1, V1, alpha, values)
+        assert steps
+        seen.append((K1, V1))
         T = torus7()
         ft = synthesize_function(T, tree_cotree_field(
             T, rng=random.Random(seed)))
@@ -581,8 +582,8 @@ def test_local_compose_checks_match_full_checks(local_checks, seed):
 
 def test_local_compose_checks_match_full_checks_in_dimension_three(
         local_checks, sphere3, collapse_field):
-    # no clearing step resynthesizes the first summand here, so its
-    # shifts reach the assembled function and the removed cell's boundary
+    # the first summand needs no clearing here, so its shifts reach the
+    # removed cell's boundary as given
     S = sphere3()
     f = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
     kinds = set()

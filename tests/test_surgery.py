@@ -599,17 +599,29 @@ def test_compose_cuts_a_corner_for_beta(torus, torus_function,
     assert validate_function(M, f).ok and induced_field(M, f) == V
 
 
-def removed_value(M1, f1, rep):
-    """f1(alpha) as compose's formula reads it: the caller's value, or,
-    after boundary clearing, the value of f1 resynthesized on the
-    complex the clearing subdivided."""
-    if not rep.boundary_clearing_steps:
-        return f1[rep.alpha[len("m1:"):]]
-    K1, V1, _ = surgery._prefixed(M1, induced_field(M1, f1), "m1:")
+def cleared_left(M1, f1):
+    """The first summand as compose clears it: the renamed complex and
+    field after _clear_top_cell_boundary, the heir of the critical top
+    cell, the steps, the patched values and the caller's values renamed,
+    and the cells the patch touched."""
+    K1, V1, name = surgery._prefixed(M1, induced_field(M1, f1), "m1:")
     alpha = critical_cells(V1, K1).cells[K1.top_dim][0]
-    K1, V1, alpha, _ = surgery._clear_top_cell_boundary(K1, V1, alpha)
-    assert alpha == rep.alpha
-    return synthesize_function(K1, V1)[alpha]
+    caller = {name[cid]: val for cid, val in f1.values.items()
+              if cid in name}
+    values = dict(caller)
+    K1, V1, heir, steps, touched = surgery._clear_top_cell_boundary(
+        K1, V1, alpha, values)
+    return K1, V1, alpha, heir, steps, values, caller, touched
+
+
+def removed_value(M1, f1, rep):
+    """f1(alpha) as compose's formula reads it: the caller's value at
+    the critical top cell, which its heir keeps through the boundary
+    clearing."""
+    _, _, alpha, heir, steps, values, caller, _ = cleared_left(M1, f1)
+    assert heir == rep.alpha and steps == rep.boundary_clearing_steps
+    assert values[heir] == caller[alpha]
+    return caller[alpha]
 
 
 def assert_formula(M1, f1, f2, composed):
@@ -684,6 +696,93 @@ def test_compose_formula_under_positive_affine_ranges(seed, sphere3,
         composed = compose(K, f, T, ft)
         assert_formula(K, f, ft, composed)
         K, f = composed[:2]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_patches_f1_on_random_chains(seed, random_root_field):
+    # chains of tori and tetrahedra under tree-cotree and random-root
+    # fields and random input ranges, each link handed on as returned
+    # or re-ranged: the patched first summand always gives a valid
+    # function inducing the composed field, and a perfect one
+    rng = random.Random(seed)
+
+    def summand():
+        K = rng.choice((torus7, tetrahedron))()
+        if rng.random() < 0.5:
+            V = tree_cotree_field(K, rng=rng)
+        else:
+            V = random_root_field(K, rng.randrange(10 ** 6))
+        return K, positive_affine(synthesize_function(K, V), rng)
+
+    cleared = 0
+    for _ in range(6):
+        K, f = summand()
+        for _ in range(5):
+            K, f, V, rep = compose(K, f, *summand())
+            assert validate_function(K, f).ok
+            assert induced_field(K, f) == V
+            assert rep.perfect and rep.function_valid
+            cleared += rep.boundary_clearing_steps > 0
+            if rng.random() < 0.5:
+                f = positive_affine(f, rng)
+    assert cleared
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clearing_keeps_the_values_it_leaves_alone(seed, random_root_field,
+                                                   spy):
+    # the clearing patches the caller's f1 only on the cells it makes:
+    # every other cell keeps its value, the heir of alpha keeps
+    # f1(alpha), the patched function is valid and induces the cleared
+    # field, and compose checks every cell the patch touched
+    rng = random.Random(seed)
+    M1, f1 = seeded_torus(rng.randrange(1000))
+    for _ in range(5):  # a chain until its first summand needs clearing
+        T = torus7()
+        ft = synthesize_function(T, random_root_field(T, rng.randrange(1000)))
+        M1, f1 = compose(M1, positive_affine(f1, rng), T, ft)[:2]
+        K1, V1, alpha, heir, steps, values, caller, touched = \
+            cleared_left(M1, f1)
+        if steps:
+            break
+    assert steps
+    assert values.keys() == K1.cells.keys()
+    assert all(values[cid] == val for cid, val in caller.items()
+               if cid in K1.cells)
+    assert values[heir] == caller[alpha]
+    g = MorseFunction(values)
+    assert validate_function(K1, g).ok and induced_field(K1, g) == V1
+    made = values.keys() - caller.keys()
+    assert made - {heir} <= touched and heir not in touched
+
+    T, ft = seeded_torus(rng.randrange(1000))
+    checks = spy(_check_function)
+    M, f, V, rep = compose(M1, f1, T, ft)
+    assert rep.boundary_clearing_steps == steps
+    # the summands' full checks pass no ids; compose's local one does
+    (_, _, checked), = [args for args in checks if len(args) == 3]
+    assert touched <= set(checked)
+    for cid in M1.cells:
+        if "m1:" + cid in M.cells:
+            assert f["m1:" + cid] == f1[cid]
+
+
+def test_compose_synthesizes_nothing_without_a_beta_cut(
+        spy, torus, torus_function, pillow_sphere):
+    # f1 is patched, never resynthesized; only a corner cut for beta on
+    # the second summand synthesizes its function
+    rights = [seeded_torus(seed) for seed in range(4)]
+    g = synthesize_function(pillow_sphere, tree_cotree_field(pillow_sphere))
+    syntheses = spy(synthesize_function)
+    K, f = torus, torus_function
+    for T, ft in rights:
+        K, f, _, rep = compose(K, f, T, ft)
+        assert rep.boundary_clearing_steps and "~b" not in rep.beta
+    assert syntheses == []
+    rep = compose(K, f, pillow_sphere, g)[3]
+    assert "~b" in rep.beta
+    (K2, _), = syntheses
+    assert all(cid.startswith("m2:") for cid in K2.cells)
 
 
 def test_compose_refuses_uncleared_boundaries_beyond_surfaces(
