@@ -46,6 +46,10 @@ class Cell(NamedTuple):
 new_cell = tuple.__new__
 
 
+# the facts a complex derives about itself and caches
+_DERIVED = ("is_pseudomanifold", "_surface_info", "_betti")
+
+
 @dataclass(frozen=True)
 class SurfaceInfo:
     genus: int | None
@@ -58,10 +62,10 @@ class Complex:
     Construction validates grading, closure and (for 2-cells) that the
     edge boundary is a single cycle in which no vertex repeats.  The
     pseudomanifold flag and the closed-surface answer are computed on
-    first use, and a subdivision (`split_cell`, and the surgeries built
-    on `_subdivide`) hands them on to the subdivided complex.  Surgeries
-    never mutate a complex: `replace_cells` returns a new one,
-    re-checking only the cells the edit touches, while `subcomplex` and
+    first use, and a subdivision (`_subdivide`) keeps them.  A public
+    surgery never mutates a complex it is handed: it edits a `_draft`,
+    a copy it owns, in place through `_edit`, re-checking only the
+    cells each edit touches, and returns the draft.  `subcomplex` and
     `prefixed` carry the checked tables over, filtered or renamed,
     without re-checking.  Closures are walked on demand, not stored.
     """
@@ -274,36 +278,57 @@ class Complex:
 
     def replace_cells(self, remove=(), add=()):
         """New complex with `remove` ids dropped and `add` cells inserted;
-        an added cell replaces any cell of the same id.
+        an added cell replaces any cell of the same id: `_edit` on a draft.
+        """
+        new = self._draft()
+        new._edit(remove, add)
+        return new
+
+    def _draft(self):
+        """A copy of this complex for in-place edits to own: each table
+        is copied once, the derived facts come along, and the `_composed`
+        record, which holds for this complex only, does not."""
+        new = object.__new__(Complex)
+        new.__dict__.update(self.__dict__, cells=self.cells.copy(),
+                            _cofaces=self._cofaces.copy(),
+                            _cycles=self._cycles.copy())
+        new.__dict__.pop("_composed", None)
+        return new
+
+    def _edit(self, remove=(), add=()):
+        """replace_cells in place, the one edit every surgery reaches.
+        The derived facts go, as the edit may change them.
 
         The edit is local.  It re-checks the grading of the added cells
         and of the surviving cofaces of dropped or replaced cells, patches
         the coface lists of their faces, and re-walks the added 2-cells and
-        the 2-cofaces of replaced edges.  The result equals `Complex` built
-        from the new cell list, and an edit that breaks one cell raises the
-        DmsError that construction would raise.
+        the 2-cofaces of replaced edges.  The tables end up equal to those
+        of `Complex` built from the new cell list, and an edit that breaks
+        one cell raises the DmsError that construction would raise, with
+        this complex left half edited.
         """
-        old = self.cells
+        for name in _DERIVED:
+            self.__dict__.pop(name, None)
+        cells = self.cells
         remove = set(remove)
         added = {cell.id: cell for cell in add}
-        cells = old.copy()
+        gone = sorted(cid for cid in remove | added.keys() if cid in cells)
+        old = {cid: cells[cid] for cid in gone}
         for cid in remove:
             cells.pop(cid, None)
         cells.update(added)
         if not cells:
             raise MissingFace("empty complex")
-        gone = sorted(cid for cid in remove | added.keys() if cid in old)
-        new = object.__new__(Complex)
-        new.cells = cells
-        new.top_dim = max([self.top_dim] + [c.dim for c in added.values()])
-        if (any(old[cid].dim == new.top_dim for cid in gone)
-                and all(c.dim != new.top_dim for c in added.values())):
-            new.top_dim = max(c.dim for c in cells.values())
-        cofaces = self._cofaces.copy()
+        top_dim = max([self.top_dim] + [c.dim for c in added.values()])
+        if (any(old[cid].dim == top_dim for cid in gone)
+                and all(c.dim != top_dim for c in added.values())):
+            top_dim = max(c.dim for c in cells.values())
+        self.top_dim = top_dim
+        cofaces = self._cofaces
         near = {t for cid in gone for t in cofaces[cid]}.difference(gone)
         # the coface lists are patched below, from what the edit changed
-        new._validate_grading([cells[t] for t in sorted(near)]
-                              + list(added.values()), defaultdict(list))
+        self._validate_grading([cells[t] for t in sorted(near)]
+                               + list(added.values()), defaultdict(list))
 
         lost = {}    # face id -> the cells no longer on it
         gained = {}  # face id -> the cells now on it
@@ -311,15 +336,13 @@ class Complex:
             if cid not in cells:
                 del cofaces[cid]
             kept = added[cid].boundary if cid in added else ()
-            for fid in old[cid].boundary:
-                if fid not in kept:
-                    lost.setdefault(fid, []).append(cid)
+            for fid in old[cid].boundary.difference(kept):
+                lost.setdefault(fid, []).append(cid)
         for cid, cell in added.items():
             cofaces.setdefault(cid, ())
             had = old[cid].boundary if cid in old else ()
-            for fid in cell.boundary:
-                if fid not in had:
-                    gained.setdefault(fid, []).append(cid)
+            for fid in cell.boundary.difference(had):
+                gained.setdefault(fid, []).append(cid)
         # filtering keeps a coface tuple sorted; a face that gains cells
         # is sorted again, and every such face exists, as checked above
         for fid, out in lost.items():
@@ -328,16 +351,13 @@ class Complex:
                                       if t not in out])
         for fid, into in gained.items():
             cofaces[fid] = tuple(sorted((*cofaces[fid], *into)))
-        new._cofaces = cofaces
 
-        new._cycles = self._cycles.copy()
         walk = {cid for cid, cell in added.items() if cell.dim == 2}
         for cid in gone:
-            new._cycles.pop(cid, None)
+            self._cycles.pop(cid, None)
             if old[cid].dim == 1 and cid in cells:
                 walk.update(t for t in cofaces[cid] if cells[t].dim == 2)
-        new._walk_cycles(walk)
-        return new
+        self._walk_cycles(walk)
 
     def subcomplex(self, ids):
         """The subcomplex on the cells `ids`, which must be closed under
@@ -372,14 +392,17 @@ class Complex:
         return new
 
     def prefixed(self, prefix):
-        """This complex with every id renamed to prefix + id.
+        """This complex with every id renamed to prefix + id."""
+        return self._renamed({cid: prefix + cid for cid in self.cells})
 
-        The renaming goes through one map, so each new id is a single
-        string object shared by all the tables.  A common prefix keeps
-        the sorted order of ids, so coface tuples and 2-cell walks carry
-        over as they are; nothing is re-checked.
+    def _renamed(self, name):
+        """This complex with every id x renamed to name[x], for a map
+        that keeps the sorted order of ids, as a common prefix does.
+
+        Each new id is the one string object of `name`, shared by all
+        the tables.  The coface tuples and 2-cell walks carry over as
+        they are; nothing is re-checked.
         """
-        name = {cid: prefix + cid for cid in self.cells}
         rename = name.__getitem__
         new = object.__new__(Complex)
         new.cells = {
@@ -401,41 +424,42 @@ class Complex:
         middle cell a dimension lower whose faces lie in the closure of
         `old`, all three new.  The halves must share only the middle cell
         and together list exactly old's boundary.  Any other edit raises
-        BadCellBoundary.  A subdivision keeps the homeomorphism type, so
-        the result takes over the parent's computed is_pseudomanifold
-        and a closed-surface answer that found no defect, genus and
-        orientability included (a defect names a cell, which the split
-        may have renamed).
+        BadCellBoundary.  A draft of this complex takes the split
+        (`_split_cell`), so the result keeps the parent's computed flags
+        as `_subdivide` does.
         """
+        new = self._draft()
+        new._split_cell(old, new_cells, halves)
+        return new
+
+    def _split_cell(self, old, new_cells, halves):
+        """split_cell on this complex itself."""
         new_cells = list(new_cells)
         why = self._subdivision_defect(self.cell(old), new_cells, halves)
         if why is not None:
             raise BadCellBoundary("splitting %r: %s" % (old, why))
-        return self._subdivide({old: halves}, new_cells)
+        self._subdivide({old: halves}, new_cells)
 
     def _subdivide(self, parts, new_cells):
-        """replace_cells for an edit the caller knows to subdivide cells:
-        each id in `parts` goes, `new_cells` come in, and each surviving
-        coface of a replaced cell lists parts[id] in its place.
+        """_edit for an edit the caller knows to subdivide cells: each id
+        in `parts` goes, `new_cells` come in, and each surviving coface
+        of a replaced cell lists parts[id] in its place.
 
-        The patched cofaces are added after `new_cells`, in id order.  A
-        subdivision keeps the homeomorphism type, so the result takes
-        over the flags that split_cell hands on."""
+        The patched cofaces are added after `new_cells`, in id order."""
         cells = self.cells
         patched = []
         for t in sorted({t for cid in parts for t in self._cofaces[cid]}
                         .difference(parts)):
-            bnd = set()
-            for fid in cells[t].boundary:
-                bnd.update(parts.get(fid, (fid,)))
-            patched.append(Cell(t, cells[t].dim, frozenset(bnd)))
-        new = self.replace_cells(remove=parts, add=[*new_cells, *patched])
-        known = self.__dict__
-        if "is_pseudomanifold" in known:
-            new.is_pseudomanifold = known["is_pseudomanifold"]
-        if isinstance(known.get("_surface_info"), SurfaceInfo):
-            new._surface_info = known["_surface_info"]
-        return new
+            bnd = cells[t].boundary
+            split = bnd.intersection(parts)
+            patched.append(Cell(t, cells[t].dim, bnd.difference(split).union(
+                *[parts[fid] for fid in split])))
+        # a subdivision keeps the homeomorphism type, so the derived facts
+        # stay true, but for a closed-surface defect naming a replaced cell
+        facts = {k: v for k, v in self.__dict__.items()
+                 if k in _DERIVED and not isinstance(v, str)}
+        self._edit(parts, [*new_cells, *patched])
+        self.__dict__.update(facts)
 
     def _subdivision_defect(self, cell, new_cells, halves):
         """Why replacing `cell` by `new_cells` with these `halves` is no

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 validation failure, 3 parse/load error,
+Exit codes: 0 success, 2 validation failure (a composed function that
+fails it included, with nothing written), 3 parse/load error,
 4 precondition failure (not a closed surface, not perfect, wrong genus).
 Diagnostics go to standard error, one violation per line.
 """
@@ -10,7 +11,7 @@ import functools
 import sys
 
 from . import fixtures
-from .errors import DmsError, ParseError
+from .errors import DmsError, InexactFunction, ParseError
 from .homology import betti_mod2
 from .morsefield import (
     critical_cells,
@@ -219,6 +220,10 @@ def main(argv=None):
     except (ParseError, OSError) as err:
         _err("parse error: %s" % err)
         return EXIT_PARSE
+    except InexactFunction as err:
+        for cell, kind in err.args:
+            _err("function %s violation at %s" % (kind, cell))
+        return EXIT_INVALID
     except DmsError as err:
         _err("%s: %s" % (type(err).__name__, err))
         return EXIT_PRECONDITION

@@ -131,6 +131,13 @@ class UnclearableBoundary(DmsError):
     are cleared off.  args are those cells, by the caller's ids."""
 
 
+class InexactFunction(DmsError):
+    """compose assembled a function that fails the Morse condition,
+    because floats could not hold the values its formula asks for (a
+    summand's values too large, or too close together); args are the
+    violations (cell, kind) by the result's ids, at most five."""
+
+
 # --- splitting ---
 
 class WrongCriticalCount(DmsError):

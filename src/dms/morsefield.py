@@ -35,7 +35,8 @@ class VectorField:
 
     The raw pair list is kept as given (so invalid states such as a
     doubly matched cell can be represented and reported); partner_map
-    insists on a genuine matching.
+    insists on a genuine matching.  The sorted pair_list is a tuple, or
+    a list on a draft (`_draft`, `_renamed`), which `_edit` edits.
     """
 
     def __init__(self, pairs=()):
@@ -44,18 +45,25 @@ class VectorField:
 
     @classmethod
     def _of_sorted(cls, pair_list, partner=None):
-        """The field on `pair_list`, a tuple of pairs of str ids already
-        in sorted order, and `partner` its partner map if built."""
+        """The field on `pair_list`, a sequence of pairs of str ids
+        already in sorted order, and `partner` its partner map if built."""
         out = object.__new__(cls)
         out.pair_list = pair_list
         out._partner = partner
         return out
 
+    def _draft(self):
+        """A copy of this field for in-place edits to own: its pairs in
+        a list, and its partner map if built."""
+        pm = self._partner
+        return VectorField._of_sorted(list(self.pair_list),
+                                      None if pm is None else pm.copy())
+
     def _renamed(self, name):
-        """This field with every id x renamed to name[x], for a map that
-        keeps the sorted order of ids (a common prefix does): the pairs
-        need no sorting, and a partner map already built is renamed."""
-        pairs = tuple([(name[a], name[b]) for a, b in self.pair_list])
+        """A draft of this field with every id x renamed to name[x], for a
+        map that keeps the sorted order of ids (a common prefix does): the
+        pairs need no sorting, and a partner map already built is renamed."""
+        pairs = [(name[a], name[b]) for a, b in self.pair_list]
         pm = self._partner
         if pm is not None:
             pm = {name[a]: name[b] for a, b in pm.items()}
@@ -64,13 +72,13 @@ class VectorField:
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.pair_list == other.pair_list
+        return self.pairs() == other.pairs()
 
     def __len__(self):
         return len(self.pair_list)
 
     def pairs(self):
-        return self.pair_list
+        return tuple(self.pair_list)
 
     def partner_map(self):
         if self._partner is None:
@@ -90,11 +98,17 @@ class VectorField:
 
     def replace(self, drop=(), add=()):
         """This field without the pairs in `drop` (every copy of each)
-        and with the pairs in `add`: VectorField of the edited pair list,
-        kept sorted by bisection instead of sorted again.  A partner map
-        already built is edited along while the pairs stay a matching."""
-        pairs = list(self.pair_list)
-        pm = None if self._partner is None else self._partner.copy()
+        and with the pairs in `add`: a draft of it takes the edit."""
+        out = self._draft()
+        out._edit(drop, add)
+        return out
+
+    def _edit(self, drop=(), add=()):
+        """replace in place, on a field whose pairs are a list: the list
+        is kept sorted by bisection instead of sorted again, and a
+        partner map already built is edited along while the pairs stay a
+        matching."""
+        pairs, pm = self.pair_list, self._partner
         for p in drop:
             p = tuple(p)
             i = bisect_left(pairs, p)
@@ -109,11 +123,10 @@ class VectorField:
             insort(pairs, (a, b))
             if pm is not None:
                 if a in pm or b in pm:
-                    pm = None  # partner_map() will name the double match
+                    pm = self._partner = None  # partner_map() names it
                 else:
                     pm[a] = b
                     pm[b] = a
-        return VectorField._of_sorted(tuple(pairs), pm)
 
 
 @dataclass(frozen=True)

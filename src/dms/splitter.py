@@ -37,7 +37,7 @@ from .morsefield import (
     synthesize_function,
     trace_2path,
 )
-from .surgery import (_inheriting_arc, bisect_2cell, bisect_edge,
+from .surgery import (_bisect_2cell, _bisect_edge, _inheriting_arc,
                       separate_critical_cells)
 
 
@@ -281,7 +281,8 @@ def _excavate(K, V, region, marked):
     marked maps facet id -> cells of its boundary cycle to expel.  Cuts
     land on existing boundary vertices or on fresh midpoints of the
     crossed interior edges, so every new boundary cell ends up matched
-    with a cell outside the region.
+    with a cell outside the region.  K, V and the region are edited in
+    place.
     """
     marked = {t: set(cs) for t, cs in marked.items()}
 
@@ -309,8 +310,7 @@ def _excavate(K, V, region, marked):
                 break
         if not todo:
             break
-        K, V, rec = bisect_edge(K, V, todo)
-        _rename(region, rec)
+        _rename(region, _bisect_edge(K, V, todo))
     else:
         raise NoFlankingCells("excavation pre-pass did not converge")
 
@@ -335,8 +335,8 @@ def _excavate(K, V, region, marked):
             if partner == marked_ends[0]:
                 raise InconsistentField(
                     "rung %s is matched with its expelled endpoint" % e)
-            K, V, rec = bisect_edge(K, V, e, anchor=[x for x in ends
-                                                     if x not in mk][0])
+            rec = _bisect_edge(K, V, e, anchor=[x for x in ends
+                                                if x not in mk][0])
             _rename(region, rec)
             rung_mid[e] = rec.new_cells  # w, e1 and e2, the expelled half
     # fold the expelled halves into the marked sets of their facets; the
@@ -397,7 +397,7 @@ def _excavate(K, V, region, marked):
                        if K.boundary(cyc[i]) == frozenset({u, w})]
             if joining:
                 g = joining[0]
-                K, V, rec = bisect_edge(K, V, g)
+                rec = _bisect_edge(K, V, g)
                 _rename(region, rec)
                 if g in marked[orig]:
                     marked[orig].update(rec.new_cells)
@@ -407,7 +407,7 @@ def _excavate(K, V, region, marked):
             # argument order: the inheriting piece must avoid this corner
             if not corner.isdisjoint(_inheriting_arc(K, p, u, w)):
                 u, w = w, u
-            K, V, rec = bisect_2cell(K, V, p, u, w)
+            rec = _bisect_2cell(K, V, p, u, w)
             _rename(region, rec)
             d, c1, c2 = rec.new_cells
             expelled = c2 if any(c in corner
@@ -423,7 +423,6 @@ def _excavate(K, V, region, marked):
             p = kept
         else:
             raise NoFlankingCells("corner cutting did not converge")
-    return K, V, region
 
 
 def _stray_closure(K, V, region, seed):
@@ -464,7 +463,7 @@ def _excavate_stray(K, V, region, seed):
         hit = zcells & set(K.boundary_cycle(t))
         if hit:
             marked[t] = hit
-    return _excavate(K, V, region, marked)
+    _excavate(K, V, region, marked)
 
 
 def _sectors_at(K, region, v):
@@ -479,7 +478,14 @@ def resolve_wedge(K, V, region, v):
     """Reroute the boundary around a wedge vertex (Case 1): shave the
     corner at v off every region sector except one, so exactly one
     strand still passes through v; a wedge has at least two sectors (see
-    classify_boundary)."""
+    classify_boundary).  The region is edited in place."""
+    K, V = K._draft(), V._draft()
+    _resolve_wedge(K, V, region, v)
+    return K, V, region
+
+
+def _resolve_wedge(K, V, region, v):
+    """resolve_wedge on K and V themselves."""
     sectors = _sectors_at(K, region, v)
     keep = min(range(len(sectors)), key=lambda i: min(sectors[i]))
     marked = {}
@@ -488,7 +494,7 @@ def resolve_wedge(K, V, region, v):
             continue
         for t in sec:
             marked.setdefault(t, set()).add(v)
-    return _excavate(K, V, region, marked)
+    _excavate(K, V, region, marked)
 
 
 # --- driver ------------------------------------------------------------------
@@ -512,22 +518,22 @@ def _inward_violations(K, V, region, bg):
 
 def _expel_foreign_criticals(K, V, region, low_edges):
     """Excavate the critical vertex and the low critical edges, which
-    belong to the other summand, out of the region."""
+    belong to the other summand, out of the region, in place."""
     v0 = critical_cells(V, K).cells[0][0]
     marked = {t: {v0} for t in sorted(region.facets)
               if v0 in K.boundary_cycle(t)}
     if marked:
-        K, V, region = _excavate(K, V, region, marked)
+        _excavate(K, V, region, marked)
     for e in sorted(low_edges):
         if any(t in region.facets for t in K.cofaces(e)):
-            K, V, region = _excavate_stray(K, V, region, e)
-    return K, V, region
+            _excavate_stray(K, V, region, e)
 
 
 def find_separating_circle(K, f, g1, g2):
     """Drive the boundary repairs until the carved region is bounded by a
     single circle with no arrows pointing into it; returns the final
-    (complex, field, circle walk, region).
+    (complex, field, circle walk, region), the drafts of
+    separate_critical_cells edited in place by every repair after it.
 
     The loop needs only these two repairs, and the walk after it cannot
     fail, for these reasons.  Past `_expel_foreign_criticals` the region
@@ -576,14 +582,14 @@ def find_separating_circle(K, f, g1, g2):
         low = [heir if e == old else e for e in low]
         high = [heir if e == old else e for e in high]
     region = carve_core(K, V, high)
-    K, V, region = _expel_foreign_criticals(K, V, region, low)
+    _expel_foreign_criticals(K, V, region, low)
 
     # the budget is fixed here, since every repair adds cells
     for _ in range(40 + 4 * len(K.cells)):
         bg = classify_boundary(K, region)
         viols = _inward_violations(K, V, region, bg)
         if viols:
-            K, V, region = _excavate_stray(K, V, region, viols[0][1])
+            _excavate_stray(K, V, region, viols[0][1])
             continue
         if bg.classification == "Circle":
             break
@@ -597,7 +603,7 @@ def find_separating_circle(K, f, g1, g2):
             raise NotSeparating(
                 "core region is bounded by %d disjoint circles with no "
                 "connecting structure" % len(bg.components))
-        K, V, region = resolve_wedge(K, V, region, bg.wedge_vertices[0])
+        _resolve_wedge(K, V, region, bg.wedge_vertices[0])
     else:
         raise InconsistentField("boundary repair did not converge")
 

@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     InconsistentField,
+    InexactFunction,
     InseparableCriticals,
     NoEligibleBeta,
     NonPseudomanifold,
@@ -83,6 +84,12 @@ def bisect_edge(K, V, e, anchor=None):
     the smaller endpoint); a critical e passes criticality to that half.
     The new vertex is always paired with the other half.
     """
+    K, V = K._draft(), V._draft()
+    return K, V, _bisect_edge(K, V, e, anchor)
+
+
+def _bisect_edge(K, V, e, anchor=None):
+    """bisect_edge on K and V themselves; returns the record."""
     cell = K.cell(e)
     if cell.dim != 1:
         raise NotAnEdge(e)
@@ -99,7 +106,7 @@ def bisect_edge(K, V, e, anchor=None):
         inherit_end = a
     other_end, = cell.boundary - {inherit_end}
     w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
-    K2 = K.split_cell(e, [
+    K._split_cell(e, [
         Cell(w, 0, frozenset()),
         Cell(e1, 1, frozenset({inherit_end, w})),
         Cell(e2, 1, frozenset({other_end, w})),
@@ -115,10 +122,8 @@ def bisect_edge(K, V, e, anchor=None):
     else:
         drop = [(e, partner)]
         add.append((e1, partner))
-    V2 = V.replace(drop=drop, add=add)
-    rec = BisectionRecord(new_cells=(w, e1, e2),
-                          replacements={e: e1})
-    return K2, V2, rec
+    V._edit(drop, add)
+    return BisectionRecord(new_cells=(w, e1, e2), replacements={e: e1})
 
 
 def bisect_2cell(K, V, c, u, w):
@@ -129,6 +134,12 @@ def bisect_2cell(K, V, c, u, w):
     the paired edge lies on the other side.  The chord is paired with
     the non-inheriting piece.
     """
+    K, V = K._draft(), V._draft()
+    return K, V, _bisect_2cell(K, V, c, u, w)
+
+
+def _bisect_2cell(K, V, c, u, w):
+    """bisect_2cell on K and V themselves; returns the record."""
     cell = K.cell(c)
     if cell.dim != 2:
         raise NotA2Cell(c)
@@ -147,7 +158,7 @@ def bisect_2cell(K, V, c, u, w):
     d = c + "~b0"
     c1 = c + "~b1"
     c2 = c + "~b2"
-    K2 = K.split_cell(c, [
+    K._split_cell(c, [
         Cell(d, 1, frozenset({u, w})),
         Cell(c1, 2, arc1 | {d}),
         Cell(c2, 2, (cell.boundary - arc1) | {d}),
@@ -169,10 +180,9 @@ def bisect_2cell(K, V, c, u, w):
     else:
         drop.append((c, partner))
         add.extend([(c1, partner), (d, c2)])
-    V2 = V.replace(drop=drop, add=add)
-    rec = BisectionRecord(new_cells=(d, c1, c2),
-                          replacements={c: inheritor})
-    return K2, V2, rec
+    V._edit(drop, add)
+    return BisectionRecord(new_cells=(d, c1, c2),
+                           replacements={c: inheritor})
 
 
 def _inheriting_arc(K, c, u, w):
@@ -290,7 +300,8 @@ class _CriticalIndex:
 def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
     """Chord-split polygon c so span_a and span_b land in different
     pieces; manufactures midpoints by bisecting gap edges if needed.
-    Returns K, V and the record of the one bisection made."""
+    Edits K and V in place and returns the record of the one bisection
+    made."""
     cycle = list(K.boundary_cycle(c))
     pos = {cell: i for i, cell in enumerate(cycle)}
     ia = pos[span_a]
@@ -328,12 +339,12 @@ def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
         for w in candidates(gap2):
             if any(K.boundary(g) == frozenset({u, w}) for g in cycle_edges):
                 continue
-            return bisect_2cell(K, V, c, u, w)
+            return _bisect_2cell(K, V, c, u, w)
     gap_edges = [cycle[i] for i in gap1 + gap2 if i % 2 == 1]
     if not gap_edges:
         raise InconsistentField(
             "cannot separate %r and %r inside %r" % (span_a, span_b, c))
-    return bisect_edge(K, V, gap_edges[0])  # cycle changed; caller retries
+    return _bisect_edge(K, V, gap_edges[0])  # cycle changed; caller retries
 
 
 def separate_critical_cells(K, V):
@@ -352,9 +363,11 @@ def separate_critical_cells(K, V):
     piece that stays critical keeps part of the shared boundary.  So the
     steps are capped at a budget fixed from the input's size (every step
     adds cells), and past it InseparableCriticals names the two critical
-    cells the next step would part.  The records returned are those of
-    the steps that bisect a critical or witness edge.
+    cells the next step would part.  The steps edit drafts of K and V,
+    returned with the records of the steps that bisect a critical or
+    witness edge.
     """
+    K, V = K._draft(), V._draft()
     records = []
     index = _CriticalIndex(K, V)
     budget = 100 + 10 * len(K.cells)
@@ -377,10 +390,10 @@ def separate_critical_cells(K, V):
                 # critical edge containing a critical vertex
                 vcrit = [h for h in hits if h != wid][0]
                 other = [x for x in K.boundary(wid) if x != vcrit][0]
-                K, V, rec = bisect_edge(K, V, wid, anchor=other)
+                rec = _bisect_edge(K, V, wid, anchor=other)
             elif on_edge:
                 # an edge between two critical vertices
-                K, V, rec = bisect_edge(K, V, wid)
+                rec = _bisect_edge(K, V, wid)
             else:
                 span_a, span_b = hits[0], hits[1]
                 if wid in hits:
@@ -393,7 +406,7 @@ def separate_critical_cells(K, V):
                               if cell != span_a
                               and cell not in index.closures.of[span_a]]
                     span_b = others[len(others) // 2]
-                K, V, rec = _separating_chord(
+                rec = _separating_chord(
                     K, V, wid, span_a, span_b,
                     {h for h in hits if K.dim(h) == 0})
         else:
@@ -406,7 +419,7 @@ def separate_critical_cells(K, V):
                 far = sorted(y for y in K.boundary(e)
                              if y not in index.closures.of[other_crit])
                 anchor = far[0] if far else sorted(K.boundary(e) - {x})[0]
-                K, V, rec = bisect_edge(K, V, e, anchor=anchor)
+                rec = _bisect_edge(K, V, e, anchor=anchor)
             else:
                 # two critical polygons meeting in a vertex: cut the
                 # corner of the first one off, keeping criticality away
@@ -414,7 +427,7 @@ def separate_critical_cells(K, V):
                 cycle = list(K.boundary_cycle(c1))
                 others = [cell for cell in cycle if cell != x]
                 span_b = others[len(others) // 2]
-                K, V, rec = _separating_chord(
+                rec = _separating_chord(
                     K, V, c1, x, span_b,
                     {h for h in index.stars.of if K.dim(h) == 0})
         if on_edge:
@@ -470,9 +483,15 @@ def shrink_closed_star(K, beta, v):
     Every J-cell containing v is split into its shrunken copy and a
     collar prism; the prism is the cell's correspondent, and J-cells not
     containing v correspond to themselves.  The face relation is
-    preserved by the correspondence.  The shrink subdivides the closed
-    cell, so it hands on the flags as split_cell does.
+    preserved by the correspondence.  A draft of K takes the shrink
+    (`_shrink_closed_star`), a subdivision of the closed cell that keeps
+    the flags as split_cell does.
     """
+    return _shrink_closed_star(K._draft(), beta, v)
+
+
+def _shrink_closed_star(K, beta, v):
+    """shrink_closed_star on K itself, which its InnerCopy holds."""
     bcell = K.cell(beta)
     if bcell.dim != K.top_dim:
         raise NotTopCell(beta)
@@ -515,12 +534,12 @@ def shrink_closed_star(K, beta, v):
                               frozenset(bnd)))
     # a coface of a cone cell holds v, so inside J it is a cone cell
     # too: the cofaces left to patch are those outside J
-    K2 = K._subdivide({rho: (shrunk_id(rho), inner_id(rho)) for rho in cone},
-                      new_cells)
+    K._subdivide({rho: (shrunk_id(rho), inner_id(rho)) for rho in cone},
+                 new_cells)
     correspondence = {rho: inner_id(rho) for rho in cone}
     for sid in link:
         correspondence[sid] = sid
-    return InnerCopy(complex=K2, beta_prime=shrunk_id(beta),
+    return InnerCopy(complex=K, beta_prime=shrunk_id(beta),
                      correspondence=correspondence)
 
 
@@ -532,6 +551,7 @@ class ComposeReport:
     chi: int
     counts: tuple
     perfect: bool
+    # always True: compose raises InexactFunction instead
     function_valid: bool
     constant: float
     # always False: one formula serves every input range; kept because
@@ -544,12 +564,12 @@ class ComposeReport:
 
 
 def _prefixed(K, V, prefix):
-    """K and V with every id renamed to prefix + id, and the renaming.
-    The field reuses the complex's new id strings; a common prefix keeps
-    the sorted order of ids, so V's pairs are not sorted again."""
-    Kp = K.prefixed(prefix)
-    name = dict(zip(K.cells, Kp.cells))  # prefixed keeps the cell order
-    return Kp, V._renamed(name), name
+    """K and a draft of V with every id renamed to prefix + id through
+    one map, and that map, so the field reuses the complex's new id
+    strings; a common prefix keeps the sorted order of ids, so V's pairs
+    are not sorted again."""
+    name = {cid: prefix + cid for cid in K.cells}
+    return K._renamed(name), V._renamed(name), name
 
 
 def _renamed_values(f, name):
@@ -593,11 +613,12 @@ def _clear_top_cell_boundary(K, V, alpha, values):
     2-cell's boundary: bisect the offender, then cut the corner triangle
     away so the critical polygon keeps its side count.
 
-    `values` holds a Morse function f on K inducing V and is patched in
-    place to one on the subdivided complex inducing the subdivided
-    field; the cells that are gone lose their values.  Returns K, V,
-    alpha, the steps taken and the cells whose value, or whose faces'
-    or cofaces' values, the patch changed (the cleared alpha left out).
+    K and V are subdivided in place.  `values` holds a Morse function f
+    on K inducing V and is patched in place to one on the subdivided
+    complex inducing the subdivided field; the cells that are gone lose
+    their values.  Returns the heir of alpha, the steps taken and the
+    cells whose value, or whose faces' or cofaces' values, the patch
+    changed (the cleared alpha left out).
 
     Each step bisects an offender e = {p, q}, critical or paired with
     its endpoint p, into e1 = {p, w} (which keeps f(e)) and e2 = {q, w},
@@ -628,8 +649,7 @@ def _clear_top_cell_boundary(K, V, alpha, values):
             break
         e = offenders[0]
         x, y = sorted(K.boundary(e))
-        K, V, rec = bisect_edge(K, V, e)
-        w, e1, e2 = rec.new_cells
+        w, e1, e2 = _bisect_edge(K, V, e).new_cells
         q, = K.cells[e2].boundary - {w}
         fe = values.pop(e)
         values[e1] = fe
@@ -637,9 +657,8 @@ def _clear_top_cell_boundary(K, V, alpha, values):
         # choose argument order so the inheriting piece avoids the midpoint
         if w in _inheriting_arc(K, alpha, x, y):
             x, y = y, x
-        K, V, rec2 = bisect_2cell(K, V, alpha, x, y)
         # a critical alpha passes its criticality to c~b1
-        d, heir, corner = rec2.new_cells
+        d, heir, corner = _bisect_2cell(K, V, alpha, x, y).new_cells
         fa = values.pop(alpha)
         values[heir] = fa
         values[d] = values[corner] = (
@@ -655,7 +674,7 @@ def _clear_top_cell_boundary(K, V, alpha, values):
             touched.update(K.cells[cid].boundary)
             touched.update(cofaces[cid])
     touched.discard(alpha)
-    return K, V, alpha, steps, touched
+    return alpha, steps, touched
 
 
 def compose(M1, f1, M2, f2):
@@ -685,7 +704,13 @@ def compose(M1, f1, M2, f2):
       constant keeps it; no pair of V1 lies inside alpha's boundary, so
       its copies on the tube rise strictly too.
     The term f1(alpha) + 2 is the paper's C, kept when it suffices.
-    `rescaled` in the report is always False.
+    `rescaled` in the report is always False.  Floats round, though.
+    Along a chain, f1(alpha) and so C double with every link, so when
+    f1(alpha) > 2^40 the left values are first ranked densely, which
+    keeps every comparison and every equality of f1.  Rounding that
+    still breaks the checked function (values of f2 too large to take C
+    exactly, say) raises InexactFunction naming the cells, so compose
+    never returns a function it found invalid.
 
     The result's mod-2 Betti numbers are cached from Mayer-Vietoris
     instead of being ranked.  Both inputs are closed pseudomanifolds,
@@ -702,15 +727,18 @@ def compose(M1, f1, M2, f2):
     A connected sum of closed pseudomanifolds is one, so the result
     takes is_pseudomanifold over without a scan of its cells.
 
-    The returned f has read-only values.  When it is valid and induces
-    the returned V, M keeps the record (f, V, critical cells of V), and
-    a later compose handed this very M and this very f (the same
-    objects, as a chain passes them on) reads V and the critical cells
-    off it instead of checking f on every cell.  Another complex, a
-    copy of f or a function compose did not return is checked in full.
+    The returned f has read-only values, and M keeps the record (f, V,
+    critical cells of V).  A later compose handed this very M and this
+    very f (the same objects, as a chain passes them on) reads V and the
+    critical cells off it instead of checking f on every cell.  Another
+    complex, a copy of f or a function compose did not return is checked
+    in full.
     The record is sound because:
-    - no edit mutates a Complex: each returns a new one, and the library
-      already caches _betti, is_pseudomanifold and _surface_info on one;
+    - edits mutate only drafts that no caller holds: a public surgery
+      edits a copy it made, compose edits the renamed copies of its
+      summands, M is one of them, and a draft of M drops the record; the
+      library already caches _betti, is_pseudomanifold and _surface_info
+      on a complex;
     - f's values are a mappingproxy over a dict that nothing else holds,
       so they cannot change after the check;
     - f is valid and induces V on all of M: the touched cells are
@@ -744,27 +772,30 @@ def compose(M1, f1, M2, f2):
     v2 = "m2:" + crit2.cells[0][0]
     # the table the result's function keeps, patched and extended below
     values = _renamed_values(f1, name1)
+    if values[alpha] > 2.0 ** 40:  # dense ranks, as argued above
+        rank = {x: float(i)
+                for i, x in enumerate(sorted(set(values.values())))}
+        values = {cid: rank[x] for cid, x in values.items()}
 
+    # K1, V1, K2 and V2 are renamed copies the edits below change in place
     clearing, cleared = 0, set()
     if n == 2:
-        K1, V1, alpha, clearing, cleared = _clear_top_cell_boundary(
+        alpha, clearing, cleared = _clear_top_cell_boundary(
             K1, V1, alpha, values)
 
-    K2, V2, beta, beta_steps = _choose_beta(K2, V2, v2)
+    beta, beta_steps = _choose_beta(K2, V2, v2)
     f2v = (synthesize_function(K2, V2).values if beta_steps
            else _renamed_values(f2, name2))
-    ic = shrink_closed_star(K2, beta, v2)
-    K2 = ic.complex
+    ic = _shrink_closed_star(K2, beta, v2)
     pairs2 = [(ic.correspondence.get(a, a), ic.correspondence.get(b, b))
-              for a, b in V2.pairs()]
+              for a, b in V2.pair_list]
 
     # glue interface: boundary of the shrunken cell vs the tube top
     bprime = ic.beta_prime
     tube = build_prism_over_boundary(K1, alpha)
     if n == 2:
         # the new cells are glued away, so they stay unmatched
-        K2 = _split_smallest_edges(K2, bprime,
-                                   len(K1.cell(alpha).boundary))
+        _split_smallest_edges(K2, bprime, len(K1.cell(alpha).boundary))
         glue = _surface_glue_map(K1, K2, alpha, bprime, tube.top)
     else:
         glue = _simplex_glue_map(K1, K2, bprime, tube.top)
@@ -781,9 +812,10 @@ def compose(M1, f1, M2, f2):
             c = Cell(cid, c.dim,
                      frozenset([glue.get(f, f) for f in c.boundary]))
         glued.append(c)
-    M = K1.replace_cells(remove=[alpha], add=[*glued, *tube.new_cells])
+    M = K1
+    M._edit(remove=[alpha], add=[*glued, *tube.new_cells])
 
-    pairs = list(V1.pairs())
+    pairs = V1.pair_list
     pairs.extend((tube.top[cid], tube.prism[cid]) for cid in tube.base_cells)
     pairs.extend(pairs2)
     V = VectorField._of_sorted(tuple(sorted(pairs)))
@@ -828,12 +860,12 @@ def compose(M1, f1, M2, f2):
         if freport.ok:
             raise InconsistentField(
                 "composed function induces a different field")
+        raise InexactFunction(*freport.violations[:5])
     M._betti = BettiVector(tuple(
         b1 + b2 - (p == 0) - (p == n)
         for p, (b1, b2) in enumerate(zip(M1._betti.b, M2._betti.b))))
     M.is_pseudomanifold = True
-    if induces_V:
-        M._composed = (f, V, counts)
+    M._composed = (f, V, counts)
     report = ComposeReport(
         chi=chi, counts=counts.m, perfect=counts.m == M._betti.b,
         function_valid=freport.ok, constant=C, rescaled=False,
@@ -848,9 +880,9 @@ def _choose_beta(K2, V2, v2):
     """Non-critical simplicial top cell with the critical vertex on its
     boundary.  When only critical or polygonal cells touch the vertex
     (surfaces only), one chord bisection cuts an eligible triangle off a
-    polygon's corner at the vertex.
+    polygon's corner at the vertex, in place on K2 and V2.
 
-    Returns (K2, V2, beta, steps)."""
+    Returns (beta, steps)."""
     n = K2.top_dim
 
     def candidates():
@@ -862,7 +894,7 @@ def _choose_beta(K2, V2, v2):
 
     tops, good = candidates()
     if good:
-        return K2, V2, good[0], 0
+        return good[0], 0
     if not tops:
         raise NoEligibleBeta("no top cell at %r" % v2)
     if n != 2:
@@ -878,39 +910,20 @@ def _choose_beta(K2, V2, v2):
         i = verts.index(v2)
         prev_v = verts[(i - 1) % len(verts)]
         next_v = verts[(i + 1) % len(verts)]
-        K2, V2, rec = bisect_2cell(K2, V2, t, next_v, prev_v)
+        _bisect_2cell(K2, V2, t, next_v, prev_v)
         steps += 1
         _, good = candidates()
         if good:
-            return K2, V2, good[0], steps
+            return good[0], steps
     raise NoEligibleBeta("could not cut an eligible cell at %r" % v2)
 
 
 def _split_smallest_edges(K, t, k):
-    """K with the smallest edge of 2-cell t split, from its smaller
-    endpoint, until t has k edges: the cells that as many bisect_edge
-    calls under an empty field would make, in one `_subdivide` edit
-    that hands on the flags as split_cell does."""
-    cells = K.cells
-    ends = {e: cells[e].boundary for e in cells[t].boundary}
-    made = {}    # the new cells by id, in the order the splits make them
-    origin = {}  # each new edge -> the edge of K it lies in
-    while len(ends) < k:
-        e = min(ends)
-        a, b = sorted(ends.pop(e))
-        w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
-        made.pop(e, None)
-        origin[e1] = origin[e2] = origin.pop(e, e)
-        made[w] = Cell(w, 0, frozenset())
-        for half, end in ((e1, a), (e2, b)):
-            made[half] = Cell(half, 1, frozenset({end, w}))
-            ends[half] = made[half].boundary
-    if not made:
-        return K
-    parts = {}  # each split edge of K -> the edges it became
-    for x, e in origin.items():
-        parts.setdefault(e, []).append(x)
-    return K._subdivide(parts, made.values())
+    """Split the smallest edge of 2-cell t, from its smaller endpoint,
+    in place until t has k edges: each split is bisect_edge's under an
+    empty field."""
+    while len(K.cells[t].boundary) < k:
+        _bisect_edge(K, VectorField._of_sorted([]), min(K.cells[t].boundary))
 
 
 def _surface_glue_map(K1, K2, alpha, bprime, top):

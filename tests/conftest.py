@@ -275,10 +275,11 @@ def each_separation_step(monkeypatch):
 
         monkeypatch.setattr(surgery._CriticalIndex, "__init__", checked_init)
         monkeypatch.setattr(surgery._CriticalIndex, "update", checked_update)
-        for name in ("bisect_edge", "bisect_2cell"):
+        # the loop bisects its own drafts in place
+        for name in ("_bisect_edge", "_bisect_2cell"):
             def recorded(*args, _fn=getattr(surgery, name), **kwargs):
                 out = _fn(*args, **kwargs)
-                made.append(out[:2])
+                made.append(args[:2])
                 return out
             monkeypatch.setattr(surgery, name, recorded)
 

@@ -407,7 +407,7 @@ def test_synthesis_matches_the_reference_inside_compose():
         K1, V1, name = surgery._prefixed(K, induced_field(K, f), "m1:")
         alpha = critical_cells(V1, K1).cells[2][0]
         values = {name[cid]: val for cid, val in f.values.items()}
-        K1, V1, _, steps, _ = surgery._clear_top_cell_boundary(
+        _, steps, _ = surgery._clear_top_cell_boundary(
             K1, V1, alpha, values)
         assert steps
         seen.append((K1, V1))

@@ -5,6 +5,7 @@ import pytest
 
 from dms import splitter
 from dms.cellcomplex import (
+    Cell,
     Complex,
     build_simplicial,
     edge_id,
@@ -56,6 +57,13 @@ from dms.splitter import (
     resolve_wedge,
     select_split_edges,
     split_along_circle,
+)
+from dms.surgery import (
+    bisect_2cell,
+    bisect_edge,
+    compose,
+    separate_critical_cells,
+    shrink_closed_star,
 )
 
 
@@ -229,9 +237,10 @@ def test_classify_synthetic_pinch():
     assert bg.degree[vertex_id(6)] == 4
 
 
-def test_resolve_wedge_on_pinch():
-    # U-shaped region pinched at the interior vertex 12: two sectors
-    # meet there while the region stays edge-connected the long way round
+def pinched_grid():
+    """The grid and a U-shaped region pinched at the interior vertex 12:
+    two sectors meet there while the region stays edge-connected the
+    long way round."""
     K = grid_complex()
 
     def sq(i, j):
@@ -243,8 +252,12 @@ def test_resolve_wedge_on_pinch():
     for ij in ((1, 1), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2)):
         facets |= sq(*ij)
     _, interior = _boundary_and_interior(K, facets)
-    region = CoreRegion(facets=set(facets), path_edges=set(interior),
-                        high_edges=set(), critical_facet=min(facets))
+    return K, CoreRegion(facets=set(facets), path_edges=set(interior),
+                         high_edges=set(), critical_facet=min(facets))
+
+
+def test_resolve_wedge_on_pinch():
+    K, region = pinched_grid()
     V = VectorField([])
     m0 = critical_cells(V, K).m
     bg = classify_boundary(K, region)
@@ -305,7 +318,9 @@ def test_excavate_stray_on_annulus():
         ({diag}, {vertex_id(0), vertex_id(6)})]
     assert _inward_violations(K, V, region, bg)
 
-    K, V, region = _excavate_stray(K, V, region, diag)
+    # the excavation edits K and a draft of V in place
+    V = V._draft()
+    _excavate_stray(K, V, region, diag)
     assert validate_field(K, V).ok
     assert critical_cells(V, K).m == m0
     assert all(t not in region.facets for t in K.cofaces(diag))
@@ -344,14 +359,16 @@ def test_excavation_pre_pass_splits_an_edge_joining_two_chain_vertices(
     assert splitter._stray_closure(K, V, region, edge_id(0, 6)) == (
         chain, {vertex_id(6), vertex_id(7), vertex_id(12)})
     split = []
-    bisect = splitter.bisect_edge
+    bisect = splitter._bisect_edge
 
     def recorded(K, V, e, anchor=None):
         split.append(e)
         return bisect(K, V, e, anchor=anchor)
 
-    monkeypatch.setattr(splitter, "bisect_edge", recorded)
-    K, V, region = _excavate_stray(K, V, region, edge_id(0, 6))
+    monkeypatch.setattr(splitter, "_bisect_edge", recorded)
+    # the excavation edits K and a draft of V in place
+    V = V._draft()
+    _excavate_stray(K, V, region, edge_id(0, 6))
     assert split[0] == edge_id(6, 12)
     assert validate_field(K, V).ok
     assert critical_cells(V, K).m == m0
@@ -911,3 +928,128 @@ def test_decompose_builds_no_complex_from_scratch(monkeypatch, genus2):
     monkeypatch.setattr(Complex, "__init__", refuse)
     res = decompose(K, f, 1, 1)
     assert res.report["perfect"] == {"m1": True, "m2": True}
+
+
+# --- drafts: what the public surgeries copy and what they leave alone -------
+
+
+def held(*objs):
+    """A copy of every table and derived fact that an edit could change
+    on the complexes and fields `objs`, the field of a compose record
+    included."""
+    out = []
+    for x in objs:
+        if isinstance(x, Complex):
+            flags = {k: v for k, v in vars(x).items()
+                     if k in ("is_pseudomanifold", "_surface_info")}
+            out.append((list(x.cells.items()), list(x._cofaces.items()),
+                        list(x._cycles.items()), x.top_dim, flags,
+                        x._betti, x._composed))
+            if x._composed is not None:
+                out.extend(held(x._composed[1]))
+        else:
+            pm = x._partner
+            out.append((list(x.pair_list),
+                        None if pm is None else list(pm.items())))
+    return out
+
+
+def test_a_held_parent_is_unchanged_by_every_public_surgery():
+    # a compose result carries every derived fact and the record; each
+    # public surgery edits a draft and leaves what it was handed as it was
+    M, f, V = genus_surface(2)
+    assert M.is_closed_surface and M.is_pseudomanifold
+    assert M._betti is not None and M._composed[1] is V
+    V.partner_map()
+    e = M.cells_of_dim(1)[0]
+    t = next(t for t in M.cells_of_dim(2) if len(M.boundary(t)) >= 4)
+    cyc = M.boundary_cycle(t)
+    tri = next(c for c in M.cells_of_dim(2) if len(M.boundary(c)) == 3)
+    W = tree_cotree_field(M, rng=random.Random(0))
+    T, ft, _ = genus_surface(1)
+    K2, V2, _ = bisect_edge(M, V, e)
+    grid, region = pinched_grid()
+    empty = VectorField([])
+    split = split_along_circle(*find_separating_circle(M, f, 1, 1)[:3])
+    pieces = (split.min_complex, split.min_field, split.max_complex,
+              split.max_field)
+    # the caches a surgery may fill are filled first, so that what is
+    # compared is what an edit could change
+    for x in (T, grid, *pieces[::2]):
+        x.is_closed_surface
+    assert is_perfect(T, induced_field(T, ft))
+    for x in (W, empty, *pieces[1::2]):
+        x.partner_map()
+    surgeries = [
+        ((M,), lambda: M.replace_cells(add=[Cell("x", 0, frozenset())])),
+        ((M,), lambda: M.split_cell(e, [
+            Cell("w", 0, frozenset()),
+            Cell("e1", 1, frozenset({min(M.boundary(e)), "w"})),
+            Cell("e2", 1, frozenset({max(M.boundary(e)), "w"}))],
+            ("e1", "e2"))),
+        ((M, V), lambda: bisect_edge(M, V, e)),
+        ((M, V), lambda: bisect_2cell(M, V, t, cyc[0], cyc[4])),
+        ((M, W), lambda: separate_critical_cells(M, W)),
+        ((M,), lambda: shrink_closed_star(M, tri, M.vertices_of(tri)[0])),
+        ((grid, empty), lambda: resolve_wedge(grid, empty, region,
+                                              vertex_id(12))),
+        ((M, V), lambda: find_separating_circle(M, f, 1, 1)),
+        (pieces, lambda: cap_with_max_cone(split.min_complex,
+                                           split.min_field, split.circle)),
+        (pieces, lambda: cap_with_min_cone(split.max_complex,
+                                           split.max_field, split.circle)),
+        ((M, V, T), lambda: compose(M, f, T, ft)),
+        ((M, V), lambda: decompose(M, f, 1, 1)),
+        ((V,), lambda: V.replace(drop=[V.pairs()[0]])),
+        # a surgery's own output, whose field holds its pairs in a list
+        ((K2, V2), lambda: bisect_edge(K2, V2, e + "~b1")),
+        ((V2,), lambda: V2.replace(drop=[V2.pairs()[0]])),
+    ]
+    for parents, surgery in surgeries:
+        before = held(*parents)
+        out = surgery()
+        assert held(*parents) == before, surgery
+        assert out is not None
+    # the separation did work, and its field gained cells the parent lacks
+    K2, W2, _ = separate_critical_cells(M, W)
+    assert len(K2.cells) > len(M.cells) and len(W2) > len(W)
+
+
+def test_drafts_are_taken_per_call_not_per_step(monkeypatch):
+    # compose edits the renamed copies of its summands and drafts
+    # nothing; decompose drafts its surface and field once on entry, and
+    # each cap drafts its piece and field once, however many bisections
+    # the repairs make in between
+    drafts, splits = [], []
+    for owner in (Complex, VectorField):
+        def counted(self, _fn=owner._draft, _name=owner.__name__):
+            drafts.append(_name)
+            return _fn(self)
+        monkeypatch.setattr(owner, "_draft", counted)
+    split = Complex._split_cell
+
+    def counted_split(self, *args):
+        splits.append(args[0])
+        return split(self, *args)
+
+    monkeypatch.setattr(Complex, "_split_cell", counted_split)
+    K, f, _ = genus_surface(1)
+    for seed in range(4):
+        T = genus_surface(1)[0]
+        ft = synthesize_function(T, tree_cotree_field(
+            T, rng=random.Random(seed)))
+        del drafts[:], splits[:]
+        K, f, _, rep = compose(K, f, T, ft)
+        assert drafts == []
+        assert len(splits) >= 2 * rep.boundary_clearing_steps > 0
+    made = []
+    for K, seed, f, g1 in golden_fields():
+        del drafts[:], splits[:]
+        try:
+            decompose(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+            continue
+        assert sorted(drafts) == ["Complex"] * 3 + ["VectorField"] * 3
+        made.append(len(splits))
+    assert len(made) == 8 and max(made) > 6

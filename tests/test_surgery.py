@@ -12,6 +12,7 @@ from dms.errors import (
     DimensionMismatch,
     Disconnected,
     InconsistentField,
+    InexactFunction,
     InseparableCriticals,
     InvalidFunction,
     NonPseudomanifold,
@@ -236,19 +237,20 @@ def test_bisections_build_no_complex_from_scratch(monkeypatch, torus,
 
 def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
                                            assert_same_complex):
-    # each replace_cells call in a compose chain and in decompose, under
-    # the seeds of test_golden.py, against the same edit done from scratch
-    edit = Complex.replace_cells
+    # each in-place edit in a compose chain and in decompose, under the
+    # seeds of test_golden.py, against the same edit done from scratch on
+    # the complex as it was before the edit
+    edit = Complex._edit
     calls = []
 
     def checked(K, remove=(), add=()):
         remove, add = list(remove), list(add)
-        out = edit(K, remove, add)
-        assert_same_complex(out, rebuild(K, remove, add))
-        calls.append(len(out.cells))
-        return out
+        before = Complex._draft(K)
+        edit(K, remove, add)
+        assert_same_complex(K, rebuild(before, remove, add))
+        calls.append(len(K.cells))
 
-    monkeypatch.setattr(Complex, "replace_cells", checked)
+    monkeypatch.setattr(Complex, "_edit", checked)
     K, f = seeded_torus(100)
     for seed in (101, 102, 103, 104):
         T, ft = seeded_torus(seed)
@@ -268,23 +270,23 @@ def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
 
 
 def test_split_cell_carries_the_flags_of_a_full_rebuild(monkeypatch):
-    # each split_cell call in decompose, under the seeds of test_golden.py,
-    # and in a compose chain: the flags it hands on equal a rebuild's
-    split = Complex.split_cell
+    # each in-place cell split in decompose, under the seeds of
+    # test_golden.py, and in a compose chain: the flags the split complex
+    # keeps equal a rebuild's
+    split = Complex._split_cell
     carried = []
 
     def checked(K, old, new_cells, halves):
-        out = split(K, old, new_cells, halves)
-        flags = {k: v for k, v in vars(out).items()
+        split(K, old, new_cells, halves)
+        flags = {k: v for k, v in vars(K).items()
                  if k in ("is_pseudomanifold", "_surface_info")}
-        R = Complex(out.cells.values())
+        R = Complex(K.cells.values())
         for name, value in flags.items():
             assert getattr(R, name) == value, (old, name)
         carried.append(sorted(flags))
-        return out
 
     K = genus_surface(4)[0]
-    monkeypatch.setattr(Complex, "split_cell", checked)
+    monkeypatch.setattr(Complex, "_split_cell", checked)
     for seed in range(9):
         V = tree_cotree_field(K, rng=random.Random(seed))
         f = synthesize_function(K, V)
@@ -358,12 +360,13 @@ def test_separation_budget_is_fixed_on_entry(monkeypatch):
     K = tetrahedron()
     V = random_valid_field(K, 37)
     made = []
-    for name in ("bisect_edge", "bisect_2cell"):
+    # the loop bisects its own drafts in place
+    for name in ("_bisect_edge", "_bisect_2cell"):
         def counted(*args, _fn=getattr(surgery, name), **kwargs):
             made.append(args[2])
             assert len(made) <= 1000, "bisection budget exceeded"
             out = _fn(*args, **kwargs)
-            last[:] = out[:2]
+            last[:] = args[:2]
             return out
         monkeypatch.setattr(surgery, name, counted)
     last = []
@@ -609,7 +612,7 @@ def cleared_left(M1, f1):
     caller = {name[cid]: val for cid, val in f1.values.items()
               if cid in name}
     values = dict(caller)
-    K1, V1, heir, steps, touched = surgery._clear_top_cell_boundary(
+    heir, steps, touched = surgery._clear_top_cell_boundary(
         K1, V1, alpha, values)
     return K1, V1, alpha, heir, steps, values, caller, touched
 
@@ -768,12 +771,22 @@ def test_clearing_keeps_the_values_it_leaves_alone(seed, random_root_field,
 
 
 def test_compose_synthesizes_nothing_without_a_beta_cut(
-        spy, torus, torus_function, pillow_sphere):
+        spy, monkeypatch, torus, torus_function, pillow_sphere):
     # f1 is patched, never resynthesized; only a corner cut for beta on
     # the second summand synthesizes its function
     rights = [seeded_torus(seed) for seed in range(4)]
     g = synthesize_function(pillow_sphere, tree_cotree_field(pillow_sphere))
     syntheses = spy(synthesize_function)
+    # compose edits the complex on after the synthesis, so its cells are
+    # read at the call
+    synthesized = []
+    spied = surgery.synthesize_function
+
+    def recorded(K, V):
+        synthesized.append(list(K.cells))
+        return spied(K, V)
+
+    monkeypatch.setattr(surgery, "synthesize_function", recorded)
     K, f = torus, torus_function
     for T, ft in rights:
         K, f, _, rep = compose(K, f, T, ft)
@@ -781,8 +794,9 @@ def test_compose_synthesizes_nothing_without_a_beta_cut(
     assert syntheses == []
     rep = compose(K, f, pillow_sphere, g)[3]
     assert "~b" in rep.beta
-    (K2, _), = syntheses
-    assert all(cid.startswith("m2:") for cid in K2.cells)
+    (_, _), = syntheses
+    (cells,) = synthesized
+    assert all(cid.startswith("m2:") for cid in cells)
 
 
 def test_compose_refuses_uncleared_boundaries_beyond_surfaces(
@@ -1049,9 +1063,9 @@ def test_compose_builds_no_complex_from_scratch(monkeypatch, sphere3,
 
 
 def sequential_split_smallest_edges(K, t, k):
-    """The loop _split_smallest_edges replaced: split the smallest edge
-    of 2-cell t from its smaller endpoint, one edit per split, until t
-    has k edges."""
+    """_split_smallest_edges through the public bisect_edge: split the
+    smallest edge of 2-cell t from its smaller endpoint, one new complex
+    per split, until t has k edges."""
     while len(K.boundary(t)) < k:
         K, _, _ = bisect_edge(K, VectorField(), min(K.boundary(t)))
     return K
@@ -1064,7 +1078,8 @@ def test_one_edit_equalisation_matches_the_sequential_splits(
     ic = shrink_closed_star(T, "t0-1-3", "v0")
     for K, t in ((T, "t0-1-3"), (ic.complex, ic.beta_prime)):
         assert K.is_closed_surface  # computed, so both hand it on
-        one = surgery._split_smallest_edges(K, t, k)
+        one = K._draft()
+        surgery._split_smallest_edges(one, t, k)
         seq = sequential_split_smallest_edges(K, t, k)
         assert_same_complex(one, seq)
         assert_same_complex(one, Complex(one.cells.values()))
@@ -1075,29 +1090,86 @@ def test_one_edit_equalisation_matches_the_sequential_splits(
 
 
 def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
-    # two edits per clearing step, one per corner cut for beta, and the
-    # shrink, the equalisation and the glue once each, while the glued
-    # cycle grows with the genus; the one-by-one splits took an edit for
-    # each of its sides past three
-    edit = Complex.replace_cells
-    edits = []
-
-    def counted(self, *args, **kwargs):
-        edits.append(self)
-        return edit(self, *args, **kwargs)
-
-    monkeypatch.setattr(Complex, "replace_cells", counted)
+    # compose renames each summand once and edits those copies in place:
+    # two edits per clearing step, one per corner cut for beta, one for
+    # the shrink, one per side the equalisation adds and one for the
+    # glue.  The edits grow with the glued cycle, and so with the genus,
+    # but no edit copies a whole table: the four renames are all
+    edits, copies = [], []
+    for owner, name, log in ((Complex, "_edit", edits),
+                             (Complex, "_draft", copies),
+                             (Complex, "_renamed", copies),
+                             (VectorField, "_draft", copies),
+                             (VectorField, "_renamed", copies)):
+        def counted(self, *args, _fn=getattr(owner, name), _log=log,
+                    _name=owner.__name__ + "." + name, **kwargs):
+            _log.append(_name)
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
     K, f = seeded_torus(200)
-    cycles, counts = [], []
+    cycles = []
     for seed in range(201, 210):
         T, ft = seeded_torus(seed)
-        del edits[:]
+        del edits[:], copies[:]
         K, f, V, rep = compose(K, f, T, ft)
-        equalised = rep.glue_cycle_length > 3
         assert len(edits) == (2 * rep.boundary_clearing_steps
-                              + ("~b" in rep.beta) + 2 + equalised)
+                              + ("~b" in rep.beta) + 1
+                              + rep.glue_cycle_length - 3 + 1)
+        assert sorted(copies) == ["Complex._renamed"] * 2 + [
+            "VectorField._renamed"] * 2
         cycles.append(rep.glue_cycle_length)
-        counts.append(len(edits))
     assert verify_closed_surface(K).genus == 10
     assert cycles == sorted(cycles) and cycles[-1] > 10
-    assert len(set(counts[1:])) == 1
+
+
+# --- composed values along long chains ---------------------------------------
+
+
+def test_genus_64_surface_validates():
+    # 63 chained composes: the left values are re-ranked where f1(alpha)
+    # passes 2^40, so the function stays exact and valid
+    K, f, V = genus_surface(64)
+    assert verify_closed_surface(K).genus == 64
+    assert validate_function(K, f).ok and induced_field(K, f) == V
+
+
+def test_a_chain_of_60_tetrahedron_composes_stays_valid():
+    T = tetrahedron()
+    fT = synthesize_function(T, tree_cotree_field(T))
+    K, f = T, fT
+    for link in range(60):
+        K, f, V, rep = compose(K, f, tetrahedron(), fT)
+        assert rep.function_valid and rep.perfect, link
+    assert verify_closed_surface(K).genus == 0
+    assert validate_function(K, f).ok and induced_field(K, f) == V
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_ranks_a_left_function_past_2_to_the_40(seed):
+    # f1 = 2^52 + rank: the caller's values are exact, but C = f1(alpha)
+    # + 2 and the tube's f1 + C/2 are not, unless f1 is ranked first
+    T = torus7()
+    g = synthesize_function(T, tree_cotree_field(T, rng=random.Random(seed)))
+    f1 = MorseFunction({cid: 2.0 ** 52 + v for cid, v in g.values.items()})
+    assert validate_function(T, f1).ok and induced_field(T, f1) == \
+        induced_field(T, g)
+    M, f, V, rep = compose(T, f1, torus7(), g)
+    assert rep.function_valid and rep.perfect
+    assert validate_function(M, f).ok and induced_field(M, f) == V
+    assert max(f.values.values()) < 2.0 ** 40
+
+
+def test_compose_refuses_a_function_floats_cannot_hold():
+    # f2 just below 2^53 is valid, but f2 + C crosses 2^53, where floats
+    # are two apart, and ties the glued cells
+    T = torus7()
+    g = synthesize_function(T, tree_cotree_field(T))
+    f2 = MorseFunction({cid: 2.0 ** 53 - 30 + v
+                        for cid, v in g.values.items()})
+    assert validate_function(T, f2).ok
+    with pytest.raises(InexactFunction) as err:
+        compose(T, g, torus7(), f2)
+    assert 1 <= len(err.value.args) <= 5
+    for cell, kind in err.value.args:
+        assert kind in ("faces", "cofaces", "exclusivity")
+        assert cell.startswith(("m1:", "m2:", "inner:", "tube:"))

@@ -37,6 +37,7 @@ from dms.formats import (
 )
 from dms.homology import betti_mod2
 from dms.morsefield import (
+    MorseFunction,
     critical_cells,
     is_perfect,
     synthesize_function,
@@ -515,6 +516,51 @@ def test_cli_compose_decompose(tmp_path, capsys):
     assert validate_field(m1, v1).ok
     circle = (tmp_path / "dec.circle.txt").read_text().split()
     assert len(circle) == report["circleLength"]
+
+
+def shifted_torus(tmp_path, name, shift):
+    """torus7 and its fixture function plus `shift`, as the files
+    stem.tri and stem.dmf; returns the stem."""
+    stem = tmp_path / name
+    run_cli(["fixture", "torus7", "--out", str(stem)])
+    K = load_complex(str(stem) + ".tri")
+    f = parse_dmf((tmp_path / (name + ".dmf")).read_text(), K)
+    f = MorseFunction({cid: shift + v for cid, v in f.values.items()})
+    assert validate_function(K, f).ok
+    (tmp_path / (name + ".dmf")).write_text(write_dmf(f))
+    return str(stem)
+
+
+def test_cli_compose_of_a_left_function_past_2_to_the_40_validates(
+        tmp_path, capsys):
+    left = shifted_torus(tmp_path, "left", 2.0 ** 52)
+    right = shifted_torus(tmp_path, "right", 0.0)
+    out = str(tmp_path / "g2")
+    assert run_cli(["compose", "--left", left + ".tri",
+                    "--left-function", left + ".dmf",
+                    "--right", right + ".tri",
+                    "--right-function", right + ".dmf",
+                    "--out", out]) == 0
+    capsys.readouterr()
+    assert run_cli(["validate", "--complex", out + ".cwp",
+                    "--field", out + ".dvf",
+                    "--function", out + ".dmf"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+def test_cli_inexact_compose_is_exit_2_and_writes_nothing(tmp_path, capsys):
+    left = shifted_torus(tmp_path, "left", 0.0)
+    right = shifted_torus(tmp_path, "right", 2.0 ** 53 - 30)
+    capsys.readouterr()
+    assert run_cli(["compose", "--left", left + ".tri",
+                    "--left-function", left + ".dmf",
+                    "--right", right + ".tri",
+                    "--right-function", right + ".dmf",
+                    "--out", str(tmp_path / "g2")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert 1 <= len(err) <= 5
+    assert all(line.startswith("function ") for line in err)
+    assert not list(tmp_path.glob("g2*"))
 
 
 def test_cli_export(tmp_path, capsys):
