@@ -560,6 +560,7 @@ class ComposeReport:
     alpha: str
     beta: str
     boundary_clearing_steps: int
+    # alpha's sides on a surface, else the glued boundary cells
     glue_cycle_length: int
 
 
@@ -684,7 +685,9 @@ def compose(M1, f1, M2, f2):
     non-critical top cell beta at the critical vertex of the second,
     inserts the product tube over the boundary of alpha, shrinks the
     closed star of beta, and glues; the combined field pairs every glued
-    boundary cell into its own prism.  On a surface, the cells of
+    boundary cell into its own prism; on a surface the shrunken triangle
+    is glued as it is, its smallest edge along k - 2 edges of the k-sided
+    tube top (_surface_glue_map).  On a surface, the cells of
     alpha's boundary that are critical or paired inside it are first
     cleared off by bisections, and f1 is patched on the cells they make
     (_clear_top_cell_boundary); in other dimensions they raise
@@ -794,11 +797,11 @@ def compose(M1, f1, M2, f2):
     bprime = ic.beta_prime
     tube = build_prism_over_boundary(K1, alpha)
     if n == 2:
-        # the new cells are glued away, so they stay unmatched
-        _split_smallest_edges(K2, bprime, len(K1.cell(alpha).boundary))
         glue = _surface_glue_map(K1, K2, alpha, bprime, tube.top)
+        cycle_length = len(K1.boundary(alpha))
     else:
         glue = _simplex_glue_map(K1, K2, bprime, tube.top)
+        cycle_length = len(glue)
 
     # one edit of the first summand: alpha goes, and the second summand
     # comes in without the shrunken cell and its boundary, the cells on
@@ -809,8 +812,8 @@ def compose(M1, f1, M2, f2):
         if cid in dropped:
             continue
         if not c.boundary.isdisjoint(glue):
-            c = Cell(cid, c.dim,
-                     frozenset([glue.get(f, f) for f in c.boundary]))
+            c = Cell(cid, c.dim, frozenset(
+                [g for f in c.boundary for g in glue.get(f, (f,))]))
         glued.append(c)
     M = K1
     M._edit(remove=[alpha], add=[*glued, *tube.new_cells])
@@ -871,7 +874,7 @@ def compose(M1, f1, M2, f2):
         function_valid=freport.ok, constant=C, rescaled=False,
         alpha=alpha, beta=beta,
         boundary_clearing_steps=clearing,
-        glue_cycle_length=len(glue) // 2 if n == 2 else len(glue),
+        glue_cycle_length=cycle_length,
     )
     return M, f, V, report
 
@@ -918,37 +921,29 @@ def _choose_beta(K2, V2, v2):
     raise NoEligibleBeta("could not cut an eligible cell at %r" % v2)
 
 
-def _split_smallest_edges(K, t, k):
-    """Split the smallest edge of 2-cell t, from its smaller endpoint,
-    in place until t has k edges: each split is bisect_edge's under an
-    empty field."""
-    while len(K.cells[t].boundary) < k:
-        _bisect_edge(K, VectorField._of_sorted([]), min(K.cells[t].boundary))
-
-
 def _surface_glue_map(K1, K2, alpha, bprime, top):
-    """Cycle isomorphism from the shrunken boundary onto the tube top
-    (`top` maps each boundary cell of alpha to its copy), anchored at the
-    smallest vertices, directions reversed."""
-    top_cycle = [top[c] for c in K1.boundary_cycle(alpha)]
-    inner_cycle = list(K2.boundary_cycle(bprime))
-    if len(top_cycle) != len(inner_cycle):
-        raise InconsistentField("glue cycles have different lengths")
-    m = len(top_cycle) // 2
-
-    def rotate_to_min(cycle):
-        verts = cycle[0::2]
-        k = verts.index(min(verts))
-        return cycle[2 * k:] + cycle[:2 * k]
-
-    top_cycle = rotate_to_min(top_cycle)
-    inner_cycle = rotate_to_min(inner_cycle)
-    # reversed orientation: inner walks backwards
-    glue = {}
-    glue[inner_cycle[0]] = top_cycle[0]
-    for i in range(1, 2 * m):
-        glue[inner_cycle[i]] = top_cycle[2 * m - i]
-    return glue
+    """Glue map from the boundary of the shrunken triangle bprime onto
+    the tube top (`top` maps alpha's boundary cells to their copies),
+    each cell to a tuple of top cells.  Both walks start at their
+    smallest vertex, the top walk backwards; bprime's smallest edge goes
+    to the run of k - 2 top edges between the images of its ends, every
+    other cell to one top cell.  This is the cycle isomorphism onto
+    bprime with that edge split k - 3 times from its smaller end, less
+    the split cells, which lie in bprime's closure that the glue drops,
+    since the split walk keeps both anchors.  It starts at v2: v2's id
+    starts with `m2:`, every shrunk or split id with `shrunk:`.  It
+    leaves v2 the same way: the half at v2, e~b1...~b1 for the smallest
+    edge e, compares with the other edge at v2 as e does, unless that
+    edge's id extends e's."""
+    walk = [top[c] for c in K1.boundary_cycle(alpha)]
+    i = walk.index(min(walk[0::2]))
+    walk = walk[i::-1] + walk[:i:-1]
+    inner = K2.boundary_cycle(bprime)  # from its smallest vertex
+    j = inner.index(min(inner[1::2]))
+    run = len(walk) - 5  # k - 2 edges and the k - 3 vertices between
+    parts = [(c,) for c in walk]
+    parts[j:j + run] = [tuple(walk[j:j + run:2])]
+    return dict(zip(inner, parts))
 
 
 def _simplex_glue_map(K1, K2, bprime, top):
@@ -973,5 +968,5 @@ def _simplex_glue_map(K1, K2, bprime, top):
         tgt = by_verts.get((K2.dim(cid), key(K2, cid, vmap)))
         if tgt is None:
             raise InconsistentField("simplex boundaries do not match")
-        glue[cid] = tgt
+        glue[cid] = (tgt,)
     return glue

@@ -56,6 +56,16 @@ def test_golden_compose_chain():
         "58258bb5fc2692771ac281b85b7c134953cc5c6ad086490504a788e8d47e5a7c")
 
 
+def test_golden_genus32_surface():
+    # a glue cycle of up to 33 sides, twice the longest that the chain
+    # above and the benchmark pins reach
+    K, f, V = genus_surface(32)
+    assert _digest([write_cwp(K), write_dvf(V, K)]) == (
+        "5226c4e96667a15a294ee7961182ee26807d79c90758f472b2903275d3edf49a")
+    assert _digest([write_dmf(f)]) == (
+        "68ab8938b807f68e3ada1ee33fdc504ffaa3c0495369657093774aefc3164b07")
+
+
 def test_golden_decompose_genus4_fields():
     K = genus_surface(4)[0]
     texts = []

@@ -143,13 +143,13 @@ def test_bad_chord(torus, torus_field):
         bisect_2cell(torus, torus_field, t, verts[0], verts[0])
 
 
-def hexagon_pillow():
-    """Sphere made of two hexagons glued along one 6-cycle."""
-    records = [("h%d" % i, 0, []) for i in range(6)]
-    records += [("g%d" % i, 1, ["h%d" % i, "h%d" % ((i + 1) % 6)])
-                for i in range(6)]
-    edges = ["g%d" % i for i in range(6)]
-    return build_poset(records + [("hexA", 2, edges), ("hexB", 2, edges)])
+def polygon_pillow(k):
+    """Sphere made of two k-gons A and B glued along one k-cycle."""
+    records = [("h%d" % i, 0, []) for i in range(k)]
+    records += [("g%d" % i, 1, ["h%d" % i, "h%d" % ((i + 1) % k)])
+                for i in range(k)]
+    edges = ["g%d" % i for i in range(k)]
+    return build_poset(records + [("A", 2, edges), ("B", 2, edges)])
 
 
 def test_bisect_2cell_of_a_facet_paired_with_a_3cell(sphere3, collapse_field):
@@ -173,20 +173,20 @@ def test_bisect_2cell_of_a_facet_paired_with_a_3cell(sphere3, collapse_field):
 
 
 def test_inheriting_arc_is_the_boundary_bisect_2cell_gives_b1():
-    K = hexagon_pillow()
+    K = polygon_pillow(6)
     verts = K.cells_of_dim(0)
     chords = [(u, w) for u in verts for w in verts if u != w
               and {u, w} not in [K.boundary(e) for e in K.cells_of_dim(1)]]
     assert len(chords) == 18  # 9 chords, both argument orders
     for u, w in chords:
-        arc = surgery._inheriting_arc(K, "hexA", u, w)
+        arc = surgery._inheriting_arc(K, "A", u, w)
         # a walk from u along the boundary that stops just short of w
         ends = list(arc[0::2]) + [w]
         assert len(set(ends)) == len(ends)
         for i, e in enumerate(arc[1::2]):
             assert K.boundary(e) == {ends[i], ends[i + 1]}
-        K2, _, _ = bisect_2cell(K, VectorField(), "hexA", u, w)
-        assert set(arc[1::2]) == K2.boundary("hexA~b1") - {"hexA~b0"}
+        K2, _, _ = bisect_2cell(K, VectorField(), "A", u, w)
+        assert set(arc[1::2]) == K2.boundary("A~b1") - {"A~b0"}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -1062,39 +1062,67 @@ def test_compose_builds_no_complex_from_scratch(monkeypatch, sphere3,
     assert M.top_dim == 3 and rep.perfect
 
 
-def sequential_split_smallest_edges(K, t, k):
-    """_split_smallest_edges through the public bisect_edge: split the
-    smallest edge of 2-cell t from its smaller endpoint, one new complex
-    per split, until t has k edges."""
-    while len(K.boundary(t)) < k:
-        K, _, _ = bisect_edge(K, VectorField(), min(K.boundary(t)))
-    return K
+def split_then_glue(K1, alpha, top, K2, bprime):
+    """The glue of bprime onto the tube top by way of a copy of bprime
+    with alpha's k sides: split bprime's smallest edge from its smaller
+    endpoint through the public bisect_edge until it has k edges, then
+    map the two 2k-walks onto each other, both anchored at their
+    smallest vertex, directions reversed.  Returns the split complex and
+    the map, one top cell per cell of the split walk."""
+    k = len(K1.boundary(alpha))
+    while len(K2.boundary(bprime)) < k:
+        K2, _, _ = bisect_edge(K2, VectorField(), min(K2.boundary(bprime)))
+
+    def rotate_to_min(cycle):
+        i = cycle[0::2].index(min(cycle[0::2]))
+        return cycle[2 * i:] + cycle[:2 * i]
+
+    top_cycle = rotate_to_min([top[c] for c in K1.boundary_cycle(alpha)])
+    inner = rotate_to_min(list(K2.boundary_cycle(bprime)))
+    glue = {inner[0]: top_cycle[0]}
+    for i in range(1, 2 * k):
+        glue[inner[i]] = top_cycle[2 * k - i]
+    return K2, glue
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8, 13])
-def test_one_edit_equalisation_matches_the_sequential_splits(
-        k, assert_same_complex):
-    T = torus7()
-    ic = shrink_closed_star(T, "t0-1-3", "v0")
-    for K, t in ((T, "t0-1-3"), (ic.complex, ic.beta_prime)):
-        assert K.is_closed_surface  # computed, so both hand it on
-        one = K._draft()
-        surgery._split_smallest_edges(one, t, k)
-        seq = sequential_split_smallest_edges(K, t, k)
-        assert_same_complex(one, seq)
-        assert_same_complex(one, Complex(one.cells.values()))
-        assert len(one.boundary(t)) == max(k, 3)
-        for flag in ("is_pseudomanifold", "_surface_info"):
-            assert flag in one.__dict__ and flag in seq.__dict__
-            assert one.__dict__[flag] == seq.__dict__[flag]
+@pytest.mark.parametrize("beta, v", [
+    ("t0-1-3", "v0"),  # bprime's smallest edge runs from v2
+    ("t1-2-6", "v6"),  # bprime's smallest edge is opposite v2
+])
+def test_direct_glue_matches_split_then_glue(k, beta, v):
+    # the second summand carries compose's prefix: the glue's anchor is
+    # the critical vertex because `m2:` sorts below `shrunk:`
+    K1 = polygon_pillow(k)
+    top = build_prism_over_boundary(K1, "A").top
+    ic = shrink_closed_star(torus7().prefixed("m2:"), "m2:" + beta,
+                            "m2:" + v)
+    K2, bprime = ic.complex, ic.beta_prime
+    glue = surgery._surface_glue_map(K1, K2, "A", bprime, top)
+    split, old = split_then_glue(K1, "A", top, K2, bprime)
+    assert len(split.boundary(bprime)) == k
+    dropped = K2.closure(bprime)
+    assert glue.keys() == dropped - {bprime}
+    images = [g for gs in glue.values() for g in gs]
+    assert len(images) == len(set(images)) == k + 3  # k edges, 3 vertices
+    assert {top[e] for e in K1.boundary("A")} < set(images)
+    kept = K2.cells.keys() - dropped
+    assert split.cells.keys() - split.closure(bprime) == kept
+    meeting = sorted(cid for cid in kept
+                     if not K2.boundary(cid).isdisjoint(dropped))
+    others = {t for e in K2.boundary(bprime)
+              for t in K2.coface_table[e]} - {bprime}
+    assert len(others) == 3 and others < set(meeting)
+    for cid in meeting:
+        direct = {g for f in K2.boundary(cid) for g in glue.get(f, (f,))}
+        assert direct == {old.get(f, f) for f in split.boundary(cid)}, cid
 
 
 def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
     # compose renames each summand once and edits those copies in place:
     # two edits per clearing step, one per corner cut for beta, one for
-    # the shrink, one per side the equalisation adds and one for the
-    # glue.  The edits grow with the glued cycle, and so with the genus,
-    # but no edit copies a whole table: the four renames are all
+    # the shrink and one for the glue, however long the glued cycle, and
+    # no edit copies a whole table: the four renames are all
     edits, copies = [], []
     for owner, name, log in ((Complex, "_edit", edits),
                              (Complex, "_draft", copies),
@@ -1113,8 +1141,7 @@ def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
         del edits[:], copies[:]
         K, f, V, rep = compose(K, f, T, ft)
         assert len(edits) == (2 * rep.boundary_clearing_steps
-                              + ("~b" in rep.beta) + 1
-                              + rep.glue_cycle_length - 3 + 1)
+                              + ("~b" in rep.beta) + 1 + 1)
         assert sorted(copies) == ["Complex._renamed"] * 2 + [
             "VectorField._renamed"] * 2
         cycles.append(rep.glue_cycle_length)
