@@ -142,7 +142,7 @@ def select_split_edges(K, f, g1, g2):
     the summand with the critical vertex, the highest 2*g2 to the one
     with the critical facet."""
     _check_genera(g1, g2)
-    return _split_edges(K, f, induced_field(K, f), g1, g2)
+    return _split_edges(f, critical_cells(induced_field(K, f), K), g1, g2)
 
 
 def _check_genera(g1, g2):
@@ -156,9 +156,9 @@ def _check_genera(g1, g2):
             "g1 + g2 must be at least 1, not %d" % (g1 + g2))
 
 
-def _split_edges(K, f, V, g1, g2):
-    """select_split_edges for an f already known to induce V and checked
-    genera.
+def _split_edges(f, crit, g1, g2):
+    """select_split_edges for checked genera, given the critical cells
+    crit of the field f induces.
 
     The order is that of make_injective(K, f), which sorts the cells by
     (f, tie rank, id).  Only the lower cell of an equal-valued pair has
@@ -166,7 +166,6 @@ def _split_edges(K, f, V, g1, g2):
     rank 0, and sorting them by (f, id) on f itself orders them the same
     way without sorting the whole complex.
     """
-    crit = critical_cells(V, K)
     edges = list(crit.cells.get(1, ()))
     if len(edges) != 2 * (g1 + g2):
         raise WrongCriticalCount(
@@ -516,10 +515,9 @@ def _inward_violations(K, V, region, bg):
     return out
 
 
-def _expel_foreign_criticals(K, V, region, low_edges):
-    """Excavate the critical vertex and the low critical edges, which
+def _expel_foreign_criticals(K, V, region, v0, low_edges):
+    """Excavate the critical vertex v0 and the low critical edges, which
     belong to the other summand, out of the region, in place."""
-    v0 = critical_cells(V, K).cells[0][0]
     marked = {t: {v0} for t in sorted(region.facets)
               if v0 in K.boundary_cycle(t)}
     if marked:
@@ -560,6 +558,12 @@ def find_separating_circle(K, f, g1, g2):
       would both hold v0 in their closures, which makes v0 a wedge.
     * The final walk succeeds: the loop stops only at "Circle", one
       component whose vertices all have degree 2.
+
+    Of the circle the loop guarantees the vertices: none is v0, cut out
+    of R before the loop, and none is matched into R, by the exit above.
+    A critical edge can still lie on it, the heir of a low critical edge
+    across R between two points of its boundary.  The caps are the
+    circle's one check, and decompose's max cone refuses that edge.
     """
     _check_genera(g1, g2)
     info = verify_closed_surface(K)
@@ -571,10 +575,10 @@ def find_separating_circle(K, f, g1, g2):
     V = induced_field(K, f)
     # a closed orientable surface of genus g has mod-2 Betti numbers
     # (1, 2g, 1)
-    m = critical_cells(V, K).m
-    if m != (1, 2 * info.genus, 1):
-        raise NotPerfectInput(m)
-    low, high = _split_edges(K, f, V, g1, g2)
+    crit = critical_cells(V, K)
+    if crit.m != (1, 2 * info.genus, 1):
+        raise NotPerfectInput(crit.m)
+    low, high = _split_edges(f, crit, g1, g2)
 
     K, V, recs = separate_critical_cells(K, V)
     for rec in recs:
@@ -582,7 +586,8 @@ def find_separating_circle(K, f, g1, g2):
         low = [heir if e == old else e for e in low]
         high = [heir if e == old else e for e in high]
     region = carve_core(K, V, high)
-    _expel_foreign_criticals(K, V, region, low)
+    # no bisection splits or renames a vertex, so v0 outlives separation
+    _expel_foreign_criticals(K, V, region, crit.cells[0][0], low)
 
     # the budget is fixed here, since every repair adds cells
     for _ in range(40 + 4 * len(K.cells)):
@@ -608,29 +613,7 @@ def find_separating_circle(K, f, g1, g2):
         raise InconsistentField("boundary repair did not converge")
 
     circle, _ = cycle_walk({e: K.boundary(e) for e in bg.edges})
-    _final_scan(K, V, region, circle)
     return K, V, circle, region
-
-
-def _final_scan(K, V, region, circle):
-    pm = V.partner_map()
-    cverts = set(circle[0::2])
-    cedges = set(circle[1::2])
-    _, interior = _boundary_and_interior(K, region.facets)
-    for x in sorted(cverts):
-        p = pm.get(x)
-        if p is None:
-            raise InconsistentField("critical vertex %s on the circle" % x)
-        if K.dim(p) == 1 and p in interior:
-            raise InconsistentField("arrow from %s points into the region" % x)
-        if K.dim(p) == 2 and p in region.facets:
-            raise InconsistentField("vertex %s paired with a region facet" % x)
-    for e in sorted(cedges):
-        p = pm.get(e)
-        if p is None:
-            raise InconsistentField("critical edge %s on the circle" % e)
-        if K.dim(p) == 2 and p in region.facets:
-            raise InconsistentField("edge %s paired into the region" % e)
 
 
 def split_along_circle(K, V, circle):
@@ -687,7 +670,11 @@ def _cone_cells(circle):
 def cap_with_min_cone(piece, V, circle):
     """Cone over the circle with a critical apex: every boundary-critical
     cell is paired with its cone coface, and every pair along the circle
-    gets the corresponding pair of cone cofaces."""
+    gets the corresponding pair of cone cofaces.
+
+    With cap_with_max_cone, the circle's only check: a circle vertex
+    matched off the circle, or a circle edge matched with a facet of the
+    piece, raises UnbalancedBoundaryCriticals naming both cells."""
     verts = list(circle[0::2])
     edges = list(circle[1::2])
     pm = V.partner_map()
@@ -724,7 +711,11 @@ def cap_with_min_cone(piece, V, circle):
 def cap_with_max_cone(piece, V, circle):
     """Cone over the circle carrying one new critical triangle: the fan
     pairing matches each radial edge with the next triangle and the apex
-    with the remaining radial."""
+    with the remaining radial.
+
+    With cap_with_min_cone, the circle's only check: a circle cell not
+    matched within the piece raises BoundaryCriticalPresent naming it.
+    decompose runs it first, on the min piece."""
     verts = list(circle[0::2])
     edges = list(circle[1::2])
     pm = V.partner_map()
