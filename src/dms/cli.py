@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 validation failure (a composed function that
 fails it included, with nothing written), 3 parse/load error,
-4 precondition failure (not a closed surface, not perfect, wrong genus).
+4 precondition failure (not a closed surface, not perfect, wrong genus),
+141 standard output closed before it was all written (128 + SIGPIPE).
 Diagnostics go to standard error, one violation per line.
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from . import fixtures
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 def _err(msg):
@@ -216,7 +219,13 @@ def main(argv=None):
     # tracer, say) reaches the commands of the cached parser
     run = globals()["cmd_" + args.command]
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is left to write goes nowhere, the exit's flush included
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (ParseError, OSError) as err:
         _err("parse error: %s" % err)
         return EXIT_PARSE

@@ -37,8 +37,7 @@ from .morsefield import (
     synthesize_function,
     trace_2path,
 )
-from .surgery import (_bisect_2cell, _bisect_edge, _inheriting_arc,
-                      separate_critical_cells)
+from .surgery import _bisect_edge, _cut_corner, separate_critical_cells
 
 
 @dataclass
@@ -403,17 +402,10 @@ def _excavate(K, V, region, marked):
                 _reclassify(K, region.facets, boundary, interior,
                             (g, *rec.new_cells[1:]))
                 continue
-            # argument order: the inheriting piece must avoid this corner
-            if not corner.isdisjoint(_inheriting_arc(K, p, u, w)):
-                u, w = w, u
-            rec = _bisect_2cell(K, V, p, u, w)
+            # a critical p passes its criticality to the kept rest
+            rec = _cut_corner(K, V, p, u, w, corner)
             _rename(region, rec)
-            d, c1, c2 = rec.new_cells
-            expelled = c2 if any(c in corner
-                                 for c in K.boundary_cycle(c2)) else c1
-            kept = c1 if expelled == c2 else c2
-            if region.critical_facet == expelled:
-                raise InconsistentField("critical facet expelled")
+            _, kept, expelled = rec.new_cells
             region.facets.discard(expelled)
             region.facets.add(kept)
             # p's edges, and the chord, now lie on kept or on expelled

@@ -47,7 +47,6 @@ from .morsefield import (
     _read_only_function,
     critical_cells,
     induced_field,
-    synthesize_function,
     validate_field,
 )
 
@@ -194,6 +193,45 @@ def _inheriting_arc(K, c, u, w):
     return cycle[i:j] if i < j else cycle[i:] + cycle[:j]
 
 
+def _cut_corner(K, V, c, u, w, corner):
+    """Cut the 2-cell c in place along a chord from u to w so that
+    `corner`, cells on one side of it other than u and w, goes to c~b2.
+    Returns the record: its new cells are (chord, rest, corner piece)."""
+    if not corner.isdisjoint(_inheriting_arc(K, c, u, w)):
+        u, w = w, u
+    return _bisect_2cell(K, V, c, u, w)
+
+
+def _patched_cut(K, V, values, c, u, w, corner):
+    """_cut_corner on a surface, with `values`, a Morse function f on K
+    inducing V, patched in place to one on the cut complex inducing the
+    cut field.  Returns the record.
+
+    The heir of c (the piece taking over its pairing or criticality)
+    gets h, and the chord d and the piece P paired with it get
+    (m + h) / 2, with m the largest f on u, w and the faces of P but d.
+    h is f(c), unless m >= f(c): then h = (m + f(p)) / 2, p being c's
+    partner (a critical c has none, and m < f(c) then).
+    Every face of c but p lies below f(c), and p lies on the heir.  A
+    vertex of c on two such faces lies below one of them, so below f(c),
+    and an end of p lies below p, as p is paired with c; f(c) <= f(p).
+    So m < h <= f(p): d lies above u and w and below the heir, P above
+    its other faces, the heir above its faces but p, which stays paired
+    with it, and a 2-cell of a surface has no coface.
+    """
+    rec = _cut_corner(K, V, c, u, w, corner)
+    d, rest, piece = rec.new_cells
+    heir = rec.replacements[c]
+    paired = piece if heir == rest else rest
+    top = values.pop(c)
+    m = max(values[x] for x in (u, w, *K.cells[paired].boundary) if x != d)
+    if m >= top:
+        top = (m + values[V.partner_map()[heir]]) / 2.0
+    values[heir] = top
+    values[d] = values[paired] = (m + top) / 2.0
+    return rec
+
+
 # --- separating critical cells ---------------------------------------------
 
 
@@ -268,14 +306,14 @@ class _CriticalIndex:
             closures.drop(s, closures.of[s])
             stars.add(heir, K.star(heir))
             closures.add(heir, K.closure(heir))
-        faces = {c for c, cells in stars.of.items() if s in cells}
+        faces = set(stars.held.get(s, ()))
         for c in faces:
             stars.drop(c, (s,))
         if faces:
             for n in rec.new_cells:
                 for c in faces.intersection(K.closure(n)):
                     stars.add(c, (n,))
-        for c in [c for c, cells in closures.of.items() if s in cells]:
+        for c in set(closures.held.get(s, ())):
             closures.drop(c, (s,))
             closures.add(c, rec.new_cells)
 
@@ -476,6 +514,15 @@ def inner_id(cid):
     return "inner:%s" % cid
 
 
+def _check_simplicial(K, c, what):
+    """Raise BadCellBoundary, led by `what`, naming the first cell by id
+    of c's closure that has facets, but not one more than its dimension."""
+    for x in sorted(K.closure(c)):
+        k = len(K.boundary(x))
+        if K.dim(x) and k != K.dim(x) + 1:
+            raise BadCellBoundary("%s; %r has %d facets" % (what, x, k))
+
+
 def shrink_closed_star(K, beta, v):
     """Replace the closure J of a simplicial top cell by a shrunken copy
     sharing the vertex v plus a product collar over the link of v.
@@ -497,12 +544,8 @@ def _shrink_closed_star(K, beta, v):
         raise NotTopCell(beta)
     if v not in K.closure(beta) or K.dim(v) != 0:
         raise VertexNotOnCell("%r is not a vertex of %r" % (v, beta))
+    _check_simplicial(K, beta, "shrink needs a simplicial cell")
     J = K.closure(beta)
-    for cid in J:
-        if K.cells[cid].dim >= 1 and len(K.boundary(cid)) != K.dim(cid) + 1:
-            raise BadCellBoundary(
-                "shrink needs a simplicial cell; %r has %d facets"
-                % (cid, len(K.boundary(cid))))
     link = sorted(x for x in J if v not in K.closure(x))
     cone = sorted(x for x in J if v in K.closure(x) and x != v)
 
@@ -623,24 +666,13 @@ def _clear_top_cell_boundary(K, V, alpha, values):
 
     Each step bisects an offender e = {p, q}, critical or paired with
     its endpoint p, into e1 = {p, w} (which keeps f(e)) and e2 = {q, w},
-    then cuts the corner {e1, e2, d} off alpha along the chord d from p
-    to q.  As alpha is critical every cell of its closure lies below
-    f(alpha): its faces do, and a vertex v on edges e, e' of alpha with
-    f(v) >= f(alpha) would have two cofaces at or below it.  So:
-    - w and e2 get h = (f(q) + f(e)) / 2.  f(q) < f(e), as e is critical
-      or paired with p, so f(q) < h < f(e) < f(alpha), f(t) for alpha
-      and the other coface t of e (e is not paired with either): w lies
-      below e1 and level with e2, its partner, whose other face q lies
-      below it and whose cofaces lie above it, and e1 keeps e's
-      relations.
-    - the heir of alpha keeps f(alpha), and d and the corner get k =
-      (m + f(alpha)) / 2 with m the largest f on e1, e2, p and q, all in
-      alpha's closure, so m < k < f(alpha): d lies above its ends and
-      below the heir, and is paired with the corner, whose other faces
-      e1 and e2 lie below it; every face of the heir stays below it.
-    A float midpoint falls strictly between its two ends unless they are
-    adjacent floats; compose checks every touched cell, so such a tie
-    would show as an invalid function, not pass unseen.
+    then cuts the corner {e1, w, e2} off alpha along a chord from p to q
+    (_patched_cut, whose heir keeps f(alpha), as alpha is critical).
+    w and e2 get h = (f(q) + f(e)) / 2.  f(q) < f(e), as e is critical
+    or paired with p, so f(q) < h < f(e) < f(alpha), f(t) for alpha and
+    the other coface t of e (e is not paired with either): w lies below
+    e1 and level with e2, its partner, whose other face q lies below it
+    and whose cofaces lie above it, and e1 keeps e's relations.
     """
     steps = 0
     patched = []
@@ -655,17 +687,10 @@ def _clear_top_cell_boundary(K, V, alpha, values):
         fe = values.pop(e)
         values[e1] = fe
         values[w] = values[e2] = (values[q] + fe) / 2.0
-        # choose argument order so the inheriting piece avoids the midpoint
-        if w in _inheriting_arc(K, alpha, x, y):
-            x, y = y, x
-        # a critical alpha passes its criticality to c~b1
-        d, heir, corner = _bisect_2cell(K, V, alpha, x, y).new_cells
-        fa = values.pop(alpha)
-        values[heir] = fa
-        values[d] = values[corner] = (
-            max(values[e1], values[e2], values[x], values[y]) + fa) / 2.0
+        # a critical alpha passes its criticality to the rest
+        rec = _patched_cut(K, V, values, alpha, x, y, {w})
+        d, alpha, corner = rec.new_cells
         patched.extend((w, e1, e2, d, corner))
-        alpha = heir
         steps += 1
     cofaces = K.coface_table
     touched = set()
@@ -691,7 +716,9 @@ def compose(M1, f1, M2, f2):
     alpha's boundary that are critical or paired inside it are first
     cleared off by bisections, and f1 is patched on the cells they make
     (_clear_top_cell_boundary); in other dimensions they raise
-    UnclearableBoundary.
+    UnclearableBoundary, and an alpha that is no simplex BadCellBoundary.
+    A beta cut off a polygon's corner patches f2 as the clearing does f1
+    (_choose_beta): compose synthesizes nothing, and f2 below is patched.
     The combined function is f1 on the first side (the base), f1 + C/2
     on the tube and f2 + C on the glued cells of the second summand,
     with C = max(2, f1(alpha) + 2, 2 (f1(alpha) + 1 - m2)) and m2 the
@@ -706,14 +733,15 @@ def compose(M1, f1, M2, f2):
       summand or f2's through the shrink's correspondence, and adding a
       constant keeps it; no pair of V1 lies inside alpha's boundary, so
       its copies on the tube rise strictly too.
-    The term f1(alpha) + 2 is the paper's C, kept when it suffices.
-    `rescaled` in the report is always False.  Floats round, though.
-    Along a chain, f1(alpha) and so C double with every link, so when
+    The term f1(alpha) + 2 is the paper's C, kept when it suffices, and
+    `rescaled` in the report is always False.  Floats round, though:
+    along a chain, f1(alpha) and so C double with every link, so when
     f1(alpha) > 2^40 the left values are first ranked densely, which
     keeps every comparison and every equality of f1.  Rounding that
-    still breaks the checked function (values of f2 too large to take C
-    exactly, say) raises InexactFunction naming the cells, so compose
-    never returns a function it found invalid.
+    still breaks the checked function (a float midpoint that ties, or
+    values of f2 too large to take C exactly) raises InexactFunction
+    naming the cells, so compose never returns a function it found
+    invalid.
 
     The result's mod-2 Betti numbers are cached from Mayer-Vietoris
     instead of being ranked.  Both inputs are closed pseudomanifolds,
@@ -765,9 +793,11 @@ def compose(M1, f1, M2, f2):
             raise Disconnected("summand is not connected: critical "
                                "vertices %s" % ", ".join(crit.cells[0]))
     if n != 2:
-        offenders = _boundary_offenders(M1, V1, crit1.cells[n][0])
+        a = crit1.cells[n][0]
+        offenders = _boundary_offenders(M1, V1, a)
         if offenders:
             raise UnclearableBoundary(*offenders)
+        _check_simplicial(M1, a, "compose glues a simplex, not %r" % a)
     K1, V1, name1 = _prefixed(M1, V1, "m1:")
     K2, V2, name2 = _prefixed(M2, V2, "m2:")
     # a common prefix keeps the sorted order of ids
@@ -786,9 +816,8 @@ def compose(M1, f1, M2, f2):
         alpha, clearing, cleared = _clear_top_cell_boundary(
             K1, V1, alpha, values)
 
-    beta, beta_steps = _choose_beta(K2, V2, v2)
-    f2v = (synthesize_function(K2, V2).values if beta_steps
-           else _renamed_values(f2, name2))
+    f2v = _renamed_values(f2, name2)
+    beta = _choose_beta(K2, V2, v2, f2v)
     ic = _shrink_closed_star(K2, beta, v2)
     pairs2 = [(ic.correspondence.get(a, a), ic.correspondence.get(b, b))
               for a, b in V2.pair_list]
@@ -879,46 +908,27 @@ def compose(M1, f1, M2, f2):
     return M, f, V, report
 
 
-def _choose_beta(K2, V2, v2):
-    """Non-critical simplicial top cell with the critical vertex on its
-    boundary.  When only critical or polygonal cells touch the vertex
-    (surfaces only), one chord bisection cuts an eligible triangle off a
-    polygon's corner at the vertex, in place on K2 and V2.
-
-    Returns (beta, steps)."""
+def _choose_beta(K2, V2, v2, values):
+    """Non-critical simplicial top cell at the critical vertex v2.  When
+    none lies there (surfaces only), the first polygon at v2 has its
+    corner at v2 cut off by _patched_cut, in place on K2, V2 and `values`
+    (the second function), and the corner, a triangle the cut pairs, is
+    returned.  v2 lies on two top cells or more, one critical at most,
+    and then so is every triangle there: so a polygon lies at v2."""
     n = K2.top_dim
-
-    def candidates():
-        pm = V2.partner_map()
-        tops = sorted(t for t in K2.star(v2) if K2.cells[t].dim == n)
-        good = [t for t in tops
-                if len(K2.boundary(t)) == n + 1 and t in pm]
-        return tops, good
-
-    tops, good = candidates()
+    pm = V2.partner_map()
+    tops = sorted(t for t in K2.star(v2) if K2.cells[t].dim == n)
+    good = [t for t in tops if len(K2.boundary(t)) == n + 1 and t in pm]
     if good:
-        return good[0], 0
-    if not tops:
-        raise NoEligibleBeta("no top cell at %r" % v2)
+        return good[0]
     if n != 2:
         raise NoEligibleBeta(
             "no non-critical simplicial top cell at %r" % v2)
-    steps = 0
-    for t in tops:
-        cycle = list(K2.boundary_cycle(t))
-        if len(cycle) <= 6:
-            continue  # a triangle here must be critical; skip
-        # four or more vertices, so v2's two neighbours on t differ
-        verts = cycle[0::2]
-        i = verts.index(v2)
-        prev_v = verts[(i - 1) % len(verts)]
-        next_v = verts[(i + 1) % len(verts)]
-        _bisect_2cell(K2, V2, t, next_v, prev_v)
-        steps += 1
-        _, good = candidates()
-        if good:
-            return good[0], steps
-    raise NoEligibleBeta("could not cut an eligible cell at %r" % v2)
+    t = next(t for t in tops if len(K2.boundary(t)) > 3)
+    verts = K2.boundary_cycle(t)[0::2]
+    i = verts.index(v2)
+    return _patched_cut(K2, V2, values, t, verts[i - 1],
+                        verts[(i + 1) % len(verts)], {v2}).new_cells[2]
 
 
 def _surface_glue_map(K1, K2, alpha, bprime, top):
@@ -948,25 +958,14 @@ def _surface_glue_map(K1, K2, alpha, bprime, top):
 
 def _simplex_glue_map(K1, K2, bprime, top):
     """Identify two simplex boundaries by sorted-vertex order; `top` maps
-    each boundary cell of the removed simplex to its tube copy."""
-    side1 = sorted(top)
+    each boundary cell of the removed simplex to its tube copy.  Both
+    are n-simplices (compose checks alpha, _shrink_closed_star beta), so
+    every cell of the second side has one counterpart on the first."""
     side2 = sorted(K2.closure(bprime) - {bprime})
-    v1 = sorted(x for x in side1 if K1.dim(x) == 0)
-    v2 = sorted(x for x in side2 if K2.dim(x) == 0)
-    if len(v1) != len(v2):
-        raise InconsistentField("glue simplices of different sizes")
-    vmap = dict(zip(v2, v1))
-
-    def key(K, cid, vm):
-        return frozenset(vm.get(x, x) for x in K.vertices_of(cid))
-
-    by_verts = {}
-    for cid in side1:
-        by_verts[(K1.dim(cid), frozenset(K1.vertices_of(cid)))] = top[cid]
-    glue = {}
-    for cid in side2:
-        tgt = by_verts.get((K2.dim(cid), key(K2, cid, vmap)))
-        if tgt is None:
-            raise InconsistentField("simplex boundaries do not match")
-        glue[cid] = (tgt,)
-    return glue
+    vmap = dict(zip(sorted(x for x in side2 if K2.dim(x) == 0),
+                    sorted(x for x in top if K1.dim(x) == 0)))
+    by_verts = {(K1.dim(c), frozenset(K1.vertices_of(c))): t
+                for c, t in top.items()}
+    return {c: (by_verts[K2.dim(c),
+                         frozenset(vmap[x] for x in K2.vertices_of(c))],)
+            for c in side2}

@@ -38,6 +38,11 @@ def pillow_sphere():
 
 
 @pytest.fixture(scope="session")
+def grid_torus():
+    return _grid_torus
+
+
+@pytest.fixture(scope="session")
 def genus2():
     return genus_surface(2)
 
@@ -45,6 +50,27 @@ def genus2():
 @pytest.fixture(scope="session")
 def genus3():
     return genus_surface(3)
+
+
+def _grid_torus(n):
+    """An n x n torus of squares, n >= 3: vertex p<i>-<j>, edges a<i>-<j>
+    to p<i+1>-<j> and b<i>-<j> to p<i>-<j+1>, square s<i>-<j> on both,
+    indices mod n.  No vertex lies on a triangle."""
+    def p(i, j):
+        return "p%d-%d" % (i % n, j % n)
+
+    records = []
+    for i in range(n):
+        for j in range(n):
+            records += [
+                (p(i, j), 0, []),
+                ("a%d-%d" % (i, j), 1, [p(i, j), p(i + 1, j)]),
+                ("b%d-%d" % (i, j), 1, [p(i, j), p(i, j + 1)]),
+                ("s%d-%d" % (i, j), 2, [
+                    "a%d-%d" % (i, j), "b%d-%d" % ((i + 1) % n, j),
+                    "a%d-%d" % (i, (j + 1) % n), "b%d-%d" % (i, j)]),
+            ]
+    return build_poset(records)
 
 
 def _torus_facets(shift):

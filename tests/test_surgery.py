@@ -1,5 +1,6 @@
+import heapq
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -593,13 +594,81 @@ def test_compose_spheres():
 def test_compose_cuts_a_corner_for_beta(torus, torus_function,
                                         pillow_sphere):
     # the pillow has no triangle: compose cuts one off a square's corner
-    # at the critical vertex and resynthesizes the second function
+    # at the critical vertex and patches the second function
     g = synthesize_function(pillow_sphere, tree_cotree_field(pillow_sphere))
     M, f, V, rep = compose(torus, torus_function, pillow_sphere, g)
     assert "~b" in rep.beta
     assert verify_closed_surface(M).genus == 1
     assert validate_field(M, V).ok and is_perfect(M, V) and rep.perfect
     assert validate_function(M, f).ok and induced_field(M, f) == V
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_compose_keeps_f2_through_a_beta_cut(n, grid_torus, torus,
+                                             torus_function, genus3):
+    # no triangle lies on the grid torus, so every compose onto it cuts
+    # beta; the cut patches f2, which every other right cell keeps
+    G = grid_torus(n)
+    for seed in range(12):
+        f2 = synthesize_function(G, tree_cotree_field(G, random.Random(seed)))
+        for K, f1 in ((torus, torus_function), genus3[:2]):
+            M, f, V, rep = compose(K, f1, G, f2)
+            assert "~b" in rep.beta
+            assert validate_function(M, f).ok and induced_field(M, f) == V
+            for cid in G.cells:
+                if "m2:" + cid in M.cells:
+                    assert f["m2:" + cid] == f2[cid] + rep.constant
+
+
+def ordered_function(K, V, first, last):
+    """A Morse function inducing V on K: the ranks of a topological order
+    of the face relation with V's pairs reversed, the cells of `first`
+    taken as early and those of `last` as late as the order allows."""
+    pm = V.partner_map()
+    after = {c: [] for c in K.cells}
+    need = dict.fromkeys(K.cells, 0)
+    for c in K.cells:
+        for x in K.boundary(c):
+            a, b = (c, x) if pm.get(x) == c else (x, c)
+            after[a].append(b)
+            need[b] += 1
+
+    def key(c):
+        return (c not in first) + (c in last), c
+
+    ready = [key(c) for c in K.cells if not need[c]]
+    heapq.heapify(ready)
+    values = {}
+    while ready:
+        _, c = heapq.heappop(ready)
+        values[c] = float(len(values))
+        for b in after[c]:
+            need[b] -= 1
+            if not need[b]:
+                heapq.heappush(ready, key(b))
+    return MorseFunction(values)
+
+
+def test_a_beta_cut_raises_the_heir_below_a_chord_end(
+        grid_torus, random_root_field, torus, torus_function):
+    # a vertex of the cut square may lie above it: paired with one of its
+    # edges there, the square paired with the other; the heir of the
+    # square then rises between the chord and the square's partner
+    above = 0
+    for n in (3, 4):
+        G = grid_torus(n)
+        for seed in range(8):
+            V2 = random_root_field(G, seed)
+            v2, = critical_cells(V2, G).cells[0]
+            t = min(t for t in G.star(v2) if G.dim(t) == 2)
+            verts = G.boundary_cycle(t)[0::2]
+            i = verts.index(v2)
+            ends = {verts[i - 1], verts[(i + 1) % 4]}
+            f2 = ordered_function(G, V2, {t}, ends)
+            above += max(f2[u] for u in ends) > f2[t]
+            M, f, V, rep = compose(torus, torus_function, G, f2)
+            assert validate_function(M, f).ok and induced_field(M, f) == V
+    assert above
 
 
 def cleared_left(M1, f1):
@@ -770,33 +839,20 @@ def test_clearing_keeps_the_values_it_leaves_alone(seed, random_root_field,
             assert f["m1:" + cid] == f1[cid]
 
 
-def test_compose_synthesizes_nothing_without_a_beta_cut(
-        spy, monkeypatch, torus, torus_function, pillow_sphere):
-    # f1 is patched, never resynthesized; only a corner cut for beta on
-    # the second summand synthesizes its function
+def test_compose_synthesizes_nothing(spy, torus, torus_function,
+                                     pillow_sphere):
+    # f1 is patched, never resynthesized, and so is f2 when beta is cut
+    # off a corner of the second summand
     rights = [seeded_torus(seed) for seed in range(4)]
     g = synthesize_function(pillow_sphere, tree_cotree_field(pillow_sphere))
     syntheses = spy(synthesize_function)
-    # compose edits the complex on after the synthesis, so its cells are
-    # read at the call
-    synthesized = []
-    spied = surgery.synthesize_function
-
-    def recorded(K, V):
-        synthesized.append(list(K.cells))
-        return spied(K, V)
-
-    monkeypatch.setattr(surgery, "synthesize_function", recorded)
     K, f = torus, torus_function
     for T, ft in rights:
         K, f, _, rep = compose(K, f, T, ft)
         assert rep.boundary_clearing_steps and "~b" not in rep.beta
-    assert syntheses == []
     rep = compose(K, f, pillow_sphere, g)[3]
     assert "~b" in rep.beta
-    (_, _), = syntheses
-    (cells,) = synthesized
-    assert all(cid.startswith("m2:") for cid in cells)
+    assert syntheses == []
 
 
 def test_compose_refuses_uncleared_boundaries_beyond_surfaces(
@@ -822,6 +878,34 @@ def test_compose_refuses_uncleared_boundaries_beyond_surfaces(
             assert rep.perfect and induced_field(M, f) == V
             valid += 1
     assert (valid, refused) == (5, 20)
+
+
+def boundary_of_4cube():
+    """The boundary of the 4-cube: cell q<x> for each string x over 01*
+    of length 4 but ****, its dimension the number of stars, its facets
+    the strings with one star set to 0 or to 1."""
+    records = []
+    for x in product("01*", repeat=4):
+        if x.count("*") < 4:
+            facets = [x[:i] + (b,) + x[i + 1:]
+                      for i, c in enumerate(x) if c == "*" for b in "01"]
+            records.append(("q" + "".join(x), x.count("*"),
+                            ["q" + "".join(y) for y in facets]))
+    return build_poset(records)
+
+
+def test_compose_refuses_a_non_simplicial_alpha_beyond_surfaces(
+        sphere3, collapse_field):
+    # the left summand's critical cube clears the boundary check, and
+    # only a simplex glues to the shrunken beta
+    Q = boundary_of_4cube()
+    assert [len(Q.cells_of_dim(k)) for k in range(4)] == [16, 32, 24, 8]
+    fq = synthesize_function(Q, collapse_field(Q, "q***0"))
+    S = sphere3()
+    for alpha in ("c0-1-2-3", "c1-2-3-4"):
+        fs = synthesize_function(S, collapse_field(S, alpha))
+        with pytest.raises(BadCellBoundary, match="'q\\*\\*\\*0'"):
+            compose(Q, fq, S, fs)
 
 
 @pytest.mark.parametrize("g", range(2, 7))

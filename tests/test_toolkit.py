@@ -13,7 +13,7 @@ from dms.cellcomplex import (
     euler_characteristic,
     verify_closed_surface,
 )
-from dms.cli import build_parser, main
+from dms.cli import EXIT_CLOSED_STDOUT, build_parser, main
 from dms.errors import (Disconnected, NonPseudomanifold, ParseError,
                         UnknownFixture)
 from dms.fixtures import (
@@ -608,6 +608,30 @@ def test_cli_main_reuses_its_parser(tmp_path, capsys):
     assert here == fresh
     assert [code for code, _ in here] == [2, 3, 0, 0]
     assert here[3][1] == "1 2 1\n"
+
+
+def test_cli_closed_stdout_is_no_parse_error(tmp_path, capsys):
+    # a reader gone before the output is written (`dms critical ... |
+    # head -1`) ends the command with its own status and no message; an
+    # input that cannot be read stays a parse error
+    t = str(tmp_path / "t")
+    assert run_cli(["fixture", "torus7", "--out", t]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dms.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dms.cli", "critical", "--complex",
+             t + ".tri", "--field", t + ".dvf"],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_STDOUT, "")
+    assert run_cli(["critical", "--complex", t + ".tri",
+                    "--field", str(tmp_path / "missing.dvf")]) == 3
 
 
 def test_compose_and_decompose_do_not_load_numpy():
