@@ -11,9 +11,11 @@ non-critical top cell at the critical vertex of the second, joins the
 two along a product tube, and carries both fields and both functions
 across per the piecewise rules.  Tube cells are `tube:<id>:top` and
 `tube:<id>:prism`; the shrunken inner copy uses `shrunk:<id>` and the
-collar correspondents `inner:<id>`.
+collar correspondents `inner:<id>`.  Along a chain those prefixes give
+way to short stamps, and the first summand keeps its ids (_link_names).
 """
 
+import re
 from dataclasses import dataclass
 from itertools import count
 
@@ -476,23 +478,24 @@ def separate_critical_cells(K, V):
 # --- prisms and inner copies -------------------------------------------------
 
 
-def tube_top_id(cid):
-    return "tube:%s:top" % cid
+def tube_top_id(cid, prefix="tube:"):
+    return "%s%s:top" % (prefix, cid)
 
 
-def tube_prism_id(cid):
-    return "tube:%s:prism" % cid
+def tube_prism_id(cid, prefix="tube:"):
+    return "%s%s:prism" % (prefix, cid)
 
 
-def build_prism_over_boundary(K, alpha):
+def build_prism_over_boundary(K, alpha, prefix="tube:"):
     """Product tube over the boundary sphere of a top cell: one top copy
-    and one prism per boundary cell."""
+    and one prism per boundary cell X, `<prefix>X:top` and
+    `<prefix>X:prism`."""
     cell = K.cell(alpha)
     if cell.dim != K.top_dim:
         raise NotTopCell(alpha)
     base = sorted(K.closure(alpha) - {alpha})
-    top = {cid: tube_top_id(cid) for cid in base}
-    prism = {cid: tube_prism_id(cid) for cid in base}
+    top = {cid: tube_top_id(cid, prefix) for cid in base}
+    prism = {cid: tube_prism_id(cid, prefix) for cid in base}
     cells = []
     for cid in base:
         c = K.cell(cid)
@@ -537,8 +540,10 @@ def shrink_closed_star(K, beta, v):
     return _shrink_closed_star(K._draft(), beta, v)
 
 
-def _shrink_closed_star(K, beta, v):
-    """shrink_closed_star on K itself, which its InnerCopy holds."""
+def _shrink_closed_star(K, beta, v, shrunk_id=shrunk_id, inner_id=inner_id):
+    """shrink_closed_star on K itself, which its InnerCopy holds, with
+    the shrunken copy and the collar cell of a cell x named shrunk_id(x)
+    and inner_id(x)."""
     bcell = K.cell(beta)
     if bcell.dim != K.top_dim:
         raise NotTopCell(beta)
@@ -605,6 +610,87 @@ class ComposeReport:
     boundary_clearing_steps: int
     # alpha's sides on a surface, else the glued boundary cells
     glue_cycle_length: int
+
+
+@dataclass(frozen=True)
+class _LinkNames:
+    """The prefixes of the cells of compose(M1, f1, M2, f2) on one link
+    of a chain: each id of M2 gets `right`, each id of M1 `left`, and a
+    collar, shrunken or tube cell made from a cell X gets `inner`,
+    `shrunk` or `tube` in front of X's id in its own summand."""
+    left: str
+    right: str
+    inner: str
+    shrunk: str
+    tube: str
+
+
+_FIRST_LINK = _LinkNames("m1:", "m2:", "inner:m2:", "shrunk:m2:", "tube:")
+_NINES = str.maketrans("0123456789", "9876543210")
+_DOWN = re.compile(r"h[q-z]([0-9]{1,10}):")
+_UP = re.compile(r"u[a-j]([0-9]{1,10})[mst]:")
+
+
+def _down_stamp(k):
+    """h, a letter for the number of digits of k (z for one, y for two,
+    ...) and the nines' complement of k's digits, so that a larger k
+    sorts lower."""
+    digits = str(k)
+    return "h%s%s:" % (chr(ord("z") + 1 - len(digits)),
+                       digits.translate(_NINES))
+
+
+def _up_stamp(k):
+    """u, a letter for the number of digits of k (a for one, b for two,
+    ...) and k's digits, so that a larger k sorts higher."""
+    digits = str(k)
+    return "u%s%s" % (chr(ord("a") - 1 + len(digits)), digits)
+
+
+def _down_link(cid):
+    """The link of a chain whose collar cell cid is, read off its id;
+    None when cid is no collar cell."""
+    if cid.startswith("inner:"):
+        return 1
+    m = _DOWN.match(cid)
+    k = m and int(m[1].translate(_NINES))
+    return k if k and m[0] == _down_stamp(k) else None
+
+
+def _up_link(cid):
+    """The link of a chain whose tube or second-summand cell cid is,
+    read off its id; None when cid is neither."""
+    if cid.startswith("tube:"):
+        return 1
+    m = _UP.match(cid)
+    k = m and int(m[1])
+    return k if k and m[0][:-2] == _up_stamp(k) else None
+
+
+def _link_names(K):
+    """The names compose gives when K is its first summand, read off K's
+    smallest and largest id alone (each a single pass over the ids).
+
+    A K whose smallest id is a collar cell and whose largest a tube or
+    second-summand cell of some link, as compose's results are, keeps
+    its ids: a down stamp `hz7:`, `hz6:`, ... (link 2, 3, ...) sorts
+    below every id of K, the collar's place, and an up stamp `ua2`,
+    `ua3`, ... with `m:`, `s:` or `t:` for the second summand, the
+    shrunken copy and the tube above every id, in that order, as `m2:`,
+    `shrunk:` and `tube:` sort above `m1:` and `inner:` below it.  Each
+    new id is still one fixed prefix per kind of cell, then the id it is
+    made from, so ids that extend others (`~b1`, `:top`) compare as they
+    did too.  So every comparison of two ids gives what it gave when
+    each link prefixed the first summand with `m1:`, and each output is
+    that one up to an order-preserving renaming.  Any other K is prefixed `m1:`
+    as on a first link, which names the new cells `inner:m2:`, `m2:`,
+    `shrunk:m2:` and `tube:`."""
+    down, up = _down_link(min(K.cells)), _up_link(max(K.cells))
+    if down is None or up is None:
+        return _FIRST_LINK
+    u = _up_stamp(up + 1)
+    return _LinkNames("", u + "m:", _down_stamp(down + 1), u + "s:",
+                      u + "t:")
 
 
 def _prefixed(K, V, prefix):
@@ -758,6 +844,12 @@ def compose(M1, f1, M2, f2):
     A connected sum of closed pseudomanifolds is one, so the result
     takes is_pseudomanifold over without a scan of its cells.
 
+    The cells are named by _link_names(M1): a first summand that compose
+    made keeps its ids, and the new cells take short stamps below and
+    above them, so a chained link costs no rename of the whole surface.
+    The names come from M1's ids alone, never from the record below, so
+    this very M, a copy or a reparsed one give the same texts.
+
     The returned f has read-only values, and M keeps the record (f, V,
     critical cells of V).  A later compose handed this very M and this
     very f (the same objects, as a chain passes them on) reads V and the
@@ -766,8 +858,9 @@ def compose(M1, f1, M2, f2):
     in full.
     The record is sound because:
     - edits mutate only drafts that no caller holds: a public surgery
-      edits a copy it made, compose edits the renamed copies of its
-      summands, M is one of them, and a draft of M drops the record; the
+      edits a copy it made, compose edits a draft or a renamed copy of
+      each summand, M is the first one's, and a draft of M drops the
+      record; the
       library already caches _betti, is_pseudomanifold and _surface_info
       on a complex;
     - f's values are a mappingproxy over a dict that nothing else holds,
@@ -798,19 +891,26 @@ def compose(M1, f1, M2, f2):
         if offenders:
             raise UnclearableBoundary(*offenders)
         _check_simplicial(M1, a, "compose glues a simplex, not %r" % a)
-    K1, V1, name1 = _prefixed(M1, V1, "m1:")
-    K2, V2, name2 = _prefixed(M2, V2, "m2:")
-    # a common prefix keeps the sorted order of ids
-    alpha = "m1:" + crit1.cells[n][0]
-    v2 = "m2:" + crit2.cells[0][0]
+    names = _link_names(M1)
     # the table the result's function keeps, patched and extended below
-    values = _renamed_values(f1, name1)
+    if names.left:
+        K1, V1, name1 = _prefixed(M1, V1, names.left)
+        values = _renamed_values(f1, name1)
+    else:
+        K1, V1 = M1._draft(), V1._draft()
+        values = f1.values.copy()  # a dict, whether or not read-only
+        if len(values) > len(K1.cells):  # f1 may hold values off M1
+            values = {cid: values[cid] for cid in K1.cells}
+    K2, V2, name2 = _prefixed(M2, V2, names.right)
+    # a common prefix keeps the sorted order of ids
+    alpha = names.left + crit1.cells[n][0]
+    v2 = names.right + crit2.cells[0][0]
     if values[alpha] > 2.0 ** 40:  # dense ranks, as argued above
         rank = {x: float(i)
                 for i, x in enumerate(sorted(set(values.values())))}
         values = {cid: rank[x] for cid, x in values.items()}
 
-    # K1, V1, K2 and V2 are renamed copies the edits below change in place
+    # K1, V1, K2 and V2 are copies the edits below change in place
     clearing, cleared = 0, set()
     if n == 2:
         alpha, clearing, cleared = _clear_top_cell_boundary(
@@ -818,13 +918,16 @@ def compose(M1, f1, M2, f2):
 
     f2v = _renamed_values(f2, name2)
     beta = _choose_beta(K2, V2, v2, f2v)
-    ic = _shrink_closed_star(K2, beta, v2)
+    cut = len(names.right)
+    ic = _shrink_closed_star(K2, beta, v2,
+                             lambda x: names.shrunk + x[cut:],
+                             lambda x: names.inner + x[cut:])
     pairs2 = [(ic.correspondence.get(a, a), ic.correspondence.get(b, b))
               for a, b in V2.pair_list]
 
     # glue interface: boundary of the shrunken cell vs the tube top
     bprime = ic.beta_prime
-    tube = build_prism_over_boundary(K1, alpha)
+    tube = build_prism_over_boundary(K1, alpha, names.tube)
     if n == 2:
         glue = _surface_glue_map(K1, K2, alpha, bprime, tube.top)
         cycle_length = len(K1.boundary(alpha))
@@ -847,10 +950,20 @@ def compose(M1, f1, M2, f2):
     M = K1
     M._edit(remove=[alpha], add=[*glued, *tube.new_cells])
 
+    # V1's partner map, built by the checks above, carries over with the
+    # new pairs, unless one of them names a matched cell again
     pairs = V1.pair_list
-    pairs.extend((tube.top[cid], tube.prism[cid]) for cid in tube.base_cells)
-    pairs.extend(pairs2)
-    V = VectorField._of_sorted(tuple(sorted(pairs)))
+    new_pairs = [(tube.top[cid], tube.prism[cid]) for cid in tube.base_cells]
+    new_pairs.extend(pairs2)
+    pairs.extend(new_pairs)
+    pm = V1.partner_map()
+    for x, y in new_pairs:
+        if x in pm or y in pm:
+            pm = None
+            break
+        pm[x] = y
+        pm[y] = x
+    V = VectorField._of_sorted(tuple(sorted(pairs)), pm)
 
     # Only these cells can break the Morse condition or pair differently
     # than V: the tube and the second summand are new, alpha's boundary
@@ -941,7 +1054,10 @@ def _surface_glue_map(K1, K2, alpha, bprime, top):
     bprime with that edge split k - 3 times from its smaller end, less
     the split cells, which lie in bprime's closure that the glue drops,
     since the split walk keeps both anchors.  It starts at v2: v2's id
-    starts with `m2:`, every shrunk or split id with `shrunk:`.  It
+    starts with the second summand's prefix (`m2:` on a first link, an
+    up stamp with `m:` along a chain; _link_names), every shrunk or
+    split id with the shrunken copy's, which sorts above it (`shrunk:m2:`,
+    the same stamp with `s:`).  It
     leaves v2 the same way: the half at v2, e~b1...~b1 for the smallest
     edge e, compares with the other edge at v2 as e does, unless that
     edge's id extends e's."""

@@ -220,6 +220,46 @@ def collapse_field():
     return _collapse_field
 
 
+class ComposeSides:
+    """Where compose(M1, f1, M2, f2) puts each cell of its result, read
+    from the prefixes it names that link with (surgery._link_names(M1)):
+    `m1:`, `m2:`, `inner:m2:` and `tube:` on a first link, stamps and
+    M1's own ids along a chain."""
+
+    def __init__(self, M1):
+        self.names = surgery._link_names(M1)
+
+    def left(self, cid):
+        """The id in the result of M1's cell cid."""
+        return self.names.left + cid
+
+    def right(self, cid):
+        """The id in the result of M2's cell cid, if it is glued."""
+        return self.names.right + cid
+
+    def side(self, cid):
+        """"tube" for a tube cell, "right" for a cell glued from M2 (one
+        of its own or a collar cell), "left" for the rest."""
+        names = self.names
+        if cid.startswith(names.tube):
+            return "tube"
+        if cid.startswith((names.right, names.inner)):
+            return "right"
+        return "left"
+
+    def right_source(self, cid):
+        """The cell of M2 that the glued cell cid is, or that it is the
+        collar cell of."""
+        for prefix in (self.names.right, self.names.inner):
+            if cid.startswith(prefix):
+                return cid[len(prefix):]
+        raise ValueError("%r is not glued from the second summand" % cid)
+
+    def tube_base(self, cid):
+        """The cell of the result that the tube cell cid lies over."""
+        return cid[len(self.names.tube):cid.rindex(":")]
+
+
 def _rebuild(K, remove=(), add=()):
     """K.replace_cells(remove, add) done the slow way: a Complex built
     from scratch on the new cell list, in the order the edit keeps."""

@@ -2,9 +2,11 @@
 
 Each digest is sha256 over CWP/DVF/DMF texts (or, for a refused input,
 the exception name), so any change to ids, tie-breaking or pairing in
-compose, decompose or the CLI shows up here.  The expected values were
-recorded before the graph helpers were folded into `dms.cellcomplex`;
-a deliberate output change must update them and say why.
+compose, decompose or the CLI shows up here.  A deliberate output change
+must update them and say why.  They were last recorded when a chained
+compose stopped renaming its first summand, which renamed ids but moved
+no decision: the rank digests at the end of this file, which ignore the
+ids' spelling, were recorded before that change and still hold.
 
 The compose chain and the CLI round trip pin their complexes and fields
 (CWP, DVF and the texts derived from them) apart from their functions
@@ -13,13 +15,17 @@ moved.
 """
 
 import hashlib
+import json
 import random
 
+import pytest
+
+from dms.cellcomplex import build_poset
 from dms.cli import main
 from dms.errors import DmsError
 from dms.fixtures import genus_surface, torus7, tree_cotree_field
 from dms.formats import write_cwp, write_dmf, write_dvf
-from dms.morsefield import synthesize_function
+from dms.morsefield import MorseFunction, VectorField, synthesize_function
 from dms.splitter import decompose
 from dms.surgery import compose
 
@@ -51,9 +57,9 @@ def test_golden_compose_chain():
         structure += [write_cwp(K), write_dvf(V, K)]
         functions.append(write_dmf(f))
     assert _digest(structure) == (
-        "d3e3051f3044f14bec78e49044b4d1b3f34a12bc1ab690944575b15a3d515264")
+        "a73b0c5d9e94c9342e0c16462e7f3554975eedad7d5ed33b71f9528365634192")
     assert _digest(functions) == (
-        "58258bb5fc2692771ac281b85b7c134953cc5c6ad086490504a788e8d47e5a7c")
+        "01d044aec8de41c2c6d794c5cc19575ef4fc0dc9ccb85a5e82d82e5b6b9b1a1d")
 
 
 def test_golden_genus32_surface():
@@ -61,9 +67,9 @@ def test_golden_genus32_surface():
     # above and the benchmark pins reach
     K, f, V = genus_surface(32)
     assert _digest([write_cwp(K), write_dvf(V, K)]) == (
-        "5226c4e96667a15a294ee7961182ee26807d79c90758f472b2903275d3edf49a")
+        "fc0538331f0b53c88c91c77df11a49a37e3ef0c13aee007d8429e1de86087362")
     assert _digest([write_dmf(f)]) == (
-        "68ab8938b807f68e3ada1ee33fdc504ffaa3c0495369657093774aefc3164b07")
+        "91226c921f9f17586ac5b374c23dee45c528cb33be645dfd06eeb5b27a38c464")
 
 
 def test_golden_decompose_genus4_fields():
@@ -85,7 +91,7 @@ def test_golden_decompose_genus4_fields():
         texts.append(" ".join(res.circle))
     assert "NotSeparating" in texts
     assert _digest(texts) == (
-        "518497c75d88c87b08cf0379af573f2bcf6909b194a79a3c2abf0507ffe2ce43")
+        "6b6604ec320a29a9d2570e3006280410d80e7b30dbf68bf90c15c14512b02dfd")
 
 
 def test_golden_cli_roundtrip(tmp_path, capsys):
@@ -108,7 +114,98 @@ def test_golden_cli_roundtrip(tmp_path, capsys):
              for name in names}
     assert _digest([text for name, text in texts.items()
                     if not name.endswith(".dmf")]) == (
-        "c61bd0064383650da0162b53af732a757a33ba2b259a4853d40f523fb9126efe")
+        "f3f298a7c74af7c38b4f533eba59cb49839c2185534b064e6aeab636cfc1e737")
     assert _digest([text for name, text in texts.items()
                     if name.endswith(".dmf")]) == (
-        "95eed0158a8d7a3c0f55bd2a5ccbccfde1da197c7c23e56978ad320a4310c293")
+        "95c17d7af79d0132f3ff13f1901015be8ccd7bd8c70d5ed12970bb6d03bc68e7")
+
+
+# --- rank digests ------------------------------------------------------------
+#
+# The digests below hash each output with every id replaced by its rank
+# in the sorted ids of its complex, so they pin every decision that
+# sorted ids drive (pairings, tie-breaks, which cell is cut or glued)
+# while the ids themselves may change under an order-preserving
+# renaming.  They were recorded before compose stopped renaming its left
+# summand on every link of a chain.
+
+
+def _ranks(K):
+    return {cid: "%06d" % i for i, cid in enumerate(sorted(K.cells))}
+
+
+def _ranked_texts(K, V, f):
+    rank = _ranks(K)
+    R = build_poset([(rank[cid], dim, [rank[x] for x in bnd])
+                     for cid, dim, bnd in K.records()])
+    W = VectorField([(rank[a], rank[b]) for a, b in V.pairs()])
+    g = MorseFunction({rank[cid]: val for cid, val in f.values.items()})
+    return [write_cwp(R), write_dvf(W, R), write_dmf(g)]
+
+
+def _ranked_decompose_texts(res):
+    texts = _ranked_texts(res.m1_complex, res.m1_field, res.m1_function)
+    texts += _ranked_texts(res.m2_complex, res.m2_field, res.m2_function)
+    rank = _ranks(res.m1_complex)
+    texts.append(" ".join(rank[cid] for cid in res.circle))
+    texts.append(json.dumps(res.report, sort_keys=True))
+    return texts
+
+
+GENUS_RANK_DIGESTS = {
+    2: "c287ac7d5d04360006f4e53254da7382102bb2b46861dee13a52ad44e6bc5e90",
+    3: "cf33acbde647e038ff6e75c9e0763cec52f2e5fd9ce688fb861ef593fac030a3",
+    6: "4a3144b33fba29a1fe7fcbc2caa5f0541bc95302b4db612f6ce31c62ea270b1e",
+    16: "bc38195e8dbe391767a17d05de819f941b1a61ed0040dfad6e45dc380cbc81ce",
+    32: "2a098894ac7d49d5603ae20ed49fb92a741efad94a164052051a2817c20c162c",
+}
+
+
+@pytest.mark.parametrize("g", sorted(GENUS_RANK_DIGESTS))
+def test_rank_digest_genus_surface(g):
+    K, f, V = genus_surface(g)
+    assert _digest(_ranked_texts(K, V, f)) == GENUS_RANK_DIGESTS[g]
+
+
+def test_rank_digest_compose_chain():
+    K, f = _seeded_torus(100)
+    texts = []
+    for seed in (101, 102, 103):
+        K, f, V, _ = compose(K, f, *_seeded_torus(seed))
+        texts += _ranked_texts(K, V, f)
+    assert _digest(texts) == (
+        "7658ff63628a5aee2a1c8ad98477d57435212c969de94f6d180e5966a3497a43")
+
+
+DECOMPOSE_RANK_DIGESTS = {
+    4: "68f616dc90d57fde389d4b54e9310dddb81123c4a883fe7d89e0d2c39dda3968",
+    6: "1d3996d0bf12e58f3c9a3723fac4da1475493f462379a245ef5f83a0b534eacd",
+}
+
+
+@pytest.mark.parametrize("g", sorted(DECOMPOSE_RANK_DIGESTS))
+def test_rank_digest_decompose(g):
+    K = genus_surface(g)[0]
+    texts = []
+    for seed in range(60):
+        V = tree_cotree_field(K, rng=random.Random(seed))
+        f = synthesize_function(K, V)
+        g1 = 1 + seed % (g - 1)
+        try:
+            res = decompose(K, f, g1, g - g1)
+        except DmsError as err:
+            texts.append(type(err).__name__)
+            continue
+        texts += _ranked_decompose_texts(res)
+    assert _digest(texts) == DECOMPOSE_RANK_DIGESTS[g]
+
+
+def test_golden_first_compose_of_raw_inputs():
+    # a left that compose did not make is prefixed `m1:` once, so the
+    # first link from raw inputs keeps its bytes, ids included
+    K, f, V = genus_surface(2)
+    texts = _surface_texts(K, V, f)
+    M, g, W, _ = compose(*_seeded_torus(100), *_seeded_torus(101))
+    texts += _surface_texts(M, W, g)
+    assert _digest(texts) == (
+        "f5098b209f9878e21144dcff953280eba3b33a3f6606b7b96f9e617ad23ca0fd")

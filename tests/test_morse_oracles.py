@@ -43,6 +43,8 @@ from dms.morsefield import (
     validate_function,
 )
 
+from conftest import ComposeSides
+
 
 # --- oracles: the checks as they were, one accessor call per incidence ----
 
@@ -400,26 +402,27 @@ def test_synthesis_matches_the_reference_on_capped_pieces(g1):
 
 def test_synthesis_matches_the_reference_inside_compose():
     # each first summand of a compose chain as the boundary clearing
-    # leaves it, its cells out of id order under ever longer `m1:` ids
+    # leaves it; from the second link on it keeps the ids of the last
+    # compose, whose edits left its cells out of id order
     seen = []
     K, f = genus_surface(1)[:2]
     for seed in range(4):
-        K1, V1, name = surgery._prefixed(K, induced_field(K, f), "m1:")
+        left = ComposeSides(K).names.left
+        K1, V1, name = surgery._prefixed(K, induced_field(K, f), left)
         alpha = critical_cells(V1, K1).cells[2][0]
         values = {name[cid]: val for cid, val in f.values.items()}
         _, steps, _ = surgery._clear_top_cell_boundary(
             K1, V1, alpha, values)
         assert steps
-        seen.append((K1, V1))
+        seen.append((K1, V1, left))
         T = torus7()
         ft = synthesize_function(T, tree_cotree_field(
             T, rng=random.Random(seed)))
         K, f, _, _ = surgery.compose(K, f, T, ft)
-    lefts = [K1 for K1, _ in seen
-             if any(cid.startswith("m1:m1:m1:") for cid in K1.cells)]
-    assert lefts and all(list(K1.cells) != sorted(K1.cells)
-                         for K1 in lefts)
-    for K1, V1 in seen:
+    lefts = [K1 for K1, _, left in seen if not left]
+    assert len(lefts) == 3 and all(list(K1.cells) != sorted(K1.cells)
+                                   for K1 in lefts)
+    for K1, V1, _ in seen:
         assert assert_synthesis_matches_the_reference(K1, V1) == "ok"
 
 
@@ -526,12 +529,13 @@ def local_checks(monkeypatch):
     return checks
 
 
-def sunk(K, f):
+def sunk(K, f, sides):
     """f with the cells glued from the second summand lowered below
     every tube cell: the composed function with its second part out of
-    order, which breaks the Morse condition along the glue."""
-    tube = [f[cid] for cid in K.cells if cid.startswith("tube:")]
-    glued = [cid for cid in K.cells if not cid.startswith(("m1:", "tube:"))]
+    order, which breaks the Morse condition along the glue.  `sides`
+    tells the cells of K apart (ComposeSides)."""
+    tube = [f[cid] for cid in K.cells if sides.side(cid) == "tube"]
+    glued = [cid for cid in K.cells if sides.side(cid) == "right"]
     drop = max(f[cid] for cid in glued) - min(tube) + 1.0
     values = dict(f.values)
     for cid in glued:
@@ -546,11 +550,12 @@ def compose_checked_locally(checks, M1, f1, M2, f2):
     for that function sunk along the glue.  Returns the violation kinds
     found on the sunk function."""
     del checks[:]
+    sides = ComposeSides(M1)
     K, f, V, rep = surgery.compose(M1, f1, M2, f2)
     assert len(checks) == 1
     (M, g, ids, (report, pairs)), = checks
     assert M is K and g is f and report.ok and rep.function_valid
-    low = sunk(M, g)
+    low = sunk(M, g, sides)
     low_report, low_pairs = _check_function(M, low, ids)
     ids = set(ids)
     for h, hreport, hpairs in ((g, report, pairs),

@@ -52,6 +52,8 @@ from dms.surgery import (
     shrink_closed_star,
 )
 
+from conftest import ComposeSides
+
 
 def seeded_torus(seed):
     T = torus7()
@@ -612,12 +614,13 @@ def test_compose_keeps_f2_through_a_beta_cut(n, grid_torus, torus,
     for seed in range(12):
         f2 = synthesize_function(G, tree_cotree_field(G, random.Random(seed)))
         for K, f1 in ((torus, torus_function), genus3[:2]):
+            sides = ComposeSides(K)
             M, f, V, rep = compose(K, f1, G, f2)
             assert "~b" in rep.beta
             assert validate_function(M, f).ok and induced_field(M, f) == V
             for cid in G.cells:
-                if "m2:" + cid in M.cells:
-                    assert f["m2:" + cid] == f2[cid] + rep.constant
+                if sides.right(cid) in M.cells:
+                    assert f[sides.right(cid)] == f2[cid] + rep.constant
 
 
 def ordered_function(K, V, first, last):
@@ -672,11 +675,13 @@ def test_a_beta_cut_raises_the_heir_below_a_chord_end(
 
 
 def cleared_left(M1, f1):
-    """The first summand as compose clears it: the renamed complex and
-    field after _clear_top_cell_boundary, the heir of the critical top
-    cell, the steps, the patched values and the caller's values renamed,
-    and the cells the patch touched."""
-    K1, V1, name = surgery._prefixed(M1, induced_field(M1, f1), "m1:")
+    """The first summand as compose clears it: the complex and field
+    under compose's names after _clear_top_cell_boundary, the heir of
+    the critical top cell, the steps, the patched values and the
+    caller's values under those names, and the cells the patch
+    touched."""
+    K1, V1, name = surgery._prefixed(M1, induced_field(M1, f1),
+                                     ComposeSides(M1).names.left)
     alpha = critical_cells(V1, K1).cells[K1.top_dim][0]
     caller = {name[cid]: val for cid, val in f1.values.items()
               if cid in name}
@@ -702,17 +707,18 @@ def assert_formula(M1, f1, f2, composed):
     2 (f1(alpha) + 1 - m2)) and m2 the least f2 value glued; it is
     valid and induces the composed field."""
     M, f, V, rep = composed
-    glued = {cid: f2[cid.removeprefix("inner:").removeprefix("m2:")]
-             for cid in M.cells if not cid.startswith(("m1:", "tube:"))}
+    sides = ComposeSides(M1)
+    glued = {cid: f2[sides.right_source(cid)]
+             for cid in M.cells if sides.side(cid) == "right"}
     a = removed_value(M1, f1, rep)
     C = max(2.0, a + 2.0, 2.0 * (a + 1.0 - min(glued.values())))
     assert rep.constant == C and not rep.rescaled
     for cid, val in glued.items():
         assert f[cid] == val + C
-    tube = [cid for cid in M.cells if cid.startswith("tube:")]
+    tube = [cid for cid in M.cells if sides.side(cid) == "tube"]
     assert tube
     for cid in tube:
-        assert f[cid] == f[cid[len("tube:"):cid.rindex(":")]] + C / 2.0
+        assert f[cid] == f[sides.tube_base(cid)] + C / 2.0
     assert rep.function_valid and rep.perfect
     assert validate_function(M, f).ok
     assert induced_field(M, f) == V
@@ -834,9 +840,10 @@ def test_clearing_keeps_the_values_it_leaves_alone(seed, random_root_field,
     # the summands' full checks pass no ids; compose's local one does
     (_, _, checked), = [args for args in checks if len(args) == 3]
     assert touched <= set(checked)
+    sides = ComposeSides(M1)
     for cid in M1.cells:
-        if "m1:" + cid in M.cells:
-            assert f["m1:" + cid] == f1[cid]
+        if sides.left(cid) in M.cells:
+            assert f[sides.left(cid)] == f1[cid]
 
 
 def test_compose_synthesizes_nothing(spy, torus, torus_function,
@@ -1000,6 +1007,63 @@ def test_a_reparsed_complex_is_checked_in_full(spy):
     assert checks[0][0] is L and checks[0][1] is f
     assert composed_texts(M, g, V) == composed_texts(
         *compose(K, f, T, ft)[:3])
+
+
+def test_a_chained_left_keeps_its_ids():
+    # compose names only the second summand's cells and its own: every
+    # cell of a left it made survives under its own id, but alpha and
+    # the edges the clearing bisected
+    K, f = chained(2)
+    M, g, V, rep = compose(K, f, *seeded_torus(300))
+    gone = K.cells.keys() - M.cells.keys()
+    assert len(gone) == 1 + rep.boundary_clearing_steps
+    assert all(g[cid] == f[cid] for cid in K.cells.keys() - gone)
+    # the new cells sort below and above every id of the left, as the
+    # collar and the rest of a first link's cells do around `m1:`
+    low, high = min(K.cells), max(K.cells)
+    new = sorted(M.cells.keys() - K.cells.keys())
+    inner = [cid for cid in new if cid < low]
+    assert inner and all(cid.startswith("hz6:") for cid in inner)
+    assert all(cid > high for cid in new[len(inner):] if "~b" not in cid)
+
+
+def test_a_left_compose_did_not_name_is_prefixed_once():
+    # a raw torus7, a composed surface renamed below `cone:` and a
+    # decompose piece, whose smallest id is `cone:apex`: each is renamed
+    # `m1:` as on a first link, and the new cells take a first link's
+    # names
+    K, f = chained(1)
+    below = K.prefixed("b:")
+    fb = MorseFunction({"b:" + cid: val for cid, val in f.values.items()})
+    res = decompose(*genus_surface(4)[:2], 2, 2)
+    lefts = [seeded_torus(400), (below, fb),
+             (res.m1_complex, res.m1_function)]
+    assert min(below.cells) < "cone:" == min(res.m1_complex.cells)[:5]
+    for M1, f1 in lefts:
+        M, g, V, rep = compose(M1, f1, *seeded_torus(401))
+        assert all(cid.startswith(("m1:", "m2:", "inner:m2:", "tube:m1:"))
+                   for cid in M.cells)
+        gone = {"m1:" + cid for cid in M1.cells} - M.cells.keys()
+        assert len(gone) == 1 + rep.boundary_clearing_steps
+        assert validate_function(M, g).ok and induced_field(M, g) == V
+
+
+def test_a_chained_left_held_by_the_caller_is_unchanged():
+    # compose edits a draft of the left it keeps the ids of, never the
+    # left itself: its cells, coface table, walks, values and record
+    K, f = chained(3)
+    record = K._composed
+    _, V, counts = record
+
+    def held():
+        return (dict(K.cells), dict(K.coface_table), dict(K._cycles),
+                dict(f.values), V.pairs(), dict(V.partner_map()), counts)
+
+    before = held()
+    M, g, W, _ = compose(K, f, *seeded_torus(300))
+    assert K._composed is record and held() == before
+    assert M is not K and W is not V
+    assert M.cells.keys() & K.cells.keys()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1203,10 +1267,12 @@ def test_direct_glue_matches_split_then_glue(k, beta, v):
 
 
 def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
-    # compose renames each summand once and edits those copies in place:
+    # compose copies each summand once and edits those copies in place:
     # two edits per clearing step, one per corner cut for beta, one for
     # the shrink and one for the glue, however long the glued cycle, and
-    # no edit copies a whole table: the four renames are all
+    # no edit copies a whole table.  The copies are a rename of each raw
+    # summand, and from the second link on, when the left keeps its
+    # ids, one draft of the left and one rename of the right
     edits, copies = [], []
     for owner, name, log in ((Complex, "_edit", edits),
                              (Complex, "_draft", copies),
@@ -1222,12 +1288,14 @@ def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
     cycles = []
     for seed in range(201, 210):
         T, ft = seeded_torus(seed)
+        left = "_renamed" if seed == 201 else "_draft"  # a raw torus first
         del edits[:], copies[:]
         K, f, V, rep = compose(K, f, T, ft)
         assert len(edits) == (2 * rep.boundary_clearing_steps
                               + ("~b" in rep.beta) + 1 + 1)
-        assert sorted(copies) == ["Complex._renamed"] * 2 + [
-            "VectorField._renamed"] * 2
+        assert sorted(copies) == sorted([
+            "Complex." + left, "Complex._renamed",
+            "VectorField." + left, "VectorField._renamed"])
         cycles.append(rep.glue_cycle_length)
     assert verify_closed_surface(K).genus == 10
     assert cycles == sorted(cycles) and cycles[-1] > 10
@@ -1244,11 +1312,11 @@ def test_genus_64_surface_validates():
     assert validate_function(K, f).ok and induced_field(K, f) == V
 
 
-def test_a_chain_of_60_tetrahedron_composes_stays_valid():
+def test_a_chain_of_128_tetrahedron_composes_stays_valid():
     T = tetrahedron()
     fT = synthesize_function(T, tree_cotree_field(T))
     K, f = T, fT
-    for link in range(60):
+    for link in range(128):
         K, f, V, rep = compose(K, f, tetrahedron(), fT)
         assert rep.function_valid and rep.perfect, link
     assert verify_closed_surface(K).genus == 0
