@@ -289,28 +289,14 @@ def _excavate(K, V, region, marked):
     # vertex) has none.  A stray chain has one where a marked facet holds
     # two chain vertices off the curve joined by an edge off the chain, a
     # path or critical edge; no known field does this, and nothing proves
-    # that none can.  The loop budgets are fixed on entry, since every
-    # bisection adds cells.
-    for _ in range(10 * len(K.cells) + 50):
-        todo = None
-        for t in sorted(marked):
-            cycle = K.boundary_cycle(t)
-            mk = marked[t]
-            for i in range(1, len(cycle), 2):
-                e = cycle[i]
-                if e in mk:
-                    continue
-                a, b = sorted(K.boundary(e))
-                if a in mk and b in mk:
-                    todo = e
-                    break
-            if todo:
-                break
-        if not todo:
-            break
-        _rename(region, _bisect_edge(K, V, todo))
-    else:
-        raise NoFlankingCells("excavation pre-pass did not converge")
+    # that none can.  One pass finds them all: bisections of distinct
+    # edges commute, and a midpoint is never marked, so no bisection
+    # makes another such edge.
+    for t in sorted(marked):
+        mk = marked[t]
+        for e in K.boundary_cycle(t)[1::2]:
+            if e not in mk and K.boundary(e) <= mk:
+                _rename(region, _bisect_edge(K, V, e))
 
     boundary, interior = _boundary_and_interior(K, region.facets)
 
@@ -645,82 +631,78 @@ def split_along_circle(K, V, circle):
 
 
 def _cone_cells(circle):
+    """The cone over the circle: its apex, the cone map from each circle
+    cell to its cone coface (a radial edge per vertex, a triangle per
+    edge) and the cone's cells, the apex, then the radials and the
+    triangles in the circle's order."""
     apex = "cone:apex"
     verts = circle[0::2]
-    edges = circle[1::2]
+    cone = {v: "cone:r:%s" % v for v in verts}
     cells = [Cell(apex, 0, frozenset())]
-    for v in verts:
-        cells.append(Cell("cone:r:%s" % v, 1, frozenset({v, apex})))
-    for i, e in enumerate(edges):
-        va = verts[i]
-        vb = verts[(i + 1) % len(verts)]
-        cells.append(Cell("cone:t:%s" % e, 2,
-                          frozenset({e, "cone:r:%s" % va, "cone:r:%s" % vb})))
-    return apex, cells
+    cells += [Cell(cone[v], 1, frozenset({v, apex})) for v in verts]
+    for i, e in enumerate(circle[1::2]):
+        cone[e] = "cone:t:%s" % e
+        cells.append(Cell(cone[e], 2, frozenset(
+            {e, cone[verts[i]], cone[verts[(i + 1) % len(verts)]]})))
+    return apex, cone, cells
 
 
 def cap_with_min_cone(piece, V, circle):
     """Cone over the circle with a critical apex: every boundary-critical
     cell is paired with its cone coface, and every pair along the circle
-    gets the corresponding pair of cone cofaces.
+    gets the corresponding pair of cone cofaces.  So each radial and
+    each triangle is paired exactly once, whatever the matching: the
+    radial of a vertex v with v when v is critical, else with the
+    triangle of v's partner edge; the triangle of an edge e with e when
+    e is critical, else with the radial of e's partner, an end of e and
+    so a circle vertex.
 
     With cap_with_max_cone, the circle's only check: a circle vertex
     matched off the circle, or a circle edge matched with a facet of the
     piece, raises UnbalancedBoundaryCriticals naming both cells."""
-    verts = list(circle[0::2])
-    edges = list(circle[1::2])
+    edges = circle[1::2]
     pm = V.partner_map()
-    apex, cells = _cone_cells(circle)
-    capped = piece.replace_cells(add=cells)
+    apex, cone, cells = _cone_cells(circle)
     new_pairs = []
-    used = set()
-    for v in verts:
+    for v in circle[0::2]:
         p = pm.get(v)
         if p is None:
-            new_pairs.append((v, "cone:r:%s" % v))
-            used.add("cone:r:%s" % v)
+            new_pairs.append((v, cone[v]))
         elif p in edges:
-            new_pairs.append(("cone:r:%s" % v, "cone:t:%s" % p))
-            used.update(("cone:r:%s" % v, "cone:t:%s" % p))
+            new_pairs.append((cone[v], cone[p]))
         else:
             raise UnbalancedBoundaryCriticals(
                 "circle vertex %s paired into the piece via %s" % (v, p))
     for e in edges:
         p = pm.get(e)
         if p is None:
-            new_pairs.append((e, "cone:t:%s" % e))
-            used.add("cone:t:%s" % e)
+            new_pairs.append((e, cone[e]))
         elif piece.dim(p) != 0:
             raise UnbalancedBoundaryCriticals(
                 "circle edge %s paired with %s" % (e, p))
-    cone_ids = {c.id for c in cells} - {apex}
-    if used != cone_ids:
-        raise UnbalancedBoundaryCriticals(
-            "cone cells left unmatched: %s" % sorted(cone_ids - used)[:4])
-    return capped, V.replace(add=new_pairs)
+    return piece.replace_cells(add=cells), V.replace(add=new_pairs)
 
 
 def cap_with_max_cone(piece, V, circle):
     """Cone over the circle carrying one new critical triangle: the fan
-    pairing matches each radial edge with the next triangle and the apex
-    with the remaining radial.
+    pairing matches the apex with the first radial and each later radial
+    with the triangle of the circle edge it starts.
 
     With cap_with_min_cone, the circle's only check: a circle cell not
-    matched within the piece raises BoundaryCriticalPresent naming it.
+    matched within the piece raises BoundaryCriticalPresent naming it,
+    the first vertex, else the first edge, in the circle's order.
     decompose runs it first, on the min piece."""
-    verts = list(circle[0::2])
-    edges = list(circle[1::2])
+    verts = circle[0::2]
+    edges = circle[1::2]
     pm = V.partner_map()
     for c in verts + edges:
         if c not in pm:
             raise BoundaryCriticalPresent(c)
-    apex, cells = _cone_cells(circle)
-    capped = piece.replace_cells(add=cells)
-    new_pairs = [(apex, "cone:r:%s" % verts[0])]
-    for i in range(1, len(verts)):
-        new_pairs.append(("cone:r:%s" % verts[i], "cone:t:%s" % edges[i]))
+    apex, cone, cells = _cone_cells(circle)
+    new_pairs = [(apex, cone[verts[0]])]
+    new_pairs += [(cone[v], cone[e]) for v, e in zip(verts[1:], edges[1:])]
     # the triangle between r_0 and r_1 stays critical
-    return capped, V.replace(add=new_pairs)
+    return piece.replace_cells(add=cells), V.replace(add=new_pairs)
 
 
 def decompose(K, f, g1, g2):
@@ -754,8 +736,8 @@ def decompose(K, f, g1, g2):
     report = {
         "circleLength": len(circle) // 2,
         "chi": chi,
-        "chiPieces": {"min": euler_characteristic(split.min_complex),
-                      "max": euler_characteristic(split.max_complex)},
+        # a cone over a k-cycle adds 1 - k + k to chi
+        "chiPieces": {"min": chi["m1"] - 1, "max": chi["m2"] - 1},
         "betti": betti,
         "morseCounts": counts,
         "perfect": {k: counts[k] == betti[k] for k in counts},

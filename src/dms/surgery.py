@@ -94,37 +94,20 @@ def _bisect_edge(K, V, e, anchor=None):
     cell = K.cell(e)
     if cell.dim != 1:
         raise NotAnEdge(e)
-    a, b = sorted(cell.boundary)
-    pm = V.partner_map()
-    partner = pm.get(e)
-    if partner is not None and K.dim(partner) == 0:
+    partner = V.partner_map().get(e)
+    if partner in cell.boundary:
         inherit_end = partner
     elif anchor is not None:
-        if anchor not in (a, b):
+        if anchor not in cell.boundary:
             raise VertexNotOnCell("%r is not an endpoint of %r" % (anchor, e))
         inherit_end = anchor
     else:
-        inherit_end = a
+        inherit_end = min(cell.boundary)
     other_end, = cell.boundary - {inherit_end}
-    w, e1, e2 = e + "~b0", e + "~b1", e + "~b2"
-    K._split_cell(e, [
-        Cell(w, 0, frozenset()),
-        Cell(e1, 1, frozenset({inherit_end, w})),
-        Cell(e2, 1, frozenset({other_end, w})),
-    ], (e1, e2))
-
-    drop = []
-    add = [(w, e2)]
-    if partner is None:
-        pass  # e1 inherits criticality by staying unmatched
-    elif K.dim(partner) == 0:
-        drop = [(partner, e)]
-        add.append((partner, e1))
-    else:
-        drop = [(e, partner)]
-        add.append((e1, partner))
-    V._edit(drop, add)
-    return BisectionRecord(new_cells=(w, e1, e2), replacements={e: e1})
+    w = e + "~b0"
+    return _bisect(K, V, e, Cell(w, 0, frozenset()),
+                   Cell(e + "~b1", 1, frozenset({inherit_end, w})),
+                   Cell(e + "~b2", 1, frozenset({other_end, w})))
 
 
 def bisect_2cell(K, V, c, u, w):
@@ -155,41 +138,38 @@ def _bisect_2cell(K, V, c, u, w):
             raise BadChord("chord %r-%r parallel to boundary edge %r"
                            % (u, w, eid))
     arc1 = frozenset(_inheriting_arc(K, c, u, w)[1::2])
-
     d = c + "~b0"
-    c1 = c + "~b1"
-    c2 = c + "~b2"
-    K._split_cell(c, [
-        Cell(d, 1, frozenset({u, w})),
-        Cell(c1, 2, arc1 | {d}),
-        Cell(c2, 2, (cell.boundary - arc1) | {d}),
-    ], (c1, c2))
+    return _bisect(K, V, c, Cell(d, 1, frozenset({u, w})),
+                   Cell(c + "~b1", 2, arc1 | {d}),
+                   Cell(c + "~b2", 2, (cell.boundary - arc1) | {d}))
 
-    pm = V.partner_map()
-    partner = pm.get(c)
-    drop, add = [], []
-    inheritor = c1
-    if partner is None:
-        add.append((d, c2))
-    elif K.dim(partner) == 1:
-        drop.append((partner, c))
-        if partner in arc1:
-            add.extend([(partner, c1), (d, c2)])
-        else:
-            inheritor = c2
-            add.extend([(partner, c2), (d, c1)])
-    else:
-        drop.append((c, partner))
-        add.extend([(c1, partner), (d, c2)])
+
+def _bisect(K, V, s, middle, half1, half2):
+    """Split the cell s of K into the cells middle, half1 and half2, and
+    repair V, both in place; the one field repair of both kinds of
+    bisection.  The heir, the half holding s's partner when that is a
+    face of s and half1 otherwise, takes s's partner or its criticality,
+    and the middle cell pairs with the other half.  Returns the record.
+    """
+    partner = V.partner_map().get(s)
+    face = partner in K.cells[s].boundary
+    K._split_cell(s, [middle, half1, half2], (half1.id, half2.id))
+    heir, other = (half2, half1) if partner in half2.boundary \
+        else (half1, half2)
+    drop, add = [], [(middle.id, other.id)]
+    if partner is not None:
+        drop.append((partner, s) if face else (s, partner))
+        add.append((partner, heir.id) if face else (heir.id, partner))
     V._edit(drop, add)
-    return BisectionRecord(new_cells=(d, c1, c2),
-                           replacements={c: inheritor})
+    return BisectionRecord(new_cells=(middle.id, half1.id, half2.id),
+                           replacements={s: heir.id})
 
 
 def _inheriting_arc(K, c, u, w):
-    """The walk [u, e, v, e', ...] around 2-cell c from vertex u up to,
-    not including, vertex w: bisect_2cell(K, V, c, u, w) gives its edges
-    to c~b1, and the rest of the boundary to c~b2."""
+    """The walk [u, e, v, e', ...] around 2-cell c from its cell u up to,
+    not including, its cell w: for vertices u and w,
+    bisect_2cell(K, V, c, u, w) gives its edges to c~b1, and the rest of
+    the boundary to c~b2."""
     cycle = K.boundary_cycle(c)
     i, j = cycle.index(u), cycle.index(w)
     return cycle[i:j] if i < j else cycle[i:] + cycle[:j]
@@ -338,49 +318,31 @@ class _CriticalIndex:
 
 
 def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
-    """Chord-split polygon c so span_a and span_b land in different
-    pieces; manufactures midpoints by bisecting gap edges if needed.
-    Edits K and V in place and returns the record of the one bisection
-    made."""
-    cycle = list(K.boundary_cycle(c))
-    pos = {cell: i for i, cell in enumerate(cycle)}
-    ia = pos[span_a]
-    ib = pos[span_b]
-    n = len(cycle)
-
-    def gap_positions(start, stop):
-        out = []
-        i = (start + 1) % n
-        while i != stop:
-            out.append(i)
-            i = (i + 1) % n
-        return out
+    """Cut the corner of polygon c holding span_a off the piece holding
+    span_b, on a chord from a vertex of each gap the two leave on c's
+    walk; with no such chord, bisect the first edge of the gaps to make
+    a midpoint.  Edits K and V in place and returns the record of the
+    one bisection made."""
 
     def candidates(gap):
-        cand = [cycle[i] for i in gap
-                if i % 2 == 0 and cycle[i] not in vertex_crits]
-        if cand:
+        cand = [x for x in gap if K.dim(x) == 0 and x not in vertex_crits]
+        if cand or any(K.dim(x) == 1 for x in gap):
             return cand
-        if not any(i % 2 == 1 for i in gap):
-            # empty gap: the spans meet in a vertex, cut through it
-            verts_a = {span_a} | set(K.boundary(span_a)) \
-                if K.dim(span_a) == 1 else {span_a}
-            verts_b = {span_b} | set(K.boundary(span_b)) \
-                if K.dim(span_b) == 1 else {span_b}
-            return sorted((verts_a & verts_b) - {span_a, span_b})
-        return []
+        # no edge between the spans: they meet in a vertex, cut through it
+        return sorted(K.closure(span_a) & K.closure(span_b)
+                      - {span_a, span_b})
 
-    gap1 = gap_positions(ia, ib)
-    gap2 = gap_positions(ib, ia)
-    cycle_edges = [cycle[i] for i in range(1, n, 2)]
-    # u and w differ: each is a vertex at a position of its own gap, the
-    # gaps are disjoint, and a vertex appears once on the walk
-    for u in candidates(gap1):
-        for w in candidates(gap2):
-            if any(K.boundary(g) == frozenset({u, w}) for g in cycle_edges):
-                continue
-            return _bisect_2cell(K, V, c, u, w)
-    gap_edges = [cycle[i] for i in gap1 + gap2 if i % 2 == 1]
+    gaps = (_inheriting_arc(K, c, span_a, span_b)[1:],
+            _inheriting_arc(K, c, span_b, span_a)[1:])
+    # u and w differ: each is a vertex of its own gap, the gaps are
+    # disjoint, and a vertex appears once on the walk
+    for u in candidates(gaps[0]):
+        for w in candidates(gaps[1]):
+            if not any(K.boundary(g) == {u, w} for g in K.boundary(c)):
+                # u follows span_a on the walk, so the arc from u to w
+                # holds span_b and not span_a
+                return _cut_corner(K, V, c, u, w, {span_a})
+    gap_edges = [x for gap in gaps for x in gap if K.dim(x) == 1]
     if not gap_edges:
         raise InconsistentField(
             "cannot separate %r and %r inside %r" % (span_a, span_b, c))
@@ -404,8 +366,7 @@ def separate_critical_cells(K, V):
     steps are capped at a budget fixed from the input's size (every step
     adds cells), and past it InseparableCriticals names the two critical
     cells the next step would part.  The steps edit drafts of K and V,
-    returned with the records of the steps that bisect a critical or
-    witness edge.
+    returned with the record of every step in order.
     """
     K, V = K._draft(), V._draft()
     records = []
@@ -452,7 +413,6 @@ def separate_critical_cells(K, V):
         else:
             x = shared[0]
             edges = [c for c in (c1, c2) if K.dim(c) == 1]
-            on_edge = bool(edges)
             if edges:
                 e = edges[0]
                 other_crit = c2 if e == c1 else c1
@@ -470,8 +430,7 @@ def separate_critical_cells(K, V):
                 rec = _separating_chord(
                     K, V, c1, x, span_b,
                     {h for h in index.stars.of if K.dim(h) == 0})
-        if on_edge:
-            records.append(rec)
+        records.append(rec)
         index.update(K, rec)
 
 

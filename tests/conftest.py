@@ -169,6 +169,14 @@ def random_root_field():
     return _random_root_field
 
 
+# the random_valid_field seeds on the tetrahedron, torus7 and
+# genus_surface(2) ("genus2") on which the corner cut between two
+# critical polygons keeps cutting while the piece left critical keeps
+# part of their shared boundary, until the step budget runs out
+INSEPARABLE_SEEDS = {("tetrahedron", 37), ("torus7", 38), ("genus2", 6),
+                     ("genus2", 17), ("genus2", 21), ("genus2", 25)}
+
+
 @pytest.fixture(scope="session")
 def torus_field(torus):
     return tree_cotree_field(torus)

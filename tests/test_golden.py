@@ -17,17 +17,26 @@ moved.
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from dms.cellcomplex import build_poset
 from dms.cli import main
 from dms.errors import DmsError
-from dms.fixtures import genus_surface, torus7, tree_cotree_field
+from dms.fixtures import (
+    genus_surface,
+    random_valid_field,
+    tetrahedron,
+    torus7,
+    tree_cotree_field,
+)
 from dms.formats import write_cwp, write_dmf, write_dvf
 from dms.morsefield import MorseFunction, VectorField, synthesize_function
 from dms.splitter import decompose
-from dms.surgery import compose
+from dms.surgery import compose, separate_critical_cells
+
+from conftest import INSEPARABLE_SEEDS
 
 
 def _digest(texts):
@@ -92,6 +101,79 @@ def test_golden_decompose_genus4_fields():
     assert "NotSeparating" in texts
     assert _digest(texts) == (
         "6b6604ec320a29a9d2570e3006280410d80e7b30dbf68bf90c15c14512b02dfd")
+
+
+@pytest.fixture(scope="module")
+def splitter_sweep(glued_genus2, random_root_field):
+    """The texts of 546 cases of the splitter, and the decompose results
+    among them: decompose of genus_surface(2..6) under 24 tree-cotree
+    and 24 random-root fields each, of the glued genus-2 surface after
+    20, 60 and 200 seeded flips under 8 fields of each kind, and
+    separate_critical_cells under random_valid_field on the tetrahedron,
+    torus7 and genus_surface(2), less the fields it cannot separate.  A
+    refused case gives its error's name and args, and is counted by
+    name."""
+    fields = [lambda K, s: tree_cotree_field(K, rng=random.Random(s)),
+              random_root_field]
+    cases = []
+    for g in range(2, 7):
+        K = genus_surface(g)[0]
+        cases += [(K, field(K, seed), 1 + seed % (g - 1),
+                   g - 1 - seed % (g - 1))
+                  for field in fields for seed in range(24)]
+    for flips in (20, 60, 200):
+        for flip_seed in range(4):
+            K = glued_genus2(flips, flip_seed)
+            cases += [(K, field(K, seed), 1, 1)
+                      for field in fields for seed in range(8)]
+    texts, results, refusals = [], [], Counter()
+
+    def refuse(err):
+        texts.append("%s %r" % (type(err).__name__, err.args))
+        refusals[type(err).__name__] += 1
+
+    for K, V, g1, g2 in cases:
+        try:
+            res = decompose(K, synthesize_function(K, V), g1, g2)
+        except DmsError as err:
+            refuse(err)
+            continue
+        results.append(res)
+        texts += _surface_texts(res.m1_complex, res.m1_field, res.m1_function)
+        texts += _surface_texts(res.m2_complex, res.m2_field, res.m2_function)
+        texts.append(" ".join(res.circle))
+    for name, K in (("tetrahedron", tetrahedron()), ("torus7", torus7()),
+                    ("genus2", genus_surface(2)[0])):
+        for seed in range(40):
+            if (name, seed) in INSEPARABLE_SEEDS:
+                continue
+            try:
+                K2, V2, _ = separate_critical_cells(
+                    K, random_valid_field(K, seed))
+            except DmsError as err:
+                refuse(err)
+                continue
+            texts += [write_cwp(K2), write_dvf(V2, K2)]
+    return texts, results, refusals
+
+
+def test_golden_splitter_sweep(splitter_sweep):
+    texts, results, refusals = splitter_sweep
+    # 367 decomposes and 114 separations succeed
+    assert len(results) == 367
+    assert refusals == {"NotSeparating": 64, "BoundaryCriticalPresent": 1}
+    assert _digest(texts) == (
+        "0ccd39f3c0efd75993b7bfcfaa75b0e93f99d1fc047215f11edb5638fe92abd8")
+
+
+def test_min_cap_pairs_every_cone_cell_but_the_apex(splitter_sweep):
+    # the min cone's fan pairing matches each radial edge and each cone
+    # triangle exactly once, whatever the piece's matching on the circle
+    for res in splitter_sweep[1]:
+        K, V = res.m2_complex, res.m2_field
+        cone = sorted(cid for cid in K.cells if cid.startswith("cone:"))
+        pm = V.partner_map()
+        assert [cid for cid in cone if cid not in pm] == ["cone:apex"]
 
 
 def test_golden_cli_roundtrip(tmp_path, capsys):

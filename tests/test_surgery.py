@@ -52,7 +52,7 @@ from dms.surgery import (
     shrink_closed_star,
 )
 
-from conftest import ComposeSides
+from conftest import INSEPARABLE_SEEDS, ComposeSides
 
 
 def seeded_torus(seed):
@@ -382,13 +382,6 @@ def test_separation_budget_is_fixed_on_entry(monkeypatch):
     a, b = err.value.args
     assert {a, b} <= set(V2.critical(K2))
     assert K2.dim(a) == K2.dim(b) == 2 and K2.closure(a) & K2.closure(b)
-
-
-# the fields on which the corner cut between two critical polygons keeps
-# cutting while the piece left critical keeps part of their shared
-# boundary, until the step budget runs out
-INSEPARABLE_SEEDS = {("tetrahedron", 37), ("torus7", 38), ("genus2", 6),
-                     ("genus2", 17), ("genus2", 21), ("genus2", 25)}
 
 
 def test_separation_refuses_only_the_known_fields():
