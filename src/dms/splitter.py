@@ -280,7 +280,10 @@ def _excavate(K, V, region, marked):
     land on existing boundary vertices or on fresh midpoints of the
     crossed interior edges, so every new boundary cell ends up matched
     with a cell outside the region.  K, V and the region are edited in
-    place.
+    place, in three passes over the marked facets in id order: a
+    pre-pass gives each unmarked edge with both ends marked a midpoint,
+    the rungs split the interior edges with one marked end, and the
+    corners are cut off, each by edge bisections and one corner cut.
     """
     marked = {t: set(cs) for t, cs in marked.items()}
 
@@ -630,18 +633,31 @@ def split_along_circle(K, V, circle):
                        max_complex=mx[0], max_field=mx[1])
 
 
-def _cone_cells(circle):
-    """The cone over the circle: its apex, the cone map from each circle
-    cell to its cone coface (a radial edge per vertex, a triangle per
-    edge) and the cone's cells, the apex, then the radials and the
-    triangles in the circle's order."""
-    apex = "cone:apex"
+def _cone_cells(piece, circle):
+    """The cone over the circle that caps `piece`: its apex, the cone
+    map from each circle cell to its cone coface (a radial edge per
+    vertex, a triangle per edge) and the cone's cells, the apex, then
+    the radials and the triangles in the circle's order.
+
+    The cone is named `<name>:apex`, `<name>:r:<v>` and `<name>:t:<e>`,
+    with `cone` as its name when no id of the piece starts with `cone:`,
+    so a surface decomposed for the first time keeps its texts, and
+    otherwise the first `cone2`, `cone3`, ... that no id of the piece
+    starts with, followed by `:`.  So no cone id is an id of the piece:
+    a decompose piece decomposes again."""
+    heads = {cid.partition(":")[0] for cid in piece.cells
+             if cid.startswith("cone") and ":" in cid}
+    name, k = "cone", 1
+    while name in heads:
+        k += 1
+        name = "cone%d" % k
+    apex = name + ":apex"
     verts = circle[0::2]
-    cone = {v: "cone:r:%s" % v for v in verts}
+    cone = {v: "%s:r:%s" % (name, v) for v in verts}
     cells = [Cell(apex, 0, frozenset())]
     cells += [Cell(cone[v], 1, frozenset({v, apex})) for v in verts]
     for i, e in enumerate(circle[1::2]):
-        cone[e] = "cone:t:%s" % e
+        cone[e] = "%s:t:%s" % (name, e)
         cells.append(Cell(cone[e], 2, frozenset(
             {e, cone[verts[i]], cone[verts[(i + 1) % len(verts)]]})))
     return apex, cone, cells
@@ -662,7 +678,7 @@ def cap_with_min_cone(piece, V, circle):
     piece, raises UnbalancedBoundaryCriticals naming both cells."""
     edges = circle[1::2]
     pm = V.partner_map()
-    apex, cone, cells = _cone_cells(circle)
+    apex, cone, cells = _cone_cells(piece, circle)
     new_pairs = []
     for v in circle[0::2]:
         p = pm.get(v)
@@ -698,7 +714,7 @@ def cap_with_max_cone(piece, V, circle):
     for c in verts + edges:
         if c not in pm:
             raise BoundaryCriticalPresent(c)
-    apex, cone, cells = _cone_cells(circle)
+    apex, cone, cells = _cone_cells(piece, circle)
     new_pairs = [(apex, cone[verts[0]])]
     new_pairs += [(cone[v], cone[e]) for v, e in zip(verts[1:], edges[1:])]
     # the triangle between r_0 and r_1 stays critical

@@ -558,8 +558,6 @@ class ComposeReport:
     chi: int
     counts: tuple
     perfect: bool
-    # always True: compose raises InexactFunction instead
-    function_valid: bool
     constant: float
     # always False: one formula serves every input range; kept because
     # perfbench/tracer.py reads it
@@ -972,7 +970,7 @@ def compose(M1, f1, M2, f2):
     M._composed = (f, V, counts)
     report = ComposeReport(
         chi=chi, counts=counts.m, perfect=counts.m == M._betti.b,
-        function_valid=freport.ok, constant=C, rescaled=False,
+        constant=C, rescaled=False,
         alpha=alpha, beta=beta,
         boundary_clearing_steps=clearing,
         glue_cycle_length=cycle_length,

@@ -98,7 +98,7 @@ def test_criterion_03_composition(composed_tori):
     ok = ok and euler_characteristic(M) == -2
     ok = ok and critical_cells(V, M).m == (1, 4, 1)
     ok = ok and is_perfect(M, V)
-    ok = ok and rep.function_valid and validate_function(M, f).ok
+    ok = ok and validate_function(M, f).ok
     # formula structure: tube cells over tau carry f1(tau) + C/2, the
     # first summand stays strictly below C - 2 = f1(alpha), the second
     # sits at f2 + C, i.e. at or above C

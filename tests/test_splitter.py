@@ -779,6 +779,25 @@ def test_decompose_composed_tori(genus2):
         assert verify_closed_surface(cx).genus == 1
 
 
+def test_a_decompose_piece_decomposes_again():
+    # the genus-3 piece holds the first cap's `cone:` cells, so the second
+    # decompose names its cones `cone2:` instead of matching a cell twice
+    K, f, _ = genus_surface(4)
+    first = decompose(K, f, 1, 3)
+    piece = first.m2_complex
+    res = decompose(piece, first.m2_function, 1, 2)
+    assert res.report["perfect"] == {"m1": True, "m2": True}
+    for cx, vf, fn in ((res.m1_complex, res.m1_field, res.m1_function),
+                       (res.m2_complex, res.m2_field, res.m2_function)):
+        assert validate_field(cx, vf).ok and validate_function(cx, fn).ok
+        assert induced_field(cx, fn) == vf
+        assert critical_cells(vf, cx).m == betti_mod2(cx).b
+    cones = {cid.partition(":")[0] for P in (res.m1_complex, res.m2_complex)
+             for cid in P.cells if cid.startswith("cone")}
+    assert cones == {"cone", "cone2"}
+    assert not any(cid.startswith("cone2:") for cid in piece.cells)
+
+
 def test_decompose_genus3(genus3):
     K, f, V = genus3
     res = decompose(K, f, 1, 2)

@@ -562,7 +562,6 @@ def test_compose_tori(torus, torus_function):
     assert rep.chi == -2
     assert rep.counts == (1, 4, 1)
     assert rep.perfect
-    assert rep.function_valid
     assert validate_function(M, f).ok
     assert induced_field(M, f) == V
     assert verify_closed_surface(M).genus == 2
@@ -712,7 +711,7 @@ def assert_formula(M1, f1, f2, composed):
     assert tube
     for cid in tube:
         assert f[cid] == f[sides.tube_base(cid)] + C / 2.0
-    assert rep.function_valid and rep.perfect
+    assert rep.perfect
     assert validate_function(M, f).ok
     assert induced_field(M, f) == V
 
@@ -792,7 +791,7 @@ def test_compose_patches_f1_on_random_chains(seed, random_root_field):
             K, f, V, rep = compose(K, f, *summand())
             assert validate_function(K, f).ok
             assert induced_field(K, f) == V
-            assert rep.perfect and rep.function_valid
+            assert rep.perfect
             cleared += rep.boundary_clearing_steps > 0
             if rng.random() < 0.5:
                 f = positive_affine(f, rng)
@@ -934,7 +933,7 @@ def test_compose_checks_each_structure_once(spy):
         full = [(left, fleft), (T, ft)] if seed == 101 else [(T, ft)]
         assert checks[:len(full)] == full
         local = checks[len(full):]
-        assert len(local) == 1 and rep.function_valid
+        assert len(local) == 1
         for M, _, ids in local:
             assert M is K and len(set(ids)) == len(ids) < len(K.cells)
         assert [args[0] for args in ranked] == (
@@ -1111,7 +1110,7 @@ def test_cached_betti_in_dimension_three(sphere3, collapse_field):
             M, fc, Vc, rep = compose(M, fc, sphere3(), f2)
             assert M._betti == betti_mod2(M) == morse_betti(M, Vc)
             assert M._betti.b == (1, 0, 0, 1) and rep.perfect
-            assert rep.function_valid and not rep.rescaled
+            assert validate_function(M, fc).ok and not rep.rescaled
 
 
 def test_compose_rejects_imperfect(torus):
@@ -1166,7 +1165,7 @@ def test_compose_dimension_three(sphere3, collapse_field):
     M, fc, Vc, rep = compose(S, f, sphere3(), f)
     assert rep.counts == (1, 0, 0, 1)
     assert rep.chi == 0
-    assert rep.perfect and rep.function_valid
+    assert rep.perfect and validate_function(M, fc).ok
     assert induced_field(M, fc) == Vc
 
 
@@ -1311,7 +1310,7 @@ def test_a_chain_of_128_tetrahedron_composes_stays_valid():
     K, f = T, fT
     for link in range(128):
         K, f, V, rep = compose(K, f, tetrahedron(), fT)
-        assert rep.function_valid and rep.perfect, link
+        assert rep.perfect, link
     assert verify_closed_surface(K).genus == 0
     assert validate_function(K, f).ok and induced_field(K, f) == V
 
@@ -1326,7 +1325,7 @@ def test_compose_ranks_a_left_function_past_2_to_the_40(seed):
     assert validate_function(T, f1).ok and induced_field(T, f1) == \
         induced_field(T, g)
     M, f, V, rep = compose(T, f1, torus7(), g)
-    assert rep.function_valid and rep.perfect
+    assert rep.perfect
     assert validate_function(M, f).ok and induced_field(M, f) == V
     assert max(f.values.values()) < 2.0 ** 40
 

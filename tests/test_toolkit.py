@@ -518,6 +518,27 @@ def test_cli_compose_decompose(tmp_path, capsys):
     assert len(circle) == report["circleLength"]
 
 
+def test_cli_decomposes_a_decompose_piece(tmp_path, capsys):
+    # the genus-3 piece's files, read back, decompose again at 1/2
+    g4, dec = str(tmp_path / "g4"), str(tmp_path / "dec")
+    assert run_cli(["fixture", "genus4", "--out", g4]) == 0
+    assert run_cli(["decompose", "--complex", g4 + ".cwp",
+                    "--function", g4 + ".dmf", "--g1", "1", "--g2", "3",
+                    "--out", dec]) == 0
+    assert run_cli(["decompose", "--complex", dec + ".m2.cwp",
+                    "--function", dec + ".m2.dmf", "--g1", "1", "--g2", "2",
+                    "--out", dec + "2"]) == 0
+    report = json.loads((tmp_path / "dec2.report.json").read_text())
+    assert report["perfect"] == {"m1": True, "m2": True}
+    for piece in ("m1", "m2"):
+        stem = dec + "2." + piece
+        capsys.readouterr()
+        assert run_cli(["validate", "--complex", stem + ".cwp",
+                        "--field", stem + ".dvf",
+                        "--function", stem + ".dmf"]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+
 def shifted_torus(tmp_path, name, shift):
     """torus7 and its fixture function plus `shift`, as the files
     stem.tri and stem.dmf; returns the stem."""
