@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 validation failure (a composed function that
-fails it included, with nothing written), 3 parse/load error,
-4 precondition failure (not a closed surface, not perfect, wrong genus),
-141 standard output closed before it was all written (128 + SIGPIPE).
+Exit codes: 0 success, 2 validation failure (a function compose or
+decompose assembled that fails it included, with nothing written),
+3 parse/load error, 4 precondition failure (not a closed surface, not
+perfect, wrong genus), 141 standard output closed before it was all
+written (128 + SIGPIPE).
 Diagnostics go to standard error, one violation per line.
 """
 
@@ -16,10 +17,10 @@ from . import fixtures
 from .errors import DmsError, InexactFunction, ParseError
 from .homology import betti_mod2
 from .morsefield import (
+    _check_function,
     critical_cells,
     synthesize_function,
     validate_field,
-    validate_function,
 )
 from .splitter import decompose
 from .surgery import compose
@@ -76,16 +77,28 @@ def _field_ok(K, V):
 
 
 def cmd_validate(args):
+    """With both a field and a function, the function must also induce
+    the field: the first pair where the two differ is named."""
     K = load_complex(args.complex)
-    if args.field and not _field_ok(K, _load_field(args.field, K)):
+    V = _load_field(args.field, K) if args.field else None
+    if V is not None and not _field_ok(K, V):
         return EXIT_INVALID
     if args.function:
         f = _load_function(args.function, K)
-        rep = validate_function(K, f)
+        rep, induced = _check_function(K, f)
         if not rep.ok:
             for cell, kind in rep.violations:
                 _err("function %s violation at %s" % (kind, cell))
             return EXIT_INVALID
+        if V is not None:
+            induced = set(induced)
+            diff = sorted(induced.symmetric_difference(V.pairs()))
+            if diff:
+                pair = diff[0]
+                _err("function %s pair %s %s that the field %s"
+                     % (("induces", *pair, "lacks") if pair in induced
+                        else ("does not induce", *pair, "holds")))
+                return EXIT_INVALID
     print("ok")
     return EXIT_OK
 

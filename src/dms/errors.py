@@ -132,10 +132,11 @@ class UnclearableBoundary(DmsError):
 
 
 class InexactFunction(DmsError):
-    """compose assembled a function that fails the Morse condition,
-    because floats could not hold the values its formula asks for (a
-    summand's values too large, or too close together); args are the
-    violations (cell, kind) by the result's ids, at most five."""
+    """compose or decompose assembled a function that fails the Morse
+    condition, because floats could not hold the values its formulas ask
+    for (a summand's values too large, or too close together for a
+    midpoint); args are the violations (cell, kind) by the result's ids,
+    at most five."""
 
 
 # --- splitting ---

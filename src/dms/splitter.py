@@ -4,7 +4,9 @@ Pipeline: pick the critical edges for each summand by function value,
 reverse-trace the 2-paths from the critical facet to the chosen high
 edges (the carved core region), repair the region boundary until it is
 a single circle whose cells are matched along the circle or away from
-the region, split, and cap both pieces with cones.
+the region, split, and cap both pieces with cones.  The input function
+rides along: every cut patches its values and every cap gives its cone
+values, so the pieces keep it, and nothing is synthesized.
 
 The single repair primitive is corridor excavation: a marked sliver of
 the region (a pinch corner at a wedge vertex, or the neighborhood of an
@@ -20,6 +22,7 @@ from .cellcomplex import Complex, Cell, components, cycle_walk, \
 from .errors import (
     BoundaryCriticalPresent,
     InconsistentField,
+    InexactFunction,
     NoFlankingCells,
     NonOrientableInput,
     NotPerfectInput,
@@ -32,12 +35,13 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
+    _check_function,
     critical_cells,
     induced_field,
-    synthesize_function,
     trace_2path,
 )
-from .surgery import _bisect_edge, _cut_corner, separate_critical_cells
+from .surgery import _around, _bisect_edge, _cut_corner, \
+    separate_critical_cells
 
 
 @dataclass
@@ -47,6 +51,7 @@ class CoreRegion:
     high_edges: set
     critical_facet: str
     paths: list = field(default_factory=list)
+    made: set = field(default_factory=set)  # cells the bisections made
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,11 @@ class SplitResult:
 
 @dataclass
 class DecomposeResult:
+    """The two capped pieces of decompose, each with its perfect field
+    and the function it carries: the input's values (or their dense
+    ranks) on every cell no cut or cap touched, patched values on the
+    cells the cuts made and a cut raised, and cone values.  m1 holds the
+    critical vertex and g1 handles, m2 the critical facet and g2."""
     m1_complex: Complex
     m1_field: VectorField
     m1_function: MorseFunction
@@ -238,8 +248,10 @@ def classify_boundary(K, region):
 
 def _rename(region, rec):
     """Follow one bisection into the region in place: a bisection
-    renames exactly one cell, to the half that inherits its role."""
+    renames exactly one cell, to the half that inherits its role, and
+    its new cells join the cells made."""
     (old, heir), = rec.replacements.items()
+    region.made.update(rec.new_cells)
     for cells in (region.facets, region.path_edges, region.high_edges):
         if old in cells:
             cells.remove(old)
@@ -273,7 +285,7 @@ def _runs_on_cycle(cycle, marked):
     return runs
 
 
-def _excavate(K, V, region, marked):
+def _excavate(K, V, region, marked, values):
     """Cut the marked sliver of every listed facet out of the region.
 
     marked maps facet id -> cells of its boundary cycle to expel.  Cuts
@@ -284,6 +296,8 @@ def _excavate(K, V, region, marked):
     pre-pass gives each unmarked edge with both ends marked a midpoint,
     the rungs split the interior edges with one marked end, and the
     corners are cut off, each by edge bisections and one corner cut.
+    `values`, None or a function's values, is patched along by every cut
+    (surgery._patch_values).
     """
     marked = {t: set(cs) for t, cs in marked.items()}
 
@@ -299,7 +313,7 @@ def _excavate(K, V, region, marked):
         mk = marked[t]
         for e in K.boundary_cycle(t)[1::2]:
             if e not in mk and K.boundary(e) <= mk:
-                _rename(region, _bisect_edge(K, V, e))
+                _rename(region, _bisect_edge(K, V, e, values=values))
 
     boundary, interior = _boundary_and_interior(K, region.facets)
 
@@ -322,8 +336,8 @@ def _excavate(K, V, region, marked):
             if partner == marked_ends[0]:
                 raise InconsistentField(
                     "rung %s is matched with its expelled endpoint" % e)
-            rec = _bisect_edge(K, V, e, anchor=[x for x in ends
-                                                if x not in mk][0])
+            rec = _bisect_edge(K, V, e, [x for x in ends if x not in mk][0],
+                               values)
             _rename(region, rec)
             rung_mid[e] = rec.new_cells  # w, e1 and e2, the expelled half
     # fold the expelled halves into the marked sets of their facets; the
@@ -384,7 +398,7 @@ def _excavate(K, V, region, marked):
                        if K.boundary(cyc[i]) == frozenset({u, w})]
             if joining:
                 g = joining[0]
-                rec = _bisect_edge(K, V, g)
+                rec = _bisect_edge(K, V, g, values=values)
                 _rename(region, rec)
                 if g in marked[orig]:
                     marked[orig].update(rec.new_cells)
@@ -392,7 +406,7 @@ def _excavate(K, V, region, marked):
                             (g, *rec.new_cells[1:]))
                 continue
             # a critical p passes its criticality to the kept rest
-            rec = _cut_corner(K, V, p, u, w, corner)
+            rec = _cut_corner(K, V, p, u, w, corner, values)
             _rename(region, rec)
             _, kept, expelled = rec.new_cells
             region.facets.discard(expelled)
@@ -433,9 +447,10 @@ def _stray_closure(K, V, region, seed):
     return z_edges, z_verts
 
 
-def _excavate_stray(K, V, region, seed):
+def _excavate_stray(K, V, region, seed, values=None):
     """Excavate the stray closure of `seed`, an edge with a region coface
-    (the callers check it), so some region facet is always marked."""
+    (the callers check it), so some region facet is always marked; the
+    cuts patch `values` along when given."""
     z_edges, z_verts = _stray_closure(K, V, region, seed)
     marked = {}
     zcells = z_edges | z_verts
@@ -443,7 +458,7 @@ def _excavate_stray(K, V, region, seed):
         hit = zcells & set(K.boundary_cycle(t))
         if hit:
             marked[t] = hit
-    _excavate(K, V, region, marked)
+    _excavate(K, V, region, marked, values)
 
 
 def _sectors_at(K, region, v):
@@ -460,12 +475,13 @@ def resolve_wedge(K, V, region, v):
     strand still passes through v; a wedge has at least two sectors (see
     classify_boundary).  The region is edited in place."""
     K, V = K._draft(), V._draft()
-    _resolve_wedge(K, V, region, v)
+    _resolve_wedge(K, V, region, v, None)
     return K, V, region
 
 
-def _resolve_wedge(K, V, region, v):
-    """resolve_wedge on K and V themselves."""
+def _resolve_wedge(K, V, region, v, values):
+    """resolve_wedge on K and V themselves, and on `values` (None, or
+    patched along)."""
     sectors = _sectors_at(K, region, v)
     keep = min(range(len(sectors)), key=lambda i: min(sectors[i]))
     marked = {}
@@ -474,7 +490,7 @@ def _resolve_wedge(K, V, region, v):
             continue
         for t in sec:
             marked.setdefault(t, set()).add(v)
-    _excavate(K, V, region, marked)
+    _excavate(K, V, region, marked, values)
 
 
 # --- driver ------------------------------------------------------------------
@@ -496,23 +512,27 @@ def _inward_violations(K, V, region, bg):
     return out
 
 
-def _expel_foreign_criticals(K, V, region, v0, low_edges):
+def _expel_foreign_criticals(K, V, region, v0, low_edges, values):
     """Excavate the critical vertex v0 and the low critical edges, which
-    belong to the other summand, out of the region, in place."""
+    belong to the other summand, out of the region, in place, `values`
+    (None, or patched along) included."""
     marked = {t: {v0} for t in sorted(region.facets)
               if v0 in K.boundary_cycle(t)}
     if marked:
-        _excavate(K, V, region, marked)
+        _excavate(K, V, region, marked, values)
     for e in sorted(low_edges):
         if any(t in region.facets for t in K.cofaces(e)):
-            _excavate_stray(K, V, region, e)
+            _excavate_stray(K, V, region, e, values)
 
 
-def find_separating_circle(K, f, g1, g2):
+def find_separating_circle(K, f, g1, g2, values=None):
     """Drive the boundary repairs until the carved region is bounded by a
     single circle with no arrows pointing into it; returns the final
     (complex, field, circle walk, region), the drafts of
     separate_critical_cells edited in place by every repair after it.
+    `values`, when given, holds f or a function inducing the same field,
+    and every cut patches it in place (surgery._patch_values); the
+    region's `made` then lists every cell a cut made.
 
     The loop needs only these two repairs, and the walk after it cannot
     fail, for these reasons.  Past `_expel_foreign_criticals` the region
@@ -561,21 +581,22 @@ def find_separating_circle(K, f, g1, g2):
         raise NotPerfectInput(crit.m)
     low, high = _split_edges(f, crit, g1, g2)
 
-    K, V, recs = separate_critical_cells(K, V)
+    K, V, recs = separate_critical_cells(K, V, values)
     for rec in recs:
         (old, heir), = rec.replacements.items()
         low = [heir if e == old else e for e in low]
         high = [heir if e == old else e for e in high]
     region = carve_core(K, V, high)
+    region.made.update(c for rec in recs for c in rec.new_cells)
     # no bisection splits or renames a vertex, so v0 outlives separation
-    _expel_foreign_criticals(K, V, region, crit.cells[0][0], low)
+    _expel_foreign_criticals(K, V, region, crit.cells[0][0], low, values)
 
     # the budget is fixed here, since every repair adds cells
     for _ in range(40 + 4 * len(K.cells)):
         bg = classify_boundary(K, region)
         viols = _inward_violations(K, V, region, bg)
         if viols:
-            _excavate_stray(K, V, region, viols[0][1])
+            _excavate_stray(K, V, region, viols[0][1], values)
             continue
         if bg.classification == "Circle":
             break
@@ -589,7 +610,7 @@ def find_separating_circle(K, f, g1, g2):
             raise NotSeparating(
                 "core region is bounded by %d disjoint circles with no "
                 "connecting structure" % len(bg.components))
-        _resolve_wedge(K, V, region, bg.wedge_vertices[0])
+        _resolve_wedge(K, V, region, bg.wedge_vertices[0], values)
     else:
         raise InconsistentField("boundary repair did not converge")
 
@@ -663,7 +684,7 @@ def _cone_cells(piece, circle):
     return apex, cone, cells
 
 
-def cap_with_min_cone(piece, V, circle):
+def cap_with_min_cone(piece, V, circle, values=None):
     """Cone over the circle with a critical apex: every boundary-critical
     cell is paired with its cone coface, and every pair along the circle
     gets the corresponding pair of cone cofaces.  So each radial and
@@ -675,7 +696,15 @@ def cap_with_min_cone(piece, V, circle):
 
     With cap_with_max_cone, the circle's only check: a circle vertex
     matched off the circle, or a circle edge matched with a facet of the
-    piece, raises UnbalancedBoundaryCriticals naming both cells."""
+    piece, raises UnbalancedBoundaryCriticals naming both cells.
+
+    `values`, when given, holds a Morse function on the piece inducing
+    V, and gains the cone's values (_min_cone_values)."""
+    return _min_cap(piece, V, circle, values)[:2]
+
+
+def _min_cap(piece, V, circle, values):
+    """cap_with_min_cone, and the cone's cells."""
     edges = circle[1::2]
     pm = V.partner_map()
     apex, cone, cells = _cone_cells(piece, circle)
@@ -696,10 +725,51 @@ def cap_with_min_cone(piece, V, circle):
         elif piece.dim(p) != 0:
             raise UnbalancedBoundaryCriticals(
                 "circle edge %s paired with %s" % (e, p))
-    return piece.replace_cells(add=cells), V.replace(add=new_pairs)
+    if values is not None:
+        _min_cone_values(values, pm, circle, apex, cone)
+    return piece.replace_cells(add=cells), V.replace(add=new_pairs), cells
 
 
-def cap_with_max_cone(piece, V, circle):
+def _min_cone_values(values, pm, circle, apex, cone):
+    """Give the min cone values in place: the apex 1 below the piece's
+    least value, and the cone cell of each circle cell x f(x) - eps when
+    x is critical in the piece (unmatched in pm), f(x) + eps when it is
+    paired along the circle, as the cap pairs them.  eps is a quarter of
+    the least positive gap |f(e) - f(v)| over the circle's edges e and
+    their ends v, and at most 1/4.
+
+    This is a Morse function on the capped piece inducing its field.
+    Every circle cell is critical or paired along the circle (the cap
+    checks it), and f induces V on the piece.  So for an end v of a
+    circle edge e, f(v) < f(e) unless v and e are paired, and the gap is
+    then at least 4 eps:
+    - a critical circle vertex v lies below its piece cofaces and above
+      its radial r_v, its one exceptional coface, which is paired with
+      it; r_v lies above the apex and below both its triangles, f(e) -
+      eps > f(v) - eps;
+    - a circle vertex v paired with its circle edge e keeps that pair
+      and lies below r_v.  r_v = f(v) + eps >= f(e) + eps = t_e pairs
+      with t_e, and lies below the triangle of its other edge e', at f(e')
+      - eps or above, with f(e') - f(v) >= 4 eps;
+    - a critical circle edge e lies above its ends and below its piece
+      facet, and t_e = f(e) - eps is its one exceptional coface, above
+      the radials of its ends (at most f(v) + eps, f(e) - f(v) >= 4 eps);
+    - a circle edge e paired with its end v keeps that pair and lies
+      below t_e = f(e) + eps, which lies above the radial of its other
+      end v' (f(v') < f(e)) and level with r_v, its partner;
+    - the apex lies below every radial, at f(v) - 1/4 or above.
+    """
+    verts, edges = circle[0::2], circle[1::2]
+    gaps = [abs(values[e] - values[v])
+            for i, e in enumerate(edges)
+            for v in (verts[i], verts[(i + 1) % len(verts)])]
+    eps = min([g for g in gaps if g > 0] + [1.0]) / 4.0
+    values[apex] = min(values.values()) - 1.0
+    for x in circle:
+        values[cone[x]] = values[x] + (eps if x in pm else -eps)
+
+
+def cap_with_max_cone(piece, V, circle, values=None):
     """Cone over the circle carrying one new critical triangle: the fan
     pairing matches the apex with the first radial and each later radial
     with the triangle of the circle edge it starts.
@@ -707,7 +777,15 @@ def cap_with_max_cone(piece, V, circle):
     With cap_with_min_cone, the circle's only check: a circle cell not
     matched within the piece raises BoundaryCriticalPresent naming it,
     the first vertex, else the first edge, in the circle's order.
-    decompose runs it first, on the min piece."""
+    decompose runs it first, on the min piece.
+
+    `values`, when given, holds a Morse function on the piece inducing
+    V, and gains the cone's values (_max_cone_values)."""
+    return _max_cap(piece, V, circle, values)[:2]
+
+
+def _max_cap(piece, V, circle, values):
+    """cap_with_max_cone, and the cone's cells."""
     verts = circle[0::2]
     edges = circle[1::2]
     pm = V.partner_map()
@@ -718,12 +796,99 @@ def cap_with_max_cone(piece, V, circle):
     new_pairs = [(apex, cone[verts[0]])]
     new_pairs += [(cone[v], cone[e]) for v, e in zip(verts[1:], edges[1:])]
     # the triangle between r_0 and r_1 stays critical
-    return piece.replace_cells(add=cells), V.replace(add=new_pairs)
+    if values is not None:
+        _max_cone_values(values, circle, apex, cone)
+    return piece.replace_cells(add=cells), V.replace(add=new_pairs), cells
+
+
+def _max_cone_values(values, circle, apex, cone):
+    """Give the max cone values in place, above the piece's greatest
+    value M, as a staircase down the fan pairing: the apex and the first
+    radial r_0 get M + 1, the radial r_i of the i-th circle vertex and
+    the triangle t_i of the circle edge it starts M + 1 + k - i (0 < i <
+    k, k the circle's length), and the critical triangle t_0 M + 1 + k.
+
+    This is a Morse function on the capped piece inducing its field.
+    Every circle cell lies below its cone coface, above M, so it keeps
+    its relations in the piece.  The apex is level with r_0, its partner,
+    and below every other radial.  r_i lies above its circle vertex and
+    the apex, level with t_i, its partner, and below t_{i-1}, one step
+    up (t_0 for r_1, at the top), and r_0 lies below t_0 and t_{k-1}
+    (M + 2).  t_i lies above its circle edge and r_{i+1}, one step down
+    (r_0 for t_{k-1}, at M + 1), and the critical t_0 lies above all its
+    faces.  The steps are integers added to one value, exact in floats
+    while M stays below 2^52.
+    """
+    verts, edges = circle[0::2], circle[1::2]
+    k = len(verts)
+    low = max(values.values()) + 1.0
+    values[apex] = values[cone[verts[0]]] = low
+    for i in range(1, k):
+        values[cone[verts[i]]] = values[cone[edges[i]]] = low + (k - i)
+    values[cone[edges[0]]] = low + k
+
+
+def _entry_values(f):
+    """A copy of f's values for the cuts and caps to patch: f's own, or
+    their dense ranks once one passes 2^40 in size, which keep every
+    comparison and equality of f (as compose ranks its first summand),
+    so the midpoints of the cuts stay exact."""
+    values = dict(f.values)
+    vals = values.values()
+    if vals and max(max(vals), -min(vals)) > 2.0 ** 40:
+        rank = {x: float(i) for i, x in enumerate(sorted(set(vals)))}
+        values = {cid: rank[x] for cid, x in values.items()}
+    return values
+
+
+def _carried_function(C, W, values, ids):
+    """The function on `values`, checked on the cells `ids` of the capped
+    piece C alone: it must be valid there and induce W's pairs whose
+    higher cell is among them.  A violation raises InexactFunction naming
+    the cells, as the cuts' midpoints are exact in the reals."""
+    f = MorseFunction(values)
+    report, pairs = _check_function(C, f, ids)
+    if not report.ok:
+        raise InexactFunction(*report.violations[:5])
+    pm = W.partner_map()
+    cells = C.cells
+    # with no violation, each cell of ids is the higher cell of one
+    # induced pair at most, as of one pair of the matching W
+    want = {(pm[t], t) for t in ids
+            if t in pm and cells[pm[t]].dim < cells[t].dim}
+    if len(pairs) != len(want) or not want.issuperset(pairs):
+        raise InconsistentField("carried function induces a different field")
+    return f
 
 
 def decompose(K, f, g1, g2):
-    """Full pipeline: find the separating circle, split, cap both sides,
-    and synthesize functions for the capped fields.
+    """Full pipeline: find the separating circle, split, and cap both
+    sides, carrying f through every cut and cap: each piece's function
+    is f on every cell that no cut or cap touched.
+
+    f is copied, and ranked densely when a value passes 2^40 in size
+    (_entry_values).  Every edge bisection and corner cut patches the
+    copy in place (surgery._patch_values), the split keeps each side's
+    values, and each cap gives its cone values (_max_cone_values,
+    _min_cone_values); each rule proves its values valid and inducing
+    the field the cut or cap makes.  Nothing is synthesized.
+
+    Each piece's function is then checked on the cells the cuts and the
+    cap touched alone: the cells a cut made that lie on the piece, with
+    their faces and cofaces (surgery._around), the circle's cells and
+    the cone.  That check is sound because:
+    - f is valid and induces V on K (find_separating_circle checks it
+      on every cell);
+    - any other cell of a piece is a cell of K, with its value, its
+      faces and their values from f; a cell whose value a cut raises is
+      a coface of a cell the cut made;
+    - its cofaces in the piece are its cofaces in K: a cell of one side
+      with a coface on the other lies on the circle; a piece only drops
+      cofaces, which makes no cell exceptional;
+    so its verdict and the pairs it is the higher cell of are those in K.
+    Floats can round a midpoint onto an end; the check then raises
+    InexactFunction naming the cells, so decompose never returns a
+    function it found invalid.
 
     The report's Betti numbers are read off the classification of
     closed surfaces; nothing is ranked.  K is checked to be a closed
@@ -736,15 +901,20 @@ def decompose(K, f, g1, g2):
     surface.  Its Betti numbers are then (1, 2 - chi, 1), with chi its
     Euler characteristic, which the report holds anyway.
     """
-    K2, V2, circle, region = find_separating_circle(K, f, g1, g2)
+    values = _entry_values(f)
+    K2, V2, circle, region = find_separating_circle(K, f, g1, g2, values)
     split = split_along_circle(K2, V2, circle)
-
-    m1K, m1V = cap_with_max_cone(split.min_complex, split.min_field, circle)
-    m2K, m2V = cap_with_min_cone(split.max_complex, split.max_field, circle)
-
-    # synthesis refuses a field that is no matching or has a closed V-path
-    m1f = synthesize_function(m1K, m1V)
-    m2f = synthesize_function(m2K, m2V)
+    cut = _around(K2, region.made)
+    pieces = []
+    for cap, P, W in ((_max_cap, split.min_complex, split.min_field),
+                      (_min_cap, split.max_complex, split.max_field)):
+        pv = {cid: values[cid] for cid in P.cells}
+        C, W, cone = cap(P, W, circle, pv)
+        ids = {cid for cid in cut if cid in P.cells}
+        ids.update(circle)
+        ids.update(c.id for c in cone)
+        pieces.append((C, W, _carried_function(C, W, pv, ids)))
+    (m1K, m1V, m1f), (m2K, m2V, m2f) = pieces
     counts = {"m1": critical_cells(m1V, m1K).m,
               "m2": critical_cells(m2V, m2K).m}
     chi = {"m1": euler_characteristic(m1K), "m2": euler_characteristic(m2K)}
@@ -757,7 +927,6 @@ def decompose(K, f, g1, g2):
         "betti": betti,
         "morseCounts": counts,
         "perfect": {k: counts[k] == betti[k] for k in counts},
-        "functionsSynthesized": True,
     }
     return DecomposeResult(m1_complex=m1K, m1_field=m1V, m1_function=m1f,
                            m2_complex=m2K, m2_field=m2V, m2_function=m2f,

@@ -89,8 +89,9 @@ def bisect_edge(K, V, e, anchor=None):
     return K, V, _bisect_edge(K, V, e, anchor)
 
 
-def _bisect_edge(K, V, e, anchor=None):
-    """bisect_edge on K and V themselves; returns the record."""
+def _bisect_edge(K, V, e, anchor=None, values=None):
+    """bisect_edge on K and V themselves, and on `values` when given
+    (_patch_values); returns the record."""
     cell = K.cell(e)
     if cell.dim != 1:
         raise NotAnEdge(e)
@@ -107,7 +108,7 @@ def _bisect_edge(K, V, e, anchor=None):
     w = e + "~b0"
     return _bisect(K, V, e, Cell(w, 0, frozenset()),
                    Cell(e + "~b1", 1, frozenset({inherit_end, w})),
-                   Cell(e + "~b2", 1, frozenset({other_end, w})))
+                   Cell(e + "~b2", 1, frozenset({other_end, w})), values)
 
 
 def bisect_2cell(K, V, c, u, w):
@@ -122,8 +123,9 @@ def bisect_2cell(K, V, c, u, w):
     return K, V, _bisect_2cell(K, V, c, u, w)
 
 
-def _bisect_2cell(K, V, c, u, w):
-    """bisect_2cell on K and V themselves; returns the record."""
+def _bisect_2cell(K, V, c, u, w, values=None):
+    """bisect_2cell on K and V themselves, and on `values` when given
+    (_patch_values); returns the record."""
     cell = K.cell(c)
     if cell.dim != 2:
         raise NotA2Cell(c)
@@ -141,15 +143,16 @@ def _bisect_2cell(K, V, c, u, w):
     d = c + "~b0"
     return _bisect(K, V, c, Cell(d, 1, frozenset({u, w})),
                    Cell(c + "~b1", 2, arc1 | {d}),
-                   Cell(c + "~b2", 2, (cell.boundary - arc1) | {d}))
+                   Cell(c + "~b2", 2, (cell.boundary - arc1) | {d}), values)
 
 
-def _bisect(K, V, s, middle, half1, half2):
+def _bisect(K, V, s, middle, half1, half2, values=None):
     """Split the cell s of K into the cells middle, half1 and half2, and
     repair V, both in place; the one field repair of both kinds of
     bisection.  The heir, the half holding s's partner when that is a
     face of s and half1 otherwise, takes s's partner or its criticality,
-    and the middle cell pairs with the other half.  Returns the record.
+    and the middle cell pairs with the other half.  `values`, when
+    given, is patched along by _patch_values.  Returns the record.
     """
     partner = V.partner_map().get(s)
     face = partner in K.cells[s].boundary
@@ -161,8 +164,73 @@ def _bisect(K, V, s, middle, half1, half2):
         drop.append((partner, s) if face else (s, partner))
         add.append((partner, heir.id) if face else (heir.id, partner))
     V._edit(drop, add)
+    if values is not None:
+        _patch_values(values, s, partner if face else None,
+                      None if face else partner, middle, heir, other)
     return BisectionRecord(new_cells=(middle.id, half1.id, half2.id),
                            replacements={s: heir.id})
+
+
+def _patch_values(values, s, face, coface, middle, heir, other):
+    """Patch `values`, a Morse function f on a surface inducing V, in
+    place to one on the complex where s is split into middle, heir and
+    other that induces the field _bisect made: s's partner is `face` or
+    `coface` (one of them, or neither for a critical s); the heir now
+    pairs with it, and middle with other.  The one rule of both kinds of
+    cut, the edge bisection and the corner cut:
+
+        m    = the largest f on the faces of middle and of other but
+               middle (an edge's far end q; a chord's ends and the
+               other faces of the piece it pairs with);
+        heir = f(s); upper = the coface if s has one as partner, else
+               the heir (the higher cell of the pair s's role moves to);
+        if m >= f(upper): f(upper) = (m + f(lower)) / 2, lower being
+               the other cell of that pair;
+        middle = other = (m + f(upper)) / 2.
+
+    Why m < f(lower) whenever m >= f(upper), so the raise lands strictly
+    between them and f(upper) <= f(lower) still holds:
+    - an edge s = {p, q}, critical or paired with p, has f(q) < f(s) =
+      f(upper): q is not its exceptional face, and m = f(q);
+    - an edge s paired with a 2-cell c has upper = c and lower = the
+      heir, f(heir) = f(s) > f(q) = m for the same reason.  This is the
+      case where no value may fit: q may lie at or above f(c), when q is
+      paired with another edge e' of c, f(e') < f(c) <= f(q) < f(s).  c
+      is then raised between m and f(s), and only rises, so its other
+      faces stay below it;
+    - a 2-cell c has no faces but edges and vertices of its cycle.
+      Critical, all of them lie below f(c): each edge, and each vertex
+      below one of its two edges on c (it is paired with one at most),
+      so m < f(c) = f(upper).  Paired with its edge p, the faces of the
+      piece paired with the chord are edges of c but p, below f(c) <=
+      f(p) = f(lower), and a chord end lies below an edge of c that is
+      not p, or on p, which is paired with c, not with it.
+
+    So m < f(upper) <= f(lower) after the raise, and middle and other
+    lie strictly between m and f(upper).  Every relation then holds:
+    middle lies above its faces (<= m), below the heir (f(heir) >=
+    f(upper) > middle: an edge's heir keeps f(s) >= f(c), a 2-cell's
+    heir is upper), and level with other, its partner; other lies above
+    its faces but middle, and below its cofaces (an edge's other is
+    below f(upper) <= every coface of s: the partner c, or cofaces above
+    f(s) when s is not paired upward; a 2-cell of a surface has none);
+    the heir keeps s's faces and cofaces, and their order with it, and
+    gains middle below it; the faces of s, now on a half, stay below it
+    as they were below s, or stay paired with the heir.  On floats a
+    midpoint can round onto an end; the callers check the cells a cut
+    touched and name such cells (InexactFunction).
+    """
+    values[heir.id] = values.pop(s)
+    m = max(values[x] for x in (*middle.boundary, *other.boundary)
+            if x != middle.id)
+    upper, lower = (coface, heir.id) if coface is not None \
+        else (heir.id, face)
+    top = values[upper]
+    # a critical s never gets here with m >= top on exact values; a
+    # rounded earlier patch may bring it, and the callers' check names it
+    if m >= top and lower is not None:
+        top = values[upper] = (m + values[lower]) / 2.0
+    values[middle.id] = values[other.id] = (m + top) / 2.0
 
 
 def _inheriting_arc(K, c, u, w):
@@ -175,43 +243,14 @@ def _inheriting_arc(K, c, u, w):
     return cycle[i:j] if i < j else cycle[i:] + cycle[:j]
 
 
-def _cut_corner(K, V, c, u, w, corner):
+def _cut_corner(K, V, c, u, w, corner, values=None):
     """Cut the 2-cell c in place along a chord from u to w so that
-    `corner`, cells on one side of it other than u and w, goes to c~b2.
-    Returns the record: its new cells are (chord, rest, corner piece)."""
+    `corner`, cells on one side of it other than u and w, goes to c~b2,
+    and patch `values` along when given (_patch_values).  Returns the
+    record: its new cells are (chord, rest, corner piece)."""
     if not corner.isdisjoint(_inheriting_arc(K, c, u, w)):
         u, w = w, u
-    return _bisect_2cell(K, V, c, u, w)
-
-
-def _patched_cut(K, V, values, c, u, w, corner):
-    """_cut_corner on a surface, with `values`, a Morse function f on K
-    inducing V, patched in place to one on the cut complex inducing the
-    cut field.  Returns the record.
-
-    The heir of c (the piece taking over its pairing or criticality)
-    gets h, and the chord d and the piece P paired with it get
-    (m + h) / 2, with m the largest f on u, w and the faces of P but d.
-    h is f(c), unless m >= f(c): then h = (m + f(p)) / 2, p being c's
-    partner (a critical c has none, and m < f(c) then).
-    Every face of c but p lies below f(c), and p lies on the heir.  A
-    vertex of c on two such faces lies below one of them, so below f(c),
-    and an end of p lies below p, as p is paired with c; f(c) <= f(p).
-    So m < h <= f(p): d lies above u and w and below the heir, P above
-    its other faces, the heir above its faces but p, which stays paired
-    with it, and a 2-cell of a surface has no coface.
-    """
-    rec = _cut_corner(K, V, c, u, w, corner)
-    d, rest, piece = rec.new_cells
-    heir = rec.replacements[c]
-    paired = piece if heir == rest else rest
-    top = values.pop(c)
-    m = max(values[x] for x in (u, w, *K.cells[paired].boundary) if x != d)
-    if m >= top:
-        top = (m + values[V.partner_map()[heir]]) / 2.0
-    values[heir] = top
-    values[d] = values[paired] = (m + top) / 2.0
-    return rec
+    return _bisect_2cell(K, V, c, u, w, values)
 
 
 # --- separating critical cells ---------------------------------------------
@@ -317,12 +356,12 @@ class _CriticalIndex:
         return [(c1, c2, xs) for (c1, c2), xs in sorted(shared.items())]
 
 
-def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
+def _separating_chord(K, V, c, span_a, span_b, vertex_crits, values):
     """Cut the corner of polygon c holding span_a off the piece holding
     span_b, on a chord from a vertex of each gap the two leave on c's
     walk; with no such chord, bisect the first edge of the gaps to make
-    a midpoint.  Edits K and V in place and returns the record of the
-    one bisection made."""
+    a midpoint.  Edits K, V and `values` (None, or patched along) in
+    place and returns the record of the one bisection made."""
 
     def candidates(gap):
         cand = [x for x in gap if K.dim(x) == 0 and x not in vertex_crits]
@@ -341,15 +380,16 @@ def _separating_chord(K, V, c, span_a, span_b, vertex_crits):
             if not any(K.boundary(g) == {u, w} for g in K.boundary(c)):
                 # u follows span_a on the walk, so the arc from u to w
                 # holds span_b and not span_a
-                return _cut_corner(K, V, c, u, w, {span_a})
+                return _cut_corner(K, V, c, u, w, {span_a}, values)
     gap_edges = [x for gap in gaps for x in gap if K.dim(x) == 1]
     if not gap_edges:
         raise InconsistentField(
             "cannot separate %r and %r inside %r" % (span_a, span_b, c))
-    return _bisect_edge(K, V, gap_edges[0])  # cycle changed; caller retries
+    # the cycle changed; the caller retries
+    return _bisect_edge(K, V, gap_edges[0], values=values)
 
 
-def separate_critical_cells(K, V):
+def separate_critical_cells(K, V, values=None):
     """Subdivide until no cell's closure contains two critical cells.
 
     Each step either bisects a critical edge away from a critical vertex
@@ -366,7 +406,9 @@ def separate_critical_cells(K, V):
     steps are capped at a budget fixed from the input's size (every step
     adds cells), and past it InseparableCriticals names the two critical
     cells the next step would part.  The steps edit drafts of K and V,
-    returned with the record of every step in order.
+    returned with the record of every step in order.  `values`, when
+    given, holds a Morse function on the surface K inducing V, and every
+    step patches it in place (_patch_values).
     """
     K, V = K._draft(), V._draft()
     records = []
@@ -391,10 +433,10 @@ def separate_critical_cells(K, V):
                 # critical edge containing a critical vertex
                 vcrit = [h for h in hits if h != wid][0]
                 other = [x for x in K.boundary(wid) if x != vcrit][0]
-                rec = _bisect_edge(K, V, wid, anchor=other)
+                rec = _bisect_edge(K, V, wid, other, values)
             elif on_edge:
                 # an edge between two critical vertices
-                rec = _bisect_edge(K, V, wid)
+                rec = _bisect_edge(K, V, wid, values=values)
             else:
                 span_a, span_b = hits[0], hits[1]
                 if wid in hits:
@@ -409,7 +451,7 @@ def separate_critical_cells(K, V):
                     span_b = others[len(others) // 2]
                 rec = _separating_chord(
                     K, V, wid, span_a, span_b,
-                    {h for h in hits if K.dim(h) == 0})
+                    {h for h in hits if K.dim(h) == 0}, values)
         else:
             x = shared[0]
             edges = [c for c in (c1, c2) if K.dim(c) == 1]
@@ -419,7 +461,7 @@ def separate_critical_cells(K, V):
                 far = sorted(y for y in K.boundary(e)
                              if y not in index.closures.of[other_crit])
                 anchor = far[0] if far else sorted(K.boundary(e) - {x})[0]
-                rec = _bisect_edge(K, V, e, anchor=anchor)
+                rec = _bisect_edge(K, V, e, anchor, values)
             else:
                 # two critical polygons meeting in a vertex: cut the
                 # corner of the first one off, keeping criticality away
@@ -429,7 +471,7 @@ def separate_critical_cells(K, V):
                 span_b = others[len(others) // 2]
                 rec = _separating_chord(
                     K, V, c1, x, span_b,
-                    {h for h in index.stars.of if K.dim(h) == 0})
+                    {h for h in index.stars.of if K.dim(h) == 0}, values)
         records.append(rec)
         index.update(K, rec)
 
@@ -708,14 +750,10 @@ def _clear_top_cell_boundary(K, V, alpha, values):
     changed (the cleared alpha left out).
 
     Each step bisects an offender e = {p, q}, critical or paired with
-    its endpoint p, into e1 = {p, w} (which keeps f(e)) and e2 = {q, w},
-    then cuts the corner {e1, w, e2} off alpha along a chord from p to q
-    (_patched_cut, whose heir keeps f(alpha), as alpha is critical).
-    w and e2 get h = (f(q) + f(e)) / 2.  f(q) < f(e), as e is critical
-    or paired with p, so f(q) < h < f(e) < f(alpha), f(t) for alpha and
-    the other coface t of e (e is not paired with either): w lies below
-    e1 and level with e2, its partner, whose other face q lies below it
-    and whose cofaces lie above it, and e1 keeps e's relations.
+    its endpoint p, into e1 = {p, w} and e2 = {q, w}, then cuts the
+    corner {e1, w, e2} off alpha along a chord from p to q; both cuts
+    patch f by _patch_values, which gives e1 f(e), w and e2
+    (f(q) + f(e)) / 2, and the heir of the critical alpha f(alpha).
     """
     steps = 0
     patched = []
@@ -725,25 +763,31 @@ def _clear_top_cell_boundary(K, V, alpha, values):
             break
         e = offenders[0]
         x, y = sorted(K.boundary(e))
-        w, e1, e2 = _bisect_edge(K, V, e).new_cells
-        q, = K.cells[e2].boundary - {w}
-        fe = values.pop(e)
-        values[e1] = fe
-        values[w] = values[e2] = (values[q] + fe) / 2.0
+        w, e1, e2 = _bisect_edge(K, V, e, values=values).new_cells
         # a critical alpha passes its criticality to the rest
-        rec = _patched_cut(K, V, values, alpha, x, y, {w})
+        rec = _cut_corner(K, V, alpha, x, y, {w}, values)
         d, alpha, corner = rec.new_cells
         patched.extend((w, e1, e2, d, corner))
         steps += 1
-    cofaces = K.coface_table
-    touched = set()
-    for cid in patched:
-        if cid in K.cells:
-            touched.add(cid)
-            touched.update(K.cells[cid].boundary)
-            touched.update(cofaces[cid])
+    touched = _around(K, patched)
     touched.discard(alpha)
     return alpha, steps, touched
+
+
+def _around(K, cells):
+    """The cells of `cells` still in K, with their faces and cofaces:
+    after in-place cuts that made `cells` and gave values to them alone,
+    beside the partners _patch_values raises (a coface of a cell made),
+    the cells whose value, faces or cofaces changed."""
+    cofaces = K.coface_table
+    out = set()
+    for cid in cells:
+        cell = K.cells.get(cid)
+        if cell is not None:
+            out.add(cid)
+            out.update(cell.boundary)
+            out.update(cofaces[cid])
+    return out
 
 
 def compose(M1, f1, M2, f2):
@@ -981,7 +1025,7 @@ def compose(M1, f1, M2, f2):
 def _choose_beta(K2, V2, v2, values):
     """Non-critical simplicial top cell at the critical vertex v2.  When
     none lies there (surfaces only), the first polygon at v2 has its
-    corner at v2 cut off by _patched_cut, in place on K2, V2 and `values`
+    corner at v2 cut off by _cut_corner, in place on K2, V2 and `values`
     (the second function), and the corner, a triangle the cut pairs, is
     returned.  v2 lies on two top cells or more, one critical at most,
     and then so is every triangle there: so a polygon lies at v2."""
@@ -997,8 +1041,8 @@ def _choose_beta(K2, V2, v2, values):
     t = next(t for t in tops if len(K2.boundary(t)) > 3)
     verts = K2.boundary_cycle(t)[0::2]
     i = verts.index(v2)
-    return _patched_cut(K2, V2, values, t, verts[i - 1],
-                        verts[(i + 1) % len(verts)], {v2}).new_cells[2]
+    return _cut_corner(K2, V2, t, verts[i - 1], verts[(i + 1) % len(verts)],
+                       {v2}, values).new_cells[2]
 
 
 def _surface_glue_map(K1, K2, alpha, bprime, top):

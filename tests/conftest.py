@@ -1,3 +1,4 @@
+import heapq
 import random
 import sys
 from itertools import combinations
@@ -14,7 +15,7 @@ from dms.fixtures import (
     torus7,
     tree_cotree_field,
 )
-from dms.morsefield import VectorField, synthesize_function
+from dms.morsefield import MorseFunction, VectorField, synthesize_function
 
 
 @pytest.fixture(scope="session")
@@ -358,3 +359,32 @@ def each_separation_step(monkeypatch):
             monkeypatch.setattr(surgery, name, recorded)
 
     return install
+
+
+def ordered_function(K, V, first, last):
+    """A Morse function inducing V on K: the ranks of a topological order
+    of the face relation with V's pairs reversed, the cells of `first`
+    taken as early and those of `last` as late as the order allows."""
+    pm = V.partner_map()
+    after = {c: [] for c in K.cells}
+    need = dict.fromkeys(K.cells, 0)
+    for c in K.cells:
+        for x in K.boundary(c):
+            a, b = (c, x) if pm.get(x) == c else (x, c)
+            after[a].append(b)
+            need[b] += 1
+
+    def key(c):
+        return (c not in first) + (c in last), c
+
+    ready = [key(c) for c in K.cells if not need[c]]
+    heapq.heapify(ready)
+    values = {}
+    while ready:
+        _, c = heapq.heappop(ready)
+        values[c] = float(len(values))
+        for b in after[c]:
+            need[b] -= 1
+            if not need[b]:
+                heapq.heappush(ready, key(b))
+    return MorseFunction(values)

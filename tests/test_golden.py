@@ -8,10 +8,14 @@ compose stopped renaming its first summand, which renamed ids but moved
 no decision: the rank digests at the end of this file, which ignore the
 ids' spelling, were recorded before that change and still hold.
 
-The compose chain and the CLI round trip pin their complexes and fields
-(CWP, DVF and the texts derived from them) apart from their functions
-(DMF), so a change to the composed values alone shows which of the two
-moved.
+The compose chain, the CLI round trip and the decompose goldens pin
+their complexes and fields (CWP, DVF and the texts derived from them)
+apart from their functions (DMF), so a change to the values alone shows
+which of the two moved.  When decompose began to carry its input's
+function through its cuts and caps instead of synthesizing the pieces'
+functions, only its DMF digests (and its report, which lost the
+`functionsSynthesized` key) were recorded again; its structure digests
+were recorded before that change and still hold.
 """
 
 import hashlib
@@ -32,7 +36,13 @@ from dms.fixtures import (
     tree_cotree_field,
 )
 from dms.formats import write_cwp, write_dmf, write_dvf
-from dms.morsefield import MorseFunction, VectorField, synthesize_function
+from dms.morsefield import (
+    MorseFunction,
+    VectorField,
+    induced_field,
+    synthesize_function,
+    validate_function,
+)
 from dms.splitter import decompose
 from dms.surgery import compose, separate_critical_cells
 
@@ -83,7 +93,7 @@ def test_golden_genus32_surface():
 
 def test_golden_decompose_genus4_fields():
     K = genus_surface(4)[0]
-    texts = []
+    texts, functions = [], []
     for seed in range(9):
         V = tree_cotree_field(K, rng=random.Random(seed))
         f = synthesize_function(K, V)
@@ -93,14 +103,16 @@ def test_golden_decompose_genus4_fields():
         except DmsError as err:
             texts.append(type(err).__name__)
             continue
-        texts += _surface_texts(res.m1_complex, res.m1_field,
-                                res.m1_function)
-        texts += _surface_texts(res.m2_complex, res.m2_field,
-                                res.m2_function)
+        for P, W, g in ((res.m1_complex, res.m1_field, res.m1_function),
+                        (res.m2_complex, res.m2_field, res.m2_function)):
+            texts += [write_cwp(P), write_dvf(W, P)]
+            functions.append(write_dmf(g))
         texts.append(" ".join(res.circle))
     assert "NotSeparating" in texts
     assert _digest(texts) == (
-        "6b6604ec320a29a9d2570e3006280410d80e7b30dbf68bf90c15c14512b02dfd")
+        "1840c26d8dd5fc17be8a99f4bfa3456399f1da5fd4e2acc3ac96096ec63ffa5f")
+    assert _digest(functions) == (
+        "1e0ed854b9de8d5072ae8846cb3584c9abc0a99b3b0c02090bd74c24780b2f93")
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +124,8 @@ def splitter_sweep(glued_genus2, random_root_field):
     separate_critical_cells under random_valid_field on the tetrahedron,
     torus7 and genus_surface(2), less the fields it cannot separate.  A
     refused case gives its error's name and args, and is counted by
-    name."""
+    name.  The pieces' functions (DMF) are kept apart from the other
+    texts, and each result with its input (K, f, g1, g2)."""
     fields = [lambda K, s: tree_cotree_field(K, rng=random.Random(s)),
               random_root_field]
     cases = []
@@ -126,21 +139,24 @@ def splitter_sweep(glued_genus2, random_root_field):
             K = glued_genus2(flips, flip_seed)
             cases += [(K, field(K, seed), 1, 1)
                       for field in fields for seed in range(8)]
-    texts, results, refusals = [], [], Counter()
+    texts, functions, results, refusals = [], [], [], Counter()
 
     def refuse(err):
         texts.append("%s %r" % (type(err).__name__, err.args))
         refusals[type(err).__name__] += 1
 
     for K, V, g1, g2 in cases:
+        f = synthesize_function(K, V)
         try:
-            res = decompose(K, synthesize_function(K, V), g1, g2)
+            res = decompose(K, f, g1, g2)
         except DmsError as err:
             refuse(err)
             continue
-        results.append(res)
-        texts += _surface_texts(res.m1_complex, res.m1_field, res.m1_function)
-        texts += _surface_texts(res.m2_complex, res.m2_field, res.m2_function)
+        results.append((res, (K, f, g1, g2)))
+        for P, W, g in ((res.m1_complex, res.m1_field, res.m1_function),
+                        (res.m2_complex, res.m2_field, res.m2_function)):
+            texts += [write_cwp(P), write_dvf(W, P)]
+            functions.append(write_dmf(g))
         texts.append(" ".join(res.circle))
     for name, K in (("tetrahedron", tetrahedron()), ("torus7", torus7()),
                     ("genus2", genus_surface(2)[0])):
@@ -154,26 +170,47 @@ def splitter_sweep(glued_genus2, random_root_field):
                 refuse(err)
                 continue
             texts += [write_cwp(K2), write_dvf(V2, K2)]
-    return texts, results, refusals
+    return texts, functions, results, refusals
 
 
 def test_golden_splitter_sweep(splitter_sweep):
-    texts, results, refusals = splitter_sweep
+    texts, functions, results, refusals = splitter_sweep
     # 367 decomposes and 114 separations succeed
     assert len(results) == 367
     assert refusals == {"NotSeparating": 64, "BoundaryCriticalPresent": 1}
     assert _digest(texts) == (
-        "0ccd39f3c0efd75993b7bfcfaa75b0e93f99d1fc047215f11edb5638fe92abd8")
+        "879c5000b4732174e9299c5230d4647db05f5aa7e7191371313d5e617c0368e8")
+    assert _digest(functions) == (
+        "0d10f732b7eade6d3c5a44f61f5d45068a0f8b237e10ebc18b2ff4b0f531cad0")
 
 
 def test_min_cap_pairs_every_cone_cell_but_the_apex(splitter_sweep):
     # the min cone's fan pairing matches each radial edge and each cone
     # triangle exactly once, whatever the piece's matching on the circle
-    for res in splitter_sweep[1]:
+    for res, _ in splitter_sweep[2]:
         K, V = res.m2_complex, res.m2_field
         cone = sorted(cid for cid in K.cells if cid.startswith("cone:"))
         pm = V.partner_map()
         assert [cid for cid in cone if cid not in pm] == ["cone:apex"]
+
+
+def test_pieces_carry_the_input_function(splitter_sweep):
+    # each piece's function is valid, induces the piece's field, and is f
+    # on every cell of the input that kept its faces; a cell of the input
+    # that lost one lies on a cut, and a cut may only raise such a cell
+    for res, (K, f, g1, g2) in splitter_sweep[2]:
+        for P, W, g in ((res.m1_complex, res.m1_field, res.m1_function),
+                        (res.m2_complex, res.m2_field, res.m2_function)):
+            assert validate_function(P, g).ok
+            assert induced_field(P, g) == W
+            assert g.values.keys() == P.cells.keys()
+            for cid, cell in P.cells.items():
+                if cid not in K.cells:
+                    assert "~b" in cid or cid.startswith("cone:")
+                elif cell.boundary == K.cells[cid].boundary:
+                    assert g[cid] == f[cid]
+                elif g[cid] != f[cid]:
+                    assert cell.dim == 2 and g[cid] > f[cid]
 
 
 def test_golden_cli_roundtrip(tmp_path, capsys):
@@ -195,11 +232,14 @@ def test_golden_cli_roundtrip(tmp_path, capsys):
     texts = {name: (tmp_path / name).read_text(encoding="utf-8")
              for name in names}
     assert _digest([text for name, text in texts.items()
-                    if not name.endswith(".dmf")]) == (
-        "f3f298a7c74af7c38b4f533eba59cb49839c2185534b064e6aeab636cfc1e737")
+                    if not name.endswith((".dmf", ".json"))]) == (
+        "bafe2e75640c2b17b0e07a3e516a842918cb35da5735f60773ded4b27591aa1b")
+    assert _digest([texts["g3.dmf"]]) == (
+        "47ccf6694b3fff0582d02e2c3556bfa903e0183933ca443ff81347f6c8f64f52")
     assert _digest([text for name, text in texts.items()
-                    if name.endswith(".dmf")]) == (
-        "95c17d7af79d0132f3ff13f1901015be8ccd7bd8c70d5ed12970bb6d03bc68e7")
+                    if name.startswith("dec.")
+                    and name.endswith((".dmf", ".json"))]) == (
+        "1758a20696c86c37af1e1e935a3ac5a51d629943da2812e75b56fe590a74e6ff")
 
 
 # --- rank digests ------------------------------------------------------------
@@ -259,16 +299,22 @@ def test_rank_digest_compose_chain():
         "7658ff63628a5aee2a1c8ad98477d57435212c969de94f6d180e5966a3497a43")
 
 
+# the ranked CWP and DVF of both pieces and the circle, apart from the
+# ranked DMF and the report
+DECOMPOSE_RANK_STRUCTURE_DIGESTS = {
+    4: "086865716de165bbdb1bd2fca80a1db132c1a1592692fdb9a669dd7d6fe0ad58",
+    6: "c6e304d654fba91c8d17472dcc9eb8ff8d5938674359676c3da5c881c234a671",
+}
 DECOMPOSE_RANK_DIGESTS = {
-    4: "68f616dc90d57fde389d4b54e9310dddb81123c4a883fe7d89e0d2c39dda3968",
-    6: "1d3996d0bf12e58f3c9a3723fac4da1475493f462379a245ef5f83a0b534eacd",
+    4: "98b4789d114f986c455b9ad9a8225fcf65ccaa9c806e68694a728962e414fbd5",
+    6: "2e5bf9dd29122db8f72939505030899718d5e6a28f4854bf25f712ccd314847b",
 }
 
 
 @pytest.mark.parametrize("g", sorted(DECOMPOSE_RANK_DIGESTS))
 def test_rank_digest_decompose(g):
     K = genus_surface(g)[0]
-    texts = []
+    texts, structure = [], []
     for seed in range(60):
         V = tree_cotree_field(K, rng=random.Random(seed))
         f = synthesize_function(K, V)
@@ -277,8 +323,12 @@ def test_rank_digest_decompose(g):
             res = decompose(K, f, g1, g - g1)
         except DmsError as err:
             texts.append(type(err).__name__)
+            structure.append(type(err).__name__)
             continue
-        texts += _ranked_decompose_texts(res)
+        ranked = _ranked_decompose_texts(res)
+        texts += ranked
+        structure += [ranked[i] for i in (0, 1, 3, 4, 6)]
+    assert _digest(structure) == DECOMPOSE_RANK_STRUCTURE_DIGESTS[g]
     assert _digest(texts) == DECOMPOSE_RANK_DIGESTS[g]
 
 

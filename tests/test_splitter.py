@@ -1,9 +1,10 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from dms import splitter
+from dms import splitter, surgery
 from dms.cellcomplex import (
     Cell,
     Complex,
@@ -17,6 +18,7 @@ from dms.cellcomplex import (
 from dms.errors import (
     BoundaryCriticalPresent,
     DmsError,
+    InexactFunction,
     NotPerfectInput,
     NotSeparating,
     UnbalancedBoundaryCriticals,
@@ -30,6 +32,7 @@ from dms.fixtures import (
     torus7,
     tree_cotree_field,
 )
+from dms.formats import write_cwp, write_dvf
 from dms.homology import betti_mod2
 from dms.morsefield import (
     MorseFunction,
@@ -66,6 +69,8 @@ from dms.surgery import (
     separate_critical_cells,
     shrink_closed_star,
 )
+
+from conftest import ordered_function
 
 
 # --- select ------------------------------------------------------------------
@@ -362,9 +367,9 @@ def test_excavation_pre_pass_splits_an_edge_joining_two_chain_vertices(
     split = []
     bisect = splitter._bisect_edge
 
-    def recorded(K, V, e, anchor=None):
+    def recorded(K, V, e, *args, **kwargs):
         split.append(e)
-        return bisect(K, V, e, anchor=anchor)
+        return bisect(K, V, e, *args, **kwargs)
 
     monkeypatch.setattr(splitter, "_bisect_edge", recorded)
     # the excavation edits K and a draft of V in place
@@ -556,11 +561,11 @@ def test_random_roots_reach_the_critical_vertex_excavation(
     excavate = splitter._excavate
     cut = []
 
-    def recorded(K, V, region, marked):
+    def recorded(K, V, region, marked, *args):
         v0 = critical_cells(V, K).cells[0][0]
         if all(cells == {v0} for cells in marked.values()):
             cut.append(v0)
-        return excavate(K, V, region, marked)
+        return excavate(K, V, region, marked, *args)
 
     monkeypatch.setattr(splitter, "_excavate", recorded)
     cases = [(genus_surface(3)[0], seed, g1, 3 - g1)
@@ -952,29 +957,207 @@ def test_find_separating_circle_validates_once(spy):
 
 
 def test_decompose_checks_each_piece_once(spy):
-    # synthesis refuses a piece field that is no gradient, so no
-    # validate_field runs; each capped piece is synthesized once and its
-    # homology read off its Morse complex at most once
+    # each piece carries f, so nothing is synthesized; its function is
+    # checked once, on the cells the cuts and its cap touched, and a
+    # valid function induces a gradient, so no validate_field runs and no
+    # Morse complex is ranked
     validations = spy(validate_field)
     syntheses = spy(synthesize_function)
+    checks = spy(_check_function)
     ranked = spy(morse_betti)
     done = 0
     for K, seed, f, g1 in golden_fields():
-        del validations[:], syntheses[:], ranked[:]
+        del validations[:], syntheses[:], checks[:], ranked[:]
         try:
             res = decompose(K, f, g1, 4 - g1)
         except NotSeparating:
             assert seed == 7
             continue
-        pieces = [(res.m1_complex, res.m1_field),
-                  (res.m2_complex, res.m2_field)]
-        assert validations == []
-        assert len(syntheses) == 2
-        for (P, W), args in zip(pieces, syntheses):
-            assert args[0] is P and args[1] is W
-            assert sum(args[0] is P for args in ranked) <= 1
+        pieces = [(res.m1_complex, res.m1_function),
+                  (res.m2_complex, res.m2_function)]
+        assert validations == [] and syntheses == [] and ranked == []
+        assert len(checks) == 3 and checks[0] == (K, f)
+        for (P, g), args in zip(pieces, checks[1:]):
+            assert args[0] is P and args[1] is g
+            assert set(args[2]) < set(P.cells)
         done += 1
     assert done == 8
+
+
+def test_edge_rule_raises_the_facet_when_no_value_fits(tetra):
+    # e = e0-1 is paired with the triangle c = t0-1-2, and its far end
+    # q = v1 with the edge e1-2 of c: f(e1-2) < f(c) <= f(q) < f(e), so no
+    # value fits between q and c for the new vertex and the half at q
+    f = MorseFunction({
+        "v0": 0.0, "e0-2": 0.4, "v2": 0.5, "e0-3": 0.6, "v3": 0.7,
+        "e1-2": 1.0, "t0-1-2": 2.0, "v1": 3.0, "e0-1": 4.0,
+        "t0-1-3": 4.5, "e1-3": 5.0, "t0-2-3": 5.5, "e2-3": 6.0,
+        "t1-2-3": 7.0})
+    V = induced_field(tetra, f)
+    assert ("e0-1", "t0-1-2") in V.pairs() and ("v1", "e1-2") in V.pairs()
+    K, W, values = tetra._draft(), V._draft(), dict(f.values)
+    rec = surgery._bisect_edge(K, W, "e0-1", "v0", values)
+    w, heir, other = rec.new_cells
+    assert K.boundary(heir) == {"v0", w} and ("e0-1", "t0-1-2") not in \
+        W.pairs()
+    g = MorseFunction(values)
+    assert validate_function(K, g).ok and induced_field(K, g) == W
+    # c rose above q and stayed below the heir, its partner
+    assert f["v1"] < values[w] == values[other] < values["t0-1-2"] \
+        < values[heir] == f["e0-1"]
+    assert set(values) == set(K.cells)
+
+
+def _carried_cap(genus2, cap, side):
+    """The genus-2 split's `side` piece, capped by `cap` with f's values:
+    the piece, its field, the capped piece, its field and the values."""
+    K, f, V = genus2
+    values = dict(f.values)
+    K2, V2, circle, _ = find_separating_circle(K, f, 1, 1, values)
+    split = split_along_circle(K2, V2, circle)
+    P, W = getattr(split, side + "_complex"), getattr(split, side + "_field")
+    pv = {cid: values[cid] for cid in P.cells}
+    C, CW = cap(P, W, circle, pv)
+    g = MorseFunction(pv)
+    assert validate_function(C, g).ok and induced_field(C, g) == CW
+    return P, W, C, pv, circle
+
+
+def test_min_cone_values_sit_just_below_or_above_their_circle_cells(genus2):
+    P, W, C, pv, circle = _carried_cap(genus2, cap_with_min_cone, "max")
+    pm = W.partner_map()
+    kinds = Counter()
+    for x in circle:
+        cx = "cone:%s:%s" % ("r" if P.dim(x) == 0 else "t", x)
+        # below a circle cell critical in the piece, which it pairs with,
+        # above one paired along the circle
+        assert (pv[cx] < pv[x]) == (x not in pm)
+        assert abs(pv[cx] - pv[x]) <= 0.25
+        kinds[P.dim(x), x in pm] += 1
+    assert pv["cone:apex"] == min(pv[c] for c in P.cells) - 1
+    assert set(kinds) == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_max_cone_values_are_a_staircase_down_the_fan(genus2):
+    P, W, C, pv, circle = _carried_cap(genus2, cap_with_max_cone, "min")
+    top = max(pv[c] for c in P.cells)
+    verts, edges = circle[0::2], circle[1::2]
+    k = len(verts)
+    assert pv["cone:apex"] == pv["cone:r:" + verts[0]] == top + 1
+    for i in range(1, k):
+        assert pv["cone:r:" + verts[i]] == pv["cone:t:" + edges[i]] \
+            == top + 1 + k - i
+    assert pv["cone:t:" + edges[0]] == top + 1 + k
+
+
+def test_carried_functions_whose_vertices_sit_late(monkeypatch):
+    # synthesized functions never give a cut no room; with the vertices
+    # as late as the field allows, a chord end can lie above the cut
+    # 2-cell, whose heir then rises, and the pieces still check out
+    patch = surgery._patch_values
+    raised = []
+
+    def counted(values, s, face, coface, middle, heir, other):
+        m = max(values[x] for x in (*middle.boundary, *other.boundary)
+                if x != middle.id)
+        raised.append(m >= values[coface if coface is not None else s])
+        patch(values, s, face, coface, middle, heir, other)
+
+    monkeypatch.setattr(surgery, "_patch_values", counted)
+    done = 0
+    for g in range(2, 7):
+        K = genus_surface(g)[0]
+        for seed in range(12):
+            V = tree_cotree_field(K, rng=random.Random(seed))
+            f = ordered_function(K, V, set(K.cells_of_dim(2)),
+                                 set(K.cells_of_dim(0)))
+            g1 = 1 + seed % (g - 1)
+            try:
+                res = decompose(K, f, g1, g - g1)
+            except NotSeparating:
+                continue
+            for P, W, h in ((res.m1_complex, res.m1_field, res.m1_function),
+                            (res.m2_complex, res.m2_field,
+                             res.m2_function)):
+                assert validate_function(P, h).ok
+                assert induced_field(P, h) == W
+            done += 1
+    assert done >= 30 and any(raised)
+
+
+def test_decompose_synthesizes_nothing(monkeypatch):
+    cases = list(golden_fields())
+
+    def refuse(K, V):
+        raise AssertionError("synthesize_function called")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("dms") \
+                and hasattr(mod, "synthesize_function"):
+            monkeypatch.setattr(mod, "synthesize_function", refuse)
+    done = 0
+    for K, seed, f, g1 in cases:
+        try:
+            res = decompose(K, f, g1, 4 - g1)
+        except NotSeparating:
+            continue
+        assert res.report["perfect"] == {"m1": True, "m2": True}
+        done += 1
+    assert done == 8
+
+
+def test_values_past_2_to_the_40_are_ranked_densely_on_entry(genus2):
+    # a synthesized function's values are dense ranks already, so the
+    # shifted copy ranks back to it: every output is the same
+    K, _, V = genus2
+    f = synthesize_function(K, V)
+    big = MorseFunction({cid: 2.0 ** 45 + 2 * v for cid, v in f.values.items()})
+    a, b = decompose(K, f, 1, 1), decompose(K, big, 1, 1)
+    for P, W, g, Q, X, h in (
+            (a.m1_complex, a.m1_field, a.m1_function,
+             b.m1_complex, b.m1_field, b.m1_function),
+            (a.m2_complex, a.m2_field, a.m2_function,
+             b.m2_complex, b.m2_field, b.m2_function)):
+        assert write_cwp(P) == write_cwp(Q) and write_dvf(W) == write_dvf(X)
+        assert g.values == h.values
+    assert a.circle == b.circle
+
+
+def test_values_a_float_step_apart_raise_inexact_function(genus2):
+    # adjacent floats leave no room for a midpoint or a cone value: the
+    # check names the cells instead of returning an invalid function
+    K, f, V = genus2
+    tight = MorseFunction({cid: 1.0 + v * 2.0 ** -52
+                           for cid, v in f.values.items()})
+    assert induced_field(K, tight) == V
+    with pytest.raises(InexactFunction) as err:
+        decompose(K, tight, 1, 1)
+    assert 1 <= len(err.value.args) <= 5
+    for cell, kind in err.value.args:
+        assert kind in ("faces", "cofaces", "exclusivity")
+
+
+def test_compose_of_the_pieces_is_the_surface():
+    # compose after decompose, each piece with the function it carries:
+    # the paper's round trip gives back a perfect surface of genus g
+    done = 0
+    for g in range(2, 7):
+        K = genus_surface(g)[0]
+        for seed in range(4):
+            f = synthesize_function(K, tree_cotree_field(
+                K, rng=random.Random(seed)))
+            g1 = 1 + seed % (g - 1)
+            try:
+                res = decompose(K, f, g1, g - g1)
+            except NotSeparating:
+                continue
+            M, h, W, rep = compose(res.m1_complex, res.m1_function,
+                                   res.m2_complex, res.m2_function)
+            assert rep.perfect and rep.counts == (1, 2 * g, 1)
+            assert verify_closed_surface(M).genus == g
+            assert validate_function(M, h).ok and induced_field(M, h) == W
+            done += 1
+    assert done >= 15
 
 
 def test_pieces_match_a_full_rebuild(monkeypatch, assert_same_complex):

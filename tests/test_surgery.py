@@ -1,4 +1,3 @@
-import heapq
 import random
 from itertools import combinations, product
 
@@ -52,7 +51,7 @@ from dms.surgery import (
     shrink_closed_star,
 )
 
-from conftest import INSEPARABLE_SEEDS, ComposeSides
+from conftest import INSEPARABLE_SEEDS, ComposeSides, ordered_function
 
 
 def seeded_torus(seed):
@@ -613,35 +612,6 @@ def test_compose_keeps_f2_through_a_beta_cut(n, grid_torus, torus,
             for cid in G.cells:
                 if sides.right(cid) in M.cells:
                     assert f[sides.right(cid)] == f2[cid] + rep.constant
-
-
-def ordered_function(K, V, first, last):
-    """A Morse function inducing V on K: the ranks of a topological order
-    of the face relation with V's pairs reversed, the cells of `first`
-    taken as early and those of `last` as late as the order allows."""
-    pm = V.partner_map()
-    after = {c: [] for c in K.cells}
-    need = dict.fromkeys(K.cells, 0)
-    for c in K.cells:
-        for x in K.boundary(c):
-            a, b = (c, x) if pm.get(x) == c else (x, c)
-            after[a].append(b)
-            need[b] += 1
-
-    def key(c):
-        return (c not in first) + (c in last), c
-
-    ready = [key(c) for c in K.cells if not need[c]]
-    heapq.heapify(ready)
-    values = {}
-    while ready:
-        _, c = heapq.heappop(ready)
-        values[c] = float(len(values))
-        for b in after[c]:
-            need[b] -= 1
-            if not need[b]:
-                heapq.heappush(ready, key(b))
-    return MorseFunction(values)
 
 
 def test_a_beta_cut_raises_the_heir_below_a_chord_end(

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -443,6 +444,56 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_validate_names_a_field_the_function_does_not_induce(
+        tmp_path, capsys):
+    # a decompose piece's field less one pair is still a valid field, but
+    # the piece's function induces the pair, so validate must refuse it
+    g2, dec = str(tmp_path / "g2"), str(tmp_path / "dec")
+    assert run_cli(["fixture", "genus2", "--out", g2]) == 0
+    assert run_cli(["decompose", "--complex", g2 + ".cwp",
+                    "--function", g2 + ".dmf", "--g1", "1", "--g2", "1",
+                    "--out", dec]) == 0
+    lines = (tmp_path / "dec.m2.dvf").read_text().splitlines()
+    cut = next(i for i, line in enumerate(lines) if line.startswith("pair"))
+    short = tmp_path / "short.dvf"
+    short.write_text("\n".join(lines[:cut] + lines[cut + 1:]) + "\n")
+    capsys.readouterr()
+    assert run_cli(["validate", "--complex", dec + ".m2.cwp",
+                    "--field", str(short)]) == 0
+    capsys.readouterr()
+    assert run_cli(["validate", "--complex", dec + ".m2.cwp",
+                    "--field", str(short),
+                    "--function", dec + ".m2.dmf"]) == 2
+    captured = capsys.readouterr()
+    _, a, b = lines[cut].split()
+    assert captured.err == (
+        "function induces pair %s %s that the field lacks\n" % (a, b))
+    assert captured.out == ""
+
+
+def test_cli_validate_names_the_first_pair_of_another_field(
+        tmp_path, capsys):
+    # another valid field of the same surface differs from the one the
+    # function induces; the first differing pair is named, either way
+    out = tmp_path / "t"
+    run_cli(["fixture", "torus7", "--out", str(out)])
+    K = load_complex(str(out) + ".tri")
+    V = parse_dvf((tmp_path / "t.dvf").read_text(), K)
+    W = tree_cotree_field(K, rng=random.Random(3))
+    assert validate_field(K, W).ok and W != V
+    other = tmp_path / "other.dvf"
+    other.write_text(write_dvf(W, K))
+    capsys.readouterr()
+    assert run_cli(["validate", "--complex", str(out) + ".tri",
+                    "--field", str(other),
+                    "--function", str(out) + ".dmf"]) == 2
+    pair = min(set(V.pairs()) ^ set(W.pairs()))
+    assert capsys.readouterr().err == (
+        "function induces pair %s %s that the field lacks\n" % pair
+        if pair in V.pairs() else
+        "function does not induce pair %s %s that the field holds\n" % pair)
+
+
 def test_cli_parse_error_is_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.tri"
     bad.write_text("nonsense\n")
@@ -582,6 +633,25 @@ def test_cli_inexact_compose_is_exit_2_and_writes_nothing(tmp_path, capsys):
     assert 1 <= len(err) <= 5
     assert all(line.startswith("function ") for line in err)
     assert not list(tmp_path.glob("g2*"))
+
+
+def test_cli_inexact_decompose_is_exit_2_and_writes_nothing(tmp_path, capsys):
+    # values one float step apart leave the cone no room between them
+    g2 = str(tmp_path / "g2")
+    run_cli(["fixture", "genus2", "--out", g2])
+    K = load_complex(g2 + ".cwp")
+    f = parse_dmf((tmp_path / "g2.dmf").read_text(), K)
+    f = MorseFunction({cid: 1.0 + v * 2.0 ** -52 for cid, v in f.values.items()})
+    assert validate_function(K, f).ok
+    (tmp_path / "g2.dmf").write_text(write_dmf(f))
+    capsys.readouterr()
+    assert run_cli(["decompose", "--complex", g2 + ".cwp",
+                    "--function", g2 + ".dmf", "--g1", "1", "--g2", "1",
+                    "--out", str(tmp_path / "dec")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert 1 <= len(err) <= 5
+    assert all(line.startswith("function ") for line in err)
+    assert not list(tmp_path.glob("dec*"))
 
 
 def test_cli_export(tmp_path, capsys):
