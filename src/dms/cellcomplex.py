@@ -11,9 +11,10 @@ Vertices are `v{i}`, edges `e{i}-{j}` with i < j and triangles
 assumed anywhere outside `build_simplicial`.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -67,7 +68,10 @@ class Complex:
     a copy it owns, in place through `_edit`, re-checking only the
     cells each edit touches, and returns the draft.  `subcomplex` and
     `prefixed` carry the checked tables over, filtered or renamed,
-    without re-checking.  Closures are walked on demand, not stored.
+    without re-checking.  The number of cells of each dimension is kept:
+    construction and `subcomplex` tally it, and an edit or a rename
+    carries it along (`counts`).  Closures are walked on demand, not
+    stored.
     """
 
     # the mod-2 Betti numbers, once morsefield has derived them from a
@@ -86,9 +90,9 @@ class Complex:
             self.cells[cell.id] = cell
         if not self.cells:
             raise MissingFace("empty complex")
-        self.top_dim = max(c.dim for c in self.cells.values())
         cofaces = {cid: [] for cid in self.cells}
         self._validate_grading(self.cells.values(), cofaces)
+        self._count(self.cells.values())
         # each list holds its cofaces in the order the cells were given,
         # which is id order for a file that write_cwp wrote
         ids = list(cofaces)
@@ -100,12 +104,19 @@ class Complex:
         self._cycles = {}
         self._walk_cycles(cid for cid, c in self.cells.items() if c.dim == 2)
 
+    def _count(self, cells):
+        """Keep the number of cells of each dimension among `cells`, all
+        of this complex, checked graded, and the top dimension."""
+        tally = Counter(map(attrgetter("dim"), cells))
+        self._counts = tuple(map(tally.__getitem__, range(max(tally) + 1)))
+        self.top_dim = len(self._counts) - 1
+
     # ---- validation ----------------------------------------------------
 
-    def _validate_grading(self, checked, cofaces):
+    def _validate_grading(self, checked, cofaces=None):
         """Check the grading of the cells `checked` against self.cells,
         in the order given, and append each checked cell's id to the
-        `cofaces` list of each of its faces."""
+        `cofaces` list of each of its faces when that table is given."""
         cells = self.cells
         for cid, dim, boundary in checked:
             if dim < 0:
@@ -120,7 +131,8 @@ class Complex:
                     raise BadDimensionDrop(
                         "cell %r (dim %d) lists face %r (dim %d)"
                         % (cid, dim, fid, face.dim))
-                cofaces[fid].append(cid)
+                if cofaces is not None:
+                    cofaces[fid].append(cid)
             if dim == 1 and len(boundary) != 2:
                 raise BadCellBoundary(
                     "edge %r must have exactly 2 endpoints" % cid)
@@ -208,10 +220,9 @@ class Complex:
         return sorted(cid for cid, c in self.cells.items() if c.dim == p)
 
     def counts(self):
-        out = [0] * (self.top_dim + 1)
-        for c in self.cells.values():
-            out[c.dim] += 1
-        return tuple(out)
+        """The number of cells of each dimension, 0 to top_dim, as kept
+        through construction and every edit instead of counted."""
+        return self._counts
 
     def closure(self, cid):
         """All faces of cid, transitively, including cid itself."""
@@ -300,49 +311,64 @@ class Complex:
         The derived facts go, as the edit may change them.
 
         The edit is local.  It re-checks the grading of the added cells
-        and of the surviving cofaces of dropped or replaced cells, patches
-        the coface lists of their faces, and re-walks the added 2-cells and
-        the 2-cofaces of replaced edges.  The tables end up equal to those
-        of `Complex` built from the new cell list, and an edit that breaks
-        one cell raises the DmsError that construction would raise, with
-        this complex left half edited.
+        and of the surviving cofaces of dropped or replaced cells; the
+        check of the added cells also gathers the faces each lies on.  One
+        pass over the dropped and replaced cells and one over the added
+        cells then keep the cell counts and the top dimension, with no
+        scan of the table, and patch the coface lists of the faces: a
+        replaced cell leaves its old faces' lists and joins its new ones'.
+        The added 2-cells and the 2-cofaces of replaced edges are re-walked.
+        The tables end up equal to those of `Complex` built from the new
+        cell list, and an edit that breaks one cell raises the DmsError
+        that construction would raise, with this complex left half edited.
         """
         for name in _DERIVED:
             self.__dict__.pop(name, None)
-        cells = self.cells
-        remove = set(remove)
+        cells, cofaces = self.cells, self._cofaces
         added = {cell.id: cell for cell in add}
-        gone = sorted(cid for cid in remove | added.keys() if cid in cells)
-        old = {cid: cells[cid] for cid in gone}
+        old = {cid: cells[cid] for cid in added.keys() & cells.keys()}
         for cid in remove:
-            cells.pop(cid, None)
+            cell = cells.pop(cid, None)
+            if cell is not None:
+                old[cid] = cell
         cells.update(added)
         if not cells:
             raise MissingFace("empty complex")
-        top_dim = max([self.top_dim] + [c.dim for c in added.values()])
-        if (any(old[cid].dim == top_dim for cid in gone)
-                and all(c.dim != top_dim for c in added.values())):
-            top_dim = max(c.dim for c in cells.values())
-        self.top_dim = top_dim
-        cofaces = self._cofaces
-        near = {t for cid in gone for t in cofaces[cid]}.difference(gone)
+        near = {t for cid in old for t in cofaces[cid]}.difference(old)
+        self._validate_grading([cells[t] for t in sorted(near)])
         # the coface lists are patched below, from what the edit changed
-        self._validate_grading([cells[t] for t in sorted(near)]
-                               + list(added.values()), defaultdict(list))
+        gained = defaultdict(list)  # face id -> the added cells on it
+        self._validate_grading(added.values(), gained)
+        lost = defaultdict(list)    # face id -> the cells no longer on it
 
-        lost = {}    # face id -> the cells no longer on it
-        gained = {}  # face id -> the cells now on it
-        for cid in gone:
-            if cid not in cells:
+        cycles = self._cycles
+        counts = list(self._counts)
+        top = len(counts) - 1
+        walk = []   # the 2-cells to walk
+        edges = []  # the replaced edges, whose 2-cofaces are walked
+        for cid, cell in old.items():
+            counts[cell.dim] -= 1
+            cycles.pop(cid, None)
+            if cid not in added:
                 del cofaces[cid]
-            kept = added[cid].boundary if cid in added else ()
-            for fid in old[cid].boundary.difference(kept):
-                lost.setdefault(fid, []).append(cid)
+            elif cell.dim == 1:
+                edges.append(cid)
+            for fid in cell.boundary:
+                lost[fid].append(cid)
         for cid, cell in added.items():
-            cofaces.setdefault(cid, ())
-            had = old[cid].boundary if cid in old else ()
-            for fid in cell.boundary.difference(had):
-                gained.setdefault(fid, []).append(cid)
+            dim = cell.dim
+            if dim > top:
+                counts += [0] * (dim - top)
+                top = dim
+            counts[dim] += 1
+            if dim == 2:
+                walk.append(cid)
+            if cid not in old:
+                cofaces[cid] = ()
+        while not counts[-1]:
+            counts.pop()
+        self._counts = tuple(counts)
+        self.top_dim = len(counts) - 1
         # filtering keeps a coface tuple sorted; a face that gains cells
         # is sorted again, and every such face exists, as checked above
         for fid, out in lost.items():
@@ -351,13 +377,9 @@ class Complex:
                                       if t not in out])
         for fid, into in gained.items():
             cofaces[fid] = tuple(sorted((*cofaces[fid], *into)))
-
-        walk = {cid for cid, cell in added.items() if cell.dim == 2}
-        for cid in gone:
-            self._cycles.pop(cid, None)
-            if old[cid].dim == 1 and cid in cells:
-                walk.update(t for t in cofaces[cid] if cells[t].dim == 2)
-        self._walk_cycles(walk)
+        walk.extend(t for e in edges for t in cofaces[e]
+                    if cells[t].dim == 2)
+        self._walk_cycles(set(walk))
 
     def subcomplex(self, ids):
         """The subcomplex on the cells `ids`, which must be closed under
@@ -383,7 +405,7 @@ class Complex:
             raise MissingFace("empty complex")
         new = object.__new__(Complex)
         new.cells = {cid: c for cid, c in old.items() if cid in ids}
-        new.top_dim = max(c.dim for c in new.cells.values())
+        new._count(new.cells.values())
         cofaces = self._cofaces
         new._cofaces = {cid: tuple([t for t in cofaces[cid] if t in ids])
                         for cid in new.cells}
@@ -409,7 +431,7 @@ class Complex:
             name[cid]: new_cell(Cell, (name[cid], c.dim,
                                        frozenset(map(rename, c.boundary))))
             for cid, c in self.cells.items()}
-        new.top_dim = self.top_dim
+        new._counts, new.top_dim = self._counts, self.top_dim
         new._cofaces = {name[cid]: tuple(map(rename, cof))
                         for cid, cof in self._cofaces.items()}
         new._cycles = {name[cid]: tuple(map(rename, walk))
@@ -452,8 +474,8 @@ class Complex:
                         .difference(parts)):
             bnd = cells[t].boundary
             split = bnd.intersection(parts)
-            patched.append(Cell(t, cells[t].dim, bnd.difference(split).union(
-                *[parts[fid] for fid in split])))
+            patched.append(new_cell(Cell, (t, cells[t].dim, bnd.difference(
+                split).union(*[parts[fid] for fid in split]))))
         # a subdivision keeps the homeomorphism type, so the derived facts
         # stay true, but for a closed-surface defect naming a replaced cell
         facts = {k: v for k, v in self.__dict__.items()
@@ -480,7 +502,15 @@ class Complex:
                 or h2.dim != cell.dim:
             return "dimensions %d, %d and middle %d for a cell of " \
                 "dimension %d" % (h1.dim, h2.dim, mid.dim, cell.dim)
-        outside = mid.boundary - self.closure(cell.id)
+        # the closure of a 2-cell is itself and its walk, of an edge
+        # itself and its ends
+        if cell.dim == 2:
+            faces = self._cycles[cell.id]
+        elif cell.dim == 1:
+            faces = cell.boundary
+        else:
+            faces = self.closure(cell.id)
+        outside = mid.boundary.difference(faces, (cell.id,))
         if outside:
             return "middle cell %r has face %r outside its closure" \
                 % (mid.id, min(outside))
@@ -640,10 +670,8 @@ def build_poset(records):
 
 
 def euler_characteristic(K):
-    chi = 0
-    for cell in K.cells.values():
-        chi += 1 if cell.dim % 2 == 0 else -1
-    return chi
+    """The alternating sum of K's cell counts, read off K.counts()."""
+    return sum(n if p % 2 == 0 else -n for p, n in enumerate(K.counts()))
 
 
 def local_neighborhood(K, cid):

@@ -18,7 +18,7 @@ region.  Critical-cell counts never change.
 from dataclasses import dataclass, field
 
 from .cellcomplex import Complex, Cell, components, cycle_walk, \
-    euler_characteristic, verify_closed_surface
+    euler_characteristic, new_cell, verify_closed_surface
 from .errors import (
     BoundaryCriticalPresent,
     InconsistentField,
@@ -675,12 +675,13 @@ def _cone_cells(piece, circle):
     apex = name + ":apex"
     verts = circle[0::2]
     cone = {v: "%s:r:%s" % (name, v) for v in verts}
-    cells = [Cell(apex, 0, frozenset())]
-    cells += [Cell(cone[v], 1, frozenset({v, apex})) for v in verts]
+    cells = [new_cell(Cell, (apex, 0, frozenset()))]
+    cells += [new_cell(Cell, (cone[v], 1, frozenset((v, apex))))
+              for v in verts]
     for i, e in enumerate(circle[1::2]):
         cone[e] = "%s:t:%s" % (name, e)
-        cells.append(Cell(cone[e], 2, frozenset(
-            {e, cone[verts[i]], cone[verts[(i + 1) % len(verts)]]})))
+        cells.append(new_cell(Cell, (cone[e], 2, frozenset(
+            (e, cone[verts[i]], cone[verts[(i + 1) % len(verts)]])))))
     return apex, cone, cells
 
 

@@ -17,12 +17,13 @@ way to short stamps, and the first summand keeps its ids (_link_names).
 
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 
 from .cellcomplex import (
     Cell,
     Complex,
     euler_characteristic,
+    new_cell,
 )
 from .errors import (
     BadCellBoundary,
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .homology import BettiVector
 from .morsefield import (
+    MorseCounts,
     VectorField,
     _betti,
     _check_function,
@@ -499,13 +501,13 @@ def build_prism_over_boundary(K, alpha, prefix="tube:"):
     prism = {cid: tube_prism_id(cid, prefix) for cid in base}
     cells = []
     for cid in base:
-        c = K.cell(cid)
-        cells.append(Cell(top[cid], c.dim,
-                          frozenset(top[f] for f in c.boundary)))
+        c = K.cells[cid]
+        cells.append(new_cell(Cell, (top[cid], c.dim,
+                                     frozenset([top[f] for f in c.boundary]))))
     for cid in base:
-        c = K.cell(cid)
-        bnd = {cid, top[cid]} | {prism[f] for f in c.boundary}
-        cells.append(Cell(prism[cid], c.dim + 1, frozenset(bnd)))
+        c = K.cells[cid]
+        bnd = [cid, top[cid], *[prism[f] for f in c.boundary]]
+        cells.append(new_cell(Cell, (prism[cid], c.dim + 1, frozenset(bnd))))
     return TubeRegion(base_cells=tuple(base), top=top, prism=prism,
                       new_cells=tuple(cells))
 
@@ -548,16 +550,17 @@ def _shrink_closed_star(K, beta, v, shrunk_id=shrunk_id, inner_id=inner_id):
     bcell = K.cell(beta)
     if bcell.dim != K.top_dim:
         raise NotTopCell(beta)
-    if v not in K.closure(beta) or K.dim(v) != 0:
+    J = K.closure(beta)
+    cells = K.cells
+    if v not in J or cells[v].dim != 0:
         raise VertexNotOnCell("%r is not a vertex of %r" % (v, beta))
     _check_simplicial(K, beta, "shrink needs a simplicial cell")
-    J = K.closure(beta)
-    link = sorted(x for x in J if v not in K.closure(x))
-    cone = sorted(x for x in J if v in K.closure(x) and x != v)
+    closure = {x: K.closure(x) for x in J}
+    link = sorted(x for x in J if v not in closure[x])
+    cone = sorted(x for x in J if v in closure[x] and x != v)
 
     def opposite(rho):
-        faces = [x for x in K.closure(rho)
-                 if K.dim(x) == K.dim(rho) - 1 and v not in K.closure(x)]
+        faces = [x for x in cells[rho].boundary if v not in closure[x]]
         if len(faces) != 1:
             raise BadCellBoundary("no unique face of %r opposite %r" % (rho, v))
         return faces[0]
@@ -569,18 +572,19 @@ def _shrink_closed_star(K, beta, v, shrunk_id=shrunk_id, inner_id=inner_id):
 
     new_cells = []
     for sid in link:
-        c = K.cell(sid)
-        new_cells.append(Cell(shrunk_id(sid), c.dim,
-                              frozenset(shrunk_id(f) for f in c.boundary)))
+        c = cells[sid]
+        new_cells.append(new_cell(Cell, (shrunk_id(sid), c.dim, frozenset(
+            [shrunk_id(f) for f in c.boundary]))))
     for rho in cone:
-        c = K.cell(rho)
-        new_cells.append(Cell(shrunk_id(rho), c.dim,
-                              frozenset(shrunk_ref(f) for f in c.boundary)))
+        c = cells[rho]
+        new_cells.append(new_cell(Cell, (shrunk_id(rho), c.dim, frozenset(
+            [shrunk_ref(f) for f in c.boundary]))))
     for sid in link:
-        c = K.cell(sid)
-        bnd = {sid, shrunk_id(sid)} | {inner_id(cone_of[f]) for f in c.boundary}
-        new_cells.append(Cell(inner_id(cone_of[sid]), c.dim + 1,
-                              frozenset(bnd)))
+        c = cells[sid]
+        bnd = [sid, shrunk_id(sid),
+               *[inner_id(cone_of[f]) for f in c.boundary]]
+        new_cells.append(new_cell(Cell, (inner_id(cone_of[sid]), c.dim + 1,
+                                         frozenset(bnd))))
     # a coface of a cone cell holds v, so inside J it is a cone cell
     # too: the cofaces left to patch are those outside J
     K._subdivide({rho: (shrunk_id(rho), inner_id(rho)) for rho in cone},
@@ -870,6 +874,18 @@ def compose(M1, f1, M2, f2):
       checked, and every other cell keeps its faces, its cofaces and the
       order of their values from a function valid on the first summand
       (the comment at the touched cells below).
+
+    Nothing scans M whole for the report.  chi is read off the cell
+    counts M keeps through its edits, and must equal the inputs'
+    alternating critical sums less the sphere's chi, or compose raises
+    InconsistentField ("Euler characteristic drifted").  The critical
+    cells of V are sought among the touched cells and M1's critical
+    cells alone (_critical_among), which finds them all: any other cell
+    of M is a cell of M1 that no cut made or split, and not critical in
+    V1, so V1 pairs it; a cut that drops a pair of V1 re-pairs the
+    partner with the heir, and the glue only adds pairs, so V pairs it
+    too.  The report's counts and the record's critical cells are
+    critical_cells(V, M).
     """
     if M1.top_dim != M2.top_dim:
         raise DimensionMismatch((M1.top_dim, M2.top_dim))
@@ -945,8 +961,8 @@ def compose(M1, f1, M2, f2):
         if cid in dropped:
             continue
         if not c.boundary.isdisjoint(glue):
-            c = Cell(cid, c.dim, frozenset(
-                [g for f in c.boundary for g in glue.get(f, (f,))]))
+            c = new_cell(Cell, (cid, c.dim, frozenset(
+                [g for f in c.boundary for g in glue.get(f, (f,))])))
         glued.append(c)
     M = K1
     M._edit(remove=[alpha], add=[*glued, *tube.new_cells])
@@ -990,7 +1006,9 @@ def compose(M1, f1, M2, f2):
     induces_V = freport.ok and sorted(fpairs) == [
         p for p in V.pairs() if p[1] in touched]
 
-    counts = critical_cells(V, M)
+    # off what the edits touched and the kept counts, as argued above
+    counts = _critical_among(M, V, chain(
+        touched, [names.left + c for cs in crit1.cells.values() for c in cs]))
     chi = euler_characteristic(M)
     chi_sphere = 2 if n % 2 == 0 else 0
     # a matching pairs cells of adjacent dimensions, so the alternating
@@ -1020,6 +1038,18 @@ def compose(M1, f1, M2, f2):
         glue_cycle_length=cycle_length,
     )
     return M, f, V, report
+
+
+def _critical_among(K, V, ids):
+    """critical_cells(V, K) for a V whose critical cells all lie among
+    the ids `ids`: those of them in K that V leaves unmatched."""
+    pm = V.partner_map()
+    cells = K.cells
+    crit = {p: [] for p in range(K.top_dim + 1)}
+    for cid in sorted({x for x in ids if x not in pm and x in cells}):
+        crit[cells[cid].dim].append(cid)
+    return MorseCounts(m=tuple(map(len, crit.values())),
+                       cells={p: tuple(c) for p, c in crit.items()})
 
 
 def _choose_beta(K2, V2, v2, values):

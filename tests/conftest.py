@@ -6,7 +6,12 @@ from itertools import combinations
 import pytest
 
 from dms import surgery
-from dms.cellcomplex import Complex, build_poset, build_simplicial
+from dms.cellcomplex import (
+    Complex,
+    build_poset,
+    build_simplicial,
+    euler_characteristic,
+)
 from dms.fixtures import (
     genus_surface,
     pillow,
@@ -280,15 +285,21 @@ def _rebuild(K, remove=(), add=()):
 
 
 def _assert_same_complex(K, R):
-    """K and R agree in cells and their order, top dimension, every
-    coface list, every closure, every 2-cell walk and both flags, and
-    K's tables keep no dropped cell."""
+    """K and R agree in cells and their order, top dimension, cell
+    counts and Euler characteristic, every coface list, every closure,
+    every 2-cell walk and both flags, and K's tables keep no dropped
+    cell.  K's counts are the ones it kept, so they are also tallied
+    here from its cells."""
     assert K == R and list(K.cells) == list(R.cells)
     assert K._cofaces.keys() == K.cells.keys()
     for cid in R.cells:
         assert K.closure(cid) == R.closure(cid), cid
     assert K._cycles.keys() == set(K.cells_of_dim(2))
     assert K.top_dim == R.top_dim
+    assert K.counts() == R.counts() == tuple(
+        len(R.cells_of_dim(p)) for p in range(R.top_dim + 1))
+    assert euler_characteristic(K) == euler_characteristic(R) == sum(
+        (-1) ** c.dim for c in R.cells.values())
     for cid in R.cells:
         assert K.cofaces(cid) == R.cofaces(cid), cid
     for t in R.cells_of_dim(2):

@@ -65,6 +65,15 @@ def field_state(K, V):
     return rep.ok, critical_cells(V, K).m
 
 
+def assert_scanned_criticals(M, f, V, rep):
+    """compose read its critical cells off the cells it touched; the
+    report's counts and its record on M are what a scan of M finds."""
+    crit = critical_cells(V, M)
+    assert rep.counts == crit.m
+    assert M._composed[0] is f and M._composed[1] is V
+    assert M._composed[2] == crit
+
+
 def test_bisect_requires_edge(torus, torus_field):
     with pytest.raises(NotAnEdge):
         bisect_edge(torus, torus_field, "v0")
@@ -558,6 +567,7 @@ def test_compose_tori(torus, torus_function):
     M, f, V, rep = compose(torus, torus_function, torus7(),
                            synthesize_function(torus7(),
                                                tree_cotree_field(torus7())))
+    assert_scanned_criticals(M, f, V, rep)
     assert rep.chi == -2
     assert rep.counts == (1, 4, 1)
     assert rep.perfect
@@ -577,6 +587,7 @@ def test_compose_spheres():
     A = tetrahedron()
     fa = synthesize_function(A, tree_cotree_field(A))
     M, f, V, rep = compose(A, fa, tetrahedron(), fa)
+    assert_scanned_criticals(M, f, V, rep)
     assert rep.counts == (1, 0, 1)
     assert rep.chi == 2
     assert rep.perfect
@@ -590,6 +601,7 @@ def test_compose_cuts_a_corner_for_beta(torus, torus_function,
     # at the critical vertex and patches the second function
     g = synthesize_function(pillow_sphere, tree_cotree_field(pillow_sphere))
     M, f, V, rep = compose(torus, torus_function, pillow_sphere, g)
+    assert_scanned_criticals(M, f, V, rep)
     assert "~b" in rep.beta
     assert verify_closed_surface(M).genus == 1
     assert validate_field(M, V).ok and is_perfect(M, V) and rep.perfect
@@ -762,6 +774,7 @@ def test_compose_patches_f1_on_random_chains(seed, random_root_field):
             assert validate_function(K, f).ok
             assert induced_field(K, f) == V
             assert rep.perfect
+            assert_scanned_criticals(K, f, V, rep)
             cleared += rep.boundary_clearing_steps > 0
             if rng.random() < 0.5:
                 f = positive_affine(f, rng)
@@ -1038,6 +1051,7 @@ def test_cached_betti_of_a_compose_chain_is_the_homology(seed):
         T = torus7()
         ft = synthesize_function(T, tree_cotree_field(T, rng=rng))
         K, f, V, rep = compose(K, f, T, ft)
+        assert_scanned_criticals(K, f, V, rep)
         assert K._betti == betti_mod2(K) == morse_betti(K, V)
         assert K._betti.b == (1, 2 * genus, 1) and rep.perfect
 
@@ -1078,9 +1092,34 @@ def test_cached_betti_in_dimension_three(sphere3, collapse_field):
         M, fc = S, f
         for _ in range(3):
             M, fc, Vc, rep = compose(M, fc, sphere3(), f2)
+            assert_scanned_criticals(M, fc, Vc, rep)
             assert M._betti == betti_mod2(M) == morse_betti(M, Vc)
             assert M._betti.b == (1, 0, 0, 1) and rep.perfect
             assert validate_function(M, fc).ok and not rep.rescaled
+
+
+def test_compose_scans_no_result_for_its_critical_cells(spy):
+    # a chained link finds the critical cells of its result among the
+    # cells it touched: the only scan is of the fresh right summand
+    scans = spy(critical_cells)
+    K, f = seeded_torus(100)
+    for seed in range(101, 106):
+        T, ft = seeded_torus(seed)
+        del scans[:]
+        left = K
+        K, f, V, rep = compose(K, f, T, ft)
+        assert [args[1] for args in scans] == (
+            [left, T] if seed == 101 else [T])
+        assert_scanned_criticals(K, f, V, rep)
+
+
+def test_compose_refuses_counts_that_drifted(torus, torus_function):
+    # chi is read off the counts a complex keeps through its edits; a
+    # count that disagrees with the inputs' critical cells is refused
+    K = torus._draft()
+    K._counts = (7, 21, 15)
+    with pytest.raises(InconsistentField, match="Euler characteristic"):
+        compose(K, torus_function, *seeded_torus(100))
 
 
 def test_compose_rejects_imperfect(torus):
@@ -1133,6 +1172,7 @@ def test_compose_dimension_three(sphere3, collapse_field):
     assert is_perfect(S, V)
     f = synthesize_function(S, V)
     M, fc, Vc, rep = compose(S, f, sphere3(), f)
+    assert_scanned_criticals(M, fc, Vc, rep)
     assert rep.counts == (1, 0, 0, 1)
     assert rep.chi == 0
     assert rep.perfect and validate_function(M, fc).ok
@@ -1146,11 +1186,13 @@ def test_glued_results_match_a_full_rebuild(assert_same_complex, sphere3,
         T, ft = seeded_torus(seed)
         K, f, V, rep = compose(K, f, T, ft)
         assert_same_complex(K, Complex(K.cells.values()))
+        assert_scanned_criticals(K, f, V, rep)
     assert verify_closed_surface(K).genus == 6
     S = sphere3()
     f = synthesize_function(S, collapse_field(S, "c0-1-2-3"))
     M, fc, Vc, rep = compose(S, f, sphere3(), f)
     assert_same_complex(M, Complex(M.cells.values()))
+    assert_scanned_criticals(M, fc, Vc, rep)
     assert M.top_dim == 3 and M.is_pseudomanifold
 
 
@@ -1281,6 +1323,7 @@ def test_a_chain_of_128_tetrahedron_composes_stays_valid():
     for link in range(128):
         K, f, V, rep = compose(K, f, tetrahedron(), fT)
         assert rep.perfect, link
+        assert_scanned_criticals(K, f, V, rep)
     assert verify_closed_surface(K).genus == 0
     assert validate_function(K, f).ok and induced_field(K, f) == V
 
