@@ -20,6 +20,7 @@ from types import MappingProxyType
 from .errors import (
     CyclicField,
     InconsistentField,
+    InexactFunction,
     InvalidFunction,
     MissingValue,
     MultipleRoots,
@@ -226,6 +227,36 @@ def _check_function(K, f, ids=None):
     # stable: a cell's violations keep the order they were found in
     violations.sort(key=itemgetter(0))
     return FunctionReport(ok=not violations, violations=violations), pairs
+
+
+def _check_carried(K, V, f, ids):
+    """Check f, carried by compose or decompose onto K, on the cells
+    `ids` alone: valid there, else InexactFunction names the cells (the
+    cuts' midpoints are exact in the reals), and inducing V's pairs
+    whose higher cell is among them, else InconsistentField.  Only V's
+    partner map on `ids` is read: a valid f gives each t one exceptional
+    face at most, so once each induced (s, t) has partner s, the induced
+    pairs are the t whose partner is a face of t exactly when the two
+    counts agree."""
+    report, pairs = _check_function(K, f, ids)
+    if not report.ok:
+        raise InexactFunction(*report.violations[:5])
+    pm = V.partner_map()
+    cells = K.cells
+    downward = 0  # the cells t of ids whose partner is a face of t
+    for t in ids:
+        if pm.get(t) in cells[t].boundary:
+            downward += 1
+    if downward != len(pairs) or any(pm.get(t) != s for s, t in pairs):
+        raise InconsistentField("carried function induces a different field")
+
+
+def _dense_ranks(values):
+    """`values` with each value replaced by its rank among the distinct
+    values, as a float: every comparison and equality is kept, and the
+    values stay small enough for the cuts' midpoints to be exact."""
+    rank = {x: float(i) for i, x in enumerate(sorted(set(values.values())))}
+    return {cid: rank[x] for cid, x in values.items()}
 
 
 def induced_field(K, f):

@@ -22,7 +22,6 @@ from .cellcomplex import Complex, Cell, components, cycle_walk, \
 from .errors import (
     BoundaryCriticalPresent,
     InconsistentField,
-    InexactFunction,
     NoFlankingCells,
     NonOrientableInput,
     NotPerfectInput,
@@ -35,12 +34,13 @@ from .errors import (
 from .morsefield import (
     MorseFunction,
     VectorField,
-    _check_function,
+    _check_carried,
+    _dense_ranks,
     critical_cells,
     induced_field,
     trace_2path,
 )
-from .surgery import _around, _bisect_edge, _cut_corner, \
+from .surgery import _around, _bisect_edge, _checked_summand, _cut_corner, \
     separate_critical_cells
 
 
@@ -530,6 +530,8 @@ def find_separating_circle(K, f, g1, g2, values=None):
     single circle with no arrows pointing into it; returns the final
     (complex, field, circle walk, region), the drafts of
     separate_critical_cells edited in place by every repair after it.
+    The field f induces and its critical cells come from compose's entry
+    check, surgery._checked_summand (a record, or f checked in full).
     `values`, when given, holds f or a function inducing the same field,
     and every cut patches it in place (surgery._patch_values); the
     region's `made` then lists every cell a cut made.
@@ -573,10 +575,9 @@ def find_separating_circle(K, f, g1, g2, values=None):
     if info.genus != g1 + g2:
         raise WrongCriticalCount(
             "surface genus %s but g1+g2=%d" % (info.genus, g1 + g2))
-    V = induced_field(K, f)
+    V, crit = _checked_summand(K, f)
     # a closed orientable surface of genus g has mod-2 Betti numbers
     # (1, 2g, 1)
-    crit = critical_cells(V, K)
     if crit.m != (1, 2 * info.genus, 1):
         raise NotPerfectInput(crit.m)
     low, high = _split_edges(f, crit, g1, g2)
@@ -701,11 +702,6 @@ def cap_with_min_cone(piece, V, circle, values=None):
 
     `values`, when given, holds a Morse function on the piece inducing
     V, and gains the cone's values (_min_cone_values)."""
-    return _min_cap(piece, V, circle, values)[:2]
-
-
-def _min_cap(piece, V, circle, values):
-    """cap_with_min_cone, and the cone's cells."""
     edges = circle[1::2]
     pm = V.partner_map()
     apex, cone, cells = _cone_cells(piece, circle)
@@ -728,7 +724,7 @@ def _min_cap(piece, V, circle, values):
                 "circle edge %s paired with %s" % (e, p))
     if values is not None:
         _min_cone_values(values, pm, circle, apex, cone)
-    return piece.replace_cells(add=cells), V.replace(add=new_pairs), cells
+    return piece.replace_cells(add=cells), V.replace(add=new_pairs)
 
 
 def _min_cone_values(values, pm, circle, apex, cone):
@@ -782,11 +778,6 @@ def cap_with_max_cone(piece, V, circle, values=None):
 
     `values`, when given, holds a Morse function on the piece inducing
     V, and gains the cone's values (_max_cone_values)."""
-    return _max_cap(piece, V, circle, values)[:2]
-
-
-def _max_cap(piece, V, circle, values):
-    """cap_with_max_cone, and the cone's cells."""
     verts = circle[0::2]
     edges = circle[1::2]
     pm = V.partner_map()
@@ -799,7 +790,7 @@ def _max_cap(piece, V, circle, values):
     # the triangle between r_0 and r_1 stays critical
     if values is not None:
         _max_cone_values(values, circle, apex, cone)
-    return piece.replace_cells(add=cells), V.replace(add=new_pairs), cells
+    return piece.replace_cells(add=cells), V.replace(add=new_pairs)
 
 
 def _max_cone_values(values, circle, apex, cone):
@@ -835,31 +826,9 @@ def _entry_values(f):
     comparison and equality of f (as compose ranks its first summand),
     so the midpoints of the cuts stay exact."""
     values = dict(f.values)
-    vals = values.values()
-    if vals and max(max(vals), -min(vals)) > 2.0 ** 40:
-        rank = {x: float(i) for i, x in enumerate(sorted(set(vals)))}
-        values = {cid: rank[x] for cid, x in values.items()}
+    if values and max(map(abs, values.values())) > 2.0 ** 40:
+        values = _dense_ranks(values)
     return values
-
-
-def _carried_function(C, W, values, ids):
-    """The function on `values`, checked on the cells `ids` of the capped
-    piece C alone: it must be valid there and induce W's pairs whose
-    higher cell is among them.  A violation raises InexactFunction naming
-    the cells, as the cuts' midpoints are exact in the reals."""
-    f = MorseFunction(values)
-    report, pairs = _check_function(C, f, ids)
-    if not report.ok:
-        raise InexactFunction(*report.violations[:5])
-    pm = W.partner_map()
-    cells = C.cells
-    # with no violation, each cell of ids is the higher cell of one
-    # induced pair at most, as of one pair of the matching W
-    want = {(pm[t], t) for t in ids
-            if t in pm and cells[pm[t]].dim < cells[t].dim}
-    if len(pairs) != len(want) or not want.issuperset(pairs):
-        raise InconsistentField("carried function induces a different field")
-    return f
 
 
 def decompose(K, f, g1, g2):
@@ -868,18 +837,22 @@ def decompose(K, f, g1, g2):
     is f on every cell that no cut or cap touched.
 
     f is copied, and ranked densely when a value passes 2^40 in size
-    (_entry_values).  Every edge bisection and corner cut patches the
-    copy in place (surgery._patch_values), the split keeps each side's
-    values, and each cap gives its cone values (_max_cone_values,
-    _min_cone_values); each rule proves its values valid and inducing
-    the field the cut or cap makes.  Nothing is synthesized.
+    (_entry_values, by compose's rule _dense_ranks).  Every edge
+    bisection and corner cut patches the copy in place
+    (surgery._patch_values), the split keeps each side's values, and
+    each cap gives its cone values (_max_cone_values, _min_cone_values);
+    each rule proves its values valid and inducing the field the cut or
+    cap makes.  Nothing is synthesized.
 
     Each piece's function is then checked on the cells the cuts and the
-    cap touched alone: the cells a cut made that lie on the piece, with
-    their faces and cofaces (surgery._around), the circle's cells and
-    the cone.  That check is sound because:
+    cap touched alone, by the check compose makes of its result
+    (morsefield._check_carried): the cells a cut made that lie on the
+    piece, with their faces and cofaces (surgery._around), the circle's
+    cells and the cone, the ids the cap gave values to.  That check is
+    sound because:
     - f is valid and induces V on K (find_separating_circle checks it
-      on every cell);
+      on every cell, or reads it off the record compose keeps on a K it
+      returned with this very f);
     - any other cell of a piece is a cell of K, with its value, its
       faces and their values from f; a cell whose value a cut raises is
       a coface of a cell the cut made;
@@ -907,14 +880,16 @@ def decompose(K, f, g1, g2):
     split = split_along_circle(K2, V2, circle)
     cut = _around(K2, region.made)
     pieces = []
-    for cap, P, W in ((_max_cap, split.min_complex, split.min_field),
-                      (_min_cap, split.max_complex, split.max_field)):
+    for cap, P, W in ((cap_with_max_cone, split.min_complex, split.min_field),
+                      (cap_with_min_cone, split.max_complex, split.max_field)):
         pv = {cid: values[cid] for cid in P.cells}
-        C, W, cone = cap(P, W, circle, pv)
+        C, W = cap(P, W, circle, pv)
         ids = {cid for cid in cut if cid in P.cells}
         ids.update(circle)
-        ids.update(c.id for c in cone)
-        pieces.append((C, W, _carried_function(C, W, pv, ids)))
+        ids.update(pv.keys() - P.cells.keys())  # the cone
+        g = MorseFunction(pv)
+        _check_carried(C, W, g, ids)
+        pieces.append((C, W, g))
     (m1K, m1V, m1f), (m2K, m2V, m2f) = pieces
     counts = {"m1": critical_cells(m1V, m1K).m,
               "m2": critical_cells(m2V, m2K).m}

@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     InconsistentField,
-    InexactFunction,
     InseparableCriticals,
     NoEligibleBeta,
     NonPseudomanifold,
@@ -47,11 +46,11 @@ from .morsefield import (
     MorseCounts,
     VectorField,
     _betti,
-    _check_function,
+    _check_carried,
+    _dense_ranks,
     _read_only_function,
     critical_cells,
     induced_field,
-    validate_field,
 )
 
 
@@ -713,9 +712,10 @@ def _renamed_values(f, name):
 
 
 def _checked_summand(K, f):
-    """The gradient field f induces on K and its critical cells: taken
-    from the record compose keeps on a complex it returned when f is the
-    very function it returned with it, and otherwise checked in full."""
+    """The gradient field f induces on K and its critical cells, the one
+    entry check of compose and decompose: taken from the record compose
+    keeps on a complex it returned when f is the very function it
+    returned with it, and otherwise checked in full."""
     record = K._composed
     if record is not None and record[0] is f:
         return record[1], record[2]
@@ -827,12 +827,12 @@ def compose(M1, f1, M2, f2):
     The term f1(alpha) + 2 is the paper's C, kept when it suffices, and
     `rescaled` in the report is always False.  Floats round, though:
     along a chain, f1(alpha) and so C double with every link, so when
-    f1(alpha) > 2^40 the left values are first ranked densely, which
-    keeps every comparison and every equality of f1.  Rounding that
-    still breaks the checked function (a float midpoint that ties, or
-    values of f2 too large to take C exactly) raises InexactFunction
-    naming the cells, so compose never returns a function it found
-    invalid.
+    f1(alpha) > 2^40 the left values are first ranked densely
+    (_dense_ranks), which keeps every comparison and every equality of
+    f1.  Rounding that still breaks the checked function (a float
+    midpoint that ties, or values of f2 too large to take C exactly)
+    raises InexactFunction naming the cells, so compose never returns a
+    function it found invalid.
 
     The result's mod-2 Betti numbers are cached from Mayer-Vietoris
     instead of being ranked.  Both inputs are closed pseudomanifolds,
@@ -856,11 +856,11 @@ def compose(M1, f1, M2, f2):
     this very M, a copy or a reparsed one give the same texts.
 
     The returned f has read-only values, and M keeps the record (f, V,
-    critical cells of V).  A later compose handed this very M and this
-    very f (the same objects, as a chain passes them on) reads V and the
-    critical cells off it instead of checking f on every cell.  Another
-    complex, a copy of f or a function compose did not return is checked
-    in full.
+    critical cells of V).  A later compose or decompose handed this very
+    M and this very f (the same objects, as a chain passes them on)
+    reads V and the critical cells off it instead of checking f on every
+    cell (_checked_summand).  Another complex, a copy of f or a function
+    compose did not return is checked in full.
     The record is sound because:
     - edits mutate only drafts that no caller holds: a public surgery
       edits a copy it made, compose edits a draft or a renamed copy of
@@ -871,7 +871,9 @@ def compose(M1, f1, M2, f2):
     - f's values are a mappingproxy over a dict that nothing else holds,
       so they cannot change after the check;
     - f is valid and induces V on all of M: the touched cells are
-      checked, and every other cell keeps its faces, its cofaces and the
+      checked by the check decompose makes of its pieces
+      (morsefield._check_carried, which reads V's partner map on them
+      alone), and every other cell keeps its faces, its cofaces and the
       order of their values from a function valid on the first summand
       (the comment at the touched cells below).
 
@@ -923,9 +925,7 @@ def compose(M1, f1, M2, f2):
     alpha = names.left + crit1.cells[n][0]
     v2 = names.right + crit2.cells[0][0]
     if values[alpha] > 2.0 ** 40:  # dense ranks, as argued above
-        rank = {x: float(i)
-                for i, x in enumerate(sorted(set(values.values())))}
-        values = {cid: rank[x] for cid, x in values.items()}
+        values = _dense_ranks(values)
 
     # K1, V1, K2 and V2 are copies the edits below change in place
     clearing, cleared = 0, set()
@@ -1000,11 +1000,6 @@ def compose(M1, f1, M2, f2):
     for cid, val in glued_f2.items():
         values[cid] = val + C
     f = _read_only_function(values)
-    freport, fpairs = _check_function(M, f, touched)
-    touched = set(touched)
-    # a valid function inducing V makes V a gradient field
-    induces_V = freport.ok and sorted(fpairs) == [
-        p for p in V.pairs() if p[1] in touched]
 
     # off what the edits touched and the kept counts, as argued above
     counts = _critical_among(M, V, chain(
@@ -1017,14 +1012,8 @@ def compose(M1, f1, M2, f2):
                      in enumerate(zip(crit1.m, crit2.m)))
     if chi != chi_inputs - chi_sphere:
         raise InconsistentField("Euler characteristic drifted in compose")
-    if not induces_V:
-        vreport = validate_field(M, V)
-        if not vreport.ok:
-            raise InconsistentField(vreport.issues[:3])
-        if freport.ok:
-            raise InconsistentField(
-                "composed function induces a different field")
-        raise InexactFunction(*freport.violations[:5])
+    # a valid function inducing V makes V a gradient field
+    _check_carried(M, V, f, touched)
     M._betti = BettiVector(tuple(
         b1 + b2 - (p == 0) - (p == n)
         for p, (b1, b2) in enumerate(zip(M1._betti.b, M2._betti.b))))

@@ -175,6 +175,45 @@ def random_root_field():
     return _random_root_field
 
 
+def _depth_first_cotree_field(K, seed):
+    """tree_cotree_field(K)'s spanning tree of the 1-skeleton, with a
+    seeded depth-first spanning tree of the dual graph on the other
+    edges, grown from a root facet drawn at random, neighbours taken in
+    a shuffled order.  The root facet stays critical.  Unlike a
+    breadth-first dual tree, which crosses every edge of its root that
+    the primal tree leaves, it may leave critical edges on that facet."""
+    rng = random.Random(seed)
+    pairs = [p for p in tree_cotree_field(K).pairs() if K.dim(p[0]) == 0]
+    tree = {e for _, e in pairs}
+
+    def shuffled(t):
+        edges = sorted(K.boundary(t) - tree)
+        rng.shuffle(edges)
+        return iter(edges)
+
+    root = rng.choice(sorted(K.cells_of_dim(2)))
+    seen, stack = {root}, [(root, shuffled(root))]
+    while stack:
+        cur, edges = stack[-1]
+        for e in edges:
+            (other,) = set(K.cofaces(e)) - {cur}
+            if other not in seen:
+                seen.add(other)
+                pairs.append((e, other))
+                stack.append((other, shuffled(other)))
+                break
+        else:
+            stack.pop()
+    return VectorField(pairs)
+
+
+@pytest.fixture(scope="session")
+def depth_first_cotree_field():
+    """depth_first_cotree_field(K, seed): a field on K whose dual tree
+    is a seeded depth-first one."""
+    return _depth_first_cotree_field
+
+
 # the random_valid_field seeds on the tetrahedron, torus7 and
 # genus_surface(2) ("genus2") on which the corner cut between two
 # critical polygons keeps cutting while the piece left critical keeps

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from dms import surgery
+from dms import morsefield, surgery
 from dms.errors import (
     CyclicField,
     InconsistentField,
@@ -516,16 +516,18 @@ MAPS = [(1.0, 0.0), (1.0, 1000.0), (1.0, -1000.0), (0.001, 0.0),
 @pytest.fixture
 def local_checks(monkeypatch):
     """The local function checks compose makes, each with the induced
-    pairs it read in the same face loop, recorded with their results."""
-    local_check = surgery._check_function
+    pairs it read in the same face loop, recorded with their results;
+    the whole-complex checks of its summands pass no ids."""
+    full_check = morsefield._check_function
     checks = []
 
-    def check(K, f, ids):
-        out = local_check(K, f, ids)
-        checks.append((K, f, ids, out))
+    def check(K, f, ids=None):
+        out = full_check(K, f, ids)
+        if ids is not None:
+            checks.append((K, f, ids, out))
         return out
 
-    monkeypatch.setattr(surgery, "_check_function", check)
+    monkeypatch.setattr(morsefield, "_check_function", check)
     return checks
 
 

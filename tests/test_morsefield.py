@@ -6,6 +6,8 @@ import pytest
 
 from dms.cellcomplex import build_poset, build_simplicial
 from dms.errors import (
+    InconsistentField,
+    InexactFunction,
     InvalidFunction,
     MissingValue,
     MultipleRoots,
@@ -19,6 +21,7 @@ from dms.homology import betti_mod2
 from dms.morsefield import (
     MorseFunction,
     VectorField,
+    _check_carried,
     critical_cells,
     induced_field,
     is_perfect,
@@ -275,3 +278,28 @@ def test_read_only_values_survive_pickle_and_copy():
         assert g == plain and type(g.values) is dict
         g.values[cid] = -1.0
     assert plain == f
+
+
+def test_carried_check_compares_the_field_on_the_cells_it_reads(tetra):
+    # v0 is raised above e0-1, so f induces the one pair (v0, e0-1)
+    values = dim_function(tetra).values.copy()
+    values["v0"], values["e0-1"] = 0.7, 0.5
+    f = MorseFunction(values)
+    ids = sorted(tetra.cells)
+    _check_carried(tetra, VectorField([("v0", "e0-1")]), f, ids)
+    # e0-1 paired with its other end: as many downward partners as
+    # induced pairs, but not the same partner
+    with pytest.raises(InconsistentField):
+        _check_carried(tetra, VectorField([("v1", "e0-1")]), f, ids)
+    # one more downward pair than f induces
+    with pytest.raises(InconsistentField):
+        _check_carried(tetra, VectorField([("v0", "e0-1"), ("v2", "e2-3")]),
+                       f, ids)
+    # only the cells handed in are read: e2-3 and its partner are not
+    _check_carried(tetra, VectorField([("v0", "e0-1"), ("v2", "e2-3")]), f,
+                   [cid for cid in ids if cid != "e2-3"])
+    values["v0"] = 1.5  # below none of its three edges
+    with pytest.raises(InexactFunction) as err:
+        _check_carried(tetra, VectorField([("v0", "e0-1")]),
+                       MorseFunction(values), ids)
+    assert ("v0", "cofaces") in err.value.args

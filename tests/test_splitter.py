@@ -32,7 +32,7 @@ from dms.fixtures import (
     torus7,
     tree_cotree_field,
 )
-from dms.formats import write_cwp, write_dvf
+from dms.formats import write_cwp, write_dmf, write_dvf
 from dms.homology import betti_mod2
 from dms.morsefield import (
     MorseFunction,
@@ -982,6 +982,61 @@ def test_decompose_checks_each_piece_once(spy):
             assert set(args[2]) < set(P.cells)
         done += 1
     assert done == 8
+
+
+def piece_texts(res):
+    """The six texts of a decompose: each piece's complex, field and
+    function."""
+    return tuple(text for K, V, f in (
+        (res.m1_complex, res.m1_field, res.m1_function),
+        (res.m2_complex, res.m2_field, res.m2_function))
+        for text in (write_cwp(K), write_dvf(V, K), write_dmf(f)))
+
+
+def test_decompose_of_a_composed_surface_reads_its_record(spy):
+    # genus_surface(4) is compose's own (K, f): the record compose keeps
+    # on K stands for the whole-complex check on entry, so only the
+    # pieces are checked, on the cells they touched; a copy of f is
+    # checked in full and decomposes to the same texts
+    K, f, _ = genus_surface(4)
+    copy = MorseFunction(dict(f.values))
+    checks = spy(_check_function)
+    for g1 in (1, 2, 3):
+        del checks[:]
+        res = decompose(K, f, g1, 4 - g1)
+        assert [len(args) for args in checks] == [3, 3]
+        del checks[:]
+        again = decompose(K, copy, g1, 4 - g1)
+        assert checks[0][0] is K and checks[0][1] is copy
+        assert [len(args) for args in checks] == [2, 3, 3]
+        assert piece_texts(res) == piece_texts(again)
+
+
+def test_decompose_drops_values_off_the_complex():
+    # a value for an id that is no cell of K is dropped: the pieces hold
+    # the values of their own cells alone, as without that value
+    K, f, _ = genus_surface(3)
+    extra = MorseFunction({**f.values, "zz:off": -1000.0})
+    for g1 in (1, 2):
+        res = decompose(K, extra, g1, 3 - g1)
+        assert res.m1_function.values.keys() == res.m1_complex.cells.keys()
+        assert res.m2_function.values.keys() == res.m2_complex.cells.keys()
+        assert piece_texts(res) == piece_texts(decompose(K, f, g1, 3 - g1))
+
+
+def test_decompose_checks_the_cone_values(monkeypatch):
+    # the cone's ids are among the cells each piece's function is checked
+    # on: a min cone whose apex sits above every radial is refused
+    def apex_on_top(values, pm, circle, apex, cone):
+        give(values, pm, circle, apex, cone)
+        values[apex] = max(values.values()) + 1.0
+
+    give = splitter._min_cone_values
+    monkeypatch.setattr(splitter, "_min_cone_values", apex_on_top)
+    K, f, _ = genus_surface(2)
+    with pytest.raises(InexactFunction) as err:
+        decompose(K, f, 1, 1)
+    assert ("cone:apex", "cofaces") in err.value.args
 
 
 def test_edge_rule_raises_the_facet_when_no_value_fits(tetra):

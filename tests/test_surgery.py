@@ -1113,6 +1113,61 @@ def test_compose_scans_no_result_for_its_critical_cells(spy):
         assert_scanned_criticals(K, f, V, rep)
 
 
+def test_a_chained_compose_reads_no_pair_list_of_its_result(monkeypatch):
+    # the result's function is checked against V through the partner map
+    # over the touched cells: no link reads a whole pair list
+    def refuse(self):
+        raise AssertionError("a whole pair list was read")
+
+    K, f = chained(1)
+    rights = [seeded_torus(seed) for seed in range(300, 303)]
+    monkeypatch.setattr(VectorField, "pairs", refuse)
+    for T, ft in rights:
+        K, f, V, rep = compose(K, f, T, ft)
+        assert rep.perfect
+        assert_scanned_criticals(K, f, V, rep)
+
+
+def test_compose_clears_critical_edges_off_alpha(depth_first_cotree_field):
+    # a depth-first dual tree can leave critical edges on its critical
+    # triangle, which a breadth-first one never does: as the left
+    # summand, the clearing bisects each off alpha's boundary, and as
+    # either summand the result is a perfect genus-2 surface
+    cleared = 0
+    for seed in range(12):
+        T = torus7()
+        W = depth_first_cotree_field(T, seed)
+        assert validate_field(T, W).ok and is_perfect(T, W)
+        crit = critical_cells(W, T)
+        alpha = crit.cells[2][0]
+        on_alpha = [e for e in crit.cells[1] if e in T.boundary(alpha)]
+        assert set(on_alpha) <= set(surgery._boundary_offenders(T, W, alpha))
+        g = synthesize_function(T, W)
+        left = compose(T, g, *seeded_torus(seed))
+        right = compose(*seeded_torus(seed), T, g)
+        for M, f, V, rep in (left, right):
+            assert validate_field(M, V).ok and induced_field(M, f) == V
+            assert rep.perfect and verify_closed_surface(M).genus == 2
+            assert critical_cells(V, M).m == betti_mod2(M).b == (1, 4, 1)
+            assert_scanned_criticals(M, f, V, rep)
+        assert left[3].boundary_clearing_steps >= len(on_alpha)
+        cleared += bool(on_alpha)
+    assert cleared >= 4
+
+
+def test_a_chained_left_drops_its_values_off_the_complex():
+    # a left summand whose function holds a value for an id that is no
+    # cell of it composes as the function without that value does
+    K, f = chained(2)
+    T, ft = seeded_torus(300)
+    extra = MorseFunction({**f.values, "zz:off": 0.5})
+    M, g, V, rep = compose(K, extra, T, ft)
+    assert g.values.keys() == M.cells.keys()
+    M2, g2, V2, rep2 = compose(K, MorseFunction(dict(f.values)), T, ft)
+    assert composed_texts(M, g, V) == composed_texts(M2, g2, V2)
+    assert rep == rep2
+
+
 def test_compose_refuses_counts_that_drifted(torus, torus_function):
     # chi is read off the counts a complex keeps through its edits; a
     # count that disagrees with the inputs' critical cells is refused
