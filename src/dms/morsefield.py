@@ -233,22 +233,25 @@ def _check_carried(K, V, f, ids):
     """Check f, carried by compose or decompose onto K, on the cells
     `ids` alone: valid there, else InexactFunction names the cells (the
     cuts' midpoints are exact in the reals), and inducing V's pairs
-    whose higher cell is among them, else InconsistentField.  Only V's
-    partner map on `ids` is read: a valid f gives each t one exceptional
-    face at most, so once each induced (s, t) has partner s, the induced
-    pairs are the t whose partner is a face of t exactly when the two
-    counts agree."""
+    whose higher cell is among them, else InconsistentField names the
+    smallest t of `ids` where they part.  Only V's partner map on `ids`
+    is read: a valid f pairs each t with one face at most, so it induces
+    those pairs exactly when two maps agree, t to the face f pairs it
+    with, and t to its partner in V when that is a face of t."""
     report, pairs = _check_function(K, f, ids)
     if not report.ok:
         raise InexactFunction(*report.violations[:5])
     pm = V.partner_map()
     cells = K.cells
-    downward = 0  # the cells t of ids whose partner is a face of t
-    for t in ids:
-        if pm.get(t) in cells[t].boundary:
-            downward += 1
-    if downward != len(pairs) or any(pm.get(t) != s for s, t in pairs):
-        raise InconsistentField("carried function induces a different field")
+    induced = {t: s for s, t in pairs}
+    below = {t: pm[t] for t in ids if pm.get(t) in cells[t].boundary}
+    if induced != below:
+        t = min(t for t in induced.keys() | below.keys()
+                if induced.get(t) != below.get(t))
+        raise InconsistentField(
+            "carried function induces a different field at %s: f pairs it "
+            "with %s, the field with %s"
+            % (t, induced.get(t, "no face"), below.get(t, "no face")))
 
 
 def _dense_ranks(values):

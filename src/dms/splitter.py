@@ -46,10 +46,15 @@ from .surgery import _around, _bisect_edge, _checked_summand, _cut_corner, \
 
 @dataclass
 class CoreRegion:
+    """The carved region R: its facets, path and high edges, critical
+    facet, and its edges with one region coface (`boundary`) and two
+    (`interior`), counted once by carve_core and kept by _follow."""
     facets: set
     path_edges: set
     high_edges: set
     critical_facet: str
+    boundary: set
+    interior: set
     paths: list = field(default_factory=list)
     made: set = field(default_factory=set)  # cells the bisections made
 
@@ -103,19 +108,43 @@ def _boundary_and_interior(K, facets):
     return boundary, interior
 
 
-def _reclassify(K, facets, boundary, interior, edges):
-    """Patch a region's boundary and interior edge sets in place after
-    an edit that changed the region cofaces of `edges` only: an edge is
-    interior with two cofaces in `facets` and on the boundary with one."""
-    cofaces = K.coface_table
-    for e in edges:
-        boundary.discard(e)
-        interior.discard(e)
-        n = sum(t in facets for t in cofaces.get(e, ()))
-        if n == 2:
-            interior.add(e)
-        elif n == 1:
-            boundary.add(e)
+def _follow(K, region, rec):
+    """Follow one cut into the region in place, the one rule that
+    changes its sets.  The cut cell's heir, the half inheriting its
+    role, takes its place among the path and high edges and as the
+    critical facet, and the new cells join `made`.  An edge split puts
+    both halves where the edge was, on the boundary or inside.  The
+    splitter cuts a 2-cell only as _excavate's corner cut of a region
+    facet, with new cells (chord, rest, corner): the rest replaces the
+    facet in R and the corner leaves R.  So the chord joins the
+    boundary, and each other edge of the corner loses a region coface:
+    an interior edge moves to the boundary, a boundary edge leaves R."""
+    (old, heir), = rec.replacements.items()
+    region.made.update(rec.new_cells)
+    for cells in (region.path_edges, region.high_edges):
+        if old in cells:
+            cells.remove(old)
+            cells.add(heir)
+    if region.critical_facet == old:
+        region.critical_facet = heir
+    if K.dim(rec.new_cells[0]) == 0:  # an edge split at a new vertex
+        for side in (region.boundary, region.interior):
+            if old in side:
+                side.remove(old)
+                side.update(rec.new_cells[1:])
+        return
+    chord, rest, corner = rec.new_cells
+    region.facets.remove(old)
+    region.facets.add(rest)
+    # each edge of the corner flips: the chord and interior ones join
+    region.interior -= K.boundary(corner)
+    region.boundary ^= K.boundary(corner)
+
+
+def _stray(region, e):
+    """Whether e is a stray edge: interior, but no path or high edge."""
+    return e in region.interior and e not in region.path_edges \
+        and e not in region.high_edges
 
 
 def _vertices(K, edges):
@@ -208,14 +237,15 @@ def carve_core(K, V, high_edges):
             paths.append(path)
             facets.update(path.steps[1::2])
             path_edges.update(path.steps[0::2])
+    boundary, interior = _boundary_and_interior(K, facets)
     return CoreRegion(facets=facets, path_edges=path_edges,
                       high_edges=set(high_edges), critical_facet=crit2,
-                      paths=paths)
+                      boundary=boundary, interior=interior, paths=paths)
 
 
 def classify_boundary(K, region):
-    """The region's boundary edges with their degrees, components and
-    wedge vertices, classified.
+    """The region's boundary edges (region.boundary, as _follow keeps
+    it) with their degrees, components and wedge vertices, classified.
 
     Around a vertex's link cycle, region and other facets switch exactly
     at the region's boundary edges, the edges with one region coface.  A
@@ -223,12 +253,11 @@ def classify_boundary(K, region):
     and the d switches cut the ring into runs that alternate between
     region sectors and other facets: a wedge (d >= 4) has >= 2 sectors.
     """
-    boundary, _ = _boundary_and_interior(K, region.facets)
     degree = {}
-    for e in boundary:
+    for e in region.boundary:
         for v in K.boundary(e):
             degree[v] = degree.get(v, 0) + 1
-    components = _edge_graph_components(K, boundary)
+    components = _edge_graph_components(K, region.boundary)
     wedges = tuple(sorted(v for v, d in degree.items() if d >= 4))
     if len(components) == 1 and not wedges:
         cls = "Circle"
@@ -238,26 +267,12 @@ def classify_boundary(K, region):
         cls = "SingleWedge"
     else:
         cls = "WedgesWithConnectingCircles"
-    return BoundaryGraph(edges=frozenset(boundary), degree=degree,
+    return BoundaryGraph(edges=frozenset(region.boundary), degree=degree,
                          components=components, wedge_vertices=wedges,
                          classification=cls)
 
 
 # --- the excavation engine ---------------------------------------------------
-
-
-def _rename(region, rec):
-    """Follow one bisection into the region in place: a bisection
-    renames exactly one cell, to the half that inherits its role, and
-    its new cells join the cells made."""
-    (old, heir), = rec.replacements.items()
-    region.made.update(rec.new_cells)
-    for cells in (region.facets, region.path_edges, region.high_edges):
-        if old in cells:
-            cells.remove(old)
-            cells.add(heir)
-    if region.critical_facet == old:
-        region.critical_facet = heir
 
 
 def _runs_on_cycle(cycle, marked):
@@ -268,10 +283,7 @@ def _runs_on_cycle(cycle, marked):
     if all(flags):
         raise NoFlankingCells("entire cycle marked")
     runs = []
-    i = 0
-    while flags[i]:
-        i = (i + 1) % n
-    start = i
+    start = flags.index(False)
     run = []
     for k in range(n):
         j = (start + k) % n
@@ -296,7 +308,9 @@ def _excavate(K, V, region, marked, values):
     pre-pass gives each unmarked edge with both ends marked a midpoint,
     the rungs split the interior edges with one marked end, and the
     corners are cut off, each by edge bisections and one corner cut.
-    `values`, None or a function's values, is patched along by every cut
+    _follow keeps the region's edges through every cut, but the rung
+    pass reads the interior as it stood before it.  `values`, None or a
+    function's values, is patched along by every cut
     (surgery._patch_values).
     """
     marked = {t: set(cs) for t, cs in marked.items()}
@@ -313,13 +327,15 @@ def _excavate(K, V, region, marked, values):
         mk = marked[t]
         for e in K.boundary_cycle(t)[1::2]:
             if e not in mk and K.boundary(e) <= mk:
-                _rename(region, _bisect_edge(K, V, e, values=values))
-
-    boundary, interior = _boundary_and_interior(K, region.facets)
+                _follow(K, region, _bisect_edge(K, V, e, values=values))
 
     # rungs: unmarked interior edges flanking a marked cell; bisect each
     # once, anchored away from the marked endpoint.  Each facet's cycle is
     # read after the earlier splits, so it lists no rung split before.
+    # The pass reads the interior as it stood before it: the live set
+    # lists the halves of a rung split earlier in the pass, and the half
+    # at the marked end would qualify as a rung again.
+    interior = set(region.interior)
     rung_mid = {}
     for t in sorted(marked):
         cycle = K.boundary_cycle(t)
@@ -338,7 +354,7 @@ def _excavate(K, V, region, marked, values):
                     "rung %s is matched with its expelled endpoint" % e)
             rec = _bisect_edge(K, V, e, [x for x in ends if x not in mk][0],
                                values)
-            _rename(region, rec)
+            _follow(K, region, rec)
             rung_mid[e] = rec.new_cells  # w, e1 and e2, the expelled half
     # fold the expelled halves into the marked sets of their facets; the
     # rungs split only edges, so every marked facet is still a cell
@@ -346,9 +362,6 @@ def _excavate(K, V, region, marked, values):
         for t in marked:
             if e2 in K.cells[t].boundary:
                 marked[t].add(e2)
-    _reclassify(K, region.facets, boundary, interior,
-                [x for e, (w, e1, e2) in rung_mid.items()
-                 for x in (e, e1, e2)])
 
     # cut the corners facet by facet.  Each marked facet is worked as one
     # piece p: a joining-edge split keeps p's id, and a corner cut
@@ -364,7 +377,7 @@ def _excavate(K, V, region, marked, values):
             corner = {cyc[i] for i in run}
             before = (run[0] - 1) % n
             after = (run[-1] + 1) % n
-            boundary_vertices = _vertices(K, boundary)
+            boundary_vertices = _vertices(K, region.boundary)
 
             def cut_point(idx, step):
                 # step +1 walks forward, -1 backward from the run; the
@@ -372,14 +385,15 @@ def _excavate(K, V, region, marked, values):
                 cell = cyc[idx]
                 if idx % 2 == 0:
                     nxt_edge = cyc[(idx + step) % n]
-                    if cell not in boundary_vertices or nxt_edge in interior:
+                    if cell not in boundary_vertices \
+                            or nxt_edge in region.interior:
                         return idx
                     # anchor on the curve: expel the flank edge as well
                     marked[orig].update((cell, nxt_edge))
                     corner.update((cell, nxt_edge))
                     return (idx + 2 * step) % n
                 # an edge: boundary flanks are expelled, cut past them
-                if cell in boundary:
+                if cell in region.boundary:
                     marked[orig].add(cell)
                     corner.add(cell)
                     return (idx + step) % n
@@ -399,22 +413,14 @@ def _excavate(K, V, region, marked, values):
             if joining:
                 g = joining[0]
                 rec = _bisect_edge(K, V, g, values=values)
-                _rename(region, rec)
+                _follow(K, region, rec)
                 if g in marked[orig]:
                     marked[orig].update(rec.new_cells)
-                _reclassify(K, region.facets, boundary, interior,
-                            (g, *rec.new_cells[1:]))
                 continue
             # a critical p passes its criticality to the kept rest
             rec = _cut_corner(K, V, p, u, w, corner, values)
-            _rename(region, rec)
-            _, kept, expelled = rec.new_cells
-            region.facets.discard(expelled)
-            region.facets.add(kept)
-            # p's edges, and the chord, now lie on kept or on expelled
-            _reclassify(K, region.facets, boundary, interior,
-                        K.cells[kept].boundary | K.cells[expelled].boundary)
-            p = kept
+            _follow(K, region, rec)
+            p = rec.new_cells[1]
         else:
             raise NoFlankingCells("corner cutting did not converge")
 
@@ -427,8 +433,7 @@ def _stray_closure(K, V, region, seed):
     only its own partner edge, and the seed is no vertex's push, as it
     is critical or matched with a vertex on the boundary curve."""
     pm = V.partner_map()
-    boundary, interior = _boundary_and_interior(K, region.facets)
-    bverts = _vertices(K, boundary)
+    bverts = _vertices(K, region.boundary)
     z_edges = set()
     z_verts = set()
     frontier = [seed]
@@ -440,9 +445,7 @@ def _stray_closure(K, V, region, seed):
                 continue
             z_verts.add(x)
             p = pm.get(x)
-            if p is not None and K.dim(p) == 1 and p in interior \
-                    and p not in region.path_edges \
-                    and p not in region.high_edges:
+            if _stray(region, p):
                 frontier.append(p)
     return z_edges, z_verts
 
@@ -497,19 +500,11 @@ def _resolve_wedge(K, V, region, v, values):
 
 
 def _inward_violations(K, V, region, bg):
-    """Boundary vertices matched with a stray interior edge of the
-    region, each with that edge; an edge is interior when both of its
-    cofaces are region facets."""
+    """Boundary vertices matched with a stray edge of the region (_stray),
+    each with that edge."""
     pm = V.partner_map()
-    facets = region.facets
-    out = []
-    for x in sorted(_vertices(K, bg.edges)):
-        p = pm.get(x)
-        if p is not None and K.dim(p) == 1 \
-                and p not in region.path_edges and p not in region.high_edges \
-                and sum(t in facets for t in K.cofaces(p)) == 2:
-            out.append((x, p))
-    return out
+    return [(x, pm[x]) for x in sorted(_vertices(K, bg.edges))
+            if _stray(region, pm.get(x))]
 
 
 def _expel_foreign_criticals(K, V, region, v0, low_edges, values):
@@ -534,7 +529,8 @@ def find_separating_circle(K, f, g1, g2, values=None):
     check, surgery._checked_summand (a record, or f checked in full).
     `values`, when given, holds f or a function inducing the same field,
     and every cut patches it in place (surgery._patch_values); the
-    region's `made` then lists every cell a cut made.
+    region's `made` then lists every cell a cut made.  carve_core counts
+    the region's edges once, and _follow keeps them through every cut.
 
     The loop needs only these two repairs, and the walk after it cannot
     fail, for these reasons.  Past `_expel_foreign_criticals` the region

@@ -289,10 +289,10 @@ def test_carried_check_compares_the_field_on_the_cells_it_reads(tetra):
     _check_carried(tetra, VectorField([("v0", "e0-1")]), f, ids)
     # e0-1 paired with its other end: as many downward partners as
     # induced pairs, but not the same partner
-    with pytest.raises(InconsistentField):
+    with pytest.raises(InconsistentField, match="at e0-1: "):
         _check_carried(tetra, VectorField([("v1", "e0-1")]), f, ids)
     # one more downward pair than f induces
-    with pytest.raises(InconsistentField):
+    with pytest.raises(InconsistentField, match="at e2-3: "):
         _check_carried(tetra, VectorField([("v0", "e0-1"), ("v2", "e2-3")]),
                        f, ids)
     # only the cells handed in are read: e2-3 and its partner are not

@@ -233,9 +233,11 @@ def test_classify_synthetic_pinch():
 
     block1 = {tri(0, 5, 6), tri(0, 1, 6)}          # square (0,0)
     block2 = {tri(6, 11, 12), tri(6, 7, 12)}       # square (1,1)
+    boundary, interior = _boundary_and_interior(K, block1 | block2)
     region = CoreRegion(facets=block1 | block2,
                         path_edges={edge_id(0, 6), edge_id(6, 12)},
-                        high_edges=set(), critical_facet=min(block1))
+                        high_edges=set(), critical_facet=min(block1),
+                        boundary=boundary, interior=interior)
     bg = classify_boundary(K, region)
     assert bg.classification == "SingleWedge"
     assert bg.wedge_vertices == (vertex_id(6),)
@@ -257,9 +259,10 @@ def pinched_grid():
     facets = set()
     for ij in ((1, 1), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2)):
         facets |= sq(*ij)
-    _, interior = _boundary_and_interior(K, facets)
+    boundary, interior = _boundary_and_interior(K, facets)
     return K, CoreRegion(facets=set(facets), path_edges=set(interior),
-                         high_edges=set(), critical_facet=min(facets))
+                         high_edges=set(), critical_facet=min(facets),
+                         boundary=boundary, interior=interior)
 
 
 def test_resolve_wedge_on_pinch():
@@ -276,6 +279,33 @@ def test_resolve_wedge_on_pinch():
     bg2 = classify_boundary(K, region)
     assert bg2.classification == "Circle"
     assert bg2.degree.get(vertex_id(12), 2) == 2
+
+
+def test_a_rung_two_marked_facets_share_is_bisected_once(monkeypatch):
+    # the pinch's sector cut off is square (1,1), both triangles marked
+    # at 12; their shared diagonal 6-12 is the rung of each.  The rung
+    # pass reads the interior as it stood before it, so the half at 12
+    # that splitting the rung for the first triangle leaves in the second
+    # is no rung again
+    K, region = pinched_grid()
+    V = VectorField([(vertex_id(6), edge_id(6, 12))])
+    assert validate_field(K, V).ok
+    m0 = critical_cells(V, K).m
+    split = []
+    bisect = splitter._bisect_edge
+
+    def recorded(K, V, e, *args, **kwargs):
+        split.append(e)
+        return bisect(K, V, e, *args, **kwargs)
+
+    monkeypatch.setattr(splitter, "_bisect_edge", recorded)
+    assert splitter._sectors_at(K, region, vertex_id(12))[1] == [
+        triangle_id(6, 7, 12), triangle_id(6, 11, 12)]
+    K, V, region = resolve_wedge(K, V, region, vertex_id(12))
+    assert split == [edge_id(6, 12)]
+    assert validate_field(K, V).ok
+    assert critical_cells(V, K).m == m0
+    assert classify_boundary(K, region).classification == "Circle"
 
 
 def stray_chains(K, region, bg):
@@ -310,9 +340,10 @@ def test_excavate_stray_on_annulus():
                                  5 * (i + 1) + j + 1))
     facets = {t for t in K.cells_of_dim(2) if t not in hole}
     diag = edge_id(0, 6)
-    _, interior = _boundary_and_interior(K, facets)
+    boundary, interior = _boundary_and_interior(K, facets)
     region = CoreRegion(facets=set(facets), path_edges=interior - {diag},
-                        high_edges=set(), critical_facet=min(facets))
+                        high_edges=set(), critical_facet=min(facets),
+                        boundary=boundary, interior=interior)
     V = VectorField([(vertex_id(0), diag)])
     m0 = critical_cells(V, K).m
     bg = classify_boundary(K, region)
@@ -349,10 +380,11 @@ def test_excavation_pre_pass_splits_an_edge_joining_two_chain_vertices(
     # and 12 lie off the curve and are joined by the path edge 6-12
     K = grid_complex()
     facets = set(K.cells_of_dim(2))
-    _, interior = _boundary_and_interior(K, facets)
+    boundary, interior = _boundary_and_interior(K, facets)
     chain = {edge_id(0, 6), edge_id(6, 7), edge_id(7, 12)}
     region = CoreRegion(facets=set(facets), path_edges=interior - chain,
-                        high_edges=set(), critical_facet=min(facets))
+                        high_edges=set(), critical_facet=min(facets),
+                        boundary=boundary, interior=interior)
     V = VectorField([(vertex_id(0), edge_id(0, 6)),
                      (vertex_id(6), edge_id(6, 7)),
                      (vertex_id(7), edge_id(7, 12)),
@@ -402,17 +434,30 @@ def oracle_inward_violations(K, V, region, bg):
 
 def test_excavation_patches_match_a_full_recompute(monkeypatch,
                                                   glued_genus2):
-    # after every edit in _excavate, the patched boundary and interior
-    # of the region equal a count over every region facet
-    reclassify = splitter._reclassify
-    calls = []
+    # after every cut _follow follows into the region, and at every
+    # classification of the repair loop (so from carve_core's count on),
+    # the region's boundary and interior equal a count over every region
+    # facet
+    follow = splitter._follow
+    classify = splitter.classify_boundary
+    calls = Counter()
 
-    def checked(K, facets, boundary, interior, edges):
-        reclassify(K, facets, boundary, interior, edges)
-        assert (boundary, interior) == _boundary_and_interior(K, facets)
-        calls.append(len(facets))
+    def assert_recounted(K, region):
+        assert (region.boundary, region.interior) == \
+            _boundary_and_interior(K, region.facets)
 
-    monkeypatch.setattr(splitter, "_reclassify", checked)
+    def checked_follow(K, region, rec):
+        follow(K, region, rec)
+        assert_recounted(K, region)
+        calls["edge" if K.dim(rec.new_cells[0]) == 0 else "corner"] += 1
+
+    def checked_classify(K, region):
+        assert_recounted(K, region)
+        calls["classify"] += 1
+        return classify(K, region)
+
+    monkeypatch.setattr(splitter, "_follow", checked_follow)
+    monkeypatch.setattr(splitter, "classify_boundary", checked_classify)
     fields = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
     for flips, flip_seed in ((60, 1), (200, 1)):
         K = glued_genus2(flips, flip_seed)
@@ -424,7 +469,8 @@ def test_excavation_patches_match_a_full_recompute(monkeypatch,
             find_separating_circle(K, f, g1, g2)
         except DmsError:
             pass
-    assert len(calls) > 100
+    assert calls["edge"] > 30 and calls["corner"] > 50
+    assert calls["classify"] > 40
 
 
 def test_inward_violations_match_the_region_wide_count(monkeypatch,
