@@ -48,25 +48,26 @@ from .surgery import _around, _bisect_edge, _checked_summand, _cut_corner, \
 class CoreRegion:
     """The carved region R: its facets, path and high edges, critical
     facet, and its edges with one region coface (`boundary`) and two
-    (`interior`), counted once by carve_core and kept by _follow."""
+    (`interior`), counted once by carve_core and kept by _follow.
+    `low_edges` lists the low critical edges, which
+    _expel_foreign_criticals cuts out of R, in the order of their ids on
+    entry; _follow renames them, as it renames the high edges."""
     facets: set
     path_edges: set
     high_edges: set
     critical_facet: str
     boundary: set
     interior: set
-    paths: list = field(default_factory=list)
+    low_edges: list = field(default_factory=list)
     made: set = field(default_factory=set)  # cells the bisections made
 
 
 @dataclass(frozen=True)
 class BoundaryGraph:
-    edges: frozenset
+    """The vertices of the region's boundary edges with their degrees,
+    and the wedge vertices among them, degree >= 4, in id order."""
     degree: dict
-    components: tuple         # frozensets of edge ids
-    wedge_vertices: tuple     # degree >= 4
-    classification: str       # Circle | SeveralComponents | SingleWedge |
-                               # WedgesWithConnectingCircles
+    wedge_vertices: tuple
 
 
 @dataclass
@@ -111,7 +112,7 @@ def _boundary_and_interior(K, facets):
 def _follow(K, region, rec):
     """Follow one cut into the region in place, the one rule that
     changes its sets.  The cut cell's heir, the half inheriting its
-    role, takes its place among the path and high edges and as the
+    role, takes its place among the path, high and low edges and as the
     critical facet, and the new cells join `made`.  An edge split puts
     both halves where the edge was, on the boundary or inside.  The
     splitter cuts a 2-cell only as _excavate's corner cut of a region
@@ -125,6 +126,8 @@ def _follow(K, region, rec):
         if old in cells:
             cells.remove(old)
             cells.add(heir)
+    if old in region.low_edges:
+        region.low_edges[region.low_edges.index(old)] = heir
     if region.critical_facet == old:
         region.critical_facet = heir
     if K.dim(rec.new_cells[0]) == 0:  # an edge split at a new vertex
@@ -150,15 +153,6 @@ def _stray(region, e):
 def _vertices(K, edges):
     """The endpoints of the given edges."""
     return {v for e in edges for v in K.boundary(e)}
-
-
-def _edge_graph_components(K, edges):
-    at = {}
-    for e in edges:
-        for v in K.boundary(e):
-            at.setdefault(v, []).append(e)
-    return tuple(components(edges, {
-        e: [o for v in K.boundary(e) for o in at[v]] for e in edges}))
 
 
 def _facet_components(K, facets, cut_edges):
@@ -221,7 +215,6 @@ def carve_core(K, V, high_edges):
     crit2 = counts.cells[2][0]
     facets = {crit2}
     path_edges = set()
-    paths = []
     for e in sorted(high_edges):
         cofaces = sorted(K.cofaces(e))
         if len(cofaces) != 2:
@@ -234,18 +227,17 @@ def carve_core(K, V, high_edges):
                 path = trace_2path(K, V, t, crit2)
             except (InconsistentField, StartIsCritical) as err:
                 raise PathEscapes(str(err))
-            paths.append(path)
             facets.update(path.steps[1::2])
             path_edges.update(path.steps[0::2])
     boundary, interior = _boundary_and_interior(K, facets)
     return CoreRegion(facets=facets, path_edges=path_edges,
                       high_edges=set(high_edges), critical_facet=crit2,
-                      boundary=boundary, interior=interior, paths=paths)
+                      boundary=boundary, interior=interior)
 
 
 def classify_boundary(K, region):
-    """The region's boundary edges (region.boundary, as _follow keeps
-    it) with their degrees, components and wedge vertices, classified.
+    """The degrees of the vertices on the region's boundary edges
+    (region.boundary, as _follow keeps it), and its wedge vertices.
 
     Around a vertex's link cycle, region and other facets switch exactly
     at the region's boundary edges, the edges with one region coface.  A
@@ -257,19 +249,8 @@ def classify_boundary(K, region):
     for e in region.boundary:
         for v in K.boundary(e):
             degree[v] = degree.get(v, 0) + 1
-    components = _edge_graph_components(K, region.boundary)
     wedges = tuple(sorted(v for v, d in degree.items() if d >= 4))
-    if len(components) == 1 and not wedges:
-        cls = "Circle"
-    elif len(components) > 1:
-        cls = "SeveralComponents"
-    elif len(wedges) == 1:
-        cls = "SingleWedge"
-    else:
-        cls = "WedgesWithConnectingCircles"
-    return BoundaryGraph(edges=frozenset(region.boundary), degree=degree,
-                         components=components, wedge_vertices=wedges,
-                         classification=cls)
+    return BoundaryGraph(degree=degree, wedge_vertices=wedges)
 
 
 # --- the excavation engine ---------------------------------------------------
@@ -472,19 +453,12 @@ def _sectors_at(K, region, v):
             for run in _runs_on_cycle(ring, region.facets)]
 
 
-def resolve_wedge(K, V, region, v):
+def _resolve_wedge(K, V, region, v, values):
     """Reroute the boundary around a wedge vertex (Case 1): shave the
     corner at v off every region sector except one, so exactly one
     strand still passes through v; a wedge has at least two sectors (see
-    classify_boundary).  The region is edited in place."""
-    K, V = K._draft(), V._draft()
-    _resolve_wedge(K, V, region, v, None)
-    return K, V, region
-
-
-def _resolve_wedge(K, V, region, v, values):
-    """resolve_wedge on K and V themselves, and on `values` (None, or
-    patched along)."""
+    classify_boundary).  K, V, the region and `values` (None, or patched
+    along) are edited in place."""
     sectors = _sectors_at(K, region, v)
     keep = min(range(len(sectors)), key=lambda i: min(sectors[i]))
     marked = {}
@@ -503,19 +477,22 @@ def _inward_violations(K, V, region, bg):
     """Boundary vertices matched with a stray edge of the region (_stray),
     each with that edge."""
     pm = V.partner_map()
-    return [(x, pm[x]) for x in sorted(_vertices(K, bg.edges))
+    return [(x, pm[x]) for x in sorted(bg.degree)
             if _stray(region, pm.get(x))]
 
 
 def _expel_foreign_criticals(K, V, region, v0, low_edges, values):
     """Excavate the critical vertex v0 and the low critical edges, which
     belong to the other summand, out of the region, in place, `values`
-    (None, or patched along) included."""
+    (None, or patched along) included.  An excavation can bisect a low
+    edge, so each is read off region.low_edges, which _follow renames."""
+    region.low_edges = sorted(low_edges)
     marked = {t: {v0} for t in sorted(region.facets)
               if v0 in K.boundary_cycle(t)}
     if marked:
         _excavate(K, V, region, marked, values)
-    for e in sorted(low_edges):
+    for i in range(len(region.low_edges)):
+        e = region.low_edges[i]
         if any(t in region.facets for t in K.cofaces(e)):
             _excavate_stray(K, V, region, e, values)
 
@@ -532,8 +509,13 @@ def find_separating_circle(K, f, g1, g2, values=None):
     region's `made` then lists every cell a cut made.  carve_core counts
     the region's edges once, and _follow keeps them through every cut.
 
-    The loop needs only these two repairs, and the walk after it cannot
-    fail, for these reasons.  Past `_expel_foreign_criticals` the region
+    Each pass of the loop reads the boundary's degrees and wedges
+    (classify_boundary) and makes one repair: it excavates the first
+    inward violation, else resolves the first wedge.  With neither, every
+    degree is 2, and the walk around region.boundary is the circle test:
+    it returns the circle, or the boundary is k >= 2 disjoint circles,
+    and NotSeparating is raised.  The loop needs only these two repairs,
+    for these reasons.  Past `_expel_foreign_criticals` the region
     R only loses facets or splits them, so it never grows.  Each facet
     of R but the critical one stays matched with a path edge or with a
     chord cut on R's boundary.  High edges are critical, and
@@ -555,8 +537,6 @@ def find_separating_circle(K, f, g1, g2, values=None):
       violation.  So it lies in the closure of C, and the matched-edge
       chain from x stays there until it ends at v0.  Two components
       would both hold v0 in their closures, which makes v0 a wedge.
-    * The final walk succeeds: the loop stops only at "Circle", one
-      component whose vertices all have degree 2.
 
     Of the circle the loop guarantees the vertices: none is v0, cut out
     of R before the loop, and none is matched into R, by the exit above.
@@ -595,23 +575,29 @@ def find_separating_circle(K, f, g1, g2, values=None):
         if viols:
             _excavate_stray(K, V, region, viols[0][1], values)
             continue
-        if bg.classification == "Circle":
+        if bg.wedge_vertices:
+            _resolve_wedge(K, V, region, bg.wedge_vertices[0], values)
+            continue
+        circle, _ = cycle_walk({e: K.boundary(e) for e in region.boundary})
+        if circle is not None:
             break
-        if not bg.wedge_vertices:
-            # Every boundary vertex has degree 2, so R is bounded by k
-            # disjoint circles; k >= 2, since R holds the critical facet
-            # but no facet at v0 and the boundary is no single circle.
-            # R's complement is connected (see above), so no circle of
-            # R's boundary separates.  Whether some other circle would
-            # is not known.
-            raise NotSeparating(
-                "core region is bounded by %d disjoint circles with no "
-                "connecting structure" % len(bg.components))
-        _resolve_wedge(K, V, region, bg.wedge_vertices[0], values)
+        # Every boundary vertex has degree 2, so R is bounded by k
+        # disjoint circles; k >= 2, since R holds the critical facet but
+        # no facet at v0 and the boundary is no single circle.  R's
+        # complement is connected (see above), so no circle of R's
+        # boundary separates.  Every such case tried so far decomposes
+        # under some other split of the critical edges (ROADMAP item 1).
+        at = {v: [] for v in bg.degree}
+        for e in region.boundary:
+            a, b = K.boundary(e)
+            at[a].append(b)
+            at[b].append(a)
+        raise NotSeparating(
+            "core region is bounded by %d disjoint circles with no "
+            "connecting structure" % len(components(at, at)))
     else:
         raise InconsistentField("boundary repair did not converge")
 
-    circle, _ = cycle_walk({e: K.boundary(e) for e in bg.edges})
     return K, V, circle, region
 
 

@@ -9,6 +9,8 @@ from dms.cellcomplex import (
     Cell,
     Complex,
     build_simplicial,
+    components,
+    cycle_walk,
     edge_id,
     euler_characteristic,
     triangle_id,
@@ -44,6 +46,7 @@ from dms.morsefield import (
     make_injective,
     morse_betti,
     synthesize_function,
+    trace_2path,
     validate_field,
     validate_function,
 )
@@ -58,7 +61,6 @@ from dms.splitter import (
     classify_boundary,
     decompose,
     find_separating_circle,
-    resolve_wedge,
     select_split_edges,
     split_along_circle,
 )
@@ -164,12 +166,14 @@ def test_carve_paths_split_but_never_merge(genus2):
     fi = make_injective(K, f)
     low, high = select_split_edges(K, fi, 1, 1)
     region = carve_core(K, V, high)
+    paths = [trace_2path(K, V, t, region.critical_facet)
+             for e in sorted(high) for t in sorted(K.cofaces(e))]
     covered = set()
-    for path in region.paths:
+    for path in paths:
         covered.update(path.steps[1::2])
     assert covered == region.facets - {region.critical_facet}
-    for p in region.paths:
-        for q in region.paths:
+    for p in paths:
+        for q in paths:
             shared = set(p.steps[1::2]) & set(q.steps[1::2])
             for t in shared:
                 i = p.steps.index(t)
@@ -200,16 +204,53 @@ def test_carve_torus_single_pair(torus, torus_field, torus_function):
 # --- classify ----------------------------------------------------------------
 
 
+def edge_graph_components(K, edges):
+    """The edges in components, adjacent across their shared ends."""
+    at = {}
+    for e in edges:
+        for v in K.boundary(e):
+            at.setdefault(v, []).append(e)
+    return components(edges, {
+        e: [o for v in K.boundary(e) for o in at[v]] for e in edges})
+
+
+def boundary_class(K, region):
+    """The four-way classification of the region's boundary, recounted
+    from its facets: (class, number of components, wedge vertices).  The
+    class is Circle (one component, no wedge), SeveralComponents,
+    SingleWedge or WedgesWithConnectingCircles, the last also for an
+    empty boundary."""
+    boundary, _ = _boundary_and_interior(K, region.facets)
+    degree = Counter(v for e in boundary for v in K.boundary(e))
+    wedges = tuple(sorted(v for v, d in degree.items() if d >= 4))
+    n = len(edge_graph_components(K, boundary))
+    if n == 1 and not wedges:
+        cls = "Circle"
+    elif n > 1:
+        cls = "SeveralComponents"
+    elif len(wedges) == 1:
+        cls = "SingleWedge"
+    else:
+        cls = "WedgesWithConnectingCircles"
+    return cls, n, wedges
+
+
+def boundary_walk(K, region):
+    """The repair loop's circle test: the walk around the region's
+    boundary, or None."""
+    return cycle_walk({e: K.boundary(e) for e in region.boundary})[0]
+
+
 def test_classify_clean_carve_is_circle(genus2):
     K, f, V = genus2
     fi = make_injective(K, f)
     _, high = select_split_edges(K, fi, 1, 1)
     region = carve_core(K, V, high)
     bg = classify_boundary(K, region)
-    assert bg.classification == "Circle"
-    assert len(bg.components) == 1
     assert not bg.wedge_vertices
     assert all(d == 2 for d in bg.degree.values())
+    assert boundary_walk(K, region) is not None
+    assert boundary_class(K, region)[:2] == ("Circle", 1)
 
 
 def grid_complex():
@@ -239,10 +280,10 @@ def test_classify_synthetic_pinch():
                         high_edges=set(), critical_facet=min(block1),
                         boundary=boundary, interior=interior)
     bg = classify_boundary(K, region)
-    assert bg.classification == "SingleWedge"
     assert bg.wedge_vertices == (vertex_id(6),)
-    assert len(bg.components) == 1
     assert bg.degree[vertex_id(6)] == 4
+    assert boundary_walk(K, region) is None
+    assert boundary_class(K, region)[:2] == ("SingleWedge", 1)
 
 
 def pinched_grid():
@@ -270,15 +311,18 @@ def test_resolve_wedge_on_pinch():
     V = VectorField([])
     m0 = critical_cells(V, K).m
     bg = classify_boundary(K, region)
-    assert bg.classification == "SingleWedge"
     assert bg.wedge_vertices == (vertex_id(12),)
     assert bg.degree[vertex_id(12)] == 4
-    K, V, region = resolve_wedge(K, V, region, vertex_id(12))
+    assert boundary_class(K, region)[0] == "SingleWedge"
+    # the repair edits K and a draft of V in place
+    V = V._draft()
+    splitter._resolve_wedge(K, V, region, vertex_id(12), None)
     assert validate_field(K, V).ok
     assert critical_cells(V, K).m == m0
     bg2 = classify_boundary(K, region)
-    assert bg2.classification == "Circle"
+    assert not bg2.wedge_vertices
     assert bg2.degree.get(vertex_id(12), 2) == 2
+    assert boundary_walk(K, region) is not None
 
 
 def test_a_rung_two_marked_facets_share_is_bisected_once(monkeypatch):
@@ -301,11 +345,13 @@ def test_a_rung_two_marked_facets_share_is_bisected_once(monkeypatch):
     monkeypatch.setattr(splitter, "_bisect_edge", recorded)
     assert splitter._sectors_at(K, region, vertex_id(12))[1] == [
         triangle_id(6, 7, 12), triangle_id(6, 11, 12)]
-    K, V, region = resolve_wedge(K, V, region, vertex_id(12))
+    V = V._draft()
+    splitter._resolve_wedge(K, V, region, vertex_id(12), None)
     assert split == [edge_id(6, 12)]
     assert validate_field(K, V).ok
     assert critical_cells(V, K).m == m0
-    assert classify_boundary(K, region).classification == "Circle"
+    assert not classify_boundary(K, region).wedge_vertices
+    assert boundary_walk(K, region) is not None
 
 
 def stray_chains(K, region, bg):
@@ -315,7 +361,7 @@ def stray_chains(K, region, bg):
     _, interior = _boundary_and_interior(K, region.facets)
     stray = interior - region.path_edges - region.high_edges
     return [(comp, splitter._vertices(K, comp) & set(bg.degree))
-            for comp in splitter._edge_graph_components(K, stray)]
+            for comp in edge_graph_components(K, stray)]
 
 
 def complement_components(K, region):
@@ -347,8 +393,9 @@ def test_excavate_stray_on_annulus():
     V = VectorField([(vertex_id(0), diag)])
     m0 = critical_cells(V, K).m
     bg = classify_boundary(K, region)
-    assert len(bg.components) == 2
-    assert bg.classification == "SeveralComponents"
+    assert not bg.wedge_vertices
+    assert boundary_walk(K, region) is None
+    assert boundary_class(K, region)[:2] == ("SeveralComponents", 2)
     # the driver never meets such a chain: it only exists here because
     # of the inward arrow at vertex 0
     assert stray_chains(K, region, bg) == [
@@ -362,14 +409,14 @@ def test_excavate_stray_on_annulus():
     assert critical_cells(V, K).m == m0
     assert all(t not in region.facets for t in K.cofaces(diag))
     bg2 = classify_boundary(K, region)
-    assert len(bg2.components) == 1
+    assert boundary_class(K, region)[1] == 1
     assert not _inward_violations(K, V, region, bg2)
     # a leftover pinch at the inner corner is legal; clear it like the
     # driver would
     while bg2.wedge_vertices:
-        K, V, region = resolve_wedge(K, V, region, bg2.wedge_vertices[0])
+        splitter._resolve_wedge(K, V, region, bg2.wedge_vertices[0], None)
         bg2 = classify_boundary(K, region)
-    assert bg2.classification == "Circle"
+    assert boundary_walk(K, region) is not None
     assert critical_cells(V, K).m == m0
 
 
@@ -411,7 +458,8 @@ def test_excavation_pre_pass_splits_an_edge_joining_two_chain_vertices(
     assert validate_field(K, V).ok
     assert critical_cells(V, K).m == m0
     bg = classify_boundary(K, region)
-    assert bg.classification == "Circle"
+    assert not bg.wedge_vertices
+    assert boundary_walk(K, region) is not None
     assert not _inward_violations(K, V, region, bg)
     chain_vertices = {vertex_id(6), vertex_id(7), vertex_id(12)}
     assert all(chain_vertices.isdisjoint(K.boundary_cycle(t))
@@ -422,12 +470,12 @@ def test_excavation_pre_pass_splits_an_edge_joining_two_chain_vertices(
 
 
 def oracle_inward_violations(K, V, region, bg):
-    """_inward_violations with the interior edges found by counting the
-    edges of every region facet."""
+    """_inward_violations with the boundary and interior edges found by
+    counting the edges of every region facet."""
     pm = V.partner_map()
-    _, interior = _boundary_and_interior(K, region.facets)
+    boundary, interior = _boundary_and_interior(K, region.facets)
     kept = region.path_edges | region.high_edges
-    return [(x, pm[x]) for x in sorted(splitter._vertices(K, bg.edges))
+    return [(x, pm[x]) for x in sorted(splitter._vertices(K, boundary))
             if x in pm and K.dim(pm[x]) == 1 and pm[x] in interior
             and pm[x] not in kept]
 
@@ -523,7 +571,7 @@ def test_repair_loop_meets_no_stray_arc_and_no_pocket(monkeypatch,
                 assert len(anchors) <= 1, sorted(edges)
             if not bg.wedge_vertices:
                 assert len(complement_components(K, region)) == 1
-            seen[bg.classification] += 1
+            seen[boundary_class(K, region)[0]] += 1
         return out
 
     monkeypatch.setattr(splitter, "_inward_violations", checked)
@@ -541,6 +589,86 @@ def test_repair_loop_meets_no_stray_arc_and_no_pocket(monkeypatch,
     assert refused == 1
     assert seen["Circle"] == len(fields) - refused
     assert seen["SeveralComponents"] >= 1
+
+
+def test_the_loop_branches_as_the_four_way_classification(monkeypatch,
+                                                         glued_genus2):
+    # at every pass with no inward violation the loop resolves a wedge,
+    # or walks the boundary; the oracle's class, recounted from the
+    # facets, says which: a walk exactly at "Circle", a refusal naming
+    # the oracle's component count anywhere else without wedges
+    inward = splitter._inward_violations
+    resolve = splitter._resolve_wedge
+    walk = splitter.cycle_walk
+    state = []  # the oracle's (class, components, wedges) at this pass
+    seen = Counter()
+
+    def checked_inward(K, V, region, bg):
+        out = inward(K, V, region, bg)
+        state[:] = [] if out else [boundary_class(K, region)]
+        return out
+
+    def checked_resolve(K, V, region, v, values):
+        (cls, _, wedges), = state
+        assert cls != "Circle" and v == wedges[0]
+        seen["resolve", cls] += 1
+        return resolve(K, V, region, v, values)
+
+    def checked_walk(ends):
+        out = walk(ends)
+        (cls, _, wedges), = state
+        assert not wedges
+        assert (out[0] is not None) == (cls == "Circle")
+        seen["walk", out[0] is not None] += 1
+        return out
+
+    monkeypatch.setattr(splitter, "_inward_violations", checked_inward)
+    monkeypatch.setattr(splitter, "_resolve_wedge", checked_resolve)
+    monkeypatch.setattr(splitter, "cycle_walk", checked_walk)
+    fields = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
+    for flips, flip_seed in FLIPPED_GENUS2:
+        K = glued_genus2(flips, flip_seed)
+        for seed in range(10):
+            V = tree_cotree_field(K, rng=random.Random(seed))
+            fields.append((K, synthesize_function(K, V), 1, 1))
+    for K, f, g1, g2 in fields:
+        state[:] = []
+        try:
+            find_separating_circle(K, f, g1, g2)
+        except NotSeparating as err:
+            (cls, n, wedges), = state
+            assert cls != "Circle" and not wedges
+            assert "bounded by %d disjoint circles" % n in str(err)
+            seen["refused"] += 1
+    assert seen["walk", True] == len(fields) - seen["refused"]
+    assert seen["walk", False] == seen["refused"] > 0
+    assert seen["resolve", "SingleWedge"] and seen["resolve",
+                                                   "SeveralComponents"]
+
+
+def test_low_edges_bisected_before_their_excavation_are_followed(
+        depth_first_cotree_field):
+    # the critical-vertex excavation, or an earlier low edge's, can
+    # bisect a low critical edge before its own excavation, which then
+    # reads the edge's heir; ordered functions of depth-first cotree
+    # fields meet this, and only the documented refusals remain
+    K = genus_surface(4)[0]
+    verts = set(K.cells_of_dim(0))
+    refusals = Counter()
+    done = 0
+    for seed in range(20):
+        V = depth_first_cotree_field(K, seed)
+        for first, last in ((set(), verts), (verts, set())):
+            f = ordered_function(K, V, first, last)
+            for g1 in (1, 2, 3):
+                try:
+                    res = decompose(K, f, g1, 4 - g1)
+                except (NotSeparating, BoundaryCriticalPresent) as err:
+                    refusals[type(err).__name__] += 1
+                    continue
+                assert res.report["perfect"] == {"m1": True, "m2": True}
+                done += 1
+    assert done + sum(refusals.values()) == 120 and done > 0
 
 
 # Seeded flips of the glued genus-2 surface: (flips, seed) pairs, each
@@ -1333,17 +1461,15 @@ def test_a_held_parent_is_unchanged_by_every_public_surgery():
     W = tree_cotree_field(M, rng=random.Random(0))
     T, ft, _ = genus_surface(1)
     K2, V2, _ = bisect_edge(M, V, e)
-    grid, region = pinched_grid()
-    empty = VectorField([])
     split = split_along_circle(*find_separating_circle(M, f, 1, 1)[:3])
     pieces = (split.min_complex, split.min_field, split.max_complex,
               split.max_field)
     # the caches a surgery may fill are filled first, so that what is
     # compared is what an edit could change
-    for x in (T, grid, *pieces[::2]):
+    for x in (T, *pieces[::2]):
         x.is_closed_surface
     assert is_perfect(T, induced_field(T, ft))
-    for x in (W, empty, *pieces[1::2]):
+    for x in (W, *pieces[1::2]):
         x.partner_map()
     surgeries = [
         ((M,), lambda: M.replace_cells(add=[Cell("x", 0, frozenset())])),
@@ -1356,8 +1482,6 @@ def test_a_held_parent_is_unchanged_by_every_public_surgery():
         ((M, V), lambda: bisect_2cell(M, V, t, cyc[0], cyc[4])),
         ((M, W), lambda: separate_critical_cells(M, W)),
         ((M,), lambda: shrink_closed_star(M, tri, M.vertices_of(tri)[0])),
-        ((grid, empty), lambda: resolve_wedge(grid, empty, region,
-                                              vertex_id(12))),
         ((M, V), lambda: find_separating_circle(M, f, 1, 1)),
         (pieces, lambda: cap_with_max_cone(split.min_complex,
                                            split.min_field, split.circle)),
