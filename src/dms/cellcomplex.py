@@ -93,14 +93,7 @@ class Complex:
         cofaces = {cid: [] for cid in self.cells}
         self._validate_grading(self.cells.values(), cofaces)
         self._count(self.cells.values())
-        # each list holds its cofaces in the order the cells were given,
-        # which is id order for a file that write_cwp wrote
-        ids = list(cofaces)
-        if ids == sorted(ids):
-            self._cofaces = {cid: tuple(c) for cid, c in cofaces.items()}
-        else:
-            self._cofaces = {cid: tuple(sorted(c))
-                             for cid, c in cofaces.items()}
+        self._cofaces = {cid: tuple(sorted(c)) for cid, c in cofaces.items()}
         self._cycles = {}
         self._walk_cycles(cid for cid, c in self.cells.items() if c.dim == 2)
 

@@ -381,13 +381,19 @@ def _find_cycle(K, head_of):
 
 def critical_cells(V, K):
     """Unmatched cells graded by dimension."""
+    return _critical_among(K, V, K.cells)
+
+
+def _critical_among(K, V, ids):
+    """critical_cells(V, K) for a V whose critical cells all lie among
+    the ids `ids`: those of them in K that V leaves unmatched."""
     pm = V.partner_map()
     cells = K.cells
     crit = {p: [] for p in range(K.top_dim + 1)}
-    for cid in sorted(cid for cid in cells if cid not in pm):
+    for cid in sorted({x for x in ids if x not in pm and x in cells}):
         crit[cells[cid].dim].append(cid)
-    m = tuple(len(crit[p]) for p in range(K.top_dim + 1))
-    return MorseCounts(m=m, cells={p: tuple(v) for p, v in crit.items()})
+    return MorseCounts(m=tuple(map(len, crit.values())),
+                       cells={p: tuple(c) for p, c in crit.items()})
 
 
 def is_perfect(K, V):

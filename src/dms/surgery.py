@@ -43,10 +43,10 @@ from .errors import (
 )
 from .homology import BettiVector
 from .morsefield import (
-    MorseCounts,
     VectorField,
     _betti,
     _check_carried,
+    _critical_among,
     _dense_ranks,
     _read_only_function,
     critical_cells,
@@ -480,43 +480,37 @@ def separate_critical_cells(K, V, values=None):
 # --- prisms and inner copies -------------------------------------------------
 
 
-def tube_top_id(cid, prefix="tube:"):
-    return "%s%s:top" % (prefix, cid)
-
-
-def tube_prism_id(cid, prefix="tube:"):
-    return "%s%s:prism" % (prefix, cid)
+def _collar(K, base, copy, prism):
+    """The product of the cells `base` of K, closed under faces, with an
+    interval: a copy of each base cell x, `copy[x]`, bounded by the
+    copies of its faces, then a prism over each, `prism[x]`, bounded by
+    x, its copy and the prisms of its faces.  Returns the copies and the
+    prisms, each in the order of `base`."""
+    cells = K.cells
+    copies, prisms = [], []
+    for x in base:
+        c = cells[x]
+        copies.append(new_cell(Cell, (copy[x], c.dim, frozenset(
+            [copy[f] for f in c.boundary]))))
+        bnd = [x, copy[x], *[prism[f] for f in c.boundary]]
+        prisms.append(new_cell(Cell, (prism[x], c.dim + 1, frozenset(bnd))))
+    return copies, prisms
 
 
 def build_prism_over_boundary(K, alpha, prefix="tube:"):
-    """Product tube over the boundary sphere of a top cell: one top copy
-    and one prism per boundary cell X, `<prefix>X:top` and
-    `<prefix>X:prism`."""
+    """Product tube over the boundary sphere of a top cell, the _collar
+    over it: one top copy and one prism per boundary cell X,
+    `<prefix>X:top` and `<prefix>X:prism`, which the region's `top` and
+    `prism` maps name."""
     cell = K.cell(alpha)
     if cell.dim != K.top_dim:
         raise NotTopCell(alpha)
     base = sorted(K.closure(alpha) - {alpha})
-    top = {cid: tube_top_id(cid, prefix) for cid in base}
-    prism = {cid: tube_prism_id(cid, prefix) for cid in base}
-    cells = []
-    for cid in base:
-        c = K.cells[cid]
-        cells.append(new_cell(Cell, (top[cid], c.dim,
-                                     frozenset([top[f] for f in c.boundary]))))
-    for cid in base:
-        c = K.cells[cid]
-        bnd = [cid, top[cid], *[prism[f] for f in c.boundary]]
-        cells.append(new_cell(Cell, (prism[cid], c.dim + 1, frozenset(bnd))))
+    top = {cid: "%s%s:top" % (prefix, cid) for cid in base}
+    prism = {cid: "%s%s:prism" % (prefix, cid) for cid in base}
+    tops, prisms = _collar(K, base, top, prism)
     return TubeRegion(base_cells=tuple(base), top=top, prism=prism,
-                      new_cells=tuple(cells))
-
-
-def shrunk_id(cid):
-    return "shrunk:%s" % cid
-
-
-def inner_id(cid):
-    return "inner:%s" % cid
+                      new_cells=(*tops, *prisms))
 
 
 def _check_simplicial(K, c, what):
@@ -532,20 +526,28 @@ def shrink_closed_star(K, beta, v):
     """Replace the closure J of a simplicial top cell by a shrunken copy
     sharing the vertex v plus a product collar over the link of v.
 
-    Every J-cell containing v is split into its shrunken copy and a
-    collar prism; the prism is the cell's correspondent, and J-cells not
-    containing v correspond to themselves.  The face relation is
-    preserved by the correspondence.  A draft of K takes the shrink
-    (`_shrink_closed_star`), a subdivision of the closed cell that keeps
-    the flags as split_cell does.
+    Every J-cell containing v is split into its shrunken copy
+    `shrunk:<id>` and a collar prism `inner:<id>`; the prism is the
+    cell's correspondent, and J-cells not containing v correspond to
+    themselves.  The face relation is preserved by the correspondence.
+    A draft of K takes the shrink (`_shrink_closed_star`), a subdivision
+    of the closed cell that keeps the flags as split_cell does.
     """
     return _shrink_closed_star(K._draft(), beta, v)
 
 
-def _shrink_closed_star(K, beta, v, shrunk_id=shrunk_id, inner_id=inner_id):
+def _shrink_closed_star(K, beta, v, shrunk_id=lambda x: "shrunk:" + x,
+                        inner_id=lambda x: "inner:" + x):
     """shrink_closed_star on K itself, which its InnerCopy holds, with
     the shrunken copy and the collar cell of a cell x named shrunk_id(x)
-    and inner_id(x)."""
+    and inner_id(x).
+
+    The link of v in J, the J-cells outside the star of v, takes the
+    _collar: a link cell x's copy is its shrunken copy, and its prism
+    the collar cell of the cone cell over x (the J-cell whose one face
+    outside the star is x).  The shrunken cone cells, bounded by the
+    shrunken copies of their faces and v itself, come between the
+    copies and the prisms."""
     bcell = K.cell(beta)
     if bcell.dim != K.top_dim:
         raise NotTopCell(beta)
@@ -554,44 +556,31 @@ def _shrink_closed_star(K, beta, v, shrunk_id=shrunk_id, inner_id=inner_id):
     if v not in J or cells[v].dim != 0:
         raise VertexNotOnCell("%r is not a vertex of %r" % (v, beta))
     _check_simplicial(K, beta, "shrink needs a simplicial cell")
-    closure = {x: K.closure(x) for x in J}
-    link = sorted(x for x in J if v not in closure[x])
-    cone = sorted(x for x in J if v in closure[x] and x != v)
+    at_v = K.star(v) & J
+    link = sorted(J - at_v)
+    cone = sorted(at_v - {v})
 
     def opposite(rho):
-        faces = [x for x in cells[rho].boundary if v not in closure[x]]
+        faces = [x for x in cells[rho].boundary if x not in at_v]
         if len(faces) != 1:
             raise BadCellBoundary("no unique face of %r opposite %r" % (rho, v))
         return faces[0]
 
-    cone_of = {opposite(rho): rho for rho in cone}
-
-    def shrunk_ref(x):
-        return v if x == v else shrunk_id(x)
-
-    new_cells = []
-    for sid in link:
-        c = cells[sid]
-        new_cells.append(new_cell(Cell, (shrunk_id(sid), c.dim, frozenset(
-            [shrunk_id(f) for f in c.boundary]))))
+    shrunk = {x: x if x == v else shrunk_id(x) for x in J}
+    inner = {rho: inner_id(rho) for rho in cone}
+    copies, prisms = _collar(K, link, shrunk,
+                             {opposite(rho): inner[rho] for rho in cone})
     for rho in cone:
         c = cells[rho]
-        new_cells.append(new_cell(Cell, (shrunk_id(rho), c.dim, frozenset(
-            [shrunk_ref(f) for f in c.boundary]))))
-    for sid in link:
-        c = cells[sid]
-        bnd = [sid, shrunk_id(sid),
-               *[inner_id(cone_of[f]) for f in c.boundary]]
-        new_cells.append(new_cell(Cell, (inner_id(cone_of[sid]), c.dim + 1,
-                                         frozenset(bnd))))
+        copies.append(new_cell(Cell, (shrunk[rho], c.dim, frozenset(
+            [shrunk[f] for f in c.boundary]))))
     # a coface of a cone cell holds v, so inside J it is a cone cell
     # too: the cofaces left to patch are those outside J
-    K._subdivide({rho: (shrunk_id(rho), inner_id(rho)) for rho in cone},
-                 new_cells)
-    correspondence = {rho: inner_id(rho) for rho in cone}
-    for sid in link:
-        correspondence[sid] = sid
-    return InnerCopy(complex=K, beta_prime=shrunk_id(beta),
+    K._subdivide({rho: (shrunk[rho], inner[rho]) for rho in cone},
+                 [*copies, *prisms])
+    correspondence = dict(inner)
+    correspondence.update(zip(link, link))
+    return InnerCopy(complex=K, beta_prime=shrunk[beta],
                      correspondence=correspondence)
 
 
@@ -1027,18 +1016,6 @@ def compose(M1, f1, M2, f2):
         glue_cycle_length=cycle_length,
     )
     return M, f, V, report
-
-
-def _critical_among(K, V, ids):
-    """critical_cells(V, K) for a V whose critical cells all lie among
-    the ids `ids`: those of them in K that V leaves unmatched."""
-    pm = V.partner_map()
-    cells = K.cells
-    crit = {p: [] for p in range(K.top_dim + 1)}
-    for cid in sorted({x for x in ids if x not in pm and x in cells}):
-        crit[cells[cid].dim].append(cid)
-    return MorseCounts(m=tuple(map(len, crit.values())),
-                       cells={p: tuple(c) for p, c in crit.items()})
 
 
 def _choose_beta(K2, V2, v2, values):

@@ -44,9 +44,14 @@ from dms.morsefield import (
     validate_function,
 )
 from dms.splitter import decompose
-from dms.surgery import compose, separate_critical_cells
+from dms.surgery import (
+    build_prism_over_boundary,
+    compose,
+    separate_critical_cells,
+    shrink_closed_star,
+)
 
-from conftest import INSEPARABLE_SEEDS
+from conftest import INSEPARABLE_SEEDS, _sphere3
 
 
 def _digest(texts):
@@ -89,6 +94,27 @@ def test_golden_genus32_surface():
         "fc0538331f0b53c88c91c77df11a49a37e3ef0c13aee007d8429e1de86087362")
     assert _digest([write_dmf(f)]) == (
         "91226c921f9f17586ac5b374c23dee45c528cb33be645dfd06eeb5b27a38c464")
+
+
+def test_golden_genus40_surface_and_its_balanced_decompose():
+    # the first golden past 2^40: the chain ranks its left values densely
+    # once (_dense_ranks), which genus_surface(32) never does
+    K, f, V = genus_surface(40)
+    assert _digest([write_cwp(K), write_dvf(V, K)]) == (
+        "7e115be107a6d7e9dbdd9e131e9f7055a214637e05be540e844fbccab00e7b84")
+    assert _digest([write_dmf(f)]) == (
+        "47373f57d4e184cdb98925dfc79c4a5582dd908cfdcb39f9c83b6de0f9c736cd")
+    res = decompose(K, f, 20, 20)
+    texts, functions = [], []
+    for P, W, g in ((res.m1_complex, res.m1_field, res.m1_function),
+                    (res.m2_complex, res.m2_field, res.m2_function)):
+        texts += [write_cwp(P), write_dvf(W, P)]
+        functions.append(write_dmf(g))
+    texts.append(" ".join(res.circle))
+    assert _digest(texts) == (
+        "1e69a90ce28eeecb81368eb94c3ccde05a2fc4126ef5b911cda21d9cdc09e92b")
+    assert _digest(functions) == (
+        "d1e6fb6270e19095fa2d6b5c26e29c827bb1e45b9b94c7b3c6465ca17d2bd407")
 
 
 def test_golden_decompose_genus4_fields():
@@ -341,3 +367,37 @@ def test_golden_first_compose_of_raw_inputs():
     texts += _surface_texts(M, W, g)
     assert _digest(texts) == (
         "f5098b209f9878e21144dcff953280eba3b33a3f6606b7b96f9e617ad23ca0fd")
+
+
+# the tube over each top cell's boundary, under the first link's prefix
+# and a chain's stamp, and the shrink of each top cell at each of its
+# vertices: the new cells in the order they are made, the maps, and the
+# shrunken complex's tables with its cells in insertion order
+TUBE_AND_SHRINK_DIGESTS = {
+    "torus7": "91fd98080c308f48b136b50a2a5195f6124bb4146007ec597c82ba6f8ed846e2",
+    "tetrahedron":
+        "2bd251a778f5310545351f7c47ec510b68c3924c5cb122d46d0e43e226cfc7ca",
+    "sphere3": "f44e2537b16434901fdbeb8f73b0485575028c6cfd19aa399c004e32b5965083",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TUBE_AND_SHRINK_DIGESTS))
+def test_golden_tube_and_shrink(name):
+    K = {"torus7": torus7, "tetrahedron": tetrahedron,
+         "sphere3": _sphere3}[name]()
+    texts = []
+    for alpha in sorted(c for c in K.cells if K.dim(c) == K.top_dim):
+        for prefix in ("tube:", "ua2t:"):
+            tube = build_prism_over_boundary(K, alpha, prefix)
+            texts.append(repr((
+                tube.base_cells,
+                [(c.id, c.dim, sorted(c.boundary)) for c in tube.new_cells],
+                sorted(tube.top.items()), sorted(tube.prism.items()))))
+        for v in K.vertices_of(alpha):
+            ic = shrink_closed_star(K, alpha, v)
+            J = ic.complex
+            texts.append(repr((
+                list(J.cells), J.records(), sorted(J.coface_table.items()),
+                sorted(J._cycles.items()), J.counts(), ic.beta_prime,
+                sorted(ic.correspondence.items()))))
+    assert _digest(texts) == TUBE_AND_SHRINK_DIGESTS[name]

@@ -743,3 +743,42 @@ def test_compose_and_decompose_do_not_load_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
+    # README: homology ranks, compose, decompose and the CLI's
+    # compose/decompose path need the standard library alone; a None in
+    # sys.modules makes every import of numpy raise ImportError
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import dms\n"
+        "from dms.cli import main\n"
+        "from dms.splitter import decompose\n"
+        "K, f, V = dms.genus_surface(1)\n"
+        "M, fm, Vm, rep = dms.compose(K, f, K, f)\n"
+        "assert dms.betti_mod2(M).b == (1, 4, 1) and rep.perfect\n"
+        "decompose(M, fm, 1, 1)\n"
+        "d = sys.argv[1]\n"
+        "for argv in (\n"
+        "        ['fixture', 'torus7', '--out', d + '/t'],\n"
+        "        ['compose', '--left', d + '/t.tri', '--left-function',\n"
+        "         d + '/t.dmf', '--right', d + '/t.tri',\n"
+        "         '--right-function', d + '/t.dmf', '--out', d + '/g2'],\n"
+        "        ['decompose', '--complex', d + '/g2.cwp', '--function',\n"
+        "         d + '/g2.dmf', '--g1', '1', '--g2', '1', '--out',\n"
+        "         d + '/dec'],\n"
+        "        ['validate', '--complex', d + '/dec.m1.cwp', '--field',\n"
+        "         d + '/dec.m1.dvf', '--function', d + '/dec.m1.dmf'],\n"
+        "        ['critical', '--complex', d + '/dec.m2.cwp', '--field',\n"
+        "         d + '/dec.m2.dvf'],\n"
+        "        ['betti', '--complex', d + '/g2.cwp']):\n"
+        "    assert main(argv) == 0, argv\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dms.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 4 1"
