@@ -523,32 +523,22 @@ class Complex:
 
 
 def components(nodes, neighbours):
-    """Connected components of a graph, as a list of frozensets.
-
-    `neighbours` maps each node to the nodes adjacent to it, all of them
-    in `nodes`.  Each search starts at the smallest node not yet reached,
-    so the components come out ordered by their smallest node.  The
-    nodes are sorted only when the first search leaves some behind.
-    """
-    def reach(start):
-        comp = {start}
-        frontier = [start]
+    """Connected components of a graph, as a list of frozensets ordered
+    by their smallest node: each search starts at the smallest node not
+    yet reached.  `neighbours` maps each node to the nodes adjacent to
+    it, all of them in `nodes`."""
+    out, seen = [], set()
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
         while frontier:
             for nxt in neighbours[frontier.pop()]:
                 if nxt not in comp:
                     comp.add(nxt)
                     frontier.append(nxt)
-        return frozenset(comp)
-
-    if not nodes:
-        return []
-    out = [reach(min(nodes))]
-    seen = set(out[0])
-    if len(seen) < len(nodes):
-        for start in sorted(n for n in nodes if n not in seen):
-            if start not in seen:
-                out.append(reach(start))
-                seen |= out[-1]
+        seen |= comp
+        out.append(frozenset(comp))
     return out
 
 

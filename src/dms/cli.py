@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 validation failure (a function compose or
 decompose assembled that fails it included, with nothing written),
 3 parse/load error, 4 precondition failure (not a closed surface, not
-perfect, wrong genus), 141 standard output closed before it was all
-written (128 + SIGPIPE).
+perfect, wrong genus), 5 OFF export without numpy (the inspect extra),
+141 standard output closed before it was all written (128 + SIGPIPE).
 Diagnostics go to standard error, one violation per line.
 """
 
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
+EXIT_MISSING_EXTRA = 5
 EXIT_CLOSED_STDOUT = 141
 
 
@@ -175,7 +176,12 @@ def cmd_fixture(args):
 
 def cmd_export(args):
     K = load_complex(args.complex)
-    text = write_off(K) if args.format == "off" else write_dot(K)
+    try:
+        text = write_off(K) if args.format == "off" else write_dot(K)
+    except ImportError:
+        _err("export --format off needs numpy, the inspect extra: "
+             "pip install dms[inspect]")
+        return EXIT_MISSING_EXTRA
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print("ok")

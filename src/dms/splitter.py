@@ -15,7 +15,9 @@ so that every new boundary cell is matched with a cell outside the
 region.  Critical-cell counts never change.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .cellcomplex import Complex, Cell, components, cycle_walk, \
     euler_characteristic, new_cell, verify_closed_surface
@@ -35,6 +37,7 @@ from .morsefield import (
     MorseFunction,
     VectorField,
     _check_carried,
+    _critical_among,
     _dense_ranks,
     critical_cells,
     induced_field,
@@ -77,6 +80,7 @@ class SplitResult:
     min_field: VectorField
     max_complex: Complex
     max_field: VectorField
+    critical_vertex: str      # V's critical vertex, on the min side
 
 
 @dataclass
@@ -100,10 +104,7 @@ class DecomposeResult:
 
 
 def _boundary_and_interior(K, facets):
-    count = {}
-    for t in facets:
-        for e in K.boundary(t):
-            count[e] = count.get(e, 0) + 1
+    count = Counter(e for t in facets for e in K.boundary(t))
     boundary = {e for e, n in count.items() if n == 1}
     interior = {e for e, n in count.items() if n == 2}
     return boundary, interior
@@ -155,17 +156,6 @@ def _vertices(K, edges):
     return {v for e in edges for v in K.boundary(e)}
 
 
-def _facet_components(K, facets, cut_edges):
-    """Components of `facets`, adjacent across their own edges not in
-    cut_edges."""
-    cofaces = K.coface_table
-    adj = dict.fromkeys(facets)
-    for t in adj:
-        adj[t] = [o for e in K.cells[t].boundary if e not in cut_edges
-                  for o in cofaces[e] if o != t and o in adj]
-    return components(adj, adj)
-
-
 # --- spec operations ---------------------------------------------------------
 
 
@@ -206,13 +196,10 @@ def _split_edges(f, crit, g1, g2):
     return tuple(edges[:2 * g1]), tuple(edges[len(edges) - 2 * g2:])
 
 
-def carve_core(K, V, high_edges):
+def carve_core(K, V, high_edges, crit2):
     """Union of the reverse-traced 2-paths from both cofaces of every
-    high edge, plus the critical facet and the high edges themselves."""
-    counts = critical_cells(V, K)
-    if len(counts.cells.get(2, ())) != 1:
-        raise PathEscapes("expected a unique critical 2-cell")
-    crit2 = counts.cells[2][0]
+    high edge to crit2, V's one critical facet, which the caller knows,
+    plus crit2 and the high edges themselves."""
     facets = {crit2}
     path_edges = set()
     for e in sorted(high_edges):
@@ -503,7 +490,8 @@ def find_separating_circle(K, f, g1, g2, values=None):
     (complex, field, circle walk, region), the drafts of
     separate_critical_cells edited in place by every repair after it.
     The field f induces and its critical cells come from compose's entry
-    check, surgery._checked_summand (a record, or f checked in full).
+    check, surgery._checked_summand (a record, or f checked in full),
+    the one listing of them: the cuts' records carry them to their heirs.
     `values`, when given, holds f or a function inducing the same field,
     and every cut patches it in place (surgery._patch_values); the
     region's `made` then lists every cell a cut made.  carve_core counts
@@ -557,13 +545,14 @@ def find_separating_circle(K, f, g1, g2, values=None):
     if crit.m != (1, 2 * info.genus, 1):
         raise NotPerfectInput(crit.m)
     low, high = _split_edges(f, crit, g1, g2)
+    crit2 = crit.cells[2][0]
 
     K, V, recs = separate_critical_cells(K, V, values)
     for rec in recs:
         (old, heir), = rec.replacements.items()
-        low = [heir if e == old else e for e in low]
-        high = [heir if e == old else e for e in high]
-    region = carve_core(K, V, high)
+        low, high, (crit2,) = [[heir if c == old else c for c in cells]
+                               for cells in (low, high, (crit2,))]
+    region = carve_core(K, V, high, crit2)
     region.made.update(c for rec in recs for c in rec.new_cells)
     # no bisection splits or renames a vertex, so v0 outlives separation
     _expel_foreign_criticals(K, V, region, crit.cells[0][0], low, values)
@@ -601,40 +590,47 @@ def find_separating_circle(K, f, g1, g2, values=None):
     return K, V, circle, region
 
 
-def split_along_circle(K, V, circle):
-    """Cut the surface along the circle; each side keeps the circle cells
-    (with their ids) and the pairs internal to it.
+def split_along_circle(K, V, circle, facets):
+    """Cut the surface along the circle into two sides, `facets` (a set)
+    and the other facets, each the cells of its facets' walks cut out of
+    K by `subcomplex`, with V's sorted pairs filtered to it.
 
-    The facets meet across their own edges off the circle.  A side is
-    its facets and the cells of their boundary walks, since every cell
-    of a closed surface lies on a facet, and it is cut out of K with
-    `subcomplex`; its field is V's sorted pair list filtered to it.
-    """
-    comps = _facet_components(
-        K, [t for t, c in K.cells.items() if c.dim == 2], set(circle[1::2]))
-    if len(comps) != 2:
-        raise NotSeparating("curve splits surface into %d parts" % len(comps))
-
-    crit_vertex = critical_cells(V, K).cells[0][0]
-
-    def build(comp):
-        ids = set(comp)
-        for t in comp:
-            ids.update(K.boundary_cycle(t))
-        piece = K.subcomplex(ids)
-        pairs = tuple([p for p in V.pair_list if p[0] in ids and p[1] in ids])
-        return piece, VectorField._of_sorted(pairs)
-
-    a, b = build(comps[0]), build(comps[1])
-    if crit_vertex in a[0].cells and crit_vertex not in b[0].cells:
-        mn, mx = a, b
-    elif crit_vertex in b[0].cells and crit_vertex not in a[0].cells:
-        mn, mx = b, a
-    else:
+    The one check is a certificate, in time proportional to `facets`:
+    the edges with one coface among them are the circle's, or
+    NotSeparating names the smallest edge that breaks it.  Then every
+    edge off the circle has both cofaces on one side, and an embedded
+    two-sided circle on a connected closed surface leaves at most two
+    sides, so `facets` is one whole side and the other facets the other.
+    The min side holds V's critical vertex (the smallest, should there
+    be more), read off the sides' vertices: NotSeparating when it lies
+    on the circle, WrongCriticalCount when V leaves none."""
+    boundary, _ = _boundary_and_interior(K, facets)
+    if boundary != set(circle[1::2]):
+        e = min(boundary.symmetric_difference(circle[1::2]))
+        raise NotSeparating(
+            "the facets are no side of the circle: edge %s %s" % (
+                e, "bounds them off the circle" if e in boundary
+                else "is on the circle but does not bound them"))
+    pm = V.partner_map()
+    sides, crit = [], []
+    for side in (facets, [t for t, c in K.cells.items()
+                          if c.dim == 2 and t not in facets]):
+        ids = set(side)
+        for t in side:
+            cycle = K.boundary_cycle(t)
+            ids.update(cycle)
+            crit.extend(v for v in cycle[0::2] if v not in pm)
+        sides.append(ids)
+    if not crit:
+        raise WrongCriticalCount("the field leaves no vertex critical")
+    v0 = min(crit)
+    if v0 in sides[0] and v0 in sides[1]:
         raise NotSeparating("critical vertex lies on the cut")
-    return SplitResult(circle=tuple(circle),
-                       min_complex=mn[0], min_field=mn[1],
-                       max_complex=mx[0], max_field=mx[1])
+    pieces = []
+    for ids in (sides if v0 in sides[0] else sides[::-1]):
+        pairs = tuple([p for p in V.pair_list if p[0] in ids and p[1] in ids])
+        pieces += [K.subcomplex(ids), VectorField._of_sorted(pairs)]
+    return SplitResult(tuple(circle), *pieces, v0)
 
 
 def _cone_cells(piece, circle):
@@ -849,21 +845,32 @@ def decompose(K, f, g1, g2):
     The report's Betti numbers are read off the classification of
     closed surfaces; nothing is ranked.  K is checked to be a closed
     orientable surface of genus g, so its mod-2 Betti numbers are
-    (1, 2g, 1).  The circle is an embedded cycle whose vertices each
-    meet two of its edges, so it is two-sided, and it splits K into two
-    connected sides, each a union of facets that meets the circle in its
-    whole boundary.  Each side is orientable, as part of K, and the cone
-    over the circle closes it into a closed orientable connected
-    surface.  Its Betti numbers are then (1, 2 - chi, 1), with chi its
-    Euler characteristic, which the report holds anyway.
+    (1, 2g, 1).  The circle is an embedded two-sided cycle that splits K
+    into two connected sides (split_along_circle's certificate), each a
+    union of facets bounded by the whole circle, and orientable, as part
+    of K.  The cone over the circle closes it into a closed orientable
+    connected surface, whose Betti numbers are then (1, 2 - chi, 1),
+    with chi its Euler characteristic, which the report holds anyway.
+
+    The report's critical counts are sought, by compose's rule
+    _critical_among, among the ids the check reads and V2's critical
+    cells: the critical vertex, which no cut renames, and the low and
+    high edges and critical facet, followed from the entry check through
+    every cut.  A cut moves criticality only to its heir, so these are
+    all of them; a cell of a piece off the circle keeps its partner,
+    which lies on its side, and the caps pair circle cells and add the
+    cone.  So the counts are those of each whole piece.
     """
     values = _entry_values(f)
     K2, V2, circle, region = find_separating_circle(K, f, g1, g2, values)
-    split = split_along_circle(K2, V2, circle)
+    split = split_along_circle(K2, V2, circle, region.facets)
     cut = _around(K2, region.made)
-    pieces = []
-    for cap, P, W in ((cap_with_max_cone, split.min_complex, split.min_field),
-                      (cap_with_min_cone, split.max_complex, split.max_field)):
+    crit = [split.critical_vertex, *region.low_edges, *region.high_edges,
+            region.critical_facet]
+    pieces, counts, chi = [], {}, {}
+    for name, cap, P, W in (
+            ("m1", cap_with_max_cone, split.min_complex, split.min_field),
+            ("m2", cap_with_min_cone, split.max_complex, split.max_field)):
         pv = {cid: values[cid] for cid in P.cells}
         C, W = cap(P, W, circle, pv)
         ids = {cid for cid in cut if cid in P.cells}
@@ -871,11 +878,9 @@ def decompose(K, f, g1, g2):
         ids.update(pv.keys() - P.cells.keys())  # the cone
         g = MorseFunction(pv)
         _check_carried(C, W, g, ids)
-        pieces.append((C, W, g))
-    (m1K, m1V, m1f), (m2K, m2V, m2f) = pieces
-    counts = {"m1": critical_cells(m1V, m1K).m,
-              "m2": critical_cells(m2V, m2K).m}
-    chi = {"m1": euler_characteristic(m1K), "m2": euler_characteristic(m2K)}
+        counts[name] = _critical_among(C, W, chain(ids, crit)).m
+        chi[name] = euler_characteristic(C)
+        pieces += [C, W, g]
     betti = {k: (1, 2 - c, 1) for k, c in chi.items()}
     report = {
         "circleLength": len(circle) // 2,
@@ -886,6 +891,4 @@ def decompose(K, f, g1, g2):
         "morseCounts": counts,
         "perfect": {k: counts[k] == betti[k] for k in counts},
     }
-    return DecomposeResult(m1_complex=m1K, m1_field=m1V, m1_function=m1f,
-                           m2_complex=m2K, m2_field=m2V, m2_function=m2f,
-                           circle=tuple(circle), report=report)
+    return DecomposeResult(*pieces, tuple(circle), report)

@@ -10,6 +10,7 @@ from dms.cellcomplex import (
     Complex,
     build_poset,
     build_simplicial,
+    components,
     euler_characteristic,
 )
 from dms.fixtures import (
@@ -438,3 +439,15 @@ def ordered_function(K, V, first, last):
             if not need[b]:
                 heapq.heappush(ready, key(b))
     return MorseFunction(values)
+
+
+def facet_components(K, facets, cut_edges):
+    """The facets in components, adjacent across their own edges not in
+    cut_edges: a whole-set search, the tests' oracle for the sides of a
+    cut."""
+    adj = {t: [] for t in facets}
+    for t in adj:
+        for e in K.boundary(t):
+            if e not in cut_edges:
+                adj[t].extend(o for o in K.cofaces(e) if o != t and o in adj)
+    return components(adj, adj)

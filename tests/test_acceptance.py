@@ -158,7 +158,7 @@ def test_criterion_06_boundary_condition(genus2, genus3):
     ok = True
     for (K, f, V), (g1, g2) in (((genus2), (1, 1)), ((genus3), (1, 2))):
         K2, V2, circle, region = find_separating_circle(K, f, g1, g2)
-        split = split_along_circle(K2, V2, circle)
+        split = split_along_circle(K2, V2, circle, region.facets)
         pm = split.max_field.partner_map()
         n = sum(1 for v in circle[0::2] if v not in pm)
         m = sum(1 for e in circle[1::2] if e not in pm)

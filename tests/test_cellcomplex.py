@@ -31,7 +31,9 @@ from dms.errors import (
     UnknownCell,
 )
 from dms.fixtures import genus_surface
-from dms.splitter import _facet_components, find_separating_circle
+from dms.splitter import find_separating_circle
+
+from conftest import facet_components
 
 TORUS_FACETS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] \
     + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
@@ -341,7 +343,7 @@ def separating_sides(K, f, g):
     decompose finds on the genus-g surface K under f at an even split,
     each side the closure of its facets."""
     K2, _, circle, _ = find_separating_circle(K, f, g // 2, g - g // 2)
-    sides = _facet_components(K2, K2.cells_of_dim(2), set(circle[1::2]))
+    sides = facet_components(K2, K2.cells_of_dim(2), set(circle[1::2]))
     assert len(sides) == 2
     return K2, [frozenset().union(*(K2.closure(t) for t in side))
                 for side in sides]

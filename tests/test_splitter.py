@@ -72,7 +72,7 @@ from dms.surgery import (
     shrink_closed_star,
 )
 
-from conftest import ordered_function
+from conftest import facet_components, ordered_function
 
 
 # --- select ------------------------------------------------------------------
@@ -132,11 +132,18 @@ def test_genus_surface_refuses_a_non_integer(g):
 # --- carve -------------------------------------------------------------------
 
 
+def critical_facet(K, V):
+    """V's one critical facet, which find_separating_circle hands to
+    carve_core."""
+    facet, = critical_cells(V, K).cells[2]
+    return facet
+
+
 def test_carve_core_genus2(genus2):
     K, f, V = genus2
     fi = make_injective(K, f)
     low, high = select_split_edges(K, fi, 1, 1)
-    region = carve_core(K, V, high)
+    region = carve_core(K, V, high, critical_facet(K, V))
     assert region.critical_facet in region.facets
     assert set(high) == region.high_edges
     # complement stays connected: flood fill over non-region facets
@@ -165,7 +172,7 @@ def test_carve_paths_split_but_never_merge(genus2):
     K, f, V = genus2
     fi = make_injective(K, f)
     low, high = select_split_edges(K, fi, 1, 1)
-    region = carve_core(K, V, high)
+    region = carve_core(K, V, high, critical_facet(K, V))
     paths = [trace_2path(K, V, t, region.critical_facet)
              for e in sorted(high) for t in sorted(K.cofaces(e))]
     covered = set()
@@ -186,7 +193,8 @@ def test_carve_torus_single_pair(torus, torus_field, torus_function):
     fi = make_injective(torus, torus_function)
     low, high = select_split_edges(torus, fi, 0, 1)
     assert low == ()
-    region = carve_core(torus, torus_field, high)
+    region = carve_core(torus, torus_field, high,
+                        critical_facet(torus, torus_field))
     outside_cells = set(torus.cells)
     for t in region.facets:
         outside_cells -= torus.closure(t)
@@ -245,7 +253,7 @@ def test_classify_clean_carve_is_circle(genus2):
     K, f, V = genus2
     fi = make_injective(K, f)
     _, high = select_split_edges(K, fi, 1, 1)
-    region = carve_core(K, V, high)
+    region = carve_core(K, V, high, critical_facet(K, V))
     bg = classify_boundary(K, region)
     assert not bg.wedge_vertices
     assert all(d == 2 for d in bg.degree.values())
@@ -369,7 +377,7 @@ def complement_components(K, region):
     edges that do not bound the region."""
     boundary, _ = _boundary_and_interior(K, region.facets)
     outside = [t for t in K.cells_of_dim(2) if t not in region.facets]
-    return splitter._facet_components(K, outside, boundary)
+    return facet_components(K, outside, boundary)
 
 
 def test_excavate_stray_on_annulus():
@@ -861,7 +869,7 @@ def test_find_separating_circle_rejects_nonorientable(rp2):
 def test_split_along_circle_genus2(genus2):
     K, f, V = genus2
     K2, V2, circle, region = find_separating_circle(K, f, 1, 1)
-    split = split_along_circle(K2, V2, circle)
+    split = split_along_circle(K2, V2, circle, region.facets)
     assert euler_characteristic(split.min_complex) == -1  # 1 - 2g, g = 1
     assert euler_characteristic(split.max_complex) == -1
     # boundary-critical balance on the critical-facet side
@@ -879,7 +887,7 @@ def test_split_along_circle_genus2(genus2):
 def test_caps_genus2(genus2):
     K, f, V = genus2
     K2, V2, circle, region = find_separating_circle(K, f, 1, 1)
-    split = split_along_circle(K2, V2, circle)
+    split = split_along_circle(K2, V2, circle, region.facets)
     m1K, m1V = cap_with_max_cone(split.min_complex, split.min_field, circle)
     m2K, m2V = cap_with_min_cone(split.max_complex, split.max_field, circle)
     for cx, vf in ((m1K, m1V), (m2K, m2V)):
@@ -897,15 +905,15 @@ def test_caps_genus2(genus2):
 def test_cap_max_rejects_boundary_criticals(genus2):
     K, f, V = genus2
     K2, V2, circle, region = find_separating_circle(K, f, 1, 1)
-    split = split_along_circle(K2, V2, circle)
+    split = split_along_circle(K2, V2, circle, region.facets)
     with pytest.raises(BoundaryCriticalPresent):
         cap_with_max_cone(split.max_complex, split.max_field, circle)
 
 
 def _genus2_split(genus2):
     K, f, V = genus2
-    K2, V2, circle, _ = find_separating_circle(K, f, 1, 1)
-    return split_along_circle(K2, V2, circle), circle
+    K2, V2, circle, region = find_separating_circle(K, f, 1, 1)
+    return split_along_circle(K2, V2, circle, region.facets), circle
 
 
 def _rematched(P, W, a, b):
@@ -943,7 +951,87 @@ def test_split_refuses_a_cut_through_the_critical_vertex(genus2):
     v0 = critical_cells(V, K).cells[0][0]
     t = min(c for c in K.star(v0) if K.dim(c) == 2)
     with pytest.raises(NotSeparating, match="critical vertex lies on the cut"):
-        split_along_circle(K, V, K.boundary_cycle(t))
+        split_along_circle(K, V, K.boundary_cycle(t), {t})
+
+
+def test_split_refuses_a_circle_that_separates_nothing():
+    # the circle through the torus's edges {i, i + 1} separates nothing
+    K = torus7()
+    edges = {"e%d-%d" % tuple(sorted((i, (i + 1) % 7))) for i in range(7)}
+    circle, _ = cycle_walk({e: K.boundary(e) for e in edges})
+    assert len(facet_components(K, K.cells_of_dim(2), edges)) == 1
+    V = tree_cotree_field(K)
+    # the facets {i, i + 1, i + 3} line one bank of the circle, one on
+    # each of its edges; they are bounded by more edges than the
+    # circle's, and no set of facets by the circle's edges alone
+    bank = {"t%d-%d-%d" % tuple(sorted((i, (i + 1) % 7, (i + 3) % 7)))
+            for i in range(7)}
+    assert all(len(K.boundary(t) & edges) == 1 for t in bank)
+    with pytest.raises(NotSeparating, match="bounds them off the circle"):
+        split_along_circle(K, V, circle, bank)
+    for facets in (set(), set(K.cells_of_dim(2))):
+        with pytest.raises(NotSeparating,
+                           match="is on the circle but does not bound them"):
+            split_along_circle(K, V, circle, facets)
+
+
+def test_split_refuses_facets_that_are_no_side_of_the_circle(genus2):
+    K, f, V = genus2
+    K2, V2, circle, region = find_separating_circle(K, f, 1, 1)
+    edges = set(circle[1::2])
+    inner = min(t for e in edges for t in K2.cofaces(e) if t in region.facets)
+    outer = min(t for e in edges for t in K2.cofaces(e)
+                if t not in region.facets)
+    others = set(K2.cells_of_dim(2)) - region.facets
+    for facets in (region.facets - {inner}, region.facets | {outer},
+                   others - {outer}, others | {inner}):
+        with pytest.raises(NotSeparating, match="no side of the circle"):
+            split_along_circle(K2, V2, circle, facets)
+
+
+def test_either_side_of_the_circle_gives_the_same_pieces(
+        assert_same_complex):
+    splits = 0
+    for K, seed, f, g1 in golden_fields():
+        try:
+            K2, V2, circle, region = find_separating_circle(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+            continue
+        others = set(K2.cells_of_dim(2)) - region.facets
+        a = split_along_circle(K2, V2, circle, region.facets)
+        b = split_along_circle(K2, V2, circle, others)
+        assert_same_complex(a.min_complex, b.min_complex)
+        assert_same_complex(a.max_complex, b.max_complex)
+        assert (a.min_field, a.max_field) == (b.min_field, b.max_field)
+        assert a.critical_vertex == b.critical_vertex \
+            == critical_cells(V2, K2).cells[0][0]
+        splits += 1
+    assert splits == 8
+
+
+def test_split_refuses_a_field_with_no_critical_vertex():
+    # the root's criticality moved down the tree path to an end x of a
+    # critical edge e, then x paired with e: no vertex is left critical
+    K = torus7()
+    V = tree_cotree_field(K)
+    pm = V.partner_map()
+    e = critical_cells(V, K).cells[1][0]
+    x = max(K.boundary(e))
+    drop, add, v = [], [(x, e)], x
+    while v in pm:
+        s = pm[v]
+        (w,) = K.boundary(s) - {v}
+        drop.append((v, s))
+        add.append((w, s))
+        v = w
+    assert drop  # x is no root
+    W = V.replace(drop=drop, add=add)
+    assert critical_cells(W, K).m == (0, 1, 1)
+    t = K.cells_of_dim(2)[0]
+    with pytest.raises(WrongCriticalCount,
+                       match="the field leaves no vertex critical"):
+        split_along_circle(K, W, K.boundary_cycle(t), {t})
 
 
 def test_decompose_composed_tori(genus2):
@@ -1117,7 +1205,7 @@ def test_split_edges_on_f_keep_the_injective_order():
 
 def test_find_separating_circle_validates_once(spy):
     # induced_field checks the function in its one face loop, and the
-    # critical cells are scanned on entry and by carve_core only
+    # critical cells are scanned on entry only
     validations = spy(_check_function)
     scans = spy(critical_cells)
     for K, seed, f, g1 in golden_fields():
@@ -1127,7 +1215,7 @@ def test_find_separating_circle_validates_once(spy):
         except NotSeparating:
             assert seed == 7
         assert validations == [(K, f)]
-        assert len(scans) == 2
+        assert len(scans) == 1
 
 
 def test_decompose_checks_each_piece_once(spy):
@@ -1156,6 +1244,47 @@ def test_decompose_checks_each_piece_once(spy):
             assert set(args[2]) < set(P.cells)
         done += 1
     assert done == 8
+
+
+def test_decompose_lists_the_critical_cells_once(spy):
+    # the entry check lists the critical cells, and separation, the carve,
+    # the split and the piece counts follow or read them; a surface that
+    # carries compose's record is not scanned at all
+    K, f, _ = genus_surface(3)
+    scans = spy(critical_cells)
+    assert decompose(K, f, 1, 2).report["perfect"] == {"m1": True,
+                                                       "m2": True}
+    assert scans == []
+    for K, seed, f, g1 in golden_fields():
+        del scans[:]
+        try:
+            decompose(K, f, g1, 4 - g1)
+        except NotSeparating:
+            assert seed == 7
+        assert len(scans) == 1 and scans[0][1] is K
+
+
+def test_piece_counts_are_the_critical_cells_of_each_piece(glued_genus2):
+    # the report's counts, read off the followed critical cells, the cut
+    # cells, the circle and the cone, against a scan of each whole piece
+    cases = [(K, f, g1, 4 - g1) for K, seed, f, g1 in golden_fields()]
+    for flips, flip_seed in FLIPPED_GENUS2:
+        K = glued_genus2(flips, flip_seed)
+        for seed in range(10):
+            V = tree_cotree_field(K, rng=random.Random(seed))
+            cases.append((K, synthesize_function(K, V), 1, 1))
+    assert len(cases) == 129
+    done = 0
+    for K, f, g1, g2 in cases:
+        try:
+            res = decompose(K, f, g1, g2)
+        except DmsError:
+            continue
+        assert res.report["morseCounts"] == {
+            "m1": critical_cells(res.m1_field, res.m1_complex).m,
+            "m2": critical_cells(res.m2_field, res.m2_complex).m}
+        done += 1
+    assert done >= 100
 
 
 def piece_texts(res):
@@ -1242,8 +1371,8 @@ def _carried_cap(genus2, cap, side):
     the piece, its field, the capped piece, its field and the values."""
     K, f, V = genus2
     values = dict(f.values)
-    K2, V2, circle, _ = find_separating_circle(K, f, 1, 1, values)
-    split = split_along_circle(K2, V2, circle)
+    K2, V2, circle, region = find_separating_circle(K, f, 1, 1, values)
+    split = split_along_circle(K2, V2, circle, region.facets)
     P, W = getattr(split, side + "_complex"), getattr(split, side + "_field")
     pv = {cid: values[cid] for cid in P.cells}
     C, CW = cap(P, W, circle, pv)
@@ -1395,8 +1524,8 @@ def test_pieces_match_a_full_rebuild(monkeypatch, assert_same_complex):
     split = splitter.split_along_circle
     pieces = []
 
-    def checked(K, V, circle):
-        out = split(K, V, circle)
+    def checked(K, V, circle, facets):
+        out = split(K, V, circle, facets)
         for P in (out.min_complex, out.max_complex):
             R = Complex([c for cid, c in K.cells.items() if cid in P.cells])
             assert_same_complex(P, R)
@@ -1461,7 +1590,8 @@ def test_a_held_parent_is_unchanged_by_every_public_surgery():
     W = tree_cotree_field(M, rng=random.Random(0))
     T, ft, _ = genus_surface(1)
     K2, V2, _ = bisect_edge(M, V, e)
-    split = split_along_circle(*find_separating_circle(M, f, 1, 1)[:3])
+    C, CV, circle, region = find_separating_circle(M, f, 1, 1)
+    split = split_along_circle(C, CV, circle, region.facets)
     pieces = (split.min_complex, split.min_field, split.max_complex,
               split.max_field)
     # the caches a surgery may fill are filled first, so that what is

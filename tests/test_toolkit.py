@@ -772,8 +772,12 @@ def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
         "         d + '/dec.m1.dvf', '--function', d + '/dec.m1.dmf'],\n"
         "        ['critical', '--complex', d + '/dec.m2.cwp', '--field',\n"
         "         d + '/dec.m2.dvf'],\n"
+        "        ['export', '--complex', d + '/g2.cwp', '--format', 'dot',\n"
+        "         '--out', d + '/g2.dot'],\n"
         "        ['betti', '--complex', d + '/g2.cwp']):\n"
-        "    assert main(argv) == 0, argv\n")
+        "    assert main(argv) == 0, argv\n"
+        "assert main(['export', '--complex', d + '/g2.cwp', '--format',\n"
+        "             'off', '--out', d + '/g2.off']) == 5\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dms.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -782,3 +786,8 @@ def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1 4 1"
+    # OFF export needs numpy: one line names the extra, nothing is written
+    assert proc.stderr.splitlines() == [
+        "export --format off needs numpy, the inspect extra: "
+        "pip install dms[inspect]"]
+    assert not (tmp_path / "g2.off").exists()
