@@ -65,7 +65,8 @@ class MissingValue(DmsError):
 
 
 class InvalidFunction(DmsError):
-    pass
+    """Not a discrete Morse function: its first violations, or the
+    smallest cell whose value is not finite."""
 
 
 class CyclicField(DmsError):

@@ -9,6 +9,7 @@ output is reproducible.
 """
 
 import random
+from collections import deque
 
 from .cellcomplex import build_poset, build_simplicial
 from .errors import Disconnected, NotClosedSurface, UnknownFixture
@@ -57,51 +58,42 @@ def tree_cotree_field(K, rng=None):
     verts = K.cells_of_dim(0)
     facets = K.cells_of_dim(2)
 
-    def maybe_shuffle(items):
-        items = list(items)
+    def shuffled(items):
         if rng is not None:
             rng.shuffle(items)
         return items
 
-    pairs = []
-    tree_edges = set()
-    seen = {verts[0]}
-    frontier = [verts[0]]
-    while frontier:
-        cur = frontier.pop(0)
-        for eid in maybe_shuffle(sorted(K.cofaces(cur))):
-            if K.dim(eid) != 1:
-                continue
-            other = [x for x in K.boundary(eid) if x != cur]
-            if not other or other[0] in seen:
-                continue
-            child = other[0]
-            seen.add(child)
-            tree_edges.add(eid)
-            pairs.append((child, eid))
-            frontier.append(child)
+    def search(root, links):
+        """Breadth-first from root: the nodes reached, and (link, node)
+        for each other one, reached by that link; links(node) yields the
+        (link, neighbour) pairs to try, in order."""
+        seen, frontier, tree = {root}, deque([root]), []
+        while frontier:
+            for link, node in links(frontier.popleft()):
+                if node not in seen:
+                    seen.add(node)
+                    tree.append((link, node))
+                    frontier.append(node)
+        return seen, tree
+
+    # a vertex's cofaces are edges, and an edge has two distinct ends
+    seen, tree = search(verts[0], lambda v: (
+        (e, *(K.boundary(e) - {v})) for e in shuffled(sorted(K.cofaces(v)))))
     if len(seen) != len(verts):
         raise Disconnected("1-skeleton is not connected")
+    tree_edges = {e for e, _ in tree}
 
-    cotree_edges = set()
-    seen_f = {facets[0]}
-    frontier = [facets[0]]
-    while frontier:
-        cur = frontier.pop(0)
-        for eid in maybe_shuffle(sorted(K.boundary(cur))):
-            if eid in tree_edges:
-                continue
-            other = [t for t in K.cofaces(eid) if t != cur]
-            if len(other) != 1 or other[0] in seen_f:
-                continue
-            child = other[0]
-            seen_f.add(child)
-            cotree_edges.add(eid)
-            pairs.append((eid, child))
-            frontier.append(child)
-    if len(seen_f) != len(facets):
+    def dual_links(t):
+        for e in shuffled(sorted(K.boundary(t))):
+            if e not in tree_edges:
+                other = [x for x in K.cofaces(e) if x != t]
+                if len(other) == 1:
+                    yield e, other[0]
+
+    seen, cotree = search(facets[0], dual_links)
+    if len(seen) != len(facets):
         raise Disconnected("dual graph is not connected")
-    return VectorField(pairs)
+    return VectorField([(v, e) for e, v in tree] + cotree)
 
 
 def random_valid_field(K, seed):

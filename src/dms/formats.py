@@ -31,6 +31,15 @@ def _tokens(text):
             yield ln, parts
 
 
+def _check_ids(fmt, ids):
+    """ParseError naming the smallest of `ids`, a list, that the reader
+    of `fmt` cannot read back: empty, or holding whitespace or `#`."""
+    joined = " ".join(ids)  # its split is `ids` when none is empty or spaced
+    if "#" in joined or joined.split() != ids:
+        bad = min(x for x in ids if "#" in x or x.split() != [x])
+        raise ParseError("%s cannot hold cell id %r" % (fmt, bad))
+
+
 def _repeat(ln, directive, cid, first):
     """The ParseError for line ln giving `directive` for cid again."""
     return ParseError("line %d: %s %r repeats line %d"
@@ -130,6 +139,7 @@ def parse_cwp(text):
 
 
 def write_cwp(K):
+    _check_ids("CWP", list(K.cells))
     cells = sorted(K.cells.items())
     out = ["cell %s %d" % (cid, cell.dim) for cid, cell in cells]
     out += [("bnd %s %s" % (cid, " ".join(sorted(cell.boundary)))).rstrip()
@@ -170,6 +180,8 @@ def parse_dvf(text, K):
 
 
 def write_dvf(V, K=None):
+    _check_ids("DVF", [x for p in V.pair_list for x in p]
+               + ([] if K is None else list(K.cells)))
     out = ["pair %s %s" % p for p in V.pairs()]
     if K is not None:
         matched = {c for p in V.pairs() for c in p}
@@ -206,6 +218,11 @@ def parse_dmf(text, K):
 
 
 def write_dmf(f):
+    _check_ids("DMF", list(f.values))
+    if not all(map(math.isfinite, f.values.values())):
+        bad = min(c for c, val in f.values.items() if not math.isfinite(val))
+        raise ParseError("DMF cannot hold %r, the value of cell %r, which "
+                         "is not finite" % (f.values[bad], bad))
     out = ["val %s %s" % (cid, repr(val))
            for cid, val in sorted(f.values.items())]
     return "\n".join(out) + "\n"

@@ -14,6 +14,7 @@ is deterministic.
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from math import isfinite
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -92,10 +93,6 @@ class VectorField:
                 pm[b] = a
             self._partner = pm
         return self._partner
-
-    def critical(self, K):
-        pm = self.partner_map()
-        return sorted(cid for cid in K.cells if cid not in pm)
 
     def replace(self, drop=(), add=()):
         """This field without the pairs in `drop` (every copy of each)
@@ -194,10 +191,12 @@ def validate_function(K, f):
 
 def _check_function(K, f, ids=None):
     """validate_function's verdict on the cells `ids` alone (every cell
-    when None, after checking each has a value): their violations, sorted
-    by cell id, and from the same face loop the pairs (sigma, tau) with
-    tau in `ids` and f(sigma) >= f(tau), the field f induces when valid.
-    Each of these cells, its faces and its cofaces must have a value."""
+    when None, after checking each has a value, else MissingValue, and a
+    finite one, else InvalidFunction names the smallest cell whose value
+    is not, as no order holds on nan): their violations, sorted by cell
+    id, and from the same face loop the pairs (sigma, tau) with tau in
+    `ids` and f(sigma) >= f(tau), the field f induces when valid.  Each
+    of these cells, its faces and its cofaces must have a value."""
     cells = K.cells
     cofaces = K.coface_table
     values = f.values
@@ -205,6 +204,10 @@ def _check_function(K, f, ids=None):
         for cid in cells:
             if cid not in values:
                 raise MissingValue(cid)
+        bad = [cid for cid in cells if not isfinite(values[cid])]
+        if bad:
+            raise InvalidFunction("value %r of cell %s is not finite"
+                                  % (values[min(bad)], min(bad)))
         ids = cells
     violations = []
     pairs = []

@@ -44,7 +44,7 @@ from .morsefield import (
     trace_2path,
 )
 from .surgery import _around, _bisect_edge, _checked_summand, _cut_corner, \
-    separate_critical_cells
+    _separate_critical_cells
 
 
 @dataclass
@@ -487,11 +487,12 @@ def _expel_foreign_criticals(K, V, region, v0, low_edges, values):
 def find_separating_circle(K, f, g1, g2, values=None):
     """Drive the boundary repairs until the carved region is bounded by a
     single circle with no arrows pointing into it; returns the final
-    (complex, field, circle walk, region), the drafts of
-    separate_critical_cells edited in place by every repair after it.
-    The field f induces and its critical cells come from compose's entry
-    check, surgery._checked_summand (a record, or f checked in full),
-    the one listing of them: the cuts' records carry them to their heirs.
+    (complex, field, circle walk, region), drafts of K and of the field
+    that separation (surgery._separate_critical_cells) and every repair
+    after it edit in place.  The field f induces and its critical cells
+    come from compose's entry check, surgery._checked_summand (a record,
+    or f checked in full), the one listing of them: separation is handed
+    them, and the cuts' records carry them to their heirs.
     `values`, when given, holds f or a function inducing the same field,
     and every cut patches it in place (surgery._patch_values); the
     region's `made` then lists every cell a cut made.  carve_core counts
@@ -547,7 +548,8 @@ def find_separating_circle(K, f, g1, g2, values=None):
     low, high = _split_edges(f, crit, g1, g2)
     crit2 = crit.cells[2][0]
 
-    K, V, recs = separate_critical_cells(K, V, values)
+    K, V = K._draft(), V._draft()
+    recs = _separate_critical_cells(K, V, chain(*crit.cells.values()), values)
     for rec in recs:
         (old, heir), = rec.replacements.items()
         low, high, (crit2,) = [[heir if c == old else c for c in cells]

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .homology import BettiVector
 from .morsefield import (
-    VectorField,
     _betti,
     _check_carried,
     _critical_among,
@@ -299,9 +298,9 @@ class _Cover:
 
 
 class _CriticalIndex:
-    """The critical cells of V on K with the star and the closure of
-    each, carried across the bisections of separate_critical_cells
-    instead of rescanned after every step.
+    """The critical cells of a field on K, handed to it once, with the
+    star and the closure of each, carried across the bisections of
+    separate_critical_cells instead of listed again after every step.
 
     A bisection of a cell s into the new cells N of its record (update)
     moves criticality only from s to its heir in rec.replacements.  A
@@ -312,9 +311,9 @@ class _CriticalIndex:
     on them.  Every other star and closure stays as it was.
     """
 
-    def __init__(self, K, V):
+    def __init__(self, K, critical):
         self.stars, self.closures = _Cover(), _Cover()
-        for c in V.critical(K):
+        for c in critical:
             self.stars.add(c, K.star(c))
             self.closures.add(c, K.closure(c))
 
@@ -397,9 +396,10 @@ def separate_critical_cells(K, V, values=None):
     on it, or chord-splits a polygon whose closure holds two critical
     cells; it parts the smallest witness by (dim, id), a cell whose
     closure holds two critical cells, or else the smallest pair of
-    critical cells whose closures meet.  The loop is a worklist: one
-    scan finds the critical cells on entry, and a _CriticalIndex carries
-    them, their stars and their closures from step to step.
+    critical cells whose closures meet.  The loop is a worklist: it is
+    handed the critical cells once, here listed by critical_cells, and a
+    _CriticalIndex carries them, their stars and their closures from
+    step to step.
 
     The corner cut between two critical polygons whose boundaries meet
     need not make progress: it may keep cutting a corner off while the
@@ -412,8 +412,15 @@ def separate_critical_cells(K, V, values=None):
     step patches it in place (_patch_values).
     """
     K, V = K._draft(), V._draft()
+    crit = critical_cells(V, K).cells.values()
+    return K, V, _separate_critical_cells(K, V, chain(*crit), values)
+
+
+def _separate_critical_cells(K, V, critical, values):
+    """separate_critical_cells on K and V themselves, handed the ids of
+    V's critical cells, `critical`; returns the records."""
     records = []
-    index = _CriticalIndex(K, V)
+    index = _CriticalIndex(K, critical)
     budget = 100 + 10 * len(K.cells)
     for steps in count():
         witnesses = index.witnesses()
@@ -423,7 +430,7 @@ def separate_critical_cells(K, V, values=None):
         else:
             touching = index.touching()
             if not touching:
-                return K, V, records
+                return records
             c1, c2, shared = touching[0]
             parting = [c1, c2]
         if steps == budget:
@@ -790,9 +797,10 @@ def compose(M1, f1, M2, f2):
     non-critical top cell beta at the critical vertex of the second,
     inserts the product tube over the boundary of alpha, shrinks the
     closed star of beta, and glues; the combined field pairs every glued
-    boundary cell into its own prism; on a surface the shrunken triangle
-    is glued as it is, its smallest edge along k - 2 edges of the k-sided
-    tube top (_surface_glue_map).  On a surface, the cells of
+    boundary cell into its own prism, by the one field edit
+    (VectorField._edit); on a surface the shrunken triangle is glued as
+    it is, its smallest edge along k - 2 edges of the k-sided tube top
+    (_surface_glue_map).  On a surface, the cells of
     alpha's boundary that are critical or paired inside it are first
     cleared off by bisections, and f1 is patched on the cells they make
     (_clear_top_cell_boundary); in other dimensions they raise
@@ -958,18 +966,10 @@ def compose(M1, f1, M2, f2):
 
     # V1's partner map, built by the checks above, carries over with the
     # new pairs, unless one of them names a matched cell again
-    pairs = V1.pair_list
-    new_pairs = [(tube.top[cid], tube.prism[cid]) for cid in tube.base_cells]
-    new_pairs.extend(pairs2)
-    pairs.extend(new_pairs)
-    pm = V1.partner_map()
-    for x, y in new_pairs:
-        if x in pm or y in pm:
-            pm = None
-            break
-        pm[x] = y
-        pm[y] = x
-    V = VectorField._of_sorted(tuple(sorted(pairs)), pm)
+    V = V1
+    V._edit(add=chain(((tube.top[cid], tube.prism[cid])
+                       for cid in tube.base_cells), pairs2))
+    V.pair_list = tuple(V.pair_list)
 
     # Only these cells can break the Morse condition or pair differently
     # than V: the tube and the second summand are new, alpha's boundary

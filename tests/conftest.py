@@ -21,7 +21,12 @@ from dms.fixtures import (
     torus7,
     tree_cotree_field,
 )
-from dms.morsefield import MorseFunction, VectorField, synthesize_function
+from dms.morsefield import (
+    MorseFunction,
+    VectorField,
+    critical_cells,
+    synthesize_function,
+)
 
 
 @pytest.fixture(scope="session")
@@ -379,35 +384,42 @@ def spy(monkeypatch):
     return install
 
 
+def critical_ids(V, K):
+    """The critical cells of V on K, of every dimension, in id order."""
+    return sorted(c for cs in critical_cells(V, K).cells.values()
+                  for c in cs)
+
+
 @pytest.fixture
 def each_separation_step(monkeypatch):
     """each_separation_step(check) runs check(index, K, V) on the index
     separate_critical_cells carries, once it is built and after every
     step, with the complex and field it then describes."""
-    made = []  # the complex and field of the last bisection
+    made = []  # the complex and field being separated
 
     def install(check):
         init = surgery._CriticalIndex.__init__
         update = surgery._CriticalIndex.update
+        separate = surgery._separate_critical_cells
 
-        def checked_init(self, K, V):
-            init(self, K, V)
-            check(self, K, V)
+        def checked_init(self, K, critical):
+            init(self, K, critical)
+            assert made[-1][0] is K
+            check(self, *made[-1])
 
         def checked_update(self, K, rec):
             update(self, K, rec)
             assert made[-1][0] is K
             check(self, *made[-1])
 
+        # the loop edits the complex and field it is handed in place
+        def recorded(K, V, *args, **kwargs):
+            made.append((K, V))
+            return separate(K, V, *args, **kwargs)
+
         monkeypatch.setattr(surgery._CriticalIndex, "__init__", checked_init)
         monkeypatch.setattr(surgery._CriticalIndex, "update", checked_update)
-        # the loop bisects its own drafts in place
-        for name in ("_bisect_edge", "_bisect_2cell"):
-            def recorded(*args, _fn=getattr(surgery, name), **kwargs):
-                out = _fn(*args, **kwargs)
-                made.append(args[:2])
-                return out
-            monkeypatch.setattr(surgery, name, recorded)
+        monkeypatch.setattr(surgery, "_separate_critical_cells", recorded)
 
     return install
 

@@ -175,26 +175,10 @@ def test_components_start_at_smallest_node():
     assert components([], {}) == []
 
 
-def sorted_start_components(nodes, neighbours):
-    """components as it read before it skipped the sort on a connected
-    graph: one search from each node in sorted order not yet reached."""
-    seen = set()
-    out = []
-    for start in sorted(nodes):
-        if start not in seen:
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                for nxt in neighbours[frontier.pop()]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        frontier.append(nxt)
-            seen |= comp
-            out.append(frozenset(comp))
-    return out
-
-
 def test_components_matches_the_sorted_start_search():
+    # random graphs: the components part the nodes, in the order of their
+    # smallest nodes, each closed under neighbours and reached from that
+    # node, however the nodes are given
     rng = random.Random(5)
     for trial in range(200):
         nodes = ["n%d" % i for i in range(rng.randrange(1, 12))]
@@ -204,9 +188,20 @@ def test_components_matches_the_sorted_start_search():
             a, b = rng.choice(nodes), rng.choice(nodes)
             nbrs[a].append(b)
             nbrs[b].append(a)
-        for given in (nodes, set(nodes), nbrs, nodes + nodes[:2]):
-            assert components(given, nbrs) == \
-                sorted_start_components(given, nbrs)
+        comps = components(nodes, nbrs)
+        for given in (set(nodes), nbrs, nodes + nodes[:2]):
+            assert components(given, nbrs) == comps
+        assert sorted(x for c in comps for x in c) == sorted(nodes)
+        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        for comp in comps:
+            reached, frontier = {min(comp)}, [min(comp)]
+            while frontier:
+                for nxt in nbrs[frontier.pop()]:
+                    assert nxt in comp
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        frontier.append(nxt)
+            assert reached == comp
 
 
 def test_cycle_walk_orders_and_rejects():

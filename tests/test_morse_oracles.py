@@ -43,7 +43,7 @@ from dms.morsefield import (
     validate_function,
 )
 
-from conftest import ComposeSides
+from conftest import ComposeSides, critical_ids
 
 
 # --- oracles: the checks as they were, one accessor call per incidence ----
@@ -634,7 +634,7 @@ def test_touching_crit_pairs_match_the_pairwise_oracle(each_separation_step):
 
     def check(index, K, V):
         out = index.touching()
-        assert out == oracle_touching_crit_pairs(K, V.critical(K))
+        assert out == oracle_touching_crit_pairs(K, critical_ids(V, K))
         found.append(len(out))
 
     each_separation_step(check)

@@ -62,7 +62,7 @@ def test_interval_complex_pairing():
     f = MorseFunction({"v0": 0.0, "v1": 1.0, "e": 1.0})
     V = induced_field(K, f)
     assert V.pairs() == (("v1", "e"),)
-    assert V.critical(K) == ["v0"]
+    assert critical_cells(V, K).cells == {0: ("v0",), 1: ()}
 
 
 def test_induced_field_of_dimension_function(tetra):

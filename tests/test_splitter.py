@@ -1247,9 +1247,9 @@ def test_decompose_checks_each_piece_once(spy):
 
 
 def test_decompose_lists_the_critical_cells_once(spy):
-    # the entry check lists the critical cells, and separation, the carve,
-    # the split and the piece counts follow or read them; a surface that
-    # carries compose's record is not scanned at all
+    # the entry check lists the critical cells, separation is handed
+    # them, and the carve, the split and the piece counts follow or read
+    # them; a surface that carries compose's record is not scanned at all
     K, f, _ = genus_surface(3)
     scans = spy(critical_cells)
     assert decompose(K, f, 1, 2).report["perfect"] == {"m1": True,

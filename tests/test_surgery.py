@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from dms import morsefield, surgery
+from dms import surgery
 from dms.cellcomplex import Complex, build_poset, build_simplicial, \
     euler_characteristic, verify_closed_surface
 from dms.errors import (
@@ -51,7 +51,8 @@ from dms.surgery import (
     shrink_closed_star,
 )
 
-from conftest import INSEPARABLE_SEEDS, ComposeSides, ordered_function
+from conftest import INSEPARABLE_SEEDS, ComposeSides, critical_ids, \
+    ordered_function
 
 
 def seeded_torus(seed):
@@ -337,7 +338,7 @@ def test_crits_in_closures_matches_closure_scan(each_separation_step):
     found = []
 
     def check(index, K, V):
-        crits = V.critical(K)
+        crits = critical_ids(V, K)
         assert sorted(index.stars.of) == sorted(index.closures.of) == crits
         for c in crits:
             assert index.stars.of[c] == K.star(c)
@@ -356,7 +357,7 @@ def test_crits_in_closures_matches_closure_scan(each_separation_step):
 
 
 def test_separate_critical_cells_identity(torus, torus_field):
-    crits = torus_field.critical(torus)
+    crits = critical_ids(torus_field, torus)
     clash = any(len(set(crits) & torus.closure(c)) >= 2
                 for c in torus.cells)
     K, V, recs = separate_critical_cells(torus, torus_field)
@@ -388,7 +389,7 @@ def test_separation_budget_is_fixed_on_entry(monkeypatch):
     # closures meet
     K2, V2 = last
     a, b = err.value.args
-    assert {a, b} <= set(V2.critical(K2))
+    assert {a, b} <= set(critical_ids(V2, K2))
     assert K2.dim(a) == K2.dim(b) == 2 and K2.closure(a) & K2.closure(b)
 
 
@@ -409,17 +410,10 @@ def test_separation_refuses_only_the_known_fields():
     assert refused <= INSEPARABLE_SEEDS
 
 
-def test_one_critical_scan_per_separation(monkeypatch):
+def test_one_critical_scan_per_separation(spy):
     # the loop carries its critical cells, so however many steps it takes
-    # it scans the whole complex for them once, on entry
-    scans = []
-    for owner, name in ((VectorField, "critical"),
-                        (morsefield, "critical_cells"),
-                        (surgery, "critical_cells")):
-        def counted(*args, _fn=getattr(owner, name), **kwargs):
-            scans.append(name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
+    # the public call lists them once, on entry
+    scans = spy(critical_cells)
     steps = []
     for g in (2, 3, 4, 5, 6):
         K = genus_surface(g)[0]
@@ -427,7 +421,7 @@ def test_one_critical_scan_per_separation(monkeypatch):
             V = tree_cotree_field(K, rng=random.Random(seed))
             del scans[:]
             K2, V2, recs = separate_critical_cells(K, V)
-            assert len(scans) <= 1
+            assert len(scans) == 1
             steps.append((len(K2.cells) - len(K.cells)) // 2)  # bisections
     assert max(steps) > 10
 
@@ -447,7 +441,7 @@ def test_separate_two_edges_sharing_vertex():
     assert recs
     assert validate_field(K2, V2).ok
     assert critical_cells(V2, K2).m == (1, 2, 1)
-    crits2 = V2.critical(K2)
+    crits2 = critical_ids(V2, K2)
     # no cell closure holds two critical cells, and the closed star of
     # one critical cell never contains another
     for cid in K2.cells:
@@ -964,6 +958,25 @@ def test_a_copy_with_two_values_swapped_is_refused():
     assert not validate_function(K, swapped).ok
     with pytest.raises(InvalidFunction):
         compose(K, swapped, *seeded_torus(300))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_value_that_is_not_finite_is_refused_by_its_cell(bad):
+    # nan compares false with everything, so validate_function passed it
+    # and compose or decompose ended in an internal InconsistentField
+    # (-inf: InexactFunction); the whole-function check names the cell
+    T = torus7()
+    g = synthesize_function(T, tree_cotree_field(T))
+    f = MorseFunction({**g.values, "v0": bad, "v1": bad})
+    K, h, _ = genus_surface(2)
+    fk = MorseFunction({**h.values, "m1:v0": bad})
+    for call, cell in ((lambda: validate_function(T, f), "v0"),
+                       (lambda: compose(T, g, T, f), "v0"),
+                       (lambda: compose(T, f, T, g), "v0"),
+                       (lambda: decompose(K, fk, 1, 1), "m1:v0")):
+        with pytest.raises(InvalidFunction,
+                           match=r"of cell %s is not finite" % cell):
+            call()
 
 
 def test_a_composed_function_is_read_only():

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import dms
 from dms.cellcomplex import (
     Cell,
     Complex,
+    build_poset,
     build_simplicial,
     euler_characteristic,
     verify_closed_surface,
@@ -39,6 +42,7 @@ from dms.formats import (
 from dms.homology import betti_mod2
 from dms.morsefield import (
     MorseFunction,
+    VectorField,
     critical_cells,
     is_perfect,
     synthesize_function,
@@ -183,6 +187,30 @@ def test_parse_dmf_rejects_non_finite_values(torus, text):
     with pytest.raises(ParseError, match="line 2: value %r is not finite"
                        % text):
         parse_dmf(lines, torus)
+    # and write_dmf does not write one
+    with pytest.raises(ParseError, match="of cell 'v1', which is not"):
+        write_dmf(MorseFunction({"v0": 0.0, "v1": float(text)}))
+
+
+@pytest.mark.parametrize("cid", ["a b", "a#b", "", " a", "a\tb",
+                                 "a\u2028b", "m1:e0-1~b2"])
+def test_the_writers_write_only_what_their_readers_read_back(cid):
+    # the readers split lines on whitespace and cut them at `#`, so an id
+    # holding either, or an empty one, was written and then refused
+    K = build_poset([(cid, 0, []), ("c", 0, []), ("e", 1, [cid, "c"])])
+    V = VectorField([(cid, "e")])
+    f = MorseFunction({cid: 1.0, "c": 0.0, "e": 1.0})
+    round_trips = [(lambda: write_cwp(K), lambda t: parse_cwp(t) == K),
+                   (lambda: write_dvf(V, K), lambda t: parse_dvf(t, K) == V),
+                   (lambda: write_dmf(f),
+                    lambda t: parse_dmf(t, K).values == f.values)]
+    for write, read_back in round_trips:
+        if cid == "m1:e0-1~b2":
+            assert read_back(write())
+        else:
+            with pytest.raises(ParseError, match="cannot hold cell id %s"
+                               % re.escape(repr(cid))):
+                write()
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -401,6 +429,32 @@ def test_cli_betti(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["betti", "--complex", str(out) + ".tri"]) == 0
     assert capsys.readouterr().out.strip() == "1 2 1"
+
+
+def test_the_readme_cli_block_runs_as_written(tmp_path, monkeypatch,
+                                              capsys):
+    # README's `## CLI` block, line by line in a fresh directory, so the
+    # example cannot drift from the commands
+    pytest.importorskip("numpy")  # its last line exports OFF
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```")[1]
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv:
+            continue
+        assert argv[0] == "dms"
+        capsys.readouterr()
+        assert run_cli(argv[1:]) == 0, line
+        if argv[1] == "betti":
+            shown = line.split("#", 1)[1].strip()
+            assert capsys.readouterr().out.strip() == shown == "1 2 1"
+        ran.append(argv[1])
+    assert ran == ["fixture", "betti", "validate", "critical", "compose",
+                   "decompose", "export"]
 
 
 def test_cli_validate_double_match(tmp_path, capsys):
