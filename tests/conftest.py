@@ -2,6 +2,7 @@ import heapq
 import random
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from dms.fixtures import (
     torus7,
     tree_cotree_field,
 )
+from dms.formats import parse_cwp
 from dms.morsefield import (
     MorseFunction,
     VectorField,
@@ -130,6 +132,20 @@ def _flip_edges(facets, flips, seed):
     return tris
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def frozen_surface(g):
+    """A fresh copy of genus_surface(g)'s complex as compose built it
+    while its beta could share an edge at the critical vertex with the
+    critical triangle, read from data/genus<g>.cwp (g = 2..6).  The
+    splitter's sweeps, goldens and known refusals were recorded on these
+    surfaces, so they keep testing what they found whatever compose now
+    builds."""
+    return parse_cwp((DATA / ("genus%d.cwp" % g)).read_text(
+        encoding="utf-8"))
+
+
 @pytest.fixture(scope="session")
 def glued_genus2():
     """glued_genus2(flips=0, seed=0): the glued genus-2 surface after
@@ -221,7 +237,7 @@ def depth_first_cotree_field():
 
 
 # the random_valid_field seeds on the tetrahedron, torus7 and
-# genus_surface(2) ("genus2") on which the corner cut between two
+# frozen_surface(2) ("genus2") on which the corner cut between two
 # critical polygons keeps cutting while the piece left critical keeps
 # part of their shared boundary, until the step budget runs out
 INSEPARABLE_SEEDS = {("tetrahedron", 37), ("torus7", 38), ("genus2", 6),

@@ -51,7 +51,7 @@ from dms.surgery import (
     shrink_closed_star,
 )
 
-from conftest import INSEPARABLE_SEEDS, _sphere3
+from conftest import INSEPARABLE_SEEDS, _sphere3, frozen_surface
 
 
 def _digest(texts):
@@ -118,7 +118,7 @@ def test_golden_genus40_surface_and_its_balanced_decompose():
 
 
 def test_golden_decompose_genus4_fields():
-    K = genus_surface(4)[0]
+    K = frozen_surface(4)
     texts, functions = [], []
     for seed in range(9):
         V = tree_cotree_field(K, rng=random.Random(seed))
@@ -144,11 +144,11 @@ def test_golden_decompose_genus4_fields():
 @pytest.fixture(scope="module")
 def splitter_sweep(glued_genus2, random_root_field):
     """The texts of 546 cases of the splitter, and the decompose results
-    among them: decompose of genus_surface(2..6) under 24 tree-cotree
+    among them: decompose of frozen_surface(2..6) under 24 tree-cotree
     and 24 random-root fields each, of the glued genus-2 surface after
     20, 60 and 200 seeded flips under 8 fields of each kind, and
     separate_critical_cells under random_valid_field on the tetrahedron,
-    torus7 and genus_surface(2), less the fields it cannot separate.  A
+    torus7 and frozen_surface(2), less the fields it cannot separate.  A
     refused case gives its error's name and args, and is counted by
     name.  The pieces' functions (DMF) are kept apart from the other
     texts, and each result with its input (K, f, g1, g2)."""
@@ -156,7 +156,7 @@ def splitter_sweep(glued_genus2, random_root_field):
               random_root_field]
     cases = []
     for g in range(2, 7):
-        K = genus_surface(g)[0]
+        K = frozen_surface(g)
         cases += [(K, field(K, seed), 1 + seed % (g - 1),
                    g - 1 - seed % (g - 1))
                   for field in fields for seed in range(24)]
@@ -185,7 +185,7 @@ def splitter_sweep(glued_genus2, random_root_field):
             functions.append(write_dmf(g))
         texts.append(" ".join(res.circle))
     for name, K in (("tetrahedron", tetrahedron()), ("torus7", torus7()),
-                    ("genus2", genus_surface(2)[0])):
+                    ("genus2", frozen_surface(2))):
         for seed in range(40):
             if (name, seed) in INSEPARABLE_SEEDS:
                 continue
@@ -339,7 +339,7 @@ DECOMPOSE_RANK_DIGESTS = {
 
 @pytest.mark.parametrize("g", sorted(DECOMPOSE_RANK_DIGESTS))
 def test_rank_digest_decompose(g):
-    K = genus_surface(g)[0]
+    K = frozen_surface(g)
     texts, structure = [], []
     for seed in range(60):
         V = tree_cotree_field(K, rng=random.Random(seed))

@@ -72,7 +72,7 @@ from dms.surgery import (
     shrink_closed_star,
 )
 
-from conftest import facet_components, ordered_function
+from conftest import facet_components, frozen_surface, ordered_function
 
 
 # --- select ------------------------------------------------------------------
@@ -548,7 +548,7 @@ def test_inward_violations_match_the_region_wide_count(monkeypatch,
     for seed in range(10):
         V = tree_cotree_field(K, rng=random.Random(seed))
         fields.append((K, synthesize_function(K, V), 1, 1))
-    K = genus_surface(6)[0]
+    K = frozen_surface(6)
     V = tree_cotree_field(K, rng=random.Random(9))
     fields.append((K, synthesize_function(K, V), 1, 5))
     for K, f, g1, g2 in fields:
@@ -750,7 +750,7 @@ def test_random_roots_reach_the_critical_vertex_excavation(
         return excavate(K, V, region, marked, *args)
 
     monkeypatch.setattr(splitter, "_excavate", recorded)
-    cases = [(genus_surface(3)[0], seed, g1, 3 - g1)
+    cases = [(frozen_surface(3), seed, g1, 3 - g1)
              for seed in (4, 12) for g1 in (0, 1)]
     cases += [(glued_genus2(), 1, g1, 2 - g1) for g1 in (0, 1)]
     for K, seed, g1, g2 in cases:
@@ -1156,8 +1156,8 @@ def test_stage_invariants_through_driver(genus2):
 
 
 def golden_fields():
-    """genus_surface(4) and the (seed, function, g1) of test_golden.py."""
-    K = genus_surface(4)[0]
+    """frozen_surface(4) and the (seed, function, g1) of test_golden.py."""
+    K = frozen_surface(4)
     for seed in range(9):
         V = tree_cotree_field(K, rng=random.Random(seed))
         yield K, seed, synthesize_function(K, V), 1 + seed % 3

@@ -52,7 +52,7 @@ from dms.surgery import (
 )
 
 from conftest import INSEPARABLE_SEEDS, ComposeSides, critical_ids, \
-    ordered_function
+    frozen_surface, ordered_function
 
 
 def seeded_torus(seed):
@@ -269,7 +269,7 @@ def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
         K, f, _, _ = compose(K, f, T, ft)
     assert verify_closed_surface(K).genus == 5
     composing = len(calls)
-    K = genus_surface(4)[0]
+    K = frozen_surface(4)
     for seed in range(9):
         V = tree_cotree_field(K, rng=random.Random(seed))
         f = synthesize_function(K, V)
@@ -297,7 +297,7 @@ def test_split_cell_carries_the_flags_of_a_full_rebuild(monkeypatch):
             assert getattr(R, name) == value, (old, name)
         carried.append(sorted(flags))
 
-    K = genus_surface(4)[0]
+    K = frozen_surface(4)
     monkeypatch.setattr(Complex, "_split_cell", checked)
     for seed in range(9):
         V = tree_cotree_field(K, rng=random.Random(seed))
@@ -396,7 +396,7 @@ def test_separation_budget_is_fixed_on_entry(monkeypatch):
 def test_separation_refuses_only_the_known_fields():
     refused = set()
     for name, K in (("tetrahedron", tetrahedron()), ("torus7", torus7()),
-                    ("genus2", genus_surface(2)[0])):
+                    ("genus2", frozen_surface(2))):
         for seed in range(40):
             V = random_valid_field(K, seed)
             try:
