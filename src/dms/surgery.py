@@ -794,7 +794,9 @@ def compose(M1, f1, M2, f2):
     """Connected sum carrying both perfect structures.
 
     Removes the critical top cell alpha of the first input and a
-    non-critical top cell beta at the critical vertex of the second,
+    non-critical top cell beta at the critical vertex of the second (on
+    a surface one whose edges there lie on no critical 2-cell, when one
+    does, which keeps a chain's alpha a triangle; _choose_beta),
     inserts the product tube over the boundary of alpha, shrinks the
     closed star of beta, and glues; the combined field pairs every glued
     boundary cell into its own prism, by the one field edit
@@ -1019,16 +1021,39 @@ def compose(M1, f1, M2, f2):
 
 
 def _choose_beta(K2, V2, v2, values):
-    """Non-critical simplicial top cell at the critical vertex v2.  When
-    none lies there (surfaces only), the first polygon at v2 has its
-    corner at v2 cut off by _cut_corner, in place on K2, V2 and `values`
-    (the second function), and the corner, a triangle the cut pairs, is
-    returned.  v2 lies on two top cells or more, one critical at most,
-    and then so is every triangle there: so a polygon lies at v2."""
+    """Non-critical simplicial top cell at the critical vertex v2, the
+    first by id; on a surface the first such triangle whose two edges at
+    v2 lie on no critical 2-cell, when one does.  When none lies there
+    (surfaces only), the first polygon at v2 has its corner at v2 cut
+    off by _cut_corner, in place on K2, V2 and `values` (the second
+    function), and the corner, a triangle the cut pairs, is returned.
+    v2 lies on two top cells or more, one critical at most, and then so
+    is every triangle there: so a polygon lies at v2.
+
+    Any such beta serves compose.  The preference keeps alpha a triangle
+    along a chain of surfaces whose critical 2-cells are triangles, as
+    the next link's alpha is the second summand's critical 2-cell:
+    - the shrink adds a side only to a 2-cell that lies across an edge
+      of beta at v2, as its _subdivide splits only those edges and the
+      non-critical beta;
+    - the glue maps the shrunken beta's smallest edge onto k - 2 edges
+      of the k-sided tube top, and so adds k - 3 sides to the 2-cell
+      across it, none when k = 3 (_surface_glue_map);
+    - the clearing keeps alpha's side count (_clear_top_cell_boundary).
+    So when alpha is a triangle and beta's edges at v2 lie on no
+    critical 2-cell, the result's critical 2-cell keeps the sides it had
+    in the second summand.  A link that finds no such beta takes the
+    first one, and adds one side to the next alpha."""
     n = K2.top_dim
     pm = V2.partner_map()
     tops = sorted(t for t in K2.star(v2) if K2.cells[t].dim == n)
     good = [t for t in tops if len(K2.boundary(t)) == n + 1 and t in pm]
+    if n == 2:
+        cells, cofaces = K2.cells, K2.coface_table
+        for t in good:
+            if all(c in pm for e in cells[t].boundary
+                   if v2 in cells[e].boundary for c in cofaces[e]):
+                return t
     if good:
         return good[0]
     if n != 2:

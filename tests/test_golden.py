@@ -81,9 +81,9 @@ def test_golden_compose_chain():
         structure += [write_cwp(K), write_dvf(V, K)]
         functions.append(write_dmf(f))
     assert _digest(structure) == (
-        "a73b0c5d9e94c9342e0c16462e7f3554975eedad7d5ed33b71f9528365634192")
+        "15951f61726fabc51b97de2b7d78c70552d515973181a39be4ac74b1d69b95a2")
     assert _digest(functions) == (
-        "01d044aec8de41c2c6d794c5cc19575ef4fc0dc9ccb85a5e82d82e5b6b9b1a1d")
+        "d38c9e23827d4393f676fbec9afc4cf3416966ff60108d9158c7b6d533adb409")
 
 
 def test_golden_genus32_surface():
@@ -91,9 +91,9 @@ def test_golden_genus32_surface():
     # above and the benchmark pins reach
     K, f, V = genus_surface(32)
     assert _digest([write_cwp(K), write_dvf(V, K)]) == (
-        "fc0538331f0b53c88c91c77df11a49a37e3ef0c13aee007d8429e1de86087362")
+        "a2c26b816d84910d67532872c23b618dbd2ff182fcdb505850e8c7682fe14478")
     assert _digest([write_dmf(f)]) == (
-        "91226c921f9f17586ac5b374c23dee45c528cb33be645dfd06eeb5b27a38c464")
+        "3b435e13323982b29063c5c7835123c66f3948b235b9599a0a62fad89a1f6110")
 
 
 def test_golden_genus40_surface_and_its_balanced_decompose():
@@ -101,9 +101,9 @@ def test_golden_genus40_surface_and_its_balanced_decompose():
     # once (_dense_ranks), which genus_surface(32) never does
     K, f, V = genus_surface(40)
     assert _digest([write_cwp(K), write_dvf(V, K)]) == (
-        "7e115be107a6d7e9dbdd9e131e9f7055a214637e05be540e844fbccab00e7b84")
+        "b660d8b21295363298693d37d2eec7132abfdb27097f62bb80eb43560ed1b4af")
     assert _digest([write_dmf(f)]) == (
-        "47373f57d4e184cdb98925dfc79c4a5582dd908cfdcb39f9c83b6de0f9c736cd")
+        "bf53e42fbbb8e1802e5583155e9790f7602a28c3c17bcc848518c7722b3ef01b")
     res = decompose(K, f, 20, 20)
     texts, functions = [], []
     for P, W, g in ((res.m1_complex, res.m1_field, res.m1_function),
@@ -112,9 +112,9 @@ def test_golden_genus40_surface_and_its_balanced_decompose():
         functions.append(write_dmf(g))
     texts.append(" ".join(res.circle))
     assert _digest(texts) == (
-        "1e69a90ce28eeecb81368eb94c3ccde05a2fc4126ef5b911cda21d9cdc09e92b")
+        "7451bc9c8606de46db48cb2d78e52f16c82ae0feede29d833a4de05def0a9ae0")
     assert _digest(functions) == (
-        "d1e6fb6270e19095fa2d6b5c26e29c827bb1e45b9b94c7b3c6465ca17d2bd407")
+        "ba71acd05588b434104f7fc5f4fc4abc5ae288d07314842ea2125b181215f27d")
 
 
 def test_golden_decompose_genus4_fields():
@@ -259,13 +259,13 @@ def test_golden_cli_roundtrip(tmp_path, capsys):
              for name in names}
     assert _digest([text for name, text in texts.items()
                     if not name.endswith((".dmf", ".json"))]) == (
-        "bafe2e75640c2b17b0e07a3e516a842918cb35da5735f60773ded4b27591aa1b")
+        "afe04bab3c79261be5bee5805e4ff8751ab4f608b54566d7867b0f5a0eeb793c")
     assert _digest([texts["g3.dmf"]]) == (
-        "47ccf6694b3fff0582d02e2c3556bfa903e0183933ca443ff81347f6c8f64f52")
+        "5906c57c0baac84611a9c953df65ca6145d2c5c6768d7b221618d05c46c49b9a")
     assert _digest([text for name, text in texts.items()
                     if name.startswith("dec.")
                     and name.endswith((".dmf", ".json"))]) == (
-        "1758a20696c86c37af1e1e935a3ac5a51d629943da2812e75b56fe590a74e6ff")
+        "4044fbbe75f57afc2091ac18e8ac3156b9d49762a7d9f32c5089f35da8b6bde4")
 
 
 # --- rank digests ------------------------------------------------------------
@@ -301,11 +301,11 @@ def _ranked_decompose_texts(res):
 
 
 GENUS_RANK_DIGESTS = {
-    2: "c287ac7d5d04360006f4e53254da7382102bb2b46861dee13a52ad44e6bc5e90",
-    3: "cf33acbde647e038ff6e75c9e0763cec52f2e5fd9ce688fb861ef593fac030a3",
-    6: "4a3144b33fba29a1fe7fcbc2caa5f0541bc95302b4db612f6ce31c62ea270b1e",
-    16: "bc38195e8dbe391767a17d05de819f941b1a61ed0040dfad6e45dc380cbc81ce",
-    32: "2a098894ac7d49d5603ae20ed49fb92a741efad94a164052051a2817c20c162c",
+    2: "8e8c6d6b78d28d74a3f379e9e77e9abb80a4f720003bfcec538b67af4e98bb0f",
+    3: "bc680bad3f70f9bdd17d2a66245262a11176a1fe6ef5238b77016cb82eed2f42",
+    6: "98fa8072c6c773096063742ecbaa5cf5b9a8238519fee7051335270116dc4a97",
+    16: "da0d4e8661ad4ee13890f700ce257c14cd5c8056c98cacf81ad0b8dfaa574fb2",
+    32: "33c5d69ec1c340daabc41322f37af42fe81344f40d9ef34b5db7d7c06ce27320",
 }
 
 
@@ -322,7 +322,7 @@ def test_rank_digest_compose_chain():
         K, f, V, _ = compose(K, f, *_seeded_torus(seed))
         texts += _ranked_texts(K, V, f)
     assert _digest(texts) == (
-        "7658ff63628a5aee2a1c8ad98477d57435212c969de94f6d180e5966a3497a43")
+        "f4a8122e0a7cff7a4d11946f87ec7c4100e9d7e328d5a1c5a523d8367f90fb3b")
 
 
 # the ranked CWP and DVF of both pieces and the circle, apart from the
@@ -366,7 +366,7 @@ def test_golden_first_compose_of_raw_inputs():
     M, g, W, _ = compose(*_seeded_torus(100), *_seeded_torus(101))
     texts += _surface_texts(M, W, g)
     assert _digest(texts) == (
-        "f5098b209f9878e21144dcff953280eba3b33a3f6606b7b96f9e617ad23ca0fd")
+        "13691b0f2d5d7920153dc302fbb6ba54e6be42066903ec5bd839a84976e915fb")
 
 
 # the tube over each top cell's boundary, under the first link's prefix

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -600,6 +601,41 @@ def test_compose_cuts_a_corner_for_beta(torus, torus_function,
     assert verify_closed_surface(M).genus == 1
     assert validate_field(M, V).ok and is_perfect(M, V) and rep.perfect
     assert validate_function(M, f).ok and induced_field(M, f) == V
+
+
+def test_beta_falls_back_to_the_first_non_critical_triangle(
+        torus, torus_function):
+    # each triangle of the tetrahedron at v0 shares an edge there with
+    # the critical t0-1-2, so no beta avoids it: compose takes the first
+    # non-critical triangle, and writes the bytes it wrote before it
+    # preferred a beta off the critical triangle
+    S = tetrahedron()
+    V = tree_cotree_field(S)
+    assert critical_ids(V, S) == ["t0-1-2", "v0"]
+    M, f, W, rep = compose(torus, torus_function, S,
+                           synthesize_function(S, V))
+    assert rep.beta == "m2:t0-1-3"
+    h = hashlib.sha256()
+    for text in (write_cwp(M), write_dvf(W, M), write_dmf(f)):
+        h.update(text.encode("utf-8") + b"\0")
+    assert h.hexdigest() == (
+        "177e92a4893458d6fe259474738eb56e1f982e44af6693e5e0c49c90d79cbdc4")
+
+
+def test_a_chain_of_tori_gains_the_same_cells_every_link():
+    # each beta's edges at v2 miss the torus's critical triangle, so every
+    # alpha is a triangle and each link adds the same 60 cells
+    K, f, _ = genus_surface(1)
+    T = torus7()
+    ft = synthesize_function(T, tree_cotree_field(T))
+    for g in range(2, 41):
+        K, f, V, rep = compose(K, f, torus7(), ft)
+        assert rep.glue_cycle_length == 3
+        assert len(K.cells) == 60 * g - 18, g
+    # genus_surface(g) is this chain
+    assert K == genus_surface(40)[0]
+    for g in (2, 3, 8):
+        assert len(genus_surface(g)[0].cells) == 60 * g - 18
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -1341,8 +1377,9 @@ def test_direct_glue_matches_split_then_glue(k, beta, v):
 def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
     # compose copies each summand once and edits those copies in place:
     # two edits per clearing step, one per corner cut for beta, one for
-    # the shrink and one for the glue, however long the glued cycle, and
-    # no edit copies a whole table.  The copies are a rename of each raw
+    # the shrink and one for the glue, and no edit copies a whole table.
+    # Beta misses the torus's critical triangle, so every alpha is a
+    # triangle: the glued cycle and the clearing stay the same.  The copies are a rename of each raw
     # summand, and from the second link on, when the left keeps its
     # ids, one draft of the left and one rename of the right
     edits, copies = [], []
@@ -1357,7 +1394,7 @@ def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
             return _fn(self, *args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     K, f = seeded_torus(200)
-    cycles = []
+    cycles, clearings = [], []
     for seed in range(201, 210):
         T, ft = seeded_torus(seed)
         left = "_renamed" if seed == 201 else "_draft"  # a raw torus first
@@ -1369,8 +1406,10 @@ def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
             "Complex." + left, "Complex._renamed",
             "VectorField." + left, "VectorField._renamed"])
         cycles.append(rep.glue_cycle_length)
+        clearings.append(rep.boundary_clearing_steps)
     assert verify_closed_surface(K).genus == 10
-    assert cycles == sorted(cycles) and cycles[-1] > 10
+    assert cycles == [3] * 9
+    assert clearings == clearings[:1] * 9
 
 
 # --- composed values along long chains ---------------------------------------
