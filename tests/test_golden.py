@@ -3,10 +3,12 @@
 Each digest is sha256 over CWP/DVF/DMF texts (or, for a refused input,
 the exception name), so any change to ids, tie-breaking or pairing in
 compose, decompose or the CLI shows up here.  A deliberate output change
-must update them and say why.  They were last recorded when a chained
-compose stopped renaming its first summand, which renamed ids but moved
-no decision: the rank digests at the end of this file, which ignore the
-ids' spelling, were recorded before that change and still hold.
+must update them and say why.  The digests of surfaces compose builds
+were last recorded when compose began to take its beta off the second
+summand's critical triangle, which moved every such surface, their rank
+digests included.  The decompose goldens, the splitter sweep and the
+decompose rank digests read surfaces frozen before that change
+(frozen_surface in conftest.py), and did not move.
 
 The compose chain, the CLI round trip and the decompose goldens pin
 their complexes and fields (CWP, DVF and the texts derived from them)
@@ -87,8 +89,7 @@ def test_golden_compose_chain():
 
 
 def test_golden_genus32_surface():
-    # a glue cycle of up to 33 sides, twice the longest that the chain
-    # above and the benchmark pins reach
+    # 31 chained links, each gluing a triangle
     K, f, V = genus_surface(32)
     assert _digest([write_cwp(K), write_dvf(V, K)]) == (
         "a2c26b816d84910d67532872c23b618dbd2ff182fcdb505850e8c7682fe14478")
@@ -274,8 +275,9 @@ def test_golden_cli_roundtrip(tmp_path, capsys):
 # in the sorted ids of its complex, so they pin every decision that
 # sorted ids drive (pairings, tie-breaks, which cell is cut or glued)
 # while the ids themselves may change under an order-preserving
-# renaming.  They were recorded before compose stopped renaming its left
-# summand on every link of a chain.
+# renaming.  The decompose ones were recorded before compose stopped
+# renaming its left summand on every link of a chain, and held through
+# that change.
 
 
 def _ranks(K):

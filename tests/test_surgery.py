@@ -629,8 +629,7 @@ def test_a_chain_of_tori_gains_the_same_cells_every_link():
     T = torus7()
     ft = synthesize_function(T, tree_cotree_field(T))
     for g in range(2, 41):
-        K, f, V, rep = compose(K, f, torus7(), ft)
-        assert rep.glue_cycle_length == 3
+        K, f, _, _ = compose(K, f, torus7(), ft)
         assert len(K.cells) == 60 * g - 18, g
     # genus_surface(g) is this chain
     assert K == genus_surface(40)[0]
@@ -1379,9 +1378,10 @@ def test_edits_per_compose_do_not_grow_with_the_genus(monkeypatch):
     # two edits per clearing step, one per corner cut for beta, one for
     # the shrink and one for the glue, and no edit copies a whole table.
     # Beta misses the torus's critical triangle, so every alpha is a
-    # triangle: the glued cycle and the clearing stay the same.  The copies are a rename of each raw
-    # summand, and from the second link on, when the left keeps its
-    # ids, one draft of the left and one rename of the right
+    # triangle: the glued cycle and the clearing stay the same.  The
+    # copies are a rename of each raw summand, and from the second link
+    # on, when the left keeps its ids, one draft of the left and one
+    # rename of the right
     edits, copies = [], []
     for owner, name, log in ((Complex, "_edit", edits),
                              (Complex, "_draft", copies),
