@@ -11,7 +11,7 @@ from .cellcomplex import (
     local_neighborhood,
     verify_closed_surface,
 )
-from .homology import BettiVector, betti_mod2, boundary_matrix_mod2
+from .homology import BettiVector, betti_mod2
 from .morsefield import (
     GradientPath,
     MorseCounts,

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 validation failure (a function compose or
 decompose assembled that fails it included, with nothing written),
 3 parse/load error, 4 precondition failure (not a closed surface, not
-perfect, wrong genus), 5 OFF export without numpy (the inspect extra),
-141 standard output closed before it was all written (128 + SIGPIPE).
+perfect, wrong genus), 141 standard output closed before it was all
+written (128 + SIGPIPE).
 Diagnostics go to standard error, one violation per line.
 """
 
@@ -32,7 +32,6 @@ from .formats import (
     write_dmf,
     write_dot,
     write_dvf,
-    write_off,
     write_report_json,
 )
 
@@ -40,7 +39,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
-EXIT_MISSING_EXTRA = 5
 EXIT_CLOSED_STDOUT = 141
 
 
@@ -176,14 +174,8 @@ def cmd_fixture(args):
 
 def cmd_export(args):
     K = load_complex(args.complex)
-    try:
-        text = write_off(K) if args.format == "off" else write_dot(K)
-    except ImportError:
-        _err("export --format off needs numpy, the inspect extra: "
-             "pip install dms[inspect]")
-        return EXIT_MISSING_EXTRA
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(write_dot(K))
     print("ok")
     return EXIT_OK
 
@@ -227,7 +219,7 @@ def build_parser():
 
     p = sub.add_parser("export")
     p.add_argument("--complex", required=True)
-    p.add_argument("--format", choices=("off", "dot"), required=True)
+    p.add_argument("--format", choices=("dot",), required=True)
     p.add_argument("--out", required=True)
     return ap
 

@@ -50,10 +50,6 @@ class NotClosedSurface(DmsError):
 
 # --- homology ---
 
-class BadDimension(DmsError):
-    pass
-
-
 class NegativeBetti(DmsError):
     """The ranks computed for a complex gave a negative Betti number."""
 

@@ -145,8 +145,8 @@ def fixture_complex(kind):
 
 def fixture_genus(kind):
     """The g of a fixture kind `genus<g>`; UnknownFixture when the rest
-    of the kind is not an integer."""
-    try:
-        return int(kind[len("genus"):])
-    except ValueError:
-        raise UnknownFixture("bad genus in fixture kind %r" % kind) from None
+    of the kind is not ASCII decimal digits alone."""
+    g = kind[len("genus"):]
+    if not (g.isascii() and g.isdigit()):
+        raise UnknownFixture("bad genus in fixture kind %r" % kind)
+    return int(g)

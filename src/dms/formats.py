@@ -1,5 +1,5 @@
 """Text formats: TRI (facet lists), CWP (cell/boundary records), DVF
-(vector fields), DMF (function values), plus OFF/DOT export.
+(vector fields), DMF (function values), plus DOT export.
 
 All files are UTF-8 and `#` starts a comment.  Writers end lines with
 LF and emit cells in sorted id order, so outputs are byte-reproducible;
@@ -40,6 +40,13 @@ def _check_ids(fmt, ids):
         raise ParseError("%s cannot hold cell id %r" % (fmt, bad))
 
 
+def _is_digits(s):
+    """Whether s is a non-negative integer in ASCII decimal digits, the
+    only integers the readers take: `int` also reads `1_0`, `+3` and
+    ` 3`, and both it and `str.isdecimal` read other scripts' digits."""
+    return s.isascii() and s.isdigit()
+
+
 def _repeat(ln, directive, cid, first):
     """The ParseError for line ln giving `directive` for cid again."""
     return ParseError("line %d: %s %r repeats line %d"
@@ -56,13 +63,13 @@ def parse_tri(text):
         if parts[0] == "tri":
             if header is not None:
                 raise ParseError("line %d: duplicate header" % ln)
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not _is_digits(parts[1]):
                 raise ParseError("line %d: bad header" % ln)
             header = int(parts[1])
         elif parts[0] == "t":
             if len(parts) != 4:
                 raise ParseError("line %d: facet needs 3 vertices" % ln)
-            if not all(x.isdecimal() for x in parts[1:]):
+            if not all(map(_is_digits, parts[1:])):
                 raise ParseError("line %d: bad vertex index" % ln)
             facets.append(tuple(int(x) for x in parts[1:]))
         else:
@@ -96,7 +103,7 @@ def _tri_index(vid):
     """The n of a vertex id v<n>, which parse_tri reads back as vid;
     ParseError naming any other id."""
     n = vid[1:]
-    if not (n.isdecimal() and vertex_id(int(n)) == vid):
+    if not (_is_digits(n) and vertex_id(int(n)) == vid):
         raise ParseError("TRI cannot hold vertex %r (ids must be v<n>)" % vid)
     return int(n)
 
@@ -117,10 +124,10 @@ def parse_cwp(text):
             if cid in cell_at:
                 raise _repeat(ln, "cell", cid, cell_at[cid])
             cell_at[cid] = ln
-            try:
-                dims[cid] = int(parts[2])
-            except ValueError:
+            # a negative dimension parses, so the complex names the cell
+            if not _is_digits(parts[2].removeprefix("-")):
                 raise ParseError("line %d: bad dimension" % ln)
+            dims[cid] = int(parts[2])
         elif parts[0] == "bnd":
             if len(parts) < 2:
                 raise ParseError("line %d: bnd needs a cell id" % ln)
@@ -252,45 +259,7 @@ def dump_complex(K, path):
         fh.write(text)
 
 
-# --- inspection exports ------------------------------------------------------
-
-
-def spectral_coordinates(K):
-    """Synthetic 3d vertex coordinates from the 1-skeleton Laplacian;
-    purely for inspection, no semantics."""
-    import numpy as np
-
-    verts = K.cells_of_dim(0)
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    L = np.zeros((n, n))
-    for e in K.cells_of_dim(1):
-        a, b = sorted(K.boundary(e))
-        i, j = index[a], index[b]
-        L[i, j] -= 1
-        L[j, i] -= 1
-        L[i, i] += 1
-        L[j, j] += 1
-    if n <= 3:
-        base = np.eye(3)[:n]
-        return {v: tuple(base[i]) for v, i in index.items()}
-    _, vecs = np.linalg.eigh(L)
-    coords = vecs[:, 1:4]
-    return {v: tuple(float(x) for x in coords[i]) for v, i in index.items()}
-
-
-def write_off(K):
-    coords = spectral_coordinates(K)
-    verts = K.cells_of_dim(0)
-    index = {v: i for i, v in enumerate(verts)}
-    faces = K.cells_of_dim(2)
-    out = ["OFF", "%d %d %d" % (len(verts), len(faces), len(K.cells_of_dim(1)))]
-    for v in verts:
-        out.append("%.6f %.6f %.6f" % coords[v])
-    for t in faces:
-        cyc = K.boundary_cycle(t)[0::2]
-        out.append("%d %s" % (len(cyc), " ".join(str(index[v]) for v in cyc)))
-    return "\n".join(out) + "\n"
+# --- inspection export -------------------------------------------------------
 
 
 def write_dot(K):

@@ -3,12 +3,12 @@
 For a regular complex every incidence coefficient is +-1, so over GF(2)
 the boundary matrix is simply the face-relation indicator.  Each column
 is held as a Python int bitset over the (p-1)-cells, and the rank comes
-from a column reduction on those ints; no numpy matrix is built.
+from a column reduction on those ints.
 """
 
 from dataclasses import dataclass
 
-from .errors import BadDimension, NegativeBetti
+from .errors import NegativeBetti
 
 
 @dataclass(frozen=True)
@@ -20,27 +20,6 @@ class BettiVector:
 
     def __len__(self):
         return len(self.b)
-
-
-def boundary_matrix_mod2(K, p):
-    """Binary numpy matrix of the boundary map from p-cells to
-    (p-1)-cells, for inspection; `betti_mod2` does not build it.
-
-    Rows are the (p-1)-cells and columns the p-cells, both in sorted id
-    order; entry 1 iff the face relation holds.
-    """
-    import numpy as np
-
-    if p < 1 or p > K.top_dim:
-        raise BadDimension("p=%d outside 1..%d" % (p, K.top_dim))
-    rows = K.cells_of_dim(p - 1)
-    cols = K.cells_of_dim(p)
-    row_index = {cid: i for i, cid in enumerate(rows)}
-    A = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    for j, cid in enumerate(cols):
-        for fid in K.cells[cid].boundary:
-            A[row_index[fid], j] = 1
-    return A
 
 
 def rank_gf2(columns):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -36,7 +37,6 @@ from dms.formats import (
     write_dmf,
     write_dot,
     write_dvf,
-    write_off,
     write_tri,
 )
 from dms.homology import betti_mod2
@@ -258,9 +258,11 @@ PARSE_ERRORS = [
     ("tri", "tri\n", "line 1: bad header"),
     ("tri", "tri 3 4 # vertices\n", "line 1: bad header"),
     ("tri", "tri -3\n", "line 1: bad header"),
+    ("tri", "tri \u0664\n", "line 1: bad header"),
     ("tri", "tri 3\r\nt 0 1  \r\n", "line 2: facet needs 3 vertices"),
     ("tri", "tri 3\n\nt 0 1 2 3\n", "line 3: facet needs 3 vertices"),
     ("tri", "tri 3\n  \t\nt 0 1 x\n", "line 3: bad vertex index"),
+    ("tri", "tri 3\nt 0 1 \u0663\n", "line 2: bad vertex index"),
     ("tri", "tri 3\nt 0 1 2\nq 1\n", "line 3: unknown directive 'q'"),
     ("tri", "T 3\n", "line 1: unknown directive 'T'"),
     ("tri", "# only a comment\n\n   \nt 0 1 2\n",
@@ -272,6 +274,10 @@ PARSE_ERRORS = [
     ("cwp", "cell a 0\r\ncell a x\r\n", "line 2: cell 'a' repeats line 1"),
     ("cwp", "cell a 0\n\ncell b 1.5\n", "line 3: bad dimension"),
     ("cwp", "cell a 0 # a vertex\n\ncell b two\n", "line 3: bad dimension"),
+    ("cwp", "cell a 0\ncell b 1_0\n", "line 2: bad dimension"),
+    ("cwp", "cell a +0\n", "line 1: bad dimension"),
+    ("cwp", "cell a \u0660\n", "line 1: bad dimension"),
+    ("cwp", "cell a --1\n", "line 1: bad dimension"),
     ("cwp", "cell a 0\nbnd\n", "line 2: bnd needs a cell id"),
     ("cwp", "cell a 0\nbnd # a\n", "line 2: bnd needs a cell id"),
     ("cwp", "bnd x\n# again\nbnd x a b  \n", "line 3: bnd 'x' repeats line 1"),
@@ -400,17 +406,16 @@ def test_cli_validate_rejects_a_nan_function(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["torus", "genusx", "genus-1"])
+# a genus is ASCII digits alone, though int() reads each of the last five
+@pytest.mark.parametrize("kind", ["torus", "genusx", "genus-1", "genus1_0",
+                                  "genus 3", "genus+3", "genus3 ",
+                                  "genus\u0663"])
 def test_unknown_fixture_kinds_raise_a_dms_error(kind):
     with pytest.raises(UnknownFixture):
         fixture_complex(kind)
 
 
-def test_off_and_dot(torus):
-    off = write_off(torus)
-    header, counts = off.splitlines()[:2]
-    assert header == "OFF"
-    assert counts.split() == ["7", "14", "21"]
+def test_dot_export(torus):
     dot = write_dot(torus)
     assert dot.startswith("digraph")
     assert '"v0" -> "e0-1"' in dot
@@ -435,7 +440,6 @@ def test_the_readme_cli_block_runs_as_written(tmp_path, monkeypatch,
                                               capsys):
     # README's `## CLI` block, line by line in a fresh directory, so the
     # example cannot drift from the commands
-    pytest.importorskip("numpy")  # its last line exports OFF
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
@@ -575,7 +579,10 @@ def test_cli_negative_genus_is_exit_4(tmp_path, capsys):
     assert not list(tmp_path.glob("d*"))
 
 
-@pytest.mark.parametrize("kind", ["torus", "genusx", "genus-1"])
+# a genus is ASCII digits alone, though int() reads each of the last five
+@pytest.mark.parametrize("kind", ["torus", "genusx", "genus-1", "genus1_0",
+                                  "genus 3", "genus+3", "genus3 ",
+                                  "genus\u0663"])
 def test_cli_unknown_fixture_is_one_line(tmp_path, capsys, kind):
     code = run_cli(["fixture", kind, "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
@@ -712,10 +719,15 @@ def test_cli_export(tmp_path, capsys):
     t = tmp_path / "t"
     run_cli(["fixture", "torus7", "--out", str(t)])
     assert run_cli(["export", "--complex", str(t) + ".tri",
-                    "--format", "off", "--out", str(tmp_path / "t.off")]) == 0
-    assert run_cli(["export", "--complex", str(t) + ".tri",
                     "--format", "dot", "--out", str(tmp_path / "t.dot")]) == 0
-    assert (tmp_path / "t.off").read_text().startswith("OFF")
+    assert (tmp_path / "t.dot").read_text() == write_dot(load_complex(
+        str(t) + ".tri"))
+    # DOT is the one format: any other is a usage error, and no file
+    with pytest.raises(SystemExit) as stop:
+        run_cli(["export", "--complex", str(t) + ".tri",
+                 "--format", "off", "--out", str(tmp_path / "t.off")])
+    assert stop.value.code == 2
+    assert not (tmp_path / "t.off").exists()
 
 
 def test_cli_entry_point():
@@ -780,7 +792,6 @@ def test_cli_closed_stdout_is_no_parse_error(tmp_path, capsys):
 
 
 def test_compose_and_decompose_do_not_load_numpy():
-    # numpy serves only boundary_matrix_mod2 and the OFF layout
     script = (
         "import sys\n"
         "import dms\n"
@@ -800,9 +811,9 @@ def test_compose_and_decompose_do_not_load_numpy():
 
 
 def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
-    # README: homology ranks, compose, decompose and the CLI's
-    # compose/decompose path need the standard library alone; a None in
-    # sys.modules makes every import of numpy raise ImportError
+    # README: the library and every CLI command need the standard
+    # library alone; a None in sys.modules makes every import of numpy
+    # raise ImportError
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
@@ -816,6 +827,7 @@ def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
         "d = sys.argv[1]\n"
         "for argv in (\n"
         "        ['fixture', 'torus7', '--out', d + '/t'],\n"
+        "        ['fixture', 'genus3', '--out', d + '/g3'],\n"
         "        ['compose', '--left', d + '/t.tri', '--left-function',\n"
         "         d + '/t.dmf', '--right', d + '/t.tri',\n"
         "         '--right-function', d + '/t.dmf', '--out', d + '/g2'],\n"
@@ -829,9 +841,7 @@ def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
         "        ['export', '--complex', d + '/g2.cwp', '--format', 'dot',\n"
         "         '--out', d + '/g2.dot'],\n"
         "        ['betti', '--complex', d + '/g2.cwp']):\n"
-        "    assert main(argv) == 0, argv\n"
-        "assert main(['export', '--complex', d + '/g2.cwp', '--format',\n"
-        "             'off', '--out', d + '/g2.off']) == 5\n")
+        "    assert main(argv) == 0, argv\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dms.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -840,8 +850,25 @@ def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1 4 1"
-    # OFF export needs numpy: one line names the extra, nothing is written
-    assert proc.stderr.splitlines() == [
-        "export --format off needs numpy, the inspect extra: "
-        "pip install dms[inspect]"]
-    assert not (tmp_path / "g2.off").exists()
+
+
+def test_the_library_imports_only_the_standard_library():
+    # an import inside a function body, which runs only on the path that
+    # reaches it, fails here as well
+    pkg = os.path.dirname(os.path.abspath(dms.__file__))
+    outside = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [node.module]
+            else:
+                continue
+            outside += ["%s:%d %s" % (name, node.lineno, mod) for mod in mods
+                        if mod.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
