@@ -210,13 +210,16 @@ def parse_dmf(text, K):
         cid = parts[1]
         if cid not in cells:
             raise ParseError("line %d: unknown cell %r" % (ln, cid))
+        token = parts[2]
         try:
-            val = float(parts[2])
+            # float() also reads 1_0, +3 and other scripts' digits
+            if not token.isascii() or "_" in token or token[0] == "+":
+                raise ValueError(token)
+            val = float(token)
         except ValueError:
-            raise ParseError("line %d: bad value %r" % (ln, parts[2]))
+            raise ParseError("line %d: bad value %r" % (ln, token))
         if not math.isfinite(val):
-            raise ParseError("line %d: value %r is not finite"
-                             % (ln, parts[2]))
+            raise ParseError("line %d: value %r is not finite" % (ln, token))
         if cid in val_at:
             raise _repeat(ln, "val", cid, val_at[cid])
         val_at[cid] = ln

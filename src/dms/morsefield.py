@@ -334,51 +334,36 @@ def _matching_issues(K, V):
 
 
 def _find_cycle(K, head_of):
-    """A closed V-path, found by a depth-first search from the tails in
-    sorted order, one dimension at a time.  head_of maps each tail sigma
-    to its pair tau; a V-path hops tau -> another face that is itself a
-    tail.  None when there is no closed V-path; the library searches
-    only once _flows has met one."""
+    """A closed V-path, or None when there is none.  head_of maps each
+    tail sigma to its pair tau; a V-path hops tau -> another face of tau
+    that is itself a tail, so it keeps its dimension.  One depth-first
+    search from the tails in (dimension, id) order, taking each tail's
+    steps in id order, names the first cycle it closes as (sigma, tau,
+    ...), starting at the tail it closes on."""
     cells = K.cells
-    steps = {s: [x for x in cells[t].boundary if x != s and x in head_of]
-             for s, t in head_of.items()}
-    by_dim = {}
-    for s in head_of:
-        by_dim.setdefault(cells[s].dim, []).append(s)
-    for p in sorted(by_dim):
-        tails = sorted(by_dim[p])
-        color = {}
-        for start in tails:
-            if color.get(start):
-                continue
-            stack = [(start, None)]
-            path = []
-            on_path = {}
-            while stack:
-                node, it = stack[-1]
-                if it is None:
-                    color[node] = 1
-                    on_path[node] = len(path)
-                    path.append(node)
-                    stack[-1] = (node, iter(sorted(steps[node])))
-                    continue
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt) == 1:
-                        cyc = path[on_path[nxt]:]
-                        witness = []
-                        for s in cyc:
-                            witness.extend((s, head_of[s]))
-                        return tuple(witness)
-                    if not color.get(nxt):
-                        stack.append((nxt, None))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    on_path.pop(node, None)
-                    path.pop()
-                    stack.pop()
+
+    def steps(s):
+        return iter(sorted(x for x in cells[head_of[s]].boundary
+                           if x != s and x in head_of))
+
+    done = set()
+    for start in sorted(head_of, key=lambda s: (cells[s].dim, s)):
+        if start in done:
+            continue
+        # the tails on the path in order, each with its place on it
+        on_path, stack = {start: 0}, [steps(start)]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt in on_path:
+                    cycle = list(on_path)[on_path[nxt]:]
+                    return tuple(x for s in cycle for x in (s, head_of[s]))
+                if nxt not in done:
+                    on_path[nxt] = len(on_path)
+                    stack.append(steps(nxt))
+                    break
+            else:
+                stack.pop()
+                done.add(on_path.popitem()[0])
     return None
 
 
@@ -498,7 +483,8 @@ def _flows(K, V):
 
 def trace_1path_tree(K, V):
     """Successor map following vertex -> matched edge -> other endpoint;
-    with one critical vertex this is a spanning tree rooted there."""
+    with one critical vertex this is a spanning tree rooted there, unless
+    _find_cycle meets a closed V-path of vertices and edges."""
     pm = V.partner_map()
     roots = [v for v in K.cells_of_dim(0) if v not in pm]
     if len(roots) != 1:
@@ -516,15 +502,9 @@ def trace_1path_tree(K, V):
         if len(other) != 1:
             raise InconsistentField("edge %s has strange boundary" % eid)
         parent[vid] = other[0]
-    # every chain must reach the root without revisiting
-    for vid in parent:
-        seen = set()
-        cur = vid
-        while cur != root:
-            if cur in seen:
-                raise InconsistentField("1-path cycle at %s" % cur)
-            seen.add(cur)
-            cur = parent[cur]
+    witness = _find_cycle(K, {v: pm[v] for v in parent})
+    if witness is not None:
+        raise InconsistentField("1-path cycle at %s" % witness[0])
     return OnePathTree(root=root, parent=parent)
 
 

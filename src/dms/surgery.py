@@ -291,11 +291,6 @@ class _Cover:
                 if not hs:
                     del self.held[x]
 
-    def crowded_cells(self):
-        """The cells held by two or more critical cells, in id order,
-        each with the sorted critical cells holding it."""
-        return sorted((x, sorted(self.held[x])) for x in self.crowded)
-
 
 class _CriticalIndex:
     """The critical cells of a field on K, handed to it once, with the
@@ -338,22 +333,23 @@ class _CriticalIndex:
             closures.drop(c, (s,))
             closures.add(c, rec.new_cells)
 
-    def witnesses(self):
-        """Cells whose closure holds >= 2 critical cells, in id order,
-        each with the sorted critical cells it holds; a cell holds c
-        exactly when it lies in the star of c."""
-        return self.stars.crowded_cells()
+    def witness(self, K):
+        """The least cell by (dim, id) whose closure holds >= 2 critical
+        cells, with the sorted critical cells it holds, or None; a cell
+        holds c exactly when it lies in the star of c."""
+        x = min(self.stars.crowded, key=lambda x: (K.dim(x), x), default=None)
+        return None if x is None else (x, sorted(self.stars.held[x]))
 
     def touching(self):
-        """Pairs of critical cells whose closures intersect (e.g. two
-        critical edges with a common vertex), in sorted order, each with
-        the sorted cells the two closures share."""
-        shared = {}
-        for x, cs in self.closures.crowded_cells():
-            for i, c1 in enumerate(cs):
-                for c2 in cs[i + 1:]:
-                    shared.setdefault((c1, c2), []).append(x)
-        return [(c1, c2, xs) for (c1, c2), xs in sorted(shared.items())]
+        """The least pair of critical cells whose closures intersect (e.g.
+        two critical edges with a common vertex), the two least holders of
+        a shared cell, with the least cell they share; or None."""
+        closures = self.closures
+        pairs = [sorted(closures.held[x])[:2] for x in closures.crowded]
+        if not pairs:
+            return None
+        c1, c2 = min(pairs)
+        return c1, c2, min(closures.of[c1] & closures.of[c2])
 
 
 def _separating_chord(K, V, c, span_a, span_b, vertex_crits, values):
@@ -423,19 +419,19 @@ def _separate_critical_cells(K, V, critical, values):
     index = _CriticalIndex(K, critical)
     budget = 100 + 10 * len(K.cells)
     for steps in count():
-        witnesses = index.witnesses()
-        if witnesses:
-            wid, hits = min(witnesses, key=lambda w: (K.dim(w[0]), w[0]))
+        witness = index.witness(K)
+        if witness:
+            wid, hits = witness
             parting = hits[:2]
         else:
             touching = index.touching()
-            if not touching:
+            if touching is None:
                 return records
-            c1, c2, shared = touching[0]
+            c1, c2, x = touching
             parting = [c1, c2]
         if steps == budget:
             raise InseparableCriticals(*parting)
-        if witnesses:
+        if witness:
             on_edge = K.dim(wid) == 1
             if on_edge and wid in hits:
                 # critical edge containing a critical vertex
@@ -461,7 +457,6 @@ def _separate_critical_cells(K, V, critical, values):
                     K, V, wid, span_a, span_b,
                     {h for h in hits if K.dim(h) == 0}, values)
         else:
-            x = shared[0]
             edges = [c for c in (c1, c2) if K.dim(c) == 1]
             if edges:
                 e = edges[0]

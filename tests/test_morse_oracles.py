@@ -629,12 +629,22 @@ def oracle_touching_crit_pairs(K, crits):
 
 def test_touching_crit_pairs_match_the_pairwise_oracle(each_separation_step):
     # on entry and after every step, the touching pairs read off the
-    # carried closures are the pairwise oracle's on that step's complex
+    # carried closures (each crowded cell with its sorted holders) are
+    # the pairwise oracle's on that step's complex, and the loop reads
+    # the least pair with the least cell it shares
     found = []
 
     def check(index, K, V):
-        out = index.touching()
+        shared = {}
+        for x in sorted(index.closures.crowded):
+            cs = sorted(index.closures.held[x])
+            for i, c1 in enumerate(cs):
+                for c2 in cs[i + 1:]:
+                    shared.setdefault((c1, c2), []).append(x)
+        out = [(c1, c2, xs) for (c1, c2), xs in sorted(shared.items())]
         assert out == oracle_touching_crit_pairs(K, critical_ids(V, K))
+        assert index.touching() == (
+            (out[0][0], out[0][1], out[0][2][0]) if out else None)
         found.append(len(out))
 
     each_separation_step(check)

@@ -334,8 +334,9 @@ def closure_scan(K, crits):
 
 def test_crits_in_closures_matches_closure_scan(each_separation_step):
     # on entry and after every step, the carried critical set is the
-    # field's, the carried stars and closures are the complex's, and the
-    # witnesses read off the stars are the closure scan's
+    # field's, the carried stars and closures are the complex's, the
+    # crowded stars with their holders are the closure scan's witnesses,
+    # and the witness the loop reads is the least of them by (dim, id)
     found = []
 
     def check(index, K, V):
@@ -344,8 +345,11 @@ def test_crits_in_closures_matches_closure_scan(each_separation_step):
         for c in crits:
             assert index.stars.of[c] == K.star(c)
             assert index.closures.of[c] == K.closure(c)
-        out = index.witnesses()
+        out = sorted((x, sorted(index.stars.held[x]))
+                     for x in index.stars.crowded)
         assert out == closure_scan(K, crits)
+        least = min(out, key=lambda w: (K.dim(w[0]), w[0]), default=None)
+        assert index.witness(K) == least
         found.append(len(out))
 
     each_separation_step(check)
@@ -354,6 +358,11 @@ def test_crits_in_closures_matches_closure_scan(each_separation_step):
         for seed in range(4):
             separate_critical_cells(
                 K, tree_cotree_field(K, rng=random.Random(seed)))
+    # random fields put a vertex and an edge or polygon in one crowded
+    # set, where the least by (dim, id) is not the least by id
+    K = genus_surface(2)[0]
+    for seed in range(2):
+        separate_critical_cells(K, random_valid_field(K, seed))
     assert len(found) > 12 and any(found)
 
 

@@ -19,8 +19,19 @@ from dms.cellcomplex import (
     verify_closed_surface,
 )
 from dms.cli import EXIT_CLOSED_STDOUT, build_parser, main
-from dms.errors import (Disconnected, NonPseudomanifold, ParseError,
-                        UnknownFixture)
+from dms.errors import (
+    BadDimensionDrop,
+    BoundaryNotCycle,
+    Disconnected,
+    DuplicateFacet,
+    InconsistentField,
+    NonPseudomanifold,
+    NotClosedSurface,
+    ParseError,
+    UnknownCell,
+    UnknownFixture,
+    VertexNotOnCell,
+)
 from dms.fixtures import (
     fixture_complex,
     genus_surface,
@@ -46,9 +57,12 @@ from dms.morsefield import (
     critical_cells,
     is_perfect,
     synthesize_function,
+    trace_1path_tree,
+    trace_2path,
     validate_field,
     validate_function,
 )
+from dms.surgery import bisect_edge
 
 
 # --- tree-cotree oracle --------------------------------------------------
@@ -303,6 +317,10 @@ PARSE_ERRORS = [
     ("dmf", "val v0 1\n# again\nval v0 1\n",
      "line 3: val 'v0' repeats line 1"),
     ("dmf", "val v0 1\r\nval v0 x\r\n", "line 2: bad value 'x'"),
+    ("dmf", "val v0 1_0\n", "line 1: bad value '1_0'"),
+    ("dmf", "val v0 +3\n", "line 1: bad value '+3'"),
+    ("dmf", "val v0 \u0663\n", "line 1: bad value '\u0663'"),
+    ("dmf", "val v0 \uff13\n", "line 1: bad value '\uff13'"),
 ]
 
 
@@ -320,6 +338,63 @@ def parse_any(kind, text, K):
 def test_parse_error_messages(tetra, kind, text, message):
     with pytest.raises(ParseError) as err:
         parse_any(kind, text, tetra)
+    assert str(err.value) == message
+
+
+def field_of(*ids):
+    """A VectorField of the pairs of consecutive ids."""
+    return VectorField(list(zip(ids[::2], ids[1::2])))
+
+
+# documented refusals, each with its whole message, on the tetrahedron
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda T: trace_1path_tree(T, field_of(
+        "v0", "e0-1", "v1", "e1-2", "v2", "e0-2")),
+        InconsistentField, "1-path cycle at v0", id="1-path-cycle"),
+    pytest.param(lambda T: trace_1path_tree(T, field_of(
+        "v0", "e0-3", "v1", "e1-3", "v2", "t0-1-2")),
+        InconsistentField, "vertex v2 paired with dim-2 cell",
+        id="1-path-vertex-on-a-facet"),
+    pytest.param(lambda T: trace_1path_tree(T, field_of(
+        "v0", "e1-2", "v1", "e1-3", "v2", "e2-3")),
+        InconsistentField, "edge e1-2 has strange boundary",
+        id="1-path-edge-off-its-vertex"),
+    pytest.param(lambda T: trace_2path(T, field_of(
+        "e0-1", "t0-1-2", "e0-3", "t0-1-3", "e0-2", "t0-2-3"),
+        "t0-1-2", "t1-2-3"),
+        InconsistentField, "2-path revisits t0-1-2", id="2-path-revisit"),
+    pytest.param(lambda T: trace_2path(T, field_of("v0", "t0-1-2"),
+                                       "t0-1-2", "t1-2-3"),
+                 InconsistentField, "facet t0-1-2 is not edge-matched",
+                 id="2-path-facet-on-a-vertex"),
+    pytest.param(lambda T: trace_2path(T, field_of("e0-1", "t0-1-2"),
+                                       "t0-1-2", "t1-2-3"),
+                 InconsistentField, "2-path from t0-1-2 begins at "
+                 "unexpected critical cell t0-1-3", id="2-path-other-critical"),
+    pytest.param(lambda T: bisect_edge(T, VectorField(), "e0-1", anchor="v2"),
+                 VertexNotOnCell, "'v2' is not an endpoint of 'e0-1'",
+                 id="bisect-anchor-off-the-edge"),
+    pytest.param(lambda T: parse_cwp("cell x -1\n"), BadDimensionDrop,
+                 "cell 'x' has negative dimension", id="cwp-negative-dimension"),
+    pytest.param(lambda T: build_poset([("a", 0, []), ("a", 0, [])]),
+                 DuplicateFacet, "duplicate cell id 'a'", id="poset-repeated-id"),
+    pytest.param(lambda T: build_poset([("a", 0, []), ("b", 0, ["a"])]),
+                 BadDimensionDrop, "vertex 'b' has a boundary",
+                 id="poset-vertex-with-a-boundary"),
+    pytest.param(lambda T: build_poset([
+        ("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"]),
+        ("f", 1, ["a", "b"]), ("t", 2, ["e", "f"])]),
+        BoundaryNotCycle, "2-cell 't' has 2 boundary edges", id="poset-digon"),
+    pytest.param(lambda T: tree_cotree_field(build_poset([
+        ("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"])])),
+        NotClosedSurface, "tree-cotree needs a 2-complex",
+        id="tree-cotree-of-an-edge"),
+    pytest.param(lambda T: T.boundary_cycle("e0-1"), UnknownCell,
+                 "'e0-1' is not a 2-cell", id="boundary-cycle-of-an-edge"),
+])
+def test_documented_refusals(tetra, call, error, message):
+    with pytest.raises(error) as err:
+        call(tetra)
     assert str(err.value) == message
 
 
@@ -377,19 +452,40 @@ def test_cli_critical_unknown_cell_is_a_parse_error(tmp_path, capsys):
     assert "line 2: unknown cell 'v9'" in capsys.readouterr().err
 
 
-def test_cli_critical_invalid_field_is_exit_2(tmp_path, capsys):
+# the triangles around v0 on torus7, each paired with the next edge of
+# link_cycle("v0"): a closed V-path of edges
+V0_RING = ("pair e0-3 t0-1-3\npair e0-2 t0-2-3\npair e0-6 t0-2-6\n"
+           "pair e0-4 t0-4-6\npair e0-5 t0-4-5\npair e0-1 t0-1-5\n")
+
+
+@pytest.mark.parametrize("dvf, err", [
+    pytest.param("pair v0 e1-2\n", "field incidence: ('v0', 'e1-2')\n",
+                 id="incidence"),
+    pytest.param("pair v0 e0-1\npair v1 e1-2\npair v2 e0-2\n",
+                 "field cycle: ('v0', 'e0-1', 'v1', 'e1-2', 'v2', 'e0-2')\n",
+                 id="vertex-cycle"),
+    pytest.param(V0_RING,
+                 "field cycle: ('e0-1', 't0-1-5', 'e0-5', 't0-4-5', 'e0-4', "
+                 "'t0-4-6', 'e0-6', 't0-2-6', 'e0-2', 't0-2-3', 'e0-3', "
+                 "'t0-1-3')\n", id="edge-cycle"),
+    # with closed V-paths in two dimensions, the lower one is named
+    pytest.param(V0_RING + "pair v1 e1-2\npair v2 e2-3\npair v3 e1-3\n",
+                 "field cycle: ('v1', 'e1-2', 'v2', 'e2-3', 'v3', 'e1-3')\n",
+                 id="two-cycles"),
+])
+def test_cli_critical_invalid_field_is_exit_2(tmp_path, capsys, dvf, err):
     # a field that parses but fails validation exits as in `dms validate`
     out = tmp_path / "t"
     run_cli(["fixture", "torus7", "--out", str(out)])
     bad = tmp_path / "bad.dvf"
-    bad.write_text("pair v0 e1-2\n")
+    bad.write_text(dvf)
     capsys.readouterr()
     for command in ("critical", "validate"):
         code = run_cli([command, "--complex", str(out) + ".tri",
                         "--field", str(bad)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == "field incidence: ('v0', 'e1-2')\n"
+        assert captured.err == err
         assert captured.out == ""
 
 
