@@ -134,9 +134,17 @@ class Complex:
                                       % (cid, dim))
 
     def _walk_cycles(self, ids):
-        """Store the boundary walk of each 2-cell in `ids`."""
+        """Store the boundary walk of each 2-cell in `ids`, in id order.
+        A triangle's or a quadrilateral's walk is read off its edges' ends
+        (`_short_walk`, cycle_walk in closed form); any other boundary,
+        and one the closed forms refuse, is walked by `_edge_cycle`, so
+        cycle_walk stays the general walk and the source of every
+        BoundaryNotCycle reason."""
+        cells, cycles = self.cells, self._cycles
         for cid in sorted(ids):
-            self._cycles[cid] = self._edge_cycle(self.cells[cid])
+            cell = cells[cid]
+            cycles[cid] = _short_walk(cell.boundary, cells) \
+                or self._edge_cycle(cell)
 
     def _edge_cycle(self, cell):
         """Boundary of a 2-cell as an alternating cyclic walk
@@ -304,16 +312,18 @@ class Complex:
         The derived facts go, as the edit may change them.
 
         The edit is local.  It re-checks the grading of the added cells
-        and of the surviving cofaces of dropped or replaced cells; the
-        check of the added cells also gathers the faces each lies on.  One
+        and of the surviving cofaces of dropped or replaced cells.  One
         pass over the dropped and replaced cells and one over the added
         cells then keep the cell counts and the top dimension, with no
-        scan of the table, and patch the coface lists of the faces: a
-        replaced cell leaves its old faces' lists and joins its new ones'.
-        The added 2-cells and the 2-cofaces of replaced edges are re-walked.
-        The tables end up equal to those of `Complex` built from the new
-        cell list, and an edit that breaks one cell raises the DmsError
-        that construction would raise, with this complex left half edited.
+        scan of the table, and gather the faces whose coface lists change:
+        a dropped cell leaves all its faces' lists, an added cell joins
+        all its faces' lists, and a replaced cell leaves only the faces it
+        lost and joins only the faces it gained.  The first pass also
+        gathers the surviving 2-cofaces of replaced edges, and these and
+        the added 2-cells are re-walked.  The tables end up equal to those
+        of `Complex` built from the new cell list, and an edit that breaks
+        one cell raises the DmsError that construction would raise, with
+        this complex left half edited.
         """
         for name in _DERIVED:
             self.__dict__.pop(name, None)
@@ -328,25 +338,26 @@ class Complex:
         if not cells:
             raise MissingFace("empty complex")
         near = {t for cid in old for t in cofaces[cid]}.difference(old)
-        self._validate_grading([cells[t] for t in sorted(near)])
-        # the coface lists are patched below, from what the edit changed
-        gained = defaultdict(list)  # face id -> the added cells on it
-        self._validate_grading(added.values(), gained)
+        if near:
+            self._validate_grading([cells[t] for t in sorted(near)])
+        self._validate_grading(added.values())
         lost = defaultdict(list)    # face id -> the cells no longer on it
+        gained = defaultdict(list)  # face id -> the cells new on it
 
         cycles = self._cycles
         counts = list(self._counts)
         top = len(counts) - 1
-        walk = []   # the 2-cells to walk
-        edges = []  # the replaced edges, whose 2-cofaces are walked
+        walk = []  # the 2-cells to walk
         for cid, cell in old.items():
             counts[cell.dim] -= 1
             cycles.pop(cid, None)
-            if cid not in added:
+            new = added.get(cid)
+            if new is None:
                 del cofaces[cid]
             elif cell.dim == 1:
-                edges.append(cid)
-            for fid in cell.boundary:
+                walk += [t for t in cofaces[cid] if t not in old]
+            for fid in (cell.boundary if new is None
+                        else cell.boundary - new.boundary):
                 lost[fid].append(cid)
         for cid, cell in added.items():
             dim = cell.dim
@@ -356,8 +367,12 @@ class Complex:
             counts[dim] += 1
             if dim == 2:
                 walk.append(cid)
-            if cid not in old:
+            prev = old.get(cid)
+            if prev is None:
                 cofaces[cid] = ()
+            for fid in (cell.boundary if prev is None
+                        else cell.boundary - prev.boundary):
+                gained[fid].append(cid)
         while not counts[-1]:
             counts.pop()
         self._counts = tuple(counts)
@@ -370,8 +385,6 @@ class Complex:
                                       if t not in out])
         for fid, into in gained.items():
             cofaces[fid] = tuple(sorted((*cofaces[fid], *into)))
-        walk.extend(t for e in edges for t in cofaces[e]
-                    if cells[t].dim == 2)
         self._walk_cycles(set(walk))
 
     def subcomplex(self, ids):
@@ -379,9 +392,11 @@ class Complex:
         faces; raises MissingFace naming the smallest missing face.
 
         Nothing is re-checked.  The tables keep this complex's order and
-        are filtered down to `ids`: a coface tuple stays sorted, and the
-        2-cell walks of the kept cells lie in `ids` whole.  The result
-        equals `Complex` built from the kept cells.
+        are filtered down to `ids`.  A coface tuple is filtered only when
+        some of its cells lie outside `ids`, and stays sorted; every other
+        tuple, and every 2-cell walk of a kept cell, lies in `ids` whole
+        and is kept as it is.  The result equals `Complex` built from the
+        kept cells.
         """
         old = self.cells
         ids = ids if isinstance(ids, (set, frozenset)) else set(ids)
@@ -399,9 +414,11 @@ class Complex:
         new = object.__new__(Complex)
         new.cells = {cid: c for cid, c in old.items() if cid in ids}
         new._count(new.cells.values())
-        cofaces = self._cofaces
-        new._cofaces = {cid: tuple([t for t in cofaces[cid] if t in ids])
-                        for cid in new.cells}
+        new._cofaces = kept = {}
+        for cid in new.cells:
+            cof = self._cofaces[cid]
+            kept[cid] = cof if ids.issuperset(cof) \
+                else tuple([t for t in cof if t in ids])
         new._cycles = {cid: walk for cid, walk in self._cycles.items()
                        if cid in ids}
         return new
@@ -583,6 +600,63 @@ def cycle_walk(ends):
     return tuple(walk), None
 
 
+def _short_walk(edges, cells):
+    """cycle_walk's walk of three or four edges of `cells` that form one
+    cycle, read off their ends; None for any other `edges`.
+
+    Three edges f0, f1, f2 form a triangle when f0 joins some u and v,
+    f2 joins v and some w other than u, and f1 joins u and w.  Four edges
+    form a quadrilateral when, with a and b the ends of f0, one other
+    edge f1 joins a to some c, one f2 joins b to some d, and the last
+    joins c and d, all four vertices distinct.  Either cycle is turned
+    to start at its least vertex, and runs from there along the lesser
+    of that vertex's two edges, as cycle_walk runs.  Both shapes are
+    recognised by membership alone, so no set is built.
+    """
+    if len(edges) == 3:
+        f0, f1, f2 = edges
+        p0, p1 = cells[f0].boundary, cells[f1].boundary
+        v, w = cells[f2].boundary
+        if v not in p0:
+            v, w = w, v
+        a, b = p0
+        u = b if a == v else a
+        if v not in p0 or u == w or u not in p1 or w not in p1:
+            return None
+        # the cycle u f0 v f2 w f1
+        least = min(u, v, w)
+        while u != least:
+            u, f0, v, f2, w, f1 = v, f2, w, f1, u, f0
+        return (u, f0, v, f2, w, f1) if f0 < f1 else (u, f1, w, f2, v, f0)
+    if len(edges) == 4:
+        f0, f1, f2, f3 = edges
+        a, b = cells[f0].boundary
+        p1, p2, p3 = cells[f1].boundary, cells[f2].boundary, cells[f3].boundary
+        if a not in p1:
+            f1, p1, f2, p2 = f2, p2, f1, p1
+            if a not in p1:
+                f1, p1, f3, p3 = f3, p3, f1, p1
+        if b not in p2:
+            f2, p2, f3, p3 = f3, p3, f2, p2
+        if a not in p1 or b not in p2:
+            return None
+        c, x = p1
+        if c == a:
+            c = x
+        d, x = p2
+        if d == b:
+            d = x
+        if c == b or d == a or c == d or c not in p3 or d not in p3:
+            return None
+        # the cycle a f0 b f2 d f3 c f1
+        least = min(a, b, c, d)
+        while a != least:
+            a, f0, b, f2, d, f3, c, f1 = b, f2, d, f3, c, f1, a, f0
+        return (a, f0, b, f2, d, f3, c, f1) if f0 < f1 \
+            else (a, f1, c, f3, d, f2, b, f0)
+    return None
+
+
 # ---- constructors --------------------------------------------------------
 
 
@@ -623,19 +697,24 @@ def build_simplicial(triangles, closed=True):
 
     cells = {}
     edge_use = {}
+    # each cell is built the first time a triangle holds it, and keeps
+    # that place in the table
     for tri in sorted(seen):
         i, j, k = tri
         for v in tri:
             vid = vertex_id(v)
-            cells[vid] = Cell(vid, 0, frozenset())
+            if vid not in cells:
+                cells[vid] = new_cell(Cell, (vid, 0, frozenset()))
         eids = []
         for a, b in ((i, j), (i, k), (j, k)):
             eid = edge_id(a, b)
-            cells[eid] = Cell(eid, 1, frozenset({vertex_id(a), vertex_id(b)}))
+            if eid not in cells:
+                cells[eid] = new_cell(Cell, (eid, 1, frozenset(
+                    {vertex_id(a), vertex_id(b)})))
             edge_use[eid] = edge_use.get(eid, 0) + 1
             eids.append(eid)
         tid = triangle_id(i, j, k)
-        cells[tid] = Cell(tid, 2, frozenset(eids))
+        cells[tid] = new_cell(Cell, (tid, 2, frozenset(eids)))
     if closed:
         for eid, n in sorted(edge_use.items()):
             if n != 2:

@@ -106,9 +106,10 @@ def _bisect_edge(K, V, e, anchor=None, values=None):
         inherit_end = min(cell.boundary)
     other_end, = cell.boundary - {inherit_end}
     w = e + "~b0"
-    return _bisect(K, V, e, Cell(w, 0, frozenset()),
-                   Cell(e + "~b1", 1, frozenset({inherit_end, w})),
-                   Cell(e + "~b2", 1, frozenset({other_end, w})), values)
+    return _bisect(K, V, e, new_cell(Cell, (w, 0, frozenset())),
+                   new_cell(Cell, (e + "~b1", 1, frozenset({inherit_end, w}))),
+                   new_cell(Cell, (e + "~b2", 1, frozenset({other_end, w}))),
+                   values)
 
 
 def bisect_2cell(K, V, c, u, w):
@@ -141,9 +142,10 @@ def _bisect_2cell(K, V, c, u, w, values=None):
                            % (u, w, eid))
     arc1 = frozenset(_inheriting_arc(K, c, u, w)[1::2])
     d = c + "~b0"
-    return _bisect(K, V, c, Cell(d, 1, frozenset({u, w})),
-                   Cell(c + "~b1", 2, arc1 | {d}),
-                   Cell(c + "~b2", 2, (cell.boundary - arc1) | {d}), values)
+    arc2 = cell.boundary - arc1
+    return _bisect(K, V, c, new_cell(Cell, (d, 1, frozenset({u, w}))),
+                   new_cell(Cell, (c + "~b1", 2, arc1 | {d})),
+                   new_cell(Cell, (c + "~b2", 2, arc2 | {d})), values)
 
 
 def _bisect(K, V, s, middle, half1, half2, values=None):

@@ -250,6 +250,33 @@ def test_two_triangle_boundary_is_not_a_cycle():
         build_poset(records)
 
 
+# vertex ids that sort below, between and above the edge ids b to e
+WALK_VERTICES = ("a0", "a1", "c5", "d5", "y", "z")
+
+
+@pytest.mark.parametrize("n_edges", [3, 4])
+def test_short_walks_are_cycle_walks(n_edges):
+    """Every multigraph of three or four edges on six vertices, as the
+    boundary of one 2-cell: construction stores cycle_walk's walk of the
+    edges, or raises with cycle_walk's reason.  Each edge list is tried
+    under every assignment to the edge ids, so each edge comes first,
+    second, ... in the boundary's iteration order."""
+    edges = "bcde"[:n_edges]
+    vertices = [Cell(v, 0, frozenset()) for v in WALK_VERTICES]
+    for pairs in itertools.product(itertools.combinations(WALK_VERTICES, 2),
+                                   repeat=n_edges):
+        ends = {e: frozenset(pair) for e, pair in zip(edges, pairs)}
+        walk, why = cycle_walk(ends)
+        cells = vertices + [Cell(e, 1, p) for e, p in ends.items()]
+        cells.append(Cell("q", 2, frozenset(edges)))
+        try:
+            K = Complex(cells)
+        except BoundaryNotCycle as err:
+            assert (walk, str(err)) == (None, "2-cell 'q': %s" % why), pairs
+        else:
+            assert K.boundary_cycle("q") == walk, pairs
+
+
 TETRA_TRIANGLES = ["t0-1-2", "t0-1-3", "t0-2-3", "t1-2-3"]
 
 
@@ -265,6 +292,17 @@ TETRA_TRIANGLES = ["t0-1-2", "t0-1-3", "t0-2-3", "t1-2-3"]
     dict(add=[Cell("ball", 3, frozenset(TETRA_TRIANGLES))]),
     # an edge replaced under its own id
     dict(add=[Cell("e0-1", 1, frozenset({"v0", "v1"}))]),
+    # a 2-cell replaced under its own id, keeping two faces, losing one
+    # and gaining two: a quadrilateral v0 v1 v2 v3
+    dict(add=[Cell("t0-1-2", 2,
+                   frozenset({"e0-1", "e1-2", "e2-3", "e0-3"}))]),
+    # an edge replaced with one end moved, from v1 to a new vertex x, and
+    # both its triangles replaced by quadrilaterals through x
+    dict(add=[Cell("x", 0, frozenset()),
+              Cell("e0-1", 1, frozenset({"v0", "x"})),
+              Cell("f", 1, frozenset({"x", "v1"})),
+              Cell("t0-1-2", 2, frozenset({"e0-1", "f", "e1-2", "e0-2"})),
+              Cell("t0-1-3", 2, frozenset({"e0-1", "f", "e1-3", "e0-3"}))]),
 ])
 def test_edit_matches_a_full_rebuild(tetra, edit, rebuild,
                                      assert_same_complex):

@@ -341,6 +341,9 @@ def test_parse_error_messages(tetra, kind, text, message):
     assert str(err.value) == message
 
 
+SQUARE_VERTICES = [("a", 0, []), ("b", 0, []), ("c", 0, []), ("d", 0, [])]
+
+
 def field_of(*ids):
     """A VectorField of the pairs of consecutive ids."""
     return VectorField(list(zip(ids[::2], ids[1::2])))
@@ -385,6 +388,27 @@ def field_of(*ids):
         ("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"]),
         ("f", 1, ["a", "b"]), ("t", 2, ["e", "f"])]),
         BoundaryNotCycle, "2-cell 't' has 2 boundary edges", id="poset-digon"),
+    # three- and four-edge boundaries that are no cycle
+    pytest.param(lambda T: build_poset(SQUARE_VERTICES + [
+        ("e1", 1, ["a", "b"]), ("e2", 1, ["a", "b"]), ("e3", 1, ["c", "d"]),
+        ("e4", 1, ["c", "d"]), ("q", 2, ["e1", "e2", "e3", "e4"])]),
+        BoundaryNotCycle, "2-cell 'q': the items form more than one cycle",
+        id="poset-two-digons-as-a-quad"),
+    pytest.param(lambda T: build_poset(SQUARE_VERTICES + [
+        ("e1", 1, ["a", "b"]), ("e2", 1, ["b", "c"]), ("e3", 1, ["c", "d"]),
+        ("t", 2, ["e1", "e2", "e3"])]),
+        BoundaryNotCycle, "2-cell 't': 'a' lies on 1 items",
+        id="poset-path-as-a-triangle"),
+    pytest.param(lambda T: build_poset(SQUARE_VERTICES + [
+        ("e1", 1, ["a", "b"]), ("e2", 1, ["a", "b"]), ("e3", 1, ["a", "c"]),
+        ("t", 2, ["e1", "e2", "e3"])]),
+        BoundaryNotCycle, "2-cell 't': 'a' lies on 3 items",
+        id="poset-digon-and-an-edge-as-a-triangle"),
+    pytest.param(lambda T: build_poset(SQUARE_VERTICES + [
+        ("e1", 1, ["a", "b"]), ("e2", 1, ["b", "c"]), ("e3", 1, ["a", "c"]),
+        ("e4", 1, ["c", "d"]), ("q", 2, ["e1", "e2", "e3", "e4"])]),
+        BoundaryNotCycle, "2-cell 'q': 'c' lies on 3 items",
+        id="poset-triangle-and-a-pendant-as-a-quad"),
     pytest.param(lambda T: tree_cotree_field(build_poset([
         ("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"])])),
         NotClosedSurface, "tree-cotree needs a 2-complex",
