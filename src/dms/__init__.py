@@ -8,7 +8,6 @@ from .cellcomplex import (
     build_poset,
     build_simplicial,
     euler_characteristic,
-    local_neighborhood,
     verify_closed_surface,
 )
 from .homology import BettiVector, betti_mod2
@@ -27,17 +26,8 @@ from .morsefield import (
     validate_field,
     validate_function,
 )
-from .surgery import (
-    BisectionRecord,
-    InnerCopy,
-    TubeRegion,
-    bisect_2cell,
-    bisect_edge,
-    build_prism_over_boundary,
-    compose,
-    separate_critical_cells,
-    shrink_closed_star,
-)
+from .surgery import TubeRegion, build_prism_over_boundary, compose
+from .splitter import decompose
 from .fixtures import (
     genus_surface,
     pillow,

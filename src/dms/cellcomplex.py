@@ -249,13 +249,6 @@ class Complex:
                     frontier.append(cof)
         return out
 
-    def closed_star(self, cid):
-        """cid, every cell having cid in its closure, and their faces."""
-        out = set()
-        for sid in self.star(cid):
-            out |= self.closure(sid)
-        return frozenset(out)
-
     def boundary_cycle(self, cid):
         """Alternating [v0, e0, v1, e1, ...] walk around a 2-cell."""
         if self.dim(cid) != 2:
@@ -448,24 +441,17 @@ class Complex:
                        for cid, walk in self._cycles.items()}
         return new
 
-    def split_cell(self, old, new_cells, halves):
-        """New complex with cell `old` subdivided; every coface of `old`
-        lists both `halves` in its place.
+    def _split_cell(self, old, new_cells, halves):
+        """Subdivide cell `old` of this complex in place; every coface of
+        `old` lists both `halves` in its place.
 
         `new_cells` must be the two halves, of old's dimension, and one
         middle cell a dimension lower whose faces lie in the closure of
         `old`, all three new.  The halves must share only the middle cell
         and together list exactly old's boundary.  Any other edit raises
-        BadCellBoundary.  A draft of this complex takes the split
-        (`_split_cell`), so the result keeps the parent's computed flags
-        as `_subdivide` does.
+        BadCellBoundary.  The split goes through `_subdivide`, so the
+        complex keeps its computed flags.
         """
-        new = self._draft()
-        new._split_cell(old, new_cells, halves)
-        return new
-
-    def _split_cell(self, old, new_cells, halves):
-        """split_cell on this complex itself."""
         new_cells = list(new_cells)
         why = self._subdivision_defect(self.cell(old), new_cells, halves)
         if why is not None:
@@ -734,22 +720,6 @@ def build_poset(records):
 def euler_characteristic(K):
     """The alternating sum of K's cell counts, read off K.counts()."""
     return sum(n if p % 2 == 0 else -n for p, n in enumerate(K.counts()))
-
-
-def local_neighborhood(K, cid):
-    """(star, link) of a cell, both as id -> Cell sub-poset mappings.
-
-    star is the closed star: all cofaces of cid together with their
-    faces.  link is the part of the closed star whose closure avoids
-    cid; on a simplicial neighborhood this is the usual link.
-    """
-    if cid not in K:
-        raise UnknownCell(cid)
-    star_ids = K.closed_star(cid)
-    star = {sid: K.cells[sid] for sid in sorted(star_ids)}
-    link = {sid: K.cells[sid] for sid in sorted(star_ids)
-            if cid not in K.closure(sid)}
-    return star, link
 
 
 def _surface_scan(K):

@@ -116,9 +116,10 @@ class NoEligibleBeta(DmsError):
 
 
 class InseparableCriticals(DmsError):
-    """separate_critical_cells ran out of steps; args are the two
-    critical cells its next step would part (two critical polygons whose
-    boundaries meet, on every input seen so far)."""
+    """Separating the critical cells (surgery._separate_critical_cells)
+    ran out of steps; args are the two critical cells its next step
+    would part (two critical polygons whose boundaries meet, on every
+    input seen so far)."""
 
 
 class UnclearableBoundary(DmsError):

@@ -113,7 +113,8 @@ def genus_surface(g):
     """
     from .surgery import compose  # deferred: fixtures are imported early
 
-    if not isinstance(g, int) or g < 0:
+    # a bool is an int to isinstance, but no genus
+    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
         raise UnknownFixture("genus must be a non-negative integer, not %r"
                              % (g,))
     base = tetrahedron() if g == 0 else torus7()

@@ -39,8 +39,6 @@ from .morsefield import (
     _check_carried,
     _critical_among,
     _dense_ranks,
-    critical_cells,
-    induced_field,
     trace_2path,
 )
 from .surgery import _around, _bisect_edge, _checked_summand, _cut_corner, \
@@ -159,16 +157,10 @@ def _vertices(K, edges):
 # --- spec operations ---------------------------------------------------------
 
 
-def select_split_edges(K, f, g1, g2):
-    """Critical edges sorted by function value: the lowest 2*g1 belong to
-    the summand with the critical vertex, the highest 2*g2 to the one
-    with the critical facet."""
-    _check_genera(g1, g2)
-    return _split_edges(f, critical_cells(induced_field(K, f), K), g1, g2)
-
-
 def _check_genera(g1, g2):
-    if not (isinstance(g1, int) and isinstance(g2, int)):
+    # a bool is an int to isinstance, but no genus
+    if not all(isinstance(g, int) and not isinstance(g, bool)
+               for g in (g1, g2)):
         raise WrongCriticalCount(
             "genera must be integers, not %r and %r" % (g1, g2))
     if g1 < 0 or g2 < 0:
@@ -179,8 +171,10 @@ def _check_genera(g1, g2):
 
 
 def _split_edges(f, crit, g1, g2):
-    """select_split_edges for checked genera, given the critical cells
-    crit of the field f induces.
+    """The critical edges of crit, the critical cells of the field f
+    induces, split by value for checked genera: the lowest 2*g1 belong to
+    the summand with the critical vertex, the highest 2*g2 to the one
+    with the critical facet.
 
     The order is that of make_injective(K, f), which sorts the cells by
     (f, tie rank, id).  Only the lower cell of an equal-valued pair has
@@ -277,7 +271,7 @@ def _excavate(K, V, region, marked, values):
     the rungs split the interior edges with one marked end, and the
     corners are cut off, each by edge bisections and one corner cut.
     _follow keeps the region's edges through every cut, but the rung
-    pass reads the interior as it stood before it.  `values`, None or a
+    pass reads the interior as it stood before it.  `values`, a
     function's values, is patched along by every cut
     (surgery._patch_values).
     """
@@ -295,7 +289,7 @@ def _excavate(K, V, region, marked, values):
         mk = marked[t]
         for e in K.boundary_cycle(t)[1::2]:
             if e not in mk and K.boundary(e) <= mk:
-                _follow(K, region, _bisect_edge(K, V, e, values=values))
+                _follow(K, region, _bisect_edge(K, V, e, None, values))
 
     # rungs: unmarked interior edges flanking a marked cell; bisect each
     # once, anchored away from the marked endpoint.  Each facet's cycle is
@@ -380,7 +374,7 @@ def _excavate(K, V, region, marked, values):
                        if K.boundary(cyc[i]) == frozenset({u, w})]
             if joining:
                 g = joining[0]
-                rec = _bisect_edge(K, V, g, values=values)
+                rec = _bisect_edge(K, V, g, None, values)
                 _follow(K, region, rec)
                 if g in marked[orig]:
                     marked[orig].update(rec.new_cells)
@@ -418,10 +412,10 @@ def _stray_closure(K, V, region, seed):
     return z_edges, z_verts
 
 
-def _excavate_stray(K, V, region, seed, values=None):
+def _excavate_stray(K, V, region, seed, values):
     """Excavate the stray closure of `seed`, an edge with a region coface
     (the callers check it), so some region facet is always marked; the
-    cuts patch `values` along when given."""
+    cuts patch `values` along."""
     z_edges, z_verts = _stray_closure(K, V, region, seed)
     marked = {}
     zcells = z_edges | z_verts
@@ -444,8 +438,8 @@ def _resolve_wedge(K, V, region, v, values):
     """Reroute the boundary around a wedge vertex (Case 1): shave the
     corner at v off every region sector except one, so exactly one
     strand still passes through v; a wedge has at least two sectors (see
-    classify_boundary).  K, V, the region and `values` (None, or patched
-    along) are edited in place."""
+    classify_boundary).  K, V, the region and `values` (patched along)
+    are edited in place."""
     sectors = _sectors_at(K, region, v)
     keep = min(range(len(sectors)), key=lambda i: min(sectors[i]))
     marked = {}
@@ -471,8 +465,8 @@ def _inward_violations(K, V, region, bg):
 def _expel_foreign_criticals(K, V, region, v0, low_edges, values):
     """Excavate the critical vertex v0 and the low critical edges, which
     belong to the other summand, out of the region, in place, `values`
-    (None, or patched along) included.  An excavation can bisect a low
-    edge, so each is read off region.low_edges, which _follow renames."""
+    (patched along) included.  An excavation can bisect a low edge, so
+    each is read off region.low_edges, which _follow renames."""
     region.low_edges = sorted(low_edges)
     marked = {t: {v0} for t in sorted(region.facets)
               if v0 in K.boundary_cycle(t)}
@@ -484,7 +478,7 @@ def _expel_foreign_criticals(K, V, region, v0, low_edges, values):
             _excavate_stray(K, V, region, e, values)
 
 
-def find_separating_circle(K, f, g1, g2, values=None):
+def find_separating_circle(K, f, g1, g2, values):
     """Drive the boundary repairs until the carved region is bounded by a
     single circle with no arrows pointing into it; returns the final
     (complex, field, circle walk, region), drafts of K and of the field
@@ -493,10 +487,10 @@ def find_separating_circle(K, f, g1, g2, values=None):
     come from compose's entry check, surgery._checked_summand (a record,
     or f checked in full), the one listing of them: separation is handed
     them, and the cuts' records carry them to their heirs.
-    `values`, when given, holds f or a function inducing the same field,
-    and every cut patches it in place (surgery._patch_values); the
-    region's `made` then lists every cell a cut made.  carve_core counts
-    the region's edges once, and _follow keeps them through every cut.
+    `values` holds f or a function inducing the same field, and every
+    cut patches it in place (surgery._patch_values); the region's `made`
+    lists every cell a cut made.  carve_core counts the region's edges
+    once, and _follow keeps them through every cut.
 
     Each pass of the loop reads the boundary's degrees and wedges
     (classify_boundary) and makes one repair: it excavates the first
@@ -666,7 +660,7 @@ def _cone_cells(piece, circle):
     return apex, cone, cells
 
 
-def cap_with_min_cone(piece, V, circle, values=None):
+def cap_with_min_cone(piece, V, circle, values):
     """Cone over the circle with a critical apex: every boundary-critical
     cell is paired with its cone coface, and every pair along the circle
     gets the corresponding pair of cone cofaces.  So each radial and
@@ -680,8 +674,8 @@ def cap_with_min_cone(piece, V, circle, values=None):
     matched off the circle, or a circle edge matched with a facet of the
     piece, raises UnbalancedBoundaryCriticals naming both cells.
 
-    `values`, when given, holds a Morse function on the piece inducing
-    V, and gains the cone's values (_min_cone_values)."""
+    `values` holds a Morse function on the piece inducing V, and gains
+    the cone's values (_min_cone_values)."""
     edges = circle[1::2]
     pm = V.partner_map()
     apex, cone, cells = _cone_cells(piece, circle)
@@ -702,8 +696,7 @@ def cap_with_min_cone(piece, V, circle, values=None):
         elif piece.dim(p) != 0:
             raise UnbalancedBoundaryCriticals(
                 "circle edge %s paired with %s" % (e, p))
-    if values is not None:
-        _min_cone_values(values, pm, circle, apex, cone)
+    _min_cone_values(values, pm, circle, apex, cone)
     return piece.replace_cells(add=cells), V.replace(add=new_pairs)
 
 
@@ -746,7 +739,7 @@ def _min_cone_values(values, pm, circle, apex, cone):
         values[cone[x]] = values[x] + (eps if x in pm else -eps)
 
 
-def cap_with_max_cone(piece, V, circle, values=None):
+def cap_with_max_cone(piece, V, circle, values):
     """Cone over the circle carrying one new critical triangle: the fan
     pairing matches the apex with the first radial and each later radial
     with the triangle of the circle edge it starts.
@@ -756,8 +749,8 @@ def cap_with_max_cone(piece, V, circle, values=None):
     the first vertex, else the first edge, in the circle's order.
     decompose runs it first, on the min piece.
 
-    `values`, when given, holds a Morse function on the piece inducing
-    V, and gains the cone's values (_max_cone_values)."""
+    `values` holds a Morse function on the piece inducing V, and gains
+    the cone's values (_max_cone_values)."""
     verts = circle[0::2]
     edges = circle[1::2]
     pm = V.partner_map()
@@ -768,8 +761,7 @@ def cap_with_max_cone(piece, V, circle, values=None):
     new_pairs = [(apex, cone[verts[0]])]
     new_pairs += [(cone[v], cone[e]) for v, e in zip(verts[1:], edges[1:])]
     # the triangle between r_0 and r_1 stays critical
-    if values is not None:
-        _max_cone_values(values, circle, apex, cone)
+    _max_cone_values(values, circle, apex, cone)
     return piece.replace_cells(add=cells), V.replace(add=new_pairs)
 
 

@@ -77,21 +77,15 @@ class InnerCopy:
 # --- bisections ------------------------------------------------------------
 
 
-def bisect_edge(K, V, e, anchor=None):
-    """Split edge e at a new vertex; incident 2-cells gain a side.
+def _bisect_edge(K, V, e, anchor, values):
+    """Split edge e of K at a new vertex, in place on K, V and `values`
+    (_patch_values); incident 2-cells gain a side.  Returns the record.
 
     Pairing repair: a vertex paired with e keeps the half containing it;
-    a 2-cell paired with e keeps the half containing `anchor` (default:
-    the smaller endpoint); a critical e passes criticality to that half.
+    a 2-cell paired with e keeps the half containing `anchor` (None: the
+    smaller endpoint); a critical e passes criticality to that half.
     The new vertex is always paired with the other half.
     """
-    K, V = K._draft(), V._draft()
-    return K, V, _bisect_edge(K, V, e, anchor)
-
-
-def _bisect_edge(K, V, e, anchor=None, values=None):
-    """bisect_edge on K and V themselves, and on `values` when given
-    (_patch_values); returns the record."""
     cell = K.cell(e)
     if cell.dim != 1:
         raise NotAnEdge(e)
@@ -112,21 +106,16 @@ def _bisect_edge(K, V, e, anchor=None, values=None):
                    values)
 
 
-def bisect_2cell(K, V, c, u, w):
-    """Split 2-cell c along a new chord between boundary vertices u, w.
+def _bisect_2cell(K, V, c, u, w, values):
+    """Split 2-cell c of K along a new chord between boundary vertices u
+    and w, in place on K, V and `values` (_patch_values).  Returns the
+    record.
 
     The piece whose boundary runs from u to w in the stored cycle
     direction is `c~b1`; it inherits c's pairing (or criticality) unless
     the paired edge lies on the other side.  The chord is paired with
     the non-inheriting piece.
     """
-    K, V = K._draft(), V._draft()
-    return K, V, _bisect_2cell(K, V, c, u, w)
-
-
-def _bisect_2cell(K, V, c, u, w, values=None):
-    """bisect_2cell on K and V themselves, and on `values` when given
-    (_patch_values); returns the record."""
     cell = K.cell(c)
     if cell.dim != 2:
         raise NotA2Cell(c)
@@ -148,13 +137,13 @@ def _bisect_2cell(K, V, c, u, w, values=None):
                    new_cell(Cell, (c + "~b2", 2, arc2 | {d})), values)
 
 
-def _bisect(K, V, s, middle, half1, half2, values=None):
+def _bisect(K, V, s, middle, half1, half2, values):
     """Split the cell s of K into the cells middle, half1 and half2, and
     repair V, both in place; the one field repair of both kinds of
     bisection.  The heir, the half holding s's partner when that is a
     face of s and half1 otherwise, takes s's partner or its criticality,
-    and the middle cell pairs with the other half.  `values`, when
-    given, is patched along by _patch_values.  Returns the record.
+    and the middle cell pairs with the other half.  `values` is patched
+    along by _patch_values.  Returns the record.
     """
     partner = V.partner_map().get(s)
     face = partner in K.cells[s].boundary
@@ -166,9 +155,8 @@ def _bisect(K, V, s, middle, half1, half2, values=None):
         drop.append((partner, s) if face else (s, partner))
         add.append((partner, heir.id) if face else (heir.id, partner))
     V._edit(drop, add)
-    if values is not None:
-        _patch_values(values, s, partner if face else None,
-                      None if face else partner, middle, heir, other)
+    _patch_values(values, s, partner if face else None,
+                  None if face else partner, middle, heir, other)
     return BisectionRecord(new_cells=(middle.id, half1.id, half2.id),
                            replacements={s: heir.id})
 
@@ -238,18 +226,18 @@ def _patch_values(values, s, face, coface, middle, heir, other):
 def _inheriting_arc(K, c, u, w):
     """The walk [u, e, v, e', ...] around 2-cell c from its cell u up to,
     not including, its cell w: for vertices u and w,
-    bisect_2cell(K, V, c, u, w) gives its edges to c~b1, and the rest of
-    the boundary to c~b2."""
+    _bisect_2cell(K, V, c, u, w, values) gives its edges to c~b1, and the
+    rest of the boundary to c~b2."""
     cycle = K.boundary_cycle(c)
     i, j = cycle.index(u), cycle.index(w)
     return cycle[i:j] if i < j else cycle[i:] + cycle[:j]
 
 
-def _cut_corner(K, V, c, u, w, corner, values=None):
+def _cut_corner(K, V, c, u, w, corner, values):
     """Cut the 2-cell c in place along a chord from u to w so that
     `corner`, cells on one side of it other than u and w, goes to c~b2,
-    and patch `values` along when given (_patch_values).  Returns the
-    record: its new cells are (chord, rest, corner piece)."""
+    and patch `values` along (_patch_values).  Returns the record: its
+    new cells are (chord, rest, corner piece)."""
     if not corner.isdisjoint(_inheriting_arc(K, c, u, w)):
         u, w = w, u
     return _bisect_2cell(K, V, c, u, w, values)
@@ -297,7 +285,7 @@ class _Cover:
 class _CriticalIndex:
     """The critical cells of a field on K, handed to it once, with the
     star and the closure of each, carried across the bisections of
-    separate_critical_cells instead of listed again after every step.
+    _separate_critical_cells instead of listed again after every step.
 
     A bisection of a cell s into the new cells N of its record (update)
     moves criticality only from s to its heir in rec.replacements.  A
@@ -358,8 +346,8 @@ def _separating_chord(K, V, c, span_a, span_b, vertex_crits, values):
     """Cut the corner of polygon c holding span_a off the piece holding
     span_b, on a chord from a vertex of each gap the two leave on c's
     walk; with no such chord, bisect the first edge of the gaps to make
-    a midpoint.  Edits K, V and `values` (None, or patched along) in
-    place and returns the record of the one bisection made."""
+    a midpoint.  Edits K, V and `values` (patched along) in place and
+    returns the record of the one bisection made."""
 
     def candidates(gap):
         cand = [x for x in gap if K.dim(x) == 0 and x not in vertex_crits]
@@ -384,39 +372,31 @@ def _separating_chord(K, V, c, span_a, span_b, vertex_crits, values):
         raise InconsistentField(
             "cannot separate %r and %r inside %r" % (span_a, span_b, c))
     # the cycle changed; the caller retries
-    return _bisect_edge(K, V, gap_edges[0], values=values)
+    return _bisect_edge(K, V, gap_edges[0], None, values)
 
 
-def separate_critical_cells(K, V, values=None):
-    """Subdivide until no cell's closure contains two critical cells.
+def _separate_critical_cells(K, V, critical, values):
+    """Subdivide K, V and `values` in place until no cell's closure
+    contains two critical cells; `critical` lists the ids of V's critical
+    cells, and `values` holds a Morse function on the surface K inducing
+    V, which every step patches (_patch_values).  Returns the record of
+    every step, in order.
 
     Each step either bisects a critical edge away from a critical vertex
     on it, or chord-splits a polygon whose closure holds two critical
     cells; it parts the smallest witness by (dim, id), a cell whose
     closure holds two critical cells, or else the smallest pair of
     critical cells whose closures meet.  The loop is a worklist: it is
-    handed the critical cells once, here listed by critical_cells, and a
-    _CriticalIndex carries them, their stars and their closures from
-    step to step.
+    handed the critical cells once, and a _CriticalIndex carries them,
+    their stars and their closures from step to step.
 
     The corner cut between two critical polygons whose boundaries meet
     need not make progress: it may keep cutting a corner off while the
     piece that stays critical keeps part of the shared boundary.  So the
     steps are capped at a budget fixed from the input's size (every step
     adds cells), and past it InseparableCriticals names the two critical
-    cells the next step would part.  The steps edit drafts of K and V,
-    returned with the record of every step in order.  `values`, when
-    given, holds a Morse function on the surface K inducing V, and every
-    step patches it in place (_patch_values).
+    cells the next step would part.
     """
-    K, V = K._draft(), V._draft()
-    crit = critical_cells(V, K).cells.values()
-    return K, V, _separate_critical_cells(K, V, chain(*crit), values)
-
-
-def _separate_critical_cells(K, V, critical, values):
-    """separate_critical_cells on K and V themselves, handed the ids of
-    V's critical cells, `critical`; returns the records."""
     records = []
     index = _CriticalIndex(K, critical)
     budget = 100 + 10 * len(K.cells)
@@ -442,7 +422,7 @@ def _separate_critical_cells(K, V, critical, values):
                 rec = _bisect_edge(K, V, wid, other, values)
             elif on_edge:
                 # an edge between two critical vertices
-                rec = _bisect_edge(K, V, wid, values=values)
+                rec = _bisect_edge(K, V, wid, None, values)
             else:
                 span_a, span_b = hits[0], hits[1]
                 if wid in hits:
@@ -526,25 +506,18 @@ def _check_simplicial(K, c, what):
             raise BadCellBoundary("%s; %r has %d facets" % (what, x, k))
 
 
-def shrink_closed_star(K, beta, v):
-    """Replace the closure J of a simplicial top cell by a shrunken copy
-    sharing the vertex v plus a product collar over the link of v.
-
-    Every J-cell containing v is split into its shrunken copy
-    `shrunk:<id>` and a collar prism `inner:<id>`; the prism is the
-    cell's correspondent, and J-cells not containing v correspond to
-    themselves.  The face relation is preserved by the correspondence.
-    A draft of K takes the shrink (`_shrink_closed_star`), a subdivision
-    of the closed cell that keeps the flags as split_cell does.
-    """
-    return _shrink_closed_star(K._draft(), beta, v)
-
-
 def _shrink_closed_star(K, beta, v, shrunk_id=lambda x: "shrunk:" + x,
                         inner_id=lambda x: "inner:" + x):
-    """shrink_closed_star on K itself, which its InnerCopy holds, with
-    the shrunken copy and the collar cell of a cell x named shrunk_id(x)
-    and inner_id(x).
+    """Replace the closure J of a simplicial top cell of K, in place, by
+    a shrunken copy sharing the vertex v plus a product collar over the
+    link of v; returns the InnerCopy, which holds K.
+
+    Every J-cell containing v is split into its shrunken copy
+    shrunk_id(x) and a collar prism inner_id(x); the prism is the cell's
+    correspondent, and J-cells not containing v correspond to
+    themselves.  The face relation is preserved by the correspondence.
+    The shrink is a subdivision of the closed cell, so K keeps its
+    computed flags (Complex._subdivide).
 
     The link of v in J, the J-cells outside the star of v, takes the
     _collar: a link cell x's copy is its shrunken copy, and its prism
@@ -760,7 +733,7 @@ def _clear_top_cell_boundary(K, V, alpha, values):
             break
         e = offenders[0]
         x, y = sorted(K.boundary(e))
-        w, e1, e2 = _bisect_edge(K, V, e, values=values).new_cells
+        w, e1, e2 = _bisect_edge(K, V, e, None, values).new_cells
         # a critical alpha passes its criticality to the rest
         rec = _cut_corner(K, V, alpha, x, y, {w}, values)
         d, alpha, corner = rec.new_cells

@@ -1,7 +1,7 @@
 import heapq
 import random
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -406,11 +406,26 @@ def critical_ids(V, K):
                   for c in cs)
 
 
+def drafted(cut, K, V, *args):
+    """cut(K2, V2, *args, values), an in-place cut of dms.surgery, on
+    drafts K2 and V2 of K and V, patching the values of the function
+    synthesized for V: returns K2, V2 and what the cut returns."""
+    K, V = K._draft(), V._draft()
+    return K, V, cut(K, V, *args, dict(synthesize_function(K, V).values))
+
+
+def separated(K, V):
+    """drafted for surgery._separate_critical_cells, handed V's critical
+    cells as critical_cells lists them: K2, V2 and the step records."""
+    return drafted(surgery._separate_critical_cells, K, V,
+                   chain(*critical_cells(V, K).cells.values()))
+
+
 @pytest.fixture
 def each_separation_step(monkeypatch):
     """each_separation_step(check) runs check(index, K, V) on the index
-    separate_critical_cells carries, once it is built and after every
-    step, with the complex and field it then describes."""
+    surgery._separate_critical_cells carries, once it is built and after
+    every step, with the complex and field it then describes."""
     made = []  # the complex and field being separated
 
     def install(check):

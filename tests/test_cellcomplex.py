@@ -12,9 +12,7 @@ from dms.cellcomplex import (
     build_simplicial,
     components,
     cycle_walk,
-    edge_id,
     euler_characteristic,
-    local_neighborhood,
     triangle_id,
     verify_closed_surface,
     vertex_id,
@@ -101,40 +99,16 @@ def test_euler_characteristic(tetra, torus, genus2):
     assert euler_characteristic(genus2[0]) == -2
 
 
-def test_local_neighborhood_tetra(tetra):
-    star, link = local_neighborhood(tetra, "v0")
-    assert sum(1 for c in link.values() if c.dim == 0) == 3
-    assert sum(1 for c in link.values() if c.dim == 1) == 3
-    # the three link edges form a single cycle
-    deg = {}
-    for c in link.values():
-        if c.dim == 1:
-            for v in c.boundary:
-                deg[v] = deg.get(v, 0) + 1
-    assert set(deg.values()) == {2}
-    assert "v0" not in link
-    assert "v0" in star
-
-
-def test_link_in_single_closed_triangle():
-    # the link of a vertex of a 2-simplex is the opposite edge
-    K = build_simplicial([(0, 1, 2)], closed=False)
-    star, link = local_neighborhood(K, vertex_id(0))
-    assert set(link) == {vertex_id(1), vertex_id(2), edge_id(1, 2)}
-    assert set(star) == set(K.cells)
-
-
 def test_torus_vertex_links_are_hexagons(torus):
+    # the rotation around each vertex holds six edges and six triangles
     for i in range(7):
-        _, link = local_neighborhood(torus, vertex_id(i))
-        vs = [c for c in link.values() if c.dim == 0]
-        es = [c for c in link.values() if c.dim == 1]
-        assert len(vs) == 6 and len(es) == 6
+        ring = torus.link_cycle(vertex_id(i))
+        assert len(set(ring[0::2])) == 6 and len(set(ring[1::2])) == 6
 
 
 def test_unknown_cell(tetra):
     with pytest.raises(UnknownCell):
-        local_neighborhood(tetra, "nope")
+        tetra.cell("nope")
 
 
 def test_verify_closed_surface(tetra, torus, rp2):
@@ -375,7 +349,8 @@ def separating_sides(K, f, g):
     """The subdivided surface and the two sides of the circle that
     decompose finds on the genus-g surface K under f at an even split,
     each side the closure of its facets."""
-    K2, _, circle, _ = find_separating_circle(K, f, g // 2, g - g // 2)
+    K2, _, circle, _ = find_separating_circle(K, f, g // 2, g - g // 2,
+                                              dict(f.values))
     sides = facet_components(K2, K2.cells_of_dim(2), set(circle[1::2]))
     assert len(sides) == 2
     return K2, [frozenset().union(*(K2.closure(t) for t in side))
@@ -391,7 +366,7 @@ def test_subcomplex_matches_a_full_rebuild(genus, assert_same_complex):
     id_sets = [
         set(K.cells),
         set().union(*(K.closure(t) for t in some)),
-        K.closed_star(K.cells_of_dim(0)[0]),
+        set().union(*map(K.closure, K.star(K.cells_of_dim(0)[0]))),
         {cid for cid, c in K.cells.items() if c.dim < 2},
         set(K.cells_of_dim(0)),
     ]
@@ -432,11 +407,18 @@ def chord_cells(d_ends=("p0", "p2"), half1=("q0", "q1"),
             Cell("h2", 2, frozenset(half2) | {"d"})]
 
 
+def split_cell(K, old, new_cells, halves):
+    """K._split_cell(old, new_cells, halves) on a draft of K."""
+    K = K._draft()
+    K._split_cell(old, new_cells, halves)
+    return K
+
+
 def test_split_cell_subdivides(pillow_sphere, assert_same_complex):
-    K = pillow_sphere.split_cell("sqA", chord_cells(), ("h1", "h2"))
+    K = split_cell(pillow_sphere, "sqA", chord_cells(), ("h1", "h2"))
     assert_same_complex(K, Complex(K.cells.values()))
     assert K.boundary_cycle("h1") == ("p0", "d", "p2", "q1", "p1", "q0")
-    E = pillow_sphere.split_cell("q0", [
+    E = split_cell(pillow_sphere, "q0", [
         Cell("w", 0, frozenset()), Cell("q0a", 1, frozenset({"p0", "w"})),
         Cell("q0b", 1, frozenset({"p1", "w"}))], ("q0a", "q0b"))
     assert_same_complex(E, Complex(E.cells.values()))
@@ -465,23 +447,23 @@ def test_split_cell_subdivides(pillow_sphere, assert_same_complex):
 def test_split_cell_rejects_non_subdivisions(pillow_sphere, cells, halves,
                                              why):
     with pytest.raises(BadCellBoundary, match=why):
-        pillow_sphere.split_cell("sqA", cells, halves)
+        split_cell(pillow_sphere, "sqA", cells, halves)
 
 
 def test_split_cell_carries_computed_flags(pillow_sphere):
     K = build_poset(pillow_sphere.records())
     # nothing computed on the parent: nothing carried
-    S = K.split_cell("sqA", chord_cells(), ("h1", "h2"))
+    S = split_cell(K, "sqA", chord_cells(), ("h1", "h2"))
     assert "is_pseudomanifold" not in vars(S)
     assert "_surface_info" not in vars(S)
     assert K.is_closed_surface
-    S = K.split_cell("sqA", chord_cells(), ("h1", "h2"))
+    S = split_cell(K, "sqA", chord_cells(), ("h1", "h2"))
     assert vars(S)["is_pseudomanifold"] is True
     assert vars(S)["_surface_info"] == SurfaceInfo(genus=0, orientable=True)
     # a defect names a cell, so only the pseudomanifold flag carries
     open_disk = build_simplicial([(0, 1, 2), (0, 2, 3)], closed=False)
     assert not open_disk.is_closed_surface
-    S = open_disk.split_cell("e0-1", [
+    S = split_cell(open_disk, "e0-1", [
         Cell("w", 0, frozenset()), Cell("a", 1, frozenset({"v0", "w"})),
         Cell("b", 1, frozenset({"v1", "w"}))], ("a", "b"))
     assert vars(S)["is_pseudomanifold"] is False

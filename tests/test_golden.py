@@ -46,14 +46,10 @@ from dms.morsefield import (
     validate_function,
 )
 from dms.splitter import decompose
-from dms.surgery import (
-    build_prism_over_boundary,
-    compose,
-    separate_critical_cells,
-    shrink_closed_star,
-)
+from dms import surgery
+from dms.surgery import build_prism_over_boundary, compose
 
-from conftest import INSEPARABLE_SEEDS, _sphere3, frozen_surface
+from conftest import INSEPARABLE_SEEDS, _sphere3, frozen_surface, separated
 
 
 def _digest(texts):
@@ -147,8 +143,8 @@ def splitter_sweep(glued_genus2, random_root_field):
     """The texts of 546 cases of the splitter, and the decompose results
     among them: decompose of frozen_surface(2..6) under 24 tree-cotree
     and 24 random-root fields each, of the glued genus-2 surface after
-    20, 60 and 200 seeded flips under 8 fields of each kind, and
-    separate_critical_cells under random_valid_field on the tetrahedron,
+    20, 60 and 200 seeded flips under 8 fields of each kind, and the
+    separation under random_valid_field on the tetrahedron,
     torus7 and frozen_surface(2), less the fields it cannot separate.  A
     refused case gives its error's name and args, and is counted by
     name.  The pieces' functions (DMF) are kept apart from the other
@@ -191,8 +187,7 @@ def splitter_sweep(glued_genus2, random_root_field):
             if (name, seed) in INSEPARABLE_SEEDS:
                 continue
             try:
-                K2, V2, _ = separate_critical_cells(
-                    K, random_valid_field(K, seed))
+                K2, V2, _ = separated(K, random_valid_field(K, seed))
             except DmsError as err:
                 refuse(err)
                 continue
@@ -396,7 +391,7 @@ def test_golden_tube_and_shrink(name):
                 [(c.id, c.dim, sorted(c.boundary)) for c in tube.new_cells],
                 sorted(tube.top.items()), sorted(tube.prism.items()))))
         for v in K.vertices_of(alpha):
-            ic = shrink_closed_star(K, alpha, v)
+            ic = surgery._shrink_closed_star(K._draft(), alpha, v)
             J = ic.complex
             texts.append(repr((
                 list(J.cells), J.records(), sorted(J.coface_table.items()),

@@ -43,7 +43,7 @@ from dms.morsefield import (
     validate_function,
 )
 
-from conftest import ComposeSides, critical_ids
+from conftest import ComposeSides, critical_ids, separated
 
 
 # --- oracles: the checks as they were, one accessor call per incidence ----
@@ -651,7 +651,7 @@ def test_touching_crit_pairs_match_the_pairwise_oracle(each_separation_step):
     for K in (tetrahedron(), torus7(), genus_surface(2)[0]):
         for seed in range(6):
             try:
-                surgery.separate_critical_cells(K, random_valid_field(K, seed))
+                separated(K, random_valid_field(K, seed))
             except InseparableCriticals:
                 pass  # the corner cut that does not converge
     assert len(found) > 12 and any(found)

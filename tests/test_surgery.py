@@ -43,17 +43,10 @@ from dms.morsefield import (
     validate_function,
 )
 from dms.splitter import decompose
-from dms.surgery import (
-    bisect_2cell,
-    bisect_edge,
-    build_prism_over_boundary,
-    compose,
-    separate_critical_cells,
-    shrink_closed_star,
-)
+from dms.surgery import build_prism_over_boundary, compose
 
 from conftest import INSEPARABLE_SEEDS, ComposeSides, critical_ids, \
-    frozen_surface, ordered_function
+    drafted, frozen_surface, ordered_function, separated
 
 
 def seeded_torus(seed):
@@ -77,15 +70,17 @@ def assert_scanned_criticals(M, f, V, rep):
 
 
 def test_bisect_requires_edge(torus, torus_field):
+    K, V = torus._draft(), torus_field._draft()
     with pytest.raises(NotAnEdge):
-        bisect_edge(torus, torus_field, "v0")
+        surgery._bisect_edge(K, V, "v0", None, {})
     with pytest.raises(NotA2Cell):
-        bisect_2cell(torus, torus_field, "e0-1", "v0", "v1")
+        surgery._bisect_2cell(K, V, "e0-1", "v0", "v1", {})
 
 
 def test_bisect_critical_edge(torus, torus_field):
     crit = critical_cells(torus_field, torus).cells[1][0]
-    K2, V2, rec = bisect_edge(torus, torus_field, crit)
+    K2, V2, rec = drafted(surgery._bisect_edge, torus, torus_field, crit,
+                          None)
     w, e1, e2 = rec.new_cells
     pm = V2.partner_map()
     assert e1 not in pm               # criticality inherited
@@ -99,7 +94,7 @@ def test_bisect_vertex_paired_edge_reroutes_1path(torus, torus_field):
     pm = torus_field.partner_map()
     e = next(p[1] for p in torus_field.pairs() if torus.dim(p[0]) == 0)
     u = pm[e]
-    K2, V2, rec = bisect_edge(torus, torus_field, e)
+    K2, V2, rec = drafted(surgery._bisect_edge, torus, torus_field, e, None)
     w, e1, e2 = rec.new_cells
     pm2 = V2.partner_map()
     assert pm2[u] == e1 and u in K2.boundary(e1)
@@ -118,7 +113,8 @@ def test_bisect_vertex_paired_edge_reroutes_1path(torus, torus_field):
 def test_bisect_every_edge_preserves_invariants(torus, torus_field):
     m0 = critical_cells(torus_field, torus).m
     for e in torus.cells_of_dim(1):
-        K2, V2, rec = bisect_edge(torus, torus_field, e)
+        K2, V2, rec = drafted(surgery._bisect_edge, torus, torus_field, e,
+                              None)
         ok, m = field_state(K2, V2)
         assert ok and m == m0, e
         assert K2.is_closed_surface
@@ -126,14 +122,15 @@ def test_bisect_every_edge_preserves_invariants(torus, torus_field):
 
 def test_bisect_2cell_critical_and_mirror(torus, torus_field):
     # make a quad first; then the chord splits it
-    K, V, rec = bisect_edge(torus, torus_field, "e0-1")
+    K, V, rec = drafted(surgery._bisect_edge, torus, torus_field, "e0-1",
+                        None)
     w = rec.new_cells[0]
     quad = [t for t in K.cells_of_dim(2) if rec.new_cells[1] in K.boundary(t)][0]
     verts = list(K.boundary_cycle(quad)[0::2])
     far = [v for v in verts if v != w
            and not any(K.boundary(e) == frozenset({v, w})
                        for e in K.boundary(quad))][0]
-    K2, V2, rec2 = bisect_2cell(K, V, quad, w, far)
+    K2, V2, rec2 = drafted(surgery._bisect_2cell, K, V, quad, w, far)
     d, c1, c2 = rec2.new_cells
     pm = V2.partner_map()
     old_pair = V.partner_map().get(quad)
@@ -150,10 +147,11 @@ def test_bisect_2cell_critical_and_mirror(torus, torus_field):
 def test_bad_chord(torus, torus_field):
     t = torus.cells_of_dim(2)[0]
     verts = list(torus.boundary_cycle(t)[0::2])
+    K, V = torus._draft(), torus_field._draft()
     with pytest.raises(BadChord):
-        bisect_2cell(torus, torus_field, t, verts[0], verts[1])
+        surgery._bisect_2cell(K, V, t, verts[0], verts[1], {})
     with pytest.raises(BadChord):
-        bisect_2cell(torus, torus_field, t, verts[0], verts[0])
+        surgery._bisect_2cell(K, V, t, verts[0], verts[0], {})
 
 
 def polygon_pillow(k):
@@ -174,10 +172,12 @@ def test_bisect_2cell_of_a_facet_paired_with_a_3cell(sphere3, collapse_field):
     pm = V.partner_map()
     t = next(t for t in sorted(S.cells_of_dim(2))
              if t in pm and S.dim(pm[t]) == 3)
-    K, W, rec = bisect_edge(S, V, sorted(S.boundary(t))[0])
+    K, W, rec = drafted(surgery._bisect_edge, S, V, sorted(S.boundary(t))[0],
+                        None)
     w = rec.new_cells[0]
     verts = K.boundary_cycle(t)[0::2]
-    K2, W2, rec2 = bisect_2cell(K, W, t, w, verts[(verts.index(w) + 2) % 4])
+    K2, W2, rec2 = drafted(surgery._bisect_2cell, K, W, t, w,
+                           verts[(verts.index(w) + 2) % 4])
     d, c1, c2 = rec2.new_cells
     assert rec2.replacements == {t: c1}
     pm2 = W2.partner_map()
@@ -198,7 +198,7 @@ def test_inheriting_arc_is_the_boundary_bisect_2cell_gives_b1():
         assert len(set(ends)) == len(ends)
         for i, e in enumerate(arc[1::2]):
             assert K.boundary(e) == {ends[i], ends[i + 1]}
-        K2, _, _ = bisect_2cell(K, VectorField(), "A", u, w)
+        K2, _, _ = drafted(surgery._bisect_2cell, K, VectorField(), "A", u, w)
         assert set(arc[1::2]) == K2.boundary("A~b1") - {"A~b0"}
 
 
@@ -214,7 +214,7 @@ def test_bisection_fuzz(seed, genus2, assert_same_complex):
         m0 = critical_cells(V, K).m
         if rng.random() < 0.5:
             e = rng.choice(K.cells_of_dim(1))
-            K, V, _ = bisect_edge(K, V, e)
+            K, V, _ = drafted(surgery._bisect_edge, K, V, e, None)
         else:
             t = rng.choice(K.cells_of_dim(2))
             cyc = K.boundary_cycle(t)
@@ -224,10 +224,11 @@ def test_bisection_fuzz(seed, genus2, assert_same_complex):
                      if not any(K.boundary(e) == frozenset({u, w})
                                 for e in edges)]
             if not legal:
-                K, V, _ = bisect_edge(K, V, rng.choice(sorted(edges)))
+                K, V, _ = drafted(surgery._bisect_edge, K, V,
+                                  rng.choice(sorted(edges)), None)
             else:
                 u, w = rng.choice(legal)
-                K, V, _ = bisect_2cell(K, V, t, u, w)
+                K, V, _ = drafted(surgery._bisect_2cell, K, V, t, u, w)
         ok, m = field_state(K, V)
         assert ok and m == m0
         assert K.is_closed_surface
@@ -241,11 +242,12 @@ def test_bisections_build_no_complex_from_scratch(monkeypatch, torus,
         raise AssertionError("an edit rebuilt the whole complex")
 
     monkeypatch.setattr(Complex, "__init__", refuse)
-    K, V, rec = bisect_edge(torus, torus_field, "e0-1")
+    K, V, rec = drafted(surgery._bisect_edge, torus, torus_field, "e0-1",
+                        None)
     quad = K.cofaces(rec.new_cells[1])[0]
     verts = K.boundary_cycle(quad)[0::2]
     i = verts.index(rec.new_cells[0])
-    bisect_2cell(K, V, quad, verts[i], verts[(i + 2) % 4])
+    drafted(surgery._bisect_2cell, K, V, quad, verts[i], verts[(i + 2) % 4])
 
 
 def test_every_edit_matches_a_full_rebuild(monkeypatch, rebuild,
@@ -356,13 +358,12 @@ def test_crits_in_closures_matches_closure_scan(each_separation_step):
     for g in (2, 3, 4):
         K = genus_surface(g)[0]
         for seed in range(4):
-            separate_critical_cells(
-                K, tree_cotree_field(K, rng=random.Random(seed)))
+            separated(K, tree_cotree_field(K, rng=random.Random(seed)))
     # random fields put a vertex and an edge or polygon in one crowded
     # set, where the least by (dim, id) is not the least by id
     K = genus_surface(2)[0]
     for seed in range(2):
-        separate_critical_cells(K, random_valid_field(K, seed))
+        separated(K, random_valid_field(K, seed))
     assert len(found) > 12 and any(found)
 
 
@@ -370,7 +371,7 @@ def test_separate_critical_cells_identity(torus, torus_field):
     crits = critical_ids(torus_field, torus)
     clash = any(len(set(crits) & torus.closure(c)) >= 2
                 for c in torus.cells)
-    K, V, recs = separate_critical_cells(torus, torus_field)
+    K, V, recs = separated(torus, torus_field)
     if not clash:
         assert not recs and K == torus
 
@@ -393,7 +394,7 @@ def test_separation_budget_is_fixed_on_entry(monkeypatch):
         monkeypatch.setattr(surgery, name, counted)
     last = []
     with pytest.raises(InseparableCriticals) as err:
-        separate_critical_cells(K, V)
+        separated(K, V)
     assert len(made) == 100 + 10 * len(K.cells)
     # the refusal names two critical polygons of the last complex whose
     # closures meet
@@ -404,34 +405,48 @@ def test_separation_budget_is_fixed_on_entry(monkeypatch):
 
 
 def test_separation_refuses_only_the_known_fields():
+    # every case carries the function synthesized for its field, which
+    # each step patches
     refused = set()
     for name, K in (("tetrahedron", tetrahedron()), ("torus7", torus7()),
                     ("genus2", frozen_surface(2))):
         for seed in range(40):
             V = random_valid_field(K, seed)
+            K2, V2 = K._draft(), V._draft()
+            values = dict(synthesize_function(K, V).values)
             try:
-                K2, V2, _ = separate_critical_cells(K, V)
+                surgery._separate_critical_cells(
+                    K2, V2, critical_ids(V, K), values)
             except InseparableCriticals:
                 refused.add((name, seed))
                 continue
             # never the internal InconsistentField; a separation keeps
             # the critical counts
             assert critical_cells(V2, K2).m == critical_cells(V, K).m
+            # the patched values are a Morse function on the separated
+            # complex, one value per cell, inducing the separated field
+            f2 = MorseFunction(values)
+            assert values.keys() == K2.cells.keys()
+            assert _check_function(K2, f2)[0].ok
+            assert induced_field(K2, f2) == V2
     assert refused <= INSEPARABLE_SEEDS
 
 
 def test_one_critical_scan_per_separation(spy):
-    # the loop carries its critical cells, so however many steps it takes
-    # the public call lists them once, on entry
+    # the loop is handed its critical cells and carries them from step to
+    # step, so however many steps it takes it never lists them itself
     scans = spy(critical_cells)
     steps = []
     for g in (2, 3, 4, 5, 6):
         K = genus_surface(g)[0]
         for seed in range(3):
             V = tree_cotree_field(K, rng=random.Random(seed))
+            K2, V2 = K._draft(), V._draft()
+            crit = critical_ids(V, K)
+            values = dict(synthesize_function(K, V).values)
             del scans[:]
-            K2, V2, recs = separate_critical_cells(K, V)
-            assert len(scans) == 1
+            surgery._separate_critical_cells(K2, V2, crit, values)
+            assert not scans
             steps.append((len(K2.cells) - len(K.cells)) // 2)  # bisections
     assert max(steps) > 10
 
@@ -447,7 +462,7 @@ def test_separate_two_edges_sharing_vertex():
             break
     else:
         pytest.skip("no seed with adjacent critical edges")
-    K2, V2, recs = separate_critical_cells(K, V)
+    K2, V2, recs = separated(K, V)
     assert recs
     assert validate_field(K2, V2).ok
     assert critical_cells(V2, K2).m == (1, 2, 1)
@@ -460,7 +475,7 @@ def test_separate_two_edges_sharing_vertex():
         assert not (K2.closure(c1) & set(crits2) - {c1})
         for c2 in crits2[i + 1:]:
             assert not (K2.closure(c1) & K2.closure(c2))
-            assert c2 not in K2.closed_star(c1)
+            assert not any(c2 in K2.closure(x) for x in K2.star(c1))
 
 
 def solid_tetrahedron():
@@ -504,7 +519,7 @@ def test_shrink_closed_star_triangle():
     # work on the 2-skeleton's face: use a closed 2-simplex instead
     from dms.cellcomplex import build_simplicial
     K = build_simplicial([(0, 1, 2)], closed=False)
-    ic = shrink_closed_star(K, "t0-1-2", "v0")
+    ic = surgery._shrink_closed_star(K._draft(), "t0-1-2", "v0")
     K2 = ic.complex
     # collar: outer edge e1-2, inner copy, two side edges, one quad
     quads = [c for c in K2.cells.values() if c.dim == 2 and c.id != ic.beta_prime]
@@ -518,18 +533,18 @@ def test_shrink_closed_star_triangle():
     assert K2.dim("inner:e0-1") == 1
     assert ic.correspondence["e1-2"] == "e1-2"
     with pytest.raises(VertexNotOnCell):
-        shrink_closed_star(build_simplicial([(0, 1, 2), (0, 1, 3)],
-                                            closed=False), "t0-1-2", "v3")
+        surgery._shrink_closed_star(build_simplicial(
+            [(0, 1, 2), (0, 1, 3)], closed=False), "t0-1-2", "v3")
 
 
 def test_shrink_closed_star_refuses_a_lower_cell_and_a_polygon(
         pillow_sphere):
     K = build_simplicial([(0, 1, 2)], closed=False)
     with pytest.raises(NotTopCell):
-        shrink_closed_star(K, "e0-1", "v0")
+        surgery._shrink_closed_star(K._draft(), "e0-1", "v0")
     with pytest.raises(BadCellBoundary,
                        match="shrink needs a simplicial cell; 'sqA'"):
-        shrink_closed_star(pillow_sphere, "sqA", "p0")
+        surgery._shrink_closed_star(pillow_sphere._draft(), "sqA", "p0")
 
 
 def test_shrink_preserves_face_relation():
@@ -537,7 +552,7 @@ def test_shrink_preserves_face_relation():
     cases = [(build_simplicial([(0, 1, 2)], closed=False), "t0-1-2", "v0"),
              (solid_tetrahedron(), "s0-1-2-3", "s0")]
     for K, beta, v in cases:
-        ic = shrink_closed_star(K, beta, v)
+        ic = surgery._shrink_closed_star(K._draft(), beta, v)
         K2 = ic.complex
         domain = sorted(set(K.cells) - {v})
         for r1 in domain:
@@ -555,7 +570,8 @@ def test_shrink_hands_on_the_flags_of_a_fresh_build(name, sphere3,
     assert K.is_pseudomanifold
     K.is_closed_surface  # computed, so the shrink can hand it on
     beta = K.cells_of_dim(K.top_dim)[0]
-    K2 = shrink_closed_star(K, beta, K.vertices_of(beta)[0]).complex
+    K2 = surgery._shrink_closed_star(K._draft(), beta,
+                                     K.vertices_of(beta)[0]).complex
     # a defect names a cell, so only a SurfaceInfo is handed on
     handed = ["_surface_info", "is_pseudomanifold"] if K.top_dim == 2 \
         else ["is_pseudomanifold"]
@@ -1329,13 +1345,14 @@ def test_compose_builds_no_complex_from_scratch(monkeypatch, sphere3,
 def split_then_glue(K1, alpha, top, K2, bprime):
     """The glue of bprime onto the tube top by way of a copy of bprime
     with alpha's k sides: split bprime's smallest edge from its smaller
-    endpoint through the public bisect_edge until it has k edges, then
+    endpoint through surgery._bisect_edge until it has k edges, then
     map the two 2k-walks onto each other, both anchored at their
     smallest vertex, directions reversed.  Returns the split complex and
     the map, one top cell per cell of the split walk."""
     k = len(K1.boundary(alpha))
     while len(K2.boundary(bprime)) < k:
-        K2, _, _ = bisect_edge(K2, VectorField(), min(K2.boundary(bprime)))
+        K2, _, _ = drafted(surgery._bisect_edge, K2, VectorField(),
+                           min(K2.boundary(bprime)), None)
 
     def rotate_to_min(cycle):
         i = cycle[0::2].index(min(cycle[0::2]))
@@ -1359,8 +1376,8 @@ def test_direct_glue_matches_split_then_glue(k, beta, v):
     # the critical vertex because `m2:` sorts below `shrunk:`
     K1 = polygon_pillow(k)
     top = build_prism_over_boundary(K1, "A").top
-    ic = shrink_closed_star(torus7().prefixed("m2:"), "m2:" + beta,
-                            "m2:" + v)
+    ic = surgery._shrink_closed_star(torus7().prefixed("m2:"),
+                                     "m2:" + beta, "m2:" + v)
     K2, bprime = ic.complex, ic.beta_prime
     glue = surgery._surface_glue_map(K1, K2, "A", bprime, top)
     split, old = split_then_glue(K1, "A", top, K2, bprime)

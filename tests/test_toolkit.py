@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -62,7 +63,7 @@ from dms.morsefield import (
     validate_field,
     validate_function,
 )
-from dms.surgery import bisect_edge
+from dms import surgery
 
 
 # --- tree-cotree oracle --------------------------------------------------
@@ -374,9 +375,10 @@ def field_of(*ids):
                                        "t0-1-2", "t1-2-3"),
                  InconsistentField, "2-path from t0-1-2 begins at "
                  "unexpected critical cell t0-1-3", id="2-path-other-critical"),
-    pytest.param(lambda T: bisect_edge(T, VectorField(), "e0-1", anchor="v2"),
-                 VertexNotOnCell, "'v2' is not an endpoint of 'e0-1'",
-                 id="bisect-anchor-off-the-edge"),
+    pytest.param(lambda T: surgery._bisect_edge(
+        T._draft(), VectorField(), "e0-1", "v2", {}),
+        VertexNotOnCell, "'v2' is not an endpoint of 'e0-1'",
+        id="bisect-anchor-off-the-edge"),
     pytest.param(lambda T: parse_cwp("cell x -1\n"), BadDimensionDrop,
                  "cell 'x' has negative dimension", id="cwp-negative-dimension"),
     pytest.param(lambda T: build_poset([("a", 0, []), ("a", 0, [])]),
@@ -911,14 +913,37 @@ def test_cli_closed_stdout_is_no_parse_error(tmp_path, capsys):
                     "--field", str(tmp_path / "missing.dvf")]) == 3
 
 
+# the package's top level: the two operations, the structures they take
+# and return, the checks and the fixtures
+PUBLIC_NAMES = {
+    "BettiVector", "Cell", "Complex", "GradientPath", "MorseCounts",
+    "MorseFunction", "SurfaceInfo", "TubeRegion", "VectorField",
+    "betti_mod2", "build_poset", "build_prism_over_boundary",
+    "build_simplicial", "compose", "critical_cells", "decompose",
+    "euler_characteristic", "genus_surface", "induced_field", "is_perfect",
+    "make_injective", "pillow", "projective_plane6", "synthesize_function",
+    "tetrahedron", "torus7", "trace_1path_tree", "trace_2path",
+    "tree_cotree_field", "validate_field", "validate_function",
+    "verify_closed_surface",
+}
+
+
+def test_the_package_exports_exactly_its_public_names():
+    # adding or dropping a public name takes an edit of PUBLIC_NAMES
+    names = {name for name, value in vars(dms).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC_NAMES and len(names) == 32
+    assert dms.decompose is dms.splitter.decompose
+
+
 def test_compose_and_decompose_do_not_load_numpy():
     script = (
         "import sys\n"
         "import dms\n"
-        "from dms.splitter import decompose\n"
         "K, f, V = dms.genus_surface(1)\n"
         "M, fm, Vm, rep = dms.compose(K, f, K, f)\n"
-        "decompose(M, fm, 1, 1)\n"
+        "dms.decompose(M, fm, 1, 1)\n"
         "print('numpy' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dms.__file__)))
     env = dict(os.environ)
@@ -939,11 +964,10 @@ def test_homology_compose_decompose_and_the_cli_run_without_numpy(tmp_path):
         "sys.modules['numpy'] = None\n"
         "import dms\n"
         "from dms.cli import main\n"
-        "from dms.splitter import decompose\n"
         "K, f, V = dms.genus_surface(1)\n"
         "M, fm, Vm, rep = dms.compose(K, f, K, f)\n"
         "assert dms.betti_mod2(M).b == (1, 4, 1) and rep.perfect\n"
-        "decompose(M, fm, 1, 1)\n"
+        "dms.decompose(M, fm, 1, 1)\n"
         "d = sys.argv[1]\n"
         "for argv in (\n"
         "        ['fixture', 'torus7', '--out', d + '/t'],\n"
